@@ -72,7 +72,13 @@ from .error_lab import (
     write_report_csv,
     write_report_json,
 )
-from .fhn_gen import FhnConfig, make_embedding_instance, make_fhn_instance
+from .fhn_gen import (
+    FhnConfig,
+    derivative_blocks,
+    make_embedding_instance,
+    make_fhn_L,
+    make_fhn_instance,
+)
 from .gram_space import make_space
 from .linear_map import (
     LinearMap,
@@ -88,7 +94,7 @@ from .pod_engine import (
     save_basis,
     spectrum_gapped,
 )
-from .snapshot_io import load, read_matrix_csv, resolve_gram_spec, save
+from .snapshot_io import _atomic_write, load, read_matrix_csv, resolve_gram_spec, save
 
 EXIT_CHECKS_FAILED = 4
 TOL_ENV_VAR = "PODKIT_TOL"
@@ -219,41 +225,20 @@ def _derivative_map(detail, sset):
     scheme = detail.get("scheme", "forward")
     if scheme not in ("forward", "centered"):
         raise MalformedManifest(f"unknown derivative scheme {scheme!r}")
-    mesh = fem.assemble_fem_1d(nodes)
-    h = float(mesh.element_lengths[0])
-
     if scheme == "forward":
-        block = mesh.deriv
-        codomain_block = np.diag(mesh.element_lengths)
-        codomain_label = "derivative"
-    else:
-        block = np.zeros((nodes, nodes))
-        for i in range(1, nodes - 1):
-            block[i, i - 1] = -0.5 / h
-            block[i, i + 1] = 0.5 / h
-        block[0, 0], block[0, 1] = -1.0 / h, 1.0 / h
-        block[-1, -2], block[-1, -1] = -1.0 / h, 1.0 / h
-        codomain_block = mesh.mass
-        codomain_label = "derivative_nodal"
+        return make_fhn_L(nodes, sset.space)
 
-    if sset.space_dim == nodes:
-        blocks = 1
-    elif sset.space_dim == 2 * nodes:
-        blocks = 2
-    else:
-        raise DimensionMismatch(
-            f"derivative map on {nodes} nodes against snapshots of dim "
-            f"{sset.space_dim}; expected {nodes} or {2 * nodes}"
-        )
-    if blocks == 2:
-        matrix = block_diag(block, block)
-        codomain = make_space(
-            block_diag(codomain_block, codomain_block),
-            label=codomain_label + "_product",
-        )
-    else:
-        matrix = block
-        codomain = make_space(codomain_block, label=codomain_label)
+    mesh = fem.assemble_fem_1d(nodes)
+    blocks = derivative_blocks(nodes, sset.space_dim)
+    h = float(mesh.element_lengths[0])
+    block = (np.eye(nodes, k=1) - np.eye(nodes, k=-1)) * (0.5 / h)
+    block[0, :2] = -1.0 / h, 1.0 / h
+    block[-1, -2:] = -1.0 / h, 1.0 / h
+    codomain = make_space(
+        block_diag(*[mesh.mass] * blocks),
+        label="derivative_nodal_product" if blocks > 1 else "derivative_nodal",
+    )
+    matrix = block_diag(*[block] * blocks)
     return LinearMap(
         domain=sset.space, codomain=codomain, matrix=matrix, kind="derivative"
     )
@@ -362,10 +347,6 @@ def _select_family(flag, lmap, form):
 
 # -- battery -----------------------------------------------------------------
 
-def _worst(reports):
-    return max(reports, key=lambda rep: (not rep.passed, rep.rel_diff))
-
-
 def run_battery(sset, basis, lmap, family, form, r_values, tol, seed):
     """Identity and bound checks for verify; returns (reports, extra).
 
@@ -382,14 +363,7 @@ def run_battery(sset, basis, lmap, family, form, r_values, tol, seed):
     proj_by_r = {}
     for r in r_values:
         reports.append(check_pod_error(sset, basis, r, tol))
-        exact_rows = []
-        bound_rows = []
-        for ell in range(sset.count):
-            ex, bd = check_range_residual(sset, basis, r, ell)
-            exact_rows.append(ex)
-            bound_rows.append(bd)
-        reports.append(_worst(exact_rows))
-        reports.append(_worst(bound_rows))
+        reports.extend(check_range_residual(sset, basis, r, range(sset.count)))
 
         if lmap is None:
             reports.extend(check_snapshot_bounds(sset, basis, r)["reports"])
@@ -470,40 +444,31 @@ def _require(args, name):
     return value
 
 
-def cmd_generate_fhn(args):
-    nodes = 100 if args.nodes is None else int(args.nodes)
-    out = _require(args, "output")
-    inst = make_fhn_instance(FhnConfig(nodes=nodes))
-    manifest_path = save(inst["set"], out)
-    stem = os.path.splitext(manifest_path)[0]
-    map_path = stem + "_map.json"
-    map_spec = {"derivative_1d": {"nodes": nodes, "scheme": "forward"}}
-    with open(map_path, "w") as fh:
-        json.dump(map_spec, fh, indent=2)
-        fh.write("\n")
-    sset = inst["set"]
+def _finish_bundle(manifest_path, sset, nodes, map_spec):
+    """Write the bundle's map spec next to its manifest and report both."""
+    map_path = os.path.splitext(manifest_path)[0] + "_map.json"
+    _atomic_write(map_path, json.dumps(map_spec, indent=2) + "\n")
     print(f"wrote {manifest_path}")
     print(f"wrote {map_path}")
     print(f"snapshots: {sset.count}, state dim: {sset.space_dim}, nodes: {nodes}")
     return 0
+
+
+def cmd_generate_fhn(args):
+    nodes = 100 if args.nodes is None else int(args.nodes)
+    out = _require(args, "output")
+    sset = make_fhn_instance(FhnConfig(nodes=nodes))["set"]
+    spec = {"derivative_1d": {"nodes": nodes, "scheme": "forward"}}
+    return _finish_bundle(save(sset, out), sset, nodes, spec)
 
 
 def cmd_generate_synthetic(args):
     nodes = 33 if args.nodes is None else int(args.nodes)
     out = _require(args, "output")
-    inst = make_embedding_instance(nodes, 1, seed=args.seed)
-    manifest_path = save(inst["set"], out, gram_spec={"fem_mass": nodes})
-    stem = os.path.splitext(manifest_path)[0]
-    map_path = stem + "_map.json"
-    map_spec = {"embedding": {"from": "mass", "to": "stiffness+mass"}}
-    with open(map_path, "w") as fh:
-        json.dump(map_spec, fh, indent=2)
-        fh.write("\n")
-    sset = inst["set"]
-    print(f"wrote {manifest_path}")
-    print(f"wrote {map_path}")
-    print(f"snapshots: {sset.count}, state dim: {sset.space_dim}, nodes: {nodes}")
-    return 0
+    sset = make_embedding_instance(nodes, 1, seed=args.seed)["set"]
+    spec = {"embedding": {"from": "mass", "to": "stiffness+mass"}}
+    manifest_path = save(sset, out, gram_spec={"fem_mass": nodes})
+    return _finish_bundle(manifest_path, sset, nodes, spec)
 
 
 def _truncate_basis(basis, r):

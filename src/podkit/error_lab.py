@@ -13,8 +13,8 @@ Identity and bound tags
 - proj_y:           data error of a codomain projection of the mapped data
 - pullback_x:       data error of the inverse-conjugated codomain projection
 - hs_*:             the three above at operator level (Hilbert-Schmidt norms)
-- range_exact:      exact residual formula for one snapshot, with the
-  per-snapshot singular-value bound snap_sigma_bound
+- range_exact:      exact residual formula per snapshot (with a rounding
+  floor), and the per-snapshot singular-value bound snap_sigma_bound
 - snap_*:           per-snapshot squared-error bounds by the identity tails
 - pw_*:             pointwise tail bounds for elements reproduced from a
   coefficient vector
@@ -55,6 +55,8 @@ from .snapshot_io import _atomic_write
 IDENTITY_RTOL = 1e-8
 IDENTITY_ABS_FLOOR = 1e-14
 EXACT_RTOL = 1e-9
+EXACT_FLOOR_UNITS = 32.0  # range_exact floor, in units of u sigma_1 / sqrt(g)
+UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 BOUND_SLACK = 1e-10
 
 CSV_COLUMNS = ("identity_id", "r", "actual", "formula", "abs_diff", "rel_diff", "passed")
@@ -82,24 +84,29 @@ class ErrorReport:
     info: dict = field(default_factory=dict)
 
 
+def _compare(lhs, rhs, tol):
+    """Elementwise absolute and relative differences (rel 0 where both sides
+    are) and the identity verdict: within tol, or both sides negligible."""
+    abs_diff = np.abs(lhs - rhs)
+    denom = np.maximum(np.abs(lhs), np.abs(rhs))
+    rel_diff = abs_diff / np.where(denom > 0.0, denom, 1.0)
+    small = (np.abs(lhs) <= IDENTITY_ABS_FLOOR) & (np.abs(rhs) <= IDENTITY_ABS_FLOOR)
+    return abs_diff, rel_diff, (rel_diff <= tol) | small
+
+
 def identity_report(identity_id, r, lhs, rhs, tol=None, info=None):
     tol = IDENTITY_RTOL if tol is None else tol
     lhs = float(lhs)
     rhs = float(rhs)
-    abs_diff = abs(lhs - rhs)
-    denom = max(abs(lhs), abs(rhs))
-    rel_diff = abs_diff / denom if denom > 0.0 else 0.0
-    passed = rel_diff <= tol or (
-        abs(lhs) <= IDENTITY_ABS_FLOOR and abs(rhs) <= IDENTITY_ABS_FLOOR
-    )
+    abs_diff, rel_diff, passed = _compare(lhs, rhs, tol)
     return ErrorReport(
         identity_id=identity_id,
         r=r,
         lhs=lhs,
         rhs=rhs,
-        abs_diff=abs_diff,
-        rel_diff=rel_diff,
-        passed=passed,
+        abs_diff=float(abs_diff),
+        rel_diff=float(rel_diff),
+        passed=bool(passed),
         kind="identity",
         tol=tol,
         info=info or {},
@@ -110,15 +117,14 @@ def bound_report(identity_id, r, lhs, rhs, slack=None, info=None):
     slack = BOUND_SLACK if slack is None else slack
     lhs = float(lhs)
     rhs = float(rhs)
-    abs_diff = abs(lhs - rhs)
-    denom = max(abs(lhs), abs(rhs))
+    abs_diff, rel_diff, _ = _compare(lhs, rhs, slack)
     return ErrorReport(
         identity_id=identity_id,
         r=r,
         lhs=lhs,
         rhs=rhs,
-        abs_diff=abs_diff,
-        rel_diff=abs_diff / denom if denom > 0.0 else 0.0,
+        abs_diff=float(abs_diff),
+        rel_diff=float(rel_diff),
         passed=lhs <= rhs + slack,
         kind="bound",
         tol=slack,
@@ -295,33 +301,57 @@ def _coeff_inner(sset, basis, g):
     return basis.right_full.T @ (sset.weights * g)
 
 
+def _worst_index(passed, rel_diff):
+    """Worst row: failures first, then the largest rel_diff, then lowest index."""
+    candidates = np.flatnonzero(~passed)
+    if candidates.size == 0:
+        candidates = np.arange(passed.size)
+    return int(candidates[np.argmax(rel_diff[candidates])])
+
+
 def check_range_residual(sset, basis, r, ell, tol_exact=None):
-    """Exact residual formula and singular-value bound for one snapshot.
+    """Exact residual formula and singular-value bound for snapshots ell.
 
     Snapshot ell is the image of the scaled coordinate coefficient vector,
     so its projection residual norm equals the square root of the eigenvalue
     tail weighted by the squared right-vector entries at ell.  The companion
     bound caps the residual by sigma_{r+1} over the square root of the
-    snapshot's weight.
+    snapshot's weight.  The exact row also passes when the sides differ by
+    at most EXACT_FLOOR_UNITS * u * sigma_1 / sqrt(g_ell), u the unit
+    roundoff: the SVD's backward error carried over to snapshot ell (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 19), recorded in
+    info["floor"].  ell is one index or a sequence of them, evaluated in one
+    block; each report then names its worst snapshot.
 
     Returns (exact_report, bound_report).
     """
     tol_exact = EXACT_RTOL if tol_exact is None else tol_exact
-    if not 0 <= ell < sset.count:
+    ells = np.atleast_1d(np.asarray(ell))
+    if ells.size == 0 or np.any((ells < 0) | (ells >= sset.count)):
         raise IndexOutOfRange(f"snapshot index {ell} outside [0, {sset.count})")
-    w = sset.data[:, ell]
-    residual = w - _project_cols(basis, r, w[:, None])[:, 0]
-    lhs = norm(basis.space, residual)
-    coeffs = basis.right_full[ell, r:]
-    rhs = float(np.sqrt(np.dot(basis.eigenvalues[r:], coeffs**2)))
-    exact = identity_report(
-        "range_exact", r, lhs, rhs, tol_exact, info={"ell": ell}
-    )
+    W = sset.data[:, ells]
+    lhs = np.sqrt(_column_sq_norms(basis.space, W - _project_cols(basis, r, W)))
     lam = basis.eigenvalues
+    rhs = np.sqrt(basis.right_full[ells, r:] ** 2 @ lam[r:])
+    inv_sqrt_g = 1.0 / np.sqrt(sset.weights[ells])
+    sigma_1 = float(np.sqrt(lam[0])) if lam.size else 0.0
+    floor = EXACT_FLOOR_UNITS * UNIT_ROUNDOFF * sigma_1 * inv_sqrt_g
+    abs_diff, rel_diff, passed = _compare(lhs, rhs, tol_exact)
+    passed |= abs_diff <= floor
+    i = _worst_index(passed, rel_diff)
+    exact = identity_report(
+        "range_exact", r, lhs[i], rhs[i], tol_exact,
+        info={"ell": int(ells[i]), "floor": float(floor[i])},
+    )
+    exact.passed = bool(passed[i])  # the floor can pass a row outside tol
+
     sigma_next = float(np.sqrt(lam[r])) if r < lam.size else 0.0
-    cap = sigma_next / float(np.sqrt(sset.weights[ell]))
+    cap = sigma_next * inv_sqrt_g
+    _, cap_rel, _ = _compare(lhs, cap, 0.0)
+    j = _worst_index(lhs <= cap + BOUND_SLACK, cap_rel)
     bound = bound_report(
-        "snap_sigma_bound", r, lhs, cap, info={"ell": ell, "sigma_next": sigma_next}
+        "snap_sigma_bound", r, lhs[j], cap[j],
+        info={"ell": int(ells[j]), "sigma_next": sigma_next},
     )
     return exact, bound
 

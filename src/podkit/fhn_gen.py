@@ -147,18 +147,30 @@ def make_derivative_codomain(nodes, blocks=1):
     return make_space(np.diag(lengths), label="derivative_product" if blocks > 1 else "derivative")
 
 
-def make_fhn_L(nodes):
-    """Componentwise derivative map on the product state space.
+def derivative_blocks(nodes, dim):
+    """Number of nodal components (1 or 2) in a state of dimension dim."""
+    if dim not in (nodes, 2 * nodes):
+        raise DimensionMismatch(
+            f"derivative map on {nodes} nodes against snapshots of dim "
+            f"{dim}; expected {nodes} or {2 * nodes}"
+        )
+    return dim // nodes
 
-    Maps nodal [u; v] to the elementwise slopes of both components; paired
-    with the element-length weights the codomain norm is the exact H^1
-    seminorm of the pair.  Constants lie in the kernel, so the map has no
-    inverse.
+
+def make_fhn_L(nodes, domain=None):
+    """Componentwise forward-derivative map on a nodal state space.
+
+    Maps nodal [u; v] (or a single nodal field, when the domain has one
+    component) to the elementwise slopes of each component; paired with the
+    element-length weights the codomain norm is the exact H^1 seminorm.
+    The domain defaults to the L^2 product space of the two-species state.
+    Constants lie in the kernel, so the map has no inverse.
     """
     mesh = assemble_fem_1d(nodes)
-    domain = make_product_space(nodes)
-    codomain = make_derivative_codomain(nodes, blocks=2)
-    matrix = block_diag(mesh.deriv, mesh.deriv)
+    domain = make_product_space(nodes) if domain is None else domain
+    blocks = derivative_blocks(nodes, domain.dim)
+    codomain = make_derivative_codomain(nodes, blocks=blocks)
+    matrix = block_diag(*[mesh.deriv] * blocks)
     return LinearMap(domain=domain, codomain=codomain, matrix=matrix, kind="derivative")
 
 

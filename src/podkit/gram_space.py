@@ -159,40 +159,35 @@ def half_weight_inv(space, u):
 
 
 def orthonormalize(space, vectors):
-    """Gram-Schmidt orthonormalization in the space's inner product.
+    """Orthonormalization in the space's inner product by one Householder QR.
 
-    Modified Gram-Schmidt with a second sweep per column for stability.  The
-    columns of the result span the same space as the input columns and are
-    orthonormal with respect to the Gram matrix.
+    Factors the half-weighted columns chol^T V = Q R with diag(R) > 0 and
+    returns chol^{-T} Q, the Gram-Schmidt result: G-orthonormal columns whose
+    leading k span the same space as the leading k input columns.
 
     Raises
     ------
     RankDeficient
-        When a column's residual norm falls below 1e-12 times the largest
-        pivot seen, i.e. the column lies numerically in the span of the
-        previous ones.
+        At the first column whose pivot |R_jj| is at most 1e-12 times the
+        largest pivot up to it, i.e. the column lies numerically in the span
+        of the previous ones.
     """
-    V = np.array(vectors, dtype=float, copy=True)
+    V = np.asarray(vectors, dtype=float)
     if V.ndim == 1:
         V = V[:, None]
-    _check_dim(space, V)
-    n_cols = V.shape[1]
-    Q = np.empty_like(V)
-    pivots = []
-    for j in range(n_cols):
-        w = V[:, j].copy()
-        for _ in range(2):
-            for i in range(j):
-                w -= inner(space, w, Q[:, i]) * Q[:, i]
-        p = norm(space, w)
-        ref = max(pivots + [p])
-        if p == 0.0 or p <= ORTH_DROP_TOL * ref:
-            raise RankDeficient(
-                f"column {j} has pivot {p:.3e} against largest pivot {ref:.3e}"
-            )
-        pivots.append(p)
-        Q[:, j] = w / p
-    return Q
+    Q, R = np.linalg.qr(half_weight(space, V))
+    diag = np.diag(R)
+    # Columns beyond the dimension have no pivot of their own: zero.
+    pivots = np.abs(np.append(diag, np.zeros(V.shape[1] - diag.size)))
+    largest = np.maximum.accumulate(pivots)
+    dependent = np.flatnonzero(pivots <= ORTH_DROP_TOL * largest)
+    if dependent.size:
+        j = dependent[0]
+        raise RankDeficient(
+            f"column {j} has pivot {pivots[j]:.3e} against largest pivot "
+            f"{largest[j]:.3e}"
+        )
+    return half_weight_inv(space, Q * np.sign(diag))
 
 
 def adjoint_matrix(space_from, space_to, matrix):

@@ -46,7 +46,6 @@ from .gram_space import (
     half_weight,
     half_weight_inv,
     identity_space,
-    make_space,
     orthonormalize,
 )
 from .snapshot_io import read_matrix_csv, write_matrix_csv, _atomic_write
@@ -64,9 +63,10 @@ class PodBasis:
         Singular values in descending order, all above the drop tolerance.
     modes : ndarray, shape (dim, rank)
         Orthonormal modes in the ambient inner product (re-orthonormalized
-        after the eigensolve; spans of leading blocks are preserved).
+        after the SVD by one QR; spans of leading blocks are preserved).
     right_vectors : ndarray, shape (s, rank)
-        Coefficient-side vectors, orthonormal under the weights.
+        Coefficient-side vectors, orthonormal under the weights (the leading
+        right singular directions, signed like the modes).
     rank : int
     drop_tol : float
     eigenvalues : ndarray, shape (min(dim, s),)
@@ -120,6 +120,10 @@ def compute_pod(sset, space=None, drop_tol=DEFAULT_DROP_TOL):
     Returns
     -------
     PodBasis
+
+    The right vectors are the raw SVD directions scaled by 1/sqrt(g), already
+    weight-orthonormal to working accuracy, so nothing of size s x s is
+    formed.  Each mode is signed to make its largest-magnitude entry positive.
     """
     if space is None:
         space = sset.space
@@ -134,7 +138,6 @@ def compute_pod(sset, space=None, drop_tol=DEFAULT_DROP_TOL):
 
     W = sset.data
     g12 = np.sqrt(sset.weights)
-    n, s = W.shape
     A = half_weight(space, W * g12[None, :])  # chol^T W Gamma^{1/2}, n x s
 
     try:
@@ -151,23 +154,11 @@ def compute_pod(sset, space=None, drop_tol=DEFAULT_DROP_TOL):
     else:
         rank = 0
 
-    if rank:
-        modes = orthonormalize(space, modes_full[:, :rank])
-        weight_space = GramSpace(
-            dim=s,
-            gram=np.diag(sset.weights),
-            chol=np.diag(g12),
-            label="weights",
-        )
-        right = orthonormalize(weight_space, right_full[:, :rank])
-        for k in range(rank):
-            i = int(np.argmax(np.abs(modes[:, k])))
-            if modes[i, k] < 0.0:
-                modes[:, k] = -modes[:, k]
-                right[:, k] = -right[:, k]
-    else:
-        modes = np.zeros((n, 0))
-        right = np.zeros((s, 0))
+    modes = orthonormalize(space, modes_full[:, :rank])
+    peaks = modes[np.argmax(np.abs(modes), axis=0), np.arange(rank)]
+    signs = np.where(peaks < 0.0, -1.0, 1.0)
+    modes *= signs
+    right = right_full[:, :rank] * signs
 
     return PodBasis(
         sigma=sig_full[:rank].copy(),

@@ -2,12 +2,16 @@
 
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
-from podkit.cli import main
+from podkit.cli import build_map_from_spec, main
+from podkit.fem import assemble_fem_1d
 from podkit.pod_engine import load_basis
+from podkit.snapshot_io import load
 
 
 def run(capsys, *argv):
@@ -244,3 +248,72 @@ def test_projector_families_run_on_synthetic(synth_bundle, tmp_path, capsys):
         )
         assert code == 0, (family, err)
         assert json.load(open(report))["all_passed"] is True
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o027], ids=["umask022", "umask027"])
+def test_written_files_follow_umask(tmp_path, capsys, mask):
+    manifest = str(tmp_path / "s.json")
+    map_path = manifest.replace(".json", "_map.json")
+    old = os.umask(mask)
+    try:
+        codes = [
+            main(["generate-synthetic", "--output", manifest, "--nodes", "9"]),
+            main(["pod", "--input", manifest, "--output", str(tmp_path / "b.json")]),
+            main([
+                "verify", "--input", manifest, "--map", map_path,
+                "--output", str(tmp_path / "report.json"), "--r", "1",
+            ]),
+            main([
+                "sweep", "--input", manifest, "--map", map_path,
+                "--output", str(tmp_path / "sweep.csv"), "--r", "1",
+            ]),
+        ]
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 0]
+    names = sorted(os.listdir(tmp_path))
+    assert names == sorted([
+        "s.json", "s_data.csv", "s_map.json", "b.json", "b_modes.csv",
+        "b_right.csv", "report.json", "sweep.csv",
+    ])
+    for name in names:
+        mode = stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+        assert mode == 0o666 & ~mask, (name, oct(mode))
+
+
+@pytest.mark.parametrize("components", [1, 2])
+def test_derivative_specs_build_both_schemes(tmp_path, capsys, components):
+    nodes = 8
+    if components == 1:
+        manifest = str(tmp_path / "s.json")
+        assert main(["generate-synthetic", "--output", manifest, "--nodes", "8"]) == 0
+    else:
+        manifest = str(tmp_path / "fhn.json")
+        assert main(["generate-fhn", "--output", manifest, "--nodes", "8"]) == 0
+    capsys.readouterr()
+    sset = load(manifest)
+    mesh = assemble_fem_1d(nodes)
+    h = mesh.element_lengths[0]
+
+    spec = json.dumps({"derivative_1d": {"nodes": nodes, "scheme": "forward"}})
+    lmap, _ = build_map_from_spec(spec, sset)
+    assert lmap.domain is sset.space
+    assert np.array_equal(lmap.matrix, block_diag(*[mesh.deriv] * components))
+    assert np.array_equal(
+        lmap.codomain.gram, np.diag(np.tile(mesh.element_lengths, components))
+    )
+
+    spec = json.dumps({"derivative_1d": {"nodes": nodes, "scheme": "centered"}})
+    lmap, _ = build_map_from_spec(spec, sset)
+    block = lmap.matrix[:nodes, :nodes]
+    assert block[3, 2] == pytest.approx(-0.5 / h) and block[3, 4] == pytest.approx(0.5 / h)
+    assert np.array_equal(lmap.matrix, block_diag(*[block] * components))
+    assert np.allclose(lmap.codomain.gram, block_diag(*[mesh.mass] * components))
+
+    code, _, err = run(
+        capsys, "verify", "--input", manifest, "--output", str(tmp_path / "r.json"),
+        "--map", json.dumps({"derivative_1d": {"nodes": nodes + 1}}), "--r", "1",
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "DimensionMismatch"

@@ -2,12 +2,14 @@
 instance and against independent recomputation on seeded random instances."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from podkit.error_lab import (
+    _worst_index,
     build_codomain_projector,
     check_hs_identities,
     check_mapped_pod_error,
@@ -68,6 +70,59 @@ def test_range_residual_golden_hand_value(golden_instance):
     assert exact.lhs <= bound.rhs
     with pytest.raises(IndexOutOfRange):
         check_range_residual(sset, basis, 1, 5)
+
+
+def test_range_residual_block_names_the_worst_snapshot():
+    inst = random_instance(9, 7, seed=61)
+    sset = inst["set"]
+    basis = compute_pod(sset, inst["space_x"])
+    everything = range(sset.count)
+    for r in range(1, basis.rank + 1):
+        exact, bound = check_range_residual(sset, basis, r, everything)
+        singles = [check_range_residual(sset, basis, r, ell) for ell in everything]
+        for block_rep, k in ((exact, 0), (bound, 1)):
+            # the single-snapshot call indexes the same computation
+            same = singles[block_rep.info["ell"]][k]
+            assert block_rep.lhs == pytest.approx(same.lhs, rel=1e-12)
+            assert block_rep.rhs == pytest.approx(same.rhs, rel=1e-12)
+            assert block_rep.passed == all(rows[k].passed for rows in singles)
+            worst = max(rows[k].rel_diff for rows in singles)
+            assert block_rep.rel_diff >= worst - 1e-12
+
+
+def test_worst_index_prefers_failures_then_first_of_ties():
+    passed = np.array([True, False, False, True])
+    assert _worst_index(passed, np.array([5.0, 2.0, 2.0, 9.0])) == 1
+    assert _worst_index(np.ones(3, bool), np.array([1.0, 3.0, 3.0])) == 1
+
+
+def test_range_exact_passes_at_every_level_on_flagship(fhn_instance):
+    sset = fhn_instance["set"]
+    basis = compute_pod(sset)
+    for r in range(1, basis.rank + 1):
+        exact, _ = check_range_residual(sset, basis, r, range(sset.count))
+        assert exact.passed, (r, exact.info, exact.rel_diff)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_range_exact_floor_follows_data_scale(fhn_instance, scale):
+    # The floor is u * sigma_1 / sqrt(g_ell) times a constant, so scaling the
+    # data scales it too: the true formula passes at every level and scale,
+    # and a formula off by a factor of two fails below the rank.
+    src = fhn_instance["set"]
+    sset = make_snapshot_set(src.data * scale, src.weights, space=src.space)
+    basis = compute_pod(sset)
+    doubled = dataclasses.replace(basis, right_full=2.0 * basis.right_full)
+    everything = range(sset.count)
+    for r in range(1, basis.rank + 1):
+        exact, _ = check_range_residual(sset, basis, r, everything)
+        assert exact.passed, (scale, r, exact.rel_diff)
+        assert exact.info["floor"] == pytest.approx(
+            32.0 * 2.0**-53 * basis.sigma[0] / math.sqrt(sset.weights[exact.info["ell"]])
+        )
+        if r < basis.rank:
+            wrong, _ = check_range_residual(sset, doubled, r, everything)
+            assert not wrong.passed, (scale, r)
 
 
 def test_guarantee_threshold_golden(golden_instance):

@@ -15,7 +15,8 @@ from podkit.fhn_gen import (
     random_instance,
     solve_fhn,
 )
-from podkit.gram_space import norm
+from podkit.fem import assemble_fem_1d
+from podkit.gram_space import make_space, norm
 from podkit.pod_engine import compute_pod
 
 
@@ -97,6 +98,19 @@ def test_derivative_map_kills_constants():
     const = np.concatenate([np.full(10, 3.0), np.full(10, -2.0)])
     assert np.max(np.abs(lmap.matrix @ const)) < 1e-13
     assert lmap.inverse is None
+
+
+def test_derivative_map_on_one_or_two_components():
+    mesh = assemble_fem_1d(10)
+    single = make_fhn_L(10, make_space(mesh.mass))
+    assert np.array_equal(single.matrix, mesh.deriv)
+    assert np.array_equal(single.codomain.gram, np.diag(mesh.element_lengths))
+    pair = make_fhn_L(10)
+    assert pair.domain.dim == 20 and pair.codomain.dim == 18
+    assert np.array_equal(pair.matrix[9:, 10:], mesh.deriv)
+    assert np.array_equal(pair.matrix[:9, 10:], np.zeros((9, 10)))
+    with pytest.raises(DimensionMismatch):
+        make_fhn_L(10, make_space(np.eye(15)))
 
 
 def test_product_space_norm_is_componentwise():

@@ -9,6 +9,7 @@ from podkit.errors import (
     RankDeficient,
 )
 from podkit.gram_space import (
+    ORTH_DROP_TOL,
     GramSpace,
     adjoint_matrix,
     half_weight,
@@ -115,6 +116,79 @@ def test_orthonormalize_rank_deficient():
     V = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
     with pytest.raises(RankDeficient):
         orthonormalize(space, V)
+
+
+def mgs_reference(space, vectors):
+    """Column-by-column modified Gram-Schmidt with a second sweep per column.
+
+    The reference orthonormalize must reproduce: same output columns, same
+    pivot rule (a pivot at most ORTH_DROP_TOL times the largest so far marks
+    the column as dependent).
+    """
+    V = np.array(vectors, dtype=float, copy=True)
+    if V.ndim == 1:
+        V = V[:, None]
+    Q = np.empty_like(V)
+    pivots = []
+    for j in range(V.shape[1]):
+        w = V[:, j].copy()
+        for _ in range(2):
+            for i in range(j):
+                w -= inner(space, w, Q[:, i]) * Q[:, i]
+        p = norm(space, w)
+        ref = max(pivots + [p])
+        if p == 0.0 or p <= ORTH_DROP_TOL * ref:
+            raise RankDeficient(f"column {j} has pivot {p:.3e}")
+        pivots.append(p)
+        Q[:, j] = w / p
+    return Q
+
+
+def random_cases(count=40):
+    for seed in range(count):
+        r = np.random.default_rng(seed)
+        n = int(r.integers(1, 13))
+        k = int(r.integers(1, n + 1))
+        yield make_space(random_spd(r, n)), r.standard_normal((n, k))
+
+
+def test_orthonormalize_matches_gram_schmidt_reference():
+    for space, V in random_cases():
+        Q = orthonormalize(space, V)
+        assert np.max(np.abs(Q - mgs_reference(space, V))) <= 1e-12
+
+
+def test_orthonormalize_keeps_leading_spans():
+    # R = (V_j, Q_i) must be upper triangular with a positive diagonal and
+    # reproduce V: then span(Q[:, :k]) = span(V[:, :k]) for every k.
+    for space, V in random_cases():
+        Q = orthonormalize(space, V)
+        R = inner(space, V, Q)
+        scale = np.max(np.abs(R))
+        assert np.max(np.abs(np.tril(R, -1))) <= 1e-12 * scale
+        assert np.all(np.diag(R) > 0.0)
+        assert np.allclose(Q @ np.triu(R), V, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize(
+    "columns, first_dependent",
+    [
+        # third column is the sum of the first two
+        ([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+          [0.0, 0.0, 0.0, 0.0]], 2),
+        # a repeated first column
+        ([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]], 1),
+        # more columns than the dimension: column 3 has no room left
+        (np.arange(1.0, 16.0).reshape(3, 5) ** 2, 3),
+        # an exact zero column up front
+        ([[0.0, 1.0], [0.0, 1.0]], 0),
+    ],
+)
+def test_orthonormalize_names_first_dependent_column(columns, first_dependent):
+    space = make_space(random_spd(np.random.default_rng(9), len(columns)))
+    for fn in (orthonormalize, mgs_reference):
+        with pytest.raises(RankDeficient, match=f"^column {first_dependent} "):
+            fn(space, np.array(columns))
 
 
 def test_adjoint_diagonal_oracle():

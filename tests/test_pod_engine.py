@@ -6,6 +6,8 @@ eigendecomposition.  The implementation goes through an SVD of a
 half-weighted data matrix instead, so agreement is a genuine cross-check.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,23 @@ def test_spectrum_gapped():
     basis = compute_pod(sset, identity_space(12))
     assert 0 < basis.rank < 12
     assert not spectrum_gapped(basis)
+
+
+def test_compute_pod_memory_stays_linear_in_snapshot_count():
+    # 5,000 snapshots: a single dense s x s float array would take 200 MB.
+    rng = np.random.default_rng(17)
+    n, s, k = 20, 5000, 6
+    data = rng.standard_normal((n, k)) @ rng.standard_normal((k, s))
+    A = rng.standard_normal((n, n))
+    space = make_space(A.T @ A / n + np.eye(n))
+    sset = make_snapshot_set(data, rng.uniform(0.5, 2.0, s), space=space)
+    tracemalloc.start()
+    try:
+        basis = compute_pod(sset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert basis.rank == k
+    F = basis.right_vectors
+    assert np.allclose(F.T @ (sset.weights[:, None] * F), np.eye(k), atol=1e-12)
