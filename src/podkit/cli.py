@@ -57,15 +57,8 @@ from .errors import (
 )
 from .error_lab import (
     IDENTITY_RTOL,
+    battery_level,
     build_codomain_projector,
-    check_hs_identities,
-    check_mapped_pod_error,
-    check_pod_error,
-    check_pointwise,
-    check_projected_error,
-    check_pullback_error,
-    check_range_residual,
-    check_snapshot_bounds,
     read_report,
     report_rows,
     sweep as run_sweep,
@@ -360,33 +353,12 @@ def run_battery(sset, basis, lmap, family, form, r_values, tol, seed):
     reports = []
     extra = {"r_values": list(r_values), "tol": tol, "family": family}
 
-    proj_by_r = {}
     for r in r_values:
-        reports.append(check_pod_error(sset, basis, r, tol))
-        reports.extend(check_range_residual(sset, basis, r, range(sset.count)))
-
-        if lmap is None:
-            reports.extend(check_snapshot_bounds(sset, basis, r)["reports"])
-            continue
-
-        proj_y = build_codomain_projector(basis, lmap, r, family=family, form=form)
-        proj_by_r[r] = proj_y
-        reports.append(check_mapped_pod_error(sset, basis, lmap, r, tol))
-        reports.append(check_projected_error(sset, basis, lmap, proj_y, r, tol))
-        if lmap.inverse is not None:
-            reports.append(check_pullback_error(sset, basis, lmap, proj_y, r, tol))
-        reports.extend(check_hs_identities(sset, basis, lmap, proj_y, r, tol))
-        reports.extend(
-            check_snapshot_bounds(sset, basis, r, lmap=lmap, proj_y=proj_y)["reports"]
-        )
-        for _ in range(POINTWISE_PER_LEVEL):
-            g = rng.standard_normal(sset.count)
-            reports.append(check_pointwise("proj_y", sset, basis, g, r, lmap, proj_y))
-            if lmap.inverse is not None:
-                reports.append(check_pointwise("composite_y", sset, basis, g, r, lmap))
-                reports.append(
-                    check_pointwise("composite_x", sset, basis, g, r, lmap, proj_y)
-                )
+        proj_y = coeffs = None
+        if lmap is not None:
+            proj_y = build_codomain_projector(basis, lmap, r, family=family, form=form)
+            coeffs = rng.standard_normal((POINTWISE_PER_LEVEL, sset.count)).T
+        reports.extend(battery_level(sset, basis, r, lmap, proj_y, tol, coeffs))
 
     if lmap is not None:
         mapped = induced_snapshots(lmap, sset)

@@ -1,27 +1,33 @@
 """Certified error identities and bounds for POD projections.
 
-Each checker evaluates one side of an identity by explicit projection of the
-data (the "actual" route) and the other side from the spectrum and the mode
-tails (the "formula" route).  The two routes share only the Gram-space
-primitives; agreement is the certificate.  Inequality checkers evaluate both
-sides the same way and test the ordering with a small slack.
+Every exact formula has one shape: for the residual operator T of a
+projection, in the norm of a space, sum_j g_j ||T w_j||^2 equals
+sum_{k>r} lambda_k ||T phi_k||^2.  The battery is written once around the
+pair (T, space), one record per operator and truncation level:
 
-Identity and bound tags
------------------------
-- pod_x:            weighted data error of the mode projection, ambient norm
-- pod_x_mapped:     the same residuals pushed through a map, codomain norm
-- proj_y:           data error of a codomain projection of the mapped data
-- pullback_x:       data error of the inverse-conjugated codomain projection
-- hs_*:             the three above at operator level (Hilbert-Schmidt norms)
-- range_exact:      exact residual formula per snapshot (with a rounding
-  floor), and the per-snapshot singular-value bound snap_sigma_bound
-- snap_*:           per-snapshot squared-error bounds by the identity tails
-- pw_*:             pointwise tail bounds for elements reproduced from a
-  coefficient vector
+- pod_x         I - P_r, ambient norm (the mode projection)
+- pod_x_mapped  L (I - P_r), codomain norm
+- proj_y        (I - Q) L, codomain norm, Q a codomain projection
+- pullback_x    I - L^{-1} Q L, ambient norm, invertible maps only
 
-All squared-error identities sum their spectral side over the complete
-computed spectrum, not just the kept rank: with unbounded-looking maps the
-below-tolerance tail still carries weight at the certified accuracy.
+Each record yields its data identity (T applied to the data W), the operator
+form hs_* (T applied to K = W diag(g)), the per-snapshot bound snap_* and the
+pointwise bound pw_* for elements K c; range_exact is the exact per-snapshot
+residual of pod_x.  The actual side applies T to the data; the formula side
+reads only the basis, never the data, so agreement of the two routes is the
+certificate.  Spectral sums run over the complete computed spectrum: with
+unbounded-looking maps the below-tolerance tail still carries weight at the
+certified accuracy.
+
+Floors: an identity passes within its relative tol or when both sides are
+below its floor, a bound when lhs <= rhs + floor.  The floor is
+EXACT_FLOOR_UNITS * u * scale, u the unit roundoff (Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 3 and 19).  The scale is the energy of
+the row's input in its norm space, E = sum_k lambda_k in the ambient norm and
+E = sum_j g_j ||L w_j||^2 in the codomain, times 1 / min g for snap_* rows
+and ||c||_S^2 for pw_* rows, whose unsquared norms take the floor's square
+root.  range_exact and snap_sigma_bound use u sigma_1 / sqrt(g_ell).  Every
+row records its floor in info["floor"].
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -40,24 +47,21 @@ from .errors import (
     NotInvertible,
     ProvenanceMismatch,
 )
-from .gram_space import half_weight, norm
+from .gram_space import GramSpace, half_weight
 from .linear_map import apply_inverse
-from .pod_engine import project_X, tail_energy
+from .pod_engine import project_X
 from .projector import (
     apply_projector,
     mapped_orthogonal_projector,
-    pod_projector,
     pushforward_projector,
     ritz_projector,
 )
 from .snapshot_io import _atomic_write
 
 IDENTITY_RTOL = 1e-8
-IDENTITY_ABS_FLOOR = 1e-14
 EXACT_RTOL = 1e-9
-EXACT_FLOOR_UNITS = 32.0  # range_exact floor, in units of u sigma_1 / sqrt(g)
+EXACT_FLOOR_UNITS = 32.0  # every floor, in units of u times the row's scale
 UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
-BOUND_SLACK = 1e-10
 
 CSV_COLUMNS = ("identity_id", "r", "actual", "formula", "abs_diff", "rel_diff", "passed")
 
@@ -68,8 +72,8 @@ class ErrorReport:
 
     lhs is the explicitly computed quantity ("actual"), rhs the spectral
     formula.  For identities, passed means the relative difference is within
-    tol or both sides sit below the absolute floor; for bounds it means
-    lhs <= rhs plus slack.
+    tol or both sides sit below info["floor"]; for bounds it means
+    lhs <= rhs + floor, and tol is that floor.
     """
 
     identity_id: str
@@ -84,57 +88,28 @@ class ErrorReport:
     info: dict = field(default_factory=dict)
 
 
-def _compare(lhs, rhs, tol):
-    """Elementwise absolute and relative differences (rel 0 where both sides
-    are) and the identity verdict: within tol, or both sides negligible."""
+def _floor(scale):
+    return EXACT_FLOOR_UNITS * UNIT_ROUNDOFF * scale
+
+
+def _compare(lhs, rhs):
+    """Elementwise absolute and relative differences (rel 0 where both are 0)."""
     abs_diff = np.abs(lhs - rhs)
     denom = np.maximum(np.abs(lhs), np.abs(rhs))
-    rel_diff = abs_diff / np.where(denom > 0.0, denom, 1.0)
-    small = (np.abs(lhs) <= IDENTITY_ABS_FLOOR) & (np.abs(rhs) <= IDENTITY_ABS_FLOOR)
-    return abs_diff, rel_diff, (rel_diff <= tol) | small
+    return abs_diff, abs_diff / np.where(denom > 0.0, denom, 1.0)
 
 
-def identity_report(identity_id, r, lhs, rhs, tol=None, info=None):
-    tol = IDENTITY_RTOL if tol is None else tol
-    lhs = float(lhs)
-    rhs = float(rhs)
-    abs_diff, rel_diff, passed = _compare(lhs, rhs, tol)
+def _report(kind, identity_id, r, lhs, rhs, tol, floor, info=None):
+    lhs, rhs, floor = float(lhs), float(rhs), float(floor)
+    abs_diff, rel_diff = _compare(lhs, rhs)
+    if kind == "identity":
+        passed = rel_diff <= tol or max(abs(lhs), abs(rhs)) <= floor
+    else:
+        passed, tol = lhs <= rhs + floor, floor
     return ErrorReport(
-        identity_id=identity_id,
-        r=r,
-        lhs=lhs,
-        rhs=rhs,
-        abs_diff=float(abs_diff),
-        rel_diff=float(rel_diff),
-        passed=bool(passed),
-        kind="identity",
-        tol=tol,
-        info=info or {},
+        identity_id, r, lhs, rhs, float(abs_diff), float(rel_diff), bool(passed),
+        kind, tol, {**(info or {}), "floor": floor},
     )
-
-
-def bound_report(identity_id, r, lhs, rhs, slack=None, info=None):
-    slack = BOUND_SLACK if slack is None else slack
-    lhs = float(lhs)
-    rhs = float(rhs)
-    abs_diff, rel_diff, _ = _compare(lhs, rhs, slack)
-    return ErrorReport(
-        identity_id=identity_id,
-        r=r,
-        lhs=lhs,
-        rhs=rhs,
-        abs_diff=float(abs_diff),
-        rel_diff=float(rel_diff),
-        passed=lhs <= rhs + slack,
-        kind="bound",
-        tol=slack,
-        info=info or {},
-    )
-
-
-def _weighted_energy(space, columns, weights):
-    A = half_weight(space, columns)
-    return float(np.einsum("ij,ij,j->", A, A, weights))
 
 
 def _column_sq_norms(space, columns):
@@ -142,19 +117,99 @@ def _column_sq_norms(space, columns):
     return np.einsum("ij,ij->j", A, A)
 
 
-def _project_cols(basis, r, columns):
-    if r == 0:
-        return np.zeros_like(columns)
-    return project_X(basis, r, columns)
+# -- the residual-operator primitive -----------------------------------------
+
+@dataclass
+class _Residual:
+    """Residual operator T of one projection at level r, in its norm space.
+
+    apply maps ambient columns to their images under T.  mode_sq holds
+    ||T phi_k||^2 for the tail modes k >= r and formula the tail sum
+    sum_k lambda_k mode_sq_k, both from the basis alone; energy is the data's
+    total weighted energy in this norm space, the scale of T's floors.
+    """
+
+    label: str
+    space: GramSpace
+    apply: Callable
+    mode_sq: np.ndarray
+    formula: float
+    energy: float
+
+    def sq_norms(self, columns):
+        return _column_sq_norms(self.space, self.apply(columns))
+
+    def floor(self, mass=1.0, squared=True):
+        floor = _floor(self.energy * mass)
+        return float(floor if squared else np.sqrt(floor))
 
 
-def _check_proj_y(proj_y, lmap, r):
-    if proj_y.space.dim != lmap.codomain.dim:
+def _residuals(sset, basis, r, lmap=None, proj_y=None):
+    """The residual operators of level r, keyed by label in identity order:
+    pod_x, with a map pod_x_mapped, with a codomain projector proj_y, and
+    with both and an invertible map pullback_x."""
+    tail, lam = basis.modes_full[:, r:], basis.eigenvalues[r:]
+    out = {}
+
+    def add(label, space, apply, energy, mode_sq=None):
+        if mode_sq is None:
+            mode_sq = _column_sq_norms(space, apply(tail))
+        out[label] = _Residual(label, space, apply, mode_sq, float(lam @ mode_sq), energy)
+
+    def pod_x(C):
+        return C - project_X(basis, r, C)
+
+    energy_x = float(np.sum(basis.eigenvalues))
+    add("pod_x", basis.space, pod_x, energy_x, np.ones(lam.size))  # pure tail
+    if lmap is None:
+        return out
+    L, codomain = lmap.matrix, lmap.codomain
+    energy_y = float(sset.weights @ _column_sq_norms(codomain, L @ sset.data))
+    add("pod_x_mapped", codomain, lambda C: L @ pod_x(C), energy_y)
+    if proj_y is None:
+        return out
+    if proj_y.space.dim != codomain.dim:
         raise DimensionMismatch("codomain projector does not live on the codomain")
     if proj_y.r != r:
-        raise ProvenanceMismatch(
-            f"codomain projector has r = {proj_y.r}, check runs at r = {r}"
-        )
+        raise ProvenanceMismatch(f"codomain projector has r = {proj_y.r}, check runs at r = {r}")
+
+    def proj(C):
+        LC = L @ C
+        return LC - apply_projector(proj_y, LC)
+
+    add("proj_y", codomain, proj, energy_y)
+    if lmap.inverse is not None:
+        add("pullback_x", basis.space,
+            lambda C: C - apply_inverse(lmap, apply_projector(proj_y, L @ C)), energy_x)
+    return out
+
+
+def _identity(sset, t, r, tol, sq=None, hs=False):
+    """Data identity of T, or with hs its operator form on K = W diag(g)."""
+    tol = IDENTITY_RTOL if tol is None else tol
+    if hs:  # e_j / sqrt(g_j) is an orthonormal basis of the coefficient space
+        lhs = (1.0 / sset.weights) @ t.sq_norms(sset.data * sset.weights)
+    else:
+        lhs = sset.weights @ (t.sq_norms(sset.data) if sq is None else sq)
+    label = "hs_" + t.label if hs else t.label
+    return _report("identity", label, r, lhs, t.formula, tol, t.floor())
+
+
+def battery_level(sset, basis, r, lmap=None, proj_y=None, tol=None, coeffs=None):
+    """Every row of truncation level r, in report order: the data identities
+    (range_exact and snap_sigma_bound after pod_x), the operator-level
+    identities, the per-snapshot bounds, and the pointwise bounds of K c for
+    the columns c of coeffs.  T W is formed once per operator.
+    """
+    res = _residuals(sset, basis, r, lmap, proj_y)
+    sq = {label: t.sq_norms(sset.data) for label, t in res.items()}
+    rows = [_identity(sset, t, r, tol, sq[label]) for label, t in res.items()]
+    rows[1:1] = _range_rows(sset, basis, r, np.arange(sset.count), sq["pod_x"])
+    rows += [_identity(sset, t, r, tol, hs=True) for t in list(res.values())[1:]]
+    rows += _snapshot_rows(sset, basis, r, res, sq)["reports"]
+    if coeffs is not None:
+        rows += _pointwise_rows(sset, basis, r, lmap, res, coeffs)
+    return rows
 
 
 # -- weighted-sum identities -------------------------------------------------
@@ -164,27 +219,16 @@ def check_pod_error(sset, basis, r, tol=None):
 
     Identity: sum_j g_j ||w_j - P_r w_j||_X^2 equals the spectral tail.
     """
-    W = sset.data
-    residual = W - _project_cols(basis, r, W)
-    lhs = _weighted_energy(basis.space, residual, sset.weights)
-    rhs = tail_energy(basis, r)
-    return identity_report("pod_x", r, lhs, rhs, tol)
+    return _identity(sset, _residuals(sset, basis, r)["pod_x"], r, tol)
 
 
 def check_mapped_pod_error(sset, basis, lmap, r, tol=None):
     """Mode-projection residuals pushed through the map, codomain norm.
 
     Identity: sum_j g_j ||L w_j - L P_r w_j||_Y^2 equals the eigenvalue tail
-    weighted by the squared codomain norms of the mapped modes.
+    weighted by the squared codomain norms of the mapped tail modes.
     """
-    W = sset.data
-    residual = lmap.matrix @ (W - _project_cols(basis, r, W))
-    lhs = _weighted_energy(lmap.codomain, residual, sset.weights)
-    tail_modes = lmap.matrix @ basis.modes_full[:, r:]
-    rhs = float(
-        np.dot(basis.eigenvalues[r:], _column_sq_norms(lmap.codomain, tail_modes))
-    )
-    return identity_report("pod_x_mapped", r, lhs, rhs, tol)
+    return _identity(sset, _residuals(sset, basis, r, lmap)["pod_x_mapped"], r, tol)
 
 
 def check_projected_error(sset, basis, lmap, proj_y, r, tol=None):
@@ -193,15 +237,7 @@ def check_projected_error(sset, basis, lmap, proj_y, r, tol=None):
     Identity: sum_j g_j ||L w_j - Q L w_j||_Y^2 equals the eigenvalue tail
     weighted by the projection residuals of the mapped modes.
     """
-    _check_proj_y(proj_y, lmap, r)
-    LW = lmap.matrix @ sset.data
-    lhs = _weighted_energy(
-        lmap.codomain, LW - apply_projector(proj_y, LW), sset.weights
-    )
-    LPhi = lmap.matrix @ basis.modes_full[:, r:]
-    res = LPhi - apply_projector(proj_y, LPhi)
-    rhs = float(np.dot(basis.eigenvalues[r:], _column_sq_norms(lmap.codomain, res)))
-    return identity_report("proj_y", r, lhs, rhs, tol)
+    return _identity(sset, _residuals(sset, basis, r, lmap, proj_y)["proj_y"], r, tol)
 
 
 def check_pullback_error(sset, basis, lmap, proj_y, r, tol=None):
@@ -212,94 +248,18 @@ def check_pullback_error(sset, basis, lmap, proj_y, r, tol=None):
     """
     if lmap.inverse is None:
         raise NotInvertible("pullback identity needs an invertible map")
-    _check_proj_y(proj_y, lmap, r)
-    W = sset.data
-    LW = lmap.matrix @ W
-    pulled = apply_inverse(lmap, apply_projector(proj_y, LW))
-    lhs = _weighted_energy(basis.space, W - pulled, sset.weights)
-    Phi = basis.modes_full[:, r:]
-    LPhi = lmap.matrix @ Phi
-    pulled_modes = apply_inverse(lmap, apply_projector(proj_y, LPhi))
-    rhs = float(
-        np.dot(
-            basis.eigenvalues[r:],
-            _column_sq_norms(basis.space, Phi - pulled_modes),
-        )
-    )
-    return identity_report("pullback_x", r, lhs, rhs, tol)
-
-
-# -- operator-level identities -----------------------------------------------
-
-def _hs_norm_sq_matrix(space_out, sset, op_matrix):
-    """Squared Hilbert-Schmidt norm of an operator out of the weighted
-    coefficient space, from its coordinate matrix.
-
-    Realized as the Frobenius norm of chol_out^T M Gamma^{-1/2}: columns are
-    weighted by 1/g_j because e_j / sqrt(g_j) is an orthonormal basis of the
-    coefficient space.
-    """
-    A = half_weight(space_out, op_matrix)
-    return float(np.einsum("ij,ij,j->", A, A, 1.0 / sset.weights))
+    return _identity(sset, _residuals(sset, basis, r, lmap, proj_y)["pullback_x"], r, tol)
 
 
 def check_hs_identities(sset, basis, lmap, proj_y, r, tol=None):
-    """The three squared-error identities at operator level.
-
-    The actual side is the Hilbert-Schmidt norm of the explicit operator
-    difference (snapshot operator minus its projected counterpart); the
-    formula side reuses the spectral tails.  Returns two reports, or three
-    when the map is invertible.
-    """
-    _check_proj_y(proj_y, lmap, r)
-    MK = sset.data * sset.weights[None, :]
-    PK = _project_cols(basis, r, MK)
-    LMK = lmap.matrix @ MK
-
-    reports = []
-
-    M_a = lmap.matrix @ (MK - PK)
-    lhs = _hs_norm_sq_matrix(lmap.codomain, sset, M_a)
-    tail_modes = lmap.matrix @ basis.modes_full[:, r:]
-    rhs = float(
-        np.dot(basis.eigenvalues[r:], _column_sq_norms(lmap.codomain, tail_modes))
-    )
-    reports.append(identity_report("hs_pod_x_mapped", r, lhs, rhs, tol))
-
-    M_b = LMK - apply_projector(proj_y, LMK)
-    lhs = _hs_norm_sq_matrix(lmap.codomain, sset, M_b)
-    LPhi = lmap.matrix @ basis.modes_full[:, r:]
-    res = LPhi - apply_projector(proj_y, LPhi)
-    rhs = float(np.dot(basis.eigenvalues[r:], _column_sq_norms(lmap.codomain, res)))
-    reports.append(identity_report("hs_proj_y", r, lhs, rhs, tol))
-
-    if lmap.inverse is not None:
-        M_c = MK - apply_inverse(lmap, apply_projector(proj_y, LMK))
-        lhs = _hs_norm_sq_matrix(basis.space, sset, M_c)
-        Phi = basis.modes_full[:, r:]
-        pulled = apply_inverse(lmap, apply_projector(proj_y, lmap.matrix @ Phi))
-        rhs = float(
-            np.dot(
-                basis.eigenvalues[r:],
-                _column_sq_norms(basis.space, Phi - pulled),
-            )
-        )
-        reports.append(identity_report("hs_pullback_x", r, lhs, rhs, tol))
-
-    return reports
+    """The mapped, projected and pulled-back identities at operator level:
+    the Hilbert-Schmidt norm of T K against the same spectral tails.  Returns
+    two reports, or three when the map is invertible."""
+    res = _residuals(sset, basis, r, lmap, proj_y)
+    return [_identity(sset, t, r, tol, hs=True) for t in list(res.values())[1:]]
 
 
 # -- per-snapshot results ----------------------------------------------------
-
-def _coeff_inner(sset, basis, g):
-    """(g, f_k) in the weighted coefficient space, for all computed k."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (sset.count,):
-        raise DimensionMismatch(
-            f"coefficient vector of shape {g.shape} for {sset.count} snapshots"
-        )
-    return basis.right_full.T @ (sset.weights * g)
-
 
 def _worst_index(passed, rel_diff):
     """Worst row: failures first, then the largest rel_diff, then lowest index."""
@@ -309,51 +269,48 @@ def _worst_index(passed, rel_diff):
     return int(candidates[np.argmax(rel_diff[candidates])])
 
 
+def _range_rows(sset, basis, r, ells, sq, tol_exact=None):
+    """range_exact and snap_sigma_bound from the squared pod_x residuals sq at ells."""
+    tol_exact = EXACT_RTOL if tol_exact is None else tol_exact
+    lam = basis.eigenvalues
+    lhs = np.sqrt(sq)
+    rhs = np.sqrt(basis.right_full[ells, r:] ** 2 @ lam[r:])
+    floor = _floor(np.sqrt(lam[0] / sset.weights[ells]))
+    abs_diff, rel_diff = _compare(lhs, rhs)
+    passed = (rel_diff <= tol_exact) | (abs_diff <= floor)
+    i = _worst_index(passed, rel_diff)
+    exact = _report(
+        "identity", "range_exact", r, lhs[i], rhs[i], tol_exact, floor[i],
+        info={"ell": int(ells[i])},
+    )
+    exact.passed = bool(passed[i])  # here the floor bounds the difference
+    sigma_next = float(np.sqrt(lam[r])) if r < lam.size else 0.0
+    cap = sigma_next / np.sqrt(sset.weights[ells])
+    j = _worst_index(lhs <= cap + floor, _compare(lhs, cap)[1])
+    bound = _report(
+        "bound", "snap_sigma_bound", r, lhs[j], cap[j], None, floor[j],
+        info={"ell": int(ells[j]), "sigma_next": sigma_next},
+    )
+    return [exact, bound]
+
+
 def check_range_residual(sset, basis, r, ell, tol_exact=None):
     """Exact residual formula and singular-value bound for snapshots ell.
 
-    Snapshot ell is the image of the scaled coordinate coefficient vector,
-    so its projection residual norm equals the square root of the eigenvalue
-    tail weighted by the squared right-vector entries at ell.  The companion
-    bound caps the residual by sigma_{r+1} over the square root of the
-    snapshot's weight.  The exact row also passes when the sides differ by
-    at most EXACT_FLOOR_UNITS * u * sigma_1 / sqrt(g_ell), u the unit
-    roundoff: the SVD's backward error carried over to snapshot ell (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 19), recorded in
-    info["floor"].  ell is one index or a sequence of them, evaluated in one
-    block; each report then names its worst snapshot.
+    Snapshot ell is K e_ell / g_ell, so its pod_x residual norm is the square
+    root of the eigenvalue tail weighted by the squared right-vector entries
+    at ell, and at most sigma_{r+1} / sqrt(g_ell).  The exact row also passes
+    when the sides differ by at most its floor, the SVD's backward error
+    carried over to snapshot ell.  ell is one index or a sequence, evaluated
+    in one block; each report names its worst snapshot.
 
     Returns (exact_report, bound_report).
     """
-    tol_exact = EXACT_RTOL if tol_exact is None else tol_exact
     ells = np.atleast_1d(np.asarray(ell))
     if ells.size == 0 or np.any((ells < 0) | (ells >= sset.count)):
         raise IndexOutOfRange(f"snapshot index {ell} outside [0, {sset.count})")
-    W = sset.data[:, ells]
-    lhs = np.sqrt(_column_sq_norms(basis.space, W - _project_cols(basis, r, W)))
-    lam = basis.eigenvalues
-    rhs = np.sqrt(basis.right_full[ells, r:] ** 2 @ lam[r:])
-    inv_sqrt_g = 1.0 / np.sqrt(sset.weights[ells])
-    sigma_1 = float(np.sqrt(lam[0])) if lam.size else 0.0
-    floor = EXACT_FLOOR_UNITS * UNIT_ROUNDOFF * sigma_1 * inv_sqrt_g
-    abs_diff, rel_diff, passed = _compare(lhs, rhs, tol_exact)
-    passed |= abs_diff <= floor
-    i = _worst_index(passed, rel_diff)
-    exact = identity_report(
-        "range_exact", r, lhs[i], rhs[i], tol_exact,
-        info={"ell": int(ells[i]), "floor": float(floor[i])},
-    )
-    exact.passed = bool(passed[i])  # the floor can pass a row outside tol
-
-    sigma_next = float(np.sqrt(lam[r])) if r < lam.size else 0.0
-    cap = sigma_next * inv_sqrt_g
-    _, cap_rel, _ = _compare(lhs, cap, 0.0)
-    j = _worst_index(lhs <= cap + BOUND_SLACK, cap_rel)
-    bound = bound_report(
-        "snap_sigma_bound", r, lhs[j], cap[j],
-        info={"ell": int(ells[j]), "sigma_next": sigma_next},
-    )
-    return exact, bound
+    sq = _residuals(sset, basis, r)["pod_x"].sq_norms(sset.data[:, ells])
+    return tuple(_range_rows(sset, basis, r, ells, sq, tol_exact))
 
 
 def snapshot_guarantee_threshold(sset, basis):
@@ -366,47 +323,25 @@ def snapshot_guarantee_threshold(sset, basis):
     short of the snapshot count: the leftover coefficient mass sits in the
     kernel of the data operator and no computed mode sees it).
     """
-    g_norm_sq = 1.0 / sset.weights
-    captured = np.zeros(sset.count)
-    F = basis.right_full
-    for r in range(1, basis.rank + 1):
-        captured += F[:, r - 1] ** 2
-        worst = float(np.max(g_norm_sq - captured))
-        if worst <= 1.0:
-            return r
-    return None
+    captured = np.cumsum(basis.right_full[:, : basis.rank] ** 2, axis=1)
+    worst = np.max(1.0 / sset.weights[:, None] - captured, axis=0)
+    hits = np.flatnonzero(worst <= 1.0)
+    return int(hits[0]) + 1 if hits.size else None
 
 
-def check_snapshot_bounds(sset, basis, r, lmap=None, proj_y=None, slack=None):
-    """Per-snapshot squared-error bounds by the identity tails.
-
-    Evaluates, for every snapshot, the squared residual of (a) the mode
-    projection against sigma_{r+1}^2 and, when a map and codomain projector
-    are supplied, (b) the codomain projection of the mapped snapshot against
-    the projected-mode tail, (c) the mapped residual against the mapped-mode
-    tail, and with an invertible map (d) the pulled-back residual against
-    its tail.  Each bound reports its worst snapshot.
-
-    Returns a dict with the guarantee threshold r0 (None if unattainable),
-    whether the requested r is covered, and the reports.  The capture bounds
-    are only claimed from r0 upward; below it each row passes and carries the
-    raw outcome in info["holds"].
-    """
-    if lmap is not None and proj_y is not None:
-        _check_proj_y(proj_y, lmap, r)
-    W = sset.data
+def _snapshot_rows(sset, basis, r, res, sq, slack=None):
+    """check_snapshot_bounds' result from each T's squared residuals sq of the data."""
     lam = basis.eigenvalues
     r0 = snapshot_guarantee_threshold(sset, basis)
     guaranteed = r0 is not None and r >= r0
-
-    res_x = W - _project_cols(basis, r, W)
-    sq_x = _column_sq_norms(basis.space, res_x)
-    sigma_next_sq = float(lam[r]) if r < lam.size else 0.0
-
-    def worst(label, sq, cap):
-        i = int(np.argmax(sq))
-        rep = bound_report(
-            label, r, float(sq[i]), cap, slack,
+    reports = []
+    for t in (res[k] for k in ("pod_x", "proj_y", "pod_x_mapped", "pullback_x") if k in res):
+        cap = t.formula if t.label != "pod_x" else float(lam[r]) if r < lam.size else 0.0
+        i = int(np.argmax(sq[t.label]))
+        # snapshot ell is K e_ell / g_ell, of energy at most E / g_ell
+        floor = t.floor(1.0 / np.min(sset.weights)) if slack is None else slack
+        rep = _report(
+            "bound", "snap_" + t.label, r, sq[t.label][i], cap, None, floor,
             info={"ell": i, "guaranteed": guaranteed, "r0": r0},
         )
         if not guaranteed:
@@ -414,40 +349,64 @@ def check_snapshot_bounds(sset, basis, r, lmap=None, proj_y=None, slack=None):
             # not asserted; record the raw outcome and let the row pass.
             rep.info["holds"] = rep.passed
             rep.passed = True
-        return rep
-
-    reports = [worst("snap_pod_x", sq_x, sigma_next_sq)]
-    if lmap is None or proj_y is None:
-        return {"r0": r0, "r": r, "guaranteed": guaranteed, "reports": reports}
-
-    LW = lmap.matrix @ W
-    res_proj = LW - apply_projector(proj_y, LW)
-    sq_proj = _column_sq_norms(lmap.codomain, res_proj)
-    LPhi = lmap.matrix @ basis.modes_full[:, r:]
-    tail_proj = float(
-        np.dot(lam[r:], _column_sq_norms(lmap.codomain, LPhi - apply_projector(proj_y, LPhi)))
-    )
-
-    res_map = lmap.matrix @ res_x
-    sq_map = _column_sq_norms(lmap.codomain, res_map)
-    tail_map = float(np.dot(lam[r:], _column_sq_norms(lmap.codomain, LPhi)))
-
-    reports.append(worst("snap_proj_y", sq_proj, tail_proj))
-    reports.append(worst("snap_pod_x_mapped", sq_map, tail_map))
-    if lmap.inverse is not None:
-        Phi = basis.modes_full[:, r:]
-        pulled_modes = apply_inverse(lmap, apply_projector(proj_y, lmap.matrix @ Phi))
-        tail_pull = float(
-            np.dot(lam[r:], _column_sq_norms(basis.space, Phi - pulled_modes))
-        )
-        pulled = apply_inverse(lmap, apply_projector(proj_y, LW))
-        sq_pull = _column_sq_norms(basis.space, W - pulled)
-        reports.append(worst("snap_pullback_x", sq_pull, tail_pull))
-
+        reports.append(rep)
     return {"r0": r0, "r": r, "guaranteed": guaranteed, "reports": reports}
 
 
+def check_snapshot_bounds(sset, basis, r, lmap=None, proj_y=None, slack=None):
+    """Per-snapshot squared-error bounds by the identity tails.
+
+    The worst snapshot's ||T w_ell||^2 against the formula tail of T, for
+    pod_x (capped by sigma_{r+1}^2) and, with a map and codomain projector,
+    proj_y, pod_x_mapped and, for an invertible map, pullback_x.
+
+    Returns a dict with the guarantee threshold r0 (None if unattainable),
+    whether the requested r is covered, and the reports.  The bounds are only
+    claimed from r0 upward; below it each row passes and carries the raw
+    outcome in info["holds"].
+    """
+    # the mapped rows come as one family with the codomain projector
+    res = _residuals(sset, basis, r, lmap if proj_y is not None else None, proj_y)
+    sq = {label: t.sq_norms(sset.data) for label, t in res.items()}
+    return _snapshot_rows(sset, basis, r, res, sq, slack)
+
+
 # -- pointwise bounds --------------------------------------------------------
+
+_POINTWISE = {
+    "proj_y": "pw_proj_y", "composite_y": "pw_composite_y", "pullback_x": "pw_composite_x"
+}
+
+
+def _pointwise_rows(sset, basis, r, lmap, res, coeffs, slack=None):
+    """pw_* rows for the elements K c, c the columns of coeffs, element by
+    element in _POINTWISE order; info carries the looser Cauchy-Schwarz bound."""
+    if lmap is not None and lmap.inverse is not None:
+        def composite_y(C):
+            LC = lmap.matrix @ C
+            return LC - lmap.matrix @ project_X(basis, r, apply_inverse(lmap, LC))
+
+        # its own actual route, measured against the pod_x_mapped tail
+        res = {**res, "composite_y": replace(res["pod_x_mapped"], apply=composite_y)}
+    gC = sset.weights[:, None] * coeffs
+    X = sset.data @ gC
+    amp = np.abs(basis.right_full[:, r:].T @ gC)
+    mass = np.einsum("ij,ij->j", coeffs, gC)  # ||c||_S^2: ||K c||^2 <= E ||c||_S^2
+    sig = np.sqrt(basis.eigenvalues[r:])
+    kinds = [(_POINTWISE[k], res[k], res[k].sq_norms(X)) for k in _POINTWISE if k in res]
+    reports = []
+    for i in range(coeffs.shape[1]):
+        for label, t, sq in kinds:
+            lhs = float(np.sqrt(sq[i]))
+            rhs = np.sum(sig * amp[:, i] * np.sqrt(t.mode_sq))
+            cs_rhs = float(np.linalg.norm(amp[:, i]) * np.sqrt(t.formula))
+            floor = t.floor(mass[i], squared=False) if slack is None else slack
+            reports.append(_report(
+                "bound", label, r, lhs, rhs, None, floor,
+                info={"cs_rhs": cs_rhs, "cs_passed": lhs <= cs_rhs + floor},
+            ))
+    return reports
+
 
 def check_pointwise(kind, sset, basis, g, r, lmap, proj_y=None, slack=None):
     """Tail bound on the error of one reproduced element.
@@ -462,57 +421,18 @@ def check_pointwise(kind, sset, basis, g, r, lmap, proj_y=None, slack=None):
     The report's info carries the looser Cauchy-Schwarz version of the bound
     alongside the sharp one.
     """
-    g = np.asarray(g, dtype=float)
-    coeffs = _coeff_inner(sset, basis, g)
-    x = sset.data @ (sset.weights * g)
-    lam = basis.eigenvalues
-    sig_tail = np.sqrt(lam[r:])
-    amp_tail = np.abs(coeffs[r:])
-
-    if kind == "proj_y":
-        if proj_y is None:
-            raise ProvenanceMismatch("proj_y bound needs the codomain projector")
-        _check_proj_y(proj_y, lmap, r)
-        y = lmap.matrix @ x
-        lhs = norm(lmap.codomain, apply_projector(proj_y, y) - y)
-        LPhi = lmap.matrix @ basis.modes_full[:, r:]
-        res = apply_projector(proj_y, LPhi) - LPhi
-        res_norms = np.sqrt(_column_sq_norms(lmap.codomain, res))
-        label = "pw_proj_y"
-    elif kind == "composite_y":
-        if lmap.inverse is None:
-            raise NotInvertible("composite codomain bound needs an invertible map")
-        y = lmap.matrix @ x
-        back = apply_inverse(lmap, y)
-        lhs = norm(
-            lmap.codomain, y - lmap.matrix @ _project_cols(basis, r, back[:, None])[:, 0]
-        )
-        LPhi = lmap.matrix @ basis.modes_full[:, r:]
-        res_norms = np.sqrt(_column_sq_norms(lmap.codomain, LPhi))
-        label = "pw_composite_y"
-    elif kind == "composite_x":
-        if lmap.inverse is None:
-            raise NotInvertible("composite ambient bound needs an invertible map")
-        if proj_y is None:
-            raise ProvenanceMismatch("composite ambient bound needs the codomain projector")
-        _check_proj_y(proj_y, lmap, r)
-        pulled = apply_inverse(lmap, apply_projector(proj_y, lmap.matrix @ x))
-        lhs = norm(basis.space, x - pulled)
-        Phi = basis.modes_full[:, r:]
-        pulled_modes = apply_inverse(lmap, apply_projector(proj_y, lmap.matrix @ Phi))
-        res_norms = np.sqrt(_column_sq_norms(basis.space, Phi - pulled_modes))
-        label = "pw_composite_x"
-    else:
+    if kind not in ("proj_y", "composite_y", "composite_x"):
         raise IndexOutOfRange(f"unknown pointwise bound kind {kind!r}")
-
-    rhs = float(np.sum(sig_tail * amp_tail * res_norms))
-    cs_rhs = float(
-        np.sqrt(np.sum(amp_tail**2)) * np.sqrt(np.sum(lam[r:] * res_norms**2))
-    )
-    return bound_report(
-        label, r, lhs, rhs, slack,
-        info={"cs_rhs": cs_rhs, "cs_passed": lhs <= cs_rhs + (BOUND_SLACK if slack is None else slack)},
-    )
+    if kind != "proj_y" and lmap.inverse is None:
+        raise NotInvertible(f"pointwise {kind} bound needs an invertible map")
+    if kind != "composite_y" and proj_y is None:
+        raise ProvenanceMismatch(f"pointwise {kind} bound needs the codomain projector")
+    g = np.asarray(g, dtype=float)
+    if g.shape != (sset.count,):
+        raise DimensionMismatch(f"coefficients of shape {g.shape} for {sset.count} snapshots")
+    res = _residuals(sset, basis, r, lmap, proj_y)
+    rows = _pointwise_rows(sset, basis, r, lmap, res, g[:, None], slack)
+    return next(rep for rep in rows if rep.identity_id == "pw_" + kind)
 
 
 # -- sweeps and serialization ------------------------------------------------
@@ -533,84 +453,49 @@ def build_codomain_projector(basis, lmap, r, family="orthogonal", form=None):
 
 
 def sweep(sset, basis, lmap, r_list, family="orthogonal", form=None, tol=None):
-    """Run the data-error identities over a list of truncation levels.
-
-    Per level: the ambient identity, the mapped identity, the projected
-    identity, and with an invertible map the pulled-back identity.  Returns
-    the reports in evaluation order.
-    """
+    """The data identities (pod_x, pod_x_mapped, proj_y and, with an
+    invertible map, pullback_x) at each truncation level, in that order."""
     reports = []
     for r in r_list:
         proj_y = build_codomain_projector(basis, lmap, r, family, form)
-        reports.append(check_pod_error(sset, basis, r, tol))
-        reports.append(check_mapped_pod_error(sset, basis, lmap, r, tol))
-        reports.append(check_projected_error(sset, basis, lmap, proj_y, r, tol))
-        if lmap.inverse is not None:
-            reports.append(check_pullback_error(sset, basis, lmap, proj_y, r, tol))
+        res = _residuals(sset, basis, r, lmap, proj_y)
+        reports.extend(_identity(sset, t, r, tol) for t in res.values())
     return reports
 
 
 def report_rows(reports):
-    rows = []
-    for rep in reports:
-        rows.append(
-            {
-                "identity_id": rep.identity_id,
-                "r": rep.r,
-                "actual": rep.lhs,
-                "formula": rep.rhs,
-                "abs_diff": rep.abs_diff,
-                "rel_diff": rep.rel_diff,
-                "passed": rep.passed,
-            }
-        )
-    return rows
+    return [
+        dict(zip(CSV_COLUMNS, (
+            rep.identity_id, rep.r, rep.lhs, rep.rhs, rep.abs_diff, rep.rel_diff, rep.passed
+        )))
+        for rep in reports
+    ]
 
 
 def write_report_csv(reports, path):
     lines = [",".join(CSV_COLUMNS)]
     for row in report_rows(reports):
-        lines.append(
-            ",".join(
-                [
-                    row["identity_id"],
-                    str(row["r"]),
-                    "%.16e" % row["actual"],
-                    "%.16e" % row["formula"],
-                    "%.16e" % row["abs_diff"],
-                    "%.16e" % row["rel_diff"],
-                    str(bool(row["passed"])).lower(),
-                ]
-            )
-        )
+        values = [row["identity_id"], str(row["r"])]
+        values += ["%.16e" % row[key] for key in CSV_COLUMNS[2:6]]
+        lines.append(",".join(values + [str(bool(row["passed"])).lower()]))
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
 
 
 def write_report_json(reports, path, extra=None):
-    payload = {
-        "all_passed": all(rep.passed for rep in reports),
-        "checks": [
-            {
-                **row,
-                "kind": rep.kind,
-                "tol": rep.tol,
-                "info": {k: _jsonable(v) for k, v in rep.info.items()},
-            }
-            for row, rep in zip(report_rows(reports), reports)
-        ],
-    }
-    if extra:
-        payload.update(extra)
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    checks = [
+        {**row, "kind": rep.kind, "tol": rep.tol,
+         "info": {k: _jsonable(v) for k, v in rep.info.items()}}
+        for row, rep in zip(report_rows(reports), reports)
+    ]
+    payload = {"all_passed": all(rep.passed for rep in reports), "checks": checks}
+    _atomic_write(path, json.dumps({**payload, **(extra or {})}, indent=2) + "\n")
     return path
 
 
 def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, np.generic):
+        return value.item()
     if isinstance(value, np.ndarray):
         return value.tolist()
     return value
@@ -620,23 +505,15 @@ def read_report(path):
     """Load a report written by write_report_csv or write_report_json."""
     if not os.path.exists(path):
         raise MissingDataFile(f"no such report: {path}")
-    if path.endswith(".json"):
-        with open(path) as fh:
-            payload = json.load(fh)
-        return payload["checks"]
     with open(path) as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for raw in reader:
-            rows.append(
-                {
-                    "identity_id": raw["identity_id"],
-                    "r": int(raw["r"]),
-                    "actual": float(raw["actual"]),
-                    "formula": float(raw["formula"]),
-                    "abs_diff": float(raw["abs_diff"]),
-                    "rel_diff": float(raw["rel_diff"]),
-                    "passed": raw["passed"] == "true",
-                }
-            )
-        return rows
+        if path.endswith(".json"):
+            return json.load(fh)["checks"]
+        return [
+            {
+                "identity_id": raw["identity_id"],
+                "r": int(raw["r"]),
+                **{key: float(raw[key]) for key in CSV_COLUMNS[2:6]},
+                "passed": raw["passed"] == "true",
+            }
+            for raw in csv.DictReader(fh)
+        ]

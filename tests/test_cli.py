@@ -317,3 +317,34 @@ def test_derivative_specs_build_both_schemes(tmp_path, capsys, components):
     )
     assert code == 2
     assert json.loads(err)["error"] == "DimensionMismatch"
+
+
+def test_battery_row_sequence_for_one_level():
+    # the report layout verify writes: one level without a map, with a map
+    # that has no inverse, and with an invertible map
+    from podkit.cli import run_battery
+    from podkit.fhn_gen import random_instance
+    from podkit.pod_engine import compute_pod
+
+    head = ["pod_x", "range_exact", "snap_sigma_bound"]
+    flat = random_instance(7, 6, seed=5, invertible=False, dim_y=9)
+    full = random_instance(7, 6, seed=5)
+    expected = {
+        "none": head + ["snap_pod_x"],
+        "flat": head + [
+            "pod_x_mapped", "proj_y", "hs_pod_x_mapped", "hs_proj_y",
+            "snap_pod_x", "snap_proj_y", "snap_pod_x_mapped",
+        ] + ["pw_proj_y"] * 5,
+        "full": head + [
+            "pod_x_mapped", "proj_y", "pullback_x",
+            "hs_pod_x_mapped", "hs_proj_y", "hs_pullback_x",
+            "snap_pod_x", "snap_proj_y", "snap_pod_x_mapped", "snap_pullback_x",
+        ] + ["pw_proj_y", "pw_composite_y", "pw_composite_x"] * 5,
+    }
+    for name, inst, lmap in (
+        ("none", full, None), ("flat", flat, flat["map"]), ("full", full, full["map"])
+    ):
+        basis = compute_pod(inst["set"], inst["space_x"])
+        reports, _ = run_battery(inst["set"], basis, lmap, "orthogonal", None, [3], None, 1)
+        assert [rep.identity_id for rep in reports] == expected[name], name
+        assert all(rep.r == 3 for rep in reports)

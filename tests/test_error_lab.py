@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from podkit.cli import run_battery
 from podkit.error_lab import (
     _worst_index,
     build_codomain_projector,
@@ -378,3 +379,70 @@ def test_report_round_trip(tmp_path):
 def test_read_report_missing_file(tmp_path):
     with pytest.raises(MissingDataFile):
         read_report(str(tmp_path / "absent.json"))
+
+
+# -- scale-aware floors -------------------------------------------------------
+
+SCALES = (1e-8, 1.0, 1e8)
+
+
+def _scaled(sset, alpha):
+    return make_snapshot_set(sset.data * alpha, sset.weights, space=sset.space)
+
+
+def _battery(sset, basis, lmap, levels):
+    reports, _ = run_battery(sset, basis, lmap, "orthogonal", None, levels, None, 0)
+    return reports
+
+
+def test_battery_verdicts_do_not_depend_on_data_scale(fhn_instance):
+    # every verdict, including the raw outcome of the rows below the
+    # guarantee threshold, is a property of the data's shape, not its size
+    pool = [random_instance(6, 5, seed=seed) for seed in (2, 3, 4)]
+    pool.append(random_instance(7, 6, seed=5, invertible=False, dim_y=9))
+    pool.append(fhn_instance)
+    for k, inst in enumerate(pool):
+        for lmap in (inst["map"], None):
+            seen = []
+            for alpha in SCALES:
+                sset = _scaled(inst["set"], alpha)
+                basis = compute_pod(sset)
+                levels = (1, 11, 20, 22) if inst is fhn_instance else range(1, basis.rank + 1)
+                seen.append([
+                    (rep.identity_id, rep.r, rep.passed, rep.info.get("holds"))
+                    for rep in _battery(sset, basis, lmap, levels)
+                ])
+            assert seen[0] == seen[1] == seen[2], (k, lmap is None)
+
+
+@pytest.mark.parametrize("alpha", SCALES)
+def test_doubled_eigenvalues_fail_every_identity_row(alpha):
+    for seed in (2, 3, 4):
+        inst = random_instance(6, 5, seed=seed)
+        sset = _scaled(inst["set"], alpha)
+        basis = compute_pod(sset)
+        doubled = dataclasses.replace(basis, eigenvalues=2.0 * basis.eigenvalues)
+        reports = _battery(sset, doubled, inst["map"], range(1, basis.rank))
+        identities = [rep for rep in reports if rep.kind == "identity"]
+        assert len(identities) == 8 * (basis.rank - 1)
+        passing = [(rep.identity_id, rep.r) for rep in identities if rep.passed]
+        assert not passing, (seed, passing)
+
+
+@pytest.mark.parametrize("alpha", SCALES)
+def test_small_caps_fail_every_guaranteed_snapshot_row(alpha):
+    # below the rank every cap is positive, so a hundredfold smaller one
+    # falls under the worst snapshot's residual
+    for seed in (2, 4):
+        inst = random_instance(6, 5, seed=seed)
+        sset = _scaled(inst["set"], alpha)
+        basis = compute_pod(sset)
+        small = dataclasses.replace(basis, eigenvalues=basis.eigenvalues / 100.0)
+        reports = _battery(sset, small, inst["map"], range(1, basis.rank))
+        rows = [
+            rep for rep in reports
+            if rep.identity_id.startswith("snap_") and rep.info.get("guaranteed")
+        ]
+        assert rows
+        passing = [(rep.identity_id, rep.r) for rep in rows if rep.passed]
+        assert not passing, (seed, passing)
