@@ -19,20 +19,9 @@ Tolerances resolve as flag > PODKIT_TOL environment variable > built-in
 default.  For pod the tolerance is the eigenvalue drop threshold; for verify
 and sweep it is the identity tolerance.
 
-Map specs (--map, inline JSON or a path to a JSON file):
-
-    {"identity": n}
-    {"diag": [d1, ..., dn]}
-    {"matrix": "path.csv", "codomain_gram": <gram spec>, "invertible": bool}
-    {"derivative_1d": {"nodes": n, "scheme": "forward" | "centered"}}
-    {"embedding": {"from": "mass", "to": "stiffness+mass"}}
-
-codomain_gram accepts the snapshot-manifest gram grammar ("identity", a CSV
-path, {"fem_mass": n}, {"fem_stiffness": n}) and defaults to "identity".
-A top-level "ritz_form" entry (CSV path or gram spec) supplies the bilinear
-form for --projector ritz; without it the codomain Gram matrix is used.
-The derivative spec doubles into a blockwise map when the snapshot dimension
-is twice the node count (paired-component states).
+--map takes a map spec, inline JSON or a path to a JSON file; the grammar is
+documented once, in podkit.linear_map.build_map_from_spec.  --projector ritz
+uses the spec's "ritz_form" and otherwise the codomain Gram matrix.
 """
 
 from __future__ import annotations
@@ -44,11 +33,8 @@ import os
 import sys
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from . import fem
 from .errors import (
-    DimensionMismatch,
     IndexOutOfRange,
     MalformedManifest,
     PodkitError,
@@ -65,21 +51,8 @@ from .error_lab import (
     write_report_csv,
     write_report_json,
 )
-from .fhn_gen import (
-    FhnConfig,
-    derivative_blocks,
-    make_embedding_instance,
-    make_fhn_L,
-    make_fhn_instance,
-)
-from .gram_space import make_space
-from .linear_map import (
-    LinearMap,
-    identity_map,
-    induced_snapshots,
-    make_map,
-    rank_relation_check,
-)
+from .fhn_gen import FhnConfig, make_embedding_instance, make_fhn_instance
+from .linear_map import build_map_from_spec, induced_snapshots, rank_relation_check
 from .pod_engine import (
     DEFAULT_DROP_TOL,
     PodBasis,
@@ -87,7 +60,7 @@ from .pod_engine import (
     save_basis,
     spectrum_gapped,
 )
-from .snapshot_io import _atomic_write, load, read_matrix_csv, resolve_gram_spec, save
+from .snapshot_io import _atomic_write, load, save
 
 EXIT_CHECKS_FAILED = 4
 TOL_ENV_VAR = "PODKIT_TOL"
@@ -156,168 +129,7 @@ def _requested_r_values(args, rank):
     return values
 
 
-# -- map spec handling -------------------------------------------------------
-
-def _load_map_spec(text):
-    """Parse --map as inline JSON, falling back to a JSON file path.
-
-    Returns the spec dict and the directory relative paths inside it resolve
-    against (the file's directory, or the working directory for inline JSON).
-    """
-    text = text.strip()
-    if text.startswith("{"):
-        try:
-            spec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedManifest(f"inline map spec: {exc}") from None
-        base_dir = "."
-    else:
-        if not os.path.exists(text):
-            raise MalformedManifest(f"map spec file not found: {text}")
-        with open(text) as fh:
-            try:
-                spec = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise MalformedManifest(f"{text}: {exc}") from None
-        base_dir = os.path.dirname(os.path.abspath(text))
-    if not isinstance(spec, dict):
-        raise MalformedManifest("map spec must be a JSON object")
-    return spec, base_dir
-
-
-_EMBED_TOKENS = ("mass", "stiffness+mass")
-
-
-def _space_from_token(token, nodes, label):
-    if token not in _EMBED_TOKENS:
-        raise MalformedManifest(
-            f"embedding gram token must be one of {_EMBED_TOKENS}, got {token!r}"
-        )
-    mesh = fem.assemble_fem_1d(nodes)
-    if token == "mass":
-        return make_space(mesh.mass, label=label)
-    return make_space(mesh.stiffness + mesh.mass, label=label)
-
-
-def _resolve_form_entry(entry, dim, base_dir):
-    """A bilinear-form entry: CSV path (any square matrix) or a gram spec."""
-    if isinstance(entry, str) and entry != "identity":
-        A = read_matrix_csv(os.path.join(base_dir, entry))
-        if A.shape != (dim, dim):
-            raise MalformedManifest(
-                f"form {entry} has shape {A.shape}, expected ({dim}, {dim})"
-            )
-        return A
-    return resolve_gram_spec(entry, dim, base_dir).gram
-
-
-def _derivative_map(detail, sset):
-    if not isinstance(detail, dict) or "nodes" not in detail:
-        raise MalformedManifest('derivative_1d needs {"nodes": n, "scheme": ...}')
-    nodes = int(detail["nodes"])
-    scheme = detail.get("scheme", "forward")
-    if scheme not in ("forward", "centered"):
-        raise MalformedManifest(f"unknown derivative scheme {scheme!r}")
-    if scheme == "forward":
-        return make_fhn_L(nodes, sset.space)
-
-    mesh = fem.assemble_fem_1d(nodes)
-    blocks = derivative_blocks(nodes, sset.space_dim)
-    h = float(mesh.element_lengths[0])
-    block = (np.eye(nodes, k=1) - np.eye(nodes, k=-1)) * (0.5 / h)
-    block[0, :2] = -1.0 / h, 1.0 / h
-    block[-1, -2:] = -1.0 / h, 1.0 / h
-    codomain = make_space(
-        block_diag(*[mesh.mass] * blocks),
-        label="derivative_nodal_product" if blocks > 1 else "derivative_nodal",
-    )
-    matrix = block_diag(*[block] * blocks)
-    return LinearMap(
-        domain=sset.space, codomain=codomain, matrix=matrix, kind="derivative"
-    )
-
-
-_MAP_KEYS = ("identity", "diag", "matrix", "derivative_1d", "embedding")
-_MAP_OPTIONS = ("codomain_gram", "invertible", "ritz_form")
-
-
-def build_map_from_spec(text, sset):
-    """Turn a --map argument into a LinearMap on the snapshot set's space.
-
-    Returns the map and the Ritz form matrix when the spec carries one.
-    """
-    spec, base_dir = _load_map_spec(text)
-    primary = [k for k in spec if k in _MAP_KEYS]
-    unknown = [k for k in spec if k not in _MAP_KEYS + _MAP_OPTIONS]
-    if unknown:
-        raise MalformedManifest(f"unknown map spec keys: {unknown}")
-    if len(primary) != 1:
-        raise MalformedManifest(
-            f"map spec needs exactly one of {_MAP_KEYS}, got {primary}"
-        )
-    key = primary[0]
-    detail = spec[key]
-
-    if key == "identity":
-        n = int(detail)
-        if n != sset.space_dim:
-            raise DimensionMismatch(
-                f"identity map of dim {n} against snapshots of dim {sset.space_dim}"
-            )
-        lmap = identity_map(sset.space)
-    elif key == "diag":
-        d = np.asarray(detail, dtype=float)
-        if d.ndim != 1 or d.shape[0] != sset.space_dim:
-            raise DimensionMismatch(
-                f"diag map of length {d.shape} against dim {sset.space_dim}"
-            )
-        lmap = make_map(
-            sset.space,
-            sset.space,
-            np.diag(d),
-            invertible=bool(np.all(d != 0.0)),
-            kind="diag",
-        )
-    elif key == "matrix":
-        A = read_matrix_csv(os.path.join(base_dir, str(detail)))
-        if A.ndim != 2 or A.shape[1] != sset.space_dim:
-            raise DimensionMismatch(
-                f"map matrix {A.shape} against snapshots of dim {sset.space_dim}"
-            )
-        codomain = resolve_gram_spec(
-            spec.get("codomain_gram", "identity"), A.shape[0], base_dir
-        )
-        lmap = make_map(
-            sset.space,
-            codomain,
-            A,
-            invertible=bool(spec.get("invertible", False)),
-            kind="general",
-        )
-    elif key == "derivative_1d":
-        lmap = _derivative_map(detail, sset)
-    else:
-        if not isinstance(detail, dict) or "from" not in detail or "to" not in detail:
-            raise MalformedManifest('embedding needs {"from": ..., "to": ...}')
-        nodes = sset.space_dim
-        domain = _space_from_token(detail["from"], nodes, "embed_from")
-        codomain = _space_from_token(detail["to"], nodes, "embed_to")
-        if not np.allclose(domain.gram, sset.space.gram, rtol=1e-12, atol=1e-12):
-            raise ProvenanceMismatch(
-                "embedding 'from' gram disagrees with the snapshot space"
-            )
-        eye = np.eye(nodes)
-        lmap = make_map(
-            sset.space, codomain, eye, inverse=eye.copy(), kind="embedding"
-        )
-
-    form = None
-    if "ritz_form" in spec:
-        form = _resolve_form_entry(
-            spec["ritz_form"], lmap.codomain.dim, base_dir
-        )
-    return lmap, form
-
+# -- projector family --------------------------------------------------------
 
 def _select_family(flag, lmap, form):
     """Map the --projector flag onto a projector family and form.

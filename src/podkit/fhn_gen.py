@@ -27,9 +27,9 @@ from scipy.linalg import block_diag, lu_factor, lu_solve
 
 from .errors import DimensionMismatch, SolverDiverged
 from .fem import assemble_fem_1d
-from .gram_space import identity_space, make_space
-from .linear_map import LinearMap, make_map
-from .snapshot_io import from_trajectory, make_snapshot_set
+from .gram_space import make_space
+from .linear_map import derivative_map, identity_map, make_map
+from .snapshot_io import from_trajectory, make_snapshot_set, resolve_gram_spec
 
 SDIRK_GAMMA = 1.0 - np.sqrt(2.0) / 2.0
 NEWTON_ABS_TOL = 1e-8
@@ -137,53 +137,28 @@ def solve_fhn(config):
 def make_product_space(nodes):
     """L^2 x L^2 Gram matrix for the stacked state [u; v]."""
     mesh = assemble_fem_1d(nodes)
-    return make_space(block_diag(mesh.mass, mesh.mass), label="l2_product")
-
-
-def make_derivative_codomain(nodes, blocks=1):
-    """Elementwise-constant space with element-length weights."""
-    mesh = assemble_fem_1d(nodes)
-    lengths = np.tile(mesh.element_lengths, blocks)
-    return make_space(np.diag(lengths), label="derivative_product" if blocks > 1 else "derivative")
-
-
-def derivative_blocks(nodes, dim):
-    """Number of nodal components (1 or 2) in a state of dimension dim."""
-    if dim not in (nodes, 2 * nodes):
-        raise DimensionMismatch(
-            f"derivative map on {nodes} nodes against snapshots of dim "
-            f"{dim}; expected {nodes} or {2 * nodes}"
-        )
-    return dim // nodes
+    return make_space(block_diag(mesh.mass, mesh.mass))
 
 
 def make_fhn_L(nodes, domain=None):
-    """Componentwise forward-derivative map on a nodal state space.
+    """Forward-derivative map (linear_map.derivative_map) on nodal [u; v].
 
-    Maps nodal [u; v] (or a single nodal field, when the domain has one
-    component) to the elementwise slopes of each component; paired with the
-    element-length weights the codomain norm is the exact H^1 seminorm.
-    The domain defaults to the L^2 product space of the two-species state.
-    Constants lie in the kernel, so the map has no inverse.
+    The domain defaults to the L^2 product space of the two-species state;
+    a one-component domain gives the derivative of a single nodal field.
     """
-    mesh = assemble_fem_1d(nodes)
     domain = make_product_space(nodes) if domain is None else domain
-    blocks = derivative_blocks(nodes, domain.dim)
-    codomain = make_derivative_codomain(nodes, blocks=blocks)
-    matrix = block_diag(*[mesh.deriv] * blocks)
-    return LinearMap(domain=domain, codomain=codomain, matrix=matrix, kind="derivative")
+    return derivative_map(nodes, domain)
 
 
 def make_fhn_instance(config=None):
     """Solve the system and package snapshots, spaces and the derivative map."""
     config = config or FhnConfig()
     grid, states = solve_fhn(config)
-    space_x = make_product_space(config.nodes)
     lmap = make_fhn_L(config.nodes)
-    sset = from_trajectory(grid, states, space=space_x)
+    sset = from_trajectory(grid, states, space=lmap.domain)
     return {
         "set": sset,
-        "space_x": space_x,
+        "space_x": lmap.domain,
         "space_y": lmap.codomain,
         "map": lmap,
         "grid": grid,
@@ -221,21 +196,16 @@ def make_embedding_instance(nodes, which, count=40, seed=None):
     form-determined projection family.
 
     Returns a dict with the snapshot set (attached to the ambient space),
-    both spaces, the certified-invertible identity map, and the form (or
+    both spaces, the identity map (with its exact inverse), and the form (or
     None).
     """
     if which not in (1, 2, 3):
         raise DimensionMismatch(f"embedding instance must be 1, 2 or 3, got {which}")
-    mesh = assemble_fem_1d(nodes)
-    l2 = make_space(mesh.mass, label="fem_l2")
-    h1 = make_space(mesh.stiffness + mesh.mass, label="fem_h1")
-    if which == 2:
-        space_x, space_y = h1, l2
-    else:
-        space_x, space_y = l2, h1
-    eye = np.eye(nodes)
-    lmap = make_map(space_x, space_y, eye, inverse=eye.copy(), kind="embedding")
-    form = (mesh.stiffness + mesh.mass) if which == 3 else None
+    l2 = resolve_gram_spec({"fem_mass": nodes}, nodes)
+    h1 = resolve_gram_spec({"fem_stiffness": nodes}, nodes)
+    space_x, space_y = (h1, l2) if which == 2 else (l2, h1)
+    lmap = identity_map(space_x, space_y, kind="embedding")
+    form = h1.gram if which == 3 else None
     if seed is None:
         seed = 100 + which
     tgrid, states = synthetic_states(nodes, count, seed=seed)
@@ -249,9 +219,9 @@ def make_embedding_instance(nodes, which, count=40, seed=None):
     }
 
 
-def _random_spd_space(rng, dim, label):
+def _random_spd_space(rng, dim):
     A = rng.standard_normal((dim, dim))
-    return make_space((A.T @ A + dim * np.eye(dim)) / dim, label=label)
+    return make_space((A.T @ A + dim * np.eye(dim)) / dim)
 
 
 def _random_orthogonal(rng, n):
@@ -280,9 +250,9 @@ def random_instance(
     Returns a dict with the snapshot set, both spaces, and the map.
     """
     rng = np.random.default_rng(seed)
-    space_x = _random_spd_space(rng, dim, "random_x")
+    space_x = _random_spd_space(rng, dim)
     dim_y = dim if dim_y is None else dim_y
-    space_y = _random_spd_space(rng, dim_y, "random_y")
+    space_y = _random_spd_space(rng, dim_y)
 
     rk = min(dim, s) if data_rank is None else min(data_rank, dim, s)
     U = _random_orthogonal(rng, dim)[:, :rk]

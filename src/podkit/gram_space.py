@@ -8,7 +8,7 @@ with that factor, never through an explicit inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -38,17 +38,14 @@ class GramSpace:
         Symmetric positive definite Gram matrix (symmetrized copy).
     chol : ndarray, shape (dim, dim)
         Lower-triangular Cholesky factor, gram = chol @ chol.T.
-    label : str
-        Free-form name used in reports and manifests.
     """
 
     dim: int
     gram: np.ndarray
     chol: np.ndarray
-    label: str = field(default="space")
 
 
-def make_space(gram, label="space"):
+def make_space(gram):
     """Validate a Gram matrix and build the space around it.
 
     Parameters
@@ -56,8 +53,6 @@ def make_space(gram, label="space"):
     gram : array_like, shape (n, n)
         Candidate Gram matrix.  Must be symmetric to relative tolerance
         1e-13 in the Frobenius norm; it is then symmetrized exactly.
-    label : str
-        Name attached to the space.
 
     Returns
     -------
@@ -86,13 +81,13 @@ def make_space(gram, label="space"):
         raise NotPositiveDefinite(str(exc)) from None
     except Exception as exc:  # scipy raises its own LinAlgError type
         raise NotPositiveDefinite(str(exc)) from None
-    return GramSpace(dim=G.shape[0], gram=G, chol=L, label=label)
+    return GramSpace(dim=G.shape[0], gram=G, chol=L)
 
 
-def identity_space(dim, label="euclidean"):
+def identity_space(dim):
     """Euclidean R^dim (identity Gram matrix)."""
     eye = np.eye(dim)
-    return GramSpace(dim=dim, gram=eye, chol=eye.copy(), label=label)
+    return GramSpace(dim=dim, gram=eye, chol=eye.copy())
 
 
 def _check_dim(space, u):

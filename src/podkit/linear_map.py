@@ -4,19 +4,24 @@ A map carries its domain and codomain spaces so adjoints are always taken
 with respect to the right inner products.  Invertibility is a certificate,
 not a guess: an inverse is either supplied or computed, and in both cases the
 two residuals ||L Linv - I|| and ||Linv L - I|| must pass below tolerance,
-with overly ill-conditioned matrices rejected outright.
+with overly ill-conditioned matrices rejected outright.  Maps named by a
+JSON map spec are built by build_map_from_spec, which documents the grammar.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
-from . import gram_space
-from .errors import DimensionMismatch, NotInvertible, ProvenanceMismatch
-from .gram_space import GramSpace
-from .snapshot_io import SnapshotSet, make_snapshot_set
+from . import fem, gram_space
+from .errors import DimensionMismatch, MalformedManifest, NotInvertible, ProvenanceMismatch
+from .gram_space import GramSpace, make_space
+from .snapshot_io import _read_json, _spec_int, gram_matrix, make_snapshot_set
+from .snapshot_io import read_matrix_csv, resolve_gram_spec
 
 INVERSE_RESIDUAL_TOL = 1e-8
 MAX_CONDITION = 1e12
@@ -97,13 +102,51 @@ def make_map(domain, codomain, matrix, invertible=False, inverse=None, kind="gen
 
 
 def identity_map(domain, codomain=None, kind="identity"):
-    """Identity-matrix map, by default an embedding between equal-dim spaces."""
+    """Identity-matrix map, by default an embedding between equal-dim spaces.
+
+    Its inverse is exact, so no residual certificate is computed.
+    """
     if codomain is None:
         codomain = domain
     if codomain.dim != domain.dim:
         raise DimensionMismatch("identity map needs equal dimensions")
     eye = np.eye(domain.dim)
     return LinearMap(domain, codomain, eye, inverse=eye.copy(), kind=kind)
+
+
+def derivative_map(nodes, domain, scheme="forward"):
+    """Componentwise derivative of nodal fields on the uniform FEM mesh.
+
+    The domain holds one nodal field or two stacked ones ([u; v]); each
+    component is differentiated on its own.  "forward" maps onto the
+    elementwise slopes with element-length weights, so the codomain norm is
+    the exact H^1 seminorm.  "centered" maps onto nodal central differences
+    (one-sided at the two ends) measured in the L^2 mass norm.  Constants lie
+    in the kernel of both, so the map has no inverse.
+    """
+    if domain.dim not in (nodes, 2 * nodes):
+        raise DimensionMismatch(
+            f"derivative map on {nodes} nodes against snapshots of dim "
+            f"{domain.dim}; expected {nodes} or {2 * nodes}"
+        )
+    mesh = fem.assemble_fem_1d(nodes)
+    if scheme == "forward":
+        block, gram = mesh.deriv, np.diag(mesh.element_lengths)
+    elif scheme == "centered":
+        h = mesh.h
+        block = (np.eye(nodes, k=1) - np.eye(nodes, k=-1)) * (0.5 / h)
+        block[0, :2] = -1.0 / h, 1.0 / h
+        block[-1, -2:] = -1.0 / h, 1.0 / h
+        gram = mesh.mass
+    else:
+        raise MalformedManifest(f"unknown derivative scheme {scheme!r}")
+    blocks = domain.dim // nodes
+    return LinearMap(
+        domain=domain,
+        codomain=make_space(block_diag(*[gram] * blocks)),
+        matrix=block_diag(*[block] * blocks),
+        kind="derivative",
+    )
 
 
 def apply(lmap, x):
@@ -200,3 +243,109 @@ def rank_relation_check(basis_x, basis_y, lmap):
         not report["equality_expected"] or report["equality_holds"]
     )
     return report
+
+
+_MAP_KEYS = ("identity", "diag", "matrix", "derivative_1d", "embedding")
+_MATRIX_OPTIONS = ("codomain_gram", "invertible")
+_EMBED_GRAMS = {"mass": "fem_mass", "stiffness+mass": "fem_stiffness"}
+
+
+def build_map_from_spec(text, sset):
+    """Turn a map spec into a LinearMap on the snapshot set's space.
+
+    text is inline JSON (it starts with "{") or a path to a JSON file, and
+    relative paths in a file resolve against its directory.  The spec is an
+    object with exactly one of these keys:
+
+        {"identity": n}
+        {"diag": [d1, ..., dn]}
+        {"matrix": "path.csv", "codomain_gram": <gram spec>, "invertible": bool}
+        {"derivative_1d": {"nodes": n, "scheme": "forward" | "centered"}}
+        {"embedding": {"from": "mass", "to": "stiffness+mass"}}
+
+    n is a JSON integer.  "codomain_gram" (a gram spec as in
+    snapshot_io.gram_matrix, default "identity") and "invertible" (default
+    false) belong to "matrix" only.  derivative_1d is derivative_map and
+    doubles blockwise when the snapshot dimension is twice the node count.
+    The embedding is the identity matrix between the L^2 ("mass") and H^1
+    ("stiffness+mass") FEM Gram matrices; "from" must be the snapshot
+    space's own.  Any spec may add "ritz_form", a gram spec (a CSV path need
+    not be symmetric) for the Ritz projection family.
+
+    Returns (map, form), form being the Ritz form matrix or None.  Malformed
+    fields raise MalformedManifest, sizes that disagree with the snapshots
+    DimensionMismatch, and an embedding from the wrong space
+    ProvenanceMismatch.
+    """
+    text = text.strip()
+    if text.startswith("{"):
+        try:
+            spec, base_dir = json.loads(text), "."
+        except json.JSONDecodeError as exc:
+            raise MalformedManifest(f"inline map spec: {exc}") from None
+    elif os.path.exists(text):
+        spec, base_dir = _read_json(text), os.path.dirname(os.path.abspath(text))
+    else:
+        raise MalformedManifest(f"map spec file not found: {text}")
+    if not isinstance(spec, dict):
+        raise MalformedManifest("map spec must be a JSON object")
+    options = ("ritz_form",) + (_MATRIX_OPTIONS if "matrix" in spec else ())
+    unknown = [k for k in spec if k not in _MAP_KEYS + options]
+    if unknown:
+        raise MalformedManifest(f"unknown map spec keys: {unknown}")
+    primary = [k for k in spec if k in _MAP_KEYS]
+    if len(primary) != 1:
+        raise MalformedManifest(f"map spec needs exactly one of {_MAP_KEYS}, got {primary}")
+    key, dim = primary[0], sset.space_dim
+    detail = spec[key]
+
+    if key == "identity":
+        if _spec_int(detail, "identity dimension") != dim:
+            raise DimensionMismatch(
+                f"identity map of dim {detail} against snapshots of dim {dim}"
+            )
+        lmap = identity_map(sset.space)
+    elif key == "diag":
+        try:
+            d = np.asarray(detail, dtype=float)
+        except (TypeError, ValueError):
+            raise MalformedManifest(f"diag map needs numbers, got {detail!r}") from None
+        if d.ndim != 1 or d.shape[0] != dim:
+            raise DimensionMismatch(f"diag map of length {d.shape} against dim {dim}")
+        invertible = bool(np.all(d != 0.0))
+        lmap = make_map(sset.space, sset.space, np.diag(d), invertible, kind="diag")
+    elif key == "matrix":
+        invertible = spec.get("invertible", False)
+        if not isinstance(detail, str) or not isinstance(invertible, bool):
+            raise MalformedManifest(
+                f"matrix map needs a CSV path and a boolean invertible, got "
+                f"{detail!r} and {invertible!r}"
+            )
+        A = read_matrix_csv(os.path.join(base_dir, detail))
+        if A.shape[1] != dim:
+            raise DimensionMismatch(f"map matrix {A.shape} against snapshots of dim {dim}")
+        gram = spec.get("codomain_gram", "identity")
+        codomain = resolve_gram_spec(gram, A.shape[0], base_dir)
+        lmap = make_map(sset.space, codomain, A, invertible, kind="general")
+    elif key == "derivative_1d":
+        if not isinstance(detail, dict) or "nodes" not in detail:
+            raise MalformedManifest('derivative_1d needs {"nodes": n, "scheme": ...}')
+        nodes = _spec_int(detail["nodes"], "derivative_1d nodes", 2)
+        lmap = derivative_map(nodes, sset.space, detail.get("scheme", "forward"))
+    else:
+        if not isinstance(detail, dict) or "from" not in detail or "to" not in detail:
+            raise MalformedManifest('embedding needs {"from": ..., "to": ...}')
+        tokens = [detail["from"], detail["to"]]
+        if not all(isinstance(t, str) and t in _EMBED_GRAMS for t in tokens):
+            raise MalformedManifest(
+                f"embedding grams must be in {tuple(_EMBED_GRAMS)}, got {tokens}"
+            )
+        source, target = ({_EMBED_GRAMS[t]: dim} for t in tokens)
+        if not np.allclose(gram_matrix(source, dim), sset.space.gram, rtol=1e-12, atol=1e-12):
+            raise ProvenanceMismatch("embedding 'from' gram disagrees with the snapshot space")
+        lmap = identity_map(sset.space, resolve_gram_spec(target, dim), kind="embedding")
+
+    form = None
+    if "ritz_form" in spec:
+        form = gram_matrix(spec["ritz_form"], lmap.codomain.dim, base_dir)
+    return lmap, form

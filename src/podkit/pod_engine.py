@@ -38,7 +38,6 @@ from .errors import (
     EigenFailure,
     IndexOutOfRange,
     MalformedManifest,
-    MissingDataFile,
     RankExceeded,
 )
 from .gram_space import (
@@ -48,7 +47,7 @@ from .gram_space import (
     identity_space,
     orthonormalize,
 )
-from .snapshot_io import read_matrix_csv, write_matrix_csv, _atomic_write
+from .snapshot_io import _atomic_write, _read_json, read_matrix_csv, write_matrix_csv
 
 DEFAULT_DROP_TOL = 1e-12
 
@@ -328,14 +327,8 @@ def load_basis(manifest_path, space=None):
     The full-spectrum helper arrays are restored only up to the stored rank;
     recompute from the data when a checker needs the complete tail.
     """
-    if not os.path.exists(manifest_path):
-        raise MissingDataFile(f"no such basis manifest: {manifest_path}")
     base = os.path.dirname(os.path.abspath(manifest_path))
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MalformedManifest(f"{manifest_path}: {exc}") from None
+    manifest = _read_json(manifest_path)
     for key in ("sigma", "rank", "modes", "right_vectors"):
         if key not in manifest:
             raise MalformedManifest(f"{manifest_path}: missing key {key!r}")

@@ -136,9 +136,13 @@ def from_trajectory(grid, states, space=None):
 
 
 def _atomic_write(path, text):
+    """Write text to path atomically, through a temporary file beside it.
+
+    An unwritable path raises MissingDataFile and leaves no temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         # mkstemp makes the file 0600; give it the mode open() would.
@@ -146,10 +150,12 @@ def _atomic_write(path, text):
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:
+        raise MissingDataFile(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_matrix_csv(path, matrix):
@@ -162,7 +168,12 @@ def write_matrix_csv(path, matrix):
 def read_matrix_csv(path, rows=None, cols=None):
     if not os.path.exists(path):
         raise MissingDataFile(f"no such file: {path}")
-    M = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        M = np.loadtxt(path, delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise MissingDataFile(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise MalformedManifest(f"{path}: {exc}") from None
     if rows is not None and cols is not None and M.shape != (rows, cols):
         if M.size == rows * cols:
             M = M.reshape(rows, cols)
@@ -173,35 +184,60 @@ def read_matrix_csv(path, rows=None, cols=None):
     return M
 
 
-def resolve_gram_spec(spec, dim, base_dir="."):
-    """Turn a manifest gram entry into a GramSpace.
+def _read_json(path):
+    """Parse a JSON file; an unreadable path or invalid JSON is an input error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise MissingDataFile(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise MalformedManifest(f"{path}: {exc}") from None
+
+
+def _spec_int(value, what, minimum=1):
+    """An integer field of a spec, checked against its lower limit."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise MalformedManifest(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def gram_matrix(spec, dim, base_dir="."):
+    """The dim x dim matrix a gram spec names.
 
     Accepted forms: the token "identity", a path to a CSV matrix (relative to
-    the manifest), or a generator spec {"fem_mass": n} / {"fem_stiffness": n}.
+    base_dir), or a generator spec {"fem_mass": n} / {"fem_stiffness": n}.
     The stiffness generator returns the full H^1 Gram matrix (stiffness plus
     mass); the derivative Gram alone is singular and cannot define a space.
+    Shape and node count are checked here; symmetry and definiteness are
+    left to make_space, since a bilinear form need have neither.
     """
     if spec == "identity":
-        return identity_space(dim)
+        return np.eye(dim)
     if isinstance(spec, str):
         G = read_matrix_csv(os.path.join(base_dir, spec))
         if G.shape != (dim, dim):
             raise MalformedManifest(
                 f"gram file {spec} has shape {G.shape}, expected ({dim}, {dim})"
             )
-        return make_space(G, label=os.path.basename(spec))
+        return G
     if isinstance(spec, dict) and len(spec) == 1:
         key, n = next(iter(spec.items()))
         if key in ("fem_mass", "fem_stiffness"):
-            mesh = fem.assemble_fem_1d(n)
-            if mesh.nodes != dim:
+            if _spec_int(n, f"{key} node count", 2) != dim:
                 raise MalformedManifest(
                     f"{key} generator for {n} nodes in a dim-{dim} manifest"
                 )
-            if key == "fem_mass":
-                return make_space(mesh.mass, label="fem_mass")
-            return make_space(mesh.stiffness + mesh.mass, label="fem_h1")
+            mesh = fem.assemble_fem_1d(n)
+            return mesh.mass if key == "fem_mass" else mesh.stiffness + mesh.mass
     raise MalformedManifest(f"unrecognized gram spec: {spec!r}")
+
+
+def resolve_gram_spec(spec, dim, base_dir="."):
+    """The GramSpace of a manifest gram entry; see gram_matrix for the forms."""
+    if spec == "identity":
+        return identity_space(dim)
+    return make_space(gram_matrix(spec, dim, base_dir))
 
 
 def save(sset, manifest_path, gram_spec=None):
@@ -253,14 +289,8 @@ def load(manifest_path):
     Raises MalformedManifest / MissingDataFile / WeightNonPositive /
     NonMonotoneGrid as appropriate.
     """
-    if not os.path.exists(manifest_path):
-        raise MissingDataFile(f"no such manifest: {manifest_path}")
     base = os.path.dirname(os.path.abspath(manifest_path))
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MalformedManifest(f"{manifest_path}: {exc}") from None
+    manifest = _read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise MalformedManifest(f"{manifest_path}: top level must be an object")
 

@@ -10,6 +10,7 @@ from scipy.linalg import block_diag
 
 from podkit.cli import build_map_from_spec, main
 from podkit.fem import assemble_fem_1d
+from podkit.fhn_gen import FhnConfig, make_embedding_instance, make_fhn_instance
 from podkit.pod_engine import load_basis
 from podkit.snapshot_io import load
 
@@ -348,3 +349,107 @@ def test_battery_row_sequence_for_one_level():
         reports, _ = run_battery(inst["set"], basis, lmap, "orthogonal", None, [3], None, 1)
         assert [rep.identity_id for rep in reports] == expected[name], name
         assert all(rep.r == 3 for rep in reports)
+
+
+@pytest.fixture
+def synth8(tmp_path, capsys):
+    manifest = str(tmp_path / "s.json")
+    assert main(["generate-synthetic", "--output", manifest, "--nodes", "8"]) == 0
+    capsys.readouterr()
+    return manifest
+
+
+_EMBED = {"from": "mass", "to": "stiffness+mass"}
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        ({"identity": "abc"}, "MalformedManifest"),
+        ({"identity": None}, "MalformedManifest"),
+        ({"identity": 9}, "DimensionMismatch"),
+        ({"diag": "abc"}, "MalformedManifest"),
+        ({"derivative_1d": {"nodes": "x"}}, "MalformedManifest"),
+        ({"derivative_1d": {"nodes": 1}}, "MalformedManifest"),
+        ({"derivative_1d": {"nodes": 8, "scheme": "upwind"}}, "MalformedManifest"),
+        ({"identity": 8, "ritz_form": {"fem_mass": "q"}}, "MalformedManifest"),
+        ({"embedding": _EMBED, "codomain_gram": "x"}, "MalformedManifest"),
+        ({"embedding": _EMBED, "invertible": True}, "MalformedManifest"),
+        ({"matrix": "absent.csv", "invertible": "yes"}, "MalformedManifest"),
+    ],
+    ids=[
+        "identity-str", "identity-null", "identity-size", "diag-str",
+        "nodes-str", "nodes-one", "scheme", "ritz-form-nodes",
+        "embedding-codomain-gram", "embedding-invertible", "matrix-invertible-str",
+    ],
+)
+def test_malformed_map_spec_fields_are_input_errors(synth8, tmp_path, capsys, spec, error):
+    code, _, err = run(
+        capsys, "verify", "--input", synth8, "--map", json.dumps(spec),
+        "--output", str(tmp_path / "r.json"), "--r", "1",
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == error
+
+
+def _boundary_case(case, manifest, tmp_path):
+    absent = str(tmp_path / "absent" / "out.json")
+    folder = str(tmp_path / "runs")
+    os.makedirs(folder)
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("1,2\n3,x\n")
+    verify = ["verify", "--input", manifest, "--r", "1"]
+    mapped = verify + ["--map", manifest.replace(".json", "_map.json")]
+    missing = "MissingDataFile"
+    return {
+        "generate-into-missing-dir": (
+            ["generate-synthetic", "--nodes", "8", "--output", absent], missing
+        ),
+        "pod-into-missing-dir": (["pod", "--input", manifest, "--output", absent], missing),
+        "verify-into-missing-dir": (mapped + ["--output", absent], missing),
+        "verify-onto-directory": (mapped + ["--output", folder], missing),
+        "input-is-directory": (["verify", "--input", folder, "--r", "1"], missing),
+        "map-is-directory": (verify + ["--map", folder], missing),
+        "matrix-csv-not-numeric": (
+            verify + ["--map", json.dumps({"matrix": str(bad_csv)})], "MalformedManifest"
+        ),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "generate-into-missing-dir", "pod-into-missing-dir", "verify-into-missing-dir",
+        "verify-onto-directory", "input-is-directory", "map-is-directory",
+        "matrix-csv-not-numeric",
+    ],
+)
+def test_file_boundaries_raise_typed_errors(synth8, tmp_path, capsys, case):
+    argv, error = _boundary_case(case, synth8, tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(err)["error"] == error
+    assert not os.path.exists(tmp_path / "absent")
+    assert [f for f in os.listdir(tmp_path) if f.startswith(".tmp_")] == []
+
+
+@pytest.mark.parametrize("command", ["generate-fhn", "generate-synthetic"])
+def test_generated_map_spec_rebuilds_the_instance_map(tmp_path, capsys, command):
+    manifest = str(tmp_path / "bundle.json")
+    assert main([command, "--output", manifest, "--nodes", "8"]) == 0
+    capsys.readouterr()
+    if command == "generate-fhn":
+        expected = make_fhn_instance(FhnConfig(nodes=8))["map"]
+    else:
+        expected = make_embedding_instance(8, 1)["map"]
+    lmap, form = build_map_from_spec(
+        manifest.replace(".json", "_map.json"), load(manifest)
+    )
+    assert form is None
+    assert lmap.kind == expected.kind
+    assert np.array_equal(lmap.matrix, expected.matrix)
+    assert (lmap.inverse is None) == (expected.inverse is None)
+    if expected.inverse is not None:
+        assert np.array_equal(lmap.inverse, expected.inverse)
+    assert np.array_equal(lmap.domain.gram, expected.domain.gram)
+    assert np.array_equal(lmap.codomain.gram, expected.codomain.gram)
