@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -43,6 +42,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    MalformedManifest,
     MissingDataFile,
     NotInvertible,
     ProvenanceMismatch,
@@ -56,7 +56,7 @@ from .projector import (
     pushforward_projector,
     ritz_projector,
 )
-from .snapshot_io import _atomic_write
+from .snapshot_io import _atomic_write, _read_json
 
 IDENTITY_RTOL = 1e-8
 EXACT_RTOL = 1e-9
@@ -502,12 +502,25 @@ def _jsonable(value):
 
 
 def read_report(path):
-    """Load a report written by write_report_csv or write_report_json."""
-    if not os.path.exists(path):
-        raise MissingDataFile(f"no such report: {path}")
-    with open(path) as fh:
-        if path.endswith(".json"):
-            return json.load(fh)["checks"]
+    """Load a report written by write_report_csv or write_report_json.
+
+    An unreadable path is MissingDataFile; invalid JSON, a JSON report
+    without "checks" and a CSV row with a missing or non-numeric column are
+    MalformedManifest.
+    """
+    if path.endswith(".json"):
+        report = _read_json(path)
+        if not isinstance(report, dict) or "checks" not in report:
+            raise MalformedManifest(f'{path}: no "checks" list')
+        return report["checks"]
+    try:
+        with open(path) as fh:
+            raws = list(csv.DictReader(fh))
+    except OSError as exc:
+        raise MissingDataFile(f"cannot read {path}: {exc.strerror}") from None
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise MalformedManifest(f"{path}: {exc}") from None
+    try:
         return [
             {
                 "identity_id": raw["identity_id"],
@@ -515,5 +528,7 @@ def read_report(path):
                 **{key: float(raw[key]) for key in CSV_COLUMNS[2:6]},
                 "passed": raw["passed"] == "true",
             }
-            for raw in csv.DictReader(fh)
+            for raw in raws
         ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedManifest(f"{path}: bad report row ({exc})") from None

@@ -10,7 +10,12 @@ u_x(t, 0) = -50000 t^3 exp(-15 t) feeding an impulse in from the left end,
 and a zero slope at the right end.  Space is discretized by piecewise linear
 finite elements with the nonlinearity interpolated at the nodes; time by a
 fixed-step two-stage L-stable singly diagonally implicit Runge-Kutta scheme
-with Newton iteration on the cubic.
+with Newton iteration on the cubic.  The Newton matrix M - h gamma J is
+factored in LAPACK band storage: with u and v interleaved as
+[u_0, v_0, u_1, v_1, ...] the tridiagonal mass and stiffness blocks make it
+a band with three sub- and superdiagonals.  Its f'(u)-free part is built
+once per solve, and each factorization (at every stage start and at Newton
+iterations 8 and 16) adds only the three f'(u)-dependent uu diagonals.
 
 The module also builds the product state space (two L^2 components), the
 block derivative map into elementwise constants, identity-embedding instances
@@ -23,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, lu_factor, lu_solve
+from scipy.linalg import block_diag
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DimensionMismatch, SolverDiverged
 from .fem import assemble_fem_1d
@@ -35,6 +41,7 @@ SDIRK_GAMMA = 1.0 - np.sqrt(2.0) / 2.0
 NEWTON_ABS_TOL = 1e-8
 NEWTON_REL_TOL = 1e-6
 NEWTON_MAX_ITER = 25
+NEWTON_BAND = 3
 
 
 @dataclass
@@ -56,6 +63,24 @@ def boundary_pulse(t):
     return 50000.0 * t**3 * np.exp(-15.0 * t)
 
 
+def _interleaved_band(blocks, n):
+    """dgbtrf band storage of the interleaved matrix with tridiagonal blocks.
+
+    blocks maps (row species, column species), 0 for u and 1 for v, to an
+    n x n tridiagonal block.  Entry (i, j) of the interleaved matrix goes to
+    row 2 * NEWTON_BAND + i - j of column j; the top NEWTON_BAND rows are
+    left zero for the pivoting fill-in.
+    """
+    ab = np.zeros((3 * NEWTON_BAND + 1, 2 * n))
+    for (row, col), block in blocks.items():
+        for d in (-1, 0, 1):
+            lo, hi = max(0, -d), n - max(0, d)
+            ab[2 * NEWTON_BAND + 2 * d + row - col, 2 * lo + col : 2 * hi : 2] = (
+                np.diagonal(block, -d)
+            )
+    return ab
+
+
 def solve_fhn(config):
     """Integrate the system; returns (time grid, states of shape (2n, steps+1)).
 
@@ -63,6 +88,8 @@ def solve_fhn(config):
     c = 0 and the boundary drive disabled the zero state is stationary and
     the trajectory stays identically zero.
     """
+    if config.nodes < 2:
+        raise DimensionMismatch(f"need at least 2 nodes, got {config.nodes}")
     mesh = assemble_fem_1d(config.nodes)
     n = mesh.nodes
     M = mesh.mass
@@ -94,42 +121,60 @@ def solve_fhn(config):
         out[n:] = M @ (b * u - gam * v + c)
         return out
 
-    def jacobian(w):
-        u = w[:n]
-        fp = -3.0 * u**2 + 2.2 * u - 0.1
-        J = np.zeros((2 * n, 2 * n))
-        J[:n, :n] = -mu * S + (M * fp[None, :]) / mu
-        J[:n, n:] = -M / mu
-        J[n:, :n] = b * M
-        J[n:, n:] = -gam * M
-        return J
+    # Mb - coeff * J = band - band_fp * f'(u) on the u columns
+    h = config.dt
+    gam_s = SDIRK_GAMMA
+    coeff = h * gam_s
+    band = _interleaved_band(
+        {
+            (0, 0): M + coeff * mu * S,
+            (0, 1): (coeff / mu) * M,
+            (1, 0): (-coeff * b) * M,
+            (1, 1): (1.0 + coeff * gam) * M,
+        },
+        n,
+    )
+    band_fp = _interleaved_band({(0, 0): (coeff / mu) * M}, n)
 
-    def stage_solve(t_stage, y_base, const, coeff, guess):
+    def factor(Y, t_stage):
+        u = Y[:n]
+        fp = -3.0 * u**2 + 2.2 * u - 0.1
+        ab = band - band_fp * np.repeat(fp, 2)
+        if not np.all(np.isfinite(ab)):
+            raise SolverDiverged(f"Newton matrix not finite at t = {t_stage:.6f}")
+        lu, piv, info = dgbtrf(ab, NEWTON_BAND, NEWTON_BAND, overwrite_ab=1)
+        if info != 0:
+            raise SolverDiverged(f"Newton matrix singular at t = {t_stage:.6f}")
+        return lu, piv
+
+    def stage_solve(t_stage, y_base, const, guess):
         Y = guess.copy()
-        lu = lu_factor(Mb - coeff * jacobian(Y))
+        lu, piv = factor(Y, t_stage)
         for it in range(NEWTON_MAX_ITER):
             F = Mb @ (Y - y_base) - coeff * rhs(t_stage, Y) - const
-            delta = lu_solve(lu, -F)
+            # interleave -F, solve, and return to the [u; v] layout
+            x, _ = dgbtrs(
+                lu, NEWTON_BAND, NEWTON_BAND, -F.reshape(2, n).T.ravel(), piv
+            )
+            delta = x.reshape(n, 2).T.ravel()
             Y += delta
             nd = np.max(np.abs(delta))
             if nd <= NEWTON_ABS_TOL + NEWTON_REL_TOL * np.max(np.abs(Y)):
                 return Y
             if it in (8, 16):
-                lu = lu_factor(Mb - coeff * jacobian(Y))
+                lu, piv = factor(Y, t_stage)
             if not np.all(np.isfinite(Y)):
                 break
         raise SolverDiverged(f"Newton stalled at t = {t_stage:.6f}")
 
-    h = config.dt
-    gam_s = SDIRK_GAMMA
     states = np.zeros((2 * n, steps + 1))
     w = np.zeros(2 * n)
     zero = np.zeros(2 * n)
     for k in range(steps):
         tn = grid[k]
-        Y1 = stage_solve(tn + gam_s * h, w, zero, h * gam_s, w)
+        Y1 = stage_solve(tn + gam_s * h, w, zero, w)
         const = h * (1.0 - gam_s) * rhs(tn + gam_s * h, Y1)
-        w = stage_solve(tn + h, w, const, h * gam_s, Y1)
+        w = stage_solve(tn + h, w, const, Y1)
         states[:, k + 1] = w
     return grid, states
 

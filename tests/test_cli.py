@@ -453,3 +453,41 @@ def test_generated_map_spec_rebuilds_the_instance_map(tmp_path, capsys, command)
         assert np.array_equal(lmap.inverse, expected.inverse)
     assert np.array_equal(lmap.domain.gram, expected.domain.gram)
     assert np.array_equal(lmap.codomain.gram, expected.codomain.gram)
+
+
+@pytest.mark.parametrize("nodes", ["1", "0"])
+def test_generate_fhn_needs_two_nodes(tmp_path, capsys, nodes):
+    manifest = str(tmp_path / "fhn.json")
+    code, _, err = run(capsys, "generate-fhn", "--nodes", nodes, "--output", manifest)
+    assert code == 2
+    assert json.loads(err)["error"] == "DimensionMismatch"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "name, content, error",
+    [
+        ("truncated.json", '{"checks": [{"identity_id": "pod_x"', "MalformedManifest"),
+        ("empty.json", "{}", "MalformedManifest"),
+        ("list.json", "[]", "MalformedManifest"),
+        ("folder.json", None, "MissingDataFile"),
+        ("folder", None, "MissingDataFile"),
+        ("short.csv", "identity_id,r,actual\npod_x,1,0.5\n", "MalformedManifest"),
+        ("text.csv", "identity_id,r,actual,formula,abs_diff,rel_diff,passed\n"
+                     "pod_x,one,1,1,0,0,true\n", "MalformedManifest"),
+        ("binary.csv", b"\xff\xfe\x00", "MalformedManifest"),
+    ],
+    ids=["json-truncated", "json-no-checks", "json-list", "json-directory",
+         "directory", "csv-missing-columns", "csv-not-numeric", "csv-not-text"],
+)
+def test_table_input_errors_are_typed(tmp_path, capsys, name, content, error):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code, _, err = run(capsys, "table", "--input", str(path))
+    assert code == 2
+    assert json.loads(err)["error"] == error

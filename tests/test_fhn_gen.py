@@ -3,9 +3,14 @@ instance builders used across the suite."""
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag, lu_factor, lu_solve
 
-from podkit.errors import DimensionMismatch
+from podkit.errors import DimensionMismatch, SolverDiverged
 from podkit.fhn_gen import (
+    NEWTON_ABS_TOL,
+    NEWTON_MAX_ITER,
+    NEWTON_REL_TOL,
+    SDIRK_GAMMA,
     FhnConfig,
     boundary_pulse,
     make_embedding_instance,
@@ -62,6 +67,95 @@ def test_trajectory_deterministic():
 def test_dt_does_not_divide_t_end():
     with pytest.raises(DimensionMismatch):
         solve_fhn(FhnConfig(nodes=8, t_end=1.0, dt=0.3))
+
+
+def _dense_reference_solve(config):
+    """The SDIRK solve with a dense [u; v] Newton matrix and dense LU.
+
+    Same right-hand side, stage equations, stopping rule and refactor
+    schedule as solve_fhn; only the Newton linear algebra differs.
+    """
+    mesh = assemble_fem_1d(config.nodes)
+    n, M, S = mesh.nodes, mesh.mass, mesh.stiffness
+    mu, b, gam, c = config.mu, config.b, config.gamma_param, config.c
+    steps = int(round(config.t_end / config.dt))
+    grid = np.linspace(0.0, config.t_end, steps + 1)
+    Mb = block_diag(M, M)
+
+    def rhs(t, w):
+        u, v = w[:n], w[n:]
+        fu = u * (u - 0.1) * (1.0 - u)
+        out = np.empty(2 * n)
+        out[:n] = -mu * (S @ u) + M @ ((-v + fu + c) / mu)
+        if config.boundary_drive:
+            out[0] += mu * boundary_pulse(t)
+        out[n:] = M @ (b * u - gam * v + c)
+        return out
+
+    def jacobian(w):
+        fp = -3.0 * w[:n] ** 2 + 2.2 * w[:n] - 0.1
+        J = np.zeros((2 * n, 2 * n))
+        J[:n, :n] = -mu * S + (M * fp[None, :]) / mu
+        J[:n, n:] = -M / mu
+        J[n:, :n] = b * M
+        J[n:, n:] = -gam * M
+        return J
+
+    def stage_solve(t_stage, y_base, const, coeff, guess):
+        Y = guess.copy()
+        lu = lu_factor(Mb - coeff * jacobian(Y))
+        for it in range(NEWTON_MAX_ITER):
+            F = Mb @ (Y - y_base) - coeff * rhs(t_stage, Y) - const
+            delta = lu_solve(lu, -F)
+            Y += delta
+            if np.max(np.abs(delta)) <= NEWTON_ABS_TOL + NEWTON_REL_TOL * np.max(np.abs(Y)):
+                return Y
+            if it in (8, 16):
+                lu = lu_factor(Mb - coeff * jacobian(Y))
+        raise AssertionError(f"reference Newton stalled at t = {t_stage}")
+
+    h, g = config.dt, SDIRK_GAMMA
+    states = np.zeros((2 * n, steps + 1))
+    w = np.zeros(2 * n)
+    for k in range(steps):
+        tn = grid[k]
+        Y1 = stage_solve(tn + g * h, w, np.zeros(2 * n), h * g, w)
+        const = h * (1.0 - g) * rhs(tn + g * h, Y1)
+        w = stage_solve(tn + h, w, const, h * g, Y1)
+        states[:, k + 1] = w
+    return grid, states
+
+
+@pytest.mark.parametrize("nodes", [2, 8, 30])
+@pytest.mark.parametrize("drive", [True, False], ids=["drive", "no-drive"])
+@pytest.mark.parametrize("c", [0.0, FhnConfig().c], ids=["c0", "c-default"])
+def test_banded_newton_matches_dense_reference(nodes, drive, c):
+    cfg = FhnConfig(nodes=nodes, boundary_drive=drive, c=c, t_end=1.0, dt=0.005)
+    grid, states = solve_fhn(cfg)
+    ref_grid, ref = _dense_reference_solve(cfg)
+    assert np.array_equal(grid, ref_grid)
+    assert states.shape == ref.shape
+    assert np.max(np.abs(states - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nodes", [1, 0])
+def test_fewer_than_two_nodes_is_input_error(nodes):
+    with pytest.raises(DimensionMismatch):
+        solve_fhn(FhnConfig(nodes=nodes))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        FhnConfig(nodes=8, dt=1.0, t_end=10.0, c=50.0),
+        FhnConfig(nodes=8, dt=5.0, t_end=10.0),
+        FhnConfig(nodes=8, dt=0.01, t_end=0.1, mu=0.0),
+    ],
+    ids=["large-source", "large-step", "non-finite-matrix"],
+)
+def test_failed_newton_is_solver_diverged(config):
+    with np.errstate(all="ignore"), pytest.raises(SolverDiverged):
+        solve_fhn(config)
 
 
 def test_time_step_consistency():
