@@ -27,6 +27,7 @@ uses the spec's "ritz_form" and otherwise the codomain Gram matrix.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -44,7 +45,8 @@ from .errors import (
 from .error_lab import (
     IDENTITY_RTOL,
     battery_level,
-    build_codomain_projector,
+    codomain_projectors,
+    mapped_mode_norms,
     read_report,
     report_rows,
     sweep as run_sweep,
@@ -55,7 +57,6 @@ from .fhn_gen import FhnConfig, make_embedding_instance, make_fhn_instance
 from .linear_map import build_map_from_spec, induced_snapshots, rank_relation_check
 from .pod_engine import (
     DEFAULT_DROP_TOL,
-    PodBasis,
     compute_pod,
     save_basis,
     spectrum_gapped,
@@ -162,25 +163,25 @@ def run_battery(sset, basis, lmap, family, form, r_values, tol, seed):
     between the two decompositions is reported once in extra.
     """
     rng = np.random.default_rng(0 if seed is None else seed)
-    reports = []
     extra = {"r_values": list(r_values), "tol": tol, "family": family}
+    if lmap is None:
+        return [rep for r in r_values for rep in battery_level(sset, basis, r, tol=tol)], extra
 
+    projectors = codomain_projectors(basis, lmap, family, form)
+    mode_norms = mapped_mode_norms(basis, lmap)
+    reports = []
     for r in r_values:
-        proj_y = coeffs = None
-        if lmap is not None:
-            proj_y = build_codomain_projector(basis, lmap, r, family=family, form=form)
-            coeffs = rng.standard_normal((POINTWISE_PER_LEVEL, sset.count)).T
-        reports.extend(battery_level(sset, basis, r, lmap, proj_y, tol, coeffs))
+        coeffs = rng.standard_normal((POINTWISE_PER_LEVEL, sset.count)).T
+        reports.extend(battery_level(sset, basis, r, lmap, projectors(r), tol, coeffs, mode_norms))
 
-    if lmap is not None:
-        mapped = induced_snapshots(lmap, sset)
-        basis_y = compute_pod(mapped, lmap.codomain, drop_tol=basis.drop_tol)
-        relation = dict(rank_relation_check(basis, basis_y, lmap))
-        # A rank comparison is only asserted when both spectra are gapped at
-        # their cut; otherwise the counts measure noise floors and the row
-        # is informational.
-        relation["decided"] = spectrum_gapped(basis) and spectrum_gapped(basis_y)
-        extra["rank_relation"] = relation
+    mapped = induced_snapshots(lmap, sset)
+    basis_y = compute_pod(mapped, lmap.codomain, drop_tol=basis.drop_tol)
+    relation = dict(rank_relation_check(basis, basis_y, lmap))
+    # A rank comparison is only asserted when both spectra are gapped at
+    # their cut; otherwise the counts measure noise floors and the row
+    # is informational.
+    relation["decided"] = spectrum_gapped(basis) and spectrum_gapped(basis_y)
+    extra["rank_relation"] = relation
     return reports, extra
 
 
@@ -256,21 +257,12 @@ def cmd_generate_synthetic(args):
 
 
 def _truncate_basis(basis, r):
+    """The basis cut to its leading r modes (r >= 1, checked by _parse_r_values)."""
     if r > basis.rank:
         raise RankExceeded(f"requested r = {r} exceeds rank {basis.rank}")
-    if r < 1:
-        raise IndexOutOfRange(f"truncation level must be >= 1, got {r}")
-    return PodBasis(
-        space=basis.space,
-        sigma=basis.sigma[:r].copy(),
-        eigenvalues=basis.eigenvalues.copy(),
-        modes=basis.modes[:, :r].copy(),
-        right_vectors=basis.right_vectors[:, :r].copy(),
-        rank=r,
-        drop_tol=basis.drop_tol,
-        modes_full=basis.modes_full,
-        right_full=basis.right_full,
-        snapshots_ref=basis.snapshots_ref,
+    return dataclasses.replace(
+        basis, sigma=basis.sigma[:r].copy(), modes=basis.modes[:, :r].copy(),
+        right_vectors=basis.right_vectors[:, :r].copy(), rank=r,
     )
 
 
@@ -297,8 +289,7 @@ def cmd_verify(args):
     sset = load(_require(args, "input"))
     tol = _resolve_tol(args.tol, IDENTITY_RTOL)
     basis = compute_pod(sset)
-    lmap = None
-    form = None
+    lmap = form = None
     family = "orthogonal"
     if args.map is not None:
         lmap, form = build_map_from_spec(args.map, sset)
@@ -350,13 +341,9 @@ def cmd_sweep(args):
     basis = compute_pod(sset)
     lmap, form = build_map_from_spec(args.map, sset)
     family, form = _select_family(args.projector, lmap, form)
-    listed = args.r_list or args.r
-    if listed is None:
+    if (args.r_list or args.r) is None:
         raise IndexOutOfRange("sweep needs --r or --r-list")
-    r_values = _parse_r_values(listed)
-    for r in r_values:
-        if r > basis.rank:
-            raise RankExceeded(f"requested r = {r} exceeds rank {basis.rank}")
+    r_values = _requested_r_values(args, basis.rank)
 
     reports = run_sweep(sset, basis, lmap, r_values, family=family, form=form, tol=tol)
     if out.endswith(".json"):

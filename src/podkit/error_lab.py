@@ -50,12 +50,7 @@ from .errors import (
 from .gram_space import GramSpace, half_weight
 from .linear_map import apply_inverse
 from .pod_engine import project_X
-from .projector import (
-    apply_projector,
-    mapped_orthogonal_projector,
-    pushforward_projector,
-    ritz_projector,
-)
+from .projector import apply_projector, mapped_orthogonal_levels, pushforward_levels, ritz_levels
 from .snapshot_io import _atomic_write, _read_json
 
 IDENTITY_RTOL = 1e-8
@@ -144,10 +139,16 @@ class _Residual:
         return float(floor if squared else np.sqrt(floor))
 
 
-def _residuals(sset, basis, r, lmap=None, proj_y=None):
+def mapped_mode_norms(basis, lmap):
+    """||L phi_k||^2 for every mode, from the basis alone and once per
+    bundle: its tail [r:] is the pod_x_mapped formula side at level r."""
+    return _column_sq_norms(lmap.codomain, lmap.matrix @ basis.modes_full)
+
+
+def _residuals(sset, basis, r, lmap=None, proj_y=None, mode_norms=None):
     """The residual operators of level r, keyed by label in identity order:
-    pod_x, with a map pod_x_mapped, with a codomain projector proj_y, and
-    with both and an invertible map pullback_x."""
+    pod_x, with a map pod_x_mapped (from mode_norms, see battery_level), with
+    a codomain projector proj_y, and with both and an invertible map pullback_x."""
     tail, lam = basis.modes_full[:, r:], basis.eigenvalues[r:]
     out = {}
 
@@ -165,7 +166,9 @@ def _residuals(sset, basis, r, lmap=None, proj_y=None):
         return out
     L, codomain = lmap.matrix, lmap.codomain
     energy_y = float(sset.weights @ _column_sq_norms(codomain, L @ sset.data))
-    add("pod_x_mapped", codomain, lambda C: L @ pod_x(C), energy_y)
+    if mode_norms is None:
+        mode_norms = mapped_mode_norms(basis, lmap)
+    add("pod_x_mapped", codomain, lambda C: L @ pod_x(C), energy_y, mode_norms[r:])
     if proj_y is None:
         return out
     if proj_y.space.dim != codomain.dim:
@@ -195,13 +198,14 @@ def _identity(sset, t, r, tol, sq=None, hs=False):
     return _report("identity", label, r, lhs, t.formula, tol, t.floor())
 
 
-def battery_level(sset, basis, r, lmap=None, proj_y=None, tol=None, coeffs=None):
+def battery_level(sset, basis, r, lmap=None, proj_y=None, tol=None, coeffs=None, mode_norms=None):
     """Every row of truncation level r, in report order: the data identities
     (range_exact and snap_sigma_bound after pod_x), the operator-level
     identities, the per-snapshot bounds, and the pointwise bounds of K c for
-    the columns c of coeffs.  T W is formed once per operator.
+    the columns c of coeffs.  T W is formed once per operator; mode_norms
+    is mapped_mode_norms(basis, lmap), computed here when not given.
     """
-    res = _residuals(sset, basis, r, lmap, proj_y)
+    res = _residuals(sset, basis, r, lmap, proj_y, mode_norms)
     sq = {label: t.sq_norms(sset.data) for label, t in res.items()}
     rows = [_identity(sset, t, r, tol, sq[label]) for label, t in res.items()]
     rows[1:1] = _range_rows(sset, basis, r, np.arange(sset.count), sq["pod_x"])
@@ -437,28 +441,33 @@ def check_pointwise(kind, sset, basis, g, r, lmap, proj_y=None, slack=None):
 
 # -- sweeps and serialization ------------------------------------------------
 
-def build_codomain_projector(basis, lmap, r, family="orthogonal", form=None):
-    """Construct the codomain projector a sweep or battery asks for."""
+def codomain_projectors(basis, lmap, family="orthogonal", form=None):
+    """Level factory r -> the codomain projector a sweep or battery asks
+    for; the family's level-free part is built here, once."""
     if family == "orthogonal":
-        return mapped_orthogonal_projector(basis, lmap, r)
+        return mapped_orthogonal_levels(basis, lmap)
     if family == "ritz":
         if form is None:
             raise ProvenanceMismatch("ritz family needs a bilinear form matrix")
-        return ritz_projector(basis, lmap, form, r)
+        return ritz_levels(basis, lmap, form)
     if family == "pushforward":
-        if lmap.inverse is None:
-            raise NotInvertible("pushforward projector needs an invertible map")
-        return pushforward_projector(lmap, basis, r)
+        return pushforward_levels(lmap, basis)
     raise IndexOutOfRange(f"unknown codomain projector family {family!r}")
+
+
+def build_codomain_projector(basis, lmap, r, family="orthogonal", form=None):
+    """Construct the codomain projector a sweep or battery asks for."""
+    return codomain_projectors(basis, lmap, family, form)(r)
 
 
 def sweep(sset, basis, lmap, r_list, family="orthogonal", form=None, tol=None):
     """The data identities (pod_x, pod_x_mapped, proj_y and, with an
-    invertible map, pullback_x) at each truncation level, in that order."""
-    reports = []
+    invertible map, pullback_x) at each truncation level, in that order.
+    The projector family and the mapped mode norms are built once."""
+    projectors = codomain_projectors(basis, lmap, family, form)
+    mode_norms, reports = mapped_mode_norms(basis, lmap), []
     for r in r_list:
-        proj_y = build_codomain_projector(basis, lmap, r, family, form)
-        res = _residuals(sset, basis, r, lmap, proj_y)
+        res = _residuals(sset, basis, r, lmap, projectors(r), mode_norms)
         reports.extend(_identity(sset, t, r, tol) for t in res.values())
     return reports
 
@@ -504,14 +513,14 @@ def _jsonable(value):
 def read_report(path):
     """Load a report written by write_report_csv or write_report_json.
 
-    An unreadable path is MissingDataFile; invalid JSON, a JSON report
-    without "checks" and a CSV row with a missing or non-numeric column are
-    MalformedManifest.
+    An unreadable path is MissingDataFile; invalid JSON, a report without
+    rows (so that an empty or truncated report never reads as a pass) and a
+    CSV row with a missing or non-numeric column are MalformedManifest.
     """
     if path.endswith(".json"):
         report = _read_json(path)
-        if not isinstance(report, dict) or "checks" not in report:
-            raise MalformedManifest(f'{path}: no "checks" list')
+        if not isinstance(report, dict) or not report.get("checks"):
+            raise MalformedManifest(f'{path}: no "checks" rows')
         return report["checks"]
     try:
         with open(path) as fh:
@@ -520,6 +529,8 @@ def read_report(path):
         raise MissingDataFile(f"cannot read {path}: {exc.strerror}") from None
     except (csv.Error, UnicodeDecodeError) as exc:
         raise MalformedManifest(f"{path}: {exc}") from None
+    if not raws:
+        raise MalformedManifest(f"{path}: no report rows")
     try:
         return [
             {

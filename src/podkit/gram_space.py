@@ -153,19 +153,15 @@ def half_weight_inv(space, u):
     return solve_triangular(space.chol, u, lower=True, trans="T")
 
 
-def orthonormalize(space, vectors):
-    """Orthonormalization in the space's inner product by one Householder QR.
+def orthonormal_prefixes(space, vectors):
+    """Orthonormalization of every leading block of columns by one QR.
 
-    Factors the half-weighted columns chol^T V = Q R with diag(R) > 0 and
-    returns chol^{-T} Q, the Gram-Schmidt result: G-orthonormal columns whose
-    leading k span the same space as the leading k input columns.
-
-    Raises
-    ------
-    RankDeficient
-        At the first column whose pivot |R_jj| is at most 1e-12 times the
-        largest pivot up to it, i.e. the column lies numerically in the span
-        of the previous ones.
+    Factors chol^T V = Q R with diag(R) > 0 and returns (chol^{-T} Q, k,
+    reason): for j <= k the leading j columns are the Gram-Schmidt result
+    for the leading j input columns.  Column k is the first whose pivot
+    |R_kk| is at most 1e-12 times the largest up to it, so that it lies
+    numerically in the span of the previous ones, and reason states that
+    pivot; with no such column k is the column count and reason None.
     """
     V = np.asarray(vectors, dtype=float)
     if V.ndim == 1:
@@ -176,13 +172,20 @@ def orthonormalize(space, vectors):
     pivots = np.abs(np.append(diag, np.zeros(V.shape[1] - diag.size)))
     largest = np.maximum.accumulate(pivots)
     dependent = np.flatnonzero(pivots <= ORTH_DROP_TOL * largest)
+    k, reason = V.shape[1], None
     if dependent.size:
-        j = dependent[0]
-        raise RankDeficient(
-            f"column {j} has pivot {pivots[j]:.3e} against largest pivot "
-            f"{largest[j]:.3e}"
-        )
-    return half_weight_inv(space, Q * np.sign(diag))
+        k = int(dependent[0])
+        reason = f"column {k} has pivot {pivots[k]:.3e} against largest pivot {largest[k]:.3e}"
+    return half_weight_inv(space, Q * np.sign(diag)), k, reason
+
+
+def orthonormalize(space, vectors):
+    """Orthonormalization in the space's inner product: orthonormal_prefixes
+    for all columns, raising RankDeficient at a numerically dependent one."""
+    Q, _, reason = orthonormal_prefixes(space, vectors)
+    if reason is not None:
+        raise RankDeficient(reason)
+    return Q
 
 
 def adjoint_matrix(space_from, space_to, matrix):

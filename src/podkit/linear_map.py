@@ -206,7 +206,15 @@ def full_rank_in(basis, space):
 
 
 def is_surjective(lmap, rtol=1e-12):
-    """Numerical surjectivity: the matrix has full row rank."""
+    """Numerical surjectivity: the matrix has full row rank.
+
+    A certified inverse (||L Linv - I|| <= 1e-8) proves it without the SVD.
+    At the default rtol this is also the singular-value count: make_map
+    rejects computed inverses beyond condition 1e12 and identity_map's
+    inverse is exact.
+    """
+    if lmap.inverse is not None:
+        return True
     sv = np.linalg.svd(lmap.matrix, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return lmap.codomain.dim == 0

@@ -13,6 +13,13 @@ operator-norm diagnostic.  Supported families:
   invertible map, L P L^{-1}.
 - "pullback": a codomain projection conjugated back, L^{-1} Q L.
 
+The three codomain families are built once per bundle and sliced per level.
+mapped_orthogonal_levels, ritz_levels and pushforward_levels build what is
+free of r (ellipticity constants) or nested in r (the mapped modes, their QR,
+the Ritz matrix, the pushforward dual basis) for all rank columns and return
+a level factory r -> Projector that slices it and runs the level's own
+checks; each *_projector function is its factory at one level.
+
 Provenance fingerprints record which basis, map and form each projector was
 built from; composites refuse ingredients that do not match.
 """
@@ -32,15 +39,13 @@ from .errors import (
     IndexOutOfRange,
     NotInvertible,
     ProvenanceMismatch,
-    RankDeficient,
     RankDeficientImage,
     RankExceeded,
     SingularRitzSystem,
 )
-from .gram_space import GramSpace, orthonormalize, solve_gram
+from .gram_space import GramSpace, orthonormal_prefixes, solve_gram
 from .pod_engine import basis_fingerprint
 
-FAMILIES = ("pod_orthogonal", "mapped_orthogonal", "ritz", "pushforward", "pullback")
 ELLIPTICITY_DEGENERACY = 1e-13
 
 
@@ -84,45 +89,53 @@ def pod_projector(basis, r):
     """Orthogonal projection onto the leading r POD modes."""
     _check_r(basis, r)
     Phi = basis.modes[:, :r].copy()
-    return Projector(
-        space=basis.space,
-        r=r,
-        range_basis=Phi,
-        dual_basis=Phi,
-        family="pod_orthogonal",
-        provenance={"family": "pod_orthogonal", "basis": basis_fingerprint(basis), "r": r},
-    )
+    provenance = {"family": "pod_orthogonal", "basis": basis_fingerprint(basis), "r": r}
+    return Projector(basis.space, r, Phi, Phi, "pod_orthogonal", provenance)
+
+
+def _mapped_modes(basis, lmap):
+    if lmap.domain.dim != basis.space.dim:
+        raise DimensionMismatch("map domain does not hold the POD modes")
+    return lmap.matrix @ basis.modes
+
+
+def _levels(family, basis, lmap, level, **provenance):
+    """Level factory r -> codomain Projector; level(r) returns the range and
+    dual bases of level r sliced from the family's one-time build."""
+    provenance = {
+        "family": family,
+        "basis": basis_fingerprint(basis),
+        "map": matrix_fingerprint(lmap.matrix),
+        **provenance,
+    }
+
+    def projector(r):
+        _check_r(basis, r)
+        return Projector(lmap.codomain, r, *level(r), family, {**provenance, "r": r})
+
+    return projector
+
+
+def mapped_orthogonal_levels(basis, lmap):
+    """Orthogonal projection onto the span of the mapped leading modes.
+
+    One Householder QR of all mapped modes; level r takes its leading r
+    columns.  Past the first numerically dependent column a level raises
+    RankDeficientImage; no deflation is attempted.
+    """
+    Q, usable, reason = orthonormal_prefixes(lmap.codomain, _mapped_modes(basis, lmap))
+
+    def level(r):
+        if r > usable:
+            raise RankDeficientImage(f"mapped modes are numerically dependent: {reason}")
+        return Q[:, :r], Q[:, :r]
+
+    return _levels("mapped_orthogonal", basis, lmap, level)
 
 
 def mapped_orthogonal_projector(basis, lmap, r):
-    """Orthogonal projection onto the span of the mapped leading modes.
-
-    Raises RankDeficientImage when the mapped modes are numerically
-    dependent; no deflation is attempted.
-    """
-    _check_r(basis, r)
-    if lmap.domain.dim != basis.space.dim:
-        raise DimensionMismatch("map domain does not hold the POD modes")
-    V = lmap.matrix @ basis.modes[:, :r]
-    try:
-        Q = orthonormalize(lmap.codomain, V)
-    except RankDeficient as exc:
-        raise RankDeficientImage(
-            f"mapped modes are numerically dependent: {exc}"
-        ) from None
-    return Projector(
-        space=lmap.codomain,
-        r=r,
-        range_basis=Q,
-        dual_basis=Q,
-        family="mapped_orthogonal",
-        provenance={
-            "family": "mapped_orthogonal",
-            "basis": basis_fingerprint(basis),
-            "map": matrix_fingerprint(lmap.matrix),
-            "r": r,
-        },
-    )
+    """mapped_orthogonal_levels(basis, lmap) at level r."""
+    return mapped_orthogonal_levels(basis, lmap)(r)
 
 
 def form_ellipticity(space, form):
@@ -140,94 +153,78 @@ def form_ellipticity(space, form):
     return float(vals[0]), float(vals[-1])
 
 
-def ritz_projector(basis, lmap, form, r):
+def ritz_levels(basis, lmap, form):
     """Form-determined projection onto the mapped leading modes.
 
     The projection P y solves a(P y, v) = a(y, v) for all v in the span of
     the mapped modes, where a(u, v) = v^T A u on the codomain.  The symmetric
     part of A must be positive definite against the codomain Gram matrix.
+    That check, B = V^T A V and G^{-1} A^T V for all mapped modes V are done
+    once; level r checks the conditioning of B's leading r x r block.
     """
-    _check_r(basis, r)
-    if lmap.domain.dim != basis.space.dim:
-        raise DimensionMismatch("map domain does not hold the POD modes")
-    space = lmap.codomain
     A = np.asarray(form, dtype=float)
-    c_low, c_high = form_ellipticity(space, A)
+    c_low, c_high = form_ellipticity(lmap.codomain, A)
     if c_low <= ELLIPTICITY_DEGENERACY * max(abs(c_high), 1e-300):
         raise FormNotElliptic(
             f"symmetric part has smallest eigenvalue {c_low:.3e} "
             f"against largest {c_high:.3e}"
         )
-    V = lmap.matrix @ basis.modes[:, :r]
+    V = _mapped_modes(basis, lmap)
     B = V.T @ A @ V
-    rcond = 1.0 / np.linalg.cond(B) if B.size else 0.0
-    if not np.isfinite(rcond) or rcond < 1e-14:
-        raise SingularRitzSystem(f"reciprocal condition {rcond:.3e}")
-    try:
-        lu = lu_factor(B)
-    except Exception as exc:
-        raise SingularRitzSystem(str(exc)) from None
-    # P y = V B^{-1} V^T A y, so the dual basis is G^{-1} A^T V B^{-T}.
-    VBt = lu_solve(lu, (A.T @ V).T, trans=0).T
-    dual = solve_gram(space, VBt)
-    return Projector(
-        space=space,
-        r=r,
-        range_basis=V,
-        dual_basis=dual,
-        family="ritz",
-        provenance={
-            "family": "ritz",
-            "basis": basis_fingerprint(basis),
-            "map": matrix_fingerprint(lmap.matrix),
-            "form": matrix_fingerprint(A),
-            "r": r,
-            "ellipticity": c_low,
-            "continuity": c_high,
-        },
+    GAV = solve_gram(lmap.codomain, A.T @ V)
+
+    def level(r):
+        rcond = 1.0 / np.linalg.cond(B[:r, :r])
+        if not np.isfinite(rcond) or rcond < 1e-14:
+            raise SingularRitzSystem(f"reciprocal condition {rcond:.3e}")
+        try:
+            lu = lu_factor(B[:r, :r])
+        except Exception as exc:
+            raise SingularRitzSystem(str(exc)) from None
+        # P y = V B^{-1} V^T A y, so the dual basis is G^{-1} A^T V B^{-T}.
+        return V[:, :r], lu_solve(lu, GAV[:, :r].T).T
+
+    return _levels(
+        "ritz", basis, lmap, level,
+        form=matrix_fingerprint(A), ellipticity=c_low, continuity=c_high,
     )
 
 
-def pushforward_projector(lmap, basis, r, cross_check_tol=1e-8):
+def ritz_projector(basis, lmap, form, r):
+    """ritz_levels(basis, lmap, form) at level r."""
+    return ritz_levels(basis, lmap, form)(r)
+
+
+def pushforward_levels(lmap, basis, cross_check_tol=1e-8):
     """The mode projection conjugated into the codomain: L P L^{-1}.
 
     The dual vectors are the codomain representers of y -> (L^{-1} y, phi_k);
     they equal the inverse-adjoint images of the modes.  Both evaluation
-    routes are assembled and must agree to cross_check_tol, which guards the
+    routes are assembled once for all modes, and at every level r their
+    leading r columns must agree to cross_check_tol, which guards the
     certified inverse against a stale or inconsistent matrix.
     """
-    _check_r(basis, r)
     if lmap.inverse is None:
         raise NotInvertible("pushforward projector needs an invertible map")
-    if lmap.domain.dim != basis.space.dim:
-        raise DimensionMismatch("map domain does not hold the POD modes")
-    Phi = basis.modes[:, :r]
-    V = lmap.matrix @ Phi
+    V, Phi = _mapped_modes(basis, lmap), basis.modes
     # Route one: representers via the inverse matrix.
-    dual_direct = solve_gram(
-        lmap.codomain, lmap.inverse.T @ (basis.space.gram @ Phi)
-    )
-    # Route two: solve the adjoint system L* d = phi.
-    dual_adjoint = np.linalg.solve(lm.adjoint(lmap), Phi)
-    scale = max(np.linalg.norm(dual_direct), 1e-300)
-    mismatch = np.linalg.norm(dual_direct - dual_adjoint) / scale
-    if mismatch > cross_check_tol:
-        raise NotInvertible(
-            f"inverse and adjoint routes disagree by {mismatch:.3e}"
-        )
-    return Projector(
-        space=lmap.codomain,
-        r=r,
-        range_basis=V,
-        dual_basis=dual_direct,
-        family="pushforward",
-        provenance={
-            "family": "pushforward",
-            "basis": basis_fingerprint(basis),
-            "map": matrix_fingerprint(lmap.matrix),
-            "r": r,
-        },
-    )
+    dual = solve_gram(lmap.codomain, lmap.inverse.T @ (basis.space.gram @ Phi))
+    # Route two: solve L* d = phi; level r's mismatch sums its leading columns.
+    miss = np.cumsum(np.sum((dual - np.linalg.solve(lm.adjoint(lmap), Phi)) ** 2, axis=0))
+    scale = np.cumsum(np.sum(dual**2, axis=0))
+
+    def level(r):
+        mismatch = np.sqrt(miss[r - 1]) / max(np.sqrt(scale[r - 1]), 1e-300)
+        if mismatch > cross_check_tol:
+            raise NotInvertible(f"inverse and adjoint routes disagree by {mismatch:.3e}")
+        return V[:, :r], dual[:, :r]
+
+    return _levels("pushforward", basis, lmap, level)
+
+
+def pushforward_projector(lmap, basis, r, cross_check_tol=1e-8):
+    """pushforward_levels(lmap, basis, cross_check_tol) at level r."""
+    return pushforward_levels(lmap, basis, cross_check_tol)(r)
 
 
 def pullback_projector(lmap, inner_proj, r):
@@ -251,19 +248,13 @@ def pullback_projector(lmap, inner_proj, r):
         raise ProvenanceMismatch("inner projector was built from a different map")
     rng = lmap.inverse @ inner_proj.range_basis
     dual = lm.adjoint(lmap) @ inner_proj.dual_basis
-    return Projector(
-        space=lmap.domain,
-        r=r,
-        range_basis=rng,
-        dual_basis=dual,
-        family="pullback",
-        provenance={
-            "family": "pullback",
-            "map": matrix_fingerprint(lmap.matrix),
-            "inner": dict(inner_proj.provenance),
-            "r": r,
-        },
-    )
+    provenance = {
+        "family": "pullback",
+        "map": matrix_fingerprint(lmap.matrix),
+        "inner": dict(inner_proj.provenance),
+        "r": r,
+    }
+    return Projector(lmap.domain, r, rng, dual, "pullback", provenance)
 
 
 def dense_matrix(proj):

@@ -476,9 +476,15 @@ def test_generate_fhn_needs_two_nodes(tmp_path, capsys, nodes):
         ("text.csv", "identity_id,r,actual,formula,abs_diff,rel_diff,passed\n"
                      "pod_x,one,1,1,0,0,true\n", "MalformedManifest"),
         ("binary.csv", b"\xff\xfe\x00", "MalformedManifest"),
+        # a report without rows must not read as "all checks passed"
+        ("no-rows.json", '{"checks": []}', "MalformedManifest"),
+        ("header.csv", "identity_id,r,actual,formula,abs_diff,rel_diff,passed\n",
+         "MalformedManifest"),
+        ("empty.csv", "", "MalformedManifest"),
     ],
     ids=["json-truncated", "json-no-checks", "json-list", "json-directory",
-         "directory", "csv-missing-columns", "csv-not-numeric", "csv-not-text"],
+         "directory", "csv-missing-columns", "csv-not-numeric", "csv-not-text",
+         "json-no-rows", "csv-header-only", "csv-empty"],
 )
 def test_table_input_errors_are_typed(tmp_path, capsys, name, content, error):
     path = tmp_path / name
@@ -491,3 +497,44 @@ def test_table_input_errors_are_typed(tmp_path, capsys, name, content, error):
     code, _, err = run(capsys, "table", "--input", str(path))
     assert code == 2
     assert json.loads(err)["error"] == error
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_projector_families_are_built_once_per_run(tmp_path, capsys, monkeypatch):
+    # the level-free part of a family (the ellipticity eigensolve, the
+    # adjoint-route solve) is built once, however many levels run
+    import podkit.linear_map
+    import podkit.projector
+
+    manifest = str(tmp_path / "synth.json")
+    assert main(["generate-synthetic", "--output", manifest, "--nodes", "33"]) == 0
+    capsys.readouterr()
+    map_path = manifest.replace(".json", "_map.json")
+    ellipticity = _count_calls(monkeypatch, podkit.projector, "form_ellipticity")
+    sweep_csv = str(tmp_path / "sweep.csv")
+    code, _, err = run(
+        capsys, "sweep", "--input", manifest, "--map", map_path, "--projector", "ritz",
+        "--r", "1,2,3,4,5,6,7,8", "--output", sweep_csv,
+    )
+    assert code == 0, err
+    assert len(open(sweep_csv).read().strip().split("\n")) == 1 + 4 * 8
+    assert len(ellipticity) == 1
+    adjoint = _count_calls(monkeypatch, podkit.linear_map, "adjoint")
+    code, out, err = run(
+        capsys, "verify", "--input", manifest, "--map", map_path,
+        "--projector", "composite-xy", "--output", str(tmp_path / "verify.json"),
+    )
+    assert code == 0, err
+    assert "levels: [1, 4, 8]" in out
+    assert len(adjoint) == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from podkit.errors import (
     NotInvertible,
     ProvenanceMismatch,
 )
+from podkit.fhn_gen import make_embedding_instance
 from podkit.gram_space import identity_space, inner, make_space
 from podkit.linear_map import (
     adjoint,
@@ -122,6 +125,23 @@ def test_is_surjective():
     codom = identity_space(2)
     assert is_surjective(make_map(dom, codom, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])))
     assert not is_surjective(make_map(dom, codom, np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])))
+
+
+def test_is_surjective_shortcut_agrees_with_svd_count():
+    # a map with a certified inverse answers without the SVD; dropping the
+    # inverse forces the singular-value count, which must give the same answer
+    rng = np.random.default_rng(12)
+    maps = []
+    for n in (1, 3, 8, 20):
+        dom, codom = spaces(rng, n, n)
+        M = rng.standard_normal((n, n)) + n * np.eye(n)
+        maps.append(make_map(dom, codom, M, invertible=True))
+        maps.append(make_map(dom, codom, M, inverse=np.linalg.inv(M)))
+    maps.append(make_embedding_instance(1000, 1, seed=1)["map"])
+    for lmap in maps:
+        assert lmap.inverse is not None
+        svd_count = is_surjective(dataclasses.replace(lmap, inverse=None))
+        assert is_surjective(lmap) is svd_count is True
 
 
 def test_rank_relation_invertible(golden_instance):

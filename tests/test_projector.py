@@ -1,20 +1,28 @@
 """Projection families: idempotency, self-adjointness, operator norms, and
 the provenance guards that keep mismatched ingredients out."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
+from podkit.cli import PROJECTOR_CHOICES, _select_family
+from podkit.error_lab import codomain_projectors
 from podkit.errors import (
     FormNotElliptic,
     NotInvertible,
+    PodkitError,
     ProvenanceMismatch,
+    RankDeficient,
     RankDeficientImage,
     RankExceeded,
+    SingularRitzSystem,
 )
 from podkit.fem import assemble_fem_1d
 from podkit.fhn_gen import make_embedding_instance, random_instance
-from podkit.gram_space import identity_space, inner, make_space
-from podkit.linear_map import make_map
+from podkit.gram_space import identity_space, inner, make_space, orthonormalize, solve_gram
+from podkit.linear_map import adjoint, make_map
 from podkit.pod_engine import compute_pod
 from podkit.projector import (
     apply_projector,
@@ -186,3 +194,132 @@ def test_composite_norms_can_exceed_one(invertible_instance):
     n = op_norm(push)
     assert n >= 1.0 - 1e-9
     assert np.isfinite(n)
+
+
+# -- level factories against the per-level builders they replace -------------
+#
+# The references build level r from the leading r modes alone and share
+# nothing between levels.  The ellipticity check does not depend on r and is
+# compared once; the adjoint matrix is an input of the pushforward
+# reference, whose cross-check solves the adjoint system at every level.
+
+
+def reference_mapped_orthogonal(basis, lmap, r):
+    try:
+        Q = orthonormalize(lmap.codomain, lmap.matrix @ basis.modes[:, :r])
+    except RankDeficient as exc:
+        raise RankDeficientImage(str(exc)) from None
+    return Q, Q
+
+
+def reference_ritz(basis, lmap, form, r):
+    V = lmap.matrix @ basis.modes[:, :r]
+    B = V.T @ form @ V
+    rcond = 1.0 / np.linalg.cond(B)
+    if not np.isfinite(rcond) or rcond < 1e-14:
+        raise SingularRitzSystem(f"reciprocal condition {rcond:.3e}")
+    VBt = lu_solve(lu_factor(B), (form.T @ V).T).T
+    return V, solve_gram(lmap.codomain, VBt)
+
+
+def reference_pushforward(basis, lmap, adj, r, tol=1e-8):
+    Phi = basis.modes[:, :r]
+    dual = solve_gram(lmap.codomain, lmap.inverse.T @ (basis.space.gram @ Phi))
+    mismatch = np.linalg.norm(dual - np.linalg.solve(adj, Phi)) / np.linalg.norm(dual)
+    if mismatch > tol:
+        raise NotInvertible(f"inverse and adjoint routes disagree by {mismatch:.3e}")
+    return lmap.matrix @ Phi, dual
+
+
+def reference_level(basis, lmap, family, form):
+    if family == "orthogonal":
+        return lambda r: reference_mapped_orthogonal(basis, lmap, r)
+    if family == "ritz":
+        return lambda r: reference_ritz(basis, lmap, form, r)
+    adj = adjoint(lmap)
+    return lambda r: reference_pushforward(basis, lmap, adj, r)
+
+
+def assert_levels_match(basis, lmap, family, form):
+    """Every level 1..rank: equal bases to 1e-12 relative, or the same error
+    class at the same levels.  Returns the levels that raised."""
+    levels = codomain_projectors(basis, lmap, family, form)
+    reference = reference_level(basis, lmap, family, form)
+    raised = []
+    for r in range(1, basis.rank + 1):
+        try:
+            expected = reference(r)
+        except PodkitError as exc:
+            with pytest.raises(type(exc)):
+                levels(r)
+            raised.append(r)
+            continue
+        proj = levels(r)
+        assert proj.r == r and proj.provenance["r"] == r
+        for got, want in zip((proj.range_basis, proj.dual_basis), expected):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (family, r)
+    return raised
+
+
+@pytest.fixture(scope="module")
+def embedding_1000():
+    inst = make_embedding_instance(1000, 1, seed=1)
+    return compute_pod(inst["set"], inst["space_x"]), inst["map"]
+
+
+@pytest.mark.parametrize("flag", PROJECTOR_CHOICES)
+def test_level_factories_match_per_level_builds(flag, embedding_1000):
+    cases = [embedding_1000]
+    for seed in (77, 78, 79):
+        inst = random_instance(10, 8, seed=seed)
+        cases.append((compute_pod(inst["set"], inst["space_x"]), inst["map"]))
+    if not flag.startswith("composite"):
+        flat = random_instance(9, 7, seed=80, invertible=False, dim_y=12)
+        cases.append((compute_pod(flat["set"], flat["space_x"]), flat["map"]))
+    for basis, lmap in cases:
+        family, form = _select_family(flag, lmap, None)
+        assert assert_levels_match(basis, lmap, family, form) == []
+        if family == "ritz":
+            proj = codomain_projectors(basis, lmap, family, form)(1)
+            constants = (proj.provenance["ellipticity"], proj.provenance["continuity"])
+            assert constants == form_ellipticity(lmap.codomain, form)
+
+
+def _collapsed(inst, basis, j):
+    """The instance's map composed with M, where M phi_j = phi_0 and M fixes
+    the other modes: the mapped modes become dependent at column j."""
+    Phi, G = basis.modes, basis.space.gram
+    M = np.eye(G.shape[0]) + np.outer(Phi[:, 0] - Phi[:, j], G @ Phi[:, j])
+    lmap = inst["map"]
+    return make_map(lmap.domain, lmap.codomain, lmap.matrix @ M)
+
+
+def test_dependent_mapped_modes_fail_at_the_same_levels():
+    inst = random_instance(10, 8, seed=77)
+    basis = compute_pod(inst["set"], inst["space_x"])
+    lmap = _collapsed(inst, basis, 3)
+    # level r holds modes 0..r-1, so levels 4..rank see the dependent column
+    dependent = list(range(4, basis.rank + 1))
+    assert assert_levels_match(basis, lmap, "orthogonal", None) == dependent
+    with pytest.raises(RankDeficientImage):
+        mapped_orthogonal_projector(basis, lmap, 4)
+    form = lmap.codomain.gram + 0.1 * np.triu(np.ones((10, 10)), 1)
+    assert assert_levels_match(basis, lmap, "ritz", form) == dependent
+    with pytest.raises(SingularRitzSystem):
+        ritz_projector(basis, lmap, form, 4)
+
+
+def test_tampered_inverse_fails_the_cross_check_at_the_same_levels():
+    # an inverse wrong only on mode j: inverse^T G phi_k changes for k = j,
+    # so the cross-check fails exactly at the levels that include mode j
+    inst = random_instance(10, 8, seed=78)
+    basis = compute_pod(inst["set"], inst["space_x"])
+    rng = np.random.default_rng(3)
+    for j in (0, 2, 5):
+        tampered = inst["map"].inverse + np.outer(basis.modes[:, j], rng.standard_normal(10))
+        lmap = dataclasses.replace(inst["map"], inverse=tampered)
+        raised = assert_levels_match(basis, lmap, "pushforward", None)
+        assert raised == list(range(j + 1, basis.rank + 1)), j
+        with pytest.raises(NotInvertible):
+            pushforward_projector(lmap, basis, j + 1)
