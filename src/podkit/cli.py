@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Subcommands
------------
-generate-fhn        solve the two-species reaction-diffusion system and write
-                    a snapshot bundle plus a derivative map spec
-generate-synthetic  write a smooth synthetic FEM trajectory bundle plus an
-                    identity-embedding map spec
-pod                 decompose a snapshot bundle into a basis bundle
-verify              run the identity and bound battery, write a report
-sweep               evaluate the data-error identities over truncation levels
-table               render a saved report as an aligned table
+Subcommands and the only flags each accepts (podkit -h says what each
+does); any other flag, or an abbreviated one, is a usage error, exit 2:
+
+generate-fhn        --output --nodes
+generate-synthetic  --output --nodes --seed
+pod                 --input --output --r --tol
+verify              --input --output --r --projector --map --tol --seed
+sweep               --input --output --r --projector --map --tol
+table               --input
+
+A report (verify and sweep --output, table --input) is JSON when its name
+ends in .json and CSV when it ends in .csv; any other name is an input error.
 
 Exit codes: 0 when everything passed, 2 for bad inputs, 3 for numerical
 failures, 4 when checks ran but at least one failed.  Failures print a
@@ -48,10 +50,10 @@ from .error_lab import (
     codomain_projectors,
     mapped_mode_norms,
     read_report,
+    report_format,
     report_rows,
     sweep as run_sweep,
-    write_report_csv,
-    write_report_json,
+    write_report,
 )
 from .fhn_gen import FhnConfig, make_embedding_instance, make_fhn_instance
 from .linear_map import build_map_from_spec, induced_snapshots, rank_relation_check
@@ -113,17 +115,13 @@ def _parse_r_values(text):
     return values
 
 
-def _default_r_values(rank):
+def _requested_r_values(text, rank):
+    """The levels --r lists, or by default 1, rank / 2 and rank."""
     if rank < 1:
         raise RankExceeded("the decomposition has rank 0; nothing to verify")
-    return sorted({1, math.ceil(rank / 2), rank})
-
-
-def _requested_r_values(args, rank):
-    listed = getattr(args, "r_list", None) or getattr(args, "r", None)
-    if listed is None:
-        return _default_r_values(rank)
-    values = _parse_r_values(listed)
+    if text is None:
+        return sorted({1, math.ceil(rank / 2), rank})
+    values = _parse_r_values(text)
     for r in values:
         if r > rank:
             raise RankExceeded(f"requested r = {r} exceeds rank {rank}")
@@ -212,18 +210,10 @@ def _render_rows(rows):
     return "\n".join(lines)
 
 
-def _write_report(reports, path, extra=None):
-    if path.endswith(".csv"):
-        write_report_csv(reports, path)
-    else:
-        write_report_json(reports, path, extra=extra)
-    return path
-
-
 # -- subcommands -------------------------------------------------------------
 
 def _require(args, name):
-    value = getattr(args, name.replace("-", "_"), None)
+    value = getattr(args, name)
     if value is None:
         raise MalformedManifest(f"--{name} is required for this command")
     return value
@@ -240,7 +230,7 @@ def _finish_bundle(manifest_path, sset, nodes, map_spec):
 
 
 def cmd_generate_fhn(args):
-    nodes = 100 if args.nodes is None else int(args.nodes)
+    nodes = 100 if args.nodes is None else args.nodes
     out = _require(args, "output")
     sset = make_fhn_instance(FhnConfig(nodes=nodes))["set"]
     spec = {"derivative_1d": {"nodes": nodes, "scheme": "forward"}}
@@ -248,7 +238,7 @@ def cmd_generate_fhn(args):
 
 
 def cmd_generate_synthetic(args):
-    nodes = 33 if args.nodes is None else int(args.nodes)
+    nodes = 33 if args.nodes is None else args.nodes
     out = _require(args, "output")
     sset = make_embedding_instance(nodes, 1, seed=args.seed)["set"]
     spec = {"embedding": {"from": "mass", "to": "stiffness+mass"}}
@@ -257,9 +247,7 @@ def cmd_generate_synthetic(args):
 
 
 def _truncate_basis(basis, r):
-    """The basis cut to its leading r modes (r >= 1, checked by _parse_r_values)."""
-    if r > basis.rank:
-        raise RankExceeded(f"requested r = {r} exceeds rank {basis.rank}")
+    """The basis cut to its leading r modes (r checked by _requested_r_values)."""
     return dataclasses.replace(
         basis, sigma=basis.sigma[:r].copy(), modes=basis.modes[:, :r].copy(),
         right_vectors=basis.right_vectors[:, :r].copy(), rank=r,
@@ -273,7 +261,7 @@ def cmd_pod(args):
     basis = compute_pod(sset, drop_tol=drop)
     computed_rank = basis.rank
     if args.r is not None:
-        values = _parse_r_values(args.r)
+        values = _requested_r_values(args.r, computed_rank)
         if len(values) != 1:
             raise IndexOutOfRange("pod takes a single --r value")
         basis = _truncate_basis(basis, values[0])
@@ -285,7 +273,11 @@ def cmd_pod(args):
     return 0
 
 
-def cmd_verify(args):
+def _certify_inputs(args):
+    """verify's and sweep's bundle, its POD, map, projector family, form,
+    levels and tolerance; a bad report name fails before any work."""
+    if args.output is not None:
+        report_format(args.output)
     sset = load(_require(args, "input"))
     tol = _resolve_tol(args.tol, IDENTITY_RTOL)
     basis = compute_pod(sset)
@@ -295,10 +287,12 @@ def cmd_verify(args):
         lmap, form = build_map_from_spec(args.map, sset)
         family, form = _select_family(args.projector, lmap, form)
     elif args.projector != "orthogonal":
-        raise ProvenanceMismatch(
-            f"--projector {args.projector} needs --map"
-        )
-    r_values = _requested_r_values(args, basis.rank)
+        raise ProvenanceMismatch(f"--projector {args.projector} needs --map")
+    return sset, basis, lmap, family, form, _requested_r_values(args.r, basis.rank), tol
+
+
+def cmd_verify(args):
+    sset, basis, lmap, family, form, r_values, tol = _certify_inputs(args)
 
     reports, extra = run_battery(
         sset, basis, lmap, family, form, r_values, tol, args.seed
@@ -309,7 +303,7 @@ def cmd_verify(args):
         all_passed = all_passed and rr["passed"]
 
     if args.output is not None:
-        _write_report(reports, args.output, extra=extra)
+        write_report(reports, args.output, extra)
         print(f"wrote {args.output}")
 
     failures = [rep for rep in reports if not rep.passed]
@@ -333,23 +327,15 @@ def cmd_verify(args):
 
 
 def cmd_sweep(args):
-    sset = load(_require(args, "input"))
     out = _require(args, "output")
-    tol = _resolve_tol(args.tol, IDENTITY_RTOL)
     if args.map is None:
         raise MalformedManifest("sweep needs --map")
-    basis = compute_pod(sset)
-    lmap, form = build_map_from_spec(args.map, sset)
-    family, form = _select_family(args.projector, lmap, form)
-    if (args.r_list or args.r) is None:
-        raise IndexOutOfRange("sweep needs --r or --r-list")
-    r_values = _requested_r_values(args, basis.rank)
+    if args.r is None:
+        raise IndexOutOfRange("sweep needs --r")
+    sset, basis, lmap, family, form, r_values, tol = _certify_inputs(args)
 
     reports = run_sweep(sset, basis, lmap, r_values, family=family, form=form, tol=tol)
-    if out.endswith(".json"):
-        write_report_json(reports, out, extra={"family": family, "tol": tol})
-    else:
-        write_report_csv(reports, out)
+    write_report(reports, out, {"family": family, "tol": tol})
     print(f"wrote {out}")
     print(_render_rows(report_rows(reports)))
     all_passed = all(rep.passed for rep in reports)
@@ -367,39 +353,47 @@ def cmd_table(args):
 
 # -- parser ------------------------------------------------------------------
 
+_FLAGS = {
+    "input": dict(help="snapshot manifest or report to read"),
+    "output": dict(help="file to write"),
+    "r": dict(help="truncation level (comma list for verify and sweep)"),
+    "projector": dict(choices=PROJECTOR_CHOICES, default="orthogonal", help="projector family"),
+    "map": dict(help="map spec: inline JSON or a JSON file path"),
+    "tol": dict(type=float, help="tolerance override"),
+    "seed": dict(type=int, help="random seed"),
+    "nodes": dict(type=int, help="finite element node count"),
+}
+
+_COMMANDS = (
+    ("generate-fhn", cmd_generate_fhn, ("output", "nodes"),
+     "solve the reaction-diffusion system and write a snapshot bundle"),
+    ("generate-synthetic", cmd_generate_synthetic, ("output", "nodes", "seed"),
+     "write a smooth synthetic FEM snapshot bundle"),
+    ("pod", cmd_pod, ("input", "output", "r", "tol"),
+     "decompose a snapshot bundle into a basis bundle"),
+    ("verify", cmd_verify, ("input", "output", "r", "projector", "map", "tol", "seed"),
+     "run the identity and bound battery"),
+    ("sweep", cmd_sweep, ("input", "output", "r", "projector", "map", "tol"),
+     "tabulate the data-error identities over truncation levels"),
+    ("table", cmd_table, ("input",), "render a saved report as an aligned table"),
+)
+
+
 def build_parser():
+    """One subparser per command, declaring only the flags its cmd_* reads;
+    abbreviated flags are refused, so every flag has one spelling."""
     parser = argparse.ArgumentParser(
         prog="podkit",
         description="Weighted proper orthogonal decomposition with certified "
         "projection error identities and bounds.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", help="snapshot manifest or report to read")
-        p.add_argument("--output", help="file to write")
-        p.add_argument("--r", help="truncation level (comma list where applicable)")
-        p.add_argument("--r-list", dest="r_list", help="comma list of truncation levels")
-        p.add_argument(
-            "--projector",
-            choices=PROJECTOR_CHOICES,
-            default="orthogonal",
-            help="codomain projector family",
-        )
-        p.add_argument("--map", help="map spec: inline JSON or a JSON file path")
-        p.add_argument("--tol", type=float, help="tolerance override")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--nodes", type=int, help="finite element node count")
+    for name, func, flags, help_text in _COMMANDS:
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument("--" + flag, **_FLAGS[flag])
         p.set_defaults(func=func)
-        return p
-
-    add("generate-fhn", cmd_generate_fhn, "solve the reaction-diffusion system and write a snapshot bundle")
-    add("generate-synthetic", cmd_generate_synthetic, "write a smooth synthetic FEM snapshot bundle")
-    add("pod", cmd_pod, "decompose a snapshot bundle into a basis bundle")
-    add("verify", cmd_verify, "run the identity and bound battery")
-    add("sweep", cmd_sweep, "tabulate the data-error identities over truncation levels")
-    add("table", cmd_table, "render a saved report as an aligned table")
     return parser
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -273,18 +274,17 @@ def _worst_index(passed, rel_diff):
     return int(candidates[np.argmax(rel_diff[candidates])])
 
 
-def _range_rows(sset, basis, r, ells, sq, tol_exact=None):
+def _range_rows(sset, basis, r, ells, sq):
     """range_exact and snap_sigma_bound from the squared pod_x residuals sq at ells."""
-    tol_exact = EXACT_RTOL if tol_exact is None else tol_exact
     lam = basis.eigenvalues
     lhs = np.sqrt(sq)
     rhs = np.sqrt(basis.right_full[ells, r:] ** 2 @ lam[r:])
     floor = _floor(np.sqrt(lam[0] / sset.weights[ells]))
     abs_diff, rel_diff = _compare(lhs, rhs)
-    passed = (rel_diff <= tol_exact) | (abs_diff <= floor)
+    passed = (rel_diff <= EXACT_RTOL) | (abs_diff <= floor)
     i = _worst_index(passed, rel_diff)
     exact = _report(
-        "identity", "range_exact", r, lhs[i], rhs[i], tol_exact, floor[i],
+        "identity", "range_exact", r, lhs[i], rhs[i], EXACT_RTOL, floor[i],
         info={"ell": int(ells[i])},
     )
     exact.passed = bool(passed[i])  # here the floor bounds the difference
@@ -298,7 +298,7 @@ def _range_rows(sset, basis, r, ells, sq, tol_exact=None):
     return [exact, bound]
 
 
-def check_range_residual(sset, basis, r, ell, tol_exact=None):
+def check_range_residual(sset, basis, r, ell):
     """Exact residual formula and singular-value bound for snapshots ell.
 
     Snapshot ell is K e_ell / g_ell, so its pod_x residual norm is the square
@@ -314,7 +314,7 @@ def check_range_residual(sset, basis, r, ell, tol_exact=None):
     if ells.size == 0 or np.any((ells < 0) | (ells >= sset.count)):
         raise IndexOutOfRange(f"snapshot index {ell} outside [0, {sset.count})")
     sq = _residuals(sset, basis, r)["pod_x"].sq_norms(sset.data[:, ells])
-    return tuple(_range_rows(sset, basis, r, ells, sq, tol_exact))
+    return tuple(_range_rows(sset, basis, r, ells, sq))
 
 
 def snapshot_guarantee_threshold(sset, basis):
@@ -333,7 +333,7 @@ def snapshot_guarantee_threshold(sset, basis):
     return int(hits[0]) + 1 if hits.size else None
 
 
-def _snapshot_rows(sset, basis, r, res, sq, slack=None):
+def _snapshot_rows(sset, basis, r, res, sq):
     """check_snapshot_bounds' result from each T's squared residuals sq of the data."""
     lam = basis.eigenvalues
     r0 = snapshot_guarantee_threshold(sset, basis)
@@ -343,7 +343,7 @@ def _snapshot_rows(sset, basis, r, res, sq, slack=None):
         cap = t.formula if t.label != "pod_x" else float(lam[r]) if r < lam.size else 0.0
         i = int(np.argmax(sq[t.label]))
         # snapshot ell is K e_ell / g_ell, of energy at most E / g_ell
-        floor = t.floor(1.0 / np.min(sset.weights)) if slack is None else slack
+        floor = t.floor(1.0 / np.min(sset.weights))
         rep = _report(
             "bound", "snap_" + t.label, r, sq[t.label][i], cap, None, floor,
             info={"ell": i, "guaranteed": guaranteed, "r0": r0},
@@ -357,7 +357,7 @@ def _snapshot_rows(sset, basis, r, res, sq, slack=None):
     return {"r0": r0, "r": r, "guaranteed": guaranteed, "reports": reports}
 
 
-def check_snapshot_bounds(sset, basis, r, lmap=None, proj_y=None, slack=None):
+def check_snapshot_bounds(sset, basis, r, lmap=None, proj_y=None):
     """Per-snapshot squared-error bounds by the identity tails.
 
     The worst snapshot's ||T w_ell||^2 against the formula tail of T, for
@@ -372,7 +372,7 @@ def check_snapshot_bounds(sset, basis, r, lmap=None, proj_y=None, slack=None):
     # the mapped rows come as one family with the codomain projector
     res = _residuals(sset, basis, r, lmap if proj_y is not None else None, proj_y)
     sq = {label: t.sq_norms(sset.data) for label, t in res.items()}
-    return _snapshot_rows(sset, basis, r, res, sq, slack)
+    return _snapshot_rows(sset, basis, r, res, sq)
 
 
 # -- pointwise bounds --------------------------------------------------------
@@ -382,7 +382,7 @@ _POINTWISE = {
 }
 
 
-def _pointwise_rows(sset, basis, r, lmap, res, coeffs, slack=None):
+def _pointwise_rows(sset, basis, r, lmap, res, coeffs):
     """pw_* rows for the elements K c, c the columns of coeffs, element by
     element in _POINTWISE order; info carries the looser Cauchy-Schwarz bound."""
     if lmap is not None and lmap.inverse is not None:
@@ -404,7 +404,7 @@ def _pointwise_rows(sset, basis, r, lmap, res, coeffs, slack=None):
             lhs = float(np.sqrt(sq[i]))
             rhs = np.sum(sig * amp[:, i] * np.sqrt(t.mode_sq))
             cs_rhs = float(np.linalg.norm(amp[:, i]) * np.sqrt(t.formula))
-            floor = t.floor(mass[i], squared=False) if slack is None else slack
+            floor = t.floor(mass[i], squared=False)
             reports.append(_report(
                 "bound", label, r, lhs, rhs, None, floor,
                 info={"cs_rhs": cs_rhs, "cs_passed": lhs <= cs_rhs + floor},
@@ -412,7 +412,7 @@ def _pointwise_rows(sset, basis, r, lmap, res, coeffs, slack=None):
     return reports
 
 
-def check_pointwise(kind, sset, basis, g, r, lmap, proj_y=None, slack=None):
+def check_pointwise(kind, sset, basis, g, r, lmap, proj_y=None):
     """Tail bound on the error of one reproduced element.
 
     g is a coefficient vector; the element is its image under the snapshot
@@ -435,7 +435,7 @@ def check_pointwise(kind, sset, basis, g, r, lmap, proj_y=None, slack=None):
     if g.shape != (sset.count,):
         raise DimensionMismatch(f"coefficients of shape {g.shape} for {sset.count} snapshots")
     res = _residuals(sset, basis, r, lmap, proj_y)
-    rows = _pointwise_rows(sset, basis, r, lmap, res, g[:, None], slack)
+    rows = _pointwise_rows(sset, basis, r, lmap, res, g[:, None])
     return next(rep for rep in rows if rep.identity_id == "pw_" + kind)
 
 
@@ -510,14 +510,32 @@ def _jsonable(value):
     return value
 
 
-def read_report(path):
-    """Load a report written by write_report_csv or write_report_json.
+def report_format(path):
+    """"json" or "csv", as the report name ends: the one rule every report
+    reader and writer uses.  Other names are MalformedManifest, a directory
+    is MissingDataFile."""
+    if os.path.isdir(path):
+        raise MissingDataFile(f"cannot use {path}: Is a directory")
+    if not path.endswith((".json", ".csv")):
+        raise MalformedManifest(f"{path}: a report name must end in .json or .csv")
+    return path.rsplit(".", 1)[1]
 
-    An unreadable path is MissingDataFile; invalid JSON, a report without
-    rows (so that an empty or truncated report never reads as a pass) and a
-    CSV row with a missing or non-numeric column are MalformedManifest.
+
+def write_report(reports, path, extra=None):
+    """Write reports as report_format(path) says; extra goes to JSON only."""
+    if report_format(path) == "csv":
+        return write_report_csv(reports, path)
+    return write_report_json(reports, path, extra)
+
+
+def read_report(path):
+    """Load a report written by write_report.
+
+    An unreadable path is MissingDataFile; a name report_format rejects,
+    invalid JSON, a report without rows (so that an empty or truncated report
+    never reads as a pass) and a bad CSV row are MalformedManifest.
     """
-    if path.endswith(".json"):
+    if report_format(path) == "json":
         report = _read_json(path)
         if not isinstance(report, dict) or not report.get("checks"):
             raise MalformedManifest(f'{path}: no "checks" rows')

@@ -42,6 +42,9 @@ NEWTON_ABS_TOL = 1e-8
 NEWTON_REL_TOL = 1e-6
 NEWTON_MAX_ITER = 25
 NEWTON_BAND = 3
+SYNTHETIC_FIELDS = 8
+SYNTHETIC_DECAY = 0.45
+EMBEDDING_SNAPSHOTS = 40
 
 
 @dataclass
@@ -212,26 +215,27 @@ def make_fhn_instance(config=None):
     }
 
 
-def synthetic_states(nodes, count, seed=0, n_fields=8, decay=0.45):
-    """Smooth deterministic trajectory samples on the unit-interval mesh."""
+def synthetic_states(nodes, count, seed=0):
+    """Smooth deterministic trajectory samples on the unit-interval mesh:
+    SYNTHETIC_FIELDS cosine fields with amplitudes decaying by SYNTHETIC_DECAY."""
     mesh = assemble_fem_1d(nodes)
     rng = np.random.default_rng(seed)
     tgrid = np.linspace(0.0, 1.0, count + 1)
-    phases = rng.uniform(0.0, 2.0 * np.pi, n_fields)
+    phases = rng.uniform(0.0, 2.0 * np.pi, SYNTHETIC_FIELDS)
     fields = np.stack(
-        [np.cos(np.pi * m * mesh.grid) for m in range(n_fields)], axis=1
+        [np.cos(np.pi * m * mesh.grid) for m in range(SYNTHETIC_FIELDS)], axis=1
     )
     amps = np.stack(
         [
-            decay**m * np.sin(2.0 * np.pi * (m + 1) * tgrid + phases[m])
-            for m in range(n_fields)
+            SYNTHETIC_DECAY**m * np.sin(2.0 * np.pi * (m + 1) * tgrid + phases[m])
+            for m in range(SYNTHETIC_FIELDS)
         ],
         axis=0,
     )
     return tgrid, fields @ amps
 
 
-def make_embedding_instance(nodes, which, count=40, seed=None):
+def make_embedding_instance(nodes, which, seed=None):
     """Identity-embedding instance between the L^2 and H^1 inner products.
 
     which = 1: ambient L^2, codomain H^1 (the natural embedding direction
@@ -253,7 +257,7 @@ def make_embedding_instance(nodes, which, count=40, seed=None):
     form = h1.gram if which == 3 else None
     if seed is None:
         seed = 100 + which
-    tgrid, states = synthetic_states(nodes, count, seed=seed)
+    tgrid, states = synthetic_states(nodes, EMBEDDING_SNAPSHOTS, seed=seed)
     sset = from_trajectory(tgrid, states, space=space_x)
     return {
         "set": sset,

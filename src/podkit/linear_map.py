@@ -205,20 +205,20 @@ def full_rank_in(basis, space):
     return basis.rank == space.dim
 
 
-def is_surjective(lmap, rtol=1e-12):
+def is_surjective(lmap):
     """Numerical surjectivity: the matrix has full row rank.
 
     A certified inverse (||L Linv - I|| <= 1e-8) proves it without the SVD.
-    At the default rtol this is also the singular-value count: make_map
-    rejects computed inverses beyond condition 1e12 and identity_map's
-    inverse is exact.
+    This is also the singular-value count with cutoff sigma_1 / MAX_CONDITION:
+    make_map rejects computed inverses beyond that condition and
+    identity_map's inverse is exact.
     """
     if lmap.inverse is not None:
         return True
     sv = np.linalg.svd(lmap.matrix, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return lmap.codomain.dim == 0
-    return int(np.sum(sv > rtol * sv[0])) == lmap.codomain.dim
+    return int(np.sum(sv > (1.0 / MAX_CONDITION) * sv[0])) == lmap.codomain.dim
 
 
 def rank_relation_check(basis_x, basis_y, lmap):

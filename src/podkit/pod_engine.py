@@ -50,6 +50,7 @@ from .gram_space import (
 from .snapshot_io import _atomic_write, _read_json, read_matrix_csv, write_matrix_csv
 
 DEFAULT_DROP_TOL = 1e-12
+SPECTRUM_GAP = 1e3
 
 
 @dataclass
@@ -173,12 +174,12 @@ def compute_pod(sset, space=None, drop_tol=DEFAULT_DROP_TOL):
     )
 
 
-def spectrum_gapped(basis, factor=1e3):
+def spectrum_gapped(basis):
     """Whether the computed rank is a trustworthy proxy for the exact rank.
 
     True when the drop threshold removed nothing (every computed eigenvalue
     kept, so the exact rank is pinned by the dimensions) or when the spectrum
-    falls by at least `factor` across the cut.  Rank comparisons between two
+    falls by at least SPECTRUM_GAP across the cut.  Rank comparisons between two
     decompositions are only meaningful when both sides satisfy this; without
     a gap the count is a statement about the noise floor, not the data.
     """
@@ -190,7 +191,7 @@ def spectrum_gapped(basis, factor=1e3):
         return True
     if basis.rank == 0:
         return False
-    return float(lam[basis.rank - 1]) / below >= factor
+    return float(lam[basis.rank - 1]) / below >= SPECTRUM_GAP
 
 
 def apply_K(sset, coeffs):

@@ -47,6 +47,7 @@ from .gram_space import GramSpace, orthonormal_prefixes, solve_gram
 from .pod_engine import basis_fingerprint
 
 ELLIPTICITY_DEGENERACY = 1e-13
+PUSHFORWARD_CROSS_CHECK_TOL = 1e-8
 
 
 @dataclass
@@ -195,13 +196,13 @@ def ritz_projector(basis, lmap, form, r):
     return ritz_levels(basis, lmap, form)(r)
 
 
-def pushforward_levels(lmap, basis, cross_check_tol=1e-8):
+def pushforward_levels(lmap, basis):
     """The mode projection conjugated into the codomain: L P L^{-1}.
 
     The dual vectors are the codomain representers of y -> (L^{-1} y, phi_k);
     they equal the inverse-adjoint images of the modes.  Both evaluation
     routes are assembled once for all modes, and at every level r their
-    leading r columns must agree to cross_check_tol, which guards the
+    leading r columns must agree to PUSHFORWARD_CROSS_CHECK_TOL, which guards the
     certified inverse against a stale or inconsistent matrix.
     """
     if lmap.inverse is None:
@@ -215,16 +216,16 @@ def pushforward_levels(lmap, basis, cross_check_tol=1e-8):
 
     def level(r):
         mismatch = np.sqrt(miss[r - 1]) / max(np.sqrt(scale[r - 1]), 1e-300)
-        if mismatch > cross_check_tol:
+        if mismatch > PUSHFORWARD_CROSS_CHECK_TOL:
             raise NotInvertible(f"inverse and adjoint routes disagree by {mismatch:.3e}")
         return V[:, :r], dual[:, :r]
 
     return _levels("pushforward", basis, lmap, level)
 
 
-def pushforward_projector(lmap, basis, r, cross_check_tol=1e-8):
-    """pushforward_levels(lmap, basis, cross_check_tol) at level r."""
-    return pushforward_levels(lmap, basis, cross_check_tol)(r)
+def pushforward_projector(lmap, basis, r):
+    """pushforward_levels(lmap, basis) at level r."""
+    return pushforward_levels(lmap, basis)(r)
 
 
 def pullback_projector(lmap, inner_proj, r):

@@ -174,13 +174,8 @@ def read_matrix_csv(path, rows=None, cols=None):
         raise MissingDataFile(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise MalformedManifest(f"{path}: {exc}") from None
-    if rows is not None and cols is not None and M.shape != (rows, cols):
-        if M.size == rows * cols:
-            M = M.reshape(rows, cols)
-        else:
-            raise MalformedManifest(
-                f"{path}: expected {rows} x {cols} values, found shape {M.shape}"
-            )
+    if rows is not None and M.shape != (rows, cols):
+        raise MalformedManifest(f"{path}: expected shape ({rows}, {cols}), found {M.shape}")
     return M
 
 
@@ -202,6 +197,15 @@ def _spec_int(value, what, minimum=1):
     return value
 
 
+def _float_list(value, what, length):
+    """A manifest list of exactly length numbers, as a float array."""
+    if not isinstance(value, list) or len(value) != length or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        raise MalformedManifest(f"{what} must be a list of {length} numbers")
+    return np.array(value, dtype=float)
+
+
 def gram_matrix(spec, dim, base_dir="."):
     """The dim x dim matrix a gram spec names.
 
@@ -215,12 +219,7 @@ def gram_matrix(spec, dim, base_dir="."):
     if spec == "identity":
         return np.eye(dim)
     if isinstance(spec, str):
-        G = read_matrix_csv(os.path.join(base_dir, spec))
-        if G.shape != (dim, dim):
-            raise MalformedManifest(
-                f"gram file {spec} has shape {G.shape}, expected ({dim}, {dim})"
-            )
-        return G
+        return read_matrix_csv(os.path.join(base_dir, spec), dim, dim)
     if isinstance(spec, dict) and len(spec) == 1:
         key, n = next(iter(spec.items()))
         if key in ("fem_mass", "fem_stiffness"):
@@ -294,41 +293,23 @@ def load(manifest_path):
     if not isinstance(manifest, dict):
         raise MalformedManifest(f"{manifest_path}: top level must be an object")
 
-    for key in ("dim", "count", "kind", "gram", "data"):
-        if key not in manifest:
-            raise MalformedManifest(f"{manifest_path}: missing key {key!r}")
-    dim = manifest["dim"]
-    count = manifest["count"]
-    kind = manifest["kind"]
-    if not isinstance(dim, int) or dim < 1:
-        raise MalformedManifest(f"dim must be a positive integer, got {dim!r}")
-    if not isinstance(count, int) or count < 1:
-        raise MalformedManifest(f"count must be a positive integer, got {count!r}")
+    dim = _spec_int(manifest.get("dim"), "dim")
+    count = _spec_int(manifest.get("count"), "count")
+    kind = manifest.get("kind")
     if kind not in ("discrete", "continuous"):
         raise MalformedManifest(f"unknown kind {kind!r}")
-
+    if not isinstance(manifest.get("data"), str):
+        raise MalformedManifest(f"{manifest_path}: data must name a CSV file")
     data = read_matrix_csv(os.path.join(base, manifest["data"]), dim, count)
 
     grid = None
     if kind == "continuous":
-        if "grid" not in manifest:
-            raise MalformedManifest("continuous manifest without a grid")
-        grid = np.asarray(manifest["grid"], dtype=float)
-        if grid.shape != (count + 1,):
-            raise MalformedManifest(
-                f"grid of length {grid.shape[0]} cannot bracket {count} snapshots"
-            )
+        grid = _float_list(manifest.get("grid"), "continuous manifest grid", count + 1)
         weights = np.diff(grid)
         if np.any(weights <= 0.0):
             raise NonMonotoneGrid("manifest grid is not strictly increasing")
     else:
-        if "weights" not in manifest:
-            raise MalformedManifest("discrete manifest without weights")
-        weights = np.asarray(manifest["weights"], dtype=float)
-        if weights.shape != (count,):
-            raise MalformedManifest(
-                f"{weights.shape[0]} weights for {count} snapshots"
-            )
+        weights = _float_list(manifest.get("weights"), "discrete manifest weights", count)
 
-    space = resolve_gram_spec(manifest["gram"], dim, base)
+    space = resolve_gram_spec(manifest.get("gram"), dim, base)
     return make_snapshot_set(data, weights, kind=kind, grid=grid, space=space)

@@ -538,3 +538,109 @@ def test_projector_families_are_built_once_per_run(tmp_path, capsys, monkeypatch
     assert code == 0, err
     assert "levels: [1, 4, 8]" in out
     assert len(adjoint) == 1
+
+
+def _usage_exit(capsys, *argv):
+    """Exit status of an argv argparse refuses, with its streams drained."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    capsys.readouterr()
+    return exc.value.code
+
+
+def test_parser_declares_only_the_flags_each_command_reads():
+    from podkit.cli import build_parser
+
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    flags = {
+        name: sorted(a.dest for a in sub._actions if a.dest != "help")
+        for name, sub in commands.items()
+    }
+    assert flags == {
+        "generate-fhn": ["nodes", "output"],
+        "generate-synthetic": ["nodes", "output", "seed"],
+        "pod": ["input", "output", "r", "tol"],
+        "verify": ["input", "map", "output", "projector", "r", "seed", "tol"],
+        "sweep": ["input", "map", "output", "projector", "r", "tol"],
+        "table": ["input"],
+    }
+    assert sum(len(names) for names in flags.values()) == 23
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("generate-fhn", ["--seed", "3"]),
+        ("generate-synthetic", ["--tol", "1e-8"]),
+        ("pod", ["--seed", "1"]),
+        ("verify", ["--nodes", "8"]),
+        ("sweep", ["--seed", "1"]),
+        ("table", ["--tol", "1"]),
+    ],
+)
+def test_flag_a_command_does_not_read_is_refused(synth8, tmp_path, capsys, command, extra):
+    out = tmp_path / "out"
+    out.mkdir()
+    mapped = ["--input", synth8, "--map", synth8.replace(".json", "_map.json"), "--r", "1"]
+    argv = {
+        "generate-fhn": ["--output", str(out / "f.json"), "--nodes", "8"],
+        "generate-synthetic": ["--output", str(out / "s.json"), "--nodes", "8"],
+        "pod": ["--input", synth8, "--output", str(out / "b.json")],
+        "verify": mapped + ["--output", str(out / "r.json")],
+        "sweep": mapped + ["--output", str(out / "r.csv")],
+        "table": ["--input", synth8],
+    }[command]
+    assert _usage_exit(capsys, command, *argv, *extra) == 2
+    assert os.listdir(out) == []
+
+
+def test_removed_and_abbreviated_flags_are_refused(synth8, tmp_path, capsys):
+    report = str(tmp_path / "r.json")
+    verify = ["verify", "--input", synth8, "--map", synth8.replace(".json", "_map.json")]
+    assert _usage_exit(capsys, *verify, "--r", "2", "--r-list", "3", "--output", report) == 2
+    assert _usage_exit(capsys, *verify, "--r", "1", "--out", report) == 2
+    assert not os.path.exists(report)
+
+
+def test_report_names_must_end_in_json_or_csv(synth8, tmp_path, capsys):
+    mapped = ["--input", synth8, "--map", synth8.replace(".json", "_map.json"), "--r", "1"]
+    out = tmp_path / "out"
+    out.mkdir()
+    for command in ("verify", "sweep"):
+        code, _, err = run(capsys, command, *mapped, "--output", str(out / "x.txt"))
+        assert code == 2
+        assert json.loads(err)["error"] == "MalformedManifest"
+    assert os.listdir(out) == []
+    # a valid CSV report under another name is refused too
+    report = out / "x.csv"
+    assert run(capsys, "sweep", *mapped, "--output", str(report))[0] == 0
+    assert run(capsys, "table", "--input", str(report))[0] == 0
+    renamed = out / "x.txt"
+    report.rename(renamed)
+    code, _, err = run(capsys, "table", "--input", str(renamed))
+    assert code == 2
+    assert json.loads(err)["error"] == "MalformedManifest"
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"dim": True, "count": True},
+        {"weights": ["a"]},
+        {"kind": "continuous", "grid": ["a", "b"]},
+        {"data": 5},
+    ],
+    ids=["dim-count-bool", "weights-text", "grid-text", "data-number"],
+)
+def test_non_numeric_manifest_fields_are_input_errors(tmp_path, capsys, fields):
+    # one snapshot of one coordinate, where a bare int check reads true as 1
+    (tmp_path / "d.csv").write_text("1.0\n")
+    manifest = {"dim": 1, "count": 1, "kind": "discrete", "gram": "identity",
+                "data": "d.csv", "weights": [1.0], **fields}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(manifest))
+    code, _, err = run(capsys, "pod", "--input", str(bad), "--output", str(tmp_path / "b.json"))
+    assert code == 2
+    assert json.loads(err)["error"] == "MalformedManifest"
+    assert not os.path.exists(tmp_path / "b.json")

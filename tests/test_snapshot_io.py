@@ -152,6 +152,18 @@ def test_load_weight_count_mismatch(tmp_path):
         load(str(path))
 
 
+def test_load_refuses_transposed_data(tmp_path):
+    # a 4 x 3 data file holds as many values as the 3 x 4 manifest names,
+    # but reshaping it would scramble the columns
+    rng = np.random.default_rng(3)
+    path = str(tmp_path / "set.json")
+    save(make_snapshot_set(rng.standard_normal((3, 4)), np.ones(4)), path)
+    data = str(tmp_path / "set_data.csv")
+    write_matrix_csv(data, read_matrix_csv(data).T)
+    with pytest.raises(MalformedManifest):
+        load(path)
+
+
 def test_resolve_gram_generators():
     mesh = assemble_fem_1d(6)
     sp = resolve_gram_spec({"fem_mass": 6}, 6)
