@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands and the only flags each accepts (podkit -h says what each
-does); any other flag, or an abbreviated one, is a usage error, exit 2:
+does); any other flag, abbreviation or bad choice is a UsageError, exit 2:
 
 generate-fhn        --output --nodes
 generate-synthetic  --output --nodes --seed
@@ -43,6 +43,7 @@ from .errors import (
     PodkitError,
     ProvenanceMismatch,
     RankExceeded,
+    UsageError,
 )
 from .error_lab import (
     IDENTITY_RTOL,
@@ -55,7 +56,7 @@ from .error_lab import (
     sweep as run_sweep,
     write_report,
 )
-from .fhn_gen import FhnConfig, make_embedding_instance, make_fhn_instance
+from .fhn_gen import FhnConfig, embedding_set, make_fhn_instance
 from .linear_map import build_map_from_spec, induced_snapshots, rank_relation_check
 from .pod_engine import (
     DEFAULT_DROP_TOL,
@@ -145,7 +146,7 @@ def _select_family(flag, lmap, form):
             "composite-yx projector needs an invertible map"
         )
     if family == "ritz" and form is None:
-        form = lmap.codomain.gram
+        form = lmap.codomain.gram.toarray()
     return family, form
 
 
@@ -240,7 +241,7 @@ def cmd_generate_fhn(args):
 def cmd_generate_synthetic(args):
     nodes = 33 if args.nodes is None else args.nodes
     out = _require(args, "output")
-    sset = make_embedding_instance(nodes, 1, seed=args.seed)["set"]
+    sset = embedding_set(nodes, seed=args.seed)
     spec = {"embedding": {"from": "mass", "to": "stiffness+mass"}}
     manifest_path = save(sset, out, gram_spec={"fem_mass": nodes})
     return _finish_bundle(manifest_path, sset, nodes, spec)
@@ -379,10 +380,15 @@ _COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # reported like every other failure; -h still exits 0
+        raise UsageError(message)
+
+
 def build_parser():
     """One subparser per command, declaring only the flags its cmd_* reads;
     abbreviated flags are refused, so every flag has one spelling."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="podkit",
         description="Weighted proper orthogonal decomposition with certified "
         "projection error identities and bounds.",
@@ -398,8 +404,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PodkitError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

@@ -64,6 +64,10 @@ class ProvenanceMismatch(InputError):
     """A composite projector was assembled from inconsistent ingredients."""
 
 
+class UsageError(InputError):
+    """The command line names an unknown flag, subcommand or choice."""
+
+
 # -- numerical errors --------------------------------------------------------
 
 class NotPositiveDefinite(NumericalError):

@@ -4,7 +4,8 @@ Element integrals are exact: on an element of length h the local mass matrix
 is h/6 * [[2, 1], [1, 2]] and the local stiffness matrix is
 1/h * [[1, -1], [-1, 1]].  The derivative operator maps nodal values to the
 (constant) slopes on each element; paired with the diagonal Gram matrix of
-element lengths it reproduces the H^1 seminorm exactly.
+element lengths it reproduces the H^1 seminorm exactly.  The matrices are
+scipy.sparse CSR arrays in O(n) memory; call .toarray() for a dense one.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 
 @dataclass
@@ -26,15 +28,15 @@ class FemMesh:
         Element length 1 / (n - 1).
     grid : ndarray, shape (n,)
         Node coordinates.
-    mass : ndarray, shape (n, n)
-        L^2 Gram matrix of the nodal hat functions.
-    stiffness : ndarray, shape (n, n)
+    mass : scipy.sparse.csr_array, shape (n, n)
+        L^2 Gram matrix of the nodal hat functions (tridiagonal).
+    stiffness : scipy.sparse.csr_array, shape (n, n)
         Gram matrix of their derivatives (singular on its own: constants).
-    convection : ndarray, shape (n, n)
+    convection : scipy.sparse.csr_array, shape (n, n)
         First-derivative form (u', v); skew apart from boundary terms, used
         to build nonsymmetric elliptic forms.
-    deriv : ndarray, shape (n - 1, n)
-        Nodal values -> elementwise slopes.
+    deriv : scipy.sparse.csr_array, shape (n - 1, n)
+        Nodal values -> elementwise slopes (bidiagonal).
     element_lengths : ndarray, shape (n - 1,)
         Quadrature weights of the elementwise-constant derivative space.
     """
@@ -42,10 +44,10 @@ class FemMesh:
     nodes: int
     h: float
     grid: np.ndarray
-    mass: np.ndarray
-    stiffness: np.ndarray
-    convection: np.ndarray
-    deriv: np.ndarray
+    mass: sparse.csr_array
+    stiffness: sparse.csr_array
+    convection: sparse.csr_array
+    deriv: sparse.csr_array
     element_lengths: np.ndarray
 
 
@@ -67,29 +69,20 @@ def assemble_fem_1d(nodes):
     h = 1.0 / (n - 1)
     grid = np.linspace(0.0, 1.0, n)
 
-    mass = np.zeros((n, n))
-    stiffness = np.zeros((n, n))
-    main = np.arange(n)
-    mass[main, main] = 2.0 * h / 3.0
-    mass[0, 0] = mass[-1, -1] = h / 3.0
-    mass[main[:-1], main[:-1] + 1] = h / 6.0
-    mass[main[:-1] + 1, main[:-1]] = h / 6.0
+    def tridiagonal(below, main, above):
+        return sparse.diags_array(
+            [below, main, above], offsets=(-1, 0, 1), shape=(n, n), format="csr"
+        )
 
-    stiffness[main, main] = 2.0 / h
-    stiffness[0, 0] = stiffness[-1, -1] = 1.0 / h
-    stiffness[main[:-1], main[:-1] + 1] = -1.0 / h
-    stiffness[main[:-1] + 1, main[:-1]] = -1.0 / h
-
-    convection = np.zeros((n, n))
-    convection[main[:-1], main[:-1] + 1] = 0.5
-    convection[main[:-1] + 1, main[:-1]] = -0.5
-    convection[0, 0] = -0.5
-    convection[-1, -1] = 0.5
-
-    deriv = np.zeros((n - 1, n))
-    rows = np.arange(n - 1)
-    deriv[rows, rows] = -1.0 / h
-    deriv[rows, rows + 1] = 1.0 / h
+    off = np.ones(n - 1)
+    half_ends = np.ones(n)
+    half_ends[[0, -1]] = 0.5  # an end node lies in one element, not two
+    mass = tridiagonal(off * (h / 6.0), half_ends * (2.0 * h / 3.0), off * (h / 6.0))
+    stiffness = tridiagonal(off * (-1.0 / h), half_ends * (2.0 / h), off * (-1.0 / h))
+    boundary = np.zeros(n)
+    boundary[[0, -1]] = -0.5, 0.5
+    convection = tridiagonal(off * -0.5, boundary, off * 0.5)
+    deriv = sparse.diags_array([-off / h, off / h], offsets=(0, 1), shape=(n - 1, n), format="csr")
 
     return FemMesh(
         nodes=n,

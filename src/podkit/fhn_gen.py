@@ -15,7 +15,9 @@ factored in LAPACK band storage: with u and v interleaved as
 [u_0, v_0, u_1, v_1, ...] the tridiagonal mass and stiffness blocks make it
 a band with three sub- and superdiagonals.  Its f'(u)-free part is built
 once per solve, and each factorization (at every stage start and at Newton
-iterations 8 and 16) adds only the three f'(u)-dependent uu diagonals.
+iterations 8 and 16) adds only the three f'(u)-dependent uu diagonals, read
+off the sparse FEM matrices; the right-hand side and the Newton residual are
+one sparse product each.
 
 The module also builds the product state space (two L^2 components), the
 block derivative map into elementwise constants, identity-embedding instances
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy import sparse
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DimensionMismatch, SolverDiverged
@@ -70,7 +72,7 @@ def _interleaved_band(blocks, n):
     """dgbtrf band storage of the interleaved matrix with tridiagonal blocks.
 
     blocks maps (row species, column species), 0 for u and 1 for v, to an
-    n x n tridiagonal block.  Entry (i, j) of the interleaved matrix goes to
+    n x n tridiagonal sparse block.  Entry (i, j) of the interleaved matrix goes to
     row 2 * NEWTON_BAND + i - j of column j; the top NEWTON_BAND rows are
     left zero for the pivoting fill-in.
     """
@@ -79,7 +81,7 @@ def _interleaved_band(blocks, n):
         for d in (-1, 0, 1):
             lo, hi = max(0, -d), n - max(0, d)
             ab[2 * NEWTON_BAND + 2 * d + row - col, 2 * lo + col : 2 * hi : 2] = (
-                np.diagonal(block, -d)
+                block.diagonal(-d)
             )
     return ab
 
@@ -97,7 +99,7 @@ def solve_fhn(config):
     n = mesh.nodes
     M = mesh.mass
     S = mesh.stiffness
-    mu = config.mu
+    mu = np.float64(config.mu)  # mu = 0 makes inf entries, not ZeroDivisionError
     b = config.b
     gam = config.gamma_param
     c = config.c
@@ -109,19 +111,18 @@ def solve_fhn(config):
         )
     grid = np.linspace(0.0, config.t_end, steps + 1)
 
-    Mb = block_diag(M, M)
-    e_left = np.zeros(n)
-    e_left[0] = 1.0
+    Mb = sparse.block_diag((M, M), format="csr")
+    # rhs(w) = K [u; v; f(u)] + source, one sparse product per evaluation
+    K = sparse.block_array(
+        [[-mu * S, M / -mu, M / mu], [b * M, -gam * M, None]], format="csr"
+    )
+    source = np.concatenate((M @ np.full(n, c / mu), M @ np.full(n, c)))
 
     def rhs(t, w):
         u = w[:n]
-        v = w[n:]
-        fu = u * (u - 0.1) * (1.0 - u)
-        out = np.empty(2 * n)
-        out[:n] = -mu * (S @ u) + M @ ((-v + fu + c) / mu)
+        out = K @ np.concatenate((w, u * (u - 0.1) * (1.0 - u))) + source
         if config.boundary_drive:
-            out[:n] += mu * boundary_pulse(t) * e_left
-        out[n:] = M @ (b * u - gam * v + c)
+            out[0] += mu * boundary_pulse(t)
         return out
 
     # Mb - coeff * J = band - band_fp * f'(u) on the u columns
@@ -185,7 +186,7 @@ def solve_fhn(config):
 def make_product_space(nodes):
     """L^2 x L^2 Gram matrix for the stacked state [u; v]."""
     mesh = assemble_fem_1d(nodes)
-    return make_space(block_diag(mesh.mass, mesh.mass))
+    return make_space(sparse.block_diag((mesh.mass, mesh.mass), format="csr"))
 
 
 def make_fhn_L(nodes, domain=None):
@@ -218,12 +219,12 @@ def make_fhn_instance(config=None):
 def synthetic_states(nodes, count, seed=0):
     """Smooth deterministic trajectory samples on the unit-interval mesh:
     SYNTHETIC_FIELDS cosine fields with amplitudes decaying by SYNTHETIC_DECAY."""
-    mesh = assemble_fem_1d(nodes)
+    grid = np.linspace(0.0, 1.0, nodes)  # the nodes of assemble_fem_1d(nodes)
     rng = np.random.default_rng(seed)
     tgrid = np.linspace(0.0, 1.0, count + 1)
     phases = rng.uniform(0.0, 2.0 * np.pi, SYNTHETIC_FIELDS)
     fields = np.stack(
-        [np.cos(np.pi * m * mesh.grid) for m in range(SYNTHETIC_FIELDS)], axis=1
+        [np.cos(np.pi * m * grid) for m in range(SYNTHETIC_FIELDS)], axis=1
     )
     amps = np.stack(
         [
@@ -235,6 +236,17 @@ def synthetic_states(nodes, count, seed=0):
     return tgrid, fields @ amps
 
 
+def embedding_set(nodes, which=1, seed=None):
+    """The snapshot set of make_embedding_instance(nodes, which, seed) alone,
+    on the ambient space of its layout; the seed defaults to 100 + which."""
+    if which not in (1, 2, 3):
+        raise DimensionMismatch(f"embedding instance must be 1, 2 or 3, got {which}")
+    space = resolve_gram_spec({"fem_stiffness" if which == 2 else "fem_mass": nodes}, nodes)
+    seed = 100 + which if seed is None else seed
+    tgrid, states = synthetic_states(nodes, EMBEDDING_SNAPSHOTS, seed)
+    return from_trajectory(tgrid, states, space=space)
+
+
 def make_embedding_instance(nodes, which, seed=None):
     """Identity-embedding instance between the L^2 and H^1 inner products.
 
@@ -244,27 +256,18 @@ def make_embedding_instance(nodes, which, seed=None):
     which = 3: variant of 1 that also carries the H^1 bilinear form for the
     form-determined projection family.
 
-    Returns a dict with the snapshot set (attached to the ambient space),
-    both spaces, the identity map (with its exact inverse), and the form (or
-    None).
+    Returns a dict with the snapshot set (embedding_set, attached to the
+    ambient space), both spaces, the identity map (with its exact inverse),
+    and the dense form (or None).
     """
-    if which not in (1, 2, 3):
-        raise DimensionMismatch(f"embedding instance must be 1, 2 or 3, got {which}")
-    l2 = resolve_gram_spec({"fem_mass": nodes}, nodes)
-    h1 = resolve_gram_spec({"fem_stiffness": nodes}, nodes)
-    space_x, space_y = (h1, l2) if which == 2 else (l2, h1)
-    lmap = identity_map(space_x, space_y, kind="embedding")
-    form = h1.gram if which == 3 else None
-    if seed is None:
-        seed = 100 + which
-    tgrid, states = synthetic_states(nodes, EMBEDDING_SNAPSHOTS, seed=seed)
-    sset = from_trajectory(tgrid, states, space=space_x)
+    sset = embedding_set(nodes, which, seed)
+    space_y = resolve_gram_spec({"fem_mass" if which == 2 else "fem_stiffness": nodes}, nodes)
     return {
         "set": sset,
-        "space_x": space_x,
+        "space_x": sset.space,
         "space_y": space_y,
-        "map": lmap,
-        "form": form,
+        "map": identity_map(sset.space, space_y, kind="embedding"),
+        "form": space_y.gram.toarray() if which == 3 else None,
     }
 
 

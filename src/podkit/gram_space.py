@@ -1,17 +1,23 @@
 """Finite-dimensional real inner-product spaces defined by Gram matrices.
 
-A space is just R^n equipped with the inner product (u, v) = v^T G u for a
-symmetric positive definite G.  The Cholesky factor of G is computed once at
-construction; every routine that needs G^{-1} goes through triangular solves
-with that factor, never through an explicit inverse.
+A space is R^n with the inner product (u, v) = v^T G u for a symmetric
+positive definite G, kept in O(n kd) memory: G as a scipy.sparse CSR array
+and its Cholesky factor L (G = L L^T) in LAPACK lower band storage.  kd is
+G's lower bandwidth, its outermost nonzero subdiagonal: 0 for identity and
+diagonal Grams, 1 for the FEM Grams, n - 1 for a dense CSV Gram, all through
+the same code.  Each kernel is one library call whatever kd and the column
+count: sparse products with G and L^T, dtbtrs and dpbtrs solves.  Callers
+that need a dense Gram (an eigensolve, a Gram CSV) call gram.toarray().
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy import sparse
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import (
     DimensionMismatch,
@@ -34,15 +40,33 @@ class GramSpace:
     ----------
     dim : int
         Dimension of the space.
-    gram : ndarray, shape (dim, dim)
+    gram : scipy.sparse.csr_array, shape (dim, dim)
         Symmetric positive definite Gram matrix (symmetrized copy).
-    chol : ndarray, shape (dim, dim)
-        Lower-triangular Cholesky factor, gram = chol @ chol.T.
+    chol : ndarray, shape (kd + 1, dim)
+        Its lower Cholesky factor L in LAPACK lower band storage,
+        chol[i, j] = L[j + i, j], kd being the Gram's lower bandwidth.
     """
 
     dim: int
-    gram: np.ndarray
+    gram: sparse.csr_array
     chol: np.ndarray
+
+    @cached_property
+    def chol_t(self):
+        """L^T as a CSR array, built from the band storage on first use."""
+        offsets = -np.arange(self.chol.shape[0])  # the band rows are L's diagonals
+        return sparse.dia_array((self.chol, offsets), shape=(self.dim,) * 2).T.tocsr()
+
+
+def _lower_band(G):
+    """LAPACK lower band storage of a CSR matrix's lower triangle; its row
+    count is one more than the outermost nonzero subdiagonal."""
+    rows = np.repeat(np.arange(G.shape[0]), np.diff(G.indptr))
+    offset = rows - G.indices
+    lower = offset >= 0
+    band = np.zeros((int(offset.max(initial=0)) + 1, G.shape[0]))
+    band[offset[lower], G.indices[lower]] = G.data[lower]
+    return band
 
 
 def make_space(gram):
@@ -50,7 +74,7 @@ def make_space(gram):
 
     Parameters
     ----------
-    gram : array_like, shape (n, n)
+    gram : array_like or scipy.sparse matrix, shape (n, n)
         Candidate Gram matrix.  Must be symmetric to relative tolerance
         1e-13 in the Frobenius norm; it is then symmetrized exactly.
 
@@ -63,31 +87,30 @@ def make_space(gram):
     NotSymmetric
         If the asymmetry exceeds the relative tolerance.
     NotPositiveDefinite
-        If the Cholesky factorization fails.
+        If the banded Cholesky factorization fails.
     """
-    G = np.asarray(gram, dtype=float)
+    G = gram if sparse.issparse(gram) else np.asarray(gram, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise DimensionMismatch(f"gram must be square, got shape {G.shape}")
-    scale = np.linalg.norm(G)
-    skew = np.linalg.norm(G - G.T)
+    G = sparse.csr_array(G, dtype=float)
+    scale = np.linalg.norm(G.data)
+    skew = np.linalg.norm((G - G.T).data)
     if skew > SYMMETRY_RTOL * max(scale, 1e-300):
         raise NotSymmetric(
             f"gram asymmetry {skew:.3e} exceeds {SYMMETRY_RTOL:.0e} * {scale:.3e}"
         )
     G = 0.5 * (G + G.T)
+    G.eliminate_zeros()
     try:
-        L = cholesky(G, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
-    except Exception as exc:  # scipy raises its own LinAlgError type
+        L = cholesky_banded(_lower_band(G), lower=True)
+    except Exception as exc:  # LinAlgError, or ValueError for non-finite entries
         raise NotPositiveDefinite(str(exc)) from None
     return GramSpace(dim=G.shape[0], gram=G, chol=L)
 
 
 def identity_space(dim):
-    """Euclidean R^dim (identity Gram matrix)."""
-    eye = np.eye(dim)
-    return GramSpace(dim=dim, gram=eye, chol=eye.copy())
+    """Euclidean R^dim (identity Gram matrix, kd = 0)."""
+    return GramSpace(dim=dim, gram=sparse.eye_array(dim, format="csr"), chol=np.ones((1, dim)))
 
 
 def _check_dim(space, u):
@@ -131,32 +154,35 @@ def norm(space, u):
 
 
 def solve_gram(space, rhs):
-    """G^{-1} rhs through the cached Cholesky factor."""
+    """G^{-1} rhs through the cached banded Cholesky factor (dpbtrs)."""
     rhs = _check_dim(space, rhs)
-    return cho_solve((space.chol, True), rhs)
+    return cho_solve_banded((space.chol, True), rhs)
 
 
 def half_weight(space, u):
-    """chol^T u, the change of variables that turns the G-norm Euclidean.
+    """L^T u, the change of variables that turns the G-norm Euclidean.
 
     Satisfies ||half_weight(space, u)||_2 = norm(space, u); applied to the
     columns of a matrix it realizes Hilbert-Schmidt norms as plain Frobenius
     norms.
     """
     u = _check_dim(space, u)
-    return space.chol.T @ u
+    return space.chol_t @ u
 
 
 def half_weight_inv(space, u):
-    """Inverse of half_weight: chol^{-T} u via a triangular solve."""
+    """Inverse of half_weight: L^{-T} u by one banded triangular solve."""
     u = _check_dim(space, u)
-    return solve_triangular(space.chol, u, lower=True, trans="T")
+    if u.size == 0:  # the dtbtrs wrapper crashes on zero right-hand sides
+        return np.zeros(u.shape)
+    x, _ = dtbtrs(space.chol, u.reshape(space.dim, -1), uplo="L", trans="T")
+    return x.reshape(u.shape)
 
 
 def orthonormal_prefixes(space, vectors):
     """Orthonormalization of every leading block of columns by one QR.
 
-    Factors chol^T V = Q R with diag(R) > 0 and returns (chol^{-T} Q, k,
+    Factors L^T V = Q R with diag(R) > 0 and returns (L^{-T} Q, k,
     reason): for j <= k the leading j columns are the Gram-Schmidt result
     for the leading j input columns.  Column k is the first whose pivot
     |R_kk| is at most 1e-12 times the largest up to it, so that it lies
@@ -194,7 +220,7 @@ def adjoint_matrix(space_from, space_to, matrix):
     For T : space_from -> space_to with coordinate matrix A, the adjoint
     T* : space_to -> space_from satisfies (T u, v)_to = (u, T* v)_from and has
     coordinate matrix G_from^{-1} A^T G_to, evaluated here with Cholesky
-    solves against G_from.
+    solves against G_from (A^T G_to = (G_to A)^T, G_to being symmetric).
     """
     A = np.asarray(matrix, dtype=float)
     if A.shape != (space_to.dim, space_from.dim):
@@ -202,4 +228,4 @@ def adjoint_matrix(space_from, space_to, matrix):
             f"map matrix {A.shape} inconsistent with spaces "
             f"({space_to.dim}, {space_from.dim})"
         )
-    return cho_solve((space_from.chol, True), A.T @ space_to.gram)
+    return solve_gram(space_from, (space_to.gram @ A).T)

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy import sparse
 
 from . import fem, gram_space
 from .errors import DimensionMismatch, MalformedManifest, NotInvertible, ProvenanceMismatch
@@ -131,7 +131,7 @@ def derivative_map(nodes, domain, scheme="forward"):
         )
     mesh = fem.assemble_fem_1d(nodes)
     if scheme == "forward":
-        block, gram = mesh.deriv, np.diag(mesh.element_lengths)
+        block, gram = mesh.deriv, sparse.diags_array(mesh.element_lengths)
     elif scheme == "centered":
         h = mesh.h
         block = (np.eye(nodes, k=1) - np.eye(nodes, k=-1)) * (0.5 / h)
@@ -143,8 +143,8 @@ def derivative_map(nodes, domain, scheme="forward"):
     blocks = domain.dim // nodes
     return LinearMap(
         domain=domain,
-        codomain=make_space(block_diag(*[gram] * blocks)),
-        matrix=block_diag(*[block] * blocks),
+        codomain=make_space(sparse.block_diag([gram] * blocks, format="csr")),
+        matrix=sparse.block_diag([block] * blocks).toarray(),
         kind="derivative",
     )
 
@@ -349,11 +349,13 @@ def build_map_from_spec(text, sset):
                 f"embedding grams must be in {tuple(_EMBED_GRAMS)}, got {tokens}"
             )
         source, target = ({_EMBED_GRAMS[t]: dim} for t in tokens)
-        if not np.allclose(gram_matrix(source, dim), sset.space.gram, rtol=1e-12, atol=1e-12):
+        # np.allclose(rtol=1e-12, atol=1e-12) entry by entry, on the sparse pattern
+        gram = sset.space.gram
+        if (abs(gram_matrix(source, dim) - gram) - 1e-12 * abs(gram)).max() > 1e-12:
             raise ProvenanceMismatch("embedding 'from' gram disagrees with the snapshot space")
         lmap = identity_map(sset.space, resolve_gram_spec(target, dim), kind="embedding")
 
     form = None
     if "ritz_form" in spec:
-        form = gram_matrix(spec["ritz_form"], lmap.codomain.dim, base_dir)
+        form = gram_matrix(spec["ritz_form"], lmap.codomain.dim, base_dir).toarray()
     return lmap, form

@@ -1,8 +1,10 @@
 """Rank-r projection operators assembled from a POD basis.
 
 Every projector is stored in factored form, P x = range @ (dual^T G x), and
-applied in O(dim * r) work; the dense matrix is only ever formed inside the
-operator-norm diagnostic.  Supported families:
+applied in O(dim * (r + kd)) work, kd the bandwidth of the sparse Gram G.
+Only the dense_matrix diagnostic forms an n x n matrix (op_norm works on the
+factors, the pushforward cross-check on one LU of L^T), and only the Ritz
+ellipticity eigensolve densifies a Gram (gram.toarray()).  Families:
 
 - "pod_orthogonal": orthogonal projection onto the leading modes.
 - "mapped_orthogonal": orthogonal projection, in the codomain, onto the
@@ -30,9 +32,8 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, lu_factor, lu_solve
+from scipy.linalg import eigh, lu_factor, lu_solve, solve
 
-from . import linear_map as lm
 from .errors import (
     DimensionMismatch,
     FormNotElliptic,
@@ -43,7 +44,7 @@ from .errors import (
     RankExceeded,
     SingularRitzSystem,
 )
-from .gram_space import GramSpace, orthonormal_prefixes, solve_gram
+from .gram_space import GramSpace, half_weight, orthonormal_prefixes, solve_gram
 from .pod_engine import basis_fingerprint
 
 ELLIPTICITY_DEGENERACY = 1e-13
@@ -150,7 +151,7 @@ def form_ellipticity(space, form):
     if A.shape != (space.dim, space.dim):
         raise DimensionMismatch(f"form {A.shape} on space of dim {space.dim}")
     sym = 0.5 * (A + A.T)
-    vals = eigh(sym, space.gram, eigvals_only=True)
+    vals = eigh(sym, space.gram.toarray(), eigvals_only=True)
     return float(vals[0]), float(vals[-1])
 
 
@@ -203,15 +204,19 @@ def pushforward_levels(lmap, basis):
     they equal the inverse-adjoint images of the modes.  Both evaluation
     routes are assembled once for all modes, and at every level r their
     leading r columns must agree to PUSHFORWARD_CROSS_CHECK_TOL, which guards the
-    certified inverse against a stale or inconsistent matrix.
+    certified inverse against a stale or inconsistent matrix.  The second
+    route solves the adjoint system L* d = phi, that is L^T (G_y d) = G_x phi,
+    with one LU of L^T and one Gram solve.
     """
     if lmap.inverse is None:
         raise NotInvertible("pushforward projector needs an invertible map")
     V, Phi = _mapped_modes(basis, lmap), basis.modes
+    G_x_Phi = basis.space.gram @ Phi
     # Route one: representers via the inverse matrix.
-    dual = solve_gram(lmap.codomain, lmap.inverse.T @ (basis.space.gram @ Phi))
+    dual = solve_gram(lmap.codomain, lmap.inverse.T @ G_x_Phi)
     # Route two: solve L* d = phi; level r's mismatch sums its leading columns.
-    miss = np.cumsum(np.sum((dual - np.linalg.solve(lm.adjoint(lmap), Phi)) ** 2, axis=0))
+    adjoint_route = solve_gram(lmap.codomain, solve(lmap.matrix, G_x_Phi, transposed=True))
+    miss = np.cumsum(np.sum((dual - adjoint_route) ** 2, axis=0))
     scale = np.cumsum(np.sum(dual**2, axis=0))
 
     def level(r):
@@ -248,7 +253,8 @@ def pullback_projector(lmap, inner_proj, r):
     if inner_map_fp is not None and inner_map_fp != matrix_fingerprint(lmap.matrix):
         raise ProvenanceMismatch("inner projector was built from a different map")
     rng = lmap.inverse @ inner_proj.range_basis
-    dual = lm.adjoint(lmap) @ inner_proj.dual_basis
+    # L* D = G_x^{-1} L^T G_y D, without the n x n adjoint matrix
+    dual = solve_gram(lmap.domain, lmap.matrix.T @ (lmap.codomain.gram @ inner_proj.dual_basis))
     provenance = {
         "family": "pullback",
         "map": matrix_fingerprint(lmap.matrix),
@@ -260,20 +266,18 @@ def pullback_projector(lmap, inner_proj, r):
 
 def dense_matrix(proj):
     """The dim x dim matrix of the projector (diagnostics only)."""
-    return proj.range_basis @ (proj.dual_basis.T @ proj.space.gram)
+    return proj.range_basis @ (proj.space.gram @ proj.dual_basis).T
 
 
 def op_norm(proj):
     """Operator norm of the projector in the space's own norm.
 
-    Computed from the largest eigenvalue of the symmetric generalized
-    problem P^T G P z = mu G z; the norm is sqrt(max mu).  Orthogonal
-    families return 1 up to eigensolver accuracy, the form-determined family
-    is bounded by its continuity-to-ellipticity ratio.
+    With G = L L^T, ||P|| = ||L^T P L^{-T}||_2 = ||(L^T R)(L^T D)^T||_2 for
+    the range basis R and dual basis D.  Thin QRs L^T R = Q_R S_R and
+    L^T D = Q_D S_D reduce this to the largest singular value of the r x r
+    product S_R S_D^T.  Orthogonal families return 1 up to round-off, the
+    form-determined family is bounded by its continuity-to-ellipticity ratio.
     """
-    P = dense_matrix(proj)
-    M = P.T @ (proj.space.gram @ P)
-    M = 0.5 * (M + M.T)
-    n = proj.space.dim
-    vals = eigh(M, proj.space.gram, eigvals_only=True, subset_by_index=[n - 1, n - 1])
-    return float(np.sqrt(max(vals[-1], 0.0)))
+    S_range = np.linalg.qr(half_weight(proj.space, proj.range_basis), mode="r")
+    S_dual = np.linalg.qr(half_weight(proj.space, proj.dual_basis), mode="r")
+    return float(np.linalg.svd(S_range @ S_dual.T, compute_uv=False)[0])

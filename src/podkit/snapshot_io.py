@@ -21,6 +21,7 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import fem
 from .errors import (
@@ -159,9 +160,10 @@ def _atomic_write(path, text):
 
 
 def write_matrix_csv(path, matrix):
-    """Headerless CSV with 17 significant digits, written atomically."""
+    """Headerless CSV with 17 significant digits, one % per row, written atomically."""
     M = np.atleast_2d(np.asarray(matrix, dtype=float))
-    rows = [",".join(CSV_FMT % v for v in row) for row in M]
+    row_fmt = ",".join([CSV_FMT] * M.shape[1])
+    rows = [row_fmt % tuple(row.tolist()) for row in M]
     _atomic_write(path, "\n".join(rows) + "\n")
 
 
@@ -207,7 +209,7 @@ def _float_list(value, what, length):
 
 
 def gram_matrix(spec, dim, base_dir="."):
-    """The dim x dim matrix a gram spec names.
+    """The dim x dim matrix a gram spec names, as a scipy.sparse CSR array.
 
     Accepted forms: the token "identity", a path to a CSV matrix (relative to
     base_dir), or a generator spec {"fem_mass": n} / {"fem_stiffness": n}.
@@ -217,9 +219,9 @@ def gram_matrix(spec, dim, base_dir="."):
     left to make_space, since a bilinear form need have neither.
     """
     if spec == "identity":
-        return np.eye(dim)
+        return sparse.eye_array(dim, format="csr")
     if isinstance(spec, str):
-        return read_matrix_csv(os.path.join(base_dir, spec), dim, dim)
+        return sparse.csr_array(read_matrix_csv(os.path.join(base_dir, spec), dim, dim))
     if isinstance(spec, dict) and len(spec) == 1:
         key, n = next(iter(spec.items()))
         if key in ("fem_mass", "fem_stiffness"):
@@ -264,7 +266,7 @@ def save(sset, manifest_path, gram_spec=None):
             gram_spec = "identity"
         else:
             gram_name = stem + "_gram.csv"
-            write_matrix_csv(os.path.join(base, gram_name), sset.space.gram)
+            write_matrix_csv(os.path.join(base, gram_name), sset.space.gram.toarray())
             gram_spec = gram_name
 
     manifest = {

@@ -256,7 +256,8 @@ def test_criterion_6_projector_diagnostics():
             mesh = assemble_fem_1d(nodes)
             inst = make_embedding_instance(nodes, 3)
             basis = compute_pod(inst["set"], inst["space_x"])
-            for form in (inst["form"], mesh.stiffness + mesh.mass + 0.5 * mesh.convection):
+            conv_form = (mesh.stiffness + mesh.mass + 0.5 * mesh.convection).toarray()
+            for form in (inst["form"], conv_form):
                 c_low, c_high = form_ellipticity(inst["map"].codomain, form)
                 budget = c_high / c_low + 1e-8
                 for r in range(1, basis.rank + 1):
@@ -331,7 +332,7 @@ def test_criterion_8_fem_embedding_examples():
             assert np.allclose(
                 dense_matrix(ritz_same), dense_matrix(orth), atol=1e-10
             )
-            conv_form = mesh.stiffness + mesh.mass + 0.5 * mesh.convection
+            conv_form = (mesh.stiffness + mesh.mass + 0.5 * mesh.convection).toarray()
             ritz_conv = ritz_projector(basis, inst["map"], conv_form, r)
             dist = np.linalg.norm(dense_matrix(ritz_conv) - dense_matrix(orth))
             assert dist > 1e-6

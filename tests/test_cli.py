@@ -300,9 +300,9 @@ def test_derivative_specs_build_both_schemes(tmp_path, capsys, components):
     spec = json.dumps({"derivative_1d": {"nodes": nodes, "scheme": "forward"}})
     lmap, _ = build_map_from_spec(spec, sset)
     assert lmap.domain is sset.space
-    assert np.array_equal(lmap.matrix, block_diag(*[mesh.deriv] * components))
+    assert np.array_equal(lmap.matrix, block_diag(*[mesh.deriv.toarray()] * components))
     assert np.array_equal(
-        lmap.codomain.gram, np.diag(np.tile(mesh.element_lengths, components))
+        lmap.codomain.gram.toarray(), np.diag(np.tile(mesh.element_lengths, components))
     )
 
     spec = json.dumps({"derivative_1d": {"nodes": nodes, "scheme": "centered"}})
@@ -310,7 +310,9 @@ def test_derivative_specs_build_both_schemes(tmp_path, capsys, components):
     block = lmap.matrix[:nodes, :nodes]
     assert block[3, 2] == pytest.approx(-0.5 / h) and block[3, 4] == pytest.approx(0.5 / h)
     assert np.array_equal(lmap.matrix, block_diag(*[block] * components))
-    assert np.allclose(lmap.codomain.gram, block_diag(*[mesh.mass] * components))
+    assert np.allclose(
+        lmap.codomain.gram.toarray(), block_diag(*[mesh.mass.toarray()] * components)
+    )
 
     code, _, err = run(
         capsys, "verify", "--input", manifest, "--output", str(tmp_path / "r.json"),
@@ -451,8 +453,24 @@ def test_generated_map_spec_rebuilds_the_instance_map(tmp_path, capsys, command)
     assert (lmap.inverse is None) == (expected.inverse is None)
     if expected.inverse is not None:
         assert np.array_equal(lmap.inverse, expected.inverse)
-    assert np.array_equal(lmap.domain.gram, expected.domain.gram)
-    assert np.array_equal(lmap.codomain.gram, expected.codomain.gram)
+    assert np.array_equal(lmap.domain.gram.toarray(), expected.domain.gram.toarray())
+    assert np.array_equal(lmap.codomain.gram.toarray(), expected.codomain.gram.toarray())
+
+
+def test_generate_synthetic_builds_only_its_snapshot_set(tmp_path, capsys, monkeypatch):
+    # the same set as make_embedding_instance(n, 1) with its default seed
+    # 101, but no spaces beyond the ambient one and no identity map
+    import podkit.fhn_gen
+
+    maps = _count_calls(monkeypatch, podkit.fhn_gen, "identity_map")
+    manifest = str(tmp_path / "s.json")
+    assert main(["generate-synthetic", "--output", manifest, "--nodes", "9"]) == 0
+    capsys.readouterr()
+    assert maps == []
+    expected = make_embedding_instance(9, 1)["set"]
+    back = load(manifest)
+    assert np.array_equal(back.data, expected.data)
+    assert np.array_equal(back.grid, expected.grid)
 
 
 @pytest.mark.parametrize("nodes", ["1", "0"])
@@ -513,7 +531,8 @@ def _count_calls(monkeypatch, module, name):
 
 def test_projector_families_are_built_once_per_run(tmp_path, capsys, monkeypatch):
     # the level-free part of a family (the ellipticity eigensolve, the
-    # adjoint-route solve) is built once, however many levels run
+    # adjoint-route solve) is built once, however many levels run, and no
+    # n x n adjoint matrix is formed
     import podkit.linear_map
     import podkit.projector
 
@@ -531,21 +550,25 @@ def test_projector_families_are_built_once_per_run(tmp_path, capsys, monkeypatch
     assert len(open(sweep_csv).read().strip().split("\n")) == 1 + 4 * 8
     assert len(ellipticity) == 1
     adjoint = _count_calls(monkeypatch, podkit.linear_map, "adjoint")
+    adjoint_route = _count_calls(monkeypatch, podkit.projector, "solve")
     code, out, err = run(
         capsys, "verify", "--input", manifest, "--map", map_path,
         "--projector", "composite-xy", "--output", str(tmp_path / "verify.json"),
     )
     assert code == 0, err
     assert "levels: [1, 4, 8]" in out
-    assert len(adjoint) == 1
+    assert len(adjoint) == 0
+    assert len(adjoint_route) == 1
 
 
 def _usage_exit(capsys, *argv):
-    """Exit status of an argv argparse refuses, with its streams drained."""
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    capsys.readouterr()
-    return exc.value.code
+    """Exit status of an argv the parser refuses, which must report a
+    UsageError as the one-line JSON failure object on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "UsageError" and payload["message"]
+    return code
 
 
 def test_parser_declares_only_the_flags_each_command_reads():
@@ -601,6 +624,18 @@ def test_removed_and_abbreviated_flags_are_refused(synth8, tmp_path, capsys):
     assert _usage_exit(capsys, *verify, "--r", "2", "--r-list", "3", "--output", report) == 2
     assert _usage_exit(capsys, *verify, "--r", "1", "--out", report) == 2
     assert not os.path.exists(report)
+
+
+def test_usage_errors_are_json_failures_and_help_exits_zero(synth8, capsys):
+    mapped = ["--input", synth8, "--map", synth8.replace(".json", "_map.json")]
+    assert _usage_exit(capsys, "verify", *mapped, "--projector", "bogus") == 2
+    assert _usage_exit(capsys, "generate-fhn", "--output", "x.json", "--nodes", "many") == 2
+    assert _usage_exit(capsys, "bogus") == 2
+    assert _usage_exit(capsys) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])
+    assert exc.value.code == 0
+    assert "--projector" in capsys.readouterr().out
 
 
 def test_report_names_must_end_in_json_or_csv(synth8, tmp_path, capsys):

@@ -77,14 +77,14 @@ def test_convection_symmetric_part_is_boundary_only():
     boundary = np.zeros((n, n))
     boundary[-1, -1] = 1.0
     boundary[0, 0] = -1.0
-    assert np.allclose(mesh.convection + mesh.convection.T, boundary, atol=1e-15)
+    assert np.allclose((mesh.convection + mesh.convection.T).toarray(), boundary, atol=1e-15)
 
 
 def test_mass_spd_stiffness_kernel():
     mesh = assemble_fem_1d(14)
-    eig_m = np.linalg.eigvalsh(mesh.mass)
+    eig_m = np.linalg.eigvalsh(mesh.mass.toarray())
     assert eig_m[0] > 0.0
-    eig_s = np.linalg.eigvalsh(mesh.stiffness)
+    eig_s = np.linalg.eigvalsh(mesh.stiffness.toarray())
     # exactly one zero direction: the constants
     assert eig_s[0] == pytest.approx(0.0, abs=1e-12)
     assert eig_s[1] > 1e-8

@@ -76,7 +76,7 @@ def _dense_reference_solve(config):
     schedule as solve_fhn; only the Newton linear algebra differs.
     """
     mesh = assemble_fem_1d(config.nodes)
-    n, M, S = mesh.nodes, mesh.mass, mesh.stiffness
+    n, M, S = mesh.nodes, mesh.mass.toarray(), mesh.stiffness.toarray()
     mu, b, gam, c = config.mu, config.b, config.gamma_param, config.c
     steps = int(round(config.t_end / config.dt))
     grid = np.linspace(0.0, config.t_end, steps + 1)
@@ -197,11 +197,11 @@ def test_derivative_map_kills_constants():
 def test_derivative_map_on_one_or_two_components():
     mesh = assemble_fem_1d(10)
     single = make_fhn_L(10, make_space(mesh.mass))
-    assert np.array_equal(single.matrix, mesh.deriv)
-    assert np.array_equal(single.codomain.gram, np.diag(mesh.element_lengths))
+    assert np.array_equal(single.matrix, mesh.deriv.toarray())
+    assert np.array_equal(single.codomain.gram.toarray(), np.diag(mesh.element_lengths))
     pair = make_fhn_L(10)
     assert pair.domain.dim == 20 and pair.codomain.dim == 18
-    assert np.array_equal(pair.matrix[9:, 10:], mesh.deriv)
+    assert np.array_equal(pair.matrix[9:, 10:], mesh.deriv.toarray())
     assert np.array_equal(pair.matrix[:9, 10:], np.zeros((9, 10)))
     with pytest.raises(DimensionMismatch):
         make_fhn_L(10, make_space(np.eye(15)))
@@ -224,7 +224,7 @@ def test_fhn_instance_packaging():
     assert inst["set"].kind == "continuous"
     assert inst["set"].count == 20
     assert inst["set"].data.shape == (20, 20)
-    assert np.allclose(inst["map"].domain.gram, inst["space_x"].gram)
+    assert np.allclose(inst["map"].domain.gram.toarray(), inst["space_x"].gram.toarray())
     assert np.allclose(np.diff(inst["grid"]), 0.01)
 
 
@@ -233,7 +233,7 @@ def test_random_instance_reproducible():
     b = random_instance(7, 5, seed=9)
     assert np.array_equal(a["set"].data, b["set"].data)
     assert np.array_equal(a["set"].weights, b["set"].weights)
-    assert np.array_equal(a["space_x"].gram, b["space_x"].gram)
+    assert np.array_equal(a["space_x"].gram.toarray(), b["space_x"].gram.toarray())
     assert np.array_equal(a["map"].matrix, b["map"].matrix)
     c = random_instance(7, 5, seed=10)
     assert not np.array_equal(a["set"].data, c["set"].data)
@@ -254,15 +254,16 @@ def test_embedding_instance_structure():
 
     nodes = 11
     mesh = assemble_fem_1d(nodes)
+    l2, h1 = mesh.mass.toarray(), (mesh.stiffness + mesh.mass).toarray()
     one = make_embedding_instance(nodes, 1)
-    assert np.allclose(one["space_x"].gram, mesh.mass)
-    assert np.allclose(one["space_y"].gram, mesh.stiffness + mesh.mass)
+    assert np.allclose(one["space_x"].gram.toarray(), l2)
+    assert np.allclose(one["space_y"].gram.toarray(), h1)
     assert one["form"] is None
     two = make_embedding_instance(nodes, 2)
-    assert np.allclose(two["space_x"].gram, mesh.stiffness + mesh.mass)
-    assert np.allclose(two["space_y"].gram, mesh.mass)
+    assert np.allclose(two["space_x"].gram.toarray(), h1)
+    assert np.allclose(two["space_y"].gram.toarray(), l2)
     three = make_embedding_instance(nodes, 3)
-    assert np.allclose(three["form"], mesh.stiffness + mesh.mass)
+    assert np.allclose(three["form"], h1)
     for inst in (one, two, three):
         assert np.array_equal(inst["map"].matrix, np.eye(nodes))
         assert inst["map"].inverse is not None

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.linalg import solve_triangular
 
 from podkit.errors import (
     DimensionMismatch,
@@ -21,6 +25,8 @@ from podkit.gram_space import (
     orthonormalize,
     solve_gram,
 )
+from podkit.fhn_gen import make_product_space
+from podkit.snapshot_io import resolve_gram_spec
 
 
 def random_spd(rng, n):
@@ -222,3 +228,93 @@ def test_dimension_checks():
         norm(space, np.ones(4))
     with pytest.raises(DimensionMismatch):
         inner(space, np.ones(3), np.ones(2))
+
+
+# -- sparse storage: bandwidth detection and the banded kernels ---------------
+
+
+def banded_spd(rng, n, kd):
+    """Random SPD matrix with exactly kd nonzero subdiagonals."""
+    A = random_spd(rng, n)
+    return A * (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= kd)
+
+
+def gram_cases():
+    """(name, space, dense Gram, expected kd) for every Gram layout in use."""
+    rng = np.random.default_rng(21)
+    flagship = make_product_space(8)
+    cases = [
+        ("identity", identity_space(7), np.eye(7), 0),
+        ("identity-matrix", make_space(np.eye(7)), np.eye(7), 0),
+        ("diagonal", make_space(np.diag(rng.uniform(0.5, 2.0, 7))), None, 0),
+        ("fem-mass", resolve_gram_spec({"fem_mass": 9}, 9), None, 1),
+        ("fem-h1", resolve_gram_spec({"fem_stiffness": 9}, 9), None, 1),
+        ("flagship-block-diagonal", flagship, None, 1),
+        ("flagship-from-csv", make_space(flagship.gram.toarray()), None, 1),
+        ("pentadiagonal", make_space(banded_spd(rng, 11, 2)), None, 2),
+        ("dense-random", make_space(random_spd(rng, 10)), None, 9),
+    ]
+    for name, space, dense, kd in cases:
+        yield name, space, space.gram.toarray() if dense is None else dense, kd
+
+
+CASES = list(gram_cases())
+CASE_IDS = [case[0] for case in CASES]
+
+
+@pytest.mark.parametrize("name, space, dense, kd", CASES, ids=CASE_IDS)
+def test_bandwidth_is_read_off_the_gram(name, space, dense, kd):
+    assert space.chol.shape == (kd + 1, space.dim)
+    assert np.array_equal(space.gram.toarray(), dense)
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+
+
+@pytest.mark.parametrize("name, space, dense, kd", CASES, ids=CASE_IDS)
+def test_banded_kernels_match_dense_references(name, space, dense, kd):
+    rng = np.random.default_rng(kd)
+    n = space.dim
+    L = np.linalg.cholesky(dense)
+    other = make_space(random_spd(rng, 4))
+    A = rng.standard_normal((n, 4))
+    for U in (rng.standard_normal(n), rng.standard_normal((n, 5)), rng.standard_normal((5, n)).T):
+        V = rng.standard_normal(U.shape)
+        assert _close(inner(space, U, V), V.T @ dense @ U), name
+        assert _close(half_weight(space, U), L.T @ U), name
+        want = solve_triangular(L, U, lower=True, trans="T")
+        assert _close(half_weight_inv(space, U), want), name
+        assert _close(solve_gram(space, U), np.linalg.solve(dense, U)), name
+    u = rng.standard_normal(n)
+    assert norm(space, u) == pytest.approx(np.sqrt(u @ dense @ u), rel=1e-12)
+    G_other = other.gram.toarray()
+    assert _close(adjoint_matrix(space, other, A.T), np.linalg.solve(dense, A @ G_other))
+    assert _close(adjoint_matrix(other, space, A), np.linalg.solve(G_other, A.T @ dense))
+
+
+def test_sparse_and_dense_grams_build_the_same_space():
+    dense = banded_spd(np.random.default_rng(5), 8, 2)
+    a, b = make_space(dense), make_space(sparse.coo_array(dense))
+    assert np.array_equal(a.chol, b.chol)
+    assert np.array_equal(a.gram.toarray(), b.gram.toarray())
+    with pytest.raises(NotSymmetric):
+        make_space(sparse.csr_array(np.triu(dense)))
+    with pytest.raises(NotPositiveDefinite):
+        make_space(sparse.csr_array(-dense))
+
+
+def test_generated_gram_spaces_allocate_no_dense_matrix():
+    # the dense 5000 x 5000 Gram alone would be 200 MB
+    n = 5000
+    U = np.random.default_rng(0).standard_normal((n, 40))
+    tracemalloc.start()
+    try:
+        space = resolve_gram_spec({"fem_stiffness": n}, n)
+        identity_space(n)
+        for kernel in (half_weight, half_weight_inv, solve_gram):
+            kernel(space, U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"

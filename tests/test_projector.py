@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import eigh, lu_factor, lu_solve
 
 from podkit.cli import PROJECTOR_CHOICES, _select_family
 from podkit.error_lab import codomain_projectors
@@ -32,6 +32,7 @@ from podkit.projector import (
     op_norm,
     pod_projector,
     pullback_projector,
+    pushforward_levels,
     pushforward_projector,
     ritz_projector,
 )
@@ -108,7 +109,7 @@ def test_ritz_with_nonsymmetric_form():
     # convection-perturbed form: coercive but not symmetric
     nodes = 17
     mesh = assemble_fem_1d(nodes)
-    form = mesh.stiffness + mesh.mass + 0.5 * mesh.convection
+    form = (mesh.stiffness + mesh.mass + 0.5 * mesh.convection).toarray()
     inst = make_embedding_instance(nodes, 1)
     basis = compute_pod(inst["set"], inst["space_x"])
     r = min(4, basis.rank)
@@ -134,7 +135,7 @@ def test_ritz_degenerate_form_rejected():
     # the skew part of a symmetric matrix is zero, so this form has no
     # coercivity at all and the build must refuse
     with pytest.raises(FormNotElliptic):
-        ritz_projector(basis, inst["map"], mesh.stiffness - mesh.stiffness.T, 2)
+        ritz_projector(basis, inst["map"], (mesh.stiffness - mesh.stiffness.T).toarray(), 2)
 
 
 def test_pushforward_matches_conjugation(invertible_instance):
@@ -323,3 +324,53 @@ def test_tampered_inverse_fails_the_cross_check_at_the_same_levels():
         assert raised == list(range(j + 1, basis.rank + 1)), j
         with pytest.raises(NotInvertible):
             pushforward_projector(lmap, basis, j + 1)
+
+
+def dense_op_norm(proj):
+    """Reference operator norm: the largest eigenvalue of the dense
+    generalized problem P^T G P z = mu G z, whose square root is ||P||."""
+    G = proj.space.gram.toarray()
+    P = dense_matrix(proj)
+    M = P.T @ G @ P
+    return float(np.sqrt(max(eigh(0.5 * (M + M.T), G, eigvals_only=True)[-1], 0.0)))
+
+
+def test_op_norm_matches_the_dense_eigensolve_for_every_family():
+    cases = []
+    for seed in (77, 78):
+        inst = random_instance(10, 8, seed=seed)
+        cases.append((inst, None))
+    nodes = 17
+    mesh = assemble_fem_1d(nodes)
+    cases.append((make_embedding_instance(nodes, 1),
+                  (mesh.stiffness + mesh.mass + 0.5 * mesh.convection).toarray()))
+    for inst, form in cases:
+        basis = compute_pod(inst["set"], inst["space_x"])
+        lmap = inst["map"]
+        if form is None:
+            upper = np.triu(np.ones((lmap.codomain.dim,) * 2), 1)
+            form = lmap.codomain.gram.toarray() + 0.1 * upper
+        for r in range(1, basis.rank + 1):
+            orth = mapped_orthogonal_projector(basis, lmap, r)
+            for proj in (
+                pod_projector(basis, r),
+                orth,
+                ritz_projector(basis, lmap, form, r),
+                pushforward_projector(lmap, basis, r),
+                pullback_projector(lmap, orth, r),
+            ):
+                want = dense_op_norm(proj)
+                assert op_norm(proj) == pytest.approx(want, rel=1e-10), (proj.family, r)
+
+
+def test_pushforward_refuses_an_inverse_perturbed_by_1e_6(invertible_instance):
+    inst = invertible_instance
+    basis = compute_pod(inst["set"], inst["space_x"])
+    lmap = inst["map"]
+    noise = np.random.default_rng(4).standard_normal(lmap.inverse.shape)
+    pushforward_levels(lmap, basis)(basis.rank)  # the certified inverse passes
+    perturbed = dataclasses.replace(lmap, inverse=lmap.inverse + 1e-6 * noise)
+    levels = pushforward_levels(perturbed, basis)
+    for r in range(1, basis.rank + 1):
+        with pytest.raises(NotInvertible, match="routes disagree"):
+            levels(r)

@@ -14,6 +14,7 @@ from podkit.errors import (
 from podkit.fem import assemble_fem_1d
 from podkit.gram_space import identity_space, make_space
 from podkit.snapshot_io import (
+    CSV_FMT,
     from_trajectory,
     load,
     make_snapshot_set,
@@ -22,6 +23,19 @@ from podkit.snapshot_io import (
     save,
     write_matrix_csv,
 )
+
+
+def test_matrix_csv_rows_match_per_value_formatting(tmp_path):
+    # one format string per row writes the bytes CSV_FMT % v writes per value
+    cases = [
+        np.array([[-0.0, 5e-324, 1e308], [1.0, -2.5, np.pi]]),
+        np.array([[-0.0], [5e-324], [1e308], [-1e-308]]),
+    ]
+    for k, M in enumerate(cases):
+        path = tmp_path / f"m{k}.csv"
+        write_matrix_csv(str(path), M)
+        expected = "".join(",".join(CSV_FMT % v for v in row) + "\n" for row in M)
+        assert path.read_bytes() == expected.encode()
 
 
 def test_matrix_csv_round_trip_bit_exact(tmp_path):
@@ -92,7 +106,7 @@ def test_save_load_round_trip(tmp_path):
     back = load(path)
     assert np.array_equal(back.data, sset.data)
     assert np.array_equal(back.weights, sset.weights)
-    assert np.array_equal(back.space.gram, sset.space.gram)
+    assert np.array_equal(back.space.gram.toarray(), sset.space.gram.toarray())
     assert back.kind == "discrete"
 
 
@@ -167,9 +181,9 @@ def test_load_refuses_transposed_data(tmp_path):
 def test_resolve_gram_generators():
     mesh = assemble_fem_1d(6)
     sp = resolve_gram_spec({"fem_mass": 6}, 6)
-    assert np.allclose(sp.gram, mesh.mass)
+    assert np.allclose(sp.gram.toarray(), mesh.mass.toarray())
     sp = resolve_gram_spec({"fem_stiffness": 6}, 6)
-    assert np.allclose(sp.gram, mesh.stiffness + mesh.mass)
+    assert np.allclose(sp.gram.toarray(), (mesh.stiffness + mesh.mass).toarray())
     with pytest.raises(MalformedManifest):
         resolve_gram_spec({"fem_mass": 6}, 7)
     with pytest.raises(MalformedManifest):
