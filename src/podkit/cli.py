@@ -146,7 +146,7 @@ def _select_family(flag, lmap, form):
             "composite-yx projector needs an invertible map"
         )
     if family == "ritz" and form is None:
-        form = lmap.codomain.gram.toarray()
+        form = lmap.codomain.gram
     return family, form
 
 

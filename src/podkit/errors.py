@@ -68,6 +68,10 @@ class UsageError(InputError):
     """The command line names an unknown flag, subcommand or choice."""
 
 
+class ProblemTooLarge(InputError):
+    """A dense n x n step would exceed gram_space.DENSE_BYTES_BUDGET."""
+
+
 # -- numerical errors --------------------------------------------------------
 
 class NotPositiveDefinite(NumericalError):

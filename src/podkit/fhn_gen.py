@@ -257,8 +257,8 @@ def make_embedding_instance(nodes, which, seed=None):
     form-determined projection family.
 
     Returns a dict with the snapshot set (embedding_set, attached to the
-    ambient space), both spaces, the identity map (with its exact inverse),
-    and the dense form (or None).
+    ambient space), both spaces, the sparse identity map (with its exact
+    inverse), and the form as a CSR array (or None).
     """
     sset = embedding_set(nodes, which, seed)
     space_y = resolve_gram_spec({"fem_mass" if which == 2 else "fem_stiffness": nodes}, nodes)
@@ -267,7 +267,7 @@ def make_embedding_instance(nodes, which, seed=None):
         "space_x": sset.space,
         "space_y": space_y,
         "map": identity_map(sset.space, space_y, kind="embedding"),
-        "form": space_y.gram.toarray() if which == 3 else None,
+        "form": space_y.gram if which == 3 else None,
     }
 
 

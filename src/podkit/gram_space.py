@@ -6,8 +6,9 @@ and its Cholesky factor L (G = L L^T) in LAPACK lower band storage.  kd is
 G's lower bandwidth, its outermost nonzero subdiagonal: 0 for identity and
 diagonal Grams, 1 for the FEM Grams, n - 1 for a dense CSV Gram, all through
 the same code.  Each kernel is one library call whatever kd and the column
-count: sparse products with G and L^T, dtbtrs and dpbtrs solves.  Callers
-that need a dense Gram (an eigensolve, a Gram CSV) call gram.toarray().
+count: sparse products with G and L^T, dtbtrs and dpbtrs solves.  A step
+that must allocate dense n x n arrays (the Ritz ellipticity, a CSV Gram)
+first checks their bytes against DENSE_BYTES_BUDGET.
 """
 from __future__ import annotations
 
@@ -24,12 +25,37 @@ from .errors import (
     NegativeQuadraticForm,
     NotPositiveDefinite,
     NotSymmetric,
+    ProblemTooLarge,
     RankDeficient,
 )
 
 SYMMETRY_RTOL = 1e-13
 NORM_CLAMP = 1e-14
 ORTH_DROP_TOL = 1e-12
+# Bytes one dense n x n step may allocate, 512 MiB: beyond it the Ritz
+# ellipticity (3 n^2 doubles, 24 MB at 1,000 nodes) and a CSV Gram (n^2)
+# raise ProblemTooLarge (exit 2) rather than run out of memory.
+DENSE_BYTES_BUDGET = 2**29
+
+
+def check_dense_budget(arrays, dim, what):
+    """ProblemTooLarge unless arrays dense dim x dim doubles fit the budget."""
+    need = 8 * arrays * dim * dim
+    if need > DENSE_BYTES_BUDGET:
+        raise ProblemTooLarge(
+            f"{what} needs {arrays} dense {dim} x {dim} arrays ({need / 2**20:.0f} MiB), "
+            f"over the {DENSE_BYTES_BUDGET / 2**20:.0f} MiB budget"
+        )
+
+
+def as_matrix(M):
+    """M as a float CSR array when it is sparse, else as a dense float array."""
+    return sparse.csr_array(M, dtype=float) if sparse.issparse(M) else np.asarray(M, dtype=float)
+
+
+def to_dense(M):
+    """A dense array of M, which may be sparse."""
+    return M.toarray() if sparse.issparse(M) else M
 
 
 @dataclass
@@ -221,11 +247,12 @@ def adjoint_matrix(space_from, space_to, matrix):
     T* : space_to -> space_from satisfies (T u, v)_to = (u, T* v)_from and has
     coordinate matrix G_from^{-1} A^T G_to, evaluated here with Cholesky
     solves against G_from (A^T G_to = (G_to A)^T, G_to being symmetric).
+    A may be sparse; the adjoint matrix is dense.
     """
-    A = np.asarray(matrix, dtype=float)
+    A = as_matrix(matrix)
     if A.shape != (space_to.dim, space_from.dim):
         raise DimensionMismatch(
             f"map matrix {A.shape} inconsistent with spaces "
             f"({space_to.dim}, {space_from.dim})"
         )
-    return solve_gram(space_from, (space_to.gram @ A).T)
+    return solve_gram(space_from, to_dense(space_to.gram @ A).T)

@@ -6,6 +6,15 @@ not a guess: an inverse is either supplied or computed, and in both cases the
 two residuals ||L Linv - I|| and ||Linv L - I|| must pass below tolerance,
 with overly ill-conditioned matrices rejected outright.  Maps named by a
 JSON map spec are built by build_map_from_spec, which documents the grammar.
+
+Generated maps are scipy.sparse CSR arrays: identity_map stores one sparse
+identity as matrix and exact inverse, derivative_map a CSR block diagonal,
+so no n x n array is formed on their path.  A "matrix" (CSV) or "diag" spec
+map stays dense.  Every consumer applies a map with @; three places read
+its type: is_surjective densifies it for the SVD,
+projector.matrix_fingerprint hashes a CSR array's shape, indptr, indices
+and data, and the pushforward's adjoint route factors L^T with a sparse LU
+(scipy.sparse.linalg.splu, imported only there) or with LAPACK.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from scipy import sparse
 
 from . import fem, gram_space
 from .errors import DimensionMismatch, MalformedManifest, NotInvertible, ProvenanceMismatch
-from .gram_space import GramSpace, make_space
+from .gram_space import GramSpace, as_matrix, make_space, to_dense
 from .snapshot_io import _read_json, _spec_int, gram_matrix, make_snapshot_set
 from .snapshot_io import read_matrix_csv, resolve_gram_spec
 
@@ -34,17 +43,21 @@ class LinearMap:
     Attributes
     ----------
     domain, codomain : GramSpace
-    matrix : ndarray, shape (codomain.dim, domain.dim)
-    inverse : ndarray or None
-        Present only when certified at construction.
+    matrix : ndarray or scipy.sparse CSR array, shape (codomain.dim, domain.dim)
+        Sparse from identity_map and derivative_map (every generated map),
+        dense from a "matrix" or "diag" spec; see the module docstring for
+        the three places that read its type.
+    inverse : ndarray, scipy.sparse CSR array or None
+        Present only when certified at construction; identity_map's is the
+        same sparse identity as its matrix.
     kind : str
         Free-form tag ("identity", "derivative", "embedding", ...).
     """
 
     domain: GramSpace
     codomain: GramSpace
-    matrix: np.ndarray
-    inverse: np.ndarray | None = field(default=None, repr=False)
+    matrix: np.ndarray | sparse.csr_array
+    inverse: np.ndarray | sparse.csr_array | None = field(default=None, repr=False)
     kind: str = "general"
 
     @property
@@ -53,10 +66,9 @@ class LinearMap:
 
 
 def _certify_inverse(matrix, inverse):
-    n = matrix.shape[0]
-    eye = np.eye(n)
-    res_right = np.linalg.norm(matrix @ inverse - eye)
-    res_left = np.linalg.norm(inverse @ matrix - eye)
+    eye = np.eye(matrix.shape[0])
+    res_right = np.linalg.norm(to_dense(matrix @ inverse) - eye)
+    res_left = np.linalg.norm(to_dense(inverse @ matrix) - eye)
     if res_right > INVERSE_RESIDUAL_TOL or res_left > INVERSE_RESIDUAL_TOL:
         raise NotInvertible(
             f"inverse residuals {res_right:.3e} / {res_left:.3e} "
@@ -70,15 +82,15 @@ def make_map(domain, codomain, matrix, invertible=False, inverse=None, kind="gen
     Parameters
     ----------
     domain, codomain : GramSpace
-    matrix : array_like, shape (codomain.dim, domain.dim)
+    matrix : array_like or scipy.sparse matrix, shape (codomain.dim, domain.dim)
     invertible : bool
-        Compute and certify an inverse.  Square matrices only; condition
-        numbers above 1e12 are rejected.
-    inverse : array_like, optional
+        Compute and certify a dense inverse.  Square matrices only;
+        condition numbers above 1e12 are rejected.
+    inverse : array_like or scipy.sparse matrix, optional
         Explicit inverse to certify instead of computing one.
     kind : str
     """
-    A = np.asarray(matrix, dtype=float)
+    A = as_matrix(matrix)
     if A.shape != (codomain.dim, domain.dim):
         raise DimensionMismatch(
             f"matrix {A.shape} between spaces of dims "
@@ -86,17 +98,18 @@ def make_map(domain, codomain, matrix, invertible=False, inverse=None, kind="gen
         )
     inv = None
     if inverse is not None:
-        inv = np.asarray(inverse, dtype=float)
+        inv = as_matrix(inverse)
         if A.shape[0] != A.shape[1] or inv.shape != A.shape:
             raise NotInvertible("explicit inverse requires matching square matrices")
         _certify_inverse(A, inv)
     elif invertible:
         if A.shape[0] != A.shape[1]:
             raise NotInvertible(f"non-square map {A.shape} cannot be inverted")
-        cond = np.linalg.cond(A)
+        dense = to_dense(A)
+        cond = np.linalg.cond(dense)
         if not np.isfinite(cond) or cond > MAX_CONDITION:
             raise NotInvertible(f"condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
-        inv = np.linalg.solve(A, np.eye(A.shape[0]))
+        inv = np.linalg.solve(dense, np.eye(A.shape[0]))
         _certify_inverse(A, inv)
     return LinearMap(domain=domain, codomain=codomain, matrix=A, inverse=inv, kind=kind)
 
@@ -104,14 +117,15 @@ def make_map(domain, codomain, matrix, invertible=False, inverse=None, kind="gen
 def identity_map(domain, codomain=None, kind="identity"):
     """Identity-matrix map, by default an embedding between equal-dim spaces.
 
-    Its inverse is exact, so no residual certificate is computed.
+    One sparse identity is both matrix and inverse; the inverse is exact, so
+    no residual certificate is computed.
     """
     if codomain is None:
         codomain = domain
     if codomain.dim != domain.dim:
         raise DimensionMismatch("identity map needs equal dimensions")
-    eye = np.eye(domain.dim)
-    return LinearMap(domain, codomain, eye, inverse=eye.copy(), kind=kind)
+    eye = sparse.eye_array(domain.dim, format="csr")
+    return LinearMap(domain, codomain, eye, inverse=eye, kind=kind)
 
 
 def derivative_map(nodes, domain, scheme="forward"):
@@ -133,8 +147,8 @@ def derivative_map(nodes, domain, scheme="forward"):
     if scheme == "forward":
         block, gram = mesh.deriv, sparse.diags_array(mesh.element_lengths)
     elif scheme == "centered":
-        h = mesh.h
-        block = (np.eye(nodes, k=1) - np.eye(nodes, k=-1)) * (0.5 / h)
+        h, ones = mesh.h, np.ones(nodes - 1)
+        block = sparse.diags_array([-ones, ones], offsets=[-1, 1], format="lil") * (0.5 / h)
         block[0, :2] = -1.0 / h, 1.0 / h
         block[-1, -2:] = -1.0 / h, 1.0 / h
         gram = mesh.mass
@@ -144,7 +158,7 @@ def derivative_map(nodes, domain, scheme="forward"):
     return LinearMap(
         domain=domain,
         codomain=make_space(sparse.block_diag([gram] * blocks, format="csr")),
-        matrix=sparse.block_diag([block] * blocks).toarray(),
+        matrix=sparse.block_diag([block] * blocks, format="csr"),
         kind="derivative",
     )
 
@@ -215,7 +229,7 @@ def is_surjective(lmap):
     """
     if lmap.inverse is not None:
         return True
-    sv = np.linalg.svd(lmap.matrix, compute_uv=False)
+    sv = np.linalg.svd(to_dense(lmap.matrix), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return lmap.codomain.dim == 0
     return int(np.sum(sv > (1.0 / MAX_CONDITION) * sv[0])) == lmap.codomain.dim
@@ -280,9 +294,9 @@ def build_map_from_spec(text, sset):
     space's own.  Any spec may add "ritz_form", a gram spec (a CSV path need
     not be symmetric) for the Ritz projection family.
 
-    Returns (map, form), form being the Ritz form matrix or None.  Malformed
-    fields raise MalformedManifest, sizes that disagree with the snapshots
-    DimensionMismatch, and an embedding from the wrong space
+    Returns (map, form), form being the Ritz form as a CSR array or None.
+    Malformed fields raise MalformedManifest, sizes that disagree with the
+    snapshots DimensionMismatch, and an embedding from the wrong space
     ProvenanceMismatch.
     """
     text = text.strip()
@@ -357,5 +371,5 @@ def build_map_from_spec(text, sset):
 
     form = None
     if "ritz_form" in spec:
-        form = gram_matrix(spec["ritz_form"], lmap.codomain.dim, base_dir).toarray()
+        form = gram_matrix(spec["ritz_form"], lmap.codomain.dim, base_dir)
     return lmap, form

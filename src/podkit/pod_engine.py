@@ -92,18 +92,21 @@ class PodBasis:
     snapshots_ref: str = ""
 
 
-def snapshot_fingerprint(sset):
+def fingerprint(*arrays):
+    """First 12 hex digits of the SHA-1 of the arrays' bytes, in order;
+    contiguous arrays are hashed in place, through the buffer protocol."""
     h = hashlib.sha1()
-    h.update(np.ascontiguousarray(sset.data).tobytes())
-    h.update(np.ascontiguousarray(sset.weights).tobytes())
+    for a in arrays:
+        h.update(np.ascontiguousarray(a))
     return h.hexdigest()[:12]
+
+
+def snapshot_fingerprint(sset):
+    return fingerprint(sset.data, sset.weights)
 
 
 def basis_fingerprint(basis):
-    h = hashlib.sha1()
-    h.update(np.ascontiguousarray(basis.sigma).tobytes())
-    h.update(np.ascontiguousarray(basis.modes).tobytes())
-    return h.hexdigest()[:12]
+    return fingerprint(basis.sigma, basis.modes)
 
 
 def compute_pod(sset, space=None, drop_tol=DEFAULT_DROP_TOL):

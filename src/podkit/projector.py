@@ -2,9 +2,14 @@
 
 Every projector is stored in factored form, P x = range @ (dual^T G x), and
 applied in O(dim * (r + kd)) work, kd the bandwidth of the sparse Gram G.
-Only the dense_matrix diagnostic forms an n x n matrix (op_norm works on the
-factors, the pushforward cross-check on one LU of L^T), and only the Ritz
-ellipticity eigensolve densifies a Gram (gram.toarray()).  Families:
+Maps and forms may be sparse (every generated map and the default Ritz
+form are) and are applied with @.  Only two steps form an n x n array: the
+dense_matrix diagnostic, and the Ritz ellipticity, which reduces the pencil
+(sym(A), G) to standard form with G's banded Cholesky factor and takes the
+eigenvalues of the dense result after checking its bytes against
+gram_space.DENSE_BYTES_BUDGET.  op_norm works on the factors, the
+pushforward cross-check on one LU of L^T, sparse (splu) for a sparse map.
+Families:
 
 - "pod_orthogonal": orthogonal projection onto the leading modes.
 - "mapped_orthogonal": orthogonal projection, in the codomain, onto the
@@ -28,11 +33,12 @@ built from; composites refuse ingredients that do not match.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, lu_factor, lu_solve, solve
+from scipy import sparse
+from scipy.linalg import eigvalsh, lu_factor, lu_solve, solve
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import (
     DimensionMismatch,
@@ -44,8 +50,9 @@ from .errors import (
     RankExceeded,
     SingularRitzSystem,
 )
-from .gram_space import GramSpace, half_weight, orthonormal_prefixes, solve_gram
-from .pod_engine import basis_fingerprint
+from .gram_space import GramSpace, as_matrix, check_dense_budget, half_weight
+from .gram_space import orthonormal_prefixes, solve_gram, to_dense
+from .pod_engine import basis_fingerprint, fingerprint
 
 ELLIPTICITY_DEGENERACY = 1e-13
 PUSHFORWARD_CROSS_CHECK_TOL = 1e-8
@@ -68,7 +75,12 @@ class Projector:
 
 
 def matrix_fingerprint(matrix):
-    return hashlib.sha1(np.ascontiguousarray(matrix).tobytes()).hexdigest()[:12]
+    """Fingerprint of a dense matrix, or of a sparse one's CSR shape, indptr,
+    indices and data."""
+    if sparse.issparse(matrix):
+        M = sparse.csr_array(matrix)
+        return fingerprint(np.array(M.shape), M.indptr, M.indices, M.data)
+    return fingerprint(matrix)
 
 
 def apply_projector(proj, x):
@@ -101,6 +113,19 @@ def _mapped_modes(basis, lmap):
     return lmap.matrix @ basis.modes
 
 
+def _orthonormal_images(basis, lmap):
+    """(Q, leading): the mapped modes G-orthonormalized by one QR, and r ->
+    Q[:, :r], raising RankDeficientImage past the first dependent column."""
+    Q, usable, reason = orthonormal_prefixes(lmap.codomain, _mapped_modes(basis, lmap))
+
+    def leading(r):
+        if r > usable:
+            raise RankDeficientImage(f"mapped modes are numerically dependent: {reason}")
+        return Q[:, :r]
+
+    return Q, leading
+
+
 def _levels(family, basis, lmap, level, **provenance):
     """Level factory r -> codomain Projector; level(r) returns the range and
     dual bases of level r sliced from the family's one-time build."""
@@ -125,14 +150,8 @@ def mapped_orthogonal_levels(basis, lmap):
     columns.  Past the first numerically dependent column a level raises
     RankDeficientImage; no deflation is attempted.
     """
-    Q, usable, reason = orthonormal_prefixes(lmap.codomain, _mapped_modes(basis, lmap))
-
-    def level(r):
-        if r > usable:
-            raise RankDeficientImage(f"mapped modes are numerically dependent: {reason}")
-        return Q[:, :r], Q[:, :r]
-
-    return _levels("mapped_orthogonal", basis, lmap, level)
+    _, leading = _orthonormal_images(basis, lmap)
+    return _levels("mapped_orthogonal", basis, lmap, lambda r: (leading(r),) * 2)
 
 
 def mapped_orthogonal_projector(basis, lmap, r):
@@ -144,14 +163,24 @@ def form_ellipticity(space, form):
     """Extreme generalized eigenvalues of the symmetric part of a form.
 
     Returns (c, C): the smallest and largest eigenvalues of sym(A) against
-    the space's Gram matrix.  For symmetric A these are the ellipticity and
-    continuity constants of a(u, v) = v^T A u.
+    the space's Gram matrix G = L L^T.  For symmetric A these are the
+    ellipticity and continuity constants of a(u, v) = v^T A u.  As dsygvd
+    does, but without densifying G, the pencil is reduced to the standard
+    form L^{-1} sym(A) L^{-T} by two banded dtbtrs solves on a dense sym(A);
+    its 3 n^2 doubles are checked against DENSE_BYTES_BUDGET first.  (A
+    Lanczos solve fails on a form with no symmetric part and stalls when c
+    is tiny against C.)
     """
-    A = np.asarray(form, dtype=float)
+    A = as_matrix(form)
     if A.shape != (space.dim, space.dim):
         raise DimensionMismatch(f"form {A.shape} on space of dim {space.dim}")
-    sym = 0.5 * (A + A.T)
-    vals = eigh(sym, space.gram.toarray(), eigvals_only=True)
+    check_dense_budget(3, space.dim, "the Ritz ellipticity eigensolve")
+    sym = to_dense(A + A.T)
+    sym *= 0.5
+    # sym is exactly symmetric, so sym.T is it in Fortran order: solved in place
+    half, _ = dtbtrs(space.chol, sym.T, uplo="L", overwrite_b=True)
+    reduced, _ = dtbtrs(space.chol, half.T, uplo="L", overwrite_b=True)
+    vals = eigvalsh(reduced, overwrite_a=True)
     return float(vals[0]), float(vals[-1])
 
 
@@ -161,30 +190,30 @@ def ritz_levels(basis, lmap, form):
     The projection P y solves a(P y, v) = a(y, v) for all v in the span of
     the mapped modes, where a(u, v) = v^T A u on the codomain.  The symmetric
     part of A must be positive definite against the codomain Gram matrix.
-    That check, B = V^T A V and G^{-1} A^T V for all mapped modes V are done
-    once; level r checks the conditioning of B's leading r x r block.
+    It is built once on Q, the G-orthonormal mapped modes of
+    mapped_orthogonal_levels (same QR and pivot rule), with B = Q^T A Q:
+    level r has range Q_r and dual G^{-1} A^T Q_r B_r^{-T}.  That is
+    V_r (V_r^T A V_r)^{-1} V_r^T A, as V_r = Q_r R_r, but B_r is as well
+    conditioned as the form.  Past the first dependent mapped mode a level
+    raises RankDeficientImage.
     """
-    A = np.asarray(form, dtype=float)
+    A = as_matrix(form)
     c_low, c_high = form_ellipticity(lmap.codomain, A)
     if c_low <= ELLIPTICITY_DEGENERACY * max(abs(c_high), 1e-300):
         raise FormNotElliptic(
             f"symmetric part has smallest eigenvalue {c_low:.3e} "
             f"against largest {c_high:.3e}"
         )
-    V = _mapped_modes(basis, lmap)
-    B = V.T @ A @ V
-    GAV = solve_gram(lmap.codomain, A.T @ V)
+    Q, leading = _orthonormal_images(basis, lmap)
+    B = Q.T @ (A @ Q)
+    GAQ = solve_gram(lmap.codomain, A.T @ Q)
 
     def level(r):
-        rcond = 1.0 / np.linalg.cond(B[:r, :r])
+        Q_r, B_r = leading(r), B[:r, :r]
+        rcond = 1.0 / np.linalg.cond(B_r)
         if not np.isfinite(rcond) or rcond < 1e-14:
             raise SingularRitzSystem(f"reciprocal condition {rcond:.3e}")
-        try:
-            lu = lu_factor(B[:r, :r])
-        except Exception as exc:
-            raise SingularRitzSystem(str(exc)) from None
-        # P y = V B^{-1} V^T A y, so the dual basis is G^{-1} A^T V B^{-T}.
-        return V[:, :r], lu_solve(lu, GAV[:, :r].T).T
+        return Q_r, lu_solve(lu_factor(B_r), GAQ[:, :r].T).T
 
     return _levels(
         "ritz", basis, lmap, level,
@@ -206,7 +235,7 @@ def pushforward_levels(lmap, basis):
     leading r columns must agree to PUSHFORWARD_CROSS_CHECK_TOL, which guards the
     certified inverse against a stale or inconsistent matrix.  The second
     route solves the adjoint system L* d = phi, that is L^T (G_y d) = G_x phi,
-    with one LU of L^T and one Gram solve.
+    with one LU of L^T (splu for a sparse L) and one Gram solve.
     """
     if lmap.inverse is None:
         raise NotInvertible("pushforward projector needs an invertible map")
@@ -215,7 +244,14 @@ def pushforward_levels(lmap, basis):
     # Route one: representers via the inverse matrix.
     dual = solve_gram(lmap.codomain, lmap.inverse.T @ G_x_Phi)
     # Route two: solve L* d = phi; level r's mismatch sums its leading columns.
-    adjoint_route = solve_gram(lmap.codomain, solve(lmap.matrix, G_x_Phi, transposed=True))
+    if sparse.issparse(lmap.matrix):
+        # imported here: a module-level import costs every process 1.2 MB
+        from scipy.sparse.linalg import splu
+
+        G_y_d = splu(sparse.csc_array(lmap.matrix.T)).solve(G_x_Phi)
+    else:
+        G_y_d = solve(lmap.matrix, G_x_Phi, transposed=True)
+    adjoint_route = solve_gram(lmap.codomain, G_y_d)
     miss = np.cumsum(np.sum((dual - adjoint_route) ** 2, axis=0))
     scale = np.cumsum(np.sum(dual**2, axis=0))
 

@@ -31,7 +31,7 @@ from .errors import (
     NonMonotoneGrid,
     WeightNonPositive,
 )
-from .gram_space import GramSpace, identity_space, make_space
+from .gram_space import GramSpace, check_dense_budget, identity_space, make_space
 
 CSV_FMT = "%.16e"
 
@@ -216,11 +216,14 @@ def gram_matrix(spec, dim, base_dir="."):
     The stiffness generator returns the full H^1 Gram matrix (stiffness plus
     mass); the derivative Gram alone is singular and cannot define a space.
     Shape and node count are checked here; symmetry and definiteness are
-    left to make_space, since a bilinear form need have neither.
+    left to make_space, since a bilinear form need have neither.  A CSV
+    matrix is dense: its dim^2 doubles are checked against
+    gram_space.DENSE_BYTES_BUDGET before it is read (ProblemTooLarge).
     """
     if spec == "identity":
         return sparse.eye_array(dim, format="csr")
     if isinstance(spec, str):
+        check_dense_budget(1, dim, f"CSV matrix {spec}")
         return sparse.csr_array(read_matrix_csv(os.path.join(base_dir, spec), dim, dim))
     if isinstance(spec, dict) and len(spec) == 1:
         key, n = next(iter(spec.items()))

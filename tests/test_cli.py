@@ -300,16 +300,16 @@ def test_derivative_specs_build_both_schemes(tmp_path, capsys, components):
     spec = json.dumps({"derivative_1d": {"nodes": nodes, "scheme": "forward"}})
     lmap, _ = build_map_from_spec(spec, sset)
     assert lmap.domain is sset.space
-    assert np.array_equal(lmap.matrix, block_diag(*[mesh.deriv.toarray()] * components))
+    assert np.array_equal(lmap.matrix.toarray(), block_diag(*[mesh.deriv.toarray()] * components))
     assert np.array_equal(
         lmap.codomain.gram.toarray(), np.diag(np.tile(mesh.element_lengths, components))
     )
 
     spec = json.dumps({"derivative_1d": {"nodes": nodes, "scheme": "centered"}})
     lmap, _ = build_map_from_spec(spec, sset)
-    block = lmap.matrix[:nodes, :nodes]
+    block = lmap.matrix.toarray()[:nodes, :nodes]
     assert block[3, 2] == pytest.approx(-0.5 / h) and block[3, 4] == pytest.approx(0.5 / h)
-    assert np.array_equal(lmap.matrix, block_diag(*[block] * components))
+    assert np.array_equal(lmap.matrix.toarray(), block_diag(*[block] * components))
     assert np.allclose(
         lmap.codomain.gram.toarray(), block_diag(*[mesh.mass.toarray()] * components)
     )
@@ -449,10 +449,10 @@ def test_generated_map_spec_rebuilds_the_instance_map(tmp_path, capsys, command)
     )
     assert form is None
     assert lmap.kind == expected.kind
-    assert np.array_equal(lmap.matrix, expected.matrix)
+    assert np.array_equal(lmap.matrix.toarray(), expected.matrix.toarray())
     assert (lmap.inverse is None) == (expected.inverse is None)
     if expected.inverse is not None:
-        assert np.array_equal(lmap.inverse, expected.inverse)
+        assert np.array_equal(lmap.inverse.toarray(), expected.inverse.toarray())
     assert np.array_equal(lmap.domain.gram.toarray(), expected.domain.gram.toarray())
     assert np.array_equal(lmap.codomain.gram.toarray(), expected.codomain.gram.toarray())
 
@@ -531,8 +531,10 @@ def _count_calls(monkeypatch, module, name):
 
 def test_projector_families_are_built_once_per_run(tmp_path, capsys, monkeypatch):
     # the level-free part of a family (the ellipticity eigensolve, the
-    # adjoint-route solve) is built once, however many levels run, and no
-    # n x n adjoint matrix is formed
+    # adjoint-route sparse LU) is built once, however many levels run, and
+    # no n x n adjoint matrix is formed
+    import scipy.sparse.linalg
+
     import podkit.linear_map
     import podkit.projector
 
@@ -550,7 +552,7 @@ def test_projector_families_are_built_once_per_run(tmp_path, capsys, monkeypatch
     assert len(open(sweep_csv).read().strip().split("\n")) == 1 + 4 * 8
     assert len(ellipticity) == 1
     adjoint = _count_calls(monkeypatch, podkit.linear_map, "adjoint")
-    adjoint_route = _count_calls(monkeypatch, podkit.projector, "solve")
+    adjoint_route = _count_calls(monkeypatch, scipy.sparse.linalg, "splu")
     code, out, err = run(
         capsys, "verify", "--input", manifest, "--map", map_path,
         "--projector", "composite-xy", "--output", str(tmp_path / "verify.json"),
@@ -559,6 +561,21 @@ def test_projector_families_are_built_once_per_run(tmp_path, capsys, monkeypatch
     assert "levels: [1, 4, 8]" in out
     assert len(adjoint) == 0
     assert len(adjoint_route) == 1
+
+
+def test_ritz_beyond_the_dense_budget_exits_2_and_writes_nothing(tmp_path, capsys):
+    # the ellipticity eigensolve needs 3 n^2 doubles: 527 MiB at 4,800 nodes
+    manifest = str(tmp_path / "big.json")
+    assert main(["generate-synthetic", "--output", manifest, "--nodes", "4800"]) == 0
+    capsys.readouterr()
+    report = tmp_path / "ritz.json"
+    code, _, err = run(
+        capsys, "verify", "--input", manifest, "--map", manifest.replace(".json", "_map.json"),
+        "--projector", "ritz", "--r", "1", "--output", str(report),
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "ProblemTooLarge"
+    assert not report.exists()
 
 
 def _usage_exit(capsys, *argv):

@@ -2,9 +2,11 @@
 the provenance guards that keep mismatched ingredients out."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import eigh, lu_factor, lu_solve
 
 from podkit.cli import PROJECTOR_CHOICES, _select_family
@@ -13,6 +15,7 @@ from podkit.errors import (
     FormNotElliptic,
     NotInvertible,
     PodkitError,
+    ProblemTooLarge,
     ProvenanceMismatch,
     RankDeficient,
     RankDeficientImage,
@@ -20,23 +23,26 @@ from podkit.errors import (
     SingularRitzSystem,
 )
 from podkit.fem import assemble_fem_1d
-from podkit.fhn_gen import make_embedding_instance, random_instance
+from podkit.fhn_gen import embedding_set, make_embedding_instance, random_instance
 from podkit.gram_space import identity_space, inner, make_space, orthonormalize, solve_gram
-from podkit.linear_map import adjoint, make_map
+from podkit.linear_map import adjoint, identity_map, make_map
 from podkit.pod_engine import compute_pod
 from podkit.projector import (
+    ELLIPTICITY_DEGENERACY,
     apply_projector,
     dense_matrix,
     form_ellipticity,
+    mapped_orthogonal_levels,
     mapped_orthogonal_projector,
     op_norm,
     pod_projector,
     pullback_projector,
     pushforward_levels,
     pushforward_projector,
+    ritz_levels,
     ritz_projector,
 )
-from podkit.snapshot_io import make_snapshot_set
+from podkit.snapshot_io import make_snapshot_set, resolve_gram_spec
 
 
 @pytest.fixture
@@ -138,6 +144,72 @@ def test_ritz_degenerate_form_rejected():
         ritz_projector(basis, inst["map"], (mesh.stiffness - mesh.stiffness.T).toarray(), 2)
 
 
+def reference_ellipticity(space, form):
+    """The dense generalized eigensolve that form_ellipticity replaced."""
+    A = form.toarray() if sparse.issparse(form) else np.asarray(form)
+    vals = eigh(0.5 * (A + A.T), space.gram.toarray(), eigvals_only=True)
+    return float(vals[0]), float(vals[-1])
+
+
+def test_form_ellipticity_matches_the_dense_generalized_eigensolve():
+    nodes = 200
+    mesh = assemble_fem_1d(nodes)
+    h1 = mesh.stiffness + mesh.mass
+    embed = make_embedding_instance(nodes, 1)  # codomain Gram H^1, kd = 1
+    dense = random_instance(12, 8, seed=81)  # dense codomain Gram, kd = n - 1
+    assert dense["map"].codomain.chol.shape == (12, 12)
+    M = np.random.default_rng(5).standard_normal((12, 12))
+    cases = [  # (instance, form, refused)
+        (embed, h1, False),
+        (embed, h1.toarray(), False),
+        (embed, h1 + 0.5 * mesh.convection, False),
+        (embed, mesh.mass, False),  # c about 2e-6 against C about 1
+        (embed, sparse.csr_array((nodes, nodes)), True),
+        (embed, mesh.stiffness - mesh.stiffness.T, True),
+        (embed, -h1, True),
+        (dense, M @ M.T + np.eye(12), False),
+        (dense, M, True),
+    ]
+    for inst, form, refused in cases:
+        lmap = inst["map"]
+        want = reference_ellipticity(lmap.codomain, form)
+        assert form_ellipticity(lmap.codomain, form) == pytest.approx(want, rel=1e-10, abs=0)
+        # the decision ritz_levels takes from the reference constants
+        assert (want[0] <= ELLIPTICITY_DEGENERACY * max(abs(want[1]), 1e-300)) == refused
+        basis = compute_pod(inst["set"], inst["space_x"])
+        if refused:
+            with pytest.raises(FormNotElliptic):
+                ritz_levels(basis, lmap, form)
+        else:
+            ritz_levels(basis, lmap, form)(1)
+
+
+def test_form_ellipticity_beyond_the_dense_budget_is_refused():
+    # 3 dense 30,000 x 30,000 arrays are 21.6 GB: refused before any is made
+    space = identity_space(30000)
+    with pytest.raises(ProblemTooLarge):
+        form_ellipticity(space, sparse.eye_array(30000, format="csr"))
+
+
+def test_sparse_identity_keeps_the_30000_node_embedding_families_small():
+    # identity_map holds one sparse identity (a dense pair would take
+    # 14.4 GB) and neither family forms an n x n array
+    nodes = 30000
+    sset = embedding_set(nodes)
+    codomain = resolve_gram_spec({"fem_stiffness": nodes}, nodes)
+    basis = compute_pod(sset)
+    assert basis.rank == 8
+    tracemalloc.start()
+    try:
+        lmap = identity_map(sset.space, codomain, kind="embedding")
+        mapped_orthogonal_levels(basis, lmap)(8)
+        pushforward_levels(lmap, basis)(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
 def test_pushforward_matches_conjugation(invertible_instance):
     inst = invertible_instance
     basis = compute_pod(inst["set"], inst["space_x"])
@@ -214,13 +286,14 @@ def reference_mapped_orthogonal(basis, lmap, r):
 
 
 def reference_ritz(basis, lmap, form, r):
-    V = lmap.matrix @ basis.modes[:, :r]
-    B = V.T @ form @ V
+    # the Ritz system on the G-orthonormalized leading r mapped modes
+    Q, _ = reference_mapped_orthogonal(basis, lmap, r)
+    B = Q.T @ (form @ Q)
     rcond = 1.0 / np.linalg.cond(B)
     if not np.isfinite(rcond) or rcond < 1e-14:
         raise SingularRitzSystem(f"reciprocal condition {rcond:.3e}")
-    VBt = lu_solve(lu_factor(B), (form.T @ V).T).T
-    return V, solve_gram(lmap.codomain, VBt)
+    QBt = lu_solve(lu_factor(B), (form.T @ Q).T).T
+    return Q, solve_gram(lmap.codomain, QBt)
 
 
 def reference_pushforward(basis, lmap, adj, r, tol=1e-8):
@@ -307,7 +380,7 @@ def test_dependent_mapped_modes_fail_at_the_same_levels():
         mapped_orthogonal_projector(basis, lmap, 4)
     form = lmap.codomain.gram + 0.1 * np.triu(np.ones((10, 10)), 1)
     assert assert_levels_match(basis, lmap, "ritz", form) == dependent
-    with pytest.raises(SingularRitzSystem):
+    with pytest.raises(RankDeficientImage):
         ritz_projector(basis, lmap, form, 4)
 
 

@@ -9,10 +9,11 @@ from podkit.errors import (
     MalformedManifest,
     MissingDataFile,
     NonMonotoneGrid,
+    ProblemTooLarge,
     WeightNonPositive,
 )
 from podkit.fem import assemble_fem_1d
-from podkit.gram_space import identity_space, make_space
+from podkit.gram_space import DENSE_BYTES_BUDGET, identity_space, make_space
 from podkit.snapshot_io import (
     CSV_FMT,
     from_trajectory,
@@ -188,6 +189,17 @@ def test_resolve_gram_generators():
         resolve_gram_spec({"fem_mass": 6}, 7)
     with pytest.raises(MalformedManifest):
         resolve_gram_spec({"mystery": 6}, 6)
+
+
+def test_csv_gram_beyond_the_dense_budget_is_refused_before_reading(tmp_path):
+    # a CSV Gram is dense: dim^2 doubles, sized from the dim alone, so the
+    # absent file is never opened once they exceed the budget
+    largest = int((DENSE_BYTES_BUDGET // 8) ** 0.5)
+    with pytest.raises(MissingDataFile):
+        resolve_gram_spec("absent.csv", largest, str(tmp_path))
+    for dim in (largest + 1, 30000):
+        with pytest.raises(ProblemTooLarge):
+            resolve_gram_spec("absent.csv", dim, str(tmp_path))
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):
