@@ -33,8 +33,9 @@ SYMMETRY_RTOL = 1e-13
 NORM_CLAMP = 1e-14
 ORTH_DROP_TOL = 1e-12
 # Bytes one dense n x n step may allocate, 512 MiB: beyond it the Ritz
-# ellipticity (3 n^2 doubles, 24 MB at 1,000 nodes) and a CSV Gram (n^2)
-# raise ProblemTooLarge (exit 2) rather than run out of memory.
+# ellipticity (3 n^2 doubles, 24 MB at 1,000 nodes) and reading or writing
+# a CSV Gram (snapshot_io.CSV_GRAM_ARRAYS n^2) raise ProblemTooLarge (exit 2)
+# rather than run out of memory.
 DENSE_BYTES_BUDGET = 2**29
 
 

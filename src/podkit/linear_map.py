@@ -14,7 +14,7 @@ map stays dense.  Every consumer applies a map with @; three places read
 its type: is_surjective densifies it for the SVD,
 projector.matrix_fingerprint hashes a CSR array's shape, indptr, indices
 and data, and the pushforward's adjoint route factors L^T with a sparse LU
-(scipy.sparse.linalg.splu, imported only there) or with LAPACK.
+(scipy.sparse.linalg.splu, imported only there), whatever L's type.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ dense_matrix diagnostic, and the Ritz ellipticity, which reduces the pencil
 (sym(A), G) to standard form with G's banded Cholesky factor and takes the
 eigenvalues of the dense result after checking its bytes against
 gram_space.DENSE_BYTES_BUDGET.  op_norm works on the factors, the
-pushforward cross-check on one LU of L^T, sparse (splu) for a sparse map.
+pushforward cross-check on one sparse LU (splu) of L^T.
 Families:
 
 - "pod_orthogonal": orthogonal projection onto the leading modes.
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigvalsh, lu_factor, lu_solve, solve
+from scipy.linalg import eigvalsh, lu_factor, lu_solve
 from scipy.linalg.lapack import dtbtrs
 
 from .errors import (
@@ -235,7 +235,7 @@ def pushforward_levels(lmap, basis):
     leading r columns must agree to PUSHFORWARD_CROSS_CHECK_TOL, which guards the
     certified inverse against a stale or inconsistent matrix.  The second
     route solves the adjoint system L* d = phi, that is L^T (G_y d) = G_x phi,
-    with one LU of L^T (splu for a sparse L) and one Gram solve.
+    with one sparse LU of L^T (splu, for a dense L too) and one Gram solve.
     """
     if lmap.inverse is None:
         raise NotInvertible("pushforward projector needs an invertible map")
@@ -244,13 +244,10 @@ def pushforward_levels(lmap, basis):
     # Route one: representers via the inverse matrix.
     dual = solve_gram(lmap.codomain, lmap.inverse.T @ G_x_Phi)
     # Route two: solve L* d = phi; level r's mismatch sums its leading columns.
-    if sparse.issparse(lmap.matrix):
-        # imported here: a module-level import costs every process 1.2 MB
-        from scipy.sparse.linalg import splu
+    # imported here: a module-level import costs every process 1.2 MB
+    from scipy.sparse.linalg import splu
 
-        G_y_d = splu(sparse.csc_array(lmap.matrix.T)).solve(G_x_Phi)
-    else:
-        G_y_d = solve(lmap.matrix, G_x_Phi, transposed=True)
+    G_y_d = splu(sparse.csc_array(lmap.matrix.T)).solve(G_x_Phi)
     adjoint_route = solve_gram(lmap.codomain, G_y_d)
     miss = np.cumsum(np.sum((dual - adjoint_route) ** 2, axis=0))
     scale = np.cumsum(np.sum(dual**2, axis=0))

@@ -34,6 +34,13 @@ from .errors import (
 from .gram_space import GramSpace, check_dense_budget, identity_space, make_space
 
 CSV_FMT = "%.16e"
+# A dense dim x dim CSV Gram is budgeted at its measured peak, in dim^2
+# doubles (tracemalloc, 400 to 2,000 rows): 7.4 to read and factor it
+# (loadtxt array, CSR copy, symmetrization, band), 1.0 to write it from a
+# space (its dense copy; the text goes out a row at a time).  Reading and
+# writing both check this count against gram_space.DENSE_BYTES_BUDGET
+# (refused above 2,896 rows), so save never writes a Gram CSV load refuses.
+CSV_GRAM_ARRAYS = 8
 
 
 @dataclass
@@ -137,7 +144,8 @@ def from_trajectory(grid, states, space=None):
 
 
 def _atomic_write(path, text):
-    """Write text to path atomically, through a temporary file beside it.
+    """Write text, a str or an iterable of str pieces written in turn, to
+    path atomically, through a temporary file beside it.
 
     An unwritable path raises MissingDataFile and leaves no temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -145,7 +153,7 @@ def _atomic_write(path, text):
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         # mkstemp makes the file 0600; give it the mode open() would.
         umask = os.umask(0)
         os.umask(umask)
@@ -160,11 +168,11 @@ def _atomic_write(path, text):
 
 
 def write_matrix_csv(path, matrix):
-    """Headerless CSV with 17 significant digits, one % per row, written atomically."""
+    """Headerless CSV with 17 significant digits, one % per row, written
+    atomically a row at a time (no whole-file text is held)."""
     M = np.atleast_2d(np.asarray(matrix, dtype=float))
-    row_fmt = ",".join([CSV_FMT] * M.shape[1])
-    rows = [row_fmt % tuple(row.tolist()) for row in M]
-    _atomic_write(path, "\n".join(rows) + "\n")
+    row_fmt = ",".join([CSV_FMT] * M.shape[1]) + "\n"
+    _atomic_write(path, (row_fmt % tuple(row.tolist()) for row in M))
 
 
 def read_matrix_csv(path, rows=None, cols=None):
@@ -217,13 +225,13 @@ def gram_matrix(spec, dim, base_dir="."):
     mass); the derivative Gram alone is singular and cannot define a space.
     Shape and node count are checked here; symmetry and definiteness are
     left to make_space, since a bilinear form need have neither.  A CSV
-    matrix is dense: its dim^2 doubles are checked against
+    matrix is dense: CSV_GRAM_ARRAYS dim^2 doubles are checked against
     gram_space.DENSE_BYTES_BUDGET before it is read (ProblemTooLarge).
     """
     if spec == "identity":
         return sparse.eye_array(dim, format="csr")
     if isinstance(spec, str):
-        check_dense_budget(1, dim, f"CSV matrix {spec}")
+        check_dense_budget(CSV_GRAM_ARRAYS, dim, f"CSV matrix {spec}")
         return sparse.csr_array(read_matrix_csv(os.path.join(base_dir, spec), dim, dim))
     if isinstance(spec, dict) and len(spec) == 1:
         key, n = next(iter(spec.items()))
@@ -256,8 +264,11 @@ def save(sset, manifest_path, gram_spec=None):
     gram_spec : optional
         Manifest gram entry to record.  Defaults to "identity" when the set
         has no attached space; otherwise the attached space's Gram matrix is
-        written to a CSV next to the manifest and referenced by name.
+        written to a CSV next to the manifest and referenced by name, after
+        the same budget check as reading it (ProblemTooLarge, nothing written).
     """
+    if gram_spec is None and sset.space is not None:
+        check_dense_budget(CSV_GRAM_ARRAYS, sset.space_dim, "the Gram CSV")
     manifest_path = os.path.abspath(manifest_path)
     base = os.path.dirname(manifest_path)
     stem = os.path.splitext(os.path.basename(manifest_path))[0]

@@ -384,6 +384,40 @@ def test_dependent_mapped_modes_fail_at_the_same_levels():
         ritz_projector(basis, lmap, form, 4)
 
 
+def test_skew_dominated_form_fails_the_ritz_system_at_the_same_levels():
+    # sym(A) = eps I exactly (the form is elliptic, c = C = eps) and the skew
+    # part pairs the orthonormal mapped modes (q_1, q_2), (q_3, q_4), ... at
+    # 1e3: an odd level r >= 3 cuts a pair, leaving B_r a row of size eps, so
+    # its reciprocal condition is eps / 1e3 = 1e-15 and SingularRitzSystem is
+    # raised there, while even levels hold whole pairs (condition 1).  Only
+    # the refusals are compared: B_1 = eps is formed from entries of size
+    # 1e3, so level 1's values carry a relative round-off of about 10%.
+    inst = random_instance(10, 8, seed=77)
+    basis = compute_pod(inst["set"], inst["space_x"])
+    lmap = make_map(inst["space_x"], identity_space(10), inst["map"].matrix)
+    Q, _ = reference_mapped_orthogonal(basis, lmap, basis.rank)
+    J = np.zeros((basis.rank, basis.rank))
+    pairs = np.arange(0, basis.rank - 1, 2)
+    J[pairs, pairs + 1], J[pairs + 1, pairs] = 1e3, -1e3
+    K = Q @ J @ Q.T
+    form = 1e-12 * np.eye(10) + 0.5 * (K - K.T)
+    assert form_ellipticity(lmap.codomain, form) == (1e-12, 1e-12)
+    levels = ritz_levels(basis, lmap, form)
+
+    def refused(build):
+        raised = []
+        for r in range(1, basis.rank + 1):
+            try:
+                build(r)
+            except SingularRitzSystem:
+                raised.append(r)
+        return raised
+
+    odd = list(range(3, basis.rank + 1, 2))
+    assert odd and refused(lambda r: reference_ritz(basis, lmap, form, r)) == odd
+    assert refused(levels) == odd
+
+
 def test_tampered_inverse_fails_the_cross_check_at_the_same_levels():
     # an inverse wrong only on mode j: inverse^T G phi_k changes for k = j,
     # so the cross-check fails exactly at the levels that include mode j

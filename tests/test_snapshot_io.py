@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from podkit.fem import assemble_fem_1d
 from podkit.gram_space import DENSE_BYTES_BUDGET, identity_space, make_space
 from podkit.snapshot_io import (
     CSV_FMT,
+    CSV_GRAM_ARRAYS,
     from_trajectory,
     load,
     make_snapshot_set,
@@ -191,15 +193,51 @@ def test_resolve_gram_generators():
         resolve_gram_spec({"mystery": 6}, 6)
 
 
+def _largest_csv_gram():
+    return int((DENSE_BYTES_BUDGET // (8 * CSV_GRAM_ARRAYS)) ** 0.5)
+
+
 def test_csv_gram_beyond_the_dense_budget_is_refused_before_reading(tmp_path):
-    # a CSV Gram is dense: dim^2 doubles, sized from the dim alone, so the
-    # absent file is never opened once they exceed the budget
-    largest = int((DENSE_BYTES_BUDGET // 8) ** 0.5)
+    # a CSV Gram is dense: CSV_GRAM_ARRAYS dim^2 doubles, sized from the dim
+    # alone, so the absent file is never opened once they exceed the budget
+    largest = _largest_csv_gram()
     with pytest.raises(MissingDataFile):
         resolve_gram_spec("absent.csv", largest, str(tmp_path))
     for dim in (largest + 1, 30000):
         with pytest.raises(ProblemTooLarge):
             resolve_gram_spec("absent.csv", dim, str(tmp_path))
+
+
+def test_save_refuses_a_gram_csv_beyond_the_dense_budget(tmp_path):
+    # the same count as reading, so save never writes a Gram load refuses
+    dim = _largest_csv_gram() + 1
+    sset = make_snapshot_set(np.ones((dim, 2)), np.ones(2), space=identity_space(dim))
+    with pytest.raises(ProblemTooLarge):
+        save(sset, str(tmp_path / "big.json"))
+    assert os.listdir(tmp_path) == []
+    save(sset, str(tmp_path / "named.json"), gram_spec="identity")  # no Gram CSV
+
+
+def test_csv_gram_peaks_within_its_counted_arrays(tmp_path):
+    # the budget counts CSV_GRAM_ARRAYS dense dim x dim arrays: the traced
+    # peak of writing a space's Gram and of reading and factoring it back
+    n = 400
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((n, n))
+    sset = make_snapshot_set(np.ones((n, 2)), np.ones(2), space=make_space(A @ A.T + n * np.eye(n)))
+    del A
+    counted = 8 * CSV_GRAM_ARRAYS * n * n
+    tracemalloc.start()
+    try:
+        save(sset, str(tmp_path / "g.json"))
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        space = resolve_gram_spec("g_gram.csv", n, str(tmp_path))
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.chol.shape == (n, n)
+    assert write_peak < counted and read_peak < counted, (write_peak, read_peak, counted)
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):
