@@ -19,6 +19,10 @@ certificate.  Spectral sums run over the complete computed spectrum: with
 unbounded-looking maps the below-tolerance tail still carries weight at the
 certified accuracy.
 
+Entry points, the ones the CLI's verify and sweep run: battery_level (every
+row of one level), sweep (the data identities over levels) and
+codomain_projectors (the level factory r -> Q for battery_level's proj_y).
+
 Floors: an identity passes within its relative tol or when both sides are
 below its floor, a bound when lhs <= rhs + floor.  The floor is
 EXACT_FLOOR_UNITS * u * scale, u the unit roundoff (Higham, Accuracy and
@@ -45,13 +49,13 @@ from .errors import (
     IndexOutOfRange,
     MalformedManifest,
     MissingDataFile,
-    NotInvertible,
     ProvenanceMismatch,
 )
 from .gram_space import GramSpace, half_weight
 from .linear_map import apply_inverse
-from .pod_engine import project_X
-from .projector import apply_projector, mapped_orthogonal_levels, pushforward_levels, ritz_levels
+from .pod_engine import basis_fingerprint, project_X
+from .projector import apply_projector, mapped_orthogonal_levels, matrix_fingerprint
+from .projector import pushforward_levels, ritz_levels
 from .snapshot_io import _atomic_write, _read_json
 
 IDENTITY_RTOL = 1e-8
@@ -176,6 +180,9 @@ def _residuals(sset, basis, r, lmap=None, proj_y=None, mode_norms=None):
         raise DimensionMismatch("codomain projector does not live on the codomain")
     if proj_y.r != r:
         raise ProvenanceMismatch(f"codomain projector has r = {proj_y.r}, check runs at r = {r}")
+    built_from = (proj_y.provenance.get("map"), proj_y.provenance.get("basis"))
+    if built_from != (matrix_fingerprint(L), basis_fingerprint(basis)):
+        raise ProvenanceMismatch("codomain projector was built from another map or basis")
 
     def proj(C):
         LC = L @ C
@@ -203,65 +210,21 @@ def battery_level(sset, basis, r, lmap=None, proj_y=None, tol=None, coeffs=None,
     """Every row of truncation level r, in report order: the data identities
     (range_exact and snap_sigma_bound after pod_x), the operator-level
     identities, the per-snapshot bounds, and the pointwise bounds of K c for
-    the columns c of coeffs.  T W is formed once per operator; mode_norms
-    is mapped_mode_norms(basis, lmap), computed here when not given.
+    the columns c of coeffs, shape (count, k).  T W is formed once per
+    operator; mode_norms is mapped_mode_norms(basis, lmap), computed here
+    when not given; proj_y must be codomain_projectors(basis, lmap, ...)(r).
     """
+    if coeffs is not None and (np.ndim(coeffs) != 2 or len(coeffs) != sset.count):
+        raise DimensionMismatch(f"coefficients of shape {np.shape(coeffs)}, not ({sset.count}, k)")
     res = _residuals(sset, basis, r, lmap, proj_y, mode_norms)
     sq = {label: t.sq_norms(sset.data) for label, t in res.items()}
     rows = [_identity(sset, t, r, tol, sq[label]) for label, t in res.items()]
-    rows[1:1] = _range_rows(sset, basis, r, np.arange(sset.count), sq["pod_x"])
+    rows[1:1] = _range_rows(sset, basis, r, sq["pod_x"])
     rows += [_identity(sset, t, r, tol, hs=True) for t in list(res.values())[1:]]
-    rows += _snapshot_rows(sset, basis, r, res, sq)["reports"]
+    rows += _snapshot_rows(sset, basis, r, res, sq)
     if coeffs is not None:
         rows += _pointwise_rows(sset, basis, r, lmap, res, coeffs)
     return rows
-
-
-# -- weighted-sum identities -------------------------------------------------
-
-def check_pod_error(sset, basis, r, tol=None):
-    """Weighted squared data error of the rank-r mode projection.
-
-    Identity: sum_j g_j ||w_j - P_r w_j||_X^2 equals the spectral tail.
-    """
-    return _identity(sset, _residuals(sset, basis, r)["pod_x"], r, tol)
-
-
-def check_mapped_pod_error(sset, basis, lmap, r, tol=None):
-    """Mode-projection residuals pushed through the map, codomain norm.
-
-    Identity: sum_j g_j ||L w_j - L P_r w_j||_Y^2 equals the eigenvalue tail
-    weighted by the squared codomain norms of the mapped tail modes.
-    """
-    return _identity(sset, _residuals(sset, basis, r, lmap)["pod_x_mapped"], r, tol)
-
-
-def check_projected_error(sset, basis, lmap, proj_y, r, tol=None):
-    """Data error of a codomain projection applied to the mapped data.
-
-    Identity: sum_j g_j ||L w_j - Q L w_j||_Y^2 equals the eigenvalue tail
-    weighted by the projection residuals of the mapped modes.
-    """
-    return _identity(sset, _residuals(sset, basis, r, lmap, proj_y)["proj_y"], r, tol)
-
-
-def check_pullback_error(sset, basis, lmap, proj_y, r, tol=None):
-    """Data error of the inverse-conjugated codomain projection, ambient norm.
-
-    Identity: sum_j g_j ||w_j - L^{-1} Q L w_j||_X^2 equals the eigenvalue
-    tail weighted by the same conjugated residuals of the modes.
-    """
-    if lmap.inverse is None:
-        raise NotInvertible("pullback identity needs an invertible map")
-    return _identity(sset, _residuals(sset, basis, r, lmap, proj_y)["pullback_x"], r, tol)
-
-
-def check_hs_identities(sset, basis, lmap, proj_y, r, tol=None):
-    """The mapped, projected and pulled-back identities at operator level:
-    the Hilbert-Schmidt norm of T K against the same spectral tails.  Returns
-    two reports, or three when the map is invertible."""
-    res = _residuals(sset, basis, r, lmap, proj_y)
-    return [_identity(sset, t, r, tol, hs=True) for t in list(res.values())[1:]]
 
 
 # -- per-snapshot results ----------------------------------------------------
@@ -274,47 +237,28 @@ def _worst_index(passed, rel_diff):
     return int(candidates[np.argmax(rel_diff[candidates])])
 
 
-def _range_rows(sset, basis, r, ells, sq):
-    """range_exact and snap_sigma_bound from the squared pod_x residuals sq at ells."""
+def _range_rows(sset, basis, r, sq):
+    """range_exact and snap_sigma_bound over every snapshot, from the squared
+    pod_x residuals sq; each row names its worst snapshot in info["ell"]."""
     lam = basis.eigenvalues
     lhs = np.sqrt(sq)
-    rhs = np.sqrt(basis.right_full[ells, r:] ** 2 @ lam[r:])
-    floor = _floor(np.sqrt(lam[0] / sset.weights[ells]))
+    rhs = np.sqrt(basis.right_full[:, r:] ** 2 @ lam[r:])
+    floor = _floor(np.sqrt(lam[0] / sset.weights))
     abs_diff, rel_diff = _compare(lhs, rhs)
     passed = (rel_diff <= EXACT_RTOL) | (abs_diff <= floor)
     i = _worst_index(passed, rel_diff)
     exact = _report(
-        "identity", "range_exact", r, lhs[i], rhs[i], EXACT_RTOL, floor[i],
-        info={"ell": int(ells[i])},
+        "identity", "range_exact", r, lhs[i], rhs[i], EXACT_RTOL, floor[i], info={"ell": i},
     )
     exact.passed = bool(passed[i])  # here the floor bounds the difference
     sigma_next = float(np.sqrt(lam[r])) if r < lam.size else 0.0
-    cap = sigma_next / np.sqrt(sset.weights[ells])
+    cap = sigma_next / np.sqrt(sset.weights)
     j = _worst_index(lhs <= cap + floor, _compare(lhs, cap)[1])
     bound = _report(
         "bound", "snap_sigma_bound", r, lhs[j], cap[j], None, floor[j],
-        info={"ell": int(ells[j]), "sigma_next": sigma_next},
+        info={"ell": j, "sigma_next": sigma_next},
     )
     return [exact, bound]
-
-
-def check_range_residual(sset, basis, r, ell):
-    """Exact residual formula and singular-value bound for snapshots ell.
-
-    Snapshot ell is K e_ell / g_ell, so its pod_x residual norm is the square
-    root of the eigenvalue tail weighted by the squared right-vector entries
-    at ell, and at most sigma_{r+1} / sqrt(g_ell).  The exact row also passes
-    when the sides differ by at most its floor, the SVD's backward error
-    carried over to snapshot ell.  ell is one index or a sequence, evaluated
-    in one block; each report names its worst snapshot.
-
-    Returns (exact_report, bound_report).
-    """
-    ells = np.atleast_1d(np.asarray(ell))
-    if ells.size == 0 or np.any((ells < 0) | (ells >= sset.count)):
-        raise IndexOutOfRange(f"snapshot index {ell} outside [0, {sset.count})")
-    sq = _residuals(sset, basis, r)["pod_x"].sq_norms(sset.data[:, ells])
-    return tuple(_range_rows(sset, basis, r, ells, sq))
 
 
 def snapshot_guarantee_threshold(sset, basis):
@@ -334,7 +278,9 @@ def snapshot_guarantee_threshold(sset, basis):
 
 
 def _snapshot_rows(sset, basis, r, res, sq):
-    """check_snapshot_bounds' result from each T's squared residuals sq of the data."""
+    """snap_* rows: the worst snapshot's ||T w_ell||^2 (from sq) against T's
+    tail, sigma_{r+1}^2 for pod_x; claimed only from the guarantee threshold
+    r0 upward, below it a row passes with the raw outcome in info["holds"]."""
     lam = basis.eigenvalues
     r0 = snapshot_guarantee_threshold(sset, basis)
     guaranteed = r0 is not None and r >= r0
@@ -354,25 +300,7 @@ def _snapshot_rows(sset, basis, r, res, sq):
             rep.info["holds"] = rep.passed
             rep.passed = True
         reports.append(rep)
-    return {"r0": r0, "r": r, "guaranteed": guaranteed, "reports": reports}
-
-
-def check_snapshot_bounds(sset, basis, r, lmap=None, proj_y=None):
-    """Per-snapshot squared-error bounds by the identity tails.
-
-    The worst snapshot's ||T w_ell||^2 against the formula tail of T, for
-    pod_x (capped by sigma_{r+1}^2) and, with a map and codomain projector,
-    proj_y, pod_x_mapped and, for an invertible map, pullback_x.
-
-    Returns a dict with the guarantee threshold r0 (None if unattainable),
-    whether the requested r is covered, and the reports.  The bounds are only
-    claimed from r0 upward; below it each row passes and carries the raw
-    outcome in info["holds"].
-    """
-    # the mapped rows come as one family with the codomain projector
-    res = _residuals(sset, basis, r, lmap if proj_y is not None else None, proj_y)
-    sq = {label: t.sq_norms(sset.data) for label, t in res.items()}
-    return _snapshot_rows(sset, basis, r, res, sq)
+    return reports
 
 
 # -- pointwise bounds --------------------------------------------------------
@@ -412,33 +340,6 @@ def _pointwise_rows(sset, basis, r, lmap, res, coeffs):
     return reports
 
 
-def check_pointwise(kind, sset, basis, g, r, lmap, proj_y=None):
-    """Tail bound on the error of one reproduced element.
-
-    g is a coefficient vector; the element is its image under the snapshot
-    operator (pushed through the map for the codomain variants).  Kinds:
-
-    - "proj_y":      codomain projection error of the mapped element
-    - "composite_y": error of the map-conjugated mode projection
-    - "composite_x": ambient error of the inverse-conjugated projection
-
-    The report's info carries the looser Cauchy-Schwarz version of the bound
-    alongside the sharp one.
-    """
-    if kind not in ("proj_y", "composite_y", "composite_x"):
-        raise IndexOutOfRange(f"unknown pointwise bound kind {kind!r}")
-    if kind != "proj_y" and lmap.inverse is None:
-        raise NotInvertible(f"pointwise {kind} bound needs an invertible map")
-    if kind != "composite_y" and proj_y is None:
-        raise ProvenanceMismatch(f"pointwise {kind} bound needs the codomain projector")
-    g = np.asarray(g, dtype=float)
-    if g.shape != (sset.count,):
-        raise DimensionMismatch(f"coefficients of shape {g.shape} for {sset.count} snapshots")
-    res = _residuals(sset, basis, r, lmap, proj_y)
-    rows = _pointwise_rows(sset, basis, r, lmap, res, g[:, None])
-    return next(rep for rep in rows if rep.identity_id == "pw_" + kind)
-
-
 # -- sweeps and serialization ------------------------------------------------
 
 def codomain_projectors(basis, lmap, family="orthogonal", form=None):
@@ -453,11 +354,6 @@ def codomain_projectors(basis, lmap, family="orthogonal", form=None):
     if family == "pushforward":
         return pushforward_levels(lmap, basis)
     raise IndexOutOfRange(f"unknown codomain projector family {family!r}")
-
-
-def build_codomain_projector(basis, lmap, r, family="orthogonal", form=None):
-    """Construct the codomain projector a sweep or battery asks for."""
-    return codomain_projectors(basis, lmap, family, form)(r)
 
 
 def sweep(sset, basis, lmap, r_list, family="orthogonal", form=None, tol=None):

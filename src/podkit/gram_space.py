@@ -6,9 +6,9 @@ and its Cholesky factor L (G = L L^T) in LAPACK lower band storage.  kd is
 G's lower bandwidth, its outermost nonzero subdiagonal: 0 for identity and
 diagonal Grams, 1 for the FEM Grams, n - 1 for a dense CSV Gram, all through
 the same code.  Each kernel is one library call whatever kd and the column
-count: sparse products with G and L^T, dtbtrs and dpbtrs solves.  A step
-that must allocate dense n x n arrays (the Ritz ellipticity, a CSV Gram)
-first checks their bytes against DENSE_BYTES_BUDGET.
+count: sparse products with G and L^T, dtbtrs and dpbtrs solves.  A dense
+step (the Ritz ellipticity, a CSV Gram, the surjectivity SVD) first checks
+its bytes against DENSE_BYTES_BUDGET.
 """
 from __future__ import annotations
 
@@ -32,19 +32,20 @@ from .errors import (
 SYMMETRY_RTOL = 1e-13
 NORM_CLAMP = 1e-14
 ORTH_DROP_TOL = 1e-12
-# Bytes one dense n x n step may allocate, 512 MiB: beyond it the Ritz
-# ellipticity (3 n^2 doubles, 24 MB at 1,000 nodes) and reading or writing
-# a CSV Gram (snapshot_io.CSV_GRAM_ARRAYS n^2) raise ProblemTooLarge (exit 2)
-# rather than run out of memory.
+# Bytes one dense step may allocate, 512 MiB: beyond it the Ritz ellipticity
+# (3 n^2 doubles), a CSV Gram (snapshot_io.CSV_GRAM_ARRAYS n^2) and the SVD
+# of an m x n map (linear_map.SURJECTIVITY_SVD_ARRAYS m n) raise
+# ProblemTooLarge (exit 2) rather than run out of memory.
 DENSE_BYTES_BUDGET = 2**29
 
 
-def check_dense_budget(arrays, dim, what):
-    """ProblemTooLarge unless arrays dense dim x dim doubles fit the budget."""
-    need = 8 * arrays * dim * dim
+def check_dense_budget(arrays, shape, what):
+    """ProblemTooLarge unless arrays dense doubles of this shape fit the budget."""
+    rows, cols = shape
+    need = 8 * arrays * rows * cols
     if need > DENSE_BYTES_BUDGET:
         raise ProblemTooLarge(
-            f"{what} needs {arrays} dense {dim} x {dim} arrays ({need / 2**20:.0f} MiB), "
+            f"{what} needs {arrays} dense {rows} x {cols} arrays ({need / 2**20:.0f} MiB), "
             f"over the {DENSE_BYTES_BUDGET / 2**20:.0f} MiB budget"
         )
 

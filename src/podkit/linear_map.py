@@ -9,9 +9,11 @@ JSON map spec are built by build_map_from_spec, which documents the grammar.
 
 Generated maps are scipy.sparse CSR arrays: identity_map stores one sparse
 identity as matrix and exact inverse, derivative_map a CSR block diagonal,
-so no n x n array is formed on their path.  A "matrix" (CSV) or "diag" spec
-map stays dense.  Every consumer applies a map with @; three places read
-its type: is_surjective densifies it for the SVD,
+and a "diag" spec a CSR diagonal with its exact reciprocal as inverse, so
+no n x n array is formed on their path.  A "matrix" (CSV) spec map stays
+dense.  Every consumer applies a map with @; three places read its type:
+is_surjective densifies a map without an inverse for the SVD, after
+checking its bytes against gram_space.DENSE_BYTES_BUDGET,
 projector.matrix_fingerprint hashes a CSR array's shape, indptr, indices
 and data, and the pushforward's adjoint route factors L^T with a sparse LU
 (scipy.sparse.linalg.splu, imported only there), whatever L's type.
@@ -28,12 +30,15 @@ from scipy import sparse
 
 from . import fem, gram_space
 from .errors import DimensionMismatch, MalformedManifest, NotInvertible, ProvenanceMismatch
-from .gram_space import GramSpace, as_matrix, make_space, to_dense
+from .gram_space import GramSpace, as_matrix, check_dense_budget, make_space, to_dense
 from .snapshot_io import _read_json, _spec_int, gram_matrix, make_snapshot_set
 from .snapshot_io import read_matrix_csv, resolve_gram_spec
 
 INVERSE_RESIDUAL_TOL = 1e-8
 MAX_CONDITION = 1e12
+# The map's dense copy and LAPACK's, which tracemalloc does not see: the SVD
+# grew peak RSS by 2.04-2.08 m n doubles on 2,000- and 3,000-node derivative maps.
+SURJECTIVITY_SVD_ARRAYS = 2
 
 
 @dataclass
@@ -44,9 +49,9 @@ class LinearMap:
     ----------
     domain, codomain : GramSpace
     matrix : ndarray or scipy.sparse CSR array, shape (codomain.dim, domain.dim)
-        Sparse from identity_map and derivative_map (every generated map),
-        dense from a "matrix" or "diag" spec; see the module docstring for
-        the three places that read its type.
+        Sparse from identity_map, derivative_map and a "diag" spec, dense
+        from a "matrix" spec; see the module docstring for the three places
+        that read its type.
     inverse : ndarray, scipy.sparse CSR array or None
         Present only when certified at construction; identity_map's is the
         same sparse identity as its matrix.
@@ -65,10 +70,18 @@ class LinearMap:
         return self.inverse is not None
 
 
+def _check_condition(cond):
+    if not np.isfinite(cond) or cond > MAX_CONDITION:
+        raise NotInvertible(f"condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
+
+
 def _certify_inverse(matrix, inverse):
-    eye = np.eye(matrix.shape[0])
-    res_right = np.linalg.norm(to_dense(matrix @ inverse) - eye)
-    res_left = np.linalg.norm(to_dense(inverse @ matrix) - eye)
+    # the Frobenius residuals; with sparse factors no dense n x n array forms
+    eye = sparse.eye_array(matrix.shape[0], format="csr")
+    res_right, res_left = (
+        np.linalg.norm(R.data if sparse.issparse(R) else R)
+        for R in (matrix @ inverse - eye, inverse @ matrix - eye)
+    )
     if res_right > INVERSE_RESIDUAL_TOL or res_left > INVERSE_RESIDUAL_TOL:
         raise NotInvertible(
             f"inverse residuals {res_right:.3e} / {res_left:.3e} "
@@ -106,9 +119,7 @@ def make_map(domain, codomain, matrix, invertible=False, inverse=None, kind="gen
         if A.shape[0] != A.shape[1]:
             raise NotInvertible(f"non-square map {A.shape} cannot be inverted")
         dense = to_dense(A)
-        cond = np.linalg.cond(dense)
-        if not np.isfinite(cond) or cond > MAX_CONDITION:
-            raise NotInvertible(f"condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
+        _check_condition(np.linalg.cond(dense))
         inv = np.linalg.solve(dense, np.eye(A.shape[0]))
         _certify_inverse(A, inv)
     return LinearMap(domain=domain, codomain=codomain, matrix=A, inverse=inv, kind=kind)
@@ -210,25 +221,18 @@ def induced_snapshots(lmap, sset):
     )
 
 
-def full_rank_in(basis, space):
-    """Whether the POD rank exhausts the ambient dimension.
-
-    Equivalent to every eigenvalue of the data correlation operator being
-    numerically nonzero.
-    """
-    return basis.rank == space.dim
-
-
 def is_surjective(lmap):
     """Numerical surjectivity: the matrix has full row rank.
 
     A certified inverse (||L Linv - I|| <= 1e-8) proves it without the SVD.
     This is also the singular-value count with cutoff sigma_1 / MAX_CONDITION:
     make_map rejects computed inverses beyond that condition and
-    identity_map's inverse is exact.
+    identity_map's inverse is exact.  Without an inverse the dense SVD is
+    refused (ProblemTooLarge) above gram_space.DENSE_BYTES_BUDGET.
     """
     if lmap.inverse is not None:
         return True
+    check_dense_budget(SURJECTIVITY_SVD_ARRAYS, lmap.matrix.shape, "the surjectivity SVD")
     sv = np.linalg.svd(to_dense(lmap.matrix), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return lmap.codomain.dim == 0
@@ -259,7 +263,7 @@ def rank_relation_check(basis_x, basis_y, lmap):
         "equality_expected": lmap.invertible,
         "equality_holds": basis_y.rank == basis_x.rank,
         "surjective": is_surjective(lmap),
-        "image_full_rank": full_rank_in(basis_y, lmap.codomain),
+        "image_full_rank": basis_y.rank == lmap.codomain.dim,
     }
     report["passed"] = report["inequality_holds"] and (
         not report["equality_expected"] or report["equality_holds"]
@@ -334,8 +338,12 @@ def build_map_from_spec(text, sset):
             raise MalformedManifest(f"diag map needs numbers, got {detail!r}") from None
         if d.ndim != 1 or d.shape[0] != dim:
             raise DimensionMismatch(f"diag map of length {d.shape} against dim {dim}")
-        invertible = bool(np.all(d != 0.0))
-        lmap = make_map(sset.space, sset.space, np.diag(d), invertible, kind="diag")
+        inverse = None
+        if np.all(d != 0.0):  # the 2-norm condition of diag(d) is max|d| / min|d|
+            _check_condition(np.max(np.abs(d)) / np.min(np.abs(d)))
+            inverse = sparse.diags_array(1.0 / d, format="csr")
+        diag = sparse.diags_array(d, format="csr")
+        lmap = make_map(sset.space, sset.space, diag, inverse=inverse, kind="diag")
     elif key == "matrix":
         invertible = spec.get("invertible", False)
         if not isinstance(detail, str) or not isinstance(invertible, bool):

@@ -25,7 +25,8 @@ mapped_orthogonal_levels, ritz_levels and pushforward_levels build what is
 free of r (ellipticity constants) or nested in r (the mapped modes, their QR,
 the Ritz matrix, the pushforward dual basis) for all rank columns and return
 a level factory r -> Projector that slices it and runs the level's own
-checks; each *_projector function is its factory at one level.
+checks (error_lab.codomain_projectors picks one by family name);
+pod_projector and pullback_projector build their one level directly.
 
 Provenance fingerprints record which basis, map and form each projector was
 built from; composites refuse ingredients that do not match.
@@ -154,11 +155,6 @@ def mapped_orthogonal_levels(basis, lmap):
     return _levels("mapped_orthogonal", basis, lmap, lambda r: (leading(r),) * 2)
 
 
-def mapped_orthogonal_projector(basis, lmap, r):
-    """mapped_orthogonal_levels(basis, lmap) at level r."""
-    return mapped_orthogonal_levels(basis, lmap)(r)
-
-
 def form_ellipticity(space, form):
     """Extreme generalized eigenvalues of the symmetric part of a form.
 
@@ -174,7 +170,7 @@ def form_ellipticity(space, form):
     A = as_matrix(form)
     if A.shape != (space.dim, space.dim):
         raise DimensionMismatch(f"form {A.shape} on space of dim {space.dim}")
-    check_dense_budget(3, space.dim, "the Ritz ellipticity eigensolve")
+    check_dense_budget(3, (space.dim,) * 2, "the Ritz ellipticity eigensolve")
     sym = to_dense(A + A.T)
     sym *= 0.5
     # sym is exactly symmetric, so sym.T is it in Fortran order: solved in place
@@ -221,11 +217,6 @@ def ritz_levels(basis, lmap, form):
     )
 
 
-def ritz_projector(basis, lmap, form, r):
-    """ritz_levels(basis, lmap, form) at level r."""
-    return ritz_levels(basis, lmap, form)(r)
-
-
 def pushforward_levels(lmap, basis):
     """The mode projection conjugated into the codomain: L P L^{-1}.
 
@@ -259,11 +250,6 @@ def pushforward_levels(lmap, basis):
         return V[:, :r], dual[:, :r]
 
     return _levels("pushforward", basis, lmap, level)
-
-
-def pushforward_projector(lmap, basis, r):
-    """pushforward_levels(lmap, basis) at level r."""
-    return pushforward_levels(lmap, basis)(r)
 
 
 def pullback_projector(lmap, inner_proj, r):

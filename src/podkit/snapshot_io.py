@@ -231,7 +231,7 @@ def gram_matrix(spec, dim, base_dir="."):
     if spec == "identity":
         return sparse.eye_array(dim, format="csr")
     if isinstance(spec, str):
-        check_dense_budget(CSV_GRAM_ARRAYS, dim, f"CSV matrix {spec}")
+        check_dense_budget(CSV_GRAM_ARRAYS, (dim, dim), f"CSV matrix {spec}")
         return sparse.csr_array(read_matrix_csv(os.path.join(base_dir, spec), dim, dim))
     if isinstance(spec, dict) and len(spec) == 1:
         key, n = next(iter(spec.items()))
@@ -268,7 +268,7 @@ def save(sset, manifest_path, gram_spec=None):
         the same budget check as reading it (ProblemTooLarge, nothing written).
     """
     if gram_spec is None and sset.space is not None:
-        check_dense_budget(CSV_GRAM_ARRAYS, sset.space_dim, "the Gram CSV")
+        check_dense_budget(CSV_GRAM_ARRAYS, (sset.space_dim,) * 2, "the Gram CSV")
     manifest_path = os.path.abspath(manifest_path)
     base = os.path.dirname(manifest_path)
     stem = os.path.splitext(os.path.basename(manifest_path))[0]

@@ -20,6 +20,12 @@ GOLDEN_LAMBDA_1 = (3.0 + np.sqrt(5.0)) / 2.0
 GOLDEN_LAMBDA_2 = (3.0 - np.sqrt(5.0)) / 2.0
 
 
+def by_id(reports):
+    """Rows keyed by identity_id: one battery level without pointwise rows,
+    whose ids are unique."""
+    return {rep.identity_id: rep for rep in reports}
+
+
 @pytest.fixture
 def golden_instance():
     data = np.array([[1.0, 1.0], [0.0, 1.0]])

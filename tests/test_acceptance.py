@@ -14,14 +14,8 @@ import numpy as np
 import pytest
 
 from podkit.error_lab import (
-    check_hs_identities,
-    check_mapped_pod_error,
-    check_pod_error,
-    check_pointwise,
-    check_projected_error,
-    check_pullback_error,
-    check_range_residual,
-    check_snapshot_bounds,
+    battery_level,
+    codomain_projectors,
     snapshot_guarantee_threshold,
     sweep,
 )
@@ -42,15 +36,15 @@ from podkit.pod_engine import (
 from podkit.projector import (
     dense_matrix,
     form_ellipticity,
-    mapped_orthogonal_projector,
+    mapped_orthogonal_levels,
     op_norm,
     pod_projector,
     pullback_projector,
-    pushforward_projector,
-    ritz_projector,
+    pushforward_levels,
+    ritz_levels,
 )
 
-from conftest import GOLDEN_LAMBDA_2
+from conftest import GOLDEN_LAMBDA_2, by_id
 
 RESULTS = []
 
@@ -69,7 +63,8 @@ def certify(num, label):
 def test_criterion_1_identity_suite():
     # every exact error identity, on 100 seeded random instances (half with
     # certified-invertible maps), at every admissible truncation level,
-    # within 1e-8 relative, in under 30 seconds
+    # within 1e-8 relative, in under 30 seconds; every row of the battery
+    # verify runs must pass, and range_exact covers every snapshot at once
     with certify(1, "identity suite, 100 random instances, every r"):
         t0 = time.perf_counter()
         checked = 0
@@ -81,27 +76,21 @@ def test_criterion_1_identity_suite():
             inst = random_instance(dim, s, seed=3000 + i, invertible=invertible)
             sset, lmap = inst["set"], inst["map"]
             basis = compute_pod(sset, inst["space_x"])
+            projectors = codomain_projectors(basis, lmap)
             for r in range(1, basis.rank + 1):
-                proj = mapped_orthogonal_projector(basis, lmap, r)
-                reports = [
-                    check_pod_error(sset, basis, r),
-                    check_mapped_pod_error(sset, basis, lmap, r),
-                    check_projected_error(sset, basis, lmap, proj, r),
-                ]
-                if invertible:
-                    reports.append(
-                        check_pullback_error(sset, basis, lmap, proj, r)
-                    )
-                reports.extend(check_hs_identities(sset, basis, lmap, proj, r))
-                for ell in range(sset.count):
-                    exact, _ = check_range_residual(sset, basis, r, ell)
-                    reports.append(exact)
+                reports = battery_level(sset, basis, r, lmap, projectors(r))
+                identities = [rep.identity_id for rep in reports if rep.kind == "identity"]
+                expected = ["pod_x", "range_exact", "pod_x_mapped", "proj_y"]
+                expected += ["pullback_x"] if invertible else []
+                expected += ["hs_" + label for label in expected[2:]]
+                assert identities == expected, (i, r)
                 for rep in reports:
                     assert rep.passed, (
                         f"instance {i} r={r} {rep.identity_id} "
                         f"rel={rep.rel_diff:.3e}"
                     )
-                checked += len(reports)
+                # range_exact stands for one evaluation per snapshot
+                checked += len(identities) - 1 + sset.count
         elapsed = time.perf_counter() - t0
         assert checked > 10000
         assert elapsed < 30.0, f"identity suite took {elapsed:.1f} s"
@@ -202,32 +191,30 @@ def test_criterion_5_bounds_suite():
             inst = random_instance(dim, s, seed=9000 + i, invertible=invertible)
             sset, lmap = inst["set"], inst["map"]
             basis = compute_pod(sset, inst["space_x"])
+            projectors = codomain_projectors(basis, lmap)
             r_mid = max(1, basis.rank // 2)
-            proj_mid = mapped_orthogonal_projector(basis, lmap, r_mid)
 
-            g_rng = np.random.default_rng(100 + i)
-            kinds = ("proj_y", "composite_y", "composite_x") if invertible else ("proj_y",)
-            for _ in range(20):
-                g = g_rng.standard_normal(sset.count)
-                for kind in kinds:
-                    rep = check_pointwise(kind, sset, basis, g, r_mid, lmap, proj_mid)
-                    assert rep.passed, f"instance {i} {kind}"
+            coeffs = np.random.default_rng(100 + i).standard_normal((20, sset.count)).T
+            kinds = ["pw_proj_y"] + (["pw_composite_y", "pw_composite_x"] if invertible else [])
+            reports = battery_level(sset, basis, r_mid, lmap, projectors(r_mid), coeffs=coeffs)
+            pointwise = [rep for rep in reports if rep.identity_id.startswith("pw_")]
+            assert [rep.identity_id for rep in pointwise] == kinds * 20
+            for rep in pointwise:
+                assert rep.passed, f"instance {i} {rep.identity_id}"
 
             for r in sorted({1, r_mid, basis.rank}):
-                for ell in range(sset.count):
-                    exact, cap = check_range_residual(sset, basis, r, ell)
-                    assert exact.passed, f"instance {i} r={r} ell={ell}"
-                    assert cap.passed, f"instance {i} r={r} ell={ell}"
+                rows = by_id(battery_level(sset, basis, r))
+                for row_id in ("range_exact", "snap_sigma_bound"):
+                    assert rows[row_id].passed, f"instance {i} r={r} {row_id}"
 
             r0 = snapshot_guarantee_threshold(sset, basis)
             assert r0 is not None  # full-rank square coefficient capture
             for r in sorted({r0, basis.rank}):
-                proj_r = mapped_orthogonal_projector(basis, lmap, r)
-                out = check_snapshot_bounds(sset, basis, r, lmap, proj_r)
-                assert out["guaranteed"]
-                expected_rows = 4 if invertible else 3
-                assert len(out["reports"]) == expected_rows
-                for rep in out["reports"]:
+                reports = battery_level(sset, basis, r, lmap, projectors(r))
+                snaps = [rep for rep in reports if rep.identity_id.startswith("snap_")]
+                snaps = snaps[1:]  # snap_sigma_bound leads, and has no threshold
+                assert len(snaps) == (4 if invertible else 3)
+                for rep in snaps:
                     assert rep.info["guaranteed"] is True
                     assert rep.passed, f"instance {i} r={r} {rep.identity_id}"
 
@@ -241,10 +228,12 @@ def test_criterion_6_projector_diagnostics():
             inst = random_instance(9, 7, seed=9500 + i)
             basis = compute_pod(inst["set"], inst["space_x"])
             lmap = inst["map"]
+            orth_levels = mapped_orthogonal_levels(basis, lmap)
+            push_levels = pushforward_levels(lmap, basis)
             for r in range(1, basis.rank + 1):
                 pod = pod_projector(basis, r)
-                orth = mapped_orthogonal_projector(basis, lmap, r)
-                push = pushforward_projector(lmap, basis, r)
+                orth = orth_levels(r)
+                push = push_levels(r)
                 pull = pullback_projector(lmap, orth, r)
                 assert op_norm(pod) == pytest.approx(1.0, abs=1e-9)
                 assert op_norm(orth) == pytest.approx(1.0, abs=1e-9)
@@ -260,8 +249,9 @@ def test_criterion_6_projector_diagnostics():
             for form in (inst["form"], conv_form):
                 c_low, c_high = form_ellipticity(inst["map"].codomain, form)
                 budget = c_high / c_low + 1e-8
+                ritz = ritz_levels(basis, inst["map"], form)
                 for r in range(1, basis.rank + 1):
-                    proj = ritz_projector(basis, inst["map"], form, r)
+                    proj = ritz(r)
                     assert op_norm(proj) <= budget, f"nodes={nodes} r={r}"
                     P = dense_matrix(proj)
                     assert np.allclose(P @ P, P, atol=1e-9)
@@ -326,20 +316,18 @@ def test_criterion_8_fem_embedding_examples():
             inst = make_embedding_instance(nodes, 3)
             basis = compute_pod(inst["set"], inst["space_x"])
             r = min(4, basis.rank)
-            orth = mapped_orthogonal_projector(basis, inst["map"], r)
-            ritz_same = ritz_projector(basis, inst["map"], inst["form"], r)
+            orth = mapped_orthogonal_levels(basis, inst["map"])(r)
+            ritz_same = ritz_levels(basis, inst["map"], inst["form"])(r)
             # form == codomain inner product: identical projector
             assert np.allclose(
                 dense_matrix(ritz_same), dense_matrix(orth), atol=1e-10
             )
             conv_form = (mesh.stiffness + mesh.mass + 0.5 * mesh.convection).toarray()
-            ritz_conv = ritz_projector(basis, inst["map"], conv_form, r)
+            ritz_conv = ritz_levels(basis, inst["map"], conv_form)(r)
             dist = np.linalg.norm(dense_matrix(ritz_conv) - dense_matrix(orth))
             assert dist > 1e-6
             for proj in (orth, ritz_conv):
-                rep = check_projected_error(
-                    inst["set"], basis, inst["map"], proj, r
-                )
+                rep = by_id(battery_level(inst["set"], basis, r, inst["map"], proj))["proj_y"]
                 assert rep.passed, f"nodes={nodes} family={proj.family}"
 
 
@@ -363,20 +351,13 @@ def test_criterion_9_monotone_decay(golden_instance):
             energy = hs_norm_sq(sset, space)
             floor = 1e-12 * energy
             series = {}
-            for r in range(1, basis.rank + 1):
-                reports = [check_pod_error(sset, basis, r)]
-                if lmap is not None:
-                    proj = mapped_orthogonal_projector(basis, lmap, r)
-                    reports.append(check_mapped_pod_error(sset, basis, lmap, r))
-                    reports.append(
-                        check_projected_error(sset, basis, lmap, proj, r)
-                    )
-                    if lmap.inverse is not None:
-                        reports.append(
-                            check_pullback_error(sset, basis, lmap, proj, r)
-                        )
-                for rep in reports:
-                    series.setdefault(rep.identity_id, []).append(rep.rhs)
+            levels = range(1, basis.rank + 1)
+            if lmap is None:
+                reports = [by_id(battery_level(sset, basis, r))["pod_x"] for r in levels]
+            else:
+                reports = sweep(sset, basis, lmap, levels)
+            for rep in reports:
+                series.setdefault(rep.identity_id, []).append(rep.rhs)
             for identity_id, values in series.items():
                 for a, b in zip(values, values[1:]):
                     assert b <= a + floor, f"{identity_id} rose: {a} -> {b}"

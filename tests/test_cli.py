@@ -578,6 +578,28 @@ def test_ritz_beyond_the_dense_budget_exits_2_and_writes_nothing(tmp_path, capsy
     assert not report.exists()
 
 
+def test_surjectivity_svd_beyond_the_dense_budget_exits_2_and_writes_nothing(
+    tmp_path, capsys, monkeypatch
+):
+    # the rank relation densifies a map without an inverse for its SVD: a
+    # 40-node derivative map is 39 x 40, two such arrays against a budget
+    # one byte short of them
+    from podkit import gram_space
+
+    manifest = str(tmp_path / "synth.json")
+    assert main(["generate-synthetic", "--output", manifest, "--nodes", "40"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(gram_space, "DENSE_BYTES_BUDGET", 8 * 2 * 39 * 40 - 1)
+    report = tmp_path / "derivative.json"
+    code, _, err = run(
+        capsys, "verify", "--input", manifest, "--map", '{"derivative_1d": {"nodes": 40}}',
+        "--r", "1", "--output", str(report),
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "ProblemTooLarge"
+    assert not report.exists()
+
+
 def _usage_exit(capsys, *argv):
     """Exit status of an argv the parser refuses, which must report a
     UsageError as the one-line JSON failure object on stderr."""

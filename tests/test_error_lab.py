@@ -1,9 +1,12 @@
 """Error identities and bounds, checked against hand formulas on a 2 x 2
-instance and against independent recomputation on seeded random instances."""
+instance and against independent recomputation on seeded random instances.
+Every row comes from battery_level or sweep, the entry points the CLI runs."""
 
 import csv
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,84 +14,86 @@ import pytest
 from podkit.cli import run_battery
 from podkit.error_lab import (
     _worst_index,
-    build_codomain_projector,
-    check_hs_identities,
-    check_mapped_pod_error,
-    check_pod_error,
-    check_pointwise,
-    check_projected_error,
-    check_pullback_error,
-    check_range_residual,
-    check_snapshot_bounds,
+    battery_level,
+    codomain_projectors,
     read_report,
     snapshot_guarantee_threshold,
     sweep,
     write_report_csv,
     write_report_json,
 )
-from podkit.errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    MissingDataFile,
-    NotInvertible,
-    ProvenanceMismatch,
-)
+from podkit.errors import DimensionMismatch, IndexOutOfRange, MissingDataFile, ProvenanceMismatch
 from podkit.fhn_gen import make_embedding_instance, random_instance
 from podkit.gram_space import identity_space, norm
-from podkit.linear_map import identity_map
+from podkit.linear_map import identity_map, make_map
 from podkit.pod_engine import compute_pod
-from podkit.projector import mapped_orthogonal_projector, pod_projector
+from podkit.projector import apply_projector, mapped_orthogonal_levels, pod_projector
 from podkit.snapshot_io import make_snapshot_set
 
-from conftest import GOLDEN_LAMBDA_2
+from conftest import GOLDEN_LAMBDA_2, by_id
+
+# squared rank-1 residuals of the golden snapshots (1, 0) and (1, 1)
+GOLDEN_RESIDUALS_SQ = ((5.0 - math.sqrt(5.0)) / 10.0, 1.0 - 2.0 / math.sqrt(5.0))
+
+
+def snapshot_residuals(sset, basis, r):
+    """||w_ell - P_r w_ell|| for every snapshot, one at a time, through the
+    projector's factors rather than the battery's residual operator."""
+    proj = pod_projector(basis, r)
+    return np.array([norm(basis.space, w - apply_projector(proj, w)) for w in sset.data.T])
 
 
 def test_pod_error_golden_hand_value(golden_instance):
     sset = golden_instance
     space = sset.space
     basis = compute_pod(sset, space)
-    rep = check_pod_error(sset, basis, 1)
+    rep = by_id(battery_level(sset, basis, 1))["pod_x"]
     assert rep.passed
-    assert rep.identity_id == "pod_x"
     assert rep.lhs == pytest.approx(GOLDEN_LAMBDA_2, abs=1e-12)
     assert rep.rhs == pytest.approx(GOLDEN_LAMBDA_2, abs=1e-12)
-    rep2 = check_pod_error(sset, basis, 2)
+    rep2 = by_id(battery_level(sset, basis, 2))["pod_x"]
     assert rep2.passed
     assert abs(rep2.lhs) < 1e-14 and abs(rep2.rhs) < 1e-14
 
 
 def test_range_residual_golden_hand_value(golden_instance):
-    # second snapshot (1, 1), one retained mode: the squared residual is
-    # 1 - 2/sqrt(5), and the companion cap is sqrt(lambda_2) since the
-    # weight is one
+    # one retained mode: each row's worst snapshot carries its hand residual,
+    # and the companion cap is sqrt(lambda_2) since the weights are one
     sset = golden_instance
     space = sset.space
     basis = compute_pod(sset, space)
-    exact, bound = check_range_residual(sset, basis, 1, 1)
+    rows = by_id(battery_level(sset, basis, 1))
+    exact, bound = rows["range_exact"], rows["snap_sigma_bound"]
     assert exact.passed and bound.passed
-    assert exact.lhs**2 == pytest.approx(1.0 - 2.0 / math.sqrt(5.0), abs=1e-12)
+    assert exact.lhs**2 == pytest.approx(GOLDEN_RESIDUALS_SQ[exact.info["ell"]], abs=1e-12)
+    assert exact.rhs**2 == pytest.approx(GOLDEN_RESIDUALS_SQ[exact.info["ell"]], abs=1e-12)
+    assert bound.lhs**2 == pytest.approx(GOLDEN_RESIDUALS_SQ[bound.info["ell"]], abs=1e-12)
     assert bound.rhs == pytest.approx(math.sqrt(GOLDEN_LAMBDA_2), abs=1e-12)
-    assert exact.lhs <= bound.rhs
-    with pytest.raises(IndexOutOfRange):
-        check_range_residual(sset, basis, 1, 5)
+    assert max(GOLDEN_RESIDUALS_SQ) <= GOLDEN_LAMBDA_2
 
 
 def test_range_residual_block_names_the_worst_snapshot():
     inst = random_instance(9, 7, seed=61)
     sset = inst["set"]
     basis = compute_pod(sset, inst["space_x"])
-    everything = range(sset.count)
     for r in range(1, basis.rank + 1):
-        exact, bound = check_range_residual(sset, basis, r, everything)
-        singles = [check_range_residual(sset, basis, r, ell) for ell in everything]
-        for block_rep, k in ((exact, 0), (bound, 1)):
-            # the single-snapshot call indexes the same computation
-            same = singles[block_rep.info["ell"]][k]
-            assert block_rep.lhs == pytest.approx(same.lhs, rel=1e-12)
-            assert block_rep.rhs == pytest.approx(same.rhs, rel=1e-12)
-            assert block_rep.passed == all(rows[k].passed for rows in singles)
-            worst = max(rows[k].rel_diff for rows in singles)
-            assert block_rep.rel_diff >= worst - 1e-12
+        residuals = snapshot_residuals(sset, basis, r)
+        rows = by_id(battery_level(sset, basis, r))
+        for row_id in ("range_exact", "snap_sigma_bound"):
+            rep = rows[row_id]
+            assert rep.passed, (r, row_id)
+            want = residuals[rep.info["ell"]]
+            assert rep.lhs == pytest.approx(want, rel=1e-9, abs=rep.info["floor"]), (r, row_id)
+    # a formula wrong at snapshot j alone: the exact row fails there and names j
+    for j in (0, 3, 6):
+        right = basis.right_full.copy()
+        right[j] *= 2.0
+        tampered = dataclasses.replace(basis, right_full=right)
+        for r in range(1, basis.rank):
+            exact = by_id(battery_level(sset, tampered, r))["range_exact"]
+            assert not exact.passed and exact.info["ell"] == j, (j, r)
+            assert exact.lhs == pytest.approx(snapshot_residuals(sset, basis, r)[j], rel=1e-9)
+            assert exact.rhs == pytest.approx(2.0 * exact.lhs, rel=1e-9)
 
 
 def test_worst_index_prefers_failures_then_first_of_ties():
@@ -101,7 +106,7 @@ def test_range_exact_passes_at_every_level_on_flagship(fhn_instance):
     sset = fhn_instance["set"]
     basis = compute_pod(sset)
     for r in range(1, basis.rank + 1):
-        exact, _ = check_range_residual(sset, basis, r, range(sset.count))
+        exact = by_id(battery_level(sset, basis, r))["range_exact"]
         assert exact.passed, (r, exact.info, exact.rel_diff)
 
 
@@ -114,15 +119,14 @@ def test_range_exact_floor_follows_data_scale(fhn_instance, scale):
     sset = make_snapshot_set(src.data * scale, src.weights, space=src.space)
     basis = compute_pod(sset)
     doubled = dataclasses.replace(basis, right_full=2.0 * basis.right_full)
-    everything = range(sset.count)
     for r in range(1, basis.rank + 1):
-        exact, _ = check_range_residual(sset, basis, r, everything)
+        exact = by_id(battery_level(sset, basis, r))["range_exact"]
         assert exact.passed, (scale, r, exact.rel_diff)
         assert exact.info["floor"] == pytest.approx(
             32.0 * 2.0**-53 * basis.sigma[0] / math.sqrt(sset.weights[exact.info["ell"]])
         )
         if r < basis.rank:
-            wrong, _ = check_range_residual(sset, doubled, r, everything)
+            wrong = by_id(battery_level(sset, doubled, r))["range_exact"]
             assert not wrong.passed, (scale, r)
 
 
@@ -143,17 +147,13 @@ def test_snapshot_bounds_below_threshold_not_asserted():
     basis = compute_pod(sset, space)
     assert snapshot_guarantee_threshold(sset, basis) == 2
 
-    out1 = check_snapshot_bounds(sset, basis, 1)
-    assert out1["r0"] == 2 and not out1["guaranteed"]
-    rep = out1["reports"][0]
-    assert rep.identity_id == "snap_pod_x"
+    rep = by_id(battery_level(sset, basis, 1))["snap_pod_x"]
+    assert rep.info["r0"] == 2
     assert rep.passed  # passes by policy, not by the inequality
     assert rep.info["guaranteed"] is False
     assert rep.info["holds"] is False  # the raw inequality genuinely fails
 
-    out2 = check_snapshot_bounds(sset, basis, 2)
-    assert out2["guaranteed"]
-    rep2 = out2["reports"][0]
+    rep2 = by_id(battery_level(sset, basis, 2))["snap_pod_x"]
     assert rep2.passed and rep2.info["guaranteed"] is True
     assert "holds" not in rep2.info
 
@@ -164,22 +164,30 @@ def test_snapshot_bounds_unattainable_threshold():
     inst = make_embedding_instance(33, 1)
     basis = compute_pod(inst["set"], inst["space_x"])
     assert snapshot_guarantee_threshold(inst["set"], basis) is None
-    out = check_snapshot_bounds(inst["set"], basis, 1)
-    assert out["r0"] is None and not out["guaranteed"]
-    assert all(rep.passed for rep in out["reports"])
-    assert all("holds" in rep.info for rep in out["reports"])
+    proj = mapped_orthogonal_levels(basis, inst["map"])(1)
+    reports = battery_level(inst["set"], basis, 1, inst["map"], proj)
+    snaps = [rep for rep in reports if rep.identity_id.startswith("snap_")]
+    assert len(snaps) == 5  # snap_sigma_bound and one per residual operator
+    for rep in snaps[1:]:
+        assert rep.info["r0"] is None and rep.info["guaranteed"] is False
+        assert rep.passed and "holds" in rep.info
 
 
 def test_snapshot_bounds_row_structure():
     inst = random_instance(8, 6, seed=21)
     basis = compute_pod(inst["set"], inst["space_x"])
     r = min(3, basis.rank)
-    proj = mapped_orthogonal_projector(basis, inst["map"], r)
-    out = check_snapshot_bounds(inst["set"], basis, r, inst["map"], proj)
-    ids = [rep.identity_id for rep in out["reports"]]
-    assert ids == ["snap_pod_x", "snap_proj_y", "snap_pod_x_mapped", "snap_pullback_x"]
-    mapless = check_snapshot_bounds(inst["set"], basis, r)
-    assert [rep.identity_id for rep in mapless["reports"]] == ["snap_pod_x"]
+    proj = mapped_orthogonal_levels(basis, inst["map"])(r)
+
+    def snap_ids(reports):
+        return [rep.identity_id for rep in reports if rep.identity_id.startswith("snap_")]
+
+    ids = snap_ids(battery_level(inst["set"], basis, r, inst["map"], proj))
+    assert ids == [
+        "snap_sigma_bound", "snap_pod_x", "snap_proj_y", "snap_pod_x_mapped", "snap_pullback_x",
+    ]
+    mapless = snap_ids(battery_level(inst["set"], basis, r))
+    assert mapless == ["snap_sigma_bound", "snap_pod_x"]
 
 
 def test_identity_map_reduces_to_ambient(golden_instance):
@@ -189,12 +197,10 @@ def test_identity_map_reduces_to_ambient(golden_instance):
     space = sset.space
     basis = compute_pod(sset, space)
     idmap = identity_map(space)
-    proj = mapped_orthogonal_projector(basis, idmap, 1)
-    base = check_pod_error(sset, basis, 1)
-    mapped = check_mapped_pod_error(sset, basis, idmap, 1)
-    projected = check_projected_error(sset, basis, idmap, proj, 1)
-    pulled = check_pullback_error(sset, basis, idmap, proj, 1)
-    for rep in (mapped, projected, pulled):
+    proj = mapped_orthogonal_levels(basis, idmap)(1)
+    rows = by_id(battery_level(sset, basis, 1, idmap, proj))
+    base = rows["pod_x"]
+    for rep in (rows["pod_x_mapped"], rows["proj_y"], rows["pullback_x"]):
         assert rep.passed
         assert rep.lhs == pytest.approx(base.lhs, rel=1e-12, abs=1e-14)
         assert rep.rhs == pytest.approx(base.rhs, rel=1e-12, abs=1e-14)
@@ -205,16 +211,12 @@ def test_identities_random_instances():
         inst = random_instance(9, 7, seed=seed)
         sset, space, lmap = inst["set"], inst["space_x"], inst["map"]
         basis = compute_pod(sset, space)
+        projectors = codomain_projectors(basis, lmap)
         for r in range(1, basis.rank + 1):
-            proj = mapped_orthogonal_projector(basis, lmap, r)
-            reports = [
-                check_pod_error(sset, basis, r),
-                check_mapped_pod_error(sset, basis, lmap, r),
-                check_projected_error(sset, basis, lmap, proj, r),
-                check_pullback_error(sset, basis, lmap, proj, r),
-            ]
-            for rep in reports:
-                assert rep.passed, f"{rep.identity_id} r={r} rel={rep.rel_diff:.2e}"
+            rows = by_id(battery_level(sset, basis, r, lmap, projectors(r)))
+            for identity_id in ("pod_x", "pod_x_mapped", "proj_y", "pullback_x"):
+                rep = rows[identity_id]
+                assert rep.passed, f"{identity_id} r={r} rel={rep.rel_diff:.2e}"
 
 
 def test_pod_error_direct_recomputation():
@@ -228,7 +230,7 @@ def test_pod_error_direct_recomputation():
         w = sset.data[:, ell]
         pw = proj.range_basis @ (proj.dual_basis.T @ (space.gram @ w))
         total += sset.weights[ell] * norm(space, w - pw) ** 2
-    rep = check_pod_error(sset, basis, 2)
+    rep = by_id(battery_level(sset, basis, 2))["pod_x"]
     assert rep.lhs == pytest.approx(total, rel=1e-12)
 
 
@@ -237,45 +239,43 @@ def test_hs_identities_pass_and_match_weighted_energy():
     sset, lmap = inst["set"], inst["map"]
     basis = compute_pod(sset, inst["space_x"])
     r = 3
-    proj = mapped_orthogonal_projector(basis, lmap, r)
-    reports = check_hs_identities(sset, basis, lmap, proj, r)
-    assert [rep.identity_id for rep in reports] == [
+    proj = mapped_orthogonal_levels(basis, lmap)(r)
+    reports = battery_level(sset, basis, r, lmap, proj)
+    hs = [rep for rep in reports if rep.identity_id.startswith("hs_")]
+    assert [rep.identity_id for rep in hs] == [
         "hs_pod_x_mapped",
         "hs_proj_y",
         "hs_pullback_x",
     ]
-    for rep in reports:
+    for rep in hs:
         assert rep.passed
     # operator-level actual side equals the data-level weighted energy
-    mapped = check_mapped_pod_error(sset, basis, lmap, r)
-    assert reports[0].lhs == pytest.approx(mapped.lhs, rel=1e-11)
-    projected = check_projected_error(sset, basis, lmap, proj, r)
-    assert reports[1].lhs == pytest.approx(projected.lhs, rel=1e-11)
-    pulled = check_pullback_error(sset, basis, lmap, proj, r)
-    assert reports[2].lhs == pytest.approx(pulled.lhs, rel=1e-11)
+    rows = by_id(reports)
+    for rep in hs:
+        assert rep.lhs == pytest.approx(rows[rep.identity_id[3:]].lhs, rel=1e-11)
 
 
 def test_hs_identities_two_rows_without_inverse():
     inst = random_instance(8, 6, seed=52, invertible=False, map_rank=6)
     basis = compute_pod(inst["set"], inst["space_x"])
-    proj = mapped_orthogonal_projector(basis, inst["map"], 2)
-    reports = check_hs_identities(inst["set"], basis, inst["map"], proj, 2)
-    assert len(reports) == 2
+    proj = mapped_orthogonal_levels(basis, inst["map"])(2)
+    reports = battery_level(inst["set"], basis, 2, inst["map"], proj)
+    assert len([rep for rep in reports if rep.identity_id.startswith("hs_")]) == 2
 
 
 def test_pointwise_single_snapshot_matches_range_residual(golden_instance):
     # g = e_ell / weight_ell reproduces snapshot ell, so under the identity
-    # map the codomain projection error is the ambient residual
+    # map the codomain projection error is the ambient residual of (1, 1)
     sset = golden_instance
     space = sset.space
     basis = compute_pod(sset, space)
     idmap = identity_map(space)
-    proj = mapped_orthogonal_projector(basis, idmap, 1)
+    proj = mapped_orthogonal_levels(basis, idmap)(1)
     g = np.array([0.0, 1.0]) / sset.weights[1]
-    rep = check_pointwise("proj_y", sset, basis, g, 1, idmap, proj)
-    exact, _ = check_range_residual(sset, basis, 1, 1)
+    reports = battery_level(sset, basis, 1, idmap, proj, coeffs=g[:, None])
+    rep = by_id(reports)["pw_proj_y"]
     assert rep.passed
-    assert rep.lhs == pytest.approx(exact.lhs, rel=1e-12)
+    assert rep.lhs**2 == pytest.approx(GOLDEN_RESIDUALS_SQ[1], rel=1e-12)
 
 
 def test_pointwise_kinds_and_cs_bound():
@@ -283,43 +283,78 @@ def test_pointwise_kinds_and_cs_bound():
     sset, lmap = inst["set"], inst["map"]
     basis = compute_pod(sset, inst["space_x"])
     r = 3
-    proj = mapped_orthogonal_projector(basis, lmap, r)
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        g = rng.standard_normal(sset.count)
-        for kind in ("proj_y", "composite_y", "composite_x"):
-            rep = check_pointwise(kind, sset, basis, g, r, lmap, proj)
-            assert rep.passed, f"{kind} lhs={rep.lhs:.3e} rhs={rep.rhs:.3e}"
-            # the Cauchy-Schwarz variant can only be looser
-            assert rep.info["cs_rhs"] >= rep.rhs - 1e-13
-            assert rep.info["cs_passed"]
+    proj = mapped_orthogonal_levels(basis, lmap)(r)
+    coeffs = np.random.default_rng(0).standard_normal((10, sset.count)).T
+    reports = battery_level(sset, basis, r, lmap, proj, coeffs=coeffs)
+    pointwise = [rep for rep in reports if rep.identity_id.startswith("pw_")]
+    assert [rep.identity_id for rep in pointwise] == [
+        "pw_proj_y", "pw_composite_y", "pw_composite_x",
+    ] * 10
+    for rep in pointwise:
+        assert rep.passed, f"{rep.identity_id} lhs={rep.lhs:.3e} rhs={rep.rhs:.3e}"
+        # the Cauchy-Schwarz variant can only be looser
+        assert rep.info["cs_rhs"] >= rep.rhs - 1e-13
+        assert rep.info["cs_passed"]
 
 
 def test_pointwise_guards():
+    # coefficients are one column per element; the kinds follow from what
+    # the level is given: composites need an inverse, proj_y a projector
     inst = random_instance(6, 4, seed=62)
-    basis = compute_pod(inst["set"], inst["space_x"])
-    lmap = inst["map"]
-    proj = mapped_orthogonal_projector(basis, lmap, 2)
-    g = np.zeros(4)
-    with pytest.raises(DimensionMismatch):
-        check_pointwise("proj_y", inst["set"], basis, np.zeros(3), 2, lmap, proj)
-    with pytest.raises(ProvenanceMismatch):
-        check_pointwise("proj_y", inst["set"], basis, g, 2, lmap, None)
-    with pytest.raises(IndexOutOfRange):
-        check_pointwise("nonsense", inst["set"], basis, g, 2, lmap, proj)
+    sset, lmap = inst["set"], inst["map"]
+    basis = compute_pod(sset, inst["space_x"])
+    proj = mapped_orthogonal_levels(basis, lmap)(2)
+    for bad in (np.zeros(4), np.zeros((3, 2)), np.zeros((4, 2, 1))):
+        with pytest.raises(DimensionMismatch):
+            battery_level(sset, basis, 2, lmap, proj, coeffs=bad)
     flat = random_instance(6, 4, seed=63, invertible=False, map_rank=4)
     fbasis = compute_pod(flat["set"], flat["space_x"])
-    with pytest.raises(NotInvertible):
-        check_pointwise("composite_y", flat["set"], fbasis, g, 2, flat["map"])
+    fproj = mapped_orthogonal_levels(fbasis, flat["map"])(2)
+    g = np.ones((4, 1))
+    for args, kinds in (
+        ((sset, basis, 2, lmap, proj), ["pw_proj_y", "pw_composite_y", "pw_composite_x"]),
+        ((sset, basis, 2, lmap), ["pw_composite_y"]),
+        ((flat["set"], fbasis, 2, flat["map"], fproj), ["pw_proj_y"]),
+        ((flat["set"], fbasis, 2, flat["map"]), []),
+        ((sset, basis, 2), []),
+    ):
+        reports = battery_level(*args, coeffs=g)
+        assert [rep.identity_id for rep in reports if rep.identity_id.startswith("pw_")] == kinds
 
 
 def test_projector_mismatch_rejected():
     inst = random_instance(7, 5, seed=64)
     basis = compute_pod(inst["set"], inst["space_x"])
     lmap = inst["map"]
-    proj_r2 = mapped_orthogonal_projector(basis, lmap, 2)
+    proj_r2 = mapped_orthogonal_levels(basis, lmap)(2)
     with pytest.raises(ProvenanceMismatch):
-        check_projected_error(inst["set"], basis, lmap, proj_r2, 3)
+        battery_level(inst["set"], basis, 3, lmap, proj_r2)
+
+
+def test_codomain_projector_from_another_map_or_basis_is_rejected():
+    # each of these once passed the r and dimension checks: the projector
+    # from 2 L has the right range, so it certified silently, and the others
+    # returned failing rows that blamed the identities
+    inst = random_instance(6, 5, seed=2)
+    sset, lmap = inst["set"], inst["map"]
+    basis = compute_pod(sset, inst["space_x"])
+    r = 2
+    rng = np.random.default_rng(0)
+    doubled = make_map(lmap.domain, lmap.codomain, 2.0 * lmap.matrix)
+    scrambled = make_map(lmap.domain, lmap.codomain, rng.standard_normal((6, 6)))
+    other = make_snapshot_set(rng.standard_normal((6, 5)), sset.weights, space=sset.space)
+    foreign = [
+        mapped_orthogonal_levels(basis, doubled)(r),
+        mapped_orthogonal_levels(basis, scrambled)(r),
+        mapped_orthogonal_levels(compute_pod(other), lmap)(r),
+        pod_projector(basis, r),
+    ]
+    assert all(proj.space.dim == lmap.codomain.dim and proj.r == r for proj in foreign)
+    for proj in foreign:
+        with pytest.raises(ProvenanceMismatch):
+            battery_level(sset, basis, r, lmap, proj)
+    own = codomain_projectors(basis, lmap)(r)
+    assert all(rep.passed for rep in battery_level(sset, basis, r, lmap, own))
 
 
 def test_sweep_schema():
@@ -333,7 +368,7 @@ def test_sweep_schema():
     assert all(rep.passed for rep in reports)
 
 
-def test_build_codomain_projector_families():
+def test_codomain_projectors_families():
     inst = make_embedding_instance(17, 3)
     basis = compute_pod(inst["set"], inst["space_x"])
     for family, form in (
@@ -341,12 +376,12 @@ def test_build_codomain_projector_families():
         ("ritz", inst["form"]),
         ("pushforward", None),
     ):
-        proj = build_codomain_projector(basis, inst["map"], 3, family, form)
+        proj = codomain_projectors(basis, inst["map"], family, form)(3)
         assert proj.r == 3
     with pytest.raises(ProvenanceMismatch):
-        build_codomain_projector(basis, inst["map"], 3, "ritz", None)
+        codomain_projectors(basis, inst["map"], "ritz", None)
     with pytest.raises(IndexOutOfRange):
-        build_codomain_projector(basis, inst["map"], 3, "sideways", None)
+        codomain_projectors(basis, inst["map"], "sideways", None)
 
 
 def test_report_round_trip(tmp_path):
@@ -379,6 +414,18 @@ def test_report_round_trip(tmp_path):
 def test_read_report_missing_file(tmp_path):
     with pytest.raises(MissingDataFile):
         read_report(str(tmp_path / "absent.json"))
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's one python block runs as written, and every row it
+    # certifies passes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["rows"] and all(rep.passed for rep in namespace["rows"])
+    assert "False" not in capsys.readouterr().out
 
 
 # -- scale-aware floors -------------------------------------------------------

@@ -24,6 +24,8 @@ from podkit.fem import assemble_fem_1d
 from podkit.gram_space import make_space, norm
 from podkit.pod_engine import compute_pod
 
+from conftest import by_id
+
 
 def test_zero_without_source_or_drive():
     # with no source and no boundary drive the zero state is stationary
@@ -162,12 +164,12 @@ def test_time_step_consistency():
     # halving the step leaves the rank-4 data error nearly unchanged; the
     # decomposition certifies its own identities at either resolution, this
     # pins the trajectory itself
-    from podkit.error_lab import check_pod_error
+    from podkit.error_lab import battery_level
 
     def lhs_r4(dt):
         inst = make_fhn_instance(FhnConfig(nodes=24, t_end=2.0, dt=dt))
         basis = compute_pod(inst["set"], inst["space_x"])
-        return check_pod_error(inst["set"], basis, 4).lhs
+        return by_id(battery_level(inst["set"], basis, 4))["pod_x"].lhs
 
     coarse = lhs_r4(0.01)
     fine = lhs_r4(0.005)

@@ -1,19 +1,28 @@
 import dataclasses
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from podkit import gram_space
+from podkit.error_lab import battery_level, codomain_projectors
 from podkit.errors import (
     DimensionMismatch,
     NotInvertible,
+    ProblemTooLarge,
     ProvenanceMismatch,
 )
-from podkit.fhn_gen import make_embedding_instance
+from podkit.fhn_gen import make_embedding_instance, random_instance
 from podkit.gram_space import identity_space, inner, make_space
 from podkit.linear_map import (
+    SURJECTIVITY_SVD_ARRAYS,
     adjoint,
     apply,
     apply_inverse,
+    build_map_from_spec,
+    derivative_map,
     identity_map,
     induced_snapshots,
     inverse_adjoint,
@@ -153,6 +162,7 @@ def test_rank_relation_invertible(golden_instance):
     assert report["rank_source"] == 2
     assert report["rank_image"] == 2
     assert report["equality_expected"] and report["equality_holds"]
+    assert report["image_full_rank"]
     assert report["passed"]
 
 
@@ -163,6 +173,7 @@ def test_rank_relation_rank_deficient(golden_instance):
     by = compute_pod(induced_snapshots(lmap, golden_instance), space)
     report = rank_relation_check(bx, by, lmap)
     assert report["rank_image"] == 1
+    assert not report["image_full_rank"]
     assert report["inequality_holds"]
     assert not report["equality_expected"]
     assert report["passed"]
@@ -199,3 +210,70 @@ def test_rank_equality_on_random_invertible_instances():
         by = compute_pod(induced_snapshots(lmap, sset), codom)
         report = rank_relation_check(bx, by, lmap)
         assert report["equality_holds"], f"seed {seed}"
+
+
+def test_surjectivity_svd_beyond_the_dense_budget_is_refused(monkeypatch):
+    # without an inverse the map is densified for the SVD: its bytes are
+    # checked first, and a certified inverse still answers without them
+    lmap = derivative_map(40, identity_space(40))  # 39 x 40, no inverse
+    need = 8 * SURJECTIVITY_SVD_ARRAYS * 39 * 40
+    monkeypatch.setattr(gram_space, "DENSE_BYTES_BUDGET", need)
+    assert is_surjective(lmap)
+    monkeypatch.setattr(gram_space, "DENSE_BYTES_BUDGET", need - 1)
+    with pytest.raises(ProblemTooLarge, match="surjectivity SVD needs 2 dense 39 x 40"):
+        is_surjective(lmap)
+    assert is_surjective(identity_map(identity_space(40)))
+
+
+def _diag_spec_map(d, space):
+    sset = make_snapshot_set(np.ones((len(d), 2)), np.ones(2), space=space)
+    return build_map_from_spec(json.dumps({"diag": list(d)}), sset)[0]
+
+
+def test_diag_spec_is_sparse_and_certifies_like_the_dense_map():
+    inst = random_instance(8, 6, seed=5)
+    sset, space = inst["set"], inst["space_x"]
+    d = np.random.default_rng(1).uniform(0.5, 3.0, 8) * np.resize([1.0, -1.0], 8)
+    lmap = _diag_spec_map(d, space)
+    dense = make_map(space, space, np.diag(d), invertible=True)
+    assert sparse.issparse(lmap.matrix) and sparse.issparse(lmap.inverse)
+    assert np.array_equal(lmap.matrix.toarray(), np.diag(d))
+    assert np.allclose(lmap.inverse.toarray(), dense.inverse, rtol=1e-14, atol=0)
+    assert np.allclose(adjoint(lmap), adjoint(dense), rtol=1e-12, atol=0)
+    assert is_surjective(dataclasses.replace(lmap, inverse=None))
+    basis = compute_pod(sset, space)
+    for r in range(1, basis.rank + 1):
+        got, want = (
+            battery_level(sset, basis, r, m, codomain_projectors(basis, m)(r))
+            for m in (lmap, dense)
+        )
+        assert [rep.identity_id for rep in got] == [rep.identity_id for rep in want]
+        for a, b in zip(got, want):
+            assert a.passed and b.passed, (r, a.identity_id)
+            assert a.lhs == pytest.approx(b.lhs, rel=1e-10, abs=a.info["floor"])
+            assert a.rhs == pytest.approx(b.rhs, rel=1e-10, abs=a.info["floor"])
+    # a zero entry: no inverse, and the SVD finds the map not surjective
+    singular = _diag_spec_map(np.where(np.arange(8) == 3, 0.0, d), space)
+    assert singular.inverse is None and not is_surjective(singular)
+
+
+def test_ill_conditioned_diag_spec_is_refused():
+    space = identity_space(3)
+    assert _diag_spec_map([1.0, 2e-12, 1.0], space).inverse is not None  # condition 5e11
+    with pytest.raises(NotInvertible, match="condition number"):
+        _diag_spec_map([1.0, 1e-13, 1.0], space)
+
+
+def test_diag_spec_of_30000_entries_builds_without_an_n_by_n_array():
+    # the dense map, its inverse and the certificate took 4 n^2 doubles
+    # (7.2 GB each at this size); the sparse ones take O(n)
+    space = identity_space(30000)
+    d = np.linspace(1.0, 2.0, 30000)
+    tracemalloc.start()
+    try:
+        lmap = _diag_spec_map(d, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lmap.inverse is not None and is_surjective(lmap)
+    assert peak < 16e6

@@ -33,14 +33,11 @@ from podkit.projector import (
     dense_matrix,
     form_ellipticity,
     mapped_orthogonal_levels,
-    mapped_orthogonal_projector,
     op_norm,
     pod_projector,
     pullback_projector,
     pushforward_levels,
-    pushforward_projector,
     ritz_levels,
-    ritz_projector,
 )
 from podkit.snapshot_io import make_snapshot_set, resolve_gram_spec
 
@@ -78,7 +75,7 @@ def test_orthogonal_norm_one():
         basis = compute_pod(inst["set"], inst["space_x"])
         proj = pod_projector(basis, min(3, basis.rank))
         assert op_norm(proj) == pytest.approx(1.0, abs=1e-9)
-        mproj = mapped_orthogonal_projector(basis, inst["map"], min(3, basis.rank))
+        mproj = mapped_orthogonal_levels(basis, inst["map"])(min(3, basis.rank))
         assert op_norm(mproj) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -91,14 +88,14 @@ def test_mapped_projector_rank_deficient_image():
     M = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     lmap = make_map(space, space, M)
     with pytest.raises(RankDeficientImage):
-        mapped_orthogonal_projector(basis, lmap, 2)
+        mapped_orthogonal_levels(basis, lmap)(2)
 
 
-def test_ritz_projector_properties():
+def test_ritz_levels_properties():
     inst = make_embedding_instance(17, 3)
     basis = compute_pod(inst["set"], inst["space_x"])
     r = min(4, basis.rank)
-    proj = ritz_projector(basis, inst["map"], inst["form"], r)
+    proj = ritz_levels(basis, inst["map"], inst["form"])(r)
     rng = np.random.default_rng(8)
     x = rng.standard_normal(17)
     px = apply_projector(proj, x)
@@ -119,7 +116,7 @@ def test_ritz_with_nonsymmetric_form():
     inst = make_embedding_instance(nodes, 1)
     basis = compute_pod(inst["set"], inst["space_x"])
     r = min(4, basis.rank)
-    proj = ritz_projector(basis, inst["map"], form, r)
+    proj = ritz_levels(basis, inst["map"], form)(r)
     rng = np.random.default_rng(9)
     x = rng.standard_normal(nodes)
     px = apply_projector(proj, x)
@@ -130,7 +127,7 @@ def test_ritz_with_nonsymmetric_form():
     assert c > 0.2  # provably coercive on [0, 1]
     assert op_norm(proj) <= C / c + 1e-8
     # and it differs measurably from the orthogonal family
-    orth = mapped_orthogonal_projector(basis, inst["map"], r)
+    orth = mapped_orthogonal_levels(basis, inst["map"])(r)
     assert np.linalg.norm(dense_matrix(proj) - dense_matrix(orth)) > 1e-6
 
 
@@ -141,7 +138,7 @@ def test_ritz_degenerate_form_rejected():
     # the skew part of a symmetric matrix is zero, so this form has no
     # coercivity at all and the build must refuse
     with pytest.raises(FormNotElliptic):
-        ritz_projector(basis, inst["map"], (mesh.stiffness - mesh.stiffness.T).toarray(), 2)
+        ritz_levels(basis, inst["map"], (mesh.stiffness - mesh.stiffness.T).toarray())(2)
 
 
 def reference_ellipticity(space, form):
@@ -214,7 +211,7 @@ def test_pushforward_matches_conjugation(invertible_instance):
     inst = invertible_instance
     basis = compute_pod(inst["set"], inst["space_x"])
     r = min(4, basis.rank)
-    proj = pushforward_projector(inst["map"], basis, r)
+    proj = pushforward_levels(inst["map"], basis)(r)
     rng = np.random.default_rng(10)
     y = rng.standard_normal((10, 3))
     # L P_r L^{-1} y computed longhand
@@ -231,14 +228,14 @@ def test_pushforward_needs_inverse():
     inst = random_instance(8, 6, seed=12, invertible=False, map_rank=5)
     basis = compute_pod(inst["set"], inst["space_x"])
     with pytest.raises(NotInvertible):
-        pushforward_projector(inst["map"], basis, 2)
+        pushforward_levels(inst["map"], basis)(2)
 
 
 def test_pullback_matches_conjugation(invertible_instance):
     inst = invertible_instance
     basis = compute_pod(inst["set"], inst["space_x"])
     r = min(4, basis.rank)
-    inner_proj = mapped_orthogonal_projector(basis, inst["map"], r)
+    inner_proj = mapped_orthogonal_levels(basis, inst["map"])(r)
     proj = pullback_projector(inst["map"], inner_proj, r)
     rng = np.random.default_rng(11)
     x = rng.standard_normal(10)
@@ -252,7 +249,7 @@ def test_pullback_matches_conjugation(invertible_instance):
 def test_pullback_rejects_mismatched_r(invertible_instance):
     inst = invertible_instance
     basis = compute_pod(inst["set"], inst["space_x"])
-    inner_proj = mapped_orthogonal_projector(basis, inst["map"], 3)
+    inner_proj = mapped_orthogonal_levels(basis, inst["map"])(3)
     with pytest.raises(ProvenanceMismatch):
         pullback_projector(inst["map"], inner_proj, 2)
 
@@ -263,7 +260,7 @@ def test_composite_norms_can_exceed_one(invertible_instance):
     inst = invertible_instance
     basis = compute_pod(inst["set"], inst["space_x"])
     r = min(3, basis.rank)
-    push = pushforward_projector(inst["map"], basis, r)
+    push = pushforward_levels(inst["map"], basis)(r)
     n = op_norm(push)
     assert n >= 1.0 - 1e-9
     assert np.isfinite(n)
@@ -377,11 +374,11 @@ def test_dependent_mapped_modes_fail_at_the_same_levels():
     dependent = list(range(4, basis.rank + 1))
     assert assert_levels_match(basis, lmap, "orthogonal", None) == dependent
     with pytest.raises(RankDeficientImage):
-        mapped_orthogonal_projector(basis, lmap, 4)
+        mapped_orthogonal_levels(basis, lmap)(4)
     form = lmap.codomain.gram + 0.1 * np.triu(np.ones((10, 10)), 1)
     assert assert_levels_match(basis, lmap, "ritz", form) == dependent
     with pytest.raises(RankDeficientImage):
-        ritz_projector(basis, lmap, form, 4)
+        ritz_levels(basis, lmap, form)(4)
 
 
 def test_skew_dominated_form_fails_the_ritz_system_at_the_same_levels():
@@ -430,7 +427,7 @@ def test_tampered_inverse_fails_the_cross_check_at_the_same_levels():
         raised = assert_levels_match(basis, lmap, "pushforward", None)
         assert raised == list(range(j + 1, basis.rank + 1)), j
         with pytest.raises(NotInvertible):
-            pushforward_projector(lmap, basis, j + 1)
+            pushforward_levels(lmap, basis)(j + 1)
 
 
 def dense_op_norm(proj):
@@ -457,13 +454,16 @@ def test_op_norm_matches_the_dense_eigensolve_for_every_family():
         if form is None:
             upper = np.triu(np.ones((lmap.codomain.dim,) * 2), 1)
             form = lmap.codomain.gram.toarray() + 0.1 * upper
+        orth_levels = mapped_orthogonal_levels(basis, lmap)
+        ritz = ritz_levels(basis, lmap, form)
+        push = pushforward_levels(lmap, basis)
         for r in range(1, basis.rank + 1):
-            orth = mapped_orthogonal_projector(basis, lmap, r)
+            orth = orth_levels(r)
             for proj in (
                 pod_projector(basis, r),
                 orth,
-                ritz_projector(basis, lmap, form, r),
-                pushforward_projector(lmap, basis, r),
+                ritz(r),
+                push(r),
                 pullback_projector(lmap, orth, r),
             ):
                 want = dense_op_norm(proj)
