@@ -235,7 +235,8 @@ def cmd_generate_fhn(args):
     out = _require(args, "output")
     sset = make_fhn_instance(FhnConfig(nodes=nodes))["set"]
     spec = {"derivative_1d": {"nodes": nodes, "scheme": "forward"}}
-    return _finish_bundle(save(sset, out), sset, nodes, spec)
+    gram = {"block_diag": [{"fem_mass": nodes}] * 2}  # make_product_space's Gram
+    return _finish_bundle(save(sset, out, gram_spec=gram), sset, nodes, spec)
 
 
 def cmd_generate_synthetic(args):

@@ -69,7 +69,7 @@ class UsageError(InputError):
 
 
 class ProblemTooLarge(InputError):
-    """A dense n x n step would exceed gram_space.DENSE_BYTES_BUDGET."""
+    """A dense step would exceed gram_space.DENSE_BYTES_BUDGET."""
 
 
 # -- numerical errors --------------------------------------------------------

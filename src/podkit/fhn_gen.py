@@ -35,7 +35,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DimensionMismatch, SolverDiverged
 from .fem import assemble_fem_1d
-from .gram_space import make_space
+from .gram_space import check_dense_budget, make_space
 from .linear_map import derivative_map, identity_map, make_map
 from .snapshot_io import from_trajectory, make_snapshot_set, resolve_gram_spec
 
@@ -47,6 +47,12 @@ NEWTON_BAND = 3
 SYNTHETIC_FIELDS = 8
 SYNTHETIC_DECAY = 0.45
 EMBEDDING_SNAPSHOTS = 40
+# Peak of solving and packaging a trajectory (make_fhn_instance, then save),
+# in 2n x (steps + 1) doubles: 2.02 to 2.07 (tracemalloc, 100 and 400 nodes),
+# the states and the midpoint snapshots.  Checked against
+# gram_space.DENSE_BYTES_BUDGET before the solve; the default 2,000 steps
+# are refused above 5,589 nodes.
+TRAJECTORY_ARRAYS = 3
 
 
 @dataclass
@@ -93,23 +99,23 @@ def solve_fhn(config):
     c = 0 and the boundary drive disabled the zero state is stationary and
     the trajectory stays identically zero.
     """
-    if config.nodes < 2:
-        raise DimensionMismatch(f"need at least 2 nodes, got {config.nodes}")
-    mesh = assemble_fem_1d(config.nodes)
-    n = mesh.nodes
+    n = config.nodes
+    if n < 2:
+        raise DimensionMismatch(f"need at least 2 nodes, got {n}")
+    steps = int(round(config.t_end / config.dt))
+    if steps < 1 or abs(steps * config.dt - config.t_end) > 1e-9 * config.t_end:
+        raise DimensionMismatch(
+            f"dt = {config.dt} does not divide t_end = {config.t_end}"
+        )
+    check_dense_budget(TRAJECTORY_ARRAYS, (2 * n, steps + 1), "the FitzHugh-Nagumo trajectory")
+    grid = np.linspace(0.0, config.t_end, steps + 1)
+    mesh = assemble_fem_1d(n)
     M = mesh.mass
     S = mesh.stiffness
     mu = np.float64(config.mu)  # mu = 0 makes inf entries, not ZeroDivisionError
     b = config.b
     gam = config.gamma_param
     c = config.c
-
-    steps = int(round(config.t_end / config.dt))
-    if steps < 1 or abs(steps * config.dt - config.t_end) > 1e-9 * config.t_end:
-        raise DimensionMismatch(
-            f"dt = {config.dt} does not divide t_end = {config.t_end}"
-        )
-    grid = np.linspace(0.0, config.t_end, steps + 1)
 
     Mb = sparse.block_diag((M, M), format="csr")
     # rhs(w) = K [u; v; f(u)] + source, one sparse product per evaluation

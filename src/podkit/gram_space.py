@@ -7,8 +7,9 @@ G's lower bandwidth, its outermost nonzero subdiagonal: 0 for identity and
 diagonal Grams, 1 for the FEM Grams, n - 1 for a dense CSV Gram, all through
 the same code.  Each kernel is one library call whatever kd and the column
 count: sparse products with G and L^T, dtbtrs and dpbtrs solves.  A dense
-step (the Ritz ellipticity, a CSV Gram, the surjectivity SVD) first checks
-its bytes against DENSE_BYTES_BUDGET.
+step (a CSV Gram or "matrix" map, the generated trajectory, the Ritz
+ellipticity on a wide band) first checks its bytes against
+DENSE_BYTES_BUDGET.
 """
 from __future__ import annotations
 
@@ -32,10 +33,12 @@ from .errors import (
 SYMMETRY_RTOL = 1e-13
 NORM_CLAMP = 1e-14
 ORTH_DROP_TOL = 1e-12
-# Bytes one dense step may allocate, 512 MiB: beyond it the Ritz ellipticity
-# (3 n^2 doubles), a CSV Gram (snapshot_io.CSV_GRAM_ARRAYS n^2) and the SVD
-# of an m x n map (linear_map.SURJECTIVITY_SVD_ARRAYS m n) raise
-# ProblemTooLarge (exit 2) rather than run out of memory.
+# Bytes one dense step may allocate, 512 MiB: beyond it a CSV Gram
+# (snapshot_io.CSV_GRAM_ARRAYS n^2 doubles), an m x n "matrix" map
+# (linear_map.MATRIX_CSV_ARRAYS m n), the generated trajectory
+# (fhn_gen.TRAJECTORY_ARRAYS 2n (steps + 1)) and the Ritz ellipticity's
+# dense eigensolve on a wide band (3 n^2) raise ProblemTooLarge (exit 2)
+# rather than run out of memory.
 DENSE_BYTES_BUDGET = 2**29
 
 

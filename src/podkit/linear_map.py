@@ -11,12 +11,12 @@ Generated maps are scipy.sparse CSR arrays: identity_map stores one sparse
 identity as matrix and exact inverse, derivative_map a CSR block diagonal,
 and a "diag" spec a CSR diagonal with its exact reciprocal as inverse, so
 no n x n array is formed on their path.  A "matrix" (CSV) spec map stays
-dense.  Every consumer applies a map with @; three places read its type:
-is_surjective densifies a map without an inverse for the SVD, after
-checking its bytes against gram_space.DENSE_BYTES_BUDGET,
-projector.matrix_fingerprint hashes a CSR array's shape, indptr, indices
-and data, and the pushforward's adjoint route factors L^T with a sparse LU
-(scipy.sparse.linalg.splu, imported only there), whatever L's type.
+dense; its rows and columns are counted before it is read and checked
+against gram_space.DENSE_BYTES_BUDGET.  Every consumer applies a map with
+@; two places read its type: projector.matrix_fingerprint hashes a CSR
+array's shape, indptr, indices and data, and the pushforward's adjoint
+route factors L^T with a sparse LU (scipy.sparse.linalg.splu, imported only
+there), whatever L's type.
 """
 
 from __future__ import annotations
@@ -32,13 +32,15 @@ from . import fem, gram_space
 from .errors import DimensionMismatch, MalformedManifest, NotInvertible, ProvenanceMismatch
 from .gram_space import GramSpace, as_matrix, check_dense_budget, make_space, to_dense
 from .snapshot_io import _read_json, _spec_int, gram_matrix, make_snapshot_set
-from .snapshot_io import read_matrix_csv, resolve_gram_spec
+from .snapshot_io import csv_shape, read_matrix_csv, resolve_gram_spec
 
 INVERSE_RESIDUAL_TOL = 1e-8
 MAX_CONDITION = 1e12
-# The map's dense copy and LAPACK's, which tracemalloc does not see: the SVD
-# grew peak RSS by 2.04-2.08 m n doubles on 2,000- and 3,000-node derivative maps.
-SURJECTIVITY_SVD_ARRAYS = 2
+# Peak of reading a "matrix" spec's m x n CSV and building its map, in m n
+# doubles (tracemalloc, 600 to 2,000 rows, and peak RSS): 1.1 to 1.3 for
+# the loadtxt array alone, 6.0 to 6.7 with the computed inverse (the SVD
+# condition number, the solve against the identity and both residuals).
+MATRIX_CSV_ARRAYS = {False: 2, True: 7}
 
 
 @dataclass
@@ -50,7 +52,7 @@ class LinearMap:
     domain, codomain : GramSpace
     matrix : ndarray or scipy.sparse CSR array, shape (codomain.dim, domain.dim)
         Sparse from identity_map, derivative_map and a "diag" spec, dense
-        from a "matrix" spec; see the module docstring for the three places
+        from a "matrix" spec; see the module docstring for the two places
         that read its type.
     inverse : ndarray, scipy.sparse CSR array or None
         Present only when certified at construction; identity_map's is the
@@ -221,24 +223,6 @@ def induced_snapshots(lmap, sset):
     )
 
 
-def is_surjective(lmap):
-    """Numerical surjectivity: the matrix has full row rank.
-
-    A certified inverse (||L Linv - I|| <= 1e-8) proves it without the SVD.
-    This is also the singular-value count with cutoff sigma_1 / MAX_CONDITION:
-    make_map rejects computed inverses beyond that condition and
-    identity_map's inverse is exact.  Without an inverse the dense SVD is
-    refused (ProblemTooLarge) above gram_space.DENSE_BYTES_BUDGET.
-    """
-    if lmap.inverse is not None:
-        return True
-    check_dense_budget(SURJECTIVITY_SVD_ARRAYS, lmap.matrix.shape, "the surjectivity SVD")
-    sv = np.linalg.svd(to_dense(lmap.matrix), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return lmap.codomain.dim == 0
-    return int(np.sum(sv > (1.0 / MAX_CONDITION) * sv[0])) == lmap.codomain.dim
-
-
 def rank_relation_check(basis_x, basis_y, lmap):
     """Compare the POD ranks of a set and its image under the map.
 
@@ -262,7 +246,6 @@ def rank_relation_check(basis_x, basis_y, lmap):
         "invertible": lmap.invertible,
         "equality_expected": lmap.invertible,
         "equality_holds": basis_y.rank == basis_x.rank,
-        "surjective": is_surjective(lmap),
         "image_full_rank": basis_y.rank == lmap.codomain.dim,
     }
     report["passed"] = report["inequality_holds"] and (
@@ -351,7 +334,10 @@ def build_map_from_spec(text, sset):
                 f"matrix map needs a CSV path and a boolean invertible, got "
                 f"{detail!r} and {invertible!r}"
             )
-        A = read_matrix_csv(os.path.join(base_dir, detail))
+        path = os.path.join(base_dir, detail)
+        arrays = MATRIX_CSV_ARRAYS[invertible]
+        check_dense_budget(arrays, csv_shape(path), f"CSV map {detail}")
+        A = read_matrix_csv(path)
         if A.shape[1] != dim:
             raise DimensionMismatch(f"map matrix {A.shape} against snapshots of dim {dim}")
         gram = spec.get("codomain_gram", "identity")

@@ -3,12 +3,9 @@
 Every projector is stored in factored form, P x = range @ (dual^T G x), and
 applied in O(dim * (r + kd)) work, kd the bandwidth of the sparse Gram G.
 Maps and forms may be sparse (every generated map and the default Ritz
-form are) and are applied with @.  Only two steps form an n x n array: the
-dense_matrix diagnostic, and the Ritz ellipticity, which reduces the pencil
-(sym(A), G) to standard form with G's banded Cholesky factor and takes the
-eigenvalues of the dense result after checking its bytes against
-gram_space.DENSE_BYTES_BUDGET.  op_norm works on the factors, the
-pushforward cross-check on one sparse LU (splu) of L^T.
+form are) and are applied with @.  Only the dense_matrix diagnostic and,
+on a wide band, the Ritz ellipticity form an n x n array.  op_norm works on
+the factors, the pushforward cross-check on one sparse LU (splu) of L^T.
 Families:
 
 - "pod_orthogonal": orthogonal projection onto the leading modes.
@@ -39,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigvalsh, lu_factor, lu_solve
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from .errors import (
     DimensionMismatch,
@@ -51,8 +48,8 @@ from .errors import (
     RankExceeded,
     SingularRitzSystem,
 )
-from .gram_space import GramSpace, as_matrix, check_dense_budget, half_weight
-from .gram_space import orthonormal_prefixes, solve_gram, to_dense
+from .gram_space import GramSpace, _lower_band, as_matrix, check_dense_budget, half_weight
+from .gram_space import orthonormal_prefixes, solve_gram
 from .pod_engine import basis_fingerprint, fingerprint
 
 ELLIPTICITY_DEGENERACY = 1e-13
@@ -155,24 +152,52 @@ def mapped_orthogonal_levels(basis, lmap):
     return _levels("mapped_orthogonal", basis, lmap, lambda r: (leading(r),) * 2)
 
 
+def _definite_sup(S, G):
+    """The sup of the t at which dpbtrf factors S - t G (band storage of equal
+    depth), bisected on integer keys ordered as the floats: <= 64 steps."""
+    def definite(t):  # a NaN pivot can pass dpbtrf, never the diagonal check
+        L, info = dpbtrf(S - t * G, lower=1, overwrite_ab=1)
+        return info == 0 and np.isfinite(L[0]).all()
+    hi = (S[0] / G[0]).min()  # a Rayleigh quotient, so no less than the sup
+    lo = hi - (abs(hi) or 1.0)
+    while not definite(lo):  # widen the bracket by doubling
+        if not np.isfinite(lo):
+            raise FormNotElliptic(f"S - t G is not definite for any finite t below {hi}")
+        hi, lo = lo, lo - 2 * (hi - lo)
+    lo, hi = (int(k) for k in np.float64([lo, hi]).view(np.int64))
+    lo, hi = (k if k >= 0 else -(k & 2**63 - 1) for k in (lo, hi))  # keys in float order
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        t = float(np.copysign(np.int64(abs(mid)).view(np.float64), mid))
+        lo, hi = (mid, hi) if definite(t) else (lo, mid)
+    return float(np.copysign(np.int64(abs(hi)).view(np.float64), hi))
+
+
 def form_ellipticity(space, form):
     """Extreme generalized eigenvalues of the symmetric part of a form.
 
-    Returns (c, C): the smallest and largest eigenvalues of sym(A) against
-    the space's Gram matrix G = L L^T.  For symmetric A these are the
-    ellipticity and continuity constants of a(u, v) = v^T A u.  As dsygvd
-    does, but without densifying G, the pencil is reduced to the standard
-    form L^{-1} sym(A) L^{-T} by two banded dtbtrs solves on a dense sym(A);
-    its 3 n^2 doubles are checked against DENSE_BYTES_BUDGET first.  (A
-    Lanczos solve fails on a form with no symmetric part and stalls when c
-    is tiny against C.)
+    Returns (c, C), the extreme eigenvalues of S = sym(A) against the Gram G,
+    (0, 0) if S has no nonzeros: for symmetric A, the ellipticity and
+    continuity constants of v^T A u.  S - t G is definite exactly when t < c
+    (Sylvester's law of inertia), so c is bisected on banded Cholesky
+    factorizations, O(n kd^2) each, and C likewise on -S; both carry an
+    error of order u kappa(G) (C = 1 + 1.7e-9 on the 3,000-node H^1 Gram).
+    Where cheaper, 10/3 n^3 against 2 * 64 n (kd + 1)^2 flops, the dense
+    eigensolve of L^{-1} S L^{-T} (G = L L^T) runs instead, within budget.
     """
     A = as_matrix(form)
     if A.shape != (space.dim, space.dim):
         raise DimensionMismatch(f"form {A.shape} on space of dim {space.dim}")
-    check_dense_budget(3, (space.dim,) * 2, "the Ritz ellipticity eigensolve")
-    sym = to_dense(A + A.T)
-    sym *= 0.5
+    S = sparse.csr_array((A + A.T) * 0.5)
+    if S.count_nonzero() == 0:
+        return 0.0, 0.0
+    bands = _lower_band(S), _lower_band(space.gram)
+    kd, n = max(map(len, bands)) - 1, space.dim
+    if 2 * 64 * n * (kd + 1) ** 2 <= 10 / 3 * n**3:
+        S_band, G_band = (np.pad(b, ((0, kd + 1 - len(b)), (0, 0))) for b in bands)
+        return _definite_sup(S_band, G_band), -_definite_sup(-S_band, G_band)
+    check_dense_budget(3, (n, n), "the Ritz ellipticity eigensolve")
+    sym = S.toarray()
     # sym is exactly symmetric, so sym.T is it in Fortran order: solved in place
     half, _ = dtbtrs(space.chol, sym.T, uplo="L", overwrite_b=True)
     reduced, _ = dtbtrs(space.chol, half.T, uplo="L", overwrite_b=True)

@@ -9,8 +9,9 @@ average of the two bracketing states.
 On disk a set is a small JSON manifest next to a headerless CSV of the data
 columns (one row per coordinate, 17 significant digits, so float64 values
 round-trip bit-exactly).  The manifest names the Gram matrix of the ambient
-space either as the token "identity", a path to a CSV matrix, or a generator
-spec such as {"fem_mass": n}.
+space either as the token "identity", a path to a CSV matrix, a generator
+spec such as {"fem_mass": n}, or the block diagonal of generator specs, such
+as {"block_diag": [{"fem_mass": n}, {"fem_mass": n}]}.
 """
 
 from __future__ import annotations
@@ -189,6 +190,23 @@ def read_matrix_csv(path, rows=None, cols=None):
     return M
 
 
+def csv_shape(path):
+    """(rows, columns) of a CSV matrix in one streamed pass, before loadtxt
+    holds it: its line count (a blank line counts too) and one more than
+    its first line's comma count."""
+    rows, commas, tail = 0, 0, b"\n"
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(2**20):
+                if rows == 0:
+                    commas += chunk.split(b"\n", 1)[0].count(b",")
+                rows += chunk.count(b"\n")
+                tail = chunk[-1:]
+    except OSError as exc:
+        raise MissingDataFile(f"cannot read {path}: {exc.strerror}") from None
+    return rows + (tail != b"\n"), commas + 1
+
+
 def _read_json(path):
     """Parse a JSON file; an unreadable path or invalid JSON is an input error."""
     try:
@@ -216,13 +234,24 @@ def _float_list(value, what, length):
     return np.array(value, dtype=float)
 
 
+def _block_dim(spec):
+    """The node count of a generator spec, the dimension it adds as a block."""
+    if isinstance(spec, dict) and len(spec) == 1:
+        key, n = next(iter(spec.items()))
+        if key in ("fem_mass", "fem_stiffness"):
+            return _spec_int(n, f"{key} node count", 2)
+    raise MalformedManifest(f"a block_diag block must be a generator spec, got {spec!r}")
+
+
 def gram_matrix(spec, dim, base_dir="."):
     """The dim x dim matrix a gram spec names, as a scipy.sparse CSR array.
 
     Accepted forms: the token "identity", a path to a CSV matrix (relative to
-    base_dir), or a generator spec {"fem_mass": n} / {"fem_stiffness": n}.
-    The stiffness generator returns the full H^1 Gram matrix (stiffness plus
-    mass); the derivative Gram alone is singular and cannot define a space.
+    base_dir), a generator spec {"fem_mass": n} / {"fem_stiffness": n}, or
+    {"block_diag": [generator spec, ...]}, the block diagonal of generator
+    specs whose node counts sum to dim.  The stiffness generator returns the
+    full H^1 Gram matrix (stiffness plus mass); the derivative Gram alone is
+    singular and cannot define a space.
     Shape and node count are checked here; symmetry and definiteness are
     left to make_space, since a bilinear form need have neither.  A CSV
     matrix is dense: CSV_GRAM_ARRAYS dim^2 doubles are checked against
@@ -235,6 +264,13 @@ def gram_matrix(spec, dim, base_dir="."):
         return sparse.csr_array(read_matrix_csv(os.path.join(base_dir, spec), dim, dim))
     if isinstance(spec, dict) and len(spec) == 1:
         key, n = next(iter(spec.items()))
+        if key == "block_diag" and isinstance(n, list) and n:
+            sizes = [_block_dim(block) for block in n]
+            if sum(sizes) != dim:
+                raise MalformedManifest(f"block_diag of sizes {sizes} in a dim-{dim} manifest")
+            return sparse.block_diag(
+                [gram_matrix(block, size) for block, size in zip(n, sizes)], format="csr"
+            )
         if key in ("fem_mass", "fem_stiffness"):
             if _spec_int(n, f"{key} node count", 2) != dim:
                 raise MalformedManifest(

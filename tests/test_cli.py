@@ -563,8 +563,9 @@ def test_projector_families_are_built_once_per_run(tmp_path, capsys, monkeypatch
     assert len(adjoint_route) == 1
 
 
-def test_ritz_beyond_the_dense_budget_exits_2_and_writes_nothing(tmp_path, capsys):
-    # the ellipticity eigensolve needs 3 n^2 doubles: 527 MiB at 4,800 nodes
+def test_ritz_verify_at_4800_nodes_exits_0_and_writes_its_report(tmp_path, capsys):
+    # the ellipticity is bisected on banded Cholesky factorizations: no
+    # n x n array, where a dense eigensolve needed 527 MiB at this size
     manifest = str(tmp_path / "big.json")
     assert main(["generate-synthetic", "--output", manifest, "--nodes", "4800"]) == 0
     capsys.readouterr()
@@ -573,31 +574,84 @@ def test_ritz_beyond_the_dense_budget_exits_2_and_writes_nothing(tmp_path, capsy
         capsys, "verify", "--input", manifest, "--map", manifest.replace(".json", "_map.json"),
         "--projector", "ritz", "--r", "1", "--output", str(report),
     )
-    assert code == 2
-    assert json.loads(err)["error"] == "ProblemTooLarge"
-    assert not report.exists()
+    assert code == 0, err
+    assert json.load(open(report))["all_passed"] is True
 
 
-def test_surjectivity_svd_beyond_the_dense_budget_exits_2_and_writes_nothing(
-    tmp_path, capsys, monkeypatch
+def test_derivative_verify_at_6000_nodes_exits_0_without_a_surjectivity_field(
+    tmp_path, capsys
 ):
-    # the rank relation densifies a map without an inverse for its SVD: a
-    # 40-node derivative map is 39 x 40, two such arrays against a budget
-    # one byte short of them
-    from podkit import gram_space
-
-    manifest = str(tmp_path / "synth.json")
-    assert main(["generate-synthetic", "--output", manifest, "--nodes", "40"]) == 0
+    # the rank relation no longer takes the dense SVD of a map without an
+    # inverse (two 5,999 x 6,000 arrays, 549 MiB): no surjectivity field
+    manifest = str(tmp_path / "big.json")
+    assert main(["generate-synthetic", "--output", manifest, "--nodes", "6000"]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(gram_space, "DENSE_BYTES_BUDGET", 8 * 2 * 39 * 40 - 1)
     report = tmp_path / "derivative.json"
     code, _, err = run(
-        capsys, "verify", "--input", manifest, "--map", '{"derivative_1d": {"nodes": 40}}',
+        capsys, "verify", "--input", manifest, "--map", '{"derivative_1d": {"nodes": 6000}}',
+        "--r", "1", "--output", str(report),
+    )
+    assert code == 0, err
+    relation = json.load(open(report))["rank_relation"]
+    assert "surjective" not in relation
+    assert relation["rank_source"] == 8
+
+
+def test_matrix_map_beyond_the_dense_budget_exits_2_before_reading(
+    synth8, tmp_path, capsys, monkeypatch
+):
+    # the shape is counted before loadtxt: a first row of 8 entries and
+    # 2^22 short rows count as 8 (2^22 + 1) entries, just over 512 MiB in
+    # two arrays, from a file of 8 MiB whose ragged rows are never parsed
+    import podkit.linear_map
+
+    def never(*args):
+        raise AssertionError("the CSV map was read")
+
+    monkeypatch.setattr(podkit.linear_map, "read_matrix_csv", never)
+    big = tmp_path / "tall.csv"
+    big.write_bytes(b"0,0,0,0,0,0,0,0\n" + b"0\n" * (2**22 - 1) + b"0")
+    report = tmp_path / "r.json"
+    code, _, err = run(
+        capsys, "verify", "--input", synth8, "--map", json.dumps({"matrix": str(big)}),
         "--r", "1", "--output", str(report),
     )
     assert code == 2
-    assert json.loads(err)["error"] == "ProblemTooLarge"
+    payload = json.loads(err)
+    assert payload["error"] == "ProblemTooLarge"
+    assert "4194305 x 8" in payload["message"]
     assert not report.exists()
+
+
+def test_generate_fhn_names_its_block_diagonal_gram(tmp_path, capsys):
+    # the product space's Gram is named in the manifest, not written as a CSV
+    manifest = str(tmp_path / "fhn.json")
+    assert main(["generate-fhn", "--output", manifest, "--nodes", "8"]) == 0
+    capsys.readouterr()
+    assert json.load(open(manifest))["gram"] == {"block_diag": [{"fem_mass": 8}] * 2}
+    assert sorted(os.listdir(tmp_path)) == ["fhn.json", "fhn_data.csv", "fhn_map.json"]
+    expected = make_fhn_instance(FhnConfig(nodes=8))["set"]
+    back = load(manifest)
+    assert np.array_equal(back.space.gram.toarray(), expected.space.gram.toarray())
+    assert np.array_equal(back.space.chol, expected.space.chol)
+
+
+def test_generate_fhn_beyond_the_dense_budget_exits_2_before_the_solve(
+    tmp_path, capsys, monkeypatch
+):
+    # the 2n x 2,001 trajectory is counted at 3 arrays: 5,590 nodes need
+    # 512.0 MiB, and the refusal comes before the mesh is even assembled
+    import podkit.fhn_gen
+
+    def never(*args):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(podkit.fhn_gen, "assemble_fem_1d", never)
+    manifest = str(tmp_path / "fhn.json")
+    code, _, err = run(capsys, "generate-fhn", "--nodes", "5590", "--output", manifest)
+    assert code == 2
+    assert json.loads(err)["error"] == "ProblemTooLarge"
+    assert os.listdir(tmp_path) == []
 
 
 def _usage_exit(capsys, *argv):

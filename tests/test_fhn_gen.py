@@ -1,6 +1,8 @@
 """Snapshot generators: solver regressions, refinement consistency, and the
 instance builders used across the suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag, lu_factor, lu_solve
@@ -11,6 +13,7 @@ from podkit.fhn_gen import (
     NEWTON_MAX_ITER,
     NEWTON_REL_TOL,
     SDIRK_GAMMA,
+    TRAJECTORY_ARRAYS,
     FhnConfig,
     boundary_pulse,
     make_embedding_instance,
@@ -23,6 +26,7 @@ from podkit.fhn_gen import (
 from podkit.fem import assemble_fem_1d
 from podkit.gram_space import make_space, norm
 from podkit.pod_engine import compute_pod
+from podkit.snapshot_io import save
 
 from conftest import by_id
 
@@ -285,3 +289,18 @@ def test_embedding_norm_inequality():
     for _ in range(50):
         v = rng.standard_normal(13)
         assert norm(l2, v) <= norm(h1, v) + 1e-12
+
+
+def test_trajectory_peaks_within_its_counted_arrays(tmp_path):
+    # the budget counts TRAJECTORY_ARRAYS dense 2n x (steps + 1) arrays: the
+    # traced peak of solving, packaging and saving a bundle as generate-fhn does
+    config = FhnConfig(nodes=60, t_end=2.0)
+    tracemalloc.start()
+    try:
+        sset = make_fhn_instance(config)["set"]
+        save(sset, str(tmp_path / "f.json"), gram_spec={"block_diag": [{"fem_mass": 60}] * 2})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sset.count == 400
+    assert peak < 8 * TRAJECTORY_ARRAYS * 120 * 401

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tracemalloc
 
@@ -6,32 +5,28 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from podkit import gram_space
 from podkit.error_lab import battery_level, codomain_projectors
 from podkit.errors import (
     DimensionMismatch,
     NotInvertible,
-    ProblemTooLarge,
     ProvenanceMismatch,
 )
-from podkit.fhn_gen import make_embedding_instance, random_instance
+from podkit.fhn_gen import random_instance
 from podkit.gram_space import identity_space, inner, make_space
 from podkit.linear_map import (
-    SURJECTIVITY_SVD_ARRAYS,
+    MATRIX_CSV_ARRAYS,
     adjoint,
     apply,
     apply_inverse,
     build_map_from_spec,
-    derivative_map,
     identity_map,
     induced_snapshots,
     inverse_adjoint,
-    is_surjective,
     make_map,
     rank_relation_check,
 )
 from podkit.pod_engine import compute_pod
-from podkit.snapshot_io import make_snapshot_set
+from podkit.snapshot_io import make_snapshot_set, write_matrix_csv
 
 
 def spaces(rng, n, m):
@@ -129,30 +124,6 @@ def test_induced_snapshots_preserve_weights():
     assert mapped.space.dim == codom.dim
 
 
-def test_is_surjective():
-    dom = identity_space(3)
-    codom = identity_space(2)
-    assert is_surjective(make_map(dom, codom, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])))
-    assert not is_surjective(make_map(dom, codom, np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])))
-
-
-def test_is_surjective_shortcut_agrees_with_svd_count():
-    # a map with a certified inverse answers without the SVD; dropping the
-    # inverse forces the singular-value count, which must give the same answer
-    rng = np.random.default_rng(12)
-    maps = []
-    for n in (1, 3, 8, 20):
-        dom, codom = spaces(rng, n, n)
-        M = rng.standard_normal((n, n)) + n * np.eye(n)
-        maps.append(make_map(dom, codom, M, invertible=True))
-        maps.append(make_map(dom, codom, M, inverse=np.linalg.inv(M)))
-    maps.append(make_embedding_instance(1000, 1, seed=1)["map"])
-    for lmap in maps:
-        assert lmap.inverse is not None
-        svd_count = is_surjective(dataclasses.replace(lmap, inverse=None))
-        assert is_surjective(lmap) is svd_count is True
-
-
 def test_rank_relation_invertible(golden_instance):
     space = golden_instance.space
     lmap = make_map(space, space, np.diag([1.0, 2.0]), invertible=True)
@@ -212,19 +183,6 @@ def test_rank_equality_on_random_invertible_instances():
         assert report["equality_holds"], f"seed {seed}"
 
 
-def test_surjectivity_svd_beyond_the_dense_budget_is_refused(monkeypatch):
-    # without an inverse the map is densified for the SVD: its bytes are
-    # checked first, and a certified inverse still answers without them
-    lmap = derivative_map(40, identity_space(40))  # 39 x 40, no inverse
-    need = 8 * SURJECTIVITY_SVD_ARRAYS * 39 * 40
-    monkeypatch.setattr(gram_space, "DENSE_BYTES_BUDGET", need)
-    assert is_surjective(lmap)
-    monkeypatch.setattr(gram_space, "DENSE_BYTES_BUDGET", need - 1)
-    with pytest.raises(ProblemTooLarge, match="surjectivity SVD needs 2 dense 39 x 40"):
-        is_surjective(lmap)
-    assert is_surjective(identity_map(identity_space(40)))
-
-
 def _diag_spec_map(d, space):
     sset = make_snapshot_set(np.ones((len(d), 2)), np.ones(2), space=space)
     return build_map_from_spec(json.dumps({"diag": list(d)}), sset)[0]
@@ -240,7 +198,6 @@ def test_diag_spec_is_sparse_and_certifies_like_the_dense_map():
     assert np.array_equal(lmap.matrix.toarray(), np.diag(d))
     assert np.allclose(lmap.inverse.toarray(), dense.inverse, rtol=1e-14, atol=0)
     assert np.allclose(adjoint(lmap), adjoint(dense), rtol=1e-12, atol=0)
-    assert is_surjective(dataclasses.replace(lmap, inverse=None))
     basis = compute_pod(sset, space)
     for r in range(1, basis.rank + 1):
         got, want = (
@@ -252,9 +209,9 @@ def test_diag_spec_is_sparse_and_certifies_like_the_dense_map():
             assert a.passed and b.passed, (r, a.identity_id)
             assert a.lhs == pytest.approx(b.lhs, rel=1e-10, abs=a.info["floor"])
             assert a.rhs == pytest.approx(b.rhs, rel=1e-10, abs=a.info["floor"])
-    # a zero entry: no inverse, and the SVD finds the map not surjective
+    # a zero entry: no inverse
     singular = _diag_spec_map(np.where(np.arange(8) == 3, 0.0, d), space)
-    assert singular.inverse is None and not is_surjective(singular)
+    assert singular.inverse is None
 
 
 def test_ill_conditioned_diag_spec_is_refused():
@@ -275,5 +232,25 @@ def test_diag_spec_of_30000_entries_builds_without_an_n_by_n_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lmap.inverse is not None and is_surjective(lmap)
+    assert lmap.inverse is not None
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("invertible", [False, True])
+def test_matrix_map_peaks_within_its_counted_arrays(tmp_path, invertible):
+    # the budget counts MATRIX_CSV_ARRAYS[invertible] dense n x n arrays:
+    # the traced peak of reading the CSV and building (and certifying) the map
+    n = 600  # loadtxt's fixed buffers are about 1.4 MB, 0.5 n^2 doubles here
+    rng = np.random.default_rng(3)
+    path = str(tmp_path / "m.csv")
+    write_matrix_csv(path, np.eye(n) + 0.1 * rng.standard_normal((n, n)) / np.sqrt(n))
+    sset = make_snapshot_set(np.ones((n, 2)), np.ones(2), space=identity_space(n))
+    spec = json.dumps({"matrix": path, "invertible": invertible})
+    tracemalloc.start()
+    try:
+        lmap = build_map_from_spec(spec, sset)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (lmap.inverse is not None) == invertible
+    assert peak < 8 * MATRIX_CSV_ARRAYS[invertible] * n * n

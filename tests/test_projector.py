@@ -15,7 +15,6 @@ from podkit.errors import (
     FormNotElliptic,
     NotInvertible,
     PodkitError,
-    ProblemTooLarge,
     ProvenanceMismatch,
     RankDeficient,
     RankDeficientImage,
@@ -156,6 +155,7 @@ def test_form_ellipticity_matches_the_dense_generalized_eigensolve():
     dense = random_instance(12, 8, seed=81)  # dense codomain Gram, kd = n - 1
     assert dense["map"].codomain.chol.shape == (12, 12)
     M = np.random.default_rng(5).standard_normal((12, 12))
+    W = np.random.default_rng(6).standard_normal((nodes, nodes))
     cases = [  # (instance, form, refused)
         (embed, h1, False),
         (embed, h1.toarray(), False),
@@ -166,6 +166,8 @@ def test_form_ellipticity_matches_the_dense_generalized_eigensolve():
         (embed, -h1, True),
         (dense, M @ M.T + np.eye(12), False),
         (dense, M, True),
+        # a dense form widens the band to n - 1: the dense eigensolve path
+        (embed, W @ W.T / nodes + np.eye(nodes), False),
     ]
     for inst, form, refused in cases:
         lmap = inst["map"]
@@ -181,11 +183,19 @@ def test_form_ellipticity_matches_the_dense_generalized_eigensolve():
             ritz_levels(basis, lmap, form)(1)
 
 
-def test_form_ellipticity_beyond_the_dense_budget_is_refused():
-    # 3 dense 30,000 x 30,000 arrays are 21.6 GB: refused before any is made
+def test_form_ellipticity_of_30000_nodes_is_exact_and_small():
+    # bisection on banded factorizations: (1 - t) I is definite exactly for
+    # t < 1, so both constants come out as exactly 1, and no n x n array
+    # (7.2 GB here) is formed
     space = identity_space(30000)
-    with pytest.raises(ProblemTooLarge):
-        form_ellipticity(space, sparse.eye_array(30000, format="csr"))
+    tracemalloc.start()
+    try:
+        constants = form_ellipticity(space, sparse.eye_array(30000, format="csr"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert constants == (1.0, 1.0)
+    assert peak < 8e6
 
 
 def test_sparse_identity_keeps_the_30000_node_embedding_families_small():

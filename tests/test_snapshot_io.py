@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from podkit.errors import (
     DimensionMismatch,
@@ -18,10 +19,12 @@ from podkit.gram_space import DENSE_BYTES_BUDGET, identity_space, make_space
 from podkit.snapshot_io import (
     CSV_FMT,
     CSV_GRAM_ARRAYS,
+    csv_shape,
     from_trajectory,
     load,
     make_snapshot_set,
     read_matrix_csv,
+    gram_matrix,
     resolve_gram_spec,
     save,
     write_matrix_csv,
@@ -191,6 +194,38 @@ def test_resolve_gram_generators():
         resolve_gram_spec({"fem_mass": 6}, 7)
     with pytest.raises(MalformedManifest):
         resolve_gram_spec({"mystery": 6}, 6)
+
+
+def test_block_diag_gram_spec():
+    mesh5, mesh4 = assemble_fem_1d(5), assemble_fem_1d(4)
+    G = gram_matrix({"block_diag": [{"fem_mass": 5}, {"fem_stiffness": 4}]}, 9)
+    want = sparse.block_diag((mesh5.mass, mesh4.stiffness + mesh4.mass))
+    assert np.array_equal(G.toarray(), want.toarray())
+    for spec, dim in [
+        ({"block_diag": [{"fem_mass": 5}, {"fem_mass": 5}]}, 9),  # sizes sum to 10
+        ({"block_diag": [{"fem_mass": 5}, "identity"]}, 9),  # a block names no size
+        ({"block_diag": [{"block_diag": [{"fem_mass": 5}]}]}, 5),
+        ({"block_diag": [{"fem_mass": 1}]}, 1),
+        ({"block_diag": []}, 0),
+        ({"block_diag": {"fem_mass": 5}}, 5),
+    ]:
+        with pytest.raises(MalformedManifest):
+            gram_matrix(spec, dim)
+
+
+def test_csv_shape_counts_without_parsing(tmp_path):
+    path = tmp_path / "m.csv"
+    for text, shape in [
+        ("1,2,3\n4,5,6\n", (2, 3)),
+        ("1,2,3\n4,5,6", (2, 3)),  # no final newline
+        ("7\n", (1, 1)),
+        ("1,2\nx\n\n", (3, 2)),  # ragged and blank rows are loadtxt's to refuse
+        ("0," * 2**20 + "0\n1\n", (2, 2**20 + 1)),  # a first row over one chunk
+    ]:
+        path.write_text(text)
+        assert csv_shape(str(path)) == shape
+    with pytest.raises(MissingDataFile):
+        csv_shape(str(tmp_path / "absent.csv"))
 
 
 def _largest_csv_gram():
