@@ -13,11 +13,11 @@ pair (T, space), one record per operator and truncation level:
 Each record yields its data identity (T applied to the data W), the operator
 form hs_* (T applied to K = W diag(g)), the per-snapshot bound snap_* and the
 pointwise bound pw_* for elements K c; range_exact is the exact per-snapshot
-residual of pod_x.  The actual side applies T to the data; the formula side
-reads only the basis, never the data, so agreement of the two routes is the
-certificate.  Spectral sums run over the complete computed spectrum: with
-unbounded-looking maps the below-tolerance tail still carries weight at the
-certified accuracy.
+residual of pod_x.  The actual side applies T to the data, a column block of
+gram_space.COLUMN_BLOCK_BYTES at a time; the formula side reads only the
+basis, never the data, so agreement of the two routes is the certificate.
+Spectral sums run over the complete computed spectrum: with unbounded-looking
+maps the below-tolerance tail still carries weight at the certified accuracy.
 
 Entry points, the ones the CLI's verify and sweep run: battery_level (every
 row of one level), sweep (the data identities over levels) and
@@ -51,7 +51,7 @@ from .errors import (
     MissingDataFile,
     ProvenanceMismatch,
 )
-from .gram_space import GramSpace, half_weight
+from .gram_space import GramSpace, column_blocks, half_weight
 from .linear_map import apply_inverse
 from .pod_engine import basis_fingerprint, project_X
 from .projector import apply_projector, mapped_orthogonal_levels, matrix_fingerprint
@@ -112,9 +112,13 @@ def _report(kind, identity_id, r, lhs, rhs, tol, floor, info=None):
     )
 
 
-def _column_sq_norms(space, columns):
-    A = half_weight(space, columns)
-    return np.einsum("ij,ij->j", A, A)
+def _column_sq_norms(space, columns, apply, scale=None):
+    """||apply(scale_j c_j)||^2 in space for the columns c_j, by column blocks."""
+    out = np.empty(columns.shape[1])
+    for blk in column_blocks(max(len(columns), space.dim), columns.shape[1]):
+        A = half_weight(space, apply(columns[:, blk] * (1.0 if scale is None else scale[blk])))
+        out[blk] = np.einsum("ij,ij->j", A, A)
+    return out
 
 
 # -- the residual-operator primitive -----------------------------------------
@@ -136,8 +140,8 @@ class _Residual:
     formula: float
     energy: float
 
-    def sq_norms(self, columns):
-        return _column_sq_norms(self.space, self.apply(columns))
+    def sq_norms(self, columns, scale=None):
+        return _column_sq_norms(self.space, columns, self.apply, scale)
 
     def floor(self, mass=1.0, squared=True):
         floor = _floor(self.energy * mass)
@@ -147,7 +151,7 @@ class _Residual:
 def mapped_mode_norms(basis, lmap):
     """||L phi_k||^2 for every mode, from the basis alone and once per
     bundle: its tail [r:] is the pod_x_mapped formula side at level r."""
-    return _column_sq_norms(lmap.codomain, lmap.matrix @ basis.modes_full)
+    return _column_sq_norms(lmap.codomain, basis.modes_full, lambda C: lmap.matrix @ C)
 
 
 def _residuals(sset, basis, r, lmap=None, proj_y=None, mode_norms=None):
@@ -159,7 +163,7 @@ def _residuals(sset, basis, r, lmap=None, proj_y=None, mode_norms=None):
 
     def add(label, space, apply, energy, mode_sq=None):
         if mode_sq is None:
-            mode_sq = _column_sq_norms(space, apply(tail))
+            mode_sq = _column_sq_norms(space, tail, apply)
         out[label] = _Residual(label, space, apply, mode_sq, float(lam @ mode_sq), energy)
 
     def pod_x(C):
@@ -170,7 +174,7 @@ def _residuals(sset, basis, r, lmap=None, proj_y=None, mode_norms=None):
     if lmap is None:
         return out
     L, codomain = lmap.matrix, lmap.codomain
-    energy_y = float(sset.weights @ _column_sq_norms(codomain, L @ sset.data))
+    energy_y = float(sset.weights @ _column_sq_norms(codomain, sset.data, lambda C: L @ C))
     if mode_norms is None:
         mode_norms = mapped_mode_norms(basis, lmap)
     add("pod_x_mapped", codomain, lambda C: L @ pod_x(C), energy_y, mode_norms[r:])
@@ -199,7 +203,7 @@ def _identity(sset, t, r, tol, sq=None, hs=False):
     """Data identity of T, or with hs its operator form on K = W diag(g)."""
     tol = IDENTITY_RTOL if tol is None else tol
     if hs:  # e_j / sqrt(g_j) is an orthonormal basis of the coefficient space
-        lhs = (1.0 / sset.weights) @ t.sq_norms(sset.data * sset.weights)
+        lhs = (1.0 / sset.weights) @ t.sq_norms(sset.data, sset.weights)
     else:
         lhs = sset.weights @ (t.sq_norms(sset.data) if sq is None else sq)
     label = "hs_" + t.label if hs else t.label
@@ -242,7 +246,8 @@ def _range_rows(sset, basis, r, sq):
     pod_x residuals sq; each row names its worst snapshot in info["ell"]."""
     lam = basis.eigenvalues
     lhs = np.sqrt(sq)
-    rhs = np.sqrt(basis.right_full[:, r:] ** 2 @ lam[r:])
+    tail = basis.right_full[:, r:]
+    rhs = np.sqrt(np.einsum("ij,ij,j->i", tail, tail, lam[r:]))
     floor = _floor(np.sqrt(lam[0] / sset.weights))
     abs_diff, rel_diff = _compare(lhs, rhs)
     passed = (rel_diff <= EXACT_RTOL) | (abs_diff <= floor)
@@ -271,8 +276,10 @@ def snapshot_guarantee_threshold(sset, basis):
     short of the snapshot count: the leftover coefficient mass sits in the
     kernel of the data operator and no computed mode sees it).
     """
-    captured = np.cumsum(basis.right_full[:, : basis.rank] ** 2, axis=1)
-    worst = np.max(1.0 / sset.weights[:, None] - captured, axis=0)
+    worst = np.full(basis.rank, -np.inf)
+    for blk in column_blocks(basis.rank, sset.count):  # snapshot blocks
+        captured = np.cumsum(basis.right_full[blk, : basis.rank] ** 2, axis=1)
+        worst = np.maximum(worst, np.max(1.0 / sset.weights[blk, None] - captured, axis=0))
     hits = np.flatnonzero(worst <= 1.0)
     return int(hits[0]) + 1 if hits.size else None
 

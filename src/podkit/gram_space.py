@@ -40,6 +40,15 @@ ORTH_DROP_TOL = 1e-12
 # dense eigensolve on a wide band (3 n^2) raise ProblemTooLarge (exit 2)
 # rather than run out of memory.
 DENSE_BYTES_BUDGET = 2**29
+# Bytes of a column block, the size of the data-sized temporaries; a block
+# has >= 16 columns, as sparse products slow on fewer (30,000 nodes: 25%).
+COLUMN_BLOCK_BYTES = 2**19
+
+
+def column_blocks(rows, cols, min_width=1):
+    """Column slices of COLUMN_BLOCK_BYTES of rows doubles, >= min_width, 16."""
+    width = max(min_width, 16, COLUMN_BLOCK_BYTES // (8 * max(rows, 1)))
+    return [slice(j, min(j + width, cols)) for j in range(0, cols, width)]
 
 
 def check_dense_budget(arrays, shape, what):

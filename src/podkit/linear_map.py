@@ -16,7 +16,7 @@ against gram_space.DENSE_BYTES_BUDGET.  Every consumer applies a map with
 @; two places read its type: projector.matrix_fingerprint hashes a CSR
 array's shape, indptr, indices and data, and the pushforward's adjoint
 route factors L^T with a sparse LU (scipy.sparse.linalg.splu, imported only
-there), whatever L's type.
+there), whatever L's type.  The image rank is pod_engine.image_spectrum's.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from scipy import sparse
 from . import fem, gram_space
 from .errors import DimensionMismatch, MalformedManifest, NotInvertible, ProvenanceMismatch
 from .gram_space import GramSpace, as_matrix, check_dense_budget, make_space, to_dense
-from .snapshot_io import _read_json, _spec_int, gram_matrix, make_snapshot_set
+from .snapshot_io import _read_json, _spec_int, gram_matrix
 from .snapshot_io import csv_shape, read_matrix_csv, resolve_gram_spec
 
 INVERSE_RESIDUAL_TOL = 1e-8
@@ -208,27 +208,12 @@ def inverse_adjoint(lmap):
     return gram_space.adjoint_matrix(lmap.codomain, lmap.domain, lmap.inverse)
 
 
-def induced_snapshots(lmap, sset):
-    """Push a snapshot set through the map; weights and kind are preserved."""
-    if sset.space_dim != lmap.domain.dim:
-        raise DimensionMismatch(
-            f"snapshots of dim {sset.space_dim} through map from dim {lmap.domain.dim}"
-        )
-    return make_snapshot_set(
-        lmap.matrix @ sset.data,
-        sset.weights.copy(),
-        kind=sset.kind,
-        grid=None if sset.grid is None else sset.grid.copy(),
-        space=lmap.codomain,
-    )
-
-
 def rank_relation_check(basis_x, basis_y, lmap):
     """Compare the POD ranks of a set and its image under the map.
 
     The image rank can never exceed the source rank; with a certified
-    invertible map the two are equal.  The two bases must come from a set
-    and its induced set, decomposed at the same drop tolerance.
+    invertible map the two are equal.  basis_x is the set's POD, basis_y
+    its image_spectrum (or the image set's POD), at the same drop tolerance.
 
     Returns a report dict with both ranks and the verdicts.
     """

@@ -10,11 +10,14 @@ the modes phi_k are orthonormal in the ambient space, and the right vectors
 f_k are orthonormal in the weighted coefficient space.  Numerically the
 decomposition is realized as one thin SVD of the half-weighted data matrix
 A = R^T W diag(sqrt(g)), where R is the Cholesky factor of the ambient Gram
-matrix.  The SVD route and the correlation eigenproblem agree in exact
-arithmetic; the SVD is preferred because its backward error couples trailing
-singular directions at the scale of the trailing singular values themselves,
-which the deep-truncation error identities are sensitive to, while a
-correlation eigensolve couples them at the scale of the leading eigenvalue.
+matrix, filled by column blocks into the one data-sized working copy beside
+the data and the right vectors, which the SVD (xGESDD) overwrites; other
+data-sized temporaries are blocks of gram_space.COLUMN_BLOCK_BYTES.  The SVD
+route and the correlation eigenproblem agree in exact arithmetic; the SVD is
+preferred because its backward error couples trailing singular directions at
+the scale of the trailing singular values themselves, which the
+deep-truncation error identities are sensitive to, while a correlation
+eigensolve couples them at the scale of the leading eigenvalue.
 
 Numerical rank is the number of eigenvalues above drop_tol times the largest
 one.  The basis keeps the complete computed spectrum and the full set of
@@ -28,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from types import SimpleNamespace
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +46,7 @@ from .errors import (
 )
 from .gram_space import (
     GramSpace,
+    column_blocks,
     half_weight,
     half_weight_inv,
     identity_space,
@@ -141,21 +146,20 @@ def compute_pod(sset, space=None, drop_tol=DEFAULT_DROP_TOL):
 
     W = sset.data
     g12 = np.sqrt(sset.weights)
-    A = half_weight(space, W * g12[None, :])  # chol^T W Gamma^{1/2}, n x s
+    A = np.empty(W.shape, order="F")  # chol^T W Gamma^{1/2}, n x s, by blocks
+    for blk in column_blocks(*W.shape):
+        A[:, blk] = half_weight(space, W[:, blk] * g12[blk])
 
     try:
-        U, sig_full, Vt = svd(A, full_matrices=False)
+        U, sig_full, Vt = svd(A, full_matrices=False, overwrite_a=True)
     except Exception as exc:
         raise EigenFailure(str(exc)) from None
+    del A  # overwritten by the SVD; freed before the basis arrays are formed
 
     lam = sig_full**2
     modes_full = half_weight_inv(space, U)
-    right_full = Vt.T / g12[:, None]
-
-    if lam.size and lam[0] > 0.0:
-        rank = int(np.sum(lam > drop_tol * lam[0]))
-    else:
-        rank = 0
+    right_full = np.divide(Vt, g12, out=Vt).T  # in place
+    rank = numerical_rank(lam, drop_tol)
 
     modes = orthonormalize(space, modes_full[:, :rank])
     peaks = modes[np.argmax(np.abs(modes), axis=0), np.arange(rank)]
@@ -175,6 +179,27 @@ def compute_pod(sset, space=None, drop_tol=DEFAULT_DROP_TOL):
         space=space,
         snapshots_ref=snapshot_fingerprint(sset),
     )
+
+
+def numerical_rank(lam, drop_tol):
+    """The number of eigenvalues above drop_tol times the largest one."""
+    return int(np.sum(lam > drop_tol * lam[0])) if lam.size and lam[0] > 0.0 else 0
+
+
+def image_spectrum(lmap, sset, drop_tol):
+    """The POD eigenvalues, rank, drop_tol and space of {L w_j}, same weights,
+    for rank_relation_check: blocks of >= codomain dim columns of A = chol_y^T
+    L W Gamma^{1/2} fold into an R-only Householder QR of A^T (Golub & Van Loan 5.2)."""
+    if sset.space_dim != lmap.domain.dim:
+        raise DimensionMismatch(f"snapshots of dim {sset.space_dim}, map from {lmap.domain.dim}")
+    codomain, g12 = lmap.codomain, np.sqrt(sset.weights)
+    R = np.zeros((0, codomain.dim))
+    for blk in column_blocks(max(len(sset.data), codomain.dim), sset.count, codomain.dim):
+        A = half_weight(codomain, lmap.matrix @ sset.data[:, blk]) * g12[blk]
+        R = np.linalg.qr(np.vstack((R, A.T)), mode="r")
+    lam = svd(R, compute_uv=False) ** 2
+    rank = numerical_rank(lam, drop_tol)
+    return SimpleNamespace(eigenvalues=lam, rank=rank, drop_tol=drop_tol, space=codomain)
 
 
 def spectrum_gapped(basis):

@@ -177,6 +177,7 @@ def write_matrix_csv(path, matrix):
 
 
 def read_matrix_csv(path, rows=None, cols=None):
+    """A headerless CSV matrix; a bad shape or a non-finite cell is MalformedManifest."""
     if not os.path.exists(path):
         raise MissingDataFile(f"no such file: {path}")
     try:
@@ -187,6 +188,9 @@ def read_matrix_csv(path, rows=None, cols=None):
         raise MalformedManifest(f"{path}: {exc}") from None
     if rows is not None and M.shape != (rows, cols):
         raise MalformedManifest(f"{path}: expected shape ({rows}, {cols}), found {M.shape}")
+    if not np.isfinite(M).all():
+        i, j = np.argwhere(~np.isfinite(M))[0]
+        raise MalformedManifest(f"{path}: row {i + 1}, column {j + 1} is {M[i, j]}, not finite")
     return M
 
 

@@ -26,10 +26,11 @@ from podkit.fhn_gen import (
     make_fhn_instance,
     random_instance,
 )
-from podkit.linear_map import induced_snapshots, rank_relation_check
+from podkit.linear_map import rank_relation_check
 from podkit.pod_engine import (
     compute_pod,
     hs_norm_sq,
+    image_spectrum,
     optimality_oracle,
     spectrum_gapped,
 )
@@ -45,6 +46,7 @@ from podkit.projector import (
 )
 
 from conftest import GOLDEN_LAMBDA_2, by_id
+from oracles import induced_snapshots
 
 RESULTS = []
 
@@ -163,6 +165,9 @@ def test_criterion_4_rank_relations(fhn_small_instance):
             assert spectrum_gapped(basis_x) and spectrum_gapped(basis_y)
             rel = rank_relation_check(basis_x, basis_y, inst["map"])
             assert rel["inequality_holds"], f"instance {i}"
+            # verify's route: the image spectrum without vectors
+            image = image_spectrum(inst["map"], inst["set"], basis_x.drop_tol)
+            assert rank_relation_check(basis_x, image, inst["map"]) == rel, f"instance {i}"
             if invertible:
                 assert rel["equality_holds"], f"instance {i}"
 

@@ -435,6 +435,31 @@ def test_file_boundaries_raise_typed_errors(synth8, tmp_path, capsys, case):
     assert [f for f in os.listdir(tmp_path) if f.startswith(".tmp_")] == []
 
 
+@pytest.mark.parametrize("kind", ["data", "gram", "ritz_form", "matrix"])
+def test_non_finite_csv_cell_is_an_input_error(synth8, tmp_path, capsys, kind):
+    # one nan in any CSV podkit reads is refused where it is read, exit 2
+    bad = str(tmp_path / "bad.csv")
+    matrix = assemble_fem_1d(8).mass.toarray()
+    if kind == "data":
+        bad = synth8.replace(".json", "_data.csv")
+        matrix = np.loadtxt(bad, delimiter=",")
+    matrix[3, 2] = np.nan
+    np.savetxt(bad, matrix, delimiter=",")
+    argv = ["pod", "--input", synth8, "--output", str(tmp_path / "basis.json")]
+    if kind == "gram":
+        manifest = json.load(open(synth8))
+        json.dump({**manifest, "gram": bad}, open(synth8, "w"))
+    elif kind == "ritz_form":
+        spec = {"embedding": _EMBED, "ritz_form": bad}
+        argv = ["verify", "--input", synth8, "--map", json.dumps(spec), "--projector", "ritz"]
+    elif kind == "matrix":
+        argv = ["verify", "--input", synth8, "--map", json.dumps({"matrix": bad})]
+    code, _, err = run(capsys, *argv, "--r", "1")
+    assert code == 2
+    assert json.loads(err)["error"] == "MalformedManifest"
+    assert "row 4, column 3 is nan, not finite" in json.loads(err)["message"]
+
+
 @pytest.mark.parametrize("command", ["generate-fhn", "generate-synthetic"])
 def test_generated_map_spec_rebuilds_the_instance_map(tmp_path, capsys, command):
     manifest = str(tmp_path / "bundle.json")

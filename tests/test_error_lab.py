@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,11 @@ import pytest
 
 from podkit.cli import run_battery
 from podkit.error_lab import (
+    _residuals,
     _worst_index,
     battery_level,
     codomain_projectors,
+    mapped_mode_norms,
     read_report,
     snapshot_guarantee_threshold,
     sweep,
@@ -24,7 +27,8 @@ from podkit.error_lab import (
 )
 from podkit.errors import DimensionMismatch, IndexOutOfRange, MissingDataFile, ProvenanceMismatch
 from podkit.fhn_gen import make_embedding_instance, random_instance
-from podkit.gram_space import identity_space, norm
+from podkit.fem import assemble_fem_1d
+from podkit.gram_space import COLUMN_BLOCK_BYTES, half_weight, identity_space, make_space, norm
 from podkit.linear_map import identity_map, make_map
 from podkit.pod_engine import compute_pod
 from podkit.projector import apply_projector, mapped_orthogonal_levels, pod_projector
@@ -493,3 +497,50 @@ def test_small_caps_fail_every_guaranteed_snapshot_row(alpha):
         assert rows
         passing = [(rep.identity_id, rep.r) for rep in rows if rep.passed]
         assert not passing, (seed, passing)
+
+
+@pytest.mark.parametrize("family", ["orthogonal", "pushforward"])
+def test_blocked_residual_norms_match_unblocked(family):
+    # 1,500 snapshots of dim 60 take two column blocks.  Blocking reorders
+    # only the dense products' sums, so each ||T w_j||^2 (and its hs form
+    # ||T g_j w_j||^2) moves by round-off, far below 1e-15 of the scale its
+    # floor uses: E / g_j, E the data energy in T's norm space.
+    inst = random_instance(60, 1500, seed=11, invertible=True)
+    sset, g = inst["set"], inst["set"].weights
+    basis = compute_pod(sset)
+    projectors = codomain_projectors(basis, inst["map"], family)
+    for r in (1, basis.rank // 2, basis.rank):
+        res = _residuals(sset, basis, r, inst["map"], projectors(r))
+        assert list(res) == ["pod_x", "pod_x_mapped", "proj_y", "pullback_x"]
+        for t in res.values():
+            for scale, weight in ((None, g), (g, 1.0 / g)):
+                columns = sset.data if scale is None else sset.data * scale
+                A = half_weight(t.space, t.apply(columns))  # T of the whole data
+                diff = np.abs(t.sq_norms(sset.data, scale) - np.einsum("ij,ij->j", A, A))
+                assert np.max(diff * weight) <= 1e-15 * t.energy, (r, t.label)
+
+
+@pytest.mark.parametrize("s", [5_000, 20_000])
+def test_battery_level_peak_is_column_blocks_not_data(s):
+    # Above its inputs a level holds a few column blocks, O(n^2) for the
+    # tail modes and O(s) for the per-snapshot norms and the pointwise
+    # coefficients, never a data-sized temporary (4 MB at s = 5,000 and
+    # 16 MB at s = 20,000, n = 100).
+    n = 100
+    rng = np.random.default_rng(s)
+    mesh = assemble_fem_1d(n)
+    space = make_space(mesh.mass)
+    sset = make_snapshot_set(rng.standard_normal((n, s)), rng.uniform(0.5, 2.0, s), space=space)
+    lmap = identity_map(space, make_space(mesh.stiffness + mesh.mass), kind="embedding")
+    basis = compute_pod(sset)
+    projectors = codomain_projectors(basis, lmap)
+    coeffs = rng.standard_normal((s, 5))
+    proj_y, mode_norms = projectors(n // 2), mapped_mode_norms(basis, lmap)
+    tracemalloc.start()
+    try:
+        rows = battery_level(sset, basis, n // 2, lmap, proj_y, None, coeffs, mode_norms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(rep.passed for rep in rows)
+    assert peak <= 6 * COLUMN_BLOCK_BYTES + 8 * (8 * n * n + 16 * s)

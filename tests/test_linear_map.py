@@ -11,7 +11,7 @@ from podkit.errors import (
     NotInvertible,
     ProvenanceMismatch,
 )
-from podkit.fhn_gen import random_instance
+from podkit.fhn_gen import make_embedding_instance, random_instance
 from podkit.gram_space import identity_space, inner, make_space
 from podkit.linear_map import (
     MATRIX_CSV_ARRAYS,
@@ -20,13 +20,14 @@ from podkit.linear_map import (
     apply_inverse,
     build_map_from_spec,
     identity_map,
-    induced_snapshots,
     inverse_adjoint,
     make_map,
     rank_relation_check,
 )
-from podkit.pod_engine import compute_pod
+from podkit.pod_engine import compute_pod, image_spectrum, spectrum_gapped
 from podkit.snapshot_io import make_snapshot_set, write_matrix_csv
+
+from oracles import induced_snapshots
 
 
 def spaces(rng, n, m):
@@ -181,6 +182,39 @@ def test_rank_equality_on_random_invertible_instances():
         by = compute_pod(induced_snapshots(lmap, sset), codom)
         report = rank_relation_check(bx, by, lmap)
         assert report["equality_holds"], f"seed {seed}"
+
+
+def _golden_map(sset, which):
+    space = sset.space
+    matrix = {"invertible": np.diag([1.0, 2.0]), "rank-1": np.diag([1.0, 0.0]),
+              "zero": np.zeros((2, 2))}[which]
+    return make_map(space, space, matrix, invertible=which == "invertible")
+
+
+@pytest.mark.parametrize(
+    "instance", ["golden-invertible", "golden-rank-1", "golden-zero", "embedding-1000", "flagship"]
+)
+def test_image_spectrum_matches_the_induced_set_pod(golden_instance, fhn_instance, instance):
+    # the QR-folded spectrum against the reference: the full POD of L W
+    if instance.startswith("golden"):
+        sset = golden_instance
+        lmap = _golden_map(sset, instance.split("-", 1)[1])
+    else:
+        inst = fhn_instance if instance == "flagship" else make_embedding_instance(1000, 1, seed=1)
+        sset, lmap = inst["set"], inst["map"]
+    source = compute_pod(sset)
+    image = image_spectrum(lmap, sset, source.drop_tol)
+    reference = compute_pod(induced_snapshots(lmap, sset), lmap.codomain, source.drop_tol)
+    assert image.eigenvalues.shape == reference.eigenvalues.shape
+    scale = max(reference.eigenvalues[0], np.finfo(float).tiny)
+    assert np.max(np.abs(image.eigenvalues - reference.eigenvalues)) <= 1e-14 * scale
+    assert image.rank == reference.rank
+    assert image.drop_tol == source.drop_tol and image.space is lmap.codomain
+    assert spectrum_gapped(image) == spectrum_gapped(reference)
+    relation = rank_relation_check(source, image, lmap)
+    assert relation == rank_relation_check(source, reference, lmap)
+    if instance == "flagship":
+        assert (relation["rank_source"], relation["rank_image"]) == (22, 30)
 
 
 def _diag_spec_map(d, space):

@@ -10,9 +10,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import svd
 
 from podkit.errors import IndexOutOfRange, MalformedManifest, MissingDataFile, RankExceeded
-from podkit.gram_space import identity_space, inner, make_space
+from podkit.fem import assemble_fem_1d
+from podkit.gram_space import half_weight, half_weight_inv, identity_space, inner, make_space
 from podkit.pod_engine import (
     apply_K,
     apply_K_adjoint,
@@ -221,3 +223,60 @@ def test_compute_pod_memory_stays_linear_in_snapshot_count():
     assert basis.rank == k
     F = basis.right_vectors
     assert np.allclose(F.T @ (sset.weights[:, None] * F), np.eye(k), atol=1e-12)
+
+
+def unblocked_pod(sset):
+    """The whole half-weighted data matrix in one SVD: eigenvalues, modes and
+    right vectors of the full spectrum, as compute_pod computed them before
+    it filled its SVD input a column block at a time."""
+    g12 = np.sqrt(sset.weights)
+    U, sig, Vt = svd(half_weight(sset.space, sset.data * g12[None, :]), full_matrices=False)
+    return sig**2, half_weight_inv(sset.space, U), Vt.T / g12[:, None]
+
+
+def assert_bit_equal_to_unblocked(sset):
+    basis = compute_pod(sset)
+    lam, modes_full, right_full = unblocked_pod(sset)
+    assert np.array_equal(basis.eigenvalues, lam)
+    assert np.array_equal(basis.modes_full, modes_full)
+    assert np.array_equal(basis.right_full, right_full)
+    return basis
+
+
+@pytest.mark.parametrize(
+    "n, s, dense_gram", [(5, 7, True), (40, 3000, False), (150, 1600, True), (257, 900, False)]
+)
+def test_compute_pod_is_bit_equal_to_the_unblocked_svd(n, s, dense_gram):
+    # the blocks are per-column products, so the SVD sees the same matrix
+    rng = np.random.default_rng(n + s)
+    if dense_gram:
+        A = rng.standard_normal((n, n))
+        space = make_space(A.T @ A / n + np.eye(n))
+    else:
+        space = make_space(assemble_fem_1d(n).mass)
+    k = min(n, s) // 2 + 1
+    data = rng.standard_normal((n, k)) @ rng.standard_normal((k, s))
+    assert_bit_equal_to_unblocked(make_snapshot_set(data, rng.uniform(0.5, 2.0, s), space=space))
+
+
+def test_flagship_pod_is_bit_equal_to_the_unblocked_svd(fhn_instance):
+    # 200 x 2,000: seven column blocks
+    assert assert_bit_equal_to_unblocked(fhn_instance["set"]).rank == 22
+
+
+def test_compute_pod_peak_is_two_and_a_half_data_arrays():
+    # The SVD overwrites the one Fortran-order working copy, and its right
+    # vectors become right_full: with full rank (right_vectors a data-sized
+    # array too) the peak above the input is about two data arrays.
+    n, s = 100, 10_000
+    rng = np.random.default_rng(23)
+    space = make_space(assemble_fem_1d(n).mass)
+    sset = make_snapshot_set(rng.standard_normal((n, s)), rng.uniform(0.5, 2.0, s), space=space)
+    tracemalloc.start()
+    try:
+        basis = compute_pod(sset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.rank == n
+    assert peak <= 2.5 * sset.data.nbytes
