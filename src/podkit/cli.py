@@ -48,8 +48,8 @@ from .errors import (
 from .error_lab import (
     IDENTITY_RTOL,
     battery_level,
+    bundle_constants,
     codomain_projectors,
-    mapped_mode_norms,
     read_report,
     report_format,
     report_rows,
@@ -164,15 +164,16 @@ def run_battery(sset, basis, lmap, family, form, r_values, tol, seed):
     """
     rng = np.random.default_rng(0 if seed is None else seed)
     extra = {"r_values": list(r_values), "tol": tol, "family": family}
+    consts = bundle_constants(sset, basis, lmap)
     if lmap is None:
-        return [rep for r in r_values for rep in battery_level(sset, basis, r, tol=tol)], extra
+        reports = [battery_level(sset, basis, r, tol=tol, consts=consts) for r in r_values]
+        return [rep for rows in reports for rep in rows], extra
 
     projectors = codomain_projectors(basis, lmap, family, form)
-    mode_norms = mapped_mode_norms(basis, lmap)
     reports = []
     for r in r_values:
         coeffs = rng.standard_normal((POINTWISE_PER_LEVEL, sset.count)).T
-        reports.extend(battery_level(sset, basis, r, lmap, projectors(r), tol, coeffs, mode_norms))
+        reports.extend(battery_level(sset, basis, r, lmap, projectors(r), tol, coeffs, consts))
 
     basis_y = image_spectrum(lmap, sset, basis.drop_tol)
     relation = dict(rank_relation_check(basis, basis_y, lmap))

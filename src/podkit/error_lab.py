@@ -40,6 +40,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -148,16 +149,29 @@ class _Residual:
         return float(floor if squared else np.sqrt(floor))
 
 
-def mapped_mode_norms(basis, lmap):
-    """||L phi_k||^2 for every mode, from the basis alone and once per
-    bundle: its tail [r:] is the pod_x_mapped formula side at level r."""
-    return _column_sq_norms(lmap.codomain, basis.modes_full, lambda C: lmap.matrix @ C)
+def bundle_constants(sset, basis, lmap=None):
+    """The level-free inputs of the rows, computed once per bundle: r0, the
+    snapshot_guarantee_threshold; with a map, mode_norms, ||L phi_k||^2 for
+    every mode from the basis alone (its tail [r:] is the pod_x_mapped
+    formula side at level r), and energy_y = sum_j g_j ||L w_j||^2, the
+    codomain rows' floor scale (both None without a map)."""
+    consts = SimpleNamespace(
+        r0=snapshot_guarantee_threshold(sset, basis), mode_norms=None, energy_y=None
+    )
+    if lmap is not None:
+        def apply(C):
+            return lmap.matrix @ C
+
+        consts.mode_norms = _column_sq_norms(lmap.codomain, basis.modes_full, apply)
+        consts.energy_y = float(sset.weights @ _column_sq_norms(lmap.codomain, sset.data, apply))
+    return consts
 
 
-def _residuals(sset, basis, r, lmap=None, proj_y=None, mode_norms=None):
+def _residuals(sset, basis, r, lmap=None, proj_y=None, consts=None):
     """The residual operators of level r, keyed by label in identity order:
-    pod_x, with a map pod_x_mapped (from mode_norms, see battery_level), with
-    a codomain projector proj_y, and with both and an invertible map pullback_x."""
+    pod_x, with a map pod_x_mapped, with a codomain projector proj_y, and
+    with both and an invertible map pullback_x; consts is
+    bundle_constants(sset, basis, lmap), computed here when not given."""
     tail, lam = basis.modes_full[:, r:], basis.eigenvalues[r:]
     out = {}
 
@@ -174,10 +188,10 @@ def _residuals(sset, basis, r, lmap=None, proj_y=None, mode_norms=None):
     if lmap is None:
         return out
     L, codomain = lmap.matrix, lmap.codomain
-    energy_y = float(sset.weights @ _column_sq_norms(codomain, sset.data, lambda C: L @ C))
-    if mode_norms is None:
-        mode_norms = mapped_mode_norms(basis, lmap)
-    add("pod_x_mapped", codomain, lambda C: L @ pod_x(C), energy_y, mode_norms[r:])
+    if consts is None:
+        consts = bundle_constants(sset, basis, lmap)
+    energy_y = consts.energy_y
+    add("pod_x_mapped", codomain, lambda C: L @ pod_x(C), energy_y, consts.mode_norms[r:])
     if proj_y is None:
         return out
     if proj_y.space.dim != codomain.dim:
@@ -210,22 +224,24 @@ def _identity(sset, t, r, tol, sq=None, hs=False):
     return _report("identity", label, r, lhs, t.formula, tol, t.floor())
 
 
-def battery_level(sset, basis, r, lmap=None, proj_y=None, tol=None, coeffs=None, mode_norms=None):
+def battery_level(sset, basis, r, lmap=None, proj_y=None, tol=None, coeffs=None, consts=None):
     """Every row of truncation level r, in report order: the data identities
     (range_exact and snap_sigma_bound after pod_x), the operator-level
     identities, the per-snapshot bounds, and the pointwise bounds of K c for
     the columns c of coeffs, shape (count, k).  T W is formed once per
-    operator; mode_norms is mapped_mode_norms(basis, lmap), computed here
+    operator; consts is bundle_constants(sset, basis, lmap), computed here
     when not given; proj_y must be codomain_projectors(basis, lmap, ...)(r).
     """
     if coeffs is not None and (np.ndim(coeffs) != 2 or len(coeffs) != sset.count):
         raise DimensionMismatch(f"coefficients of shape {np.shape(coeffs)}, not ({sset.count}, k)")
-    res = _residuals(sset, basis, r, lmap, proj_y, mode_norms)
+    if consts is None:
+        consts = bundle_constants(sset, basis, lmap)
+    res = _residuals(sset, basis, r, lmap, proj_y, consts)
     sq = {label: t.sq_norms(sset.data) for label, t in res.items()}
     rows = [_identity(sset, t, r, tol, sq[label]) for label, t in res.items()]
     rows[1:1] = _range_rows(sset, basis, r, sq["pod_x"])
     rows += [_identity(sset, t, r, tol, hs=True) for t in list(res.values())[1:]]
-    rows += _snapshot_rows(sset, basis, r, res, sq)
+    rows += _snapshot_rows(sset, basis, r, res, sq, consts.r0)
     if coeffs is not None:
         rows += _pointwise_rows(sset, basis, r, lmap, res, coeffs)
     return rows
@@ -284,12 +300,11 @@ def snapshot_guarantee_threshold(sset, basis):
     return int(hits[0]) + 1 if hits.size else None
 
 
-def _snapshot_rows(sset, basis, r, res, sq):
+def _snapshot_rows(sset, basis, r, res, sq, r0):
     """snap_* rows: the worst snapshot's ||T w_ell||^2 (from sq) against T's
     tail, sigma_{r+1}^2 for pod_x; claimed only from the guarantee threshold
     r0 upward, below it a row passes with the raw outcome in info["holds"]."""
     lam = basis.eigenvalues
-    r0 = snapshot_guarantee_threshold(sset, basis)
     guaranteed = r0 is not None and r >= r0
     reports = []
     for t in (res[k] for k in ("pod_x", "proj_y", "pod_x_mapped", "pullback_x") if k in res):
@@ -366,11 +381,11 @@ def codomain_projectors(basis, lmap, family="orthogonal", form=None):
 def sweep(sset, basis, lmap, r_list, family="orthogonal", form=None, tol=None):
     """The data identities (pod_x, pod_x_mapped, proj_y and, with an
     invertible map, pullback_x) at each truncation level, in that order.
-    The projector family and the mapped mode norms are built once."""
+    The projector family and the bundle constants are built once."""
     projectors = codomain_projectors(basis, lmap, family, form)
-    mode_norms, reports = mapped_mode_norms(basis, lmap), []
+    consts, reports = bundle_constants(sset, basis, lmap), []
     for r in r_list:
-        res = _residuals(sset, basis, r, lmap, projectors(r), mode_norms)
+        res = _residuals(sset, basis, r, lmap, projectors(r), consts)
         reports.extend(_identity(sset, t, r, tol) for t in res.values())
     return reports
 

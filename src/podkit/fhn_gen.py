@@ -10,19 +10,21 @@ u_x(t, 0) = -50000 t^3 exp(-15 t) feeding an impulse in from the left end,
 and a zero slope at the right end.  Space is discretized by piecewise linear
 finite elements with the nonlinearity interpolated at the nodes; time by a
 fixed-step two-stage L-stable singly diagonally implicit Runge-Kutta scheme
-with Newton iteration on the cubic.  The Newton matrix M - h gamma J is
-factored in LAPACK band storage: with u and v interleaved as
-[u_0, v_0, u_1, v_1, ...] the tridiagonal mass and stiffness blocks make it
-a band with three sub- and superdiagonals.  Its f'(u)-free part is built
-once per solve, and each factorization (at every stage start and at Newton
-iterations 8 and 16) adds only the three f'(u)-dependent uu diagonals, read
-off the sparse FEM matrices; the right-hand side and the Newton residual are
-one sparse product each.
+with Newton iteration on the cubic.  The solver works with u and v
+interleaved as [u_0, v_0, u_1, v_1, ...] throughout, where the tridiagonal
+mass and stiffness blocks make every operator a band with three sub- and
+superdiagonals.  The Newton matrix M - h gamma J is factored in LAPACK band
+storage: its f'(u)-free part A0 is built once per solve, and each
+factorization (at every stage start and at Newton iterations 8 and 16) adds
+only the three f'(u)-dependent uu diagonals.  The Newton residual is two
+banded products (dgbmv), A0 Y minus the f(u) term, against a right-hand side
+formed once per stage (Hairer and Wanner, Solving ODEs II, sec. IV.8).  The
+midpoint snapshots are streamed out as the steps end; no state trajectory
+is held.
 
 The module also builds the product state space (two L^2 components), the
-block derivative map into elementwise constants, identity-embedding instances
-between the L^2 and H^1 inner products on one mesh, and seeded random
-instances used by the property suites.
+block derivative map into elementwise constants, and identity-embedding
+instances between the L^2 and H^1 inner products on one mesh.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DimensionMismatch, SolverDiverged
 from .fem import assemble_fem_1d
 from .gram_space import check_dense_budget, make_space
-from .linear_map import derivative_map, identity_map, make_map
+from .linear_map import derivative_map, identity_map
 from .snapshot_io import from_trajectory, make_snapshot_set, resolve_gram_spec
 
 SDIRK_GAMMA = 1.0 - np.sqrt(2.0) / 2.0
@@ -48,11 +51,12 @@ SYNTHETIC_FIELDS = 8
 SYNTHETIC_DECAY = 0.45
 EMBEDDING_SNAPSHOTS = 40
 # Peak of solving and packaging a trajectory (make_fhn_instance, then save),
-# in 2n x (steps + 1) doubles: 2.02 to 2.07 (tracemalloc, 100 and 400 nodes),
-# the states and the midpoint snapshots.  Checked against
+# in 2n x (steps + 1) doubles: 1.04, 1.09 and 1.21 (tracemalloc; 400 and 100
+# nodes at 2,000 steps, 60 nodes at 400), the midpoint snapshots and the
+# smaller working arrays beside them.  Checked against
 # gram_space.DENSE_BYTES_BUDGET before the solve; the default 2,000 steps
-# are refused above 5,589 nodes.
-TRAJECTORY_ARRAYS = 3
+# are refused above 8,384 nodes.
+TRAJECTORY_ARRAYS = 2
 
 
 @dataclass
@@ -75,29 +79,31 @@ def boundary_pulse(t):
 
 
 def _interleaved_band(blocks, n):
-    """dgbtrf band storage of the interleaved matrix with tridiagonal blocks.
+    """General band storage (dgbmv's, kl = ku = NEWTON_BAND, Fortran order)
+    of the interleaved matrix with tridiagonal blocks.
 
     blocks maps (row species, column species), 0 for u and 1 for v, to an
-    n x n tridiagonal sparse block.  Entry (i, j) of the interleaved matrix goes to
-    row 2 * NEWTON_BAND + i - j of column j; the top NEWTON_BAND rows are
-    left zero for the pivoting fill-in.
+    n x n tridiagonal sparse block.  Entry (i, j) of the interleaved matrix
+    goes to row NEWTON_BAND + i - j of column j.
     """
-    ab = np.zeros((3 * NEWTON_BAND + 1, 2 * n))
+    ab = np.zeros((2 * NEWTON_BAND + 1, 2 * n), order="F")
     for (row, col), block in blocks.items():
         for d in (-1, 0, 1):
             lo, hi = max(0, -d), n - max(0, d)
-            ab[2 * NEWTON_BAND + 2 * d + row - col, 2 * lo + col : 2 * hi : 2] = (
+            ab[NEWTON_BAND + 2 * d + row - col, 2 * lo + col : 2 * hi : 2] = (
                 block.diagonal(-d)
             )
     return ab
 
 
 def solve_fhn(config):
-    """Integrate the system; returns (time grid, states of shape (2n, steps+1)).
+    """Integrate the system; returns (time grid, snapshots of shape (2n, steps)).
 
-    The state stacks the nodal values of u over those of v.  With the source
-    c = 0 and the boundary drive disabled the zero state is stationary and
-    the trajectory stays identically zero.
+    Snapshot k is the midpoint average 0.5 * (w_{k+1} + w_k) of the states
+    at grid points k and k + 1, as from_trajectory forms it, written as soon
+    as step k ends; a state stacks the nodal values of u over those of v.
+    With the source c = 0 and the boundary drive disabled the zero state is
+    stationary and the snapshots stay identically zero.
     """
     n = config.nodes
     if n < 2:
@@ -115,41 +121,51 @@ def solve_fhn(config):
     mu = np.float64(config.mu)  # mu = 0 makes inf entries, not ZeroDivisionError
     b = config.b
     gam = config.gamma_param
-    c = config.c
+    h = config.dt
+    gam_s = SDIRK_GAMMA
+    coeff = h * gam_s
 
-    Mb = sparse.block_diag((M, M), format="csr")
-    # rhs(w) = K [u; v; f(u)] + source, one sparse product per evaluation
-    K = sparse.block_array(
-        [[-mu * S, M / -mu, M / mu], [b * M, -gam * M, None]], format="csr"
+    # Every vector below is interleaved, [u_0, v_0, u_1, v_1, ...].  With
+    # rhs(t, w) = K_lin w + (M / mu) f(u) on the u rows + forcing(t), the
+    # Newton matrix Mb - coeff * J is A0 - band_fp * f'(u) on the u columns,
+    # A0 = Mb - coeff * K_lin, band_fp = coeff * (M / mu) on the uu block.
+    mass = _interleaved_band({(0, 0): M, (1, 1): M}, n)
+    k_lin = _interleaved_band(
+        {(0, 0): -mu * S, (0, 1): M / -mu, (1, 0): b * M, (1, 1): -gam * M}, n
     )
-    source = np.concatenate((M @ np.full(n, c / mu), M @ np.full(n, c)))
+    a0 = mass - coeff * k_lin
+    band_fp = _interleaved_band({(0, 0): (coeff / mu) * M}, n)
+    # scipy's dgbmv takes at least kl + ku + 1 rows, so below 4 nodes the
+    # products' outputs carry zero rows past 2n
+    rows = max(2 * n, 2 * NEWTON_BAND + 1)
+    source = np.zeros(rows)
+    source[: 2 * n : 2] = M @ np.full(n, config.c / mu)
+    source[1 : 2 * n : 2] = M @ np.full(n, config.c)
+    f_u = np.zeros(2 * n)  # f(u) on the u entries, zero on the v entries
 
-    def rhs(t, w):
-        u = w[:n]
-        out = K @ np.concatenate((w, u * (u - 0.1) * (1.0 - u))) + source
+    def gbmv(ab, x, alpha, y, beta=1.0):
+        """alpha * ab x + beta * y, in place in y (of rows entries)."""
+        return dgbmv(
+            rows, 2 * n, NEWTON_BAND, NEWTON_BAND, alpha, ab, x,
+            beta=beta, y=y, overwrite_y=1,
+        )
+
+    def nonlinear(Y):
+        u = Y[::2]
+        f_u[::2] = u * (u - 0.1) * (1.0 - u)
+        return f_u
+
+    def forcing(t):
+        out = source.copy()
         if config.boundary_drive:
             out[0] += mu * boundary_pulse(t)
         return out
 
-    # Mb - coeff * J = band - band_fp * f'(u) on the u columns
-    h = config.dt
-    gam_s = SDIRK_GAMMA
-    coeff = h * gam_s
-    band = _interleaved_band(
-        {
-            (0, 0): M + coeff * mu * S,
-            (0, 1): (coeff / mu) * M,
-            (1, 0): (-coeff * b) * M,
-            (1, 1): (1.0 + coeff * gam) * M,
-        },
-        n,
-    )
-    band_fp = _interleaved_band({(0, 0): (coeff / mu) * M}, n)
-
     def factor(Y, t_stage):
-        u = Y[:n]
+        u = Y[::2]
         fp = -3.0 * u**2 + 2.2 * u - 0.1
-        ab = band - band_fp * np.repeat(fp, 2)
+        ab = np.zeros((3 * NEWTON_BAND + 1, 2 * n), order="F")  # top rows: fill-in
+        ab[NEWTON_BAND:] = a0 - band_fp * np.repeat(fp, 2)
         if not np.all(np.isfinite(ab)):
             raise SolverDiverged(f"Newton matrix not finite at t = {t_stage:.6f}")
         lu, piv, info = dgbtrf(ab, NEWTON_BAND, NEWTON_BAND, overwrite_ab=1)
@@ -158,35 +174,38 @@ def solve_fhn(config):
         return lu, piv
 
     def stage_solve(t_stage, y_base, const, guess):
+        """Y with Mb (Y - y_base) = coeff * rhs(t_stage, Y) + const."""
+        r_stage = gbmv(mass, y_base, 1.0, const + coeff * forcing(t_stage))
         Y = guess.copy()
         lu, piv = factor(Y, t_stage)
         for it in range(NEWTON_MAX_ITER):
-            F = Mb @ (Y - y_base) - coeff * rhs(t_stage, Y) - const
-            # interleave -F, solve, and return to the [u; v] layout
-            x, _ = dgbtrs(
-                lu, NEWTON_BAND, NEWTON_BAND, -F.reshape(2, n).T.ravel(), piv
-            )
-            delta = x.reshape(n, 2).T.ravel()
+            # -F = r_stage - A0 Y + band_fp f(u)
+            neg_f = gbmv(a0, Y, -1.0, r_stage.copy())
+            neg_f = gbmv(band_fp, nonlinear(Y), 1.0, neg_f)
+            delta, _ = dgbtrs(lu, NEWTON_BAND, NEWTON_BAND, neg_f[: 2 * n], piv, overwrite_b=1)
             Y += delta
-            nd = np.max(np.abs(delta))
-            if nd <= NEWTON_ABS_TOL + NEWTON_REL_TOL * np.max(np.abs(Y)):
+            y_max = abs(Y).max()  # nan when Y holds one
+            if abs(delta).max() <= NEWTON_ABS_TOL + NEWTON_REL_TOL * y_max:
                 return Y
             if it in (8, 16):
                 lu, piv = factor(Y, t_stage)
-            if not np.all(np.isfinite(Y)):
+            if not np.isfinite(y_max):
                 break
         raise SolverDiverged(f"Newton stalled at t = {t_stage:.6f}")
 
-    states = np.zeros((2 * n, steps + 1))
+    data = np.empty((2 * n, steps))
     w = np.zeros(2 * n)
-    zero = np.zeros(2 * n)
     for k in range(steps):
-        tn = grid[k]
-        Y1 = stage_solve(tn + gam_s * h, w, zero, w)
-        const = h * (1.0 - gam_s) * rhs(tn + gam_s * h, Y1)
-        w = stage_solve(tn + h, w, const, Y1)
-        states[:, k + 1] = w
-    return grid, states
+        t1 = grid[k] + gam_s * h
+        Y1 = stage_solve(t1, w, 0.0, w)
+        # h (1 - gamma) rhs(t1, Y1); band_fp carries coeff = h gamma
+        const = gbmv(k_lin, Y1, h * (1.0 - gam_s), forcing(t1), h * (1.0 - gam_s))
+        const = gbmv(band_fp, nonlinear(Y1), (1.0 - gam_s) / gam_s, const)
+        w_next = stage_solve(grid[k] + h, w, const, Y1)
+        mid = 0.5 * (w_next + w)
+        data[:n, k], data[n:, k] = mid[::2], mid[1::2]
+        w = w_next
+    return grid, data
 
 
 def make_product_space(nodes):
@@ -208,16 +227,17 @@ def make_fhn_L(nodes, domain=None):
 def make_fhn_instance(config=None):
     """Solve the system and package snapshots, spaces and the derivative map."""
     config = config or FhnConfig()
-    grid, states = solve_fhn(config)
+    grid, data = solve_fhn(config)
     lmap = make_fhn_L(config.nodes)
-    sset = from_trajectory(grid, states, space=lmap.domain)
+    sset = make_snapshot_set(
+        data, np.diff(grid), kind="continuous", grid=grid, space=lmap.domain
+    )
     return {
         "set": sset,
         "space_x": lmap.domain,
         "space_y": lmap.codomain,
         "map": lmap,
         "grid": grid,
-        "states": states,
         "config": config,
     }
 
@@ -275,72 +295,3 @@ def make_embedding_instance(nodes, which, seed=None):
         "map": identity_map(sset.space, space_y, kind="embedding"),
         "form": space_y.gram if which == 3 else None,
     }
-
-
-def _random_spd_space(rng, dim):
-    A = rng.standard_normal((dim, dim))
-    return make_space((A.T @ A + dim * np.eye(dim)) / dim)
-
-
-def _random_orthogonal(rng, n):
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    return Q * np.sign(np.diag(R))[None, :]
-
-
-def random_instance(
-    dim,
-    s,
-    seed,
-    invertible=True,
-    dim_y=None,
-    map_rank=None,
-    data_rank=None,
-    kind="discrete",
-):
-    """Seeded random weighted-POD instance with a controlled spectrum.
-
-    Data columns are synthesized from an exact-rank SVD with log-uniform
-    singular values, so the numerical rank is unambiguous; Gram matrices are
-    random SPD with eigenvalues of order one; invertible maps are random
-    orthogonal-diagonal-orthogonal products with condition at most four.
-    Rank-deficient or rectangular maps are produced by the matching knobs.
-
-    Returns a dict with the snapshot set, both spaces, and the map.
-    """
-    rng = np.random.default_rng(seed)
-    space_x = _random_spd_space(rng, dim)
-    dim_y = dim if dim_y is None else dim_y
-    space_y = _random_spd_space(rng, dim_y)
-
-    rk = min(dim, s) if data_rank is None else min(data_rank, dim, s)
-    U = _random_orthogonal(rng, dim)[:, :rk]
-    V = _random_orthogonal(rng, s)[:, :rk]
-    sv = np.exp(rng.uniform(np.log(0.3), np.log(3.0), rk))
-    data = U @ (sv[:, None] * V.T)
-
-    if invertible:
-        if dim_y != dim:
-            raise DimensionMismatch("invertible instances need equal dimensions")
-        d = np.exp(rng.uniform(np.log(0.5), np.log(2.0), dim))
-        matrix = _random_orthogonal(rng, dim) @ (
-            d[:, None] * _random_orthogonal(rng, dim).T
-        )
-        lmap = make_map(space_x, space_y, matrix, invertible=True)
-    else:
-        mrk = min(dim, dim_y) if map_rank is None else min(map_rank, dim, dim_y)
-        d = np.exp(rng.uniform(np.log(0.5), np.log(2.0), mrk))
-        matrix = _random_orthogonal(rng, dim_y)[:, :mrk] @ (
-            d[:, None] * _random_orthogonal(rng, dim)[:, :mrk].T
-        )
-        lmap = make_map(space_x, space_y, matrix)
-
-    if kind == "continuous":
-        t0 = np.cumsum(rng.uniform(0.05, 1.0, s + 1))
-        grid = t0 - t0[0]
-        sset = make_snapshot_set(
-            data, np.diff(grid), kind="continuous", grid=grid, space=space_x
-        )
-    else:
-        weights = rng.uniform(0.5, 2.0, s)
-        sset = make_snapshot_set(data, weights, kind="discrete", space=space_x)
-    return {"set": sset, "space_x": space_x, "space_y": space_y, "map": lmap}

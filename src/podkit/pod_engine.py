@@ -71,7 +71,8 @@ class PodBasis:
         after the SVD by one QR; spans of leading blocks are preserved).
     right_vectors : ndarray, shape (s, rank)
         Coefficient-side vectors, orthonormal under the weights (the leading
-        right singular directions, signed like the modes).
+        right singular directions, signed like the modes); a view of the
+        leading columns of right_full.
     rank : int
     drop_tol : float
     eigenvalues : ndarray, shape (min(dim, s),)
@@ -79,6 +80,8 @@ class PodBasis:
     modes_full, right_full : ndarray
         Singular directions for the whole spectrum, orthonormal in their
         respective inner products.  Used by the error checkers; not polished.
+        The checkers read right_full only through squares and absolute
+        values, so its leading columns carry the modes' signs in place.
     space : GramSpace
         Ambient space of the snapshots.
     snapshots_ref : str
@@ -165,12 +168,12 @@ def compute_pod(sset, space=None, drop_tol=DEFAULT_DROP_TOL):
     peaks = modes[np.argmax(np.abs(modes), axis=0), np.arange(rank)]
     signs = np.where(peaks < 0.0, -1.0, 1.0)
     modes *= signs
-    right = right_full[:, :rank] * signs
+    right_full[:, :rank] *= signs
 
     return PodBasis(
         sigma=sig_full[:rank].copy(),
         modes=modes,
-        right_vectors=right,
+        right_vectors=right_full[:, :rank],
         rank=rank,
         drop_tol=drop_tol,
         eigenvalues=lam,

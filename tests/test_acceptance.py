@@ -24,7 +24,6 @@ from podkit.fhn_gen import (
     FhnConfig,
     make_embedding_instance,
     make_fhn_instance,
-    random_instance,
 )
 from podkit.linear_map import rank_relation_check
 from podkit.pod_engine import (
@@ -46,7 +45,7 @@ from podkit.projector import (
 )
 
 from conftest import GOLDEN_LAMBDA_2, by_id
-from oracles import induced_snapshots
+from oracles import induced_snapshots, random_instance
 
 RESULTS = []
 

@@ -326,7 +326,7 @@ def test_battery_row_sequence_for_one_level():
     # the report layout verify writes: one level without a map, with a map
     # that has no inverse, and with an invertible map
     from podkit.cli import run_battery
-    from podkit.fhn_gen import random_instance
+    from oracles import random_instance
     from podkit.pod_engine import compute_pod
 
     head = ["pod_x", "range_exact", "snap_sigma_bound"]
@@ -664,16 +664,21 @@ def test_generate_fhn_names_its_block_diagonal_gram(tmp_path, capsys):
 def test_generate_fhn_beyond_the_dense_budget_exits_2_before_the_solve(
     tmp_path, capsys, monkeypatch
 ):
-    # the 2n x 2,001 trajectory is counted at 3 arrays: 5,590 nodes need
-    # 512.0 MiB, and the refusal comes before the mesh is even assembled
+    # the 2n x 2,001 trajectory is counted at TRAJECTORY_ARRAYS arrays: one
+    # node past the largest mesh that fits the budget is refused, before the
+    # mesh is even assembled
     import podkit.fhn_gen
+    from podkit.gram_space import DENSE_BYTES_BUDGET, check_dense_budget
 
     def never(*args):
         raise AssertionError("the solve started")
 
     monkeypatch.setattr(podkit.fhn_gen, "assemble_fem_1d", never)
+    arrays = podkit.fhn_gen.TRAJECTORY_ARRAYS
+    nodes = DENSE_BYTES_BUDGET // (8 * arrays * 2 * 2001) + 1
+    check_dense_budget(arrays, (2 * (nodes - 1), 2001), "one node fewer")  # fits
     manifest = str(tmp_path / "fhn.json")
-    code, _, err = run(capsys, "generate-fhn", "--nodes", "5590", "--output", manifest)
+    code, _, err = run(capsys, "generate-fhn", "--nodes", str(nodes), "--output", manifest)
     assert code == 2
     assert json.loads(err)["error"] == "ProblemTooLarge"
     assert os.listdir(tmp_path) == []

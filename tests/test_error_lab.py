@@ -17,8 +17,8 @@ from podkit.error_lab import (
     _residuals,
     _worst_index,
     battery_level,
+    bundle_constants,
     codomain_projectors,
-    mapped_mode_norms,
     read_report,
     snapshot_guarantee_threshold,
     sweep,
@@ -26,7 +26,7 @@ from podkit.error_lab import (
     write_report_json,
 )
 from podkit.errors import DimensionMismatch, IndexOutOfRange, MissingDataFile, ProvenanceMismatch
-from podkit.fhn_gen import make_embedding_instance, random_instance
+from podkit.fhn_gen import make_embedding_instance
 from podkit.fem import assemble_fem_1d
 from podkit.gram_space import COLUMN_BLOCK_BYTES, half_weight, identity_space, make_space, norm
 from podkit.linear_map import identity_map, make_map
@@ -35,6 +35,7 @@ from podkit.projector import apply_projector, mapped_orthogonal_levels, pod_proj
 from podkit.snapshot_io import make_snapshot_set
 
 from conftest import GOLDEN_LAMBDA_2, by_id
+from oracles import random_instance
 
 # squared rank-1 residuals of the golden snapshots (1, 0) and (1, 1)
 GOLDEN_RESIDUALS_SQ = ((5.0 - math.sqrt(5.0)) / 10.0, 1.0 - 2.0 / math.sqrt(5.0))
@@ -535,12 +536,29 @@ def test_battery_level_peak_is_column_blocks_not_data(s):
     basis = compute_pod(sset)
     projectors = codomain_projectors(basis, lmap)
     coeffs = rng.standard_normal((s, 5))
-    proj_y, mode_norms = projectors(n // 2), mapped_mode_norms(basis, lmap)
+    proj_y, consts = projectors(n // 2), bundle_constants(sset, basis, lmap)
     tracemalloc.start()
     try:
-        rows = battery_level(sset, basis, n // 2, lmap, proj_y, None, coeffs, mode_norms)
+        rows = battery_level(sset, basis, n // 2, lmap, proj_y, None, coeffs, consts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert all(rep.passed for rep in rows)
     assert peak <= 6 * COLUMN_BLOCK_BYTES + 8 * (8 * n * n + 16 * s)
+
+
+def test_bundle_constants_leave_every_flagship_level_unchanged(fhn_instance):
+    # the codomain energy, the mapped mode norms and the guarantee threshold
+    # are computed once per bundle; every row of levels 1..22 equals the row
+    # computed from constants evaluated at that level alone
+    sset, lmap = fhn_instance["set"], fhn_instance["map"]
+    basis = compute_pod(sset)
+    assert basis.rank == 22
+    projectors = codomain_projectors(basis, lmap)
+    consts = bundle_constants(sset, basis, lmap)
+    assert consts.r0 == snapshot_guarantee_threshold(sset, basis)
+    coeffs = np.random.default_rng(0).standard_normal((sset.count, 2))
+    for r in range(1, 23):
+        once = battery_level(sset, basis, r, lmap, projectors(r), None, coeffs, consts)
+        alone = battery_level(sset, basis, r, lmap, projectors(r), None, coeffs)
+        assert once == alone, r

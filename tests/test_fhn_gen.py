@@ -20,7 +20,6 @@ from podkit.fhn_gen import (
     make_fhn_L,
     make_fhn_instance,
     make_product_space,
-    random_instance,
     solve_fhn,
 )
 from podkit.fem import assemble_fem_1d
@@ -29,26 +28,29 @@ from podkit.pod_engine import compute_pod
 from podkit.snapshot_io import save
 
 from conftest import by_id
+from oracles import random_instance
 
 
 def test_zero_without_source_or_drive():
     # with no source and no boundary drive the zero state is stationary
-    grid, states = solve_fhn(
+    grid, data = solve_fhn(
         FhnConfig(c=0.0, boundary_drive=False, nodes=10, t_end=0.5, dt=0.01)
     )
-    assert np.max(np.abs(states)) == 0.0
+    assert data.shape == (20, 50)
+    assert np.max(np.abs(data)) == 0.0
 
 
 def test_impulse_enters_from_left():
     # sign regression: the prescribed flux feeds the wave in at x = 0, so
-    # the left end must fire strictly before the right end
-    grid, states = solve_fhn(FhnConfig(nodes=30, t_end=1.0, dt=0.005))
-    u = states[:30]
+    # the left end must fire strictly before the right end; crossings are
+    # read off the midpoint snapshots, at the interval midpoints
+    grid, data = solve_fhn(FhnConfig(nodes=30, t_end=1.0, dt=0.005))
+    u, times = data[:30], 0.5 * (grid[1:] + grid[:-1])
 
     def t_cross(series, level):
         idx = int(np.argmax(series > level))
         assert series[idx] > level, "level never crossed"
-        return grid[idx]
+        return times[idx]
 
     assert u.max() > 1.0  # full excitation amplitude is reached
     for level in (0.2, 0.5):
@@ -79,7 +81,8 @@ def _dense_reference_solve(config):
     """The SDIRK solve with a dense [u; v] Newton matrix and dense LU.
 
     Same right-hand side, stage equations, stopping rule and refactor
-    schedule as solve_fhn; only the Newton linear algebra differs.
+    schedule as solve_fhn, but in the [u; v] layout with dense products and
+    a dense LU; returns the grid and the whole state trajectory.
     """
     mesh = assemble_fem_1d(config.nodes)
     n, M, S = mesh.nodes, mesh.mass.toarray(), mesh.stiffness.toarray()
@@ -137,11 +140,12 @@ def _dense_reference_solve(config):
 @pytest.mark.parametrize("c", [0.0, FhnConfig().c], ids=["c0", "c-default"])
 def test_banded_newton_matches_dense_reference(nodes, drive, c):
     cfg = FhnConfig(nodes=nodes, boundary_drive=drive, c=c, t_end=1.0, dt=0.005)
-    grid, states = solve_fhn(cfg)
-    ref_grid, ref = _dense_reference_solve(cfg)
+    grid, data = solve_fhn(cfg)
+    ref_grid, states = _dense_reference_solve(cfg)
+    ref = 0.5 * (states[:, 1:] + states[:, :-1])  # its midpoint snapshots
     assert np.array_equal(grid, ref_grid)
-    assert states.shape == ref.shape
-    assert np.max(np.abs(states - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert data.shape == ref.shape
+    assert np.max(np.abs(data - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("nodes", [1, 0])

@@ -11,7 +11,7 @@ from podkit.errors import (
     NotInvertible,
     ProvenanceMismatch,
 )
-from podkit.fhn_gen import make_embedding_instance, random_instance
+from podkit.fhn_gen import make_embedding_instance
 from podkit.gram_space import identity_space, inner, make_space
 from podkit.linear_map import (
     MATRIX_CSV_ARRAYS,
@@ -27,7 +27,7 @@ from podkit.linear_map import (
 from podkit.pod_engine import compute_pod, image_spectrum, spectrum_gapped
 from podkit.snapshot_io import make_snapshot_set, write_matrix_csv
 
-from oracles import induced_snapshots
+from oracles import induced_snapshots, random_instance
 
 
 def spaces(rng, n, m):

@@ -22,7 +22,7 @@ from podkit.errors import (
     SingularRitzSystem,
 )
 from podkit.fem import assemble_fem_1d
-from podkit.fhn_gen import embedding_set, make_embedding_instance, random_instance
+from podkit.fhn_gen import embedding_set, make_embedding_instance
 from podkit.gram_space import identity_space, inner, make_space, orthonormalize, solve_gram
 from podkit.linear_map import adjoint, identity_map, make_map
 from podkit.pod_engine import compute_pod
@@ -39,6 +39,8 @@ from podkit.projector import (
     ritz_levels,
 )
 from podkit.snapshot_io import make_snapshot_set, resolve_gram_spec
+
+from oracles import random_instance
 
 
 @pytest.fixture
