@@ -23,7 +23,8 @@ and sweep it is the identity tolerance.
 
 --map takes a map spec, inline JSON or a path to a JSON file; the grammar is
 documented once, in podkit.linear_map.build_map_from_spec.  --projector ritz
-uses the spec's "ritz_form" and otherwise the codomain Gram matrix.
+uses the spec's "ritz_form" and otherwise the codomain Gram matrix
+(error_lab.certifier picks the projector).
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ from .errors import (
 from .error_lab import (
     IDENTITY_RTOL,
     battery_level,
-    bundle_constants,
-    codomain_projectors,
+    certifier,
     read_report,
     report_format,
     report_rows,
@@ -71,13 +71,10 @@ EXIT_CHECKS_FAILED = 4
 TOL_ENV_VAR = "PODKIT_TOL"
 POINTWISE_PER_LEVEL = 5
 
-PROJECTOR_CHOICES = ("orthogonal", "ritz", "composite-xy", "composite-yx")
-_FAMILY_FOR_FLAG = {
-    "orthogonal": "orthogonal",
-    "ritz": "ritz",
-    "composite-xy": "pushforward",
-    "composite-yx": "orthogonal",
-}
+# --projector value -> codomain projector family; composite-xy conjugates
+# the mode projection into the codomain and needs an invertible map
+_FAMILY_FOR_FLAG = {"orthogonal": "orthogonal", "ritz": "ritz", "composite-xy": "pushforward"}
+PROJECTOR_CHOICES = tuple(_FAMILY_FOR_FLAG)
 
 
 # -- shared argument plumbing ------------------------------------------------
@@ -111,6 +108,8 @@ def _parse_r_values(text):
             ) from None
         if r < 1:
             raise IndexOutOfRange(f"truncation level must be >= 1, got {r}")
+        if r in values:
+            raise IndexOutOfRange(f"truncation level {r} is listed twice")
         values.append(r)
     if not values:
         raise IndexOutOfRange(f"empty truncation list {text!r}")
@@ -130,27 +129,6 @@ def _requested_r_values(text, rank):
     return values
 
 
-# -- projector family --------------------------------------------------------
-
-def _select_family(flag, lmap, form):
-    """Map the --projector flag onto a projector family and form.
-
-    composite-xy conjugates the mode projection into the codomain,
-    composite-yx keeps the orthogonal codomain projection and exercises its
-    pulled-back counterpart; both need an invertible map (checked downstream
-    for composite-xy, here for composite-yx since the orthogonal build alone
-    would mask the intent).
-    """
-    family = _FAMILY_FOR_FLAG[flag]
-    if flag == "composite-yx" and lmap.inverse is None:
-        raise ProvenanceMismatch(
-            "composite-yx projector needs an invertible map"
-        )
-    if family == "ritz" and form is None:
-        form = lmap.codomain.gram
-    return family, form
-
-
 # -- battery -----------------------------------------------------------------
 
 def run_battery(sset, basis, lmap, family, form, r_values, tol, seed):
@@ -164,16 +142,14 @@ def run_battery(sset, basis, lmap, family, form, r_values, tol, seed):
     """
     rng = np.random.default_rng(0 if seed is None else seed)
     extra = {"r_values": list(r_values), "tol": tol, "family": family}
-    consts = bundle_constants(sset, basis, lmap)
+    cert = certifier(sset, basis, lmap, family, form)
     if lmap is None:
-        reports = [battery_level(sset, basis, r, tol=tol, consts=consts) for r in r_values]
-        return [rep for rows in reports for rep in rows], extra
+        return [rep for r in r_values for rep in battery_level(cert, r, tol)], extra
 
-    projectors = codomain_projectors(basis, lmap, family, form)
     reports = []
     for r in r_values:
         coeffs = rng.standard_normal((POINTWISE_PER_LEVEL, sset.count)).T
-        reports.extend(battery_level(sset, basis, r, lmap, projectors(r), tol, coeffs, consts))
+        reports.extend(battery_level(cert, r, tol, coeffs))
 
     basis_y = image_spectrum(lmap, sset, basis.drop_tol)
     relation = dict(rank_relation_check(basis, basis_y, lmap))
@@ -285,12 +261,11 @@ def _certify_inputs(args):
     tol = _resolve_tol(args.tol, IDENTITY_RTOL)
     basis = compute_pod(sset)
     lmap = form = None
-    family = "orthogonal"
     if args.map is not None:
         lmap, form = build_map_from_spec(args.map, sset)
-        family, form = _select_family(args.projector, lmap, form)
     elif args.projector != "orthogonal":
         raise ProvenanceMismatch(f"--projector {args.projector} needs --map")
+    family = _FAMILY_FOR_FLAG[args.projector]
     return sset, basis, lmap, family, form, _requested_r_values(args.r, basis.rank), tol
 
 
@@ -337,7 +312,7 @@ def cmd_sweep(args):
         raise IndexOutOfRange("sweep needs --r")
     sset, basis, lmap, family, form, r_values, tol = _certify_inputs(args)
 
-    reports = run_sweep(sset, basis, lmap, r_values, family=family, form=form, tol=tol)
+    reports = run_sweep(certifier(sset, basis, lmap, family, form), r_values, tol)
     write_report(reports, out, {"family": family, "tol": tol})
     print(f"wrote {out}")
     print(_render_rows(report_rows(reports)))

@@ -19,9 +19,11 @@ basis, never the data, so agreement of the two routes is the certificate.
 Spectral sums run over the complete computed spectrum: with unbounded-looking
 maps the below-tolerance tail still carries weight at the certified accuracy.
 
-Entry points, the ones the CLI's verify and sweep run: battery_level (every
-row of one level), sweep (the data identities over levels) and
-codomain_projectors (the level factory r -> Q for battery_level's proj_y).
+Entry points, the ones the CLI's verify and sweep run: certifier (built
+once per bundle: the codomain projector family's level factory r -> Q for
+proj_y and the level-free constants), battery_level (every row of one level)
+and sweep (the data identities over levels).  Both take the certifier, so a
+projector from another map or basis cannot reach a row.
 
 Floors: an identity passes within its relative tol or when both sides are
 below its floor, a bound when lhs <= rhs + floor.  The floor is
@@ -40,24 +42,16 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    MalformedManifest,
-    MissingDataFile,
-    ProvenanceMismatch,
-)
+from .errors import DimensionMismatch, IndexOutOfRange, MalformedManifest, MissingDataFile
 from .gram_space import GramSpace, column_blocks, half_weight
-from .linear_map import apply_inverse
-from .pod_engine import basis_fingerprint, project_X
-from .projector import apply_projector, mapped_orthogonal_levels, matrix_fingerprint
-from .projector import pushforward_levels, ritz_levels
-from .snapshot_io import _atomic_write, _read_json
+from .linear_map import LinearMap, apply_inverse
+from .pod_engine import PodBasis, project_X
+from .projector import apply_projector, mapped_orthogonal_levels, pushforward_levels, ritz_levels
+from .snapshot_io import SnapshotSet, _atomic_write, _read_json
 
 IDENTITY_RTOL = 1e-8
 EXACT_RTOL = 1e-9
@@ -149,29 +143,59 @@ class _Residual:
         return float(floor if squared else np.sqrt(floor))
 
 
-def bundle_constants(sset, basis, lmap=None):
-    """The level-free inputs of the rows, computed once per bundle: r0, the
-    snapshot_guarantee_threshold; with a map, mode_norms, ||L phi_k||^2 for
-    every mode from the basis alone (its tail [r:] is the pod_x_mapped
-    formula side at level r), and energy_y = sum_j g_j ||L w_j||^2, the
-    codomain rows' floor scale (both None without a map)."""
-    consts = SimpleNamespace(
-        r0=snapshot_guarantee_threshold(sset, basis), mode_norms=None, energy_y=None
-    )
-    if lmap is not None:
-        def apply(C):
-            return lmap.matrix @ C
+@dataclass(frozen=True)
+class Certifier:
+    """One bundle's inputs to the rows that no truncation level changes.
 
-        consts.mode_norms = _column_sq_norms(lmap.codomain, basis.modes_full, apply)
-        consts.energy_y = float(sset.weights @ _column_sq_norms(lmap.codomain, sset.data, apply))
-    return consts
+    projectors is the codomain family's level factory r -> Q (None without
+    a map); r0 is the snapshot_guarantee_threshold.  With a map, mode_norms
+    holds ||L phi_k||^2 for every mode from the basis alone (its tail [r:] is
+    the pod_x_mapped formula side at level r) and energy_y is
+    sum_j g_j ||L w_j||^2, the codomain rows' floor scale.
+    """
+
+    sset: SnapshotSet
+    basis: PodBasis
+    lmap: LinearMap | None
+    projectors: Callable | None
+    r0: int | None
+    mode_norms: np.ndarray | None = None
+    energy_y: float | None = None
 
 
-def _residuals(sset, basis, r, lmap=None, proj_y=None, consts=None):
+def certifier(sset, basis, lmap=None, family="orthogonal", form=None):
+    """The Certifier of a snapshot set, its POD and an optional map.
+
+    family names the codomain projector family a map's rows use:
+    "orthogonal", "ritz" (on the bilinear form matrix form, by default the
+    codomain Gram) or "pushforward" (invertible maps only).  Without a map
+    there is no codomain projector and family and form are not read.
+    """
+    r0 = snapshot_guarantee_threshold(sset, basis)
+    if lmap is None:
+        return Certifier(sset, basis, None, None, r0)
+    if family == "orthogonal":
+        projectors = mapped_orthogonal_levels(basis, lmap)
+    elif family == "ritz":
+        projectors = ritz_levels(basis, lmap, lmap.codomain.gram if form is None else form)
+    elif family == "pushforward":
+        projectors = pushforward_levels(lmap, basis)
+    else:
+        raise IndexOutOfRange(f"unknown codomain projector family {family!r}")
+
+    def apply(C):
+        return lmap.matrix @ C
+
+    mode_norms = _column_sq_norms(lmap.codomain, basis.modes_full, apply)
+    energy_y = float(sset.weights @ _column_sq_norms(lmap.codomain, sset.data, apply))
+    return Certifier(sset, basis, lmap, projectors, r0, mode_norms, energy_y)
+
+
+def _residuals(cert, r):
     """The residual operators of level r, keyed by label in identity order:
-    pod_x, with a map pod_x_mapped, with a codomain projector proj_y, and
-    with both and an invertible map pullback_x; consts is
-    bundle_constants(sset, basis, lmap), computed here when not given."""
+    pod_x and, with a map, pod_x_mapped, proj_y and, when the map is
+    invertible, pullback_x; proj_y's Q is the certifier's level r."""
+    basis, lmap = cert.basis, cert.lmap
     tail, lam = basis.modes_full[:, r:], basis.eigenvalues[r:]
     out = {}
 
@@ -187,26 +211,14 @@ def _residuals(sset, basis, r, lmap=None, proj_y=None, consts=None):
     add("pod_x", basis.space, pod_x, energy_x, np.ones(lam.size))  # pure tail
     if lmap is None:
         return out
-    L, codomain = lmap.matrix, lmap.codomain
-    if consts is None:
-        consts = bundle_constants(sset, basis, lmap)
-    energy_y = consts.energy_y
-    add("pod_x_mapped", codomain, lambda C: L @ pod_x(C), energy_y, consts.mode_norms[r:])
-    if proj_y is None:
-        return out
-    if proj_y.space.dim != codomain.dim:
-        raise DimensionMismatch("codomain projector does not live on the codomain")
-    if proj_y.r != r:
-        raise ProvenanceMismatch(f"codomain projector has r = {proj_y.r}, check runs at r = {r}")
-    built_from = (proj_y.provenance.get("map"), proj_y.provenance.get("basis"))
-    if built_from != (matrix_fingerprint(L), basis_fingerprint(basis)):
-        raise ProvenanceMismatch("codomain projector was built from another map or basis")
+    L, codomain, proj_y = lmap.matrix, lmap.codomain, cert.projectors(r)
+    add("pod_x_mapped", codomain, lambda C: L @ pod_x(C), cert.energy_y, cert.mode_norms[r:])
 
     def proj(C):
         LC = L @ C
         return LC - apply_projector(proj_y, LC)
 
-    add("proj_y", codomain, proj, energy_y)
+    add("proj_y", codomain, proj, cert.energy_y)
     if lmap.inverse is not None:
         add("pullback_x", basis.space,
             lambda C: C - apply_inverse(lmap, apply_projector(proj_y, L @ C)), energy_x)
@@ -224,26 +236,24 @@ def _identity(sset, t, r, tol, sq=None, hs=False):
     return _report("identity", label, r, lhs, t.formula, tol, t.floor())
 
 
-def battery_level(sset, basis, r, lmap=None, proj_y=None, tol=None, coeffs=None, consts=None):
-    """Every row of truncation level r, in report order: the data identities
-    (range_exact and snap_sigma_bound after pod_x), the operator-level
-    identities, the per-snapshot bounds, and the pointwise bounds of K c for
-    the columns c of coeffs, shape (count, k).  T W is formed once per
-    operator; consts is bundle_constants(sset, basis, lmap), computed here
-    when not given; proj_y must be codomain_projectors(basis, lmap, ...)(r).
+def battery_level(cert, r, tol=None, coeffs=None):
+    """Every row of truncation level r of the certifier's bundle, in report
+    order: the data identities (range_exact and snap_sigma_bound after
+    pod_x), the operator-level identities, the per-snapshot bounds, and the
+    pointwise bounds of K c for the columns c of coeffs, shape (count, k).
+    T W is formed once per operator.
     """
+    sset, basis = cert.sset, cert.basis
     if coeffs is not None and (np.ndim(coeffs) != 2 or len(coeffs) != sset.count):
         raise DimensionMismatch(f"coefficients of shape {np.shape(coeffs)}, not ({sset.count}, k)")
-    if consts is None:
-        consts = bundle_constants(sset, basis, lmap)
-    res = _residuals(sset, basis, r, lmap, proj_y, consts)
+    res = _residuals(cert, r)
     sq = {label: t.sq_norms(sset.data) for label, t in res.items()}
     rows = [_identity(sset, t, r, tol, sq[label]) for label, t in res.items()]
     rows[1:1] = _range_rows(sset, basis, r, sq["pod_x"])
     rows += [_identity(sset, t, r, tol, hs=True) for t in list(res.values())[1:]]
-    rows += _snapshot_rows(sset, basis, r, res, sq, consts.r0)
+    rows += _snapshot_rows(sset, basis, r, res, sq, cert.r0)
     if coeffs is not None:
-        rows += _pointwise_rows(sset, basis, r, lmap, res, coeffs)
+        rows += _pointwise_rows(sset, basis, r, cert.lmap, res, coeffs)
     return rows
 
 
@@ -364,30 +374,13 @@ def _pointwise_rows(sset, basis, r, lmap, res, coeffs):
 
 # -- sweeps and serialization ------------------------------------------------
 
-def codomain_projectors(basis, lmap, family="orthogonal", form=None):
-    """Level factory r -> the codomain projector a sweep or battery asks
-    for; the family's level-free part is built here, once."""
-    if family == "orthogonal":
-        return mapped_orthogonal_levels(basis, lmap)
-    if family == "ritz":
-        if form is None:
-            raise ProvenanceMismatch("ritz family needs a bilinear form matrix")
-        return ritz_levels(basis, lmap, form)
-    if family == "pushforward":
-        return pushforward_levels(lmap, basis)
-    raise IndexOutOfRange(f"unknown codomain projector family {family!r}")
-
-
-def sweep(sset, basis, lmap, r_list, family="orthogonal", form=None, tol=None):
-    """The data identities (pod_x, pod_x_mapped, proj_y and, with an
-    invertible map, pullback_x) at each truncation level, in that order.
-    The projector family and the bundle constants are built once."""
-    projectors = codomain_projectors(basis, lmap, family, form)
-    consts, reports = bundle_constants(sset, basis, lmap), []
-    for r in r_list:
-        res = _residuals(sset, basis, r, lmap, projectors(r), consts)
-        reports.extend(_identity(sset, t, r, tol) for t in res.values())
-    return reports
+def sweep(cert, r_list, tol=None):
+    """The data identities (pod_x and, with a map, pod_x_mapped, proj_y and,
+    when it is invertible, pullback_x) at each truncation level, in that
+    order."""
+    return [
+        _identity(cert.sset, t, r, tol) for r in r_list for t in _residuals(cert, r).values()
+    ]
 
 
 def report_rows(reports):

@@ -23,8 +23,9 @@ midpoint snapshots are streamed out as the steps end; no state trajectory
 is held.
 
 The module also builds the product state space (two L^2 components), the
-block derivative map into elementwise constants, and identity-embedding
-instances between the L^2 and H^1 inner products on one mesh.
+block derivative map into elementwise constants, and the smooth synthetic
+snapshots of generate-synthetic, whose map spec embeds their L^2 space in
+H^1 on the same mesh.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .errors import DimensionMismatch, SolverDiverged
 from .fem import assemble_fem_1d
 from .gram_space import check_dense_budget, make_space
-from .linear_map import derivative_map, identity_map
+from .linear_map import derivative_map
 from .snapshot_io import from_trajectory, make_snapshot_set, resolve_gram_spec
 
 SDIRK_GAMMA = 1.0 - np.sqrt(2.0) / 2.0
@@ -263,35 +264,12 @@ def synthetic_states(nodes, count, seed=0):
 
 
 def embedding_set(nodes, which=1, seed=None):
-    """The snapshot set of make_embedding_instance(nodes, which, seed) alone,
-    on the ambient space of its layout; the seed defaults to 100 + which."""
+    """synthetic_states on the ambient space of an L^2 / H^1 embedding
+    layout: L^2 for which 1 and 3, H^1 for which 2 (the tests' embedding
+    instances use all three); the seed defaults to 100 + which."""
     if which not in (1, 2, 3):
         raise DimensionMismatch(f"embedding instance must be 1, 2 or 3, got {which}")
     space = resolve_gram_spec({"fem_stiffness" if which == 2 else "fem_mass": nodes}, nodes)
     seed = 100 + which if seed is None else seed
     tgrid, states = synthetic_states(nodes, EMBEDDING_SNAPSHOTS, seed)
     return from_trajectory(tgrid, states, space=space)
-
-
-def make_embedding_instance(nodes, which, seed=None):
-    """Identity-embedding instance between the L^2 and H^1 inner products.
-
-    which = 1: ambient L^2, codomain H^1 (the natural embedding direction
-    reversed: the map is the identity, only the norms change).
-    which = 2: ambient H^1, codomain L^2.
-    which = 3: variant of 1 that also carries the H^1 bilinear form for the
-    form-determined projection family.
-
-    Returns a dict with the snapshot set (embedding_set, attached to the
-    ambient space), both spaces, the sparse identity map (with its exact
-    inverse), and the form as a CSR array (or None).
-    """
-    sset = embedding_set(nodes, which, seed)
-    space_y = resolve_gram_spec({"fem_mass" if which == 2 else "fem_stiffness": nodes}, nodes)
-    return {
-        "set": sset,
-        "space_x": sset.space,
-        "space_y": space_y,
-        "map": identity_map(sset.space, space_y, kind="embedding"),
-        "form": space_y.gram if which == 3 else None,
-    }

@@ -252,21 +252,3 @@ def orthonormalize(space, vectors):
     if reason is not None:
         raise RankDeficient(reason)
     return Q
-
-
-def adjoint_matrix(space_from, space_to, matrix):
-    """Matrix of the adjoint of a linear map between two Gram spaces.
-
-    For T : space_from -> space_to with coordinate matrix A, the adjoint
-    T* : space_to -> space_from satisfies (T u, v)_to = (u, T* v)_from and has
-    coordinate matrix G_from^{-1} A^T G_to, evaluated here with Cholesky
-    solves against G_from (A^T G_to = (G_to A)^T, G_to being symmetric).
-    A may be sparse; the adjoint matrix is dense.
-    """
-    A = as_matrix(matrix)
-    if A.shape != (space_to.dim, space_from.dim):
-        raise DimensionMismatch(
-            f"map matrix {A.shape} inconsistent with spaces "
-            f"({space_to.dim}, {space_from.dim})"
-        )
-    return solve_gram(space_from, to_dense(space_to.gram @ A).T)

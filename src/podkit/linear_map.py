@@ -1,7 +1,7 @@
 """Linear maps between Gram spaces.
 
-A map carries its domain and codomain spaces so adjoints are always taken
-with respect to the right inner products.  Invertibility is a certificate,
+A map carries its domain and codomain spaces, so every norm of its images
+and every adjoint route is taken in the right inner product.  Invertibility is a certificate,
 not a guess: an inverse is either supplied or computed, and in both cases the
 two residuals ||L Linv - I|| and ||Linv L - I|| must pass below tolerance,
 with overly ill-conditioned matrices rejected outright.  Maps named by a
@@ -13,10 +13,9 @@ and a "diag" spec a CSR diagonal with its exact reciprocal as inverse, so
 no n x n array is formed on their path.  A "matrix" (CSV) spec map stays
 dense; its rows and columns are counted before it is read and checked
 against gram_space.DENSE_BYTES_BUDGET.  Every consumer applies a map with
-@; two places read its type: projector.matrix_fingerprint hashes a CSR
-array's shape, indptr, indices and data, and the pushforward's adjoint
-route factors L^T with a sparse LU (scipy.sparse.linalg.splu, imported only
-there), whatever L's type.  The image rank is pod_engine.image_spectrum's.
+@; one place reads its type: the pushforward's adjoint route factors L^T
+with a sparse LU (scipy.sparse.linalg.splu, imported only there), whatever
+L's type.  The image rank is pod_engine.image_spectrum's.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from . import fem, gram_space
+from . import fem
 from .errors import DimensionMismatch, MalformedManifest, NotInvertible, ProvenanceMismatch
 from .gram_space import GramSpace, as_matrix, check_dense_budget, make_space, to_dense
 from .snapshot_io import _read_json, _spec_int, gram_matrix
@@ -52,8 +51,8 @@ class LinearMap:
     domain, codomain : GramSpace
     matrix : ndarray or scipy.sparse CSR array, shape (codomain.dim, domain.dim)
         Sparse from identity_map, derivative_map and a "diag" spec, dense
-        from a "matrix" spec; see the module docstring for the two places
-        that read its type.
+        from a "matrix" spec; see the module docstring for the one place
+        that reads its type.
     inverse : ndarray, scipy.sparse CSR array or None
         Present only when certified at construction; identity_map's is the
         same sparse identity as its matrix.
@@ -176,15 +175,6 @@ def derivative_map(nodes, domain, scheme="forward"):
     )
 
 
-def apply(lmap, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != lmap.domain.dim:
-        raise DimensionMismatch(
-            f"vector of dim {x.shape[0]} into map from dim {lmap.domain.dim}"
-        )
-    return lmap.matrix @ x
-
-
 def apply_inverse(lmap, y):
     if lmap.inverse is None:
         raise NotInvertible("map has no certified inverse")
@@ -194,18 +184,6 @@ def apply_inverse(lmap, y):
             f"vector of dim {y.shape[0]} into inverse from dim {lmap.codomain.dim}"
         )
     return lmap.inverse @ y
-
-
-def adjoint(lmap):
-    """Matrix of the adjoint map codomain -> domain."""
-    return gram_space.adjoint_matrix(lmap.domain, lmap.codomain, lmap.matrix)
-
-
-def inverse_adjoint(lmap):
-    """Matrix of the adjoint of the inverse, domain -> codomain."""
-    if lmap.inverse is None:
-        raise NotInvertible("map has no certified inverse")
-    return gram_space.adjoint_matrix(lmap.codomain, lmap.domain, lmap.inverse)
 
 
 def rank_relation_check(basis_x, basis_y, lmap):

@@ -113,10 +113,6 @@ def snapshot_fingerprint(sset):
     return fingerprint(sset.data, sset.weights)
 
 
-def basis_fingerprint(basis):
-    return fingerprint(basis.sigma, basis.modes)
-
-
 def compute_pod(sset, space=None, drop_tol=DEFAULT_DROP_TOL):
     """Compute the POD of a snapshot set.
 
@@ -225,28 +221,6 @@ def spectrum_gapped(basis):
     return float(lam[basis.rank - 1]) / below >= SPECTRUM_GAP
 
 
-def apply_K(sset, coeffs):
-    """Weighted combination of the snapshots: K c = sum_j g_j c_j w_j."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[0] != sset.count:
-        raise DimensionMismatch(
-            f"{coeffs.shape[0]} coefficients for {sset.count} snapshots"
-        )
-    if coeffs.ndim == 1:
-        return sset.data @ (sset.weights * coeffs)
-    return sset.data @ (sset.weights[:, None] * coeffs)
-
-
-def apply_K_adjoint(sset, space, x):
-    """Adjoint of the snapshot operator: (K* x)_j = (x, w_j)_X."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != sset.space_dim:
-        raise DimensionMismatch(
-            f"vector of dim {x.shape[0]} against snapshots of dim {sset.space_dim}"
-        )
-    return sset.data.T @ (space.gram @ x)
-
-
 def project_X(basis, r, x):
     """Orthogonal projection onto the leading r modes."""
     if r < 0:
@@ -256,79 +230,6 @@ def project_X(basis, r, x):
     x = np.asarray(x, dtype=float)
     Phi = basis.modes[:, :r]
     return Phi @ (Phi.T @ (basis.space.gram @ x))
-
-
-def hs_norm_sq(sset, space=None):
-    """Total weighted data energy sum_j g_j ||w_j||_X^2.
-
-    Equals the squared Hilbert-Schmidt norm of the snapshot operator, and by
-    the spectral identity also the sum of all POD eigenvalues.
-    """
-    if space is None:
-        space = sset.space
-    A = half_weight(space, sset.data)
-    return float(np.einsum("ij,ij,j->", A, A, sset.weights))
-
-
-def tail_energy(basis, r):
-    """Sum of eigenvalues beyond index r over the whole computed spectrum."""
-    if r < 0:
-        raise IndexOutOfRange(f"negative truncation level {r}")
-    return float(np.sum(basis.eigenvalues[r:]))
-
-
-def optimality_oracle(sset, space, r, trials=8, seed=0):
-    """Check POD optimality against random rank-r competitor families.
-
-    Every competitor approximates snapshot j by a combination of r fixed
-    vectors; its weighted squared error can never fall below the POD tail
-    energy.  Competitors of three kinds are drawn: random vectors with random
-    coefficients, random vectors with optimal (projection) coefficients, and
-    the POD modes themselves, which must achieve the tail exactly.
-
-    Returns a dict with the POD tail, each competitor's error, and whether
-    the lower bound held with slack 1e-10.
-    """
-    basis = compute_pod(sset, space)
-    if r < 0 or r > basis.rank:
-        raise RankExceeded(f"r = {r} outside [0, {basis.rank}]")
-    pod_error = tail_energy(basis, r)
-    rng = np.random.default_rng(seed)
-    W = sset.data
-    g = sset.weights
-    n = sset.space_dim
-
-    def weighted_error(approx):
-        R = W - approx
-        A = half_weight(space, R)
-        return float(np.einsum("ij,ij,j->", A, A, g))
-
-    def best_coeffs(eta):
-        Q = orthonormalize(space, eta)
-        return Q @ (Q.T @ (space.gram @ W))
-
-    errors = []
-    for t in range(trials):
-        eta = rng.standard_normal((n, r))
-        if t % 2 == 0:
-            coeffs = rng.standard_normal((r, sset.count))
-            errors.append(weighted_error(eta @ coeffs))
-        else:
-            errors.append(weighted_error(best_coeffs(eta)))
-    if r:
-        errors.append(weighted_error(best_coeffs(basis.modes[:, :r])))
-    else:
-        errors.append(weighted_error(np.zeros_like(W)))
-
-    slack = 1e-10
-    return {
-        "r": r,
-        "pod_error": pod_error,
-        "competitor_errors": errors,
-        "min_competitor": min(errors),
-        "all_ge": all(e >= pod_error - slack for e in errors),
-        "trials": trials,
-    }
 
 
 def save_basis(basis, manifest_path):

@@ -1,32 +1,27 @@
-"""Rank-r projection operators assembled from a POD basis.
+"""Rank-r codomain projection operators assembled from a POD basis.
 
 Every projector is stored in factored form, P x = range @ (dual^T G x), and
 applied in O(dim * (r + kd)) work, kd the bandwidth of the sparse Gram G.
 Maps and forms may be sparse (every generated map and the default Ritz
-form are) and are applied with @.  Only the dense_matrix diagnostic and,
-on a wide band, the Ritz ellipticity form an n x n array.  op_norm works on
-the factors, the pushforward cross-check on one sparse LU (splu) of L^T.
-Families:
+form are) and are applied with @.  Only the Ritz ellipticity on a wide band
+forms an n x n array; the pushforward cross-check runs on one sparse LU
+(splu) of L^T.  Families:
 
-- "pod_orthogonal": orthogonal projection onto the leading modes.
 - "mapped_orthogonal": orthogonal projection, in the codomain, onto the
   span of the mapped modes.
 - "ritz": projection onto the mapped modes determined by a bilinear form
   (a(Pu, v) = a(u, v) for all v in the range).
 - "pushforward": the domain projection conjugated into the codomain by an
   invertible map, L P L^{-1}.
-- "pullback": a codomain projection conjugated back, L^{-1} Q L.
 
-The three codomain families are built once per bundle and sliced per level.
+Each family is built once per bundle and sliced per level.
 mapped_orthogonal_levels, ritz_levels and pushforward_levels build what is
 free of r (ellipticity constants) or nested in r (the mapped modes, their QR,
 the Ritz matrix, the pushforward dual basis) for all rank columns and return
 a level factory r -> Projector that slices it and runs the level's own
-checks (error_lab.codomain_projectors picks one by family name);
-pod_projector and pullback_projector build their one level directly.
-
-Provenance fingerprints record which basis, map and form each projector was
-built from; composites refuse ingredients that do not match.
+checks.  error_lab.certifier is the one caller: it picks the family by name
+and owns the factory, so a projector built from another map or basis never
+reaches a battery.
 """
 
 from __future__ import annotations
@@ -43,14 +38,12 @@ from .errors import (
     FormNotElliptic,
     IndexOutOfRange,
     NotInvertible,
-    ProvenanceMismatch,
     RankDeficientImage,
     RankExceeded,
     SingularRitzSystem,
 )
-from .gram_space import GramSpace, _lower_band, as_matrix, check_dense_budget, half_weight
+from .gram_space import GramSpace, _lower_band, as_matrix, check_dense_budget
 from .gram_space import orthonormal_prefixes, solve_gram
-from .pod_engine import basis_fingerprint, fingerprint
 
 ELLIPTICITY_DEGENERACY = 1e-13
 PUSHFORWARD_CROSS_CHECK_TOL = 1e-8
@@ -62,6 +55,8 @@ class Projector:
 
     P x = range_basis @ (dual_basis^T @ (gram @ x)); idempotency follows
     from dual_basis^T G range_basis = I, which every constructor arranges.
+    ellipticity is the Ritz form's (c, C) of form_ellipticity, None for the
+    other families.
     """
 
     space: GramSpace
@@ -69,16 +64,7 @@ class Projector:
     range_basis: np.ndarray = field(repr=False)
     dual_basis: np.ndarray = field(repr=False)
     family: str
-    provenance: dict = field(default_factory=dict)
-
-
-def matrix_fingerprint(matrix):
-    """Fingerprint of a dense matrix, or of a sparse one's CSR shape, indptr,
-    indices and data."""
-    if sparse.issparse(matrix):
-        M = sparse.csr_array(matrix)
-        return fingerprint(np.array(M.shape), M.indptr, M.indices, M.data)
-    return fingerprint(matrix)
+    ellipticity: tuple | None = None
 
 
 def apply_projector(proj, x):
@@ -95,14 +81,6 @@ def _check_r(basis, r):
         raise IndexOutOfRange(f"truncation level must be >= 1, got {r}")
     if r > basis.rank:
         raise RankExceeded(f"requested r = {r} beyond computed rank {basis.rank}")
-
-
-def pod_projector(basis, r):
-    """Orthogonal projection onto the leading r POD modes."""
-    _check_r(basis, r)
-    Phi = basis.modes[:, :r].copy()
-    provenance = {"family": "pod_orthogonal", "basis": basis_fingerprint(basis), "r": r}
-    return Projector(basis.space, r, Phi, Phi, "pod_orthogonal", provenance)
 
 
 def _mapped_modes(basis, lmap):
@@ -124,19 +102,12 @@ def _orthonormal_images(basis, lmap):
     return Q, leading
 
 
-def _levels(family, basis, lmap, level, **provenance):
+def _levels(family, basis, lmap, level, ellipticity=None):
     """Level factory r -> codomain Projector; level(r) returns the range and
     dual bases of level r sliced from the family's one-time build."""
-    provenance = {
-        "family": family,
-        "basis": basis_fingerprint(basis),
-        "map": matrix_fingerprint(lmap.matrix),
-        **provenance,
-    }
-
     def projector(r):
         _check_r(basis, r)
-        return Projector(lmap.codomain, r, *level(r), family, {**provenance, "r": r})
+        return Projector(lmap.codomain, r, *level(r), family, ellipticity)
 
     return projector
 
@@ -236,10 +207,7 @@ def ritz_levels(basis, lmap, form):
             raise SingularRitzSystem(f"reciprocal condition {rcond:.3e}")
         return Q_r, lu_solve(lu_factor(B_r), GAQ[:, :r].T).T
 
-    return _levels(
-        "ritz", basis, lmap, level,
-        form=matrix_fingerprint(A), ellipticity=c_low, continuity=c_high,
-    )
+    return _levels("ritz", basis, lmap, level, (c_low, c_high))
 
 
 def pushforward_levels(lmap, basis):
@@ -275,53 +243,3 @@ def pushforward_levels(lmap, basis):
         return V[:, :r], dual[:, :r]
 
     return _levels("pushforward", basis, lmap, level)
-
-
-def pullback_projector(lmap, inner_proj, r):
-    """A codomain projection conjugated back to the domain: L^{-1} Q L.
-
-    inner_proj must be a projector on the map's codomain built from the same
-    map at the same truncation level; anything else raises
-    ProvenanceMismatch.  When the inner projection fixes the mapped modes,
-    the result fixes the modes themselves.
-    """
-    if lmap.inverse is None:
-        raise NotInvertible("pullback projector needs an invertible map")
-    if inner_proj.space.dim != lmap.codomain.dim:
-        raise DimensionMismatch("inner projector does not live on the codomain")
-    if inner_proj.r != r:
-        raise ProvenanceMismatch(
-            f"inner projector has r = {inner_proj.r}, requested {r}"
-        )
-    inner_map_fp = inner_proj.provenance.get("map")
-    if inner_map_fp is not None and inner_map_fp != matrix_fingerprint(lmap.matrix):
-        raise ProvenanceMismatch("inner projector was built from a different map")
-    rng = lmap.inverse @ inner_proj.range_basis
-    # L* D = G_x^{-1} L^T G_y D, without the n x n adjoint matrix
-    dual = solve_gram(lmap.domain, lmap.matrix.T @ (lmap.codomain.gram @ inner_proj.dual_basis))
-    provenance = {
-        "family": "pullback",
-        "map": matrix_fingerprint(lmap.matrix),
-        "inner": dict(inner_proj.provenance),
-        "r": r,
-    }
-    return Projector(lmap.domain, r, rng, dual, "pullback", provenance)
-
-
-def dense_matrix(proj):
-    """The dim x dim matrix of the projector (diagnostics only)."""
-    return proj.range_basis @ (proj.space.gram @ proj.dual_basis).T
-
-
-def op_norm(proj):
-    """Operator norm of the projector in the space's own norm.
-
-    With G = L L^T, ||P|| = ||L^T P L^{-T}||_2 = ||(L^T R)(L^T D)^T||_2 for
-    the range basis R and dual basis D.  Thin QRs L^T R = Q_R S_R and
-    L^T D = Q_D S_D reduce this to the largest singular value of the r x r
-    product S_R S_D^T.  Orthogonal families return 1 up to round-off, the
-    form-determined family is bounded by its continuity-to-ellipticity ratio.
-    """
-    S_range = np.linalg.qr(half_weight(proj.space, proj.range_basis), mode="r")
-    S_dual = np.linalg.qr(half_weight(proj.space, proj.dual_basis), mode="r")
-    return float(np.linalg.svd(S_range @ S_dual.T, compute_uv=False)[0])

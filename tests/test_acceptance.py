@@ -13,39 +13,30 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from podkit.error_lab import (
-    battery_level,
-    codomain_projectors,
-    snapshot_guarantee_threshold,
-    sweep,
-)
+from podkit.error_lab import battery_level, certifier, snapshot_guarantee_threshold, sweep
 from podkit.fem import assemble_fem_1d
-from podkit.fhn_gen import (
-    FhnConfig,
-    make_embedding_instance,
-    make_fhn_instance,
-)
+from podkit.fhn_gen import FhnConfig, make_fhn_instance
 from podkit.linear_map import rank_relation_check
-from podkit.pod_engine import (
-    compute_pod,
-    hs_norm_sq,
-    image_spectrum,
-    optimality_oracle,
-    spectrum_gapped,
-)
+from podkit.pod_engine import compute_pod, image_spectrum, spectrum_gapped
 from podkit.projector import (
-    dense_matrix,
     form_ellipticity,
     mapped_orthogonal_levels,
-    op_norm,
-    pod_projector,
-    pullback_projector,
     pushforward_levels,
     ritz_levels,
 )
 
 from conftest import GOLDEN_LAMBDA_2, by_id
-from oracles import induced_snapshots, random_instance
+from oracles import (
+    dense_matrix,
+    hs_norm_sq,
+    induced_snapshots,
+    make_embedding_instance,
+    op_norm,
+    optimality_oracle,
+    pod_projector,
+    pullback_projector,
+    random_instance,
+)
 
 RESULTS = []
 
@@ -77,9 +68,9 @@ def test_criterion_1_identity_suite():
             inst = random_instance(dim, s, seed=3000 + i, invertible=invertible)
             sset, lmap = inst["set"], inst["map"]
             basis = compute_pod(sset, inst["space_x"])
-            projectors = codomain_projectors(basis, lmap)
+            cert = certifier(sset, basis, lmap)
             for r in range(1, basis.rank + 1):
-                reports = battery_level(sset, basis, r, lmap, projectors(r))
+                reports = battery_level(cert, r)
                 identities = [rep.identity_id for rep in reports if rep.kind == "identity"]
                 expected = ["pod_x", "range_exact", "pod_x_mapped", "proj_y"]
                 expected += ["pullback_x"] if invertible else []
@@ -195,26 +186,26 @@ def test_criterion_5_bounds_suite():
             inst = random_instance(dim, s, seed=9000 + i, invertible=invertible)
             sset, lmap = inst["set"], inst["map"]
             basis = compute_pod(sset, inst["space_x"])
-            projectors = codomain_projectors(basis, lmap)
+            cert = certifier(sset, basis, lmap)
             r_mid = max(1, basis.rank // 2)
 
             coeffs = np.random.default_rng(100 + i).standard_normal((20, sset.count)).T
             kinds = ["pw_proj_y"] + (["pw_composite_y", "pw_composite_x"] if invertible else [])
-            reports = battery_level(sset, basis, r_mid, lmap, projectors(r_mid), coeffs=coeffs)
+            reports = battery_level(cert, r_mid, coeffs=coeffs)
             pointwise = [rep for rep in reports if rep.identity_id.startswith("pw_")]
             assert [rep.identity_id for rep in pointwise] == kinds * 20
             for rep in pointwise:
                 assert rep.passed, f"instance {i} {rep.identity_id}"
 
             for r in sorted({1, r_mid, basis.rank}):
-                rows = by_id(battery_level(sset, basis, r))
+                rows = by_id(battery_level(certifier(sset, basis), r))
                 for row_id in ("range_exact", "snap_sigma_bound"):
                     assert rows[row_id].passed, f"instance {i} r={r} {row_id}"
 
             r0 = snapshot_guarantee_threshold(sset, basis)
             assert r0 is not None  # full-rank square coefficient capture
             for r in sorted({r0, basis.rank}):
-                reports = battery_level(sset, basis, r, lmap, projectors(r))
+                reports = battery_level(cert, r)
                 snaps = [rep for rep in reports if rep.identity_id.startswith("snap_")]
                 snaps = snaps[1:]  # snap_sigma_bound leads, and has no threshold
                 assert len(snaps) == (4 if invertible else 3)
@@ -238,7 +229,7 @@ def test_criterion_6_projector_diagnostics():
                 pod = pod_projector(basis, r)
                 orth = orth_levels(r)
                 push = push_levels(r)
-                pull = pullback_projector(lmap, orth, r)
+                pull = pullback_projector(lmap, orth)
                 assert op_norm(pod) == pytest.approx(1.0, abs=1e-9)
                 assert op_norm(orth) == pytest.approx(1.0, abs=1e-9)
                 for proj in (pod, orth, push, pull):
@@ -270,7 +261,7 @@ def test_criterion_7_flagship_sweep():
         t0 = time.perf_counter()
         inst = make_fhn_instance(FhnConfig())
         basis = compute_pod(inst["set"], inst["space_x"])
-        reports = sweep(inst["set"], basis, inst["map"], [4, 12])
+        reports = sweep(certifier(inst["set"], basis, inst["map"]), [4, 12])
         elapsed = time.perf_counter() - t0
 
         assert [rep.identity_id for rep in reports] == [
@@ -310,7 +301,7 @@ def test_criterion_8_fem_embedding_examples():
                 sset, lmap = inst["set"], inst["map"]
                 basis = compute_pod(sset, inst["space_x"])
                 r_values = sorted({1, max(1, basis.rank // 2), basis.rank})
-                reports = sweep(sset, basis, lmap, r_values)
+                reports = sweep(certifier(sset, basis, lmap), r_values)
                 for rep in reports:
                     assert rep.passed, (
                         f"nodes={nodes} which={which} {rep.identity_id} "
@@ -330,9 +321,10 @@ def test_criterion_8_fem_embedding_examples():
             ritz_conv = ritz_levels(basis, inst["map"], conv_form)(r)
             dist = np.linalg.norm(dense_matrix(ritz_conv) - dense_matrix(orth))
             assert dist > 1e-6
-            for proj in (orth, ritz_conv):
-                rep = by_id(battery_level(inst["set"], basis, r, inst["map"], proj))["proj_y"]
-                assert rep.passed, f"nodes={nodes} family={proj.family}"
+            for family, form in (("orthogonal", None), ("ritz", conv_form)):
+                cert = certifier(inst["set"], basis, inst["map"], family, form)
+                rep = by_id(battery_level(cert, r))["proj_y"]
+                assert rep.passed, f"nodes={nodes} family={family}"
 
 
 def test_criterion_9_monotone_decay(golden_instance):
@@ -357,9 +349,9 @@ def test_criterion_9_monotone_decay(golden_instance):
             series = {}
             levels = range(1, basis.rank + 1)
             if lmap is None:
-                reports = [by_id(battery_level(sset, basis, r))["pod_x"] for r in levels]
+                reports = [by_id(battery_level(certifier(sset, basis), r))["pod_x"] for r in levels]
             else:
-                reports = sweep(sset, basis, lmap, levels)
+                reports = sweep(certifier(sset, basis, lmap), levels)
             for rep in reports:
                 series.setdefault(rep.identity_id, []).append(rep.rhs)
             for identity_id, values in series.items():

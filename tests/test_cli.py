@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from podkit.cli import build_map_from_spec, main
+from podkit.cli import POINTWISE_PER_LEVEL, build_map_from_spec, main
+from podkit.error_lab import battery_level, certifier, write_report
 from podkit.fem import assemble_fem_1d
-from podkit.fhn_gen import FhnConfig, make_embedding_instance, make_fhn_instance
-from podkit.pod_engine import load_basis
+from podkit.fhn_gen import FhnConfig, make_fhn_instance
+from podkit.pod_engine import compute_pod, load_basis
 from podkit.snapshot_io import load
+
+from oracles import make_embedding_instance
 
 
 def run(capsys, *argv):
@@ -159,23 +162,6 @@ def test_embedding_spec_checks_provenance(synth_bundle, tmp_path, capsys):
     assert json.loads(err)["error"] == "ProvenanceMismatch"
 
 
-def test_composite_yx_needs_invertible_map(tmp_path, capsys):
-    # the forward-difference derivative map annihilates constants, so the
-    # family that conjugates through the inverse cannot be requested
-    manifest = str(tmp_path / "fhn.json")
-    code = main(["generate-fhn", "--output", manifest, "--nodes", "10"])
-    capsys.readouterr()
-    assert code == 0
-    code2, _, err = run(
-        capsys, "verify", "--input", manifest,
-        "--map", manifest.replace(".json", "_map.json"),
-        "--output", str(tmp_path / "r.json"),
-        "--projector", "composite-yx", "--r", "2",
-    )
-    assert code2 == 2
-    assert json.loads(err)["error"] == "ProvenanceMismatch"
-
-
 def test_sweep_and_table(synth_bundle, tmp_path, capsys):
     manifest, map_path = synth_bundle
     csv_path = str(tmp_path / "sweep.csv")
@@ -239,9 +225,55 @@ def test_outputs_byte_identical_across_reruns(tmp_path, capsys):
     assert open(sweep_a, "rb").read() == open(sweep_b, "rb").read()
 
 
+@pytest.mark.parametrize(
+    "flag, family",
+    [("orthogonal", "orthogonal"), ("ritz", "ritz"), ("composite-xy", "pushforward")],
+    ids=["orthogonal", "ritz", "composite-xy"],
+)
+def test_verify_rows_are_the_library_battery(
+    synth_bundle, tmp_path, capsys, monkeypatch, flag, family
+):
+    # the CLI and the library are one path: every row verify writes is the
+    # row battery_level gives for the certifier of the same bundle, with the
+    # CLI's seeded pointwise coefficients drawn level by level
+    monkeypatch.delenv("PODKIT_TOL", raising=False)
+    manifest, map_path = synth_bundle
+    report = tmp_path / "cli.json"
+    code, _, err = run(
+        capsys, "verify", "--input", manifest, "--map", map_path, "--projector", flag,
+        "--r", "1,3,4", "--seed", "7", "--output", str(report),
+    )
+    assert code == 0, err
+    sset = load(manifest)
+    lmap, form = build_map_from_spec(map_path, sset)
+    cert = certifier(sset, compute_pod(sset), lmap, family, form)
+    rng = np.random.default_rng(7)
+    reports = []
+    for r in (1, 3, 4):
+        coeffs = rng.standard_normal((POINTWISE_PER_LEVEL, sset.count)).T
+        reports += battery_level(cert, r, coeffs=coeffs)
+    library = str(tmp_path / "library.json")
+    write_report(reports, library)
+    assert json.load(open(report))["checks"] == json.load(open(library))["checks"]
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_repeated_truncation_levels_are_refused(synth_bundle, tmp_path, capsys, command):
+    # a level listed twice would run twice and write its rows twice
+    manifest, map_path = synth_bundle
+    report = tmp_path / "r.json"
+    code, _, err = run(
+        capsys, command, "--input", manifest, "--map", map_path, "--r", "2,3,2",
+        "--output", str(report),
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "IndexOutOfRange"
+    assert not report.exists()
+
+
 def test_projector_families_run_on_synthetic(synth_bundle, tmp_path, capsys):
     manifest, map_path = synth_bundle
-    for family in ("orthogonal", "ritz", "composite-xy", "composite-yx"):
+    for family in ("orthogonal", "ritz", "composite-xy"):
         report = str(tmp_path / f"{family}.json")
         code, _, err = run(
             capsys, "verify", "--input", manifest, "--map", map_path,
@@ -485,9 +517,9 @@ def test_generated_map_spec_rebuilds_the_instance_map(tmp_path, capsys, command)
 def test_generate_synthetic_builds_only_its_snapshot_set(tmp_path, capsys, monkeypatch):
     # the same set as make_embedding_instance(n, 1) with its default seed
     # 101, but no spaces beyond the ambient one and no identity map
-    import podkit.fhn_gen
+    import podkit.linear_map
 
-    maps = _count_calls(monkeypatch, podkit.fhn_gen, "identity_map")
+    maps = _count_calls(monkeypatch, podkit.linear_map, "identity_map")
     manifest = str(tmp_path / "s.json")
     assert main(["generate-synthetic", "--output", manifest, "--nodes", "9"]) == 0
     capsys.readouterr()
@@ -556,11 +588,9 @@ def _count_calls(monkeypatch, module, name):
 
 def test_projector_families_are_built_once_per_run(tmp_path, capsys, monkeypatch):
     # the level-free part of a family (the ellipticity eigensolve, the
-    # adjoint-route sparse LU) is built once, however many levels run, and
-    # no n x n adjoint matrix is formed
+    # adjoint-route sparse LU) is built once, however many levels run
     import scipy.sparse.linalg
 
-    import podkit.linear_map
     import podkit.projector
 
     manifest = str(tmp_path / "synth.json")
@@ -576,7 +606,6 @@ def test_projector_families_are_built_once_per_run(tmp_path, capsys, monkeypatch
     assert code == 0, err
     assert len(open(sweep_csv).read().strip().split("\n")) == 1 + 4 * 8
     assert len(ellipticity) == 1
-    adjoint = _count_calls(monkeypatch, podkit.linear_map, "adjoint")
     adjoint_route = _count_calls(monkeypatch, scipy.sparse.linalg, "splu")
     code, out, err = run(
         capsys, "verify", "--input", manifest, "--map", map_path,
@@ -584,7 +613,6 @@ def test_projector_families_are_built_once_per_run(tmp_path, capsys, monkeypatch
     )
     assert code == 0, err
     assert "levels: [1, 4, 8]" in out
-    assert len(adjoint) == 0
     assert len(adjoint_route) == 1
 
 

@@ -17,25 +17,23 @@ from podkit.error_lab import (
     _residuals,
     _worst_index,
     battery_level,
-    bundle_constants,
-    codomain_projectors,
+    certifier,
     read_report,
     snapshot_guarantee_threshold,
     sweep,
     write_report_csv,
     write_report_json,
 )
-from podkit.errors import DimensionMismatch, IndexOutOfRange, MissingDataFile, ProvenanceMismatch
-from podkit.fhn_gen import make_embedding_instance
+from podkit.errors import DimensionMismatch, IndexOutOfRange, MissingDataFile
 from podkit.fem import assemble_fem_1d
 from podkit.gram_space import COLUMN_BLOCK_BYTES, half_weight, identity_space, make_space, norm
-from podkit.linear_map import identity_map, make_map
+from podkit.linear_map import identity_map
 from podkit.pod_engine import compute_pod
-from podkit.projector import apply_projector, mapped_orthogonal_levels, pod_projector
+from podkit.projector import apply_projector
 from podkit.snapshot_io import make_snapshot_set
 
 from conftest import GOLDEN_LAMBDA_2, by_id
-from oracles import random_instance
+from oracles import make_embedding_instance, pod_projector, random_instance
 
 # squared rank-1 residuals of the golden snapshots (1, 0) and (1, 1)
 GOLDEN_RESIDUALS_SQ = ((5.0 - math.sqrt(5.0)) / 10.0, 1.0 - 2.0 / math.sqrt(5.0))
@@ -52,11 +50,11 @@ def test_pod_error_golden_hand_value(golden_instance):
     sset = golden_instance
     space = sset.space
     basis = compute_pod(sset, space)
-    rep = by_id(battery_level(sset, basis, 1))["pod_x"]
+    rep = by_id(battery_level(certifier(sset, basis), 1))["pod_x"]
     assert rep.passed
     assert rep.lhs == pytest.approx(GOLDEN_LAMBDA_2, abs=1e-12)
     assert rep.rhs == pytest.approx(GOLDEN_LAMBDA_2, abs=1e-12)
-    rep2 = by_id(battery_level(sset, basis, 2))["pod_x"]
+    rep2 = by_id(battery_level(certifier(sset, basis), 2))["pod_x"]
     assert rep2.passed
     assert abs(rep2.lhs) < 1e-14 and abs(rep2.rhs) < 1e-14
 
@@ -67,7 +65,7 @@ def test_range_residual_golden_hand_value(golden_instance):
     sset = golden_instance
     space = sset.space
     basis = compute_pod(sset, space)
-    rows = by_id(battery_level(sset, basis, 1))
+    rows = by_id(battery_level(certifier(sset, basis), 1))
     exact, bound = rows["range_exact"], rows["snap_sigma_bound"]
     assert exact.passed and bound.passed
     assert exact.lhs**2 == pytest.approx(GOLDEN_RESIDUALS_SQ[exact.info["ell"]], abs=1e-12)
@@ -83,7 +81,7 @@ def test_range_residual_block_names_the_worst_snapshot():
     basis = compute_pod(sset, inst["space_x"])
     for r in range(1, basis.rank + 1):
         residuals = snapshot_residuals(sset, basis, r)
-        rows = by_id(battery_level(sset, basis, r))
+        rows = by_id(battery_level(certifier(sset, basis), r))
         for row_id in ("range_exact", "snap_sigma_bound"):
             rep = rows[row_id]
             assert rep.passed, (r, row_id)
@@ -95,7 +93,7 @@ def test_range_residual_block_names_the_worst_snapshot():
         right[j] *= 2.0
         tampered = dataclasses.replace(basis, right_full=right)
         for r in range(1, basis.rank):
-            exact = by_id(battery_level(sset, tampered, r))["range_exact"]
+            exact = by_id(battery_level(certifier(sset, tampered), r))["range_exact"]
             assert not exact.passed and exact.info["ell"] == j, (j, r)
             assert exact.lhs == pytest.approx(snapshot_residuals(sset, basis, r)[j], rel=1e-9)
             assert exact.rhs == pytest.approx(2.0 * exact.lhs, rel=1e-9)
@@ -111,7 +109,7 @@ def test_range_exact_passes_at_every_level_on_flagship(fhn_instance):
     sset = fhn_instance["set"]
     basis = compute_pod(sset)
     for r in range(1, basis.rank + 1):
-        exact = by_id(battery_level(sset, basis, r))["range_exact"]
+        exact = by_id(battery_level(certifier(sset, basis), r))["range_exact"]
         assert exact.passed, (r, exact.info, exact.rel_diff)
 
 
@@ -125,13 +123,13 @@ def test_range_exact_floor_follows_data_scale(fhn_instance, scale):
     basis = compute_pod(sset)
     doubled = dataclasses.replace(basis, right_full=2.0 * basis.right_full)
     for r in range(1, basis.rank + 1):
-        exact = by_id(battery_level(sset, basis, r))["range_exact"]
+        exact = by_id(battery_level(certifier(sset, basis), r))["range_exact"]
         assert exact.passed, (scale, r, exact.rel_diff)
         assert exact.info["floor"] == pytest.approx(
             32.0 * 2.0**-53 * basis.sigma[0] / math.sqrt(sset.weights[exact.info["ell"]])
         )
         if r < basis.rank:
-            wrong = by_id(battery_level(sset, doubled, r))["range_exact"]
+            wrong = by_id(battery_level(certifier(sset, doubled), r))["range_exact"]
             assert not wrong.passed, (scale, r)
 
 
@@ -152,13 +150,13 @@ def test_snapshot_bounds_below_threshold_not_asserted():
     basis = compute_pod(sset, space)
     assert snapshot_guarantee_threshold(sset, basis) == 2
 
-    rep = by_id(battery_level(sset, basis, 1))["snap_pod_x"]
+    rep = by_id(battery_level(certifier(sset, basis), 1))["snap_pod_x"]
     assert rep.info["r0"] == 2
     assert rep.passed  # passes by policy, not by the inequality
     assert rep.info["guaranteed"] is False
     assert rep.info["holds"] is False  # the raw inequality genuinely fails
 
-    rep2 = by_id(battery_level(sset, basis, 2))["snap_pod_x"]
+    rep2 = by_id(battery_level(certifier(sset, basis), 2))["snap_pod_x"]
     assert rep2.passed and rep2.info["guaranteed"] is True
     assert "holds" not in rep2.info
 
@@ -169,8 +167,7 @@ def test_snapshot_bounds_unattainable_threshold():
     inst = make_embedding_instance(33, 1)
     basis = compute_pod(inst["set"], inst["space_x"])
     assert snapshot_guarantee_threshold(inst["set"], basis) is None
-    proj = mapped_orthogonal_levels(basis, inst["map"])(1)
-    reports = battery_level(inst["set"], basis, 1, inst["map"], proj)
+    reports = battery_level(certifier(inst["set"], basis, inst["map"]), 1)
     snaps = [rep for rep in reports if rep.identity_id.startswith("snap_")]
     assert len(snaps) == 5  # snap_sigma_bound and one per residual operator
     for rep in snaps[1:]:
@@ -182,16 +179,15 @@ def test_snapshot_bounds_row_structure():
     inst = random_instance(8, 6, seed=21)
     basis = compute_pod(inst["set"], inst["space_x"])
     r = min(3, basis.rank)
-    proj = mapped_orthogonal_levels(basis, inst["map"])(r)
 
     def snap_ids(reports):
         return [rep.identity_id for rep in reports if rep.identity_id.startswith("snap_")]
 
-    ids = snap_ids(battery_level(inst["set"], basis, r, inst["map"], proj))
+    ids = snap_ids(battery_level(certifier(inst["set"], basis, inst["map"]), r))
     assert ids == [
         "snap_sigma_bound", "snap_pod_x", "snap_proj_y", "snap_pod_x_mapped", "snap_pullback_x",
     ]
-    mapless = snap_ids(battery_level(inst["set"], basis, r))
+    mapless = snap_ids(battery_level(certifier(inst["set"], basis), r))
     assert mapless == ["snap_sigma_bound", "snap_pod_x"]
 
 
@@ -201,9 +197,7 @@ def test_identity_map_reduces_to_ambient(golden_instance):
     sset = golden_instance
     space = sset.space
     basis = compute_pod(sset, space)
-    idmap = identity_map(space)
-    proj = mapped_orthogonal_levels(basis, idmap)(1)
-    rows = by_id(battery_level(sset, basis, 1, idmap, proj))
+    rows = by_id(battery_level(certifier(sset, basis, identity_map(space)), 1))
     base = rows["pod_x"]
     for rep in (rows["pod_x_mapped"], rows["proj_y"], rows["pullback_x"]):
         assert rep.passed
@@ -216,9 +210,9 @@ def test_identities_random_instances():
         inst = random_instance(9, 7, seed=seed)
         sset, space, lmap = inst["set"], inst["space_x"], inst["map"]
         basis = compute_pod(sset, space)
-        projectors = codomain_projectors(basis, lmap)
+        cert = certifier(sset, basis, lmap)
         for r in range(1, basis.rank + 1):
-            rows = by_id(battery_level(sset, basis, r, lmap, projectors(r)))
+            rows = by_id(battery_level(cert, r))
             for identity_id in ("pod_x", "pod_x_mapped", "proj_y", "pullback_x"):
                 rep = rows[identity_id]
                 assert rep.passed, f"{identity_id} r={r} rel={rep.rel_diff:.2e}"
@@ -235,7 +229,7 @@ def test_pod_error_direct_recomputation():
         w = sset.data[:, ell]
         pw = proj.range_basis @ (proj.dual_basis.T @ (space.gram @ w))
         total += sset.weights[ell] * norm(space, w - pw) ** 2
-    rep = by_id(battery_level(sset, basis, 2))["pod_x"]
+    rep = by_id(battery_level(certifier(sset, basis), 2))["pod_x"]
     assert rep.lhs == pytest.approx(total, rel=1e-12)
 
 
@@ -244,8 +238,7 @@ def test_hs_identities_pass_and_match_weighted_energy():
     sset, lmap = inst["set"], inst["map"]
     basis = compute_pod(sset, inst["space_x"])
     r = 3
-    proj = mapped_orthogonal_levels(basis, lmap)(r)
-    reports = battery_level(sset, basis, r, lmap, proj)
+    reports = battery_level(certifier(sset, basis, lmap), r)
     hs = [rep for rep in reports if rep.identity_id.startswith("hs_")]
     assert [rep.identity_id for rep in hs] == [
         "hs_pod_x_mapped",
@@ -263,8 +256,7 @@ def test_hs_identities_pass_and_match_weighted_energy():
 def test_hs_identities_two_rows_without_inverse():
     inst = random_instance(8, 6, seed=52, invertible=False, map_rank=6)
     basis = compute_pod(inst["set"], inst["space_x"])
-    proj = mapped_orthogonal_levels(basis, inst["map"])(2)
-    reports = battery_level(inst["set"], basis, 2, inst["map"], proj)
+    reports = battery_level(certifier(inst["set"], basis, inst["map"]), 2)
     assert len([rep for rep in reports if rep.identity_id.startswith("hs_")]) == 2
 
 
@@ -274,10 +266,8 @@ def test_pointwise_single_snapshot_matches_range_residual(golden_instance):
     sset = golden_instance
     space = sset.space
     basis = compute_pod(sset, space)
-    idmap = identity_map(space)
-    proj = mapped_orthogonal_levels(basis, idmap)(1)
     g = np.array([0.0, 1.0]) / sset.weights[1]
-    reports = battery_level(sset, basis, 1, idmap, proj, coeffs=g[:, None])
+    reports = battery_level(certifier(sset, basis, identity_map(space)), 1, coeffs=g[:, None])
     rep = by_id(reports)["pw_proj_y"]
     assert rep.passed
     assert rep.lhs**2 == pytest.approx(GOLDEN_RESIDUALS_SQ[1], rel=1e-12)
@@ -288,9 +278,8 @@ def test_pointwise_kinds_and_cs_bound():
     sset, lmap = inst["set"], inst["map"]
     basis = compute_pod(sset, inst["space_x"])
     r = 3
-    proj = mapped_orthogonal_levels(basis, lmap)(r)
     coeffs = np.random.default_rng(0).standard_normal((10, sset.count)).T
-    reports = battery_level(sset, basis, r, lmap, proj, coeffs=coeffs)
+    reports = battery_level(certifier(sset, basis, lmap), r, coeffs=coeffs)
     pointwise = [rep for rep in reports if rep.identity_id.startswith("pw_")]
     assert [rep.identity_id for rep in pointwise] == [
         "pw_proj_y", "pw_composite_y", "pw_composite_x",
@@ -303,69 +292,31 @@ def test_pointwise_kinds_and_cs_bound():
 
 
 def test_pointwise_guards():
-    # coefficients are one column per element; the kinds follow from what
-    # the level is given: composites need an inverse, proj_y a projector
+    # coefficients are one column per element; the kinds follow from the
+    # map: every kind needs one, the composites an invertible one
     inst = random_instance(6, 4, seed=62)
     sset, lmap = inst["set"], inst["map"]
     basis = compute_pod(sset, inst["space_x"])
-    proj = mapped_orthogonal_levels(basis, lmap)(2)
+    cert = certifier(sset, basis, lmap)
     for bad in (np.zeros(4), np.zeros((3, 2)), np.zeros((4, 2, 1))):
         with pytest.raises(DimensionMismatch):
-            battery_level(sset, basis, 2, lmap, proj, coeffs=bad)
+            battery_level(cert, 2, coeffs=bad)
     flat = random_instance(6, 4, seed=63, invertible=False, map_rank=4)
     fbasis = compute_pod(flat["set"], flat["space_x"])
-    fproj = mapped_orthogonal_levels(fbasis, flat["map"])(2)
     g = np.ones((4, 1))
-    for args, kinds in (
-        ((sset, basis, 2, lmap, proj), ["pw_proj_y", "pw_composite_y", "pw_composite_x"]),
-        ((sset, basis, 2, lmap), ["pw_composite_y"]),
-        ((flat["set"], fbasis, 2, flat["map"], fproj), ["pw_proj_y"]),
-        ((flat["set"], fbasis, 2, flat["map"]), []),
-        ((sset, basis, 2), []),
+    for level_cert, kinds in (
+        (cert, ["pw_proj_y", "pw_composite_y", "pw_composite_x"]),
+        (certifier(flat["set"], fbasis, flat["map"]), ["pw_proj_y"]),
+        (certifier(sset, basis), []),
     ):
-        reports = battery_level(*args, coeffs=g)
+        reports = battery_level(level_cert, 2, coeffs=g)
         assert [rep.identity_id for rep in reports if rep.identity_id.startswith("pw_")] == kinds
-
-
-def test_projector_mismatch_rejected():
-    inst = random_instance(7, 5, seed=64)
-    basis = compute_pod(inst["set"], inst["space_x"])
-    lmap = inst["map"]
-    proj_r2 = mapped_orthogonal_levels(basis, lmap)(2)
-    with pytest.raises(ProvenanceMismatch):
-        battery_level(inst["set"], basis, 3, lmap, proj_r2)
-
-
-def test_codomain_projector_from_another_map_or_basis_is_rejected():
-    # each of these once passed the r and dimension checks: the projector
-    # from 2 L has the right range, so it certified silently, and the others
-    # returned failing rows that blamed the identities
-    inst = random_instance(6, 5, seed=2)
-    sset, lmap = inst["set"], inst["map"]
-    basis = compute_pod(sset, inst["space_x"])
-    r = 2
-    rng = np.random.default_rng(0)
-    doubled = make_map(lmap.domain, lmap.codomain, 2.0 * lmap.matrix)
-    scrambled = make_map(lmap.domain, lmap.codomain, rng.standard_normal((6, 6)))
-    other = make_snapshot_set(rng.standard_normal((6, 5)), sset.weights, space=sset.space)
-    foreign = [
-        mapped_orthogonal_levels(basis, doubled)(r),
-        mapped_orthogonal_levels(basis, scrambled)(r),
-        mapped_orthogonal_levels(compute_pod(other), lmap)(r),
-        pod_projector(basis, r),
-    ]
-    assert all(proj.space.dim == lmap.codomain.dim and proj.r == r for proj in foreign)
-    for proj in foreign:
-        with pytest.raises(ProvenanceMismatch):
-            battery_level(sset, basis, r, lmap, proj)
-    own = codomain_projectors(basis, lmap)(r)
-    assert all(rep.passed for rep in battery_level(sset, basis, r, lmap, own))
 
 
 def test_sweep_schema():
     inst = random_instance(8, 6, seed=71)
     basis = compute_pod(inst["set"], inst["space_x"])
-    reports = sweep(inst["set"], basis, inst["map"], [1, 3])
+    reports = sweep(certifier(inst["set"], basis, inst["map"]), [1, 3])
     assert len(reports) == 8
     ids = [rep.identity_id for rep in reports]
     assert ids == ["pod_x", "pod_x_mapped", "proj_y", "pullback_x"] * 2
@@ -374,25 +325,30 @@ def test_sweep_schema():
 
 
 def test_codomain_projectors_families():
+    # the ritz form defaults to the codomain Gram, here the H^1 form itself
     inst = make_embedding_instance(17, 3)
-    basis = compute_pod(inst["set"], inst["space_x"])
-    for family, form in (
-        ("orthogonal", None),
-        ("ritz", inst["form"]),
-        ("pushforward", None),
+    sset, lmap = inst["set"], inst["map"]
+    basis = compute_pod(sset, inst["space_x"])
+    for family, form, name in (
+        ("orthogonal", None, "mapped_orthogonal"),
+        ("ritz", inst["form"], "ritz"),
+        ("ritz", None, "ritz"),
+        ("pushforward", None, "pushforward"),
     ):
-        proj = codomain_projectors(basis, inst["map"], family, form)(3)
-        assert proj.r == 3
-    with pytest.raises(ProvenanceMismatch):
-        codomain_projectors(basis, inst["map"], "ritz", None)
+        proj = certifier(sset, basis, lmap, family, form).projectors(3)
+        assert (proj.r, proj.family) == (3, name)
+    assert np.array_equal(
+        certifier(sset, basis, lmap, "ritz").projectors(3).dual_basis,
+        certifier(sset, basis, lmap, "ritz", inst["form"]).projectors(3).dual_basis,
+    )
     with pytest.raises(IndexOutOfRange):
-        codomain_projectors(basis, inst["map"], "sideways", None)
+        certifier(sset, basis, lmap, "sideways")
 
 
 def test_report_round_trip(tmp_path):
     inst = random_instance(7, 5, seed=81)
     basis = compute_pod(inst["set"], inst["space_x"])
-    reports = sweep(inst["set"], basis, inst["map"], [1, 2])
+    reports = sweep(certifier(inst["set"], basis, inst["map"]), [1, 2])
 
     jpath = str(tmp_path / "out.json")
     write_report_json(reports, jpath, extra={"note": "round-trip"})
@@ -509,9 +465,9 @@ def test_blocked_residual_norms_match_unblocked(family):
     inst = random_instance(60, 1500, seed=11, invertible=True)
     sset, g = inst["set"], inst["set"].weights
     basis = compute_pod(sset)
-    projectors = codomain_projectors(basis, inst["map"], family)
+    cert = certifier(sset, basis, inst["map"], family)
     for r in (1, basis.rank // 2, basis.rank):
-        res = _residuals(sset, basis, r, inst["map"], projectors(r))
+        res = _residuals(cert, r)
         assert list(res) == ["pod_x", "pod_x_mapped", "proj_y", "pullback_x"]
         for t in res.values():
             for scale, weight in ((None, g), (g, 1.0 / g)):
@@ -534,12 +490,11 @@ def test_battery_level_peak_is_column_blocks_not_data(s):
     sset = make_snapshot_set(rng.standard_normal((n, s)), rng.uniform(0.5, 2.0, s), space=space)
     lmap = identity_map(space, make_space(mesh.stiffness + mesh.mass), kind="embedding")
     basis = compute_pod(sset)
-    projectors = codomain_projectors(basis, lmap)
+    cert = certifier(sset, basis, lmap)
     coeffs = rng.standard_normal((s, 5))
-    proj_y, consts = projectors(n // 2), bundle_constants(sset, basis, lmap)
     tracemalloc.start()
     try:
-        rows = battery_level(sset, basis, n // 2, lmap, proj_y, None, coeffs, consts)
+        rows = battery_level(cert, n // 2, None, coeffs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -547,18 +502,17 @@ def test_battery_level_peak_is_column_blocks_not_data(s):
     assert peak <= 6 * COLUMN_BLOCK_BYTES + 8 * (8 * n * n + 16 * s)
 
 
-def test_bundle_constants_leave_every_flagship_level_unchanged(fhn_instance):
-    # the codomain energy, the mapped mode norms and the guarantee threshold
-    # are computed once per bundle; every row of levels 1..22 equals the row
-    # computed from constants evaluated at that level alone
+def test_one_certifier_for_all_levels_equals_a_fresh_certifier_per_level(fhn_instance):
+    # the projector family, the codomain energy, the mapped mode norms and
+    # the guarantee threshold are built once per bundle; every row of levels
+    # 1..22 equals the row from a certifier built for that level alone
     sset, lmap = fhn_instance["set"], fhn_instance["map"]
     basis = compute_pod(sset)
     assert basis.rank == 22
-    projectors = codomain_projectors(basis, lmap)
-    consts = bundle_constants(sset, basis, lmap)
-    assert consts.r0 == snapshot_guarantee_threshold(sset, basis)
+    cert = certifier(sset, basis, lmap)
+    assert cert.r0 == snapshot_guarantee_threshold(sset, basis)
     coeffs = np.random.default_rng(0).standard_normal((sset.count, 2))
     for r in range(1, 23):
-        once = battery_level(sset, basis, r, lmap, projectors(r), None, coeffs, consts)
-        alone = battery_level(sset, basis, r, lmap, projectors(r), None, coeffs)
+        once = battery_level(cert, r, None, coeffs)
+        alone = battery_level(certifier(sset, basis, lmap), r, None, coeffs)
         assert once == alone, r

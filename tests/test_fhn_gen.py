@@ -16,7 +16,6 @@ from podkit.fhn_gen import (
     TRAJECTORY_ARRAYS,
     FhnConfig,
     boundary_pulse,
-    make_embedding_instance,
     make_fhn_L,
     make_fhn_instance,
     make_product_space,
@@ -28,7 +27,7 @@ from podkit.pod_engine import compute_pod
 from podkit.snapshot_io import save
 
 from conftest import by_id
-from oracles import random_instance
+from oracles import make_embedding_instance, random_instance
 
 
 def test_zero_without_source_or_drive():
@@ -172,12 +171,12 @@ def test_time_step_consistency():
     # halving the step leaves the rank-4 data error nearly unchanged; the
     # decomposition certifies its own identities at either resolution, this
     # pins the trajectory itself
-    from podkit.error_lab import battery_level
+    from podkit.error_lab import battery_level, certifier
 
     def lhs_r4(dt):
         inst = make_fhn_instance(FhnConfig(nodes=24, t_end=2.0, dt=dt))
         basis = compute_pod(inst["set"], inst["space_x"])
-        return by_id(battery_level(inst["set"], basis, 4))["pod_x"].lhs
+        return by_id(battery_level(certifier(inst["set"], basis), 4))["pod_x"].lhs
 
     coarse = lhs_r4(0.01)
     fine = lhs_r4(0.005)

@@ -15,7 +15,6 @@ from podkit.errors import (
 from podkit.gram_space import (
     ORTH_DROP_TOL,
     GramSpace,
-    adjoint_matrix,
     half_weight,
     half_weight_inv,
     identity_space,
@@ -27,6 +26,8 @@ from podkit.gram_space import (
 )
 from podkit.fhn_gen import make_product_space
 from podkit.snapshot_io import resolve_gram_spec
+
+from oracles import adjoint_matrix
 
 
 def random_spd(rng, n):

@@ -5,29 +5,32 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from podkit.error_lab import battery_level, codomain_projectors
+from podkit.error_lab import battery_level, certifier
 from podkit.errors import (
     DimensionMismatch,
     NotInvertible,
     ProvenanceMismatch,
 )
-from podkit.fhn_gen import make_embedding_instance
 from podkit.gram_space import identity_space, inner, make_space
 from podkit.linear_map import (
     MATRIX_CSV_ARRAYS,
-    adjoint,
-    apply,
     apply_inverse,
     build_map_from_spec,
     identity_map,
-    inverse_adjoint,
     make_map,
     rank_relation_check,
 )
 from podkit.pod_engine import compute_pod, image_spectrum, spectrum_gapped
 from podkit.snapshot_io import make_snapshot_set, write_matrix_csv
 
-from oracles import induced_snapshots, random_instance
+from oracles import (
+    adjoint,
+    apply,
+    induced_snapshots,
+    inverse_adjoint,
+    make_embedding_instance,
+    random_instance,
+)
 
 
 def spaces(rng, n, m):
@@ -235,7 +238,7 @@ def test_diag_spec_is_sparse_and_certifies_like_the_dense_map():
     basis = compute_pod(sset, space)
     for r in range(1, basis.rank + 1):
         got, want = (
-            battery_level(sset, basis, r, m, codomain_projectors(basis, m)(r))
+            battery_level(certifier(sset, basis, m), r)
             for m in (lmap, dense)
         )
         assert [rep.identity_id for rep in got] == [rep.identity_id for rep in want]

@@ -15,21 +15,11 @@ from scipy.linalg import svd
 from podkit.errors import IndexOutOfRange, MalformedManifest, MissingDataFile, RankExceeded
 from podkit.fem import assemble_fem_1d
 from podkit.gram_space import half_weight, half_weight_inv, identity_space, inner, make_space
-from podkit.pod_engine import (
-    apply_K,
-    apply_K_adjoint,
-    compute_pod,
-    hs_norm_sq,
-    load_basis,
-    optimality_oracle,
-    project_X,
-    save_basis,
-    spectrum_gapped,
-    tail_energy,
-)
+from podkit.pod_engine import compute_pod, load_basis, project_X, save_basis, spectrum_gapped
 from podkit.snapshot_io import make_snapshot_set
 
 from conftest import GOLDEN_LAMBDA_1, GOLDEN_LAMBDA_2
+from oracles import apply_K, apply_K_adjoint, hs_norm_sq, optimality_oracle, tail_energy
 
 
 def correlation_eigs(sset, space):

@@ -1,5 +1,5 @@
 """Projection families: idempotency, self-adjointness, operator norms, and
-the provenance guards that keep mismatched ingredients out."""
+the level factories against per-level reference builds."""
 
 import dataclasses
 import tracemalloc
@@ -9,38 +9,41 @@ import pytest
 from scipy import sparse
 from scipy.linalg import eigh, lu_factor, lu_solve
 
-from podkit.cli import PROJECTOR_CHOICES, _select_family
-from podkit.error_lab import codomain_projectors
+from podkit.cli import _FAMILY_FOR_FLAG, PROJECTOR_CHOICES
+from podkit.error_lab import certifier
 from podkit.errors import (
     FormNotElliptic,
     NotInvertible,
     PodkitError,
-    ProvenanceMismatch,
     RankDeficient,
     RankDeficientImage,
     RankExceeded,
     SingularRitzSystem,
 )
 from podkit.fem import assemble_fem_1d
-from podkit.fhn_gen import embedding_set, make_embedding_instance
+from podkit.fhn_gen import embedding_set
 from podkit.gram_space import identity_space, inner, make_space, orthonormalize, solve_gram
-from podkit.linear_map import adjoint, identity_map, make_map
+from podkit.linear_map import identity_map, make_map
 from podkit.pod_engine import compute_pod
 from podkit.projector import (
     ELLIPTICITY_DEGENERACY,
     apply_projector,
-    dense_matrix,
     form_ellipticity,
     mapped_orthogonal_levels,
-    op_norm,
-    pod_projector,
-    pullback_projector,
     pushforward_levels,
     ritz_levels,
 )
 from podkit.snapshot_io import make_snapshot_set, resolve_gram_spec
 
-from oracles import random_instance
+from oracles import (
+    adjoint,
+    dense_matrix,
+    make_embedding_instance,
+    op_norm,
+    pod_projector,
+    pullback_projector,
+    random_instance,
+)
 
 
 @pytest.fixture
@@ -248,7 +251,7 @@ def test_pullback_matches_conjugation(invertible_instance):
     basis = compute_pod(inst["set"], inst["space_x"])
     r = min(4, basis.rank)
     inner_proj = mapped_orthogonal_levels(basis, inst["map"])(r)
-    proj = pullback_projector(inst["map"], inner_proj, r)
+    proj = pullback_projector(inst["map"], inner_proj)
     rng = np.random.default_rng(11)
     x = rng.standard_normal(10)
     L = inst["map"].matrix
@@ -256,14 +259,6 @@ def test_pullback_matches_conjugation(invertible_instance):
     assert np.allclose(apply_projector(proj, x), ref, rtol=1e-8, atol=1e-10)
     px = apply_projector(proj, x)
     assert np.allclose(apply_projector(proj, px), px, rtol=1e-9, atol=1e-10)
-
-
-def test_pullback_rejects_mismatched_r(invertible_instance):
-    inst = invertible_instance
-    basis = compute_pod(inst["set"], inst["space_x"])
-    inner_proj = mapped_orthogonal_levels(basis, inst["map"])(3)
-    with pytest.raises(ProvenanceMismatch):
-        pullback_projector(inst["map"], inner_proj, 2)
 
 
 def test_composite_norms_can_exceed_one(invertible_instance):
@@ -318,15 +313,17 @@ def reference_level(basis, lmap, family, form):
     if family == "orthogonal":
         return lambda r: reference_mapped_orthogonal(basis, lmap, r)
     if family == "ritz":
+        form = lmap.codomain.gram if form is None else form
         return lambda r: reference_ritz(basis, lmap, form, r)
     adj = adjoint(lmap)
     return lambda r: reference_pushforward(basis, lmap, adj, r)
 
 
-def assert_levels_match(basis, lmap, family, form):
-    """Every level 1..rank: equal bases to 1e-12 relative, or the same error
-    class at the same levels.  Returns the levels that raised."""
-    levels = codomain_projectors(basis, lmap, family, form)
+def assert_levels_match(sset, basis, lmap, family, form):
+    """Every level 1..rank of the certifier's projectors: equal bases to
+    1e-12 relative, or the same error class at the same levels.  Returns the
+    levels that raised."""
+    levels = certifier(sset, basis, lmap, family, form).projectors
     reference = reference_level(basis, lmap, family, form)
     raised = []
     for r in range(1, basis.rank + 1):
@@ -338,7 +335,7 @@ def assert_levels_match(basis, lmap, family, form):
             raised.append(r)
             continue
         proj = levels(r)
-        assert proj.r == r and proj.provenance["r"] == r
+        assert proj.r == r
         for got, want in zip((proj.range_basis, proj.dual_basis), expected):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (family, r)
@@ -348,25 +345,27 @@ def assert_levels_match(basis, lmap, family, form):
 @pytest.fixture(scope="module")
 def embedding_1000():
     inst = make_embedding_instance(1000, 1, seed=1)
-    return compute_pod(inst["set"], inst["space_x"]), inst["map"]
+    return inst["set"], compute_pod(inst["set"], inst["space_x"]), inst["map"]
 
 
 @pytest.mark.parametrize("flag", PROJECTOR_CHOICES)
 def test_level_factories_match_per_level_builds(flag, embedding_1000):
+    # the family each --projector value selects, on the CLI's default form
     cases = [embedding_1000]
     for seed in (77, 78, 79):
         inst = random_instance(10, 8, seed=seed)
-        cases.append((compute_pod(inst["set"], inst["space_x"]), inst["map"]))
+        cases.append((inst["set"], compute_pod(inst["set"], inst["space_x"]), inst["map"]))
     if not flag.startswith("composite"):
         flat = random_instance(9, 7, seed=80, invertible=False, dim_y=12)
-        cases.append((compute_pod(flat["set"], flat["space_x"]), flat["map"]))
-    for basis, lmap in cases:
-        family, form = _select_family(flag, lmap, None)
-        assert assert_levels_match(basis, lmap, family, form) == []
+        cases.append((flat["set"], compute_pod(flat["set"], flat["space_x"]), flat["map"]))
+    family = _FAMILY_FOR_FLAG[flag]
+    for sset, basis, lmap in cases:
+        assert assert_levels_match(sset, basis, lmap, family, None) == []
+        proj = certifier(sset, basis, lmap, family).projectors(1)
         if family == "ritz":
-            proj = codomain_projectors(basis, lmap, family, form)(1)
-            constants = (proj.provenance["ellipticity"], proj.provenance["continuity"])
-            assert constants == form_ellipticity(lmap.codomain, form)
+            assert proj.ellipticity == form_ellipticity(lmap.codomain, lmap.codomain.gram)
+        else:
+            assert proj.ellipticity is None
 
 
 def _collapsed(inst, basis, j):
@@ -384,11 +383,11 @@ def test_dependent_mapped_modes_fail_at_the_same_levels():
     lmap = _collapsed(inst, basis, 3)
     # level r holds modes 0..r-1, so levels 4..rank see the dependent column
     dependent = list(range(4, basis.rank + 1))
-    assert assert_levels_match(basis, lmap, "orthogonal", None) == dependent
+    assert assert_levels_match(inst["set"], basis, lmap, "orthogonal", None) == dependent
     with pytest.raises(RankDeficientImage):
         mapped_orthogonal_levels(basis, lmap)(4)
     form = lmap.codomain.gram + 0.1 * np.triu(np.ones((10, 10)), 1)
-    assert assert_levels_match(basis, lmap, "ritz", form) == dependent
+    assert assert_levels_match(inst["set"], basis, lmap, "ritz", form) == dependent
     with pytest.raises(RankDeficientImage):
         ritz_levels(basis, lmap, form)(4)
 
@@ -436,7 +435,7 @@ def test_tampered_inverse_fails_the_cross_check_at_the_same_levels():
     for j in (0, 2, 5):
         tampered = inst["map"].inverse + np.outer(basis.modes[:, j], rng.standard_normal(10))
         lmap = dataclasses.replace(inst["map"], inverse=tampered)
-        raised = assert_levels_match(basis, lmap, "pushforward", None)
+        raised = assert_levels_match(inst["set"], basis, lmap, "pushforward", None)
         assert raised == list(range(j + 1, basis.rank + 1)), j
         with pytest.raises(NotInvertible):
             pushforward_levels(lmap, basis)(j + 1)
@@ -476,7 +475,7 @@ def test_op_norm_matches_the_dense_eigensolve_for_every_family():
                 orth,
                 ritz(r),
                 push(r),
-                pullback_projector(lmap, orth, r),
+                pullback_projector(lmap, orth),
             ):
                 want = dense_op_norm(proj)
                 assert op_norm(proj) == pytest.approx(want, rel=1e-10), (proj.family, r)

@@ -1,0 +1,113 @@
+"""The package ships only what its command line runs.
+
+cli.main runs in process under the standard library's trace module
+(function counting) over every subcommand, each projector family and each
+map spec kind, on tiny bundles.  Every top-level function of src/podkit
+must be called, except the three that define the library surface without a
+command of their own: load_basis (the reader of pod's output) and the
+space's inner and norm.  A function no command reaches belongs in
+tests/oracles.py, beside the other references, or nowhere.
+"""
+
+import ast
+import gc
+import json
+import trace
+from pathlib import Path
+
+import numpy as np
+
+import podkit
+from podkit.cli import main
+
+SRC = Path(podkit.__file__).resolve().parent
+LIBRARY_ONLY = {"load_basis", "inner", "norm"}
+
+
+def top_level_functions():
+    """{(module stem, name)} of every def at the top of a podkit module."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found |= {
+            (path.stem, node.name) for node in tree.body if isinstance(node, ast.FunctionDef)
+        }
+    return found
+
+
+def cli_runs(tmp):
+    """argv lists covering every subcommand, family and map spec kind."""
+    synth, fhn = str(tmp / "s.json"), str(tmp / "fhn.json")
+    n = 17
+    matrix = tmp / "m.csv"
+    np.savetxt(matrix, np.eye(n) + 0.1 * np.diag(np.ones(n - 1), 1), delimiter=",")
+    maps = {
+        "identity": {"identity": n},
+        "diag": {"diag": list(np.linspace(1.0, 2.0, n))},
+        "matrix": {"matrix": str(matrix), "invertible": True},
+        "derivative": {"derivative_1d": {"nodes": n, "scheme": "centered"}},
+        "embedding": synth.replace(".json", "_map.json"),
+    }
+    runs = [
+        ["generate-fhn", "--nodes", "4", "--output", fhn],
+        ["generate-synthetic", "--nodes", str(n), "--output", synth],
+        ["pod", "--input", synth, "--output", str(tmp / "b.json"), "--r", "3"],
+        ["verify", "--input", synth, "--r", "1,2", "--output", str(tmp / "plain.json")],
+        ["verify", "--input", fhn, "--map", fhn.replace(".json", "_map.json"), "--r", "1"],
+    ]
+    for kind, spec in maps.items():
+        spec = spec if isinstance(spec, str) else json.dumps(spec)
+        runs.append([
+            "verify", "--input", synth, "--map", spec, "--r", "2",
+            "--output", str(tmp / f"{kind}.json"),
+        ])
+    for family in ("orthogonal", "ritz", "composite-xy"):
+        runs.append([
+            "sweep", "--input", synth, "--map", maps["embedding"], "--projector", family,
+            "--r", "1,3", "--output", str(tmp / f"{family}.csv"),
+        ])
+        runs.append([
+            "verify", "--input", synth, "--map", maps["embedding"], "--projector", family,
+            "--output", str(tmp / f"{family}.json"),
+        ])
+    runs += [
+        ["table", "--input", str(tmp / "ritz.csv")],
+        ["table", "--input", str(tmp / "ritz.json")],
+    ]
+    return runs
+
+
+def test_every_top_level_function_is_reached_from_the_cli(tmp_path, capsys):
+    tracer = trace.Trace(count=0, trace=0, countfuncs=1)
+    # trace names a method's class by gc.get_referrers, which scans every
+    # tracked object once per new code object; frozen objects are not
+    # scanned, which makes the run about six times faster
+    gc.freeze()
+    try:
+        codes = [tracer.runfunc(main, argv) for argv in cli_runs(tmp_path)]
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
+    assert codes == [0] * len(codes)
+    called = {
+        (Path(filename).stem, name)
+        for filename, _, name in tracer.results().calledfuncs
+        if Path(filename).resolve().parent == SRC
+    }
+    unreached = {
+        f"{module}.{name}" for module, name in top_level_functions() - called
+        if name not in LIBRARY_ONLY
+    }
+    assert not unreached, "\n".join(sorted(unreached))
+
+
+def test_all_lists_exactly_the_public_names_the_package_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")} | {"__version__"}
+    assert sorted(podkit.__all__) == sorted(public)
+    assert len(podkit.__all__) == len(set(podkit.__all__))
