@@ -263,6 +263,8 @@ def _certify_inputs(args):
     lmap = form = None
     if args.map is not None:
         lmap, form = build_map_from_spec(args.map, sset)
+        if args.projector == "composite-xy" and not lmap.invertible:
+            raise ProvenanceMismatch("--projector composite-xy needs an invertible map")
     elif args.projector != "orthogonal":
         raise ProvenanceMismatch(f"--projector {args.projector} needs --map")
     family = _FAMILY_FOR_FLAG[args.projector]

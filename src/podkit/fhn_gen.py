@@ -263,13 +263,9 @@ def synthetic_states(nodes, count, seed=0):
     return tgrid, fields @ amps
 
 
-def embedding_set(nodes, which=1, seed=None):
-    """synthetic_states on the ambient space of an L^2 / H^1 embedding
-    layout: L^2 for which 1 and 3, H^1 for which 2 (the tests' embedding
-    instances use all three); the seed defaults to 100 + which."""
-    if which not in (1, 2, 3):
-        raise DimensionMismatch(f"embedding instance must be 1, 2 or 3, got {which}")
-    space = resolve_gram_spec({"fem_stiffness" if which == 2 else "fem_mass": nodes}, nodes)
-    seed = 100 + which if seed is None else seed
-    tgrid, states = synthetic_states(nodes, EMBEDDING_SNAPSHOTS, seed)
+def embedding_set(nodes, seed=None):
+    """synthetic_states on the L^2 (FEM mass) space of generate-synthetic's
+    L^2 -> H^1 embedding; the seed defaults to 101."""
+    space = resolve_gram_spec({"fem_mass": nodes}, nodes)
+    tgrid, states = synthetic_states(nodes, EMBEDDING_SNAPSHOTS, 101 if seed is None else seed)
     return from_trajectory(tgrid, states, space=space)

@@ -8,14 +8,22 @@ average of the two bracketing states.
 
 On disk a set is a small JSON manifest next to a headerless CSV of the data
 columns (one row per coordinate, 17 significant digits, so float64 values
-round-trip bit-exactly).  The manifest names the Gram matrix of the ambient
-space either as the token "identity", a path to a CSV matrix, a generator
-spec such as {"fem_mass": n}, or the block diagonal of generator specs, such
-as {"block_diag": [{"fem_mass": n}, {"fem_mass": n}]}.
+round-trip bit-exactly) and a NumPy .npy copy of the same doubles, so that a
+reader need not parse the CSV again.  The manifest's "data_npy" entry records
+two SHA-256 digests: of the CSV as written and of the array's bytes.  load
+reads the .npy only while the CSV still has its recorded digest and the .npy
+is a finite, C-order float64 array of the manifest's shape with its recorded
+digest; otherwise it parses the CSV, which stays the source of truth.
+
+The manifest names the Gram matrix of the ambient space either as the token
+"identity", a path to a CSV matrix, a generator spec such as
+{"fem_mass": n}, or the block diagonal of generator specs, such as
+{"block_diag": [{"fem_mass": n}, {"fem_mass": n}]}.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -144,17 +152,22 @@ def from_trajectory(grid, states, space=None):
     )
 
 
-def _atomic_write(path, text):
-    """Write text, a str or an iterable of str pieces written in turn, to
-    path atomically, through a temporary file beside it.
+def _atomic_write(path, content):
+    """Write content to path atomically, through a temporary file beside it.
 
+    content is a str, an iterable of str pieces written in turn, or, for
+    bytes, a function that writes them to the open binary file (np.save
+    writes an array's buffer there with no copy).
     An unwritable path raises MissingDataFile and leaves no temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+        with os.fdopen(fd, "wb" if callable(content) else "w") as fh:
+            if callable(content):
+                content(fh)
+            else:
+                fh.writelines([content] if isinstance(content, str) else content)
         # mkstemp makes the file 0600; give it the mode open() would.
         umask = os.umask(0)
         os.umask(umask)
@@ -191,6 +204,49 @@ def read_matrix_csv(path, rows=None, cols=None):
     if not np.isfinite(M).all():
         i, j = np.argwhere(~np.isfinite(M))[0]
         raise MalformedManifest(f"{path}: row {i + 1}, column {j + 1} is {M[i, j]}, not finite")
+    return M
+
+
+def _file_sha256(path):
+    """SHA-256 hex digest of a file, read through one reused buffer."""
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def _write_data_npy(base, name, csv_path, data):
+    """Write data as the .npy beside its CSV; return its manifest entry."""
+    M = np.ascontiguousarray(data, dtype=float)
+    _atomic_write(os.path.join(base, name), lambda fh: np.save(fh, M, allow_pickle=False))
+    return {
+        "file": name,
+        "csv_sha256": _file_sha256(csv_path),
+        "sha256": hashlib.sha256(memoryview(M)).hexdigest(),
+    }
+
+
+def _read_data_npy(base, csv_path, entry, shape):
+    """The data from the .npy a manifest entry names, or None unless the CSV
+    still has the recorded digest and the .npy is a finite, C-order float64
+    array of this shape with its recorded digest."""
+    if not isinstance(entry, dict) or not all(
+        isinstance(entry.get(key), str) for key in ("file", "csv_sha256", "sha256")
+    ):
+        return None
+    try:
+        if _file_sha256(csv_path) != entry["csv_sha256"]:
+            return None
+        with open(os.path.join(base, entry["file"]), "rb") as fh:
+            M = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if (
+        M.dtype != np.float64
+        or not M.flags.c_contiguous
+        or M.shape != shape
+        or hashlib.sha256(memoryview(M)).hexdigest() != entry["sha256"]
+        or not np.isfinite(M).all()
+    ):
+        return None
     return M
 
 
@@ -293,14 +349,15 @@ def resolve_gram_spec(spec, dim, base_dir="."):
 
 
 def save(sset, manifest_path, gram_spec=None):
-    """Write a snapshot set as manifest JSON plus data CSV.
+    """Write a snapshot set as manifest JSON plus data CSV and its .npy.
 
     Parameters
     ----------
     sset : SnapshotSet
     manifest_path : str
         Where the JSON manifest goes; the data CSV lands next to it with the
-        suffix "_data.csv".
+        suffix "_data.csv", and the same doubles, C-order float64, with the
+        suffix "_data.npy".
     gram_spec : optional
         Manifest gram entry to record.  Defaults to "identity" when the set
         has no attached space; otherwise the attached space's Gram matrix is
@@ -313,7 +370,9 @@ def save(sset, manifest_path, gram_spec=None):
     base = os.path.dirname(manifest_path)
     stem = os.path.splitext(os.path.basename(manifest_path))[0]
     data_name = stem + "_data.csv"
-    write_matrix_csv(os.path.join(base, data_name), sset.data)
+    data_path = os.path.join(base, data_name)
+    write_matrix_csv(data_path, sset.data)
+    data_npy = _write_data_npy(base, stem + "_data.npy", data_path, sset.data)
 
     if gram_spec is None:
         if sset.space is None:
@@ -329,6 +388,7 @@ def save(sset, manifest_path, gram_spec=None):
         "kind": sset.kind,
         "gram": gram_spec,
         "data": data_name,
+        "data_npy": data_npy,
     }
     if sset.kind == "continuous":
         manifest["grid"] = [float(t) for t in sset.grid]
@@ -341,7 +401,9 @@ def save(sset, manifest_path, gram_spec=None):
 def load(manifest_path):
     """Load a manifest written by save (or by hand) and attach its space.
 
-    Raises MalformedManifest / MissingDataFile / WeightNonPositive /
+    The data come from the .npy that save wrote when every check of
+    _read_data_npy holds, and from the CSV otherwise.  Raises
+    MalformedManifest / MissingDataFile / WeightNonPositive /
     NonMonotoneGrid as appropriate.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -356,7 +418,10 @@ def load(manifest_path):
         raise MalformedManifest(f"unknown kind {kind!r}")
     if not isinstance(manifest.get("data"), str):
         raise MalformedManifest(f"{manifest_path}: data must name a CSV file")
-    data = read_matrix_csv(os.path.join(base, manifest["data"]), dim, count)
+    data_path = os.path.join(base, manifest["data"])
+    data = _read_data_npy(base, data_path, manifest.get("data_npy"), (dim, count))
+    if data is None:
+        data = read_matrix_csv(data_path, dim, count)
 
     grid = None
     if kind == "continuous":

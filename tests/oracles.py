@@ -13,13 +13,13 @@ route it checks, and so that podkit holds only what its command line runs
 import numpy as np
 
 from podkit.errors import DimensionMismatch, NotInvertible, RankExceeded
-from podkit.fhn_gen import embedding_set
+from podkit.fhn_gen import EMBEDDING_SNAPSHOTS, synthetic_states
 from podkit.gram_space import as_matrix, half_weight, make_space, orthonormalize, solve_gram
 from podkit.gram_space import to_dense
 from podkit.linear_map import identity_map, make_map
 from podkit.pod_engine import compute_pod
 from podkit.projector import Projector
-from podkit.snapshot_io import make_snapshot_set, resolve_gram_spec
+from podkit.snapshot_io import from_trajectory, make_snapshot_set, resolve_gram_spec
 
 
 # -- the snapshot operator and the POD optimality oracle ----------------------
@@ -189,11 +189,17 @@ def make_embedding_instance(nodes, which, seed=None):
     which = 3: variant of 1 that also carries the H^1 bilinear form for the
     form-determined projection family.
 
-    Returns a dict with the snapshot set (fhn_gen.embedding_set, attached
-    to the ambient space), both spaces, the sparse identity map (with its
+    Returns a dict with the snapshot set (fhn_gen.synthetic_states reduced
+    on the ambient space, seed 100 + which by default, so layout 1 is
+    fhn_gen.embedding_set), both spaces, the sparse identity map (with its
     exact inverse), and the form as a CSR array (or None).
     """
-    sset = embedding_set(nodes, which, seed)
+    if which not in (1, 2, 3):
+        raise DimensionMismatch(f"embedding instance must be 1, 2 or 3, got {which}")
+    space_x = resolve_gram_spec({"fem_stiffness" if which == 2 else "fem_mass": nodes}, nodes)
+    seed = 100 + which if seed is None else seed
+    tgrid, states = synthetic_states(nodes, EMBEDDING_SNAPSHOTS, seed)
+    sset = from_trajectory(tgrid, states, space=space_x)
     space_y = resolve_gram_spec({"fem_mass" if which == 2 else "fem_stiffness": nodes}, nodes)
     return {
         "set": sset,

@@ -132,6 +132,23 @@ def test_singular_matrix_map_is_numerical_error(synth_bundle, tmp_path, capsys):
     assert json.loads(err)["error"] == "NotInvertible"
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_composite_xy_with_a_map_without_inverse_is_an_input_error(tmp_path, capsys, command):
+    # the flagship's derivative_1d spec has no inverse: refused as soon as
+    # the map is built, like --projector ritz without --map
+    manifest = str(tmp_path / "fhn.json")
+    assert main(["generate-fhn", "--output", manifest, "--nodes", "8"]) == 0
+    capsys.readouterr()
+    report = str(tmp_path / ("r.json" if command == "verify" else "r.csv"))
+    code, _, err = run(
+        capsys, command, "--input", manifest, "--map", manifest.replace(".json", "_map.json"),
+        "--projector", "composite-xy", "--r", "1", "--output", report,
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "ProvenanceMismatch"
+    assert not os.path.exists(report)
+
+
 def test_map_spec_rejects_unknown_and_duplicate_keys(synth_bundle, tmp_path, capsys):
     manifest, _ = synth_bundle
     out = str(tmp_path / "r.json")
@@ -307,7 +324,7 @@ def test_written_files_follow_umask(tmp_path, capsys, mask):
     assert codes == [0, 0, 0, 0]
     names = sorted(os.listdir(tmp_path))
     assert names == sorted([
-        "s.json", "s_data.csv", "s_map.json", "b.json", "b_modes.csv",
+        "s.json", "s_data.csv", "s_data.npy", "s_map.json", "b.json", "b_modes.csv",
         "b_right.csv", "report.json", "sweep.csv",
     ])
     for name in names:
@@ -682,7 +699,9 @@ def test_generate_fhn_names_its_block_diagonal_gram(tmp_path, capsys):
     assert main(["generate-fhn", "--output", manifest, "--nodes", "8"]) == 0
     capsys.readouterr()
     assert json.load(open(manifest))["gram"] == {"block_diag": [{"fem_mass": 8}] * 2}
-    assert sorted(os.listdir(tmp_path)) == ["fhn.json", "fhn_data.csv", "fhn_map.json"]
+    assert sorted(os.listdir(tmp_path)) == [
+        "fhn.json", "fhn_data.csv", "fhn_data.npy", "fhn_map.json",
+    ]
     expected = make_fhn_instance(FhnConfig(nodes=8))["set"]
     back = load(manifest)
     assert np.array_equal(back.space.gram.toarray(), expected.space.gram.toarray())

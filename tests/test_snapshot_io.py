@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tracemalloc
@@ -282,3 +283,154 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp_")]
     assert leftovers == []
     assert read_matrix_csv(path)[0, 0] == 2.0
+
+
+# -- the .npy copy of the data beside the CSV ---------------------------------
+
+def _bits(M):
+    """An array's float64 bits, so that -0.0 and 0.0 compare unequal."""
+    return np.ascontiguousarray(M, dtype=float).view(np.int64)
+
+
+def _count_loadtxt(monkeypatch):
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+def _saved_bundle(tmp_path, nodes=9, seed=3):
+    from podkit.fhn_gen import embedding_set
+
+    sset = embedding_set(nodes, seed=seed)
+    path = str(tmp_path / "s.json")
+    save(sset, path, gram_spec={"fem_mass": nodes})
+    return path, sset
+
+
+def test_saved_npy_loads_the_bits_loadtxt_reads(tmp_path, fhn_instance):
+    # the flagship and the 1,000-node embedding, as generate-fhn and
+    # generate-synthetic save them
+    from podkit.fhn_gen import embedding_set
+
+    cases = [
+        ("fhn", fhn_instance["set"], {"block_diag": [{"fem_mass": 100}] * 2}),
+        ("embed", embedding_set(1000, seed=1), {"fem_mass": 1000}),
+    ]
+    for stem, sset, gram in cases:
+        path = str(tmp_path / f"{stem}.json")
+        save(sset, path, gram_spec=gram)
+        entry = json.load(open(path))["data_npy"]
+        assert entry["file"] == f"{stem}_data.npy"
+        back = load(path).data
+        parsed = np.loadtxt(tmp_path / f"{stem}_data.csv", delimiter=",", ndmin=2)
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+        assert np.array_equal(_bits(back), _bits(parsed))
+        assert np.array_equal(_bits(back), _bits(sset.data))
+
+
+def test_saved_bundle_loads_without_parsing_the_csv(tmp_path, monkeypatch):
+    path, sset = _saved_bundle(tmp_path)
+    calls = _count_loadtxt(monkeypatch)
+    assert np.array_equal(_bits(load(path).data), _bits(sset.data))
+    assert calls == []
+
+
+def test_signed_zero_and_subnormals_survive_the_npy(tmp_path, monkeypatch):
+    data = np.array([[-0.0, 5e-324, 1e308], [1.0, -2.5e-310, np.pi]])
+    path = str(tmp_path / "z.json")
+    save(make_snapshot_set(data, np.ones(3)), path)
+    calls = _count_loadtxt(monkeypatch)
+    assert np.array_equal(_bits(load(path).data), _bits(data))
+    assert calls == []
+
+
+def test_an_edited_csv_cell_wins_over_the_npy(tmp_path, monkeypatch):
+    path, sset = _saved_bundle(tmp_path)
+    csv_path = str(tmp_path / "s_data.csv")
+    edited = sset.data.copy()
+    edited[4, 7] = 12.5
+    write_matrix_csv(csv_path, edited)
+    calls = _count_loadtxt(monkeypatch)
+    back = load(path).data
+    assert back[4, 7] == 12.5
+    assert np.array_equal(_bits(back), _bits(edited))
+    assert len(calls) == 1
+
+
+def _rewrite_npy(path, array, sha_of=None):
+    """Replace the bundle's .npy and record the digest of sha_of (default:
+    the new array), so that only the check under test can refuse it."""
+    np.save(path.replace(".json", "_data.npy"), array, allow_pickle=True)
+    manifest = json.load(open(path))
+    digest_of = np.ascontiguousarray(array if sha_of is None else sha_of)
+    manifest["data_npy"]["sha256"] = hashlib.sha256(digest_of.tobytes()).hexdigest()
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+
+
+def _tamper(case, path, data):
+    npy = path.replace(".json", "_data.npy")
+    if case == "tampered":
+        raw = bytearray(open(npy, "rb").read())
+        raw[-1] ^= 1  # the last byte of the last double
+        open(npy, "wb").write(bytes(raw))
+    elif case == "missing":
+        os.remove(npy)
+    elif case == "not_npy":
+        open(npy, "wb").write(b"a,b\n")
+    elif case == "pickled":
+        _rewrite_npy(path, np.array([data], dtype=object), sha_of=data)
+    elif case == "wrong_shape":
+        _rewrite_npy(path, np.ascontiguousarray(data.T))
+    elif case == "float32":
+        _rewrite_npy(path, data.astype(np.float32))
+    elif case == "fortran":
+        _rewrite_npy(path, np.asfortranarray(data), sha_of=data.T)
+    elif case == "non_finite":
+        bad = data.copy()
+        bad[0, 0] = np.nan
+        _rewrite_npy(path, bad)
+    elif case == "no_key":
+        manifest = json.load(open(path))
+        del manifest["data_npy"]
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+    elif case == "bad_entry":
+        manifest = json.load(open(path))
+        manifest["data_npy"]["sha256"] = 7
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["tampered", "missing", "not_npy", "pickled", "wrong_shape", "float32", "fortran",
+     "non_finite", "no_key", "bad_entry"],
+)
+def test_a_refused_npy_falls_back_to_the_csv(tmp_path, monkeypatch, case):
+    path, sset = _saved_bundle(tmp_path)
+    _tamper(case, path, sset.data)
+    calls = _count_loadtxt(monkeypatch)
+    back = load(path).data
+    assert calls == [str(tmp_path / "s_data.csv")]
+    assert np.array_equal(_bits(back), _bits(sset.data))
+
+
+def test_the_csv_stays_the_source_of_truth_for_errors(tmp_path):
+    # with the .npy intact, a missing or non-finite CSV still raises
+    path, _ = _saved_bundle(tmp_path)
+    csv_path = tmp_path / "s_data.csv"
+    text = csv_path.read_text()
+    csv_path.write_text("nan" + text[text.index(","):])
+    with pytest.raises(MalformedManifest):
+        load(path)
+    os.remove(csv_path)
+    with pytest.raises(MissingDataFile):
+        load(path)
+
