@@ -341,6 +341,15 @@ def test_saved_bundle_loads_without_parsing_the_csv(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_save_and_load_need_no_python_3_11_hashlib(tmp_path, monkeypatch):
+    # hashlib.file_digest is new in Python 3.11; the package supports 3.10
+    monkeypatch.delattr(hashlib, "file_digest", raising=False)
+    path, sset = _saved_bundle(tmp_path)
+    calls = _count_loadtxt(monkeypatch)
+    assert np.array_equal(_bits(load(path).data), _bits(sset.data))
+    assert calls == []
+
+
 def test_an_edited_csv_cell_wins_over_the_npy(tmp_path, monkeypatch):
     path, sset = _saved_bundle(tmp_path)
     csv_path = str(tmp_path / "s_data.csv")
@@ -387,6 +396,19 @@ def _tamper(case, path, data):
         bad = data.copy()
         bad[0, 0] = np.nan
         _rewrite_npy(path, bad)
+    elif case == "huge_header":
+        # a header that claims a 4 EiB array must be refused before any
+        # allocation, not raise MemoryError
+        with open(npy, "wb") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<f8", "fortran_order": False, "shape": (2**31, 2**28)}
+            )
+            fh.write(b"\0" * 64)
+    elif case == "truncated":
+        raw = open(npy, "rb").read()
+        open(npy, "wb").write(raw[:-8])
+    elif case == "big_endian":
+        _rewrite_npy(path, data.astype(">f8"))
     elif case == "no_key":
         manifest = json.load(open(path))
         del manifest["data_npy"]
@@ -402,7 +424,7 @@ def _tamper(case, path, data):
 @pytest.mark.parametrize(
     "case",
     ["tampered", "missing", "not_npy", "pickled", "wrong_shape", "float32", "fortran",
-     "non_finite", "no_key", "bad_entry"],
+     "non_finite", "huge_header", "truncated", "big_endian", "no_key", "bad_entry"],
 )
 def test_a_refused_npy_falls_back_to_the_csv(tmp_path, monkeypatch, case):
     path, sset = _saved_bundle(tmp_path)
