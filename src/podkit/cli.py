@@ -48,6 +48,7 @@ from .errors import (
 )
 from .error_lab import (
     IDENTITY_RTOL,
+    PROJECTOR_FAMILIES,
     battery_level,
     certifier,
     read_report,
@@ -70,11 +71,6 @@ from .snapshot_io import _atomic_write, load, save
 EXIT_CHECKS_FAILED = 4
 TOL_ENV_VAR = "PODKIT_TOL"
 POINTWISE_PER_LEVEL = 5
-
-# --projector value -> codomain projector family; composite-xy conjugates
-# the mode projection into the codomain and needs an invertible map
-_FAMILY_FOR_FLAG = {"orthogonal": "orthogonal", "ritz": "ritz", "composite-xy": "pushforward"}
-PROJECTOR_CHOICES = tuple(_FAMILY_FOR_FLAG)
 
 
 # -- shared argument plumbing ------------------------------------------------
@@ -197,32 +193,23 @@ def _require(args, name):
     return value
 
 
-def _finish_bundle(manifest_path, sset, nodes, map_spec):
-    """Write the bundle's map spec next to its manifest and report both."""
+def cmd_generate(args):
+    """generate-fhn and generate-synthetic: save the generator's snapshot set
+    under its gram spec and write its map spec beside the manifest."""
+    out = _require(args, "output")
+    if args.command == "generate-fhn":
+        nodes = 100 if args.nodes is None else args.nodes
+        sset, gram_spec, map_spec = make_fhn_instance(FhnConfig(nodes=nodes))
+    else:
+        nodes = 33 if args.nodes is None else args.nodes
+        sset, gram_spec, map_spec = embedding_set(nodes, seed=args.seed)
+    manifest_path = save(sset, out, gram_spec=gram_spec)
     map_path = os.path.splitext(manifest_path)[0] + "_map.json"
     _atomic_write(map_path, json.dumps(map_spec, indent=2) + "\n")
     print(f"wrote {manifest_path}")
     print(f"wrote {map_path}")
     print(f"snapshots: {sset.count}, state dim: {sset.space_dim}, nodes: {nodes}")
     return 0
-
-
-def cmd_generate_fhn(args):
-    nodes = 100 if args.nodes is None else args.nodes
-    out = _require(args, "output")
-    sset = make_fhn_instance(FhnConfig(nodes=nodes))["set"]
-    spec = {"derivative_1d": {"nodes": nodes, "scheme": "forward"}}
-    gram = {"block_diag": [{"fem_mass": nodes}] * 2}  # make_product_space's Gram
-    return _finish_bundle(save(sset, out, gram_spec=gram), sset, nodes, spec)
-
-
-def cmd_generate_synthetic(args):
-    nodes = 33 if args.nodes is None else args.nodes
-    out = _require(args, "output")
-    sset = embedding_set(nodes, seed=args.seed)
-    spec = {"embedding": {"from": "mass", "to": "stiffness+mass"}}
-    manifest_path = save(sset, out, gram_spec={"fem_mass": nodes})
-    return _finish_bundle(manifest_path, sset, nodes, spec)
 
 
 def _truncate_basis(basis, r):
@@ -267,8 +254,7 @@ def _certify_inputs(args):
             raise ProvenanceMismatch("--projector composite-xy needs an invertible map")
     elif args.projector != "orthogonal":
         raise ProvenanceMismatch(f"--projector {args.projector} needs --map")
-    family = _FAMILY_FOR_FLAG[args.projector]
-    return sset, basis, lmap, family, form, _requested_r_values(args.r, basis.rank), tol
+    return sset, basis, lmap, args.projector, form, _requested_r_values(args.r, basis.rank), tol
 
 
 def cmd_verify(args):
@@ -337,7 +323,7 @@ _FLAGS = {
     "input": dict(help="snapshot manifest or report to read"),
     "output": dict(help="file to write"),
     "r": dict(help="truncation level (comma list for verify and sweep)"),
-    "projector": dict(choices=PROJECTOR_CHOICES, default="orthogonal", help="projector family"),
+    "projector": dict(choices=PROJECTOR_FAMILIES, default="orthogonal", help="projector family"),
     "map": dict(help="map spec: inline JSON or a JSON file path"),
     "tol": dict(type=float, help="tolerance override"),
     "seed": dict(type=int, help="random seed"),
@@ -345,9 +331,9 @@ _FLAGS = {
 }
 
 _COMMANDS = (
-    ("generate-fhn", cmd_generate_fhn, ("output", "nodes"),
+    ("generate-fhn", cmd_generate, ("output", "nodes"),
      "solve the reaction-diffusion system and write a snapshot bundle"),
-    ("generate-synthetic", cmd_generate_synthetic, ("output", "nodes", "seed"),
+    ("generate-synthetic", cmd_generate, ("output", "nodes", "seed"),
      "write a smooth synthetic FEM snapshot bundle"),
     ("pod", cmd_pod, ("input", "output", "r", "tol"),
      "decompose a snapshot bundle into a basis bundle"),

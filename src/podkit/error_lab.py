@@ -57,6 +57,8 @@ IDENTITY_RTOL = 1e-8
 EXACT_RTOL = 1e-9
 EXACT_FLOOR_UNITS = 32.0  # every floor, in units of u times the row's scale
 UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+# the codomain projector families, by their --projector names
+PROJECTOR_FAMILIES = ("orthogonal", "ritz", "composite-xy")
 
 CSV_COLUMNS = ("identity_id", "r", "actual", "formula", "abs_diff", "rel_diff", "passed")
 
@@ -166,10 +168,11 @@ class Certifier:
 def certifier(sset, basis, lmap=None, family="orthogonal", form=None):
     """The Certifier of a snapshot set, its POD and an optional map.
 
-    family names the codomain projector family a map's rows use:
-    "orthogonal", "ritz" (on the bilinear form matrix form, by default the
-    codomain Gram) or "pushforward" (invertible maps only).  Without a map
-    there is no codomain projector and family and form are not read.
+    family names the codomain projector family a map's rows use, one of
+    PROJECTOR_FAMILIES: "orthogonal", "ritz" (on the bilinear form matrix
+    form, by default the codomain Gram) or "composite-xy" (the pushforward
+    L P L^{-1}, invertible maps only).  Without a map there is no codomain
+    projector and family and form are not read.
     """
     r0 = snapshot_guarantee_threshold(sset, basis)
     if lmap is None:
@@ -178,7 +181,7 @@ def certifier(sset, basis, lmap=None, family="orthogonal", form=None):
         projectors = mapped_orthogonal_levels(basis, lmap)
     elif family == "ritz":
         projectors = ritz_levels(basis, lmap, lmap.codomain.gram if form is None else form)
-    elif family == "pushforward":
+    elif family == "composite-xy":
         projectors = pushforward_levels(lmap, basis)
     else:
         raise IndexOutOfRange(f"unknown codomain projector family {family!r}")

@@ -22,10 +22,10 @@ formed once per stage (Hairer and Wanner, Solving ODEs II, sec. IV.8).  The
 midpoint snapshots are streamed out as the steps end; no state trajectory
 is held.
 
-The module also builds the product state space (two L^2 components), the
-block derivative map into elementwise constants, and the smooth synthetic
-snapshots of generate-synthetic, whose map spec embeds their L^2 space in
-H^1 on the same mesh.
+The module also makes the smooth synthetic snapshots of generate-synthetic.
+Both generators return a bundle as (snapshot set, gram spec, map spec), the
+specs that snapshot_io.save and the map file record; the set's space is
+snapshot_io.resolve_gram_spec of the gram spec, as load builds it.
 """
 
 from __future__ import annotations
@@ -33,14 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DimensionMismatch, SolverDiverged
 from .fem import assemble_fem_1d
-from .gram_space import check_dense_budget, make_space
-from .linear_map import derivative_map
+from .gram_space import check_dense_budget
 from .snapshot_io import from_trajectory, make_snapshot_set, resolve_gram_spec
 
 SDIRK_GAMMA = 1.0 - np.sqrt(2.0) / 2.0
@@ -209,38 +207,18 @@ def solve_fhn(config):
     return grid, data
 
 
-def make_product_space(nodes):
-    """L^2 x L^2 Gram matrix for the stacked state [u; v]."""
-    mesh = assemble_fem_1d(nodes)
-    return make_space(sparse.block_diag((mesh.mass, mesh.mass), format="csr"))
-
-
-def make_fhn_L(nodes, domain=None):
-    """Forward-derivative map (linear_map.derivative_map) on nodal [u; v].
-
-    The domain defaults to the L^2 product space of the two-species state;
-    a one-component domain gives the derivative of a single nodal field.
-    """
-    domain = make_product_space(nodes) if domain is None else domain
-    return derivative_map(nodes, domain)
-
-
 def make_fhn_instance(config=None):
-    """Solve the system and package snapshots, spaces and the derivative map."""
+    """Solve the system; returns generate-fhn's (snapshot set, gram spec, map
+    spec): the two-species L^2 product space and the forward derivative."""
     config = config or FhnConfig()
     grid, data = solve_fhn(config)
-    lmap = make_fhn_L(config.nodes)
+    n = config.nodes
+    gram_spec = {"block_diag": [{"fem_mass": n}] * 2}
     sset = make_snapshot_set(
-        data, np.diff(grid), kind="continuous", grid=grid, space=lmap.domain
+        data, np.diff(grid), kind="continuous", grid=grid,
+        space=resolve_gram_spec(gram_spec, 2 * n),
     )
-    return {
-        "set": sset,
-        "space_x": lmap.domain,
-        "space_y": lmap.codomain,
-        "map": lmap,
-        "grid": grid,
-        "config": config,
-    }
+    return sset, gram_spec, {"derivative_1d": {"nodes": n, "scheme": "forward"}}
 
 
 def synthetic_states(nodes, count, seed=0):
@@ -264,8 +242,10 @@ def synthetic_states(nodes, count, seed=0):
 
 
 def embedding_set(nodes, seed=None):
-    """synthetic_states on the L^2 (FEM mass) space of generate-synthetic's
-    L^2 -> H^1 embedding; the seed defaults to 101."""
-    space = resolve_gram_spec({"fem_mass": nodes}, nodes)
+    """generate-synthetic's (snapshot set, gram spec, map spec): synthetic_states
+    on the L^2 (FEM mass) space, embedded in H^1; the seed defaults to 101."""
+    gram_spec = {"fem_mass": nodes}
+    space = resolve_gram_spec(gram_spec, nodes)
     tgrid, states = synthetic_states(nodes, EMBEDDING_SNAPSHOTS, 101 if seed is None else seed)
-    return from_trajectory(tgrid, states, space=space)
+    sset = from_trajectory(tgrid, states, space=space)
+    return sset, gram_spec, {"embedding": {"from": "mass", "to": "stiffness+mass"}}

@@ -56,15 +56,12 @@ class LinearMap:
     inverse : ndarray, scipy.sparse CSR array or None
         Present only when certified at construction; identity_map's is the
         same sparse identity as its matrix.
-    kind : str
-        Free-form tag ("identity", "derivative", "embedding", ...).
     """
 
     domain: GramSpace
     codomain: GramSpace
     matrix: np.ndarray | sparse.csr_array
     inverse: np.ndarray | sparse.csr_array | None = field(default=None, repr=False)
-    kind: str = "general"
 
     @property
     def invertible(self):
@@ -90,7 +87,7 @@ def _certify_inverse(matrix, inverse):
         )
 
 
-def make_map(domain, codomain, matrix, invertible=False, inverse=None, kind="general"):
+def make_map(domain, codomain, matrix, invertible=False, inverse=None):
     """Build a LinearMap, certifying the inverse when one is wanted.
 
     Parameters
@@ -102,7 +99,6 @@ def make_map(domain, codomain, matrix, invertible=False, inverse=None, kind="gen
         condition numbers above 1e12 are rejected.
     inverse : array_like or scipy.sparse matrix, optional
         Explicit inverse to certify instead of computing one.
-    kind : str
     """
     A = as_matrix(matrix)
     if A.shape != (codomain.dim, domain.dim):
@@ -123,10 +119,10 @@ def make_map(domain, codomain, matrix, invertible=False, inverse=None, kind="gen
         _check_condition(np.linalg.cond(dense))
         inv = np.linalg.solve(dense, np.eye(A.shape[0]))
         _certify_inverse(A, inv)
-    return LinearMap(domain=domain, codomain=codomain, matrix=A, inverse=inv, kind=kind)
+    return LinearMap(domain=domain, codomain=codomain, matrix=A, inverse=inv)
 
 
-def identity_map(domain, codomain=None, kind="identity"):
+def identity_map(domain, codomain=None):
     """Identity-matrix map, by default an embedding between equal-dim spaces.
 
     One sparse identity is both matrix and inverse; the inverse is exact, so
@@ -137,7 +133,7 @@ def identity_map(domain, codomain=None, kind="identity"):
     if codomain.dim != domain.dim:
         raise DimensionMismatch("identity map needs equal dimensions")
     eye = sparse.eye_array(domain.dim, format="csr")
-    return LinearMap(domain, codomain, eye, inverse=eye, kind=kind)
+    return LinearMap(domain, codomain, eye, inverse=eye)
 
 
 def derivative_map(nodes, domain, scheme="forward"):
@@ -171,7 +167,6 @@ def derivative_map(nodes, domain, scheme="forward"):
         domain=domain,
         codomain=make_space(sparse.block_diag([gram] * blocks, format="csr")),
         matrix=sparse.block_diag([block] * blocks, format="csr"),
-        kind="derivative",
     )
 
 
@@ -289,7 +284,7 @@ def build_map_from_spec(text, sset):
             _check_condition(np.max(np.abs(d)) / np.min(np.abs(d)))
             inverse = sparse.diags_array(1.0 / d, format="csr")
         diag = sparse.diags_array(d, format="csr")
-        lmap = make_map(sset.space, sset.space, diag, inverse=inverse, kind="diag")
+        lmap = make_map(sset.space, sset.space, diag, inverse=inverse)
     elif key == "matrix":
         invertible = spec.get("invertible", False)
         if not isinstance(detail, str) or not isinstance(invertible, bool):
@@ -305,7 +300,7 @@ def build_map_from_spec(text, sset):
             raise DimensionMismatch(f"map matrix {A.shape} against snapshots of dim {dim}")
         gram = spec.get("codomain_gram", "identity")
         codomain = resolve_gram_spec(gram, A.shape[0], base_dir)
-        lmap = make_map(sset.space, codomain, A, invertible, kind="general")
+        lmap = make_map(sset.space, codomain, A, invertible)
     elif key == "derivative_1d":
         if not isinstance(detail, dict) or "nodes" not in detail:
             raise MalformedManifest('derivative_1d needs {"nodes": n, "scheme": ...}')
@@ -324,7 +319,7 @@ def build_map_from_spec(text, sset):
         gram = sset.space.gram
         if (abs(gram_matrix(source, dim) - gram) - 1e-12 * abs(gram)).max() > 1e-12:
             raise ProvenanceMismatch("embedding 'from' gram disagrees with the snapshot space")
-        lmap = identity_map(sset.space, resolve_gram_spec(target, dim), kind="embedding")
+        lmap = identity_map(sset.space, resolve_gram_spec(target, dim))
 
     form = None
     if "ritz_form" in spec:

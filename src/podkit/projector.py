@@ -7,12 +7,12 @@ form are) and are applied with @.  Only the Ritz ellipticity on a wide band
 forms an n x n array; the pushforward cross-check runs on one sparse LU
 (splu) of L^T.  Families:
 
-- "mapped_orthogonal": orthogonal projection, in the codomain, onto the
+- "orthogonal": orthogonal projection, in the codomain, onto the
   span of the mapped modes.
 - "ritz": projection onto the mapped modes determined by a bilinear form
   (a(Pu, v) = a(u, v) for all v in the range).
-- "pushforward": the domain projection conjugated into the codomain by an
-  invertible map, L P L^{-1}.
+- "composite-xy": the pushforward, the domain projection conjugated into
+  the codomain by an invertible map, L P L^{-1}.
 
 Each family is built once per bundle and sliced per level.
 mapped_orthogonal_levels, ritz_levels and pushforward_levels build what is
@@ -120,7 +120,7 @@ def mapped_orthogonal_levels(basis, lmap):
     RankDeficientImage; no deflation is attempted.
     """
     _, leading = _orthonormal_images(basis, lmap)
-    return _levels("mapped_orthogonal", basis, lmap, lambda r: (leading(r),) * 2)
+    return _levels("orthogonal", basis, lmap, lambda r: (leading(r),) * 2)
 
 
 def _definite_sup(S, G):
@@ -242,4 +242,4 @@ def pushforward_levels(lmap, basis):
             raise NotInvertible(f"inverse and adjoint routes disagree by {mismatch:.3e}")
         return V[:, :r], dual[:, :r]
 
-    return _levels("pushforward", basis, lmap, level)
+    return _levels("composite-xy", basis, lmap, level)

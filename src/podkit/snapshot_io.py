@@ -86,7 +86,8 @@ class SnapshotSet:
 
 
 def make_snapshot_set(data, weights, kind="discrete", grid=None, space=None):
-    """Validate shapes, weights and grid, then build the set."""
+    """Validate shapes, data, weights and grid, then build the set; data
+    holding nan or inf is MalformedManifest, as it is in a bundle's CSV."""
     data = np.asarray(data, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if data.ndim != 2:
@@ -95,8 +96,14 @@ def make_snapshot_set(data, weights, kind="discrete", grid=None, space=None):
         raise DimensionMismatch(
             f"weights shape {weights.shape} does not match {data.shape[1]} columns"
         )
-    if data.shape[1] < 1:
-        raise DimensionMismatch("need at least one snapshot column")
+    if min(data.shape) < 1:  # load refuses a manifest of dim or count 0
+        raise DimensionMismatch(f"need a row and a snapshot column, got shape {data.shape}")
+    # nan and inf reach the min or the max, with no data-sized temporary
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        i, j = np.argwhere(~np.isfinite(data))[0]
+        raise MalformedManifest(
+            f"snapshot row {i + 1}, column {j + 1} is {data[i, j]}, not finite"
+        )
     if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
         raise WeightNonPositive("all weights must be finite and > 0")
     if kind not in ("discrete", "continuous"):

@@ -12,9 +12,11 @@ needs them (consistency tests and the acceptance battery) shares the cache.
 import numpy as np
 import pytest
 
-from podkit.fhn_gen import FhnConfig, make_fhn_instance
+from podkit.fhn_gen import FhnConfig
 from podkit.gram_space import identity_space
 from podkit.snapshot_io import make_snapshot_set
+
+from oracles import make_fhn_dict
 
 GOLDEN_LAMBDA_1 = (3.0 + np.sqrt(5.0)) / 2.0
 GOLDEN_LAMBDA_2 = (3.0 - np.sqrt(5.0)) / 2.0
@@ -36,7 +38,7 @@ def golden_instance():
 
 @pytest.fixture(scope="session")
 def fhn_instance():
-    return make_fhn_instance(FhnConfig())
+    return make_fhn_dict(FhnConfig())
 
 
 @pytest.fixture(scope="session")
@@ -44,4 +46,4 @@ def fhn_small_instance():
     # Six nodes: the trajectory fills the whole 12-dimensional state space
     # above the drop threshold, so numerical and exact ranks coincide and
     # the rank relation can be asserted strictly.
-    return make_fhn_instance(FhnConfig(nodes=6))
+    return make_fhn_dict(FhnConfig(nodes=6))

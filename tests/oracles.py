@@ -3,20 +3,23 @@ the seeded random instances the property suites draw, and the operators
 that the certificate never forms but the tests reason with: the snapshot
 operator K and its adjoint, adjoint matrices, the mode and pulled-back
 projections, dense projector matrices and operator norms, the POD
-optimality oracle and the L^2 / H^1 identity-embedding instances.
+optimality oracle, the L^2 / H^1 identity-embedding instances and the
+flagship's set, spaces and map, built from the specs generate-fhn writes.
 
 They live here, not in podkit, so that a check never shares code with the
 route it checks, and so that podkit holds only what its command line runs
 (test_surface.py asserts it).
 """
 
+import json
+
 import numpy as np
 
 from podkit.errors import DimensionMismatch, NotInvertible, RankExceeded
-from podkit.fhn_gen import EMBEDDING_SNAPSHOTS, synthetic_states
+from podkit.fhn_gen import EMBEDDING_SNAPSHOTS, make_fhn_instance, synthetic_states
 from podkit.gram_space import as_matrix, half_weight, make_space, orthonormalize, solve_gram
 from podkit.gram_space import to_dense
-from podkit.linear_map import identity_map, make_map
+from podkit.linear_map import build_map_from_spec, identity_map, make_map
 from podkit.pod_engine import compute_pod
 from podkit.projector import Projector
 from podkit.snapshot_io import from_trajectory, make_snapshot_set, resolve_gram_spec
@@ -205,9 +208,18 @@ def make_embedding_instance(nodes, which, seed=None):
         "set": sset,
         "space_x": sset.space,
         "space_y": space_y,
-        "map": identity_map(sset.space, space_y, kind="embedding"),
+        "map": identity_map(sset.space, space_y),
         "form": space_y.gram if which == 3 else None,
     }
+
+
+def make_fhn_dict(config=None):
+    """generate-fhn's bundle as the suites read it: the snapshot set, both
+    spaces and the derivative map, built from the returned map spec as the
+    command line builds it from the bundle's map file."""
+    sset, _, map_spec = make_fhn_instance(config)
+    lmap, _ = build_map_from_spec(json.dumps(map_spec), sset)
+    return {"set": sset, "space_x": sset.space, "space_y": lmap.codomain, "map": lmap}
 
 
 def induced_snapshots(lmap, sset):

@@ -15,7 +15,7 @@ import pytest
 
 from podkit.error_lab import battery_level, certifier, snapshot_guarantee_threshold, sweep
 from podkit.fem import assemble_fem_1d
-from podkit.fhn_gen import FhnConfig, make_fhn_instance
+from podkit.fhn_gen import FhnConfig
 from podkit.linear_map import rank_relation_check
 from podkit.pod_engine import compute_pod, image_spectrum, spectrum_gapped
 from podkit.projector import (
@@ -31,6 +31,7 @@ from oracles import (
     hs_norm_sq,
     induced_snapshots,
     make_embedding_instance,
+    make_fhn_dict,
     op_norm,
     optimality_oracle,
     pod_projector,
@@ -259,7 +260,7 @@ def test_criterion_7_flagship_sweep():
     # this configuration within a factor of three
     with certify(7, "flagship sweep at r = 4 and r = 12"):
         t0 = time.perf_counter()
-        inst = make_fhn_instance(FhnConfig())
+        inst = make_fhn_dict(FhnConfig())
         basis = compute_pod(inst["set"], inst["space_x"])
         reports = sweep(certifier(inst["set"], basis, inst["map"]), [4, 12])
         elapsed = time.perf_counter() - t0

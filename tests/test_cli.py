@@ -9,9 +9,9 @@ import pytest
 from scipy.linalg import block_diag
 
 from podkit.cli import POINTWISE_PER_LEVEL, build_map_from_spec, main
-from podkit.error_lab import battery_level, certifier, write_report
+from podkit.error_lab import PROJECTOR_FAMILIES, battery_level, certifier, write_report
 from podkit.fem import assemble_fem_1d
-from podkit.fhn_gen import FhnConfig, make_fhn_instance
+from podkit.fhn_gen import FhnConfig, embedding_set, make_fhn_instance
 from podkit.pod_engine import compute_pod, load_basis
 from podkit.snapshot_io import load
 
@@ -242,14 +242,8 @@ def test_outputs_byte_identical_across_reruns(tmp_path, capsys):
     assert open(sweep_a, "rb").read() == open(sweep_b, "rb").read()
 
 
-@pytest.mark.parametrize(
-    "flag, family",
-    [("orthogonal", "orthogonal"), ("ritz", "ritz"), ("composite-xy", "pushforward")],
-    ids=["orthogonal", "ritz", "composite-xy"],
-)
-def test_verify_rows_are_the_library_battery(
-    synth_bundle, tmp_path, capsys, monkeypatch, flag, family
-):
+@pytest.mark.parametrize("family", PROJECTOR_FAMILIES)
+def test_verify_rows_are_the_library_battery(synth_bundle, tmp_path, capsys, monkeypatch, family):
     # the CLI and the library are one path: every row verify writes is the
     # row battery_level gives for the certifier of the same bundle, with the
     # CLI's seeded pointwise coefficients drawn level by level
@@ -257,7 +251,7 @@ def test_verify_rows_are_the_library_battery(
     manifest, map_path = synth_bundle
     report = tmp_path / "cli.json"
     code, _, err = run(
-        capsys, "verify", "--input", manifest, "--map", map_path, "--projector", flag,
+        capsys, "verify", "--input", manifest, "--map", map_path, "--projector", family,
         "--r", "1,3,4", "--seed", "7", "--output", str(report),
     )
     assert code == 0, err
@@ -510,25 +504,43 @@ def test_non_finite_csv_cell_is_an_input_error(synth8, tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize("command", ["generate-fhn", "generate-synthetic"])
-def test_generated_map_spec_rebuilds_the_instance_map(tmp_path, capsys, command):
+def test_generated_bundle_loads_back_as_the_returned_set_and_specs(tmp_path, capsys, command):
+    # a generator returns (set, gram spec, map spec) and the command line
+    # writes exactly that: the loaded data, weights and grid bit-equal to
+    # the set's, its space the one the gram spec names, the map file the spec
     manifest = str(tmp_path / "bundle.json")
     assert main([command, "--output", manifest, "--nodes", "8"]) == 0
     capsys.readouterr()
     if command == "generate-fhn":
-        expected = make_fhn_instance(FhnConfig(nodes=8))["map"]
+        sset, gram_spec, map_spec = make_fhn_instance(FhnConfig(nodes=8))
+        assert (sset.count, sset.space_dim) == (2000, 16)
+        assert np.allclose(np.diff(sset.grid), FhnConfig().dt)
     else:
-        expected = make_embedding_instance(8, 1)["map"]
-    lmap, form = build_map_from_spec(
-        manifest.replace(".json", "_map.json"), load(manifest)
-    )
-    assert form is None
-    assert lmap.kind == expected.kind
-    assert np.array_equal(lmap.matrix.toarray(), expected.matrix.toarray())
-    assert (lmap.inverse is None) == (expected.inverse is None)
-    if expected.inverse is not None:
-        assert np.array_equal(lmap.inverse.toarray(), expected.inverse.toarray())
-    assert np.array_equal(lmap.domain.gram.toarray(), expected.domain.gram.toarray())
-    assert np.array_equal(lmap.codomain.gram.toarray(), expected.codomain.gram.toarray())
+        sset, gram_spec, map_spec = embedding_set(8)
+    back = load(manifest)
+    assert json.load(open(manifest))["gram"] == gram_spec
+    for got, want in ((back.data, sset.data), (back.weights, sset.weights)):
+        assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert back.kind == sset.kind == "continuous"
+    assert np.array_equal(back.grid, sset.grid)
+    assert np.array_equal(back.space.gram.toarray(), sset.space.gram.toarray())
+    assert np.array_equal(back.space.chol, sset.space.chol)
+    map_path = manifest.replace(".json", "_map.json")
+    assert json.load(open(map_path)) == map_spec
+    # and it names the map of the paper's example: the forward derivative of
+    # both species into elementwise slopes, or the L^2 -> H^1 identity
+    mesh = assemble_fem_1d(8)
+    if command == "generate-fhn":
+        deriv, slopes = mesh.deriv.toarray(), np.diag(mesh.element_lengths)
+        want = block_diag(deriv, deriv), block_diag(slopes, slopes), None
+    else:
+        want = np.eye(8), (mesh.stiffness + mesh.mass).toarray(), np.eye(8)
+    lmap, form = build_map_from_spec(map_path, back)
+    assert form is None and lmap.domain is back.space
+    assert np.array_equal(lmap.matrix.toarray(), want[0])
+    assert np.array_equal(lmap.codomain.gram.toarray(), want[1])
+    inverse = None if lmap.inverse is None else lmap.inverse.toarray()
+    assert np.array_equal(inverse, want[2])
 
 
 def test_generate_synthetic_builds_only_its_snapshot_set(tmp_path, capsys, monkeypatch):
@@ -693,19 +705,20 @@ def test_matrix_map_beyond_the_dense_budget_exits_2_before_reading(
     assert not report.exists()
 
 
-def test_generate_fhn_names_its_block_diagonal_gram(tmp_path, capsys):
-    # the product space's Gram is named in the manifest, not written as a CSV
+def test_generate_fhn_names_its_block_diagonal_gram(tmp_path, capsys, monkeypatch):
+    # the product space's Gram is named in the manifest, not written as a
+    # CSV, and it is the one space generate-fhn factors: no map is built
+    import podkit.gram_space
+
+    factorizations = _count_calls(monkeypatch, podkit.gram_space, "cholesky_banded")
     manifest = str(tmp_path / "fhn.json")
     assert main(["generate-fhn", "--output", manifest, "--nodes", "8"]) == 0
     capsys.readouterr()
+    assert len(factorizations) == 1
     assert json.load(open(manifest))["gram"] == {"block_diag": [{"fem_mass": 8}] * 2}
     assert sorted(os.listdir(tmp_path)) == [
         "fhn.json", "fhn_data.csv", "fhn_data.npy", "fhn_map.json",
     ]
-    expected = make_fhn_instance(FhnConfig(nodes=8))["set"]
-    back = load(manifest)
-    assert np.array_equal(back.space.gram.toarray(), expected.space.gram.toarray())
-    assert np.array_equal(back.space.chol, expected.space.chol)
 
 
 def test_generate_fhn_beyond_the_dense_budget_exits_2_before_the_solve(

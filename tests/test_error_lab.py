@@ -329,14 +329,14 @@ def test_codomain_projectors_families():
     inst = make_embedding_instance(17, 3)
     sset, lmap = inst["set"], inst["map"]
     basis = compute_pod(sset, inst["space_x"])
-    for family, form, name in (
-        ("orthogonal", None, "mapped_orthogonal"),
-        ("ritz", inst["form"], "ritz"),
-        ("ritz", None, "ritz"),
-        ("pushforward", None, "pushforward"),
+    for family, form in (
+        ("orthogonal", None),
+        ("ritz", inst["form"]),
+        ("ritz", None),
+        ("composite-xy", None),
     ):
         proj = certifier(sset, basis, lmap, family, form).projectors(3)
-        assert (proj.r, proj.family) == (3, name)
+        assert (proj.r, proj.family) == (3, family)
     assert np.array_equal(
         certifier(sset, basis, lmap, "ritz").projectors(3).dual_basis,
         certifier(sset, basis, lmap, "ritz", inst["form"]).projectors(3).dual_basis,
@@ -456,7 +456,9 @@ def test_small_caps_fail_every_guaranteed_snapshot_row(alpha):
         assert not passing, (seed, passing)
 
 
-@pytest.mark.parametrize("family", ["orthogonal", "pushforward"])
+@pytest.mark.parametrize(
+    "family", ["orthogonal", "composite-xy"], ids=["orthogonal", "pushforward"]
+)
 def test_blocked_residual_norms_match_unblocked(family):
     # 1,500 snapshots of dim 60 take two column blocks.  Blocking reorders
     # only the dense products' sums, so each ||T w_j||^2 (and its hs form
@@ -488,7 +490,7 @@ def test_battery_level_peak_is_column_blocks_not_data(s):
     mesh = assemble_fem_1d(n)
     space = make_space(mesh.mass)
     sset = make_snapshot_set(rng.standard_normal((n, s)), rng.uniform(0.5, 2.0, s), space=space)
-    lmap = identity_map(space, make_space(mesh.stiffness + mesh.mass), kind="embedding")
+    lmap = identity_map(space, make_space(mesh.stiffness + mesh.mass))
     basis = compute_pod(sset)
     cert = certifier(sset, basis, lmap)
     coeffs = rng.standard_normal((s, 5))

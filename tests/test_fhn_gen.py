@@ -16,18 +16,22 @@ from podkit.fhn_gen import (
     TRAJECTORY_ARRAYS,
     FhnConfig,
     boundary_pulse,
-    make_fhn_L,
     make_fhn_instance,
-    make_product_space,
     solve_fhn,
 )
 from podkit.fem import assemble_fem_1d
 from podkit.gram_space import make_space, norm
+from podkit.linear_map import derivative_map
 from podkit.pod_engine import compute_pod
-from podkit.snapshot_io import save
+from podkit.snapshot_io import resolve_gram_spec, save
 
 from conftest import by_id
-from oracles import make_embedding_instance, random_instance
+from oracles import make_embedding_instance, make_fhn_dict, random_instance
+
+
+def product_space(nodes):
+    """generate-fhn's state space: L^2 x L^2 for the stacked [u; v]."""
+    return resolve_gram_spec({"block_diag": [{"fem_mass": nodes}] * 2}, 2 * nodes)
 
 
 def test_zero_without_source_or_drive():
@@ -174,7 +178,7 @@ def test_time_step_consistency():
     from podkit.error_lab import battery_level, certifier
 
     def lhs_r4(dt):
-        inst = make_fhn_instance(FhnConfig(nodes=24, t_end=2.0, dt=dt))
+        inst = make_fhn_dict(FhnConfig(nodes=24, t_end=2.0, dt=dt))
         basis = compute_pod(inst["set"], inst["space_x"])
         return by_id(battery_level(certifier(inst["set"], basis), 4))["pod_x"].lhs
 
@@ -189,7 +193,7 @@ def test_node_doubling_keeps_leading_eigenvalues(fhn_instance):
     # twelve eigenvalues by well under five percent (this is the one
     # deliberately expensive consistency run in the suite)
     base = compute_pod(fhn_instance["set"], fhn_instance["space_x"])
-    fine_inst = make_fhn_instance(FhnConfig(nodes=200))
+    fine_inst = make_fhn_dict(FhnConfig(nodes=200))
     fine = compute_pod(fine_inst["set"], fine_inst["space_x"])
     e_base = base.eigenvalues[:12]
     e_fine = fine.eigenvalues[:12]
@@ -197,7 +201,7 @@ def test_node_doubling_keeps_leading_eigenvalues(fhn_instance):
 
 
 def test_derivative_map_kills_constants():
-    lmap = make_fhn_L(10)
+    lmap = derivative_map(10, product_space(10))
     const = np.concatenate([np.full(10, 3.0), np.full(10, -2.0)])
     assert np.max(np.abs(lmap.matrix @ const)) < 1e-13
     assert lmap.inverse is None
@@ -205,36 +209,25 @@ def test_derivative_map_kills_constants():
 
 def test_derivative_map_on_one_or_two_components():
     mesh = assemble_fem_1d(10)
-    single = make_fhn_L(10, make_space(mesh.mass))
+    single = derivative_map(10, make_space(mesh.mass))
     assert np.array_equal(single.matrix.toarray(), mesh.deriv.toarray())
     assert np.array_equal(single.codomain.gram.toarray(), np.diag(mesh.element_lengths))
-    pair = make_fhn_L(10)
+    pair = derivative_map(10, product_space(10))
     assert pair.domain.dim == 20 and pair.codomain.dim == 18
     assert np.array_equal(pair.matrix.toarray()[9:, 10:], mesh.deriv.toarray())
     assert np.array_equal(pair.matrix.toarray()[:9, 10:], np.zeros((9, 10)))
     with pytest.raises(DimensionMismatch):
-        make_fhn_L(10, make_space(np.eye(15)))
+        derivative_map(10, make_space(np.eye(15)))
 
 
 def test_product_space_norm_is_componentwise():
-    space = make_product_space(8)
+    space = product_space(8)
     rng = np.random.default_rng(5)
     u = rng.standard_normal(8)
     v = rng.standard_normal(8)
-    from podkit.fem import assemble_fem_1d
-
     mesh = assemble_fem_1d(8)
     expected = np.sqrt(u @ (mesh.mass @ u) + v @ (mesh.mass @ v))
     assert norm(space, np.concatenate([u, v])) == pytest.approx(expected, rel=1e-13)
-
-
-def test_fhn_instance_packaging():
-    inst = make_fhn_instance(FhnConfig(nodes=10, t_end=0.2, dt=0.01))
-    assert inst["set"].kind == "continuous"
-    assert inst["set"].count == 20
-    assert inst["set"].data.shape == (20, 20)
-    assert np.allclose(inst["map"].domain.gram.toarray(), inst["space_x"].gram.toarray())
-    assert np.allclose(np.diff(inst["grid"]), 0.01)
 
 
 def test_random_instance_reproducible():
@@ -300,8 +293,8 @@ def test_trajectory_peaks_within_its_counted_arrays(tmp_path):
     config = FhnConfig(nodes=60, t_end=2.0)
     tracemalloc.start()
     try:
-        sset = make_fhn_instance(config)["set"]
-        save(sset, str(tmp_path / "f.json"), gram_spec={"block_diag": [{"fem_mass": 60}] * 2})
+        sset, gram_spec, _ = make_fhn_instance(config)
+        save(sset, str(tmp_path / "f.json"), gram_spec=gram_spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -24,7 +24,6 @@ from podkit.gram_space import (
     orthonormalize,
     solve_gram,
 )
-from podkit.fhn_gen import make_product_space
 from podkit.snapshot_io import resolve_gram_spec
 
 from oracles import adjoint_matrix
@@ -243,7 +242,7 @@ def banded_spd(rng, n, kd):
 def gram_cases():
     """(name, space, dense Gram, expected kd) for every Gram layout in use."""
     rng = np.random.default_rng(21)
-    flagship = make_product_space(8)
+    flagship = resolve_gram_spec({"block_diag": [{"fem_mass": 8}] * 2}, 16)
     cases = [
         ("identity", identity_space(7), np.eye(7), 0),
         ("identity-matrix", make_space(np.eye(7)), np.eye(7), 0),

@@ -9,8 +9,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import eigh, lu_factor, lu_solve
 
-from podkit.cli import _FAMILY_FOR_FLAG, PROJECTOR_CHOICES
-from podkit.error_lab import certifier
+from podkit.error_lab import PROJECTOR_FAMILIES, certifier
 from podkit.errors import (
     FormNotElliptic,
     NotInvertible,
@@ -207,13 +206,13 @@ def test_sparse_identity_keeps_the_30000_node_embedding_families_small():
     # identity_map holds one sparse identity (a dense pair would take
     # 14.4 GB) and neither family forms an n x n array
     nodes = 30000
-    sset = embedding_set(nodes)
+    sset = embedding_set(nodes)[0]
     codomain = resolve_gram_spec({"fem_stiffness": nodes}, nodes)
     basis = compute_pod(sset)
     assert basis.rank == 8
     tracemalloc.start()
     try:
-        lmap = identity_map(sset.space, codomain, kind="embedding")
+        lmap = identity_map(sset.space, codomain)
         mapped_orthogonal_levels(basis, lmap)(8)
         pushforward_levels(lmap, basis)(8)
         peak = tracemalloc.get_traced_memory()[1]
@@ -348,17 +347,16 @@ def embedding_1000():
     return inst["set"], compute_pod(inst["set"], inst["space_x"]), inst["map"]
 
 
-@pytest.mark.parametrize("flag", PROJECTOR_CHOICES)
-def test_level_factories_match_per_level_builds(flag, embedding_1000):
+@pytest.mark.parametrize("family", PROJECTOR_FAMILIES)
+def test_level_factories_match_per_level_builds(family, embedding_1000):
     # the family each --projector value selects, on the CLI's default form
     cases = [embedding_1000]
     for seed in (77, 78, 79):
         inst = random_instance(10, 8, seed=seed)
         cases.append((inst["set"], compute_pod(inst["set"], inst["space_x"]), inst["map"]))
-    if not flag.startswith("composite"):
+    if family != "composite-xy":
         flat = random_instance(9, 7, seed=80, invertible=False, dim_y=12)
         cases.append((flat["set"], compute_pod(flat["set"], flat["space_x"]), flat["map"]))
-    family = _FAMILY_FOR_FLAG[flag]
     for sset, basis, lmap in cases:
         assert assert_levels_match(sset, basis, lmap, family, None) == []
         proj = certifier(sset, basis, lmap, family).projectors(1)
@@ -435,7 +433,7 @@ def test_tampered_inverse_fails_the_cross_check_at_the_same_levels():
     for j in (0, 2, 5):
         tampered = inst["map"].inverse + np.outer(basis.modes[:, j], rng.standard_normal(10))
         lmap = dataclasses.replace(inst["map"], inverse=tampered)
-        raised = assert_levels_match(inst["set"], basis, lmap, "pushforward", None)
+        raised = assert_levels_match(inst["set"], basis, lmap, "composite-xy", None)
         assert raised == list(range(j + 1, basis.rank + 1)), j
         with pytest.raises(NotInvertible):
             pushforward_levels(lmap, basis)(j + 1)

@@ -69,6 +69,9 @@ def test_make_snapshot_set_validation():
         make_snapshot_set(data, [1.0, 1.0, 0.0, 1.0])
     with pytest.raises(DimensionMismatch):
         make_snapshot_set(data, [1.0, 1.0])
+    for empty in (np.ones((0, 4)), np.ones((3, 0))):  # load refuses dim or count 0
+        with pytest.raises(DimensionMismatch):
+            make_snapshot_set(empty, np.ones(empty.shape[1]))
     with pytest.raises(MalformedManifest):
         make_snapshot_set(data, np.ones(4), kind="weird")
     with pytest.raises(MalformedManifest):
@@ -77,6 +80,27 @@ def test_make_snapshot_set_validation():
         make_snapshot_set(
             data, np.ones(4), kind="continuous", grid=[0.0, 1.0, 0.5, 2.0, 3.0]
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_data_is_refused_before_any_file_is_written(tmp_path, bad):
+    # load refuses such a bundle, so the set is refused at construction, as
+    # non-finite weights are, and save never runs
+    data = np.array([[1.0, 1.0], [bad, 1.0]])
+    with pytest.raises(MalformedManifest, match=f"row 2, column 1 is {bad}, not finite"):
+        save(make_snapshot_set(data, np.ones(2)), str(tmp_path / "s.json"))
+    assert os.listdir(tmp_path) == []
+
+
+def test_finite_data_check_allocates_no_data_sized_temporary():
+    data = np.ones((500, 2000))  # 8 MB; an isfinite mask of it takes 1 MB
+    tracemalloc.start()
+    try:
+        make_snapshot_set(data, np.ones(2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_from_trajectory_midpoint_averages():
@@ -306,9 +330,9 @@ def _count_loadtxt(monkeypatch):
 
 
 def _saved_bundle(tmp_path, nodes=9, seed=3):
-    sset = embedding_set(nodes, seed=seed)
+    sset, gram_spec, _ = embedding_set(nodes, seed=seed)
     path = str(tmp_path / "s.json")
-    save(sset, path, gram_spec={"fem_mass": nodes})
+    save(sset, path, gram_spec=gram_spec)
     return path, sset
 
 
@@ -317,7 +341,7 @@ def test_saved_npy_loads_the_bits_loadtxt_reads(tmp_path, fhn_instance):
     # generate-synthetic save them
     cases = [
         ("fhn", fhn_instance["set"], {"block_diag": [{"fem_mass": 100}] * 2}),
-        ("embed", embedding_set(1000, seed=1), {"fem_mass": 1000}),
+        ("embed", *embedding_set(1000, seed=1)[:2]),
     ]
     for stem, sset, gram in cases:
         path = str(tmp_path / f"{stem}.json")
