@@ -527,8 +527,18 @@ def test_generated_bundle_loads_back_as_the_returned_set_and_specs(tmp_path, cap
     assert np.array_equal(back.space.chol, sset.space.chol)
     map_path = manifest.replace(".json", "_map.json")
     assert json.load(open(map_path)) == map_spec
-    # and it names the map of the paper's example: the forward derivative of
-    # both species into elementwise slopes, or the L^2 -> H^1 identity
+
+
+@pytest.mark.parametrize("command", ["generate-fhn", "generate-synthetic"])
+def test_generated_map_spec_rebuilds_the_instance_map(tmp_path, capsys, command):
+    # the bundle's map file names the map of the paper's example: the
+    # forward derivative of both species into elementwise slopes, or the
+    # L^2 -> H^1 identity
+    manifest = str(tmp_path / "bundle.json")
+    assert main([command, "--output", manifest, "--nodes", "8"]) == 0
+    capsys.readouterr()
+    back = load(manifest)
+    map_path = manifest.replace(".json", "_map.json")
     mesh = assemble_fem_1d(8)
     if command == "generate-fhn":
         deriv, slopes = mesh.deriv.toarray(), np.diag(mesh.element_lengths)

@@ -230,6 +230,21 @@ def test_product_space_norm_is_componentwise():
     assert norm(space, np.concatenate([u, v])) == pytest.approx(expected, rel=1e-13)
 
 
+def test_fhn_instance_packaging():
+    # the triple: a continuous set on the product space its gram spec
+    # names, and a map spec whose derivative map starts from that space
+    sset, gram_spec, map_spec = make_fhn_instance(FhnConfig(nodes=10, t_end=0.2, dt=0.01))
+    assert sset.kind == "continuous"
+    assert sset.count == 20
+    assert sset.data.shape == (20, 20)
+    assert np.array_equal(sset.space.gram.toarray(), product_space(10).gram.toarray())
+    assert np.array_equal(
+        resolve_gram_spec(gram_spec, 20).gram.toarray(), sset.space.gram.toarray()
+    )
+    assert map_spec == {"derivative_1d": {"nodes": 10, "scheme": "forward"}}
+    assert np.allclose(np.diff(sset.grid), 0.01)
+
+
 def test_random_instance_reproducible():
     a = random_instance(7, 5, seed=9)
     b = random_instance(7, 5, seed=9)
