@@ -14,12 +14,12 @@ A report (verify and sweep --output, table --input) is JSON when its name
 ends in .json and CSV when it ends in .csv; any other name is an input error.
 
 Exit codes: 0 when everything passed, 2 for bad inputs, 3 for numerical
-failures, 4 when checks ran but at least one failed.  Failures print a
-one-line JSON object {"error": class, "message": text} on standard error.
+failures, 4 when checks ran but error_lab.verdict failed them (a row, or a
+decided rank relation).  Failures print a one-line JSON object
+{"error": class, "message": text} on standard error.
 
-Tolerances resolve as flag > PODKIT_TOL environment variable > built-in
-default.  For pod the tolerance is the eigenvalue drop threshold; for verify
-and sweep it is the identity tolerance.
+--tol is the eigenvalue drop threshold for pod and the identity tolerance
+for verify and sweep; without it each takes its built-in default.
 
 --map takes a map spec, inline JSON or a path to a JSON file; the grammar is
 documented once, in podkit.linear_map.build_map_from_spec.  --projector ritz
@@ -51,44 +51,24 @@ from .error_lab import (
     PROJECTOR_FAMILIES,
     battery_level,
     certifier,
+    rank_relation,
     read_report,
     report_format,
     report_rows,
     sweep as run_sweep,
+    verdict,
     write_report,
 )
 from .fhn_gen import FhnConfig, embedding_set, make_fhn_instance
-from .linear_map import build_map_from_spec, rank_relation_check
-from .pod_engine import (
-    DEFAULT_DROP_TOL,
-    compute_pod,
-    image_spectrum,
-    save_basis,
-    spectrum_gapped,
-)
+from .linear_map import build_map_from_spec
+from .pod_engine import DEFAULT_DROP_TOL, compute_pod, save_basis
 from .snapshot_io import _atomic_write, load, save
 
 EXIT_CHECKS_FAILED = 4
-TOL_ENV_VAR = "PODKIT_TOL"
 POINTWISE_PER_LEVEL = 5
 
 
 # -- shared argument plumbing ------------------------------------------------
-
-def _resolve_tol(flag_value, default):
-    """Tolerance precedence: explicit flag, then PODKIT_TOL, then default."""
-    if flag_value is not None:
-        return float(flag_value)
-    env = os.environ.get(TOL_ENV_VAR)
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise MalformedManifest(
-                f"{TOL_ENV_VAR} must be a float, got {env!r}"
-            ) from None
-    return default
-
 
 def _parse_r_values(text):
     values = []
@@ -127,33 +107,25 @@ def _requested_r_values(text, rank):
 
 # -- battery -----------------------------------------------------------------
 
-def run_battery(sset, basis, lmap, family, form, r_values, tol, seed):
+def run_battery(cert, r_values, tol, seed):
     """Identity and bound checks for verify; returns (reports, extra).
 
     Per level: the data-error identity, the worst-snapshot exact residual
     formula and singular-value cap, the per-snapshot bound family, and with
     a map the mapped/projected/pulled-back identities, the operator-level
-    identities, and a handful of seeded pointwise bounds.  The rank relation
-    between the two decompositions is reported once in extra.
+    identities, and a handful of seeded pointwise bounds.  With a map, the
+    rank relation is reported once in extra.
     """
     rng = np.random.default_rng(0 if seed is None else seed)
-    extra = {"r_values": list(r_values), "tol": tol, "family": family}
-    cert = certifier(sset, basis, lmap, family, form)
-    if lmap is None:
+    extra = {"r_values": list(r_values), "tol": tol, "family": cert.family}
+    if cert.lmap is None:
         return [rep for r in r_values for rep in battery_level(cert, r, tol)], extra
 
     reports = []
     for r in r_values:
-        coeffs = rng.standard_normal((POINTWISE_PER_LEVEL, sset.count)).T
+        coeffs = rng.standard_normal((POINTWISE_PER_LEVEL, cert.sset.count)).T
         reports.extend(battery_level(cert, r, tol, coeffs))
-
-    basis_y = image_spectrum(lmap, sset, basis.drop_tol)
-    relation = dict(rank_relation_check(basis, basis_y, lmap))
-    # A rank comparison is only asserted when both spectra are gapped at
-    # their cut; otherwise the counts measure noise floors and the row
-    # is informational.
-    relation["decided"] = spectrum_gapped(basis) and spectrum_gapped(basis_y)
-    extra["rank_relation"] = relation
+    extra["rank_relation"] = rank_relation(cert)
     return reports, extra
 
 
@@ -182,6 +154,14 @@ def _render_rows(rows):
         if k == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
+
+
+def _conclude(passed, relation=None):
+    """Print the verdict of the rows' passed flags and the rank relation, and
+    return the exit code."""
+    ok = verdict(passed, relation)
+    print("all checks passed" if ok else "CHECKS FAILED")
+    return 0 if ok else EXIT_CHECKS_FAILED
 
 
 # -- subcommands -------------------------------------------------------------
@@ -223,7 +203,7 @@ def _truncate_basis(basis, r):
 def cmd_pod(args):
     sset = load(_require(args, "input"))
     out = _require(args, "output")
-    drop = _resolve_tol(args.tol, DEFAULT_DROP_TOL)
+    drop = DEFAULT_DROP_TOL if args.tol is None else args.tol
     basis = compute_pod(sset, drop_tol=drop)
     computed_rank = basis.rank
     if args.r is not None:
@@ -240,12 +220,12 @@ def cmd_pod(args):
 
 
 def _certify_inputs(args):
-    """verify's and sweep's bundle, its POD, map, projector family, form,
-    levels and tolerance; a bad report name fails before any work."""
+    """verify's and sweep's certifier (bundle, POD, map, projector family
+    and form), levels and tolerance; a bad report name fails before any work."""
     if args.output is not None:
         report_format(args.output)
     sset = load(_require(args, "input"))
-    tol = _resolve_tol(args.tol, IDENTITY_RTOL)
+    tol = IDENTITY_RTOL if args.tol is None else args.tol
     basis = compute_pod(sset)
     lmap = form = None
     if args.map is not None:
@@ -254,29 +234,23 @@ def _certify_inputs(args):
             raise ProvenanceMismatch("--projector composite-xy needs an invertible map")
     elif args.projector != "orthogonal":
         raise ProvenanceMismatch(f"--projector {args.projector} needs --map")
-    return sset, basis, lmap, args.projector, form, _requested_r_values(args.r, basis.rank), tol
+    r_values = _requested_r_values(args.r, basis.rank)
+    return certifier(sset, basis, lmap, args.projector, form), r_values, tol
 
 
 def cmd_verify(args):
-    sset, basis, lmap, family, form, r_values, tol = _certify_inputs(args)
-
-    reports, extra = run_battery(
-        sset, basis, lmap, family, form, r_values, tol, args.seed
-    )
-    all_passed = all(rep.passed for rep in reports)
-    rr = extra.get("rank_relation")
-    if rr is not None and rr["decided"]:
-        all_passed = all_passed and rr["passed"]
-
+    cert, r_values, tol = _certify_inputs(args)
+    reports, extra = run_battery(cert, r_values, tol, args.seed)
     if args.output is not None:
         write_report(reports, args.output, extra)
         print(f"wrote {args.output}")
 
     failures = [rep for rep in reports if not rep.passed]
     print(
-        f"rank: {basis.rank}, levels: {r_values}, checks: {len(reports)}, "
+        f"rank: {cert.basis.rank}, levels: {r_values}, checks: {len(reports)}, "
         f"failed: {len(failures)}"
     )
+    rr = extra.get("rank_relation")
     if rr is not None:
         if rr["decided"]:
             status = "ok" if rr["passed"] else "FAIL"
@@ -288,8 +262,7 @@ def cmd_verify(args):
         )
     if failures:
         print(_render_rows(report_rows(failures)))
-    print("all checks passed" if all_passed else "CHECKS FAILED")
-    return 0 if all_passed else EXIT_CHECKS_FAILED
+    return _conclude((rep.passed for rep in reports), rr)
 
 
 def cmd_sweep(args):
@@ -298,23 +271,18 @@ def cmd_sweep(args):
         raise MalformedManifest("sweep needs --map")
     if args.r is None:
         raise IndexOutOfRange("sweep needs --r")
-    sset, basis, lmap, family, form, r_values, tol = _certify_inputs(args)
-
-    reports = run_sweep(certifier(sset, basis, lmap, family, form), r_values, tol)
-    write_report(reports, out, {"family": family, "tol": tol})
+    cert, r_values, tol = _certify_inputs(args)
+    reports = run_sweep(cert, r_values, tol)
+    write_report(reports, out, {"family": cert.family, "tol": tol})
     print(f"wrote {out}")
     print(_render_rows(report_rows(reports)))
-    all_passed = all(rep.passed for rep in reports)
-    print("all checks passed" if all_passed else "CHECKS FAILED")
-    return 0 if all_passed else EXIT_CHECKS_FAILED
+    return _conclude(rep.passed for rep in reports)
 
 
 def cmd_table(args):
-    rows = read_report(_require(args, "input"))
+    rows, relation = read_report(_require(args, "input"))
     print(_render_rows(rows))
-    all_passed = all(row["passed"] for row in rows)
-    print("all checks passed" if all_passed else "CHECKS FAILED")
-    return 0 if all_passed else EXIT_CHECKS_FAILED
+    return _conclude((row["passed"] for row in rows), relation)
 
 
 # -- parser ------------------------------------------------------------------

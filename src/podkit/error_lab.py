@@ -23,7 +23,9 @@ Entry points, the ones the CLI's verify and sweep run: certifier (built
 once per bundle: the codomain projector family's level factory r -> Q for
 proj_y and the level-free constants), battery_level (every row of one level)
 and sweep (the data identities over levels).  Both take the certifier, so a
-projector from another map or basis cannot reach a row.
+projector from another map or basis cannot reach a row.  rank_relation
+compares the POD ranks of the data and of their image under the map, and
+verdict decides a report: every row passed, and a decided relation holds.
 
 Floors: an identity passes within its relative tol or when both sides are
 below its floor, a bound when lhs <= rhs + floor.  The floor is
@@ -49,7 +51,7 @@ import numpy as np
 from .errors import DimensionMismatch, IndexOutOfRange, MalformedManifest, MissingDataFile
 from .gram_space import GramSpace, column_blocks, half_weight
 from .linear_map import LinearMap, apply_inverse
-from .pod_engine import PodBasis, project_X
+from .pod_engine import PodBasis, image_spectrum, numerical_rank, project_X
 from .projector import apply_projector, mapped_orthogonal_levels, pushforward_levels, ritz_levels
 from .snapshot_io import SnapshotSet, _atomic_write, _read_json
 
@@ -57,6 +59,7 @@ IDENTITY_RTOL = 1e-8
 EXACT_RTOL = 1e-9
 EXACT_FLOOR_UNITS = 32.0  # every floor, in units of u times the row's scale
 UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+SPECTRUM_GAP = 1e3
 # the codomain projector families, by their --projector names
 PROJECTOR_FAMILIES = ("orthogonal", "ritz", "composite-xy")
 
@@ -149,16 +152,17 @@ class _Residual:
 class Certifier:
     """One bundle's inputs to the rows that no truncation level changes.
 
-    projectors is the codomain family's level factory r -> Q (None without
-    a map); r0 is the snapshot_guarantee_threshold.  With a map, mode_norms
-    holds ||L phi_k||^2 for every mode from the basis alone (its tail [r:] is
-    the pod_x_mapped formula side at level r) and energy_y is
-    sum_j g_j ||L w_j||^2, the codomain rows' floor scale.
+    projectors is the level factory r -> Q of the codomain projector family
+    named family (None without a map); r0 is the snapshot_guarantee_threshold.
+    With a map, mode_norms holds ||L phi_k||^2 for every mode from the basis
+    alone (its tail [r:] is the pod_x_mapped formula side at level r) and
+    energy_y is sum_j g_j ||L w_j||^2, the codomain rows' floor scale.
     """
 
     sset: SnapshotSet
     basis: PodBasis
     lmap: LinearMap | None
+    family: str
     projectors: Callable | None
     r0: int | None
     mode_norms: np.ndarray | None = None
@@ -172,11 +176,11 @@ def certifier(sset, basis, lmap=None, family="orthogonal", form=None):
     PROJECTOR_FAMILIES: "orthogonal", "ritz" (on the bilinear form matrix
     form, by default the codomain Gram) or "composite-xy" (the pushforward
     L P L^{-1}, invertible maps only).  Without a map there is no codomain
-    projector and family and form are not read.
+    projector and form is not read; family is recorded as given.
     """
     r0 = snapshot_guarantee_threshold(sset, basis)
     if lmap is None:
-        return Certifier(sset, basis, None, None, r0)
+        return Certifier(sset, basis, None, family, None, r0)
     if family == "orthogonal":
         projectors = mapped_orthogonal_levels(basis, lmap)
     elif family == "ritz":
@@ -191,7 +195,7 @@ def certifier(sset, basis, lmap=None, family="orthogonal", form=None):
 
     mode_norms = _column_sq_norms(lmap.codomain, basis.modes_full, apply)
     energy_y = float(sset.weights @ _column_sq_norms(lmap.codomain, sset.data, apply))
-    return Certifier(sset, basis, lmap, projectors, r0, mode_norms, energy_y)
+    return Certifier(sset, basis, lmap, family, projectors, r0, mode_norms, energy_y)
 
 
 def _residuals(cert, r):
@@ -258,6 +262,40 @@ def battery_level(cert, r, tol=None, coeffs=None):
     if coeffs is not None:
         rows += _pointwise_rows(sset, basis, r, cert.lmap, res, coeffs)
     return rows
+
+
+# -- the rank relation and the verdict ---------------------------------------
+
+def _gapped(lam, rank):
+    """Whether rank, counted on the spectrum lam, is a trustworthy proxy for
+    the exact rank: the cut drops nothing above zero, or lam falls by at
+    least SPECTRUM_GAP across it.  Otherwise the count measures noise."""
+    if rank >= lam.size or lam[rank] <= 0.0:
+        return True
+    return rank > 0 and float(lam[rank - 1]) / float(lam[rank]) >= SPECTRUM_GAP
+
+
+def rank_relation(cert):
+    """The POD ranks of the certifier's data and of their image under its map,
+    counted at the basis's drop tolerance.  passed: the image rank is at most
+    the source rank, and equal with a certified inverse.  decided: both
+    spectra are _gapped; otherwise the relation is informational."""
+    basis, lmap = cert.basis, cert.lmap
+    lam = image_spectrum(lmap, cert.sset)
+    rank = numerical_rank(lam, basis.drop_tol)
+    return {
+        "rank_source": basis.rank,
+        "rank_image": rank,
+        "invertible": lmap.invertible,
+        "passed": rank == basis.rank if lmap.invertible else rank <= basis.rank,
+        "decided": _gapped(basis.eigenvalues, basis.rank) and _gapped(lam, rank),
+    }
+
+
+def verdict(passed, relation=None):
+    """Whether a report passes: every row's passed flag holds and, when a
+    rank relation is given and decided, the relation holds too."""
+    return all(passed) and (relation is None or not relation["decided"] or relation["passed"])
 
 
 # -- per-snapshot results ----------------------------------------------------
@@ -411,8 +449,10 @@ def write_report_json(reports, path, extra=None):
          "info": {k: _jsonable(v) for k, v in rep.info.items()}}
         for row, rep in zip(report_rows(reports), reports)
     ]
-    payload = {"all_passed": all(rep.passed for rep in reports), "checks": checks}
-    _atomic_write(path, json.dumps({**payload, **(extra or {})}, indent=2) + "\n")
+    extra = extra or {}
+    payload = {"all_passed": verdict((rep.passed for rep in reports), extra.get("rank_relation")),
+               "checks": checks, **extra}
+    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
     return path
 
 
@@ -443,35 +483,45 @@ def write_report(reports, path, extra=None):
 
 
 def read_report(path):
-    """Load a report written by write_report.
+    """Load a report written by write_report: (rows, relation).
 
-    An unreadable path is MissingDataFile; a name report_format rejects,
-    invalid JSON, a report without rows (so that an empty or truncated report
-    never reads as a pass) and a bad CSV row are MalformedManifest.
+    relation is a JSON report's "rank_relation", None without one and for a
+    CSV report.  An unreadable path is MissingDataFile; a name report_format
+    rejects, invalid JSON, a report without rows (so that an empty or
+    truncated report never reads as a pass), a bad row in either format and
+    a rank_relation without boolean "decided" and "passed" are
+    MalformedManifest.
     """
+    relation = None
     if report_format(path) == "json":
         report = _read_json(path)
         if not isinstance(report, dict) or not report.get("checks"):
             raise MalformedManifest(f'{path}: no "checks" rows')
-        return report["checks"]
+        raws, relation = report["checks"], report.get("rank_relation")
+        if relation is not None and not (isinstance(relation, dict) and all(
+            isinstance(relation.get(key), bool) for key in ("decided", "passed")
+        )):
+            raise MalformedManifest(f'{path}: "rank_relation" needs boolean decided and passed')
+    else:
+        try:
+            with open(path) as fh:
+                raws = list(csv.DictReader(fh))
+        except OSError as exc:
+            raise MissingDataFile(f"cannot read {path}: {exc.strerror}") from None
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise MalformedManifest(f"{path}: {exc}") from None
+        if not raws:
+            raise MalformedManifest(f"{path}: no report rows")
     try:
-        with open(path) as fh:
-            raws = list(csv.DictReader(fh))
-    except OSError as exc:
-        raise MissingDataFile(f"cannot read {path}: {exc.strerror}") from None
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise MalformedManifest(f"{path}: {exc}") from None
-    if not raws:
-        raise MalformedManifest(f"{path}: no report rows")
-    try:
-        return [
+        rows = [
             {
                 "identity_id": raw["identity_id"],
                 "r": int(raw["r"]),
                 **{key: float(raw[key]) for key in CSV_COLUMNS[2:6]},
-                "passed": raw["passed"] == "true",
+                "passed": raw["passed"] in ("true", True),
             }
             for raw in raws
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedManifest(f"{path}: bad report row ({exc})") from None
+    return rows, relation

@@ -15,7 +15,7 @@ dense; its rows and columns are counted before it is read and checked
 against gram_space.DENSE_BYTES_BUDGET.  Every consumer applies a map with
 @; one place reads its type: the pushforward's adjoint route factors L^T
 with a sparse LU (scipy.sparse.linalg.splu, imported only there), whatever
-L's type.  The image rank is pod_engine.image_spectrum's.
+L's type.
 """
 
 from __future__ import annotations
@@ -179,37 +179,6 @@ def apply_inverse(lmap, y):
             f"vector of dim {y.shape[0]} into inverse from dim {lmap.codomain.dim}"
         )
     return lmap.inverse @ y
-
-
-def rank_relation_check(basis_x, basis_y, lmap):
-    """Compare the POD ranks of a set and its image under the map.
-
-    The image rank can never exceed the source rank; with a certified
-    invertible map the two are equal.  basis_x is the set's POD, basis_y
-    its image_spectrum (or the image set's POD), at the same drop tolerance.
-
-    Returns a report dict with both ranks and the verdicts.
-    """
-    if basis_x.drop_tol != basis_y.drop_tol:
-        raise ProvenanceMismatch(
-            f"bases decomposed at different drop tolerances: "
-            f"{basis_x.drop_tol} vs {basis_y.drop_tol}"
-        )
-    if basis_x.space.dim != lmap.domain.dim or basis_y.space.dim != lmap.codomain.dim:
-        raise DimensionMismatch("bases do not live on the map's domain/codomain")
-    report = {
-        "rank_source": basis_x.rank,
-        "rank_image": basis_y.rank,
-        "inequality_holds": basis_y.rank <= basis_x.rank,
-        "invertible": lmap.invertible,
-        "equality_expected": lmap.invertible,
-        "equality_holds": basis_y.rank == basis_x.rank,
-        "image_full_rank": basis_y.rank == lmap.codomain.dim,
-    }
-    report["passed"] = report["inequality_holds"] and (
-        not report["equality_expected"] or report["equality_holds"]
-    )
-    return report
 
 
 _MAP_KEYS = ("identity", "diag", "matrix", "derivative_1d", "embedding")

@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from types import SimpleNamespace
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +54,6 @@ from .gram_space import (
 from .snapshot_io import _atomic_write, _read_json, read_matrix_csv, write_matrix_csv
 
 DEFAULT_DROP_TOL = 1e-12
-SPECTRUM_GAP = 1e3
 
 
 @dataclass
@@ -185,10 +183,10 @@ def numerical_rank(lam, drop_tol):
     return int(np.sum(lam > drop_tol * lam[0])) if lam.size and lam[0] > 0.0 else 0
 
 
-def image_spectrum(lmap, sset, drop_tol):
-    """The POD eigenvalues, rank, drop_tol and space of {L w_j}, same weights,
-    for rank_relation_check: blocks of >= codomain dim columns of A = chol_y^T
-    L W Gamma^{1/2} fold into an R-only Householder QR of A^T (Golub & Van Loan 5.2)."""
+def image_spectrum(lmap, sset):
+    """The POD eigenvalues of {L w_j}, same weights, descending: blocks of >=
+    codomain dim columns of A = chol_y^T L W Gamma^{1/2} fold into an R-only
+    Householder QR of A^T (Golub & Van Loan 5.2), so no image set is formed."""
     if sset.space_dim != lmap.domain.dim:
         raise DimensionMismatch(f"snapshots of dim {sset.space_dim}, map from {lmap.domain.dim}")
     codomain, g12 = lmap.codomain, np.sqrt(sset.weights)
@@ -196,29 +194,7 @@ def image_spectrum(lmap, sset, drop_tol):
     for blk in column_blocks(max(len(sset.data), codomain.dim), sset.count, codomain.dim):
         A = half_weight(codomain, lmap.matrix @ sset.data[:, blk]) * g12[blk]
         R = np.linalg.qr(np.vstack((R, A.T)), mode="r")
-    lam = svd(R, compute_uv=False) ** 2
-    rank = numerical_rank(lam, drop_tol)
-    return SimpleNamespace(eigenvalues=lam, rank=rank, drop_tol=drop_tol, space=codomain)
-
-
-def spectrum_gapped(basis):
-    """Whether the computed rank is a trustworthy proxy for the exact rank.
-
-    True when the drop threshold removed nothing (every computed eigenvalue
-    kept, so the exact rank is pinned by the dimensions) or when the spectrum
-    falls by at least SPECTRUM_GAP across the cut.  Rank comparisons between two
-    decompositions are only meaningful when both sides satisfy this; without
-    a gap the count is a statement about the noise floor, not the data.
-    """
-    lam = basis.eigenvalues
-    if basis.rank >= lam.size:
-        return True
-    below = float(lam[basis.rank])
-    if below <= 0.0:
-        return True
-    if basis.rank == 0:
-        return False
-    return float(lam[basis.rank - 1]) / below >= SPECTRUM_GAP
+    return svd(R, compute_uv=False) ** 2
 
 
 def project_X(basis, r, x):

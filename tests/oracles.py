@@ -225,8 +225,9 @@ def make_fhn_dict(config=None):
 def induced_snapshots(lmap, sset):
     """Push a snapshot set through the map; weights and kind are preserved.
 
-    Its POD is the reference for linear_map.image_spectrum, which reads the
-    same spectrum off the data without forming the image set's vectors.
+    Its POD is the reference for pod_engine.image_spectrum, which reads the
+    same spectrum off the data without forming the image set's vectors, and
+    for the image rank of error_lab.rank_relation.
     """
     if sset.space_dim != lmap.domain.dim:
         raise DimensionMismatch(

@@ -13,7 +13,7 @@ from podkit.error_lab import PROJECTOR_FAMILIES, battery_level, certifier, write
 from podkit.fem import assemble_fem_1d
 from podkit.fhn_gen import FhnConfig, embedding_set, make_fhn_instance
 from podkit.pod_engine import compute_pod, load_basis
-from podkit.snapshot_io import load
+from podkit.snapshot_io import load, make_snapshot_set, save
 
 from oracles import make_embedding_instance
 
@@ -72,29 +72,36 @@ def test_verify_passes_on_synthetic(synth_bundle, tmp_path, capsys):
 def test_verify_exit_codes_and_tol_env(synth_bundle, tmp_path, capsys, monkeypatch):
     manifest, map_path = synth_bundle
     report = str(tmp_path / "report.json")
-    # an absurd identity tolerance from the environment forces failures
-    monkeypatch.setenv("PODKIT_TOL", "1e-18")
+    # an absurd identity tolerance forces failures
     code, out, _ = run(
         capsys, "verify", "--input", manifest, "--map", map_path,
-        "--output", report, "--r", "2",
+        "--output", report, "--r", "2", "--tol", "1e-18",
     )
     assert code == 4
     assert "FAIL" in out
-    # the command-line flag outranks the environment
-    code2, _, _ = run(
-        capsys, "verify", "--input", manifest, "--map", map_path,
-        "--output", report, "--r", "2", "--tol", "1e-8",
-    )
-    assert code2 == 0
-    monkeypatch.delenv("PODKIT_TOL")
-    # a malformed environment value is an input error
-    monkeypatch.setenv("PODKIT_TOL", "not-a-number")
-    code3, _, err = run(
-        capsys, "verify", "--input", manifest, "--map", map_path,
-        "--output", report, "--r", "2",
-    )
-    assert code3 == 2
-    assert json.loads(err)["error"] == "MalformedManifest"
+    # --tol is the one spelling: the environment sets no tolerance
+    for value in ("1e-18", "not-a-number"):
+        monkeypatch.setenv("PODKIT_TOL", value)
+        code2, _, err = run(
+            capsys, "verify", "--input", manifest, "--map", map_path,
+            "--output", report, "--r", "2",
+        )
+        assert code2 == 0, err
+
+
+def test_pod_drop_tolerance_is_the_flag_alone(tmp_path, capsys, monkeypatch):
+    # eigenvalues 1 and 1e-9: rank 2 at the default drop tolerance and rank
+    # 1 at --tol 1e-6, while PODKIT_TOL=1e-6 changes nothing
+    manifest = str(tmp_path / "two.json")
+    save(make_snapshot_set(np.diag([1.0, 10**-4.5]), np.ones(2)), manifest)
+    basis = str(tmp_path / "basis.json")
+    monkeypatch.setenv("PODKIT_TOL", "1e-6")
+    code, out, err = run(capsys, "pod", "--input", manifest, "--output", basis)
+    assert code == 0, err
+    assert "rank: 2 (drop tolerance 1e-12)" in out
+    code, out, err = run(capsys, "pod", "--input", manifest, "--output", basis, "--tol", "1e-6")
+    assert code == 0, err
+    assert "rank: 1 (drop tolerance 1e-06)" in out
 
 
 def test_verify_requires_map_for_nonorthogonal(synth_bundle, tmp_path, capsys):
@@ -202,19 +209,79 @@ def test_sweep_and_table(synth_bundle, tmp_path, capsys):
     assert code3 == 2
 
 
-def test_table_exit_reflects_failures(synth_bundle, tmp_path, capsys, monkeypatch):
+def test_table_exit_reflects_failures(synth_bundle, tmp_path, capsys):
     manifest, map_path = synth_bundle
     report = str(tmp_path / "bad.json")
-    monkeypatch.setenv("PODKIT_TOL", "1e-18")
     code, _, _ = run(
         capsys, "verify", "--input", manifest, "--map", map_path,
-        "--output", report, "--r", "2",
+        "--output", report, "--r", "2", "--tol", "1e-18",
     )
     assert code == 4
-    monkeypatch.delenv("PODKIT_TOL")
     code2, out, _ = run(capsys, "table", "--input", report)
     assert code2 == 4
     assert "FAIL" in out
+
+
+def test_a_decided_rank_relation_failure_fails_verify_its_report_and_table(
+    tmp_path, capsys
+):
+    # rows (1..6) and 1e-9 (6..1): rank 1 at the default drop tolerance;
+    # diag(1, 1e8) lifts the second row to 0.1 (6..1), an image of rank 2.
+    # Both spectra are gapped, so the relation is decided, and it fails
+    # (an invertible map keeps the rank): verify, its JSON report and table
+    # all say so
+    row = np.arange(1.0, 7.0)
+    manifest = str(tmp_path / "b.json")
+    save(make_snapshot_set(np.vstack([row, 1e-9 * row[::-1]]), np.ones(6)), manifest)
+    report = str(tmp_path / "v.json")
+    code, out, err = run(
+        capsys, "verify", "--input", manifest, "--map", '{"diag": [1.0, 1e8]}',
+        "--r", "1", "--output", report,
+    )
+    assert code == 4, err
+    assert "rank relation: source 1, image 2, FAIL" in out
+    assert "failed: 0" in out
+    payload = json.load(open(report))
+    assert payload["all_passed"] is False
+    assert payload["rank_relation"] == {
+        "rank_source": 1, "rank_image": 2, "invertible": True, "passed": False, "decided": True,
+    }
+    code, out, _ = run(capsys, "table", "--input", report)
+    assert code == 4
+    assert out.endswith("CHECKS FAILED\n")
+
+
+@pytest.mark.parametrize("damage", [
+    "row-without-actual", "string-in-number-column", "check-not-an-object",
+    "infinite-level", "relation-not-an-object", "relation-without-decided", "relation-passed-not-bool",
+])
+def test_table_refuses_a_malformed_json_report(synth_bundle, tmp_path, capsys, damage):
+    manifest, map_path = synth_bundle
+    report = tmp_path / "r.json"
+    code, _, err = run(
+        capsys, "verify", "--input", manifest, "--map", map_path, "--r", "1",
+        "--output", str(report),
+    )
+    assert code == 0, err
+    payload = json.loads(report.read_text())
+    if damage == "row-without-actual":
+        del payload["checks"][0]["actual"]
+    elif damage == "string-in-number-column":
+        payload["checks"][0]["formula"] = "abc"
+    elif damage == "check-not-an-object":
+        payload["checks"] = [1]
+    elif damage == "infinite-level":
+        payload["checks"][0]["r"] = float("inf")  # written as Infinity
+    elif damage == "relation-not-an-object":
+        payload["rank_relation"] = [True]
+    elif damage == "relation-without-decided":
+        del payload["rank_relation"]["decided"]
+    else:
+        payload["rank_relation"]["passed"] = "true"
+    report.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "table", "--input", str(report))
+    assert code == 2
+    assert json.loads(err)["error"] == "MalformedManifest"
 
 
 def test_outputs_byte_identical_across_reruns(tmp_path, capsys):
@@ -243,11 +310,10 @@ def test_outputs_byte_identical_across_reruns(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("family", PROJECTOR_FAMILIES)
-def test_verify_rows_are_the_library_battery(synth_bundle, tmp_path, capsys, monkeypatch, family):
+def test_verify_rows_are_the_library_battery(synth_bundle, tmp_path, capsys, family):
     # the CLI and the library are one path: every row verify writes is the
     # row battery_level gives for the certifier of the same bundle, with the
     # CLI's seeded pointwise coefficients drawn level by level
-    monkeypatch.delenv("PODKIT_TOL", raising=False)
     manifest, map_path = synth_bundle
     report = tmp_path / "cli.json"
     code, _, err = run(
@@ -391,7 +457,7 @@ def test_battery_row_sequence_for_one_level():
         ("none", full, None), ("flat", flat, flat["map"]), ("full", full, full["map"])
     ):
         basis = compute_pod(inst["set"], inst["space_x"])
-        reports, _ = run_battery(inst["set"], basis, lmap, "orthogonal", None, [3], None, 1)
+        reports, _ = run_battery(certifier(inst["set"], basis, lmap), [3], None, 1)
         assert [rep.identity_id for rep in reports] == expected[name], name
         assert all(rep.r == 3 for rep in reports)
 

@@ -352,7 +352,8 @@ def test_report_round_trip(tmp_path):
 
     jpath = str(tmp_path / "out.json")
     write_report_json(reports, jpath, extra={"note": "round-trip"})
-    back = read_report(jpath)
+    back, relation = read_report(jpath)
+    assert relation is None
     assert len(back) == len(reports)
     for row, rep in zip(back, reports):
         assert row["identity_id"] == rep.identity_id
@@ -362,7 +363,8 @@ def test_report_round_trip(tmp_path):
 
     cpath = str(tmp_path / "out.csv")
     write_report_csv(reports, cpath)
-    back_csv = read_report(cpath)
+    back_csv, relation = read_report(cpath)
+    assert relation is None
     assert len(back_csv) == len(reports)
     for row, rep in zip(back_csv, reports):
         assert row["identity_id"] == rep.identity_id
@@ -399,7 +401,7 @@ def _scaled(sset, alpha):
 
 
 def _battery(sset, basis, lmap, levels):
-    reports, _ = run_battery(sset, basis, lmap, "orthogonal", None, levels, None, 0)
+    reports, _ = run_battery(certifier(sset, basis, lmap), levels, None, 0)
     return reports
 
 

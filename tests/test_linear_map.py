@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from podkit.error_lab import battery_level, certifier
-from podkit.errors import (
-    DimensionMismatch,
-    NotInvertible,
-    ProvenanceMismatch,
-)
+from podkit.error_lab import _gapped, battery_level, certifier, rank_relation
+from podkit.errors import DimensionMismatch, NotInvertible
 from podkit.gram_space import identity_space, inner, make_space
 from podkit.linear_map import (
     MATRIX_CSV_ARRAYS,
@@ -18,9 +14,8 @@ from podkit.linear_map import (
     build_map_from_spec,
     identity_map,
     make_map,
-    rank_relation_check,
 )
-from podkit.pod_engine import compute_pod, image_spectrum, spectrum_gapped
+from podkit.pod_engine import DEFAULT_DROP_TOL, compute_pod, image_spectrum
 from podkit.snapshot_io import make_snapshot_set, write_matrix_csv
 
 from oracles import (
@@ -128,46 +123,51 @@ def test_induced_snapshots_preserve_weights():
     assert mapped.space.dim == codom.dim
 
 
+def _relation(sset, lmap, drop_tol=DEFAULT_DROP_TOL):
+    """rank_relation of the set's POD at drop_tol, and the reference: the
+    full POD of the induced set at the same drop tolerance."""
+    basis = compute_pod(sset, sset.space, drop_tol=drop_tol)
+    reference = compute_pod(induced_snapshots(lmap, sset), lmap.codomain, drop_tol)
+    return rank_relation(certifier(sset, basis, lmap)), reference
+
+
 def test_rank_relation_invertible(golden_instance):
     space = golden_instance.space
     lmap = make_map(space, space, np.diag([1.0, 2.0]), invertible=True)
-    bx = compute_pod(golden_instance, space)
-    by = compute_pod(induced_snapshots(lmap, golden_instance), space)
-    report = rank_relation_check(bx, by, lmap)
-    assert report["rank_source"] == 2
-    assert report["rank_image"] == 2
-    assert report["equality_expected"] and report["equality_holds"]
-    assert report["image_full_rank"]
-    assert report["passed"]
+    report, reference = _relation(golden_instance, lmap)
+    assert report == {
+        "rank_source": 2, "rank_image": 2, "invertible": True, "passed": True, "decided": True,
+    }
+    assert reference.rank == 2
 
 
 def test_rank_relation_rank_deficient(golden_instance):
     space = golden_instance.space
     lmap = make_map(space, space, np.array([[1.0, 0.0], [0.0, 0.0]]))
-    bx = compute_pod(golden_instance, space)
-    by = compute_pod(induced_snapshots(lmap, golden_instance), space)
-    report = rank_relation_check(bx, by, lmap)
-    assert report["rank_image"] == 1
-    assert not report["image_full_rank"]
-    assert report["inequality_holds"]
-    assert not report["equality_expected"]
-    assert report["passed"]
+    report, reference = _relation(golden_instance, lmap)
+    assert report["rank_image"] == reference.rank == 1
+    assert report["rank_source"] == 2
+    assert not report["invertible"]
+    assert report["passed"] and report["decided"]
 
 
 def test_rank_relation_zero_map(golden_instance):
+    # an all-zero image spectrum drops nothing above zero: rank 0, decided
     space = golden_instance.space
-    lmap = make_map(space, space, np.zeros((2, 2)))
-    by = compute_pod(induced_snapshots(lmap, golden_instance), space)
-    assert by.rank == 0
+    report, reference = _relation(golden_instance, make_map(space, space, np.zeros((2, 2))))
+    assert report["rank_image"] == reference.rank == 0
+    assert report["passed"] and report["decided"]
 
 
-def test_rank_relation_drop_tol_provenance(golden_instance):
-    space = golden_instance.space
-    lmap = identity_map(space)
-    bx = compute_pod(golden_instance, space, drop_tol=1e-12)
-    by = compute_pod(induced_snapshots(lmap, golden_instance), space, drop_tol=1e-10)
-    with pytest.raises(ProvenanceMismatch):
-        rank_relation_check(bx, by, lmap)
+def test_rank_relation_drop_tol_provenance():
+    # both ranks are counted at the basis's drop tolerance: eigenvalues 1 and
+    # 1e-11 give rank 2 at 1e-12 and rank 1 at 1e-10, on both sides
+    space = identity_space(2)
+    sset = make_snapshot_set(np.diag([1.0, 10**-5.5]), np.ones(2), space=space)
+    for drop_tol, rank in ((1e-12, 2), (1e-10, 1)):
+        report, reference = _relation(sset, identity_map(space), drop_tol)
+        assert report["rank_source"] == report["rank_image"] == reference.rank == rank
+        assert report["passed"] and report["decided"]
 
 
 def test_rank_equality_on_random_invertible_instances():
@@ -180,11 +180,9 @@ def test_rank_equality_on_random_invertible_instances():
             rng.standard_normal((n, s)), rng.uniform(0.5, 2.0, s), space=dom
         )
         M = rng.standard_normal((n, n)) + n * np.eye(n)
-        lmap = make_map(dom, codom, M, invertible=True)
-        bx = compute_pod(sset, dom)
-        by = compute_pod(induced_snapshots(lmap, sset), codom)
-        report = rank_relation_check(bx, by, lmap)
-        assert report["equality_holds"], f"seed {seed}"
+        report, reference = _relation(sset, make_map(dom, codom, M, invertible=True))
+        assert report["rank_image"] == reference.rank == report["rank_source"], f"seed {seed}"
+        assert report["passed"], f"seed {seed}"
 
 
 def _golden_map(sset, which):
@@ -205,17 +203,15 @@ def test_image_spectrum_matches_the_induced_set_pod(golden_instance, fhn_instanc
     else:
         inst = fhn_instance if instance == "flagship" else make_embedding_instance(1000, 1, seed=1)
         sset, lmap = inst["set"], inst["map"]
-    source = compute_pod(sset)
-    image = image_spectrum(lmap, sset, source.drop_tol)
-    reference = compute_pod(induced_snapshots(lmap, sset), lmap.codomain, source.drop_tol)
-    assert image.eigenvalues.shape == reference.eigenvalues.shape
+    lam = image_spectrum(lmap, sset)
+    relation, reference = _relation(sset, lmap)
+    assert lam.shape == reference.eigenvalues.shape
     scale = max(reference.eigenvalues[0], np.finfo(float).tiny)
-    assert np.max(np.abs(image.eigenvalues - reference.eigenvalues)) <= 1e-14 * scale
-    assert image.rank == reference.rank
-    assert image.drop_tol == source.drop_tol and image.space is lmap.codomain
-    assert spectrum_gapped(image) == spectrum_gapped(reference)
-    relation = rank_relation_check(source, image, lmap)
-    assert relation == rank_relation_check(source, reference, lmap)
+    assert np.max(np.abs(lam - reference.eigenvalues)) <= 1e-14 * scale
+    assert relation["rank_image"] == reference.rank
+    source = compute_pod(sset)
+    gapped = _gapped(source.eigenvalues, source.rank)
+    assert relation["decided"] == (gapped and _gapped(reference.eigenvalues, reference.rank))
     if instance == "flagship":
         assert (relation["rank_source"], relation["rank_image"]) == (22, 30)
 

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 from scipy.linalg import svd
 
+from podkit.error_lab import certifier, rank_relation
 from podkit.errors import IndexOutOfRange, MalformedManifest, MissingDataFile, RankExceeded
 from podkit.fem import assemble_fem_1d
 from podkit.gram_space import half_weight, half_weight_inv, identity_space, inner, make_space
-from podkit.pod_engine import compute_pod, load_basis, project_X, save_basis, spectrum_gapped
+from podkit.linear_map import identity_map
+from podkit.pod_engine import compute_pod, load_basis, project_X, save_basis
 from podkit.snapshot_io import make_snapshot_set
 
 from conftest import GOLDEN_LAMBDA_1, GOLDEN_LAMBDA_2
@@ -179,11 +181,16 @@ def test_load_basis_errors(tmp_path):
         load_basis(str(bad))
 
 
+def _decided(sset, basis):
+    # under the identity map the image spectrum is the set's own spectrum
+    return rank_relation(certifier(sset, basis, identity_map(basis.space)))["decided"]
+
+
 def test_spectrum_gapped():
     # clean gap: rank-1 data plus nothing
     sset = make_snapshot_set(np.column_stack([[1.0, 0.0], [2.0, 0.0]]), [1.0, 1.0])
     space = identity_space(2)
-    assert spectrum_gapped(compute_pod(sset, space))
+    assert _decided(sset, compute_pod(sset, space))
     # smooth decay through the cut: eigenvalues straddle the threshold
     rng = np.random.default_rng(9)
     U = np.linalg.qr(rng.standard_normal((12, 12)))[0]
@@ -192,7 +199,7 @@ def test_spectrum_gapped():
     sset = make_snapshot_set(data, np.ones(12))
     basis = compute_pod(sset, identity_space(12))
     assert 0 < basis.rank < 12
-    assert not spectrum_gapped(basis)
+    assert not _decided(sset, basis)
 
 
 def test_compute_pod_memory_stays_linear_in_snapshot_count():
