@@ -6,20 +6,21 @@ does); any other flag, abbreviation or bad choice is a UsageError, exit 2:
 generate-fhn        --output --nodes
 generate-synthetic  --output --nodes --seed
 pod                 --input --output --r --tol
-verify              --input --output --r --projector --map --tol --seed
-sweep               --input --output --r --projector --map --tol
+verify              --input --output --r --projector --map --seed
+sweep               --input --output --r --projector --map
 table               --input
 
-A report (verify and sweep --output, table --input) is JSON when its name
-ends in .json and CSV when it ends in .csv; any other name is an input error.
+A report (sweep --output, table --input) is JSON when its name ends in .json
+and CSV when it ends in .csv; any other name is an input error, as is a CSV
+verify report, which cannot carry the rank relation its verdict reads.
 
 Exit codes: 0 when everything passed, 2 for bad inputs, 3 for numerical
 failures, 4 when checks ran but error_lab.verdict failed them (a row, or a
 decided rank relation).  Failures print a one-line JSON object
 {"error": class, "message": text} on standard error.
 
---tol is the eigenvalue drop threshold for pod and the identity tolerance
-for verify and sweep; without it each takes its built-in default.
+--tol is pod's eigenvalue drop threshold; verify and sweep take none, so every
+identity row passes within error_lab.IDENTITY_RTOL or its floor.
 
 --map takes a map spec, inline JSON or a path to a JSON file; the grammar is
 documented once, in podkit.linear_map.build_map_from_spec.  --projector ritz
@@ -107,7 +108,7 @@ def _requested_r_values(text, rank):
 
 # -- battery -----------------------------------------------------------------
 
-def run_battery(cert, r_values, tol, seed):
+def run_battery(cert, r_values, seed):
     """Identity and bound checks for verify; returns (reports, extra).
 
     Per level: the data-error identity, the worst-snapshot exact residual
@@ -117,14 +118,14 @@ def run_battery(cert, r_values, tol, seed):
     rank relation is reported once in extra.
     """
     rng = np.random.default_rng(0 if seed is None else seed)
-    extra = {"r_values": list(r_values), "tol": tol, "family": cert.family}
+    extra = {"r_values": list(r_values), "tol": IDENTITY_RTOL, "family": cert.family}
     if cert.lmap is None:
-        return [rep for r in r_values for rep in battery_level(cert, r, tol)], extra
+        return [rep for r in r_values for rep in battery_level(cert, r)], extra
 
     reports = []
     for r in r_values:
         coeffs = rng.standard_normal((POINTWISE_PER_LEVEL, cert.sset.count)).T
-        reports.extend(battery_level(cert, r, tol, coeffs))
+        reports.extend(battery_level(cert, r, coeffs))
     extra["rank_relation"] = rank_relation(cert)
     return reports, extra
 
@@ -221,11 +222,11 @@ def cmd_pod(args):
 
 def _certify_inputs(args):
     """verify's and sweep's certifier (bundle, POD, map, projector family
-    and form), levels and tolerance; a bad report name fails before any work."""
+    and form) and levels; a bad report name fails before any work."""
     if args.output is not None:
-        report_format(args.output)
+        if report_format(args.output) == "csv" and args.command == "verify":
+            raise MalformedManifest(f"{args.output}: a verify report is JSON, not CSV")
     sset = load(_require(args, "input"))
-    tol = IDENTITY_RTOL if args.tol is None else args.tol
     basis = compute_pod(sset)
     lmap = form = None
     if args.map is not None:
@@ -235,12 +236,12 @@ def _certify_inputs(args):
     elif args.projector != "orthogonal":
         raise ProvenanceMismatch(f"--projector {args.projector} needs --map")
     r_values = _requested_r_values(args.r, basis.rank)
-    return certifier(sset, basis, lmap, args.projector, form), r_values, tol
+    return certifier(sset, basis, lmap, args.projector, form), r_values
 
 
 def cmd_verify(args):
-    cert, r_values, tol = _certify_inputs(args)
-    reports, extra = run_battery(cert, r_values, tol, args.seed)
+    cert, r_values = _certify_inputs(args)
+    reports, extra = run_battery(cert, r_values, args.seed)
     if args.output is not None:
         write_report(reports, args.output, extra)
         print(f"wrote {args.output}")
@@ -271,9 +272,9 @@ def cmd_sweep(args):
         raise MalformedManifest("sweep needs --map")
     if args.r is None:
         raise IndexOutOfRange("sweep needs --r")
-    cert, r_values, tol = _certify_inputs(args)
-    reports = run_sweep(cert, r_values, tol)
-    write_report(reports, out, {"family": cert.family, "tol": tol})
+    cert, r_values = _certify_inputs(args)
+    reports = run_sweep(cert, r_values)
+    write_report(reports, out, {"family": cert.family, "tol": IDENTITY_RTOL})
     print(f"wrote {out}")
     print(_render_rows(report_rows(reports)))
     return _conclude(rep.passed for rep in reports)
@@ -287,14 +288,21 @@ def cmd_table(args):
 
 # -- parser ------------------------------------------------------------------
 
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"a seed is a non-negative integer, got {seed}")
+    return seed
+
+
 _FLAGS = {
     "input": dict(help="snapshot manifest or report to read"),
     "output": dict(help="file to write"),
     "r": dict(help="truncation level (comma list for verify and sweep)"),
     "projector": dict(choices=PROJECTOR_FAMILIES, default="orthogonal", help="projector family"),
     "map": dict(help="map spec: inline JSON or a JSON file path"),
-    "tol": dict(type=float, help="tolerance override"),
-    "seed": dict(type=int, help="random seed"),
+    "tol": dict(type=float, help="eigenvalue drop tolerance"),
+    "seed": dict(type=_seed, help="random seed, a non-negative integer"),
     "nodes": dict(type=int, help="finite element node count"),
 }
 
@@ -305,9 +313,9 @@ _COMMANDS = (
      "write a smooth synthetic FEM snapshot bundle"),
     ("pod", cmd_pod, ("input", "output", "r", "tol"),
      "decompose a snapshot bundle into a basis bundle"),
-    ("verify", cmd_verify, ("input", "output", "r", "projector", "map", "tol", "seed"),
+    ("verify", cmd_verify, ("input", "output", "r", "projector", "map", "seed"),
      "run the identity and bound battery"),
-    ("sweep", cmd_sweep, ("input", "output", "r", "projector", "map", "tol"),
+    ("sweep", cmd_sweep, ("input", "output", "r", "projector", "map"),
      "tabulate the data-error identities over truncation levels"),
     ("table", cmd_table, ("input",), "render a saved report as an aligned table"),
 )

@@ -27,7 +27,7 @@ projector from another map or basis cannot reach a row.  rank_relation
 compares the POD ranks of the data and of their image under the map, and
 verdict decides a report: every row passed, and a decided relation holds.
 
-Floors: an identity passes within its relative tol or when both sides are
+Floors: an identity passes within IDENTITY_RTOL or when both sides are
 below its floor, a bound when lhs <= rhs + floor.  The floor is
 EXACT_FLOOR_UNITS * u * scale, u the unit roundoff (Higham, Accuracy and
 Stability of Numerical Algorithms, ch. 3 and 19).  The scale is the energy of
@@ -59,7 +59,6 @@ IDENTITY_RTOL = 1e-8
 EXACT_RTOL = 1e-9
 EXACT_FLOOR_UNITS = 32.0  # every floor, in units of u times the row's scale
 UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
-SPECTRUM_GAP = 1e3
 # the codomain projector families, by their --projector names
 PROJECTOR_FAMILIES = ("orthogonal", "ritz", "composite-xy")
 
@@ -232,18 +231,17 @@ def _residuals(cert, r):
     return out
 
 
-def _identity(sset, t, r, tol, sq=None, hs=False):
+def _identity(sset, t, r, sq=None, hs=False):
     """Data identity of T, or with hs its operator form on K = W diag(g)."""
-    tol = IDENTITY_RTOL if tol is None else tol
     if hs:  # e_j / sqrt(g_j) is an orthonormal basis of the coefficient space
         lhs = (1.0 / sset.weights) @ t.sq_norms(sset.data, sset.weights)
     else:
         lhs = sset.weights @ (t.sq_norms(sset.data) if sq is None else sq)
     label = "hs_" + t.label if hs else t.label
-    return _report("identity", label, r, lhs, t.formula, tol, t.floor())
+    return _report("identity", label, r, lhs, t.formula, IDENTITY_RTOL, t.floor())
 
 
-def battery_level(cert, r, tol=None, coeffs=None):
+def battery_level(cert, r, coeffs=None):
     """Every row of truncation level r of the certifier's bundle, in report
     order: the data identities (range_exact and snap_sigma_bound after
     pod_x), the operator-level identities, the per-snapshot bounds, and the
@@ -255,9 +253,9 @@ def battery_level(cert, r, tol=None, coeffs=None):
         raise DimensionMismatch(f"coefficients of shape {np.shape(coeffs)}, not ({sset.count}, k)")
     res = _residuals(cert, r)
     sq = {label: t.sq_norms(sset.data) for label, t in res.items()}
-    rows = [_identity(sset, t, r, tol, sq[label]) for label, t in res.items()]
+    rows = [_identity(sset, t, r, sq[label]) for label, t in res.items()]
     rows[1:1] = _range_rows(sset, basis, r, sq["pod_x"])
-    rows += [_identity(sset, t, r, tol, hs=True) for t in list(res.values())[1:]]
+    rows += [_identity(sset, t, r, hs=True) for t in list(res.values())[1:]]
     rows += _snapshot_rows(sset, basis, r, res, sq, cert.r0)
     if coeffs is not None:
         rows += _pointwise_rows(sset, basis, r, cert.lmap, res, coeffs)
@@ -266,29 +264,22 @@ def battery_level(cert, r, tol=None, coeffs=None):
 
 # -- the rank relation and the verdict ---------------------------------------
 
-def _gapped(lam, rank):
-    """Whether rank, counted on the spectrum lam, is a trustworthy proxy for
-    the exact rank: the cut drops nothing above zero, or lam falls by at
-    least SPECTRUM_GAP across it.  Otherwise the count measures noise."""
-    if rank >= lam.size or lam[rank] <= 0.0:
-        return True
-    return rank > 0 and float(lam[rank - 1]) / float(lam[rank]) >= SPECTRUM_GAP
-
-
 def rank_relation(cert):
     """The POD ranks of the certifier's data and of their image under its map,
     counted at the basis's drop tolerance.  passed: the image rank is at most
-    the source rank, and equal with a certified inverse.  decided: both
-    spectra are _gapped; otherwise the relation is informational."""
-    basis, lmap = cert.basis, cert.lmap
-    lam = image_spectrum(lmap, cert.sset)
+    the source rank p.  decided: by Eckart-Young-Mirsky (Golub & Van Loan 2.4)
+    the image eigenvalues past p sum to at most pod_x_mapped's formula side
+    at level p, sum_{k>p} lambda_k ||L phi_k||^2; with the codomain floor added
+    it is within the image's drop threshold, so none of them is counted."""
+    basis, p = cert.basis, cert.basis.rank
+    lam = image_spectrum(cert.lmap, cert.sset)
     rank = numerical_rank(lam, basis.drop_tol)
+    tail = float(basis.eigenvalues[p:] @ cert.mode_norms[p:]) + _floor(cert.energy_y)
     return {
-        "rank_source": basis.rank,
+        "rank_source": p,
         "rank_image": rank,
-        "invertible": lmap.invertible,
-        "passed": rank == basis.rank if lmap.invertible else rank <= basis.rank,
-        "decided": _gapped(basis.eigenvalues, basis.rank) and _gapped(lam, rank),
+        "passed": rank <= p,
+        "decided": bool(tail <= basis.drop_tol * lam[0]),
     }
 
 
@@ -415,12 +406,12 @@ def _pointwise_rows(sset, basis, r, lmap, res, coeffs):
 
 # -- sweeps and serialization ------------------------------------------------
 
-def sweep(cert, r_list, tol=None):
+def sweep(cert, r_list):
     """The data identities (pod_x and, with a map, pod_x_mapped, proj_y and,
     when it is invertible, pullback_x) at each truncation level, in that
     order."""
     return [
-        _identity(cert.sset, t, r, tol) for r in r_list for t in _residuals(cert, r).values()
+        _identity(cert.sset, t, r) for r in r_list for t in _residuals(cert, r).values()
     ]
 
 

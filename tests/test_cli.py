@@ -70,16 +70,20 @@ def test_verify_passes_on_synthetic(synth_bundle, tmp_path, capsys):
 
 
 def test_verify_exit_codes_and_tol_env(synth_bundle, tmp_path, capsys, monkeypatch):
+    import podkit.error_lab
+
     manifest, map_path = synth_bundle
     report = str(tmp_path / "report.json")
     # an absurd identity tolerance forces failures
-    code, out, _ = run(
-        capsys, "verify", "--input", manifest, "--map", map_path,
-        "--output", report, "--r", "2", "--tol", "1e-18",
-    )
+    with monkeypatch.context() as patch:
+        patch.setattr(podkit.error_lab, "IDENTITY_RTOL", 1e-18)
+        code, out, _ = run(
+            capsys, "verify", "--input", manifest, "--map", map_path,
+            "--output", report, "--r", "2",
+        )
     assert code == 4
     assert "FAIL" in out
-    # --tol is the one spelling: the environment sets no tolerance
+    # the environment sets no tolerance either
     for value in ("1e-18", "not-a-number"):
         monkeypatch.setenv("PODKIT_TOL", value)
         code2, _, err = run(
@@ -209,12 +213,15 @@ def test_sweep_and_table(synth_bundle, tmp_path, capsys):
     assert code3 == 2
 
 
-def test_table_exit_reflects_failures(synth_bundle, tmp_path, capsys):
+def test_table_exit_reflects_failures(synth_bundle, tmp_path, capsys, monkeypatch):
+    import podkit.error_lab
+
     manifest, map_path = synth_bundle
     report = str(tmp_path / "bad.json")
+    monkeypatch.setattr(podkit.error_lab, "IDENTITY_RTOL", 1e-18)
     code, _, _ = run(
         capsys, "verify", "--input", manifest, "--map", map_path,
-        "--output", report, "--r", "2", "--tol", "1e-18",
+        "--output", report, "--r", "2",
     )
     assert code == 4
     code2, out, _ = run(capsys, "table", "--input", report)
@@ -222,20 +229,34 @@ def test_table_exit_reflects_failures(synth_bundle, tmp_path, capsys):
     assert "FAIL" in out
 
 
-def test_a_decided_rank_relation_failure_fails_verify_its_report_and_table(
-    tmp_path, capsys
-):
-    # rows (1..6) and 1e-9 (6..1): rank 1 at the default drop tolerance;
-    # diag(1, 1e8) lifts the second row to 0.1 (6..1), an image of rank 2.
-    # Both spectra are gapped, so the relation is decided, and it fails
-    # (an invertible map keeps the rank): verify, its JSON report and table
-    # all say so
+def _diag_bundle(tmp_path):
+    """Rows (1..6) and 1e-9 (6..1): rank 1 at the default drop tolerance."""
     row = np.arange(1.0, 7.0)
     manifest = str(tmp_path / "b.json")
     save(make_snapshot_set(np.vstack([row, 1e-9 * row[::-1]]), np.ones(6)), manifest)
+    return manifest
+
+
+def test_a_decided_rank_relation_failure_fails_verify_its_report_and_table(
+    tmp_path, capsys, monkeypatch
+):
+    # the identity map keeps the image spectrum (1, 1e-18 relative) and the
+    # mapped source tail, so the relation is decided; an image spectrum with
+    # a second eigenvalue above the cut then fails it: verify, its JSON
+    # report and table all say so
+    import podkit.error_lab
+
+    image_spectrum = podkit.error_lab.image_spectrum
+
+    def lifted(lmap, sset):
+        lam = image_spectrum(lmap, sset)
+        return np.sort(np.append(lam, 1e-3 * lam[0]))[::-1]
+
+    monkeypatch.setattr(podkit.error_lab, "image_spectrum", lifted)
+    manifest = _diag_bundle(tmp_path)
     report = str(tmp_path / "v.json")
     code, out, err = run(
-        capsys, "verify", "--input", manifest, "--map", '{"diag": [1.0, 1e8]}',
+        capsys, "verify", "--input", manifest, "--map", '{"identity": 2}',
         "--r", "1", "--output", report,
     )
     assert code == 4, err
@@ -244,11 +265,32 @@ def test_a_decided_rank_relation_failure_fails_verify_its_report_and_table(
     payload = json.load(open(report))
     assert payload["all_passed"] is False
     assert payload["rank_relation"] == {
-        "rank_source": 1, "rank_image": 2, "invertible": True, "passed": False, "decided": True,
+        "rank_source": 1, "rank_image": 2, "passed": False, "decided": True,
     }
     code, out, _ = run(capsys, "table", "--input", report)
     assert code == 4
     assert out.endswith("CHECKS FAILED\n")
+
+
+def test_an_invertible_map_that_lifts_the_cut_leaves_the_relation_undecided(
+    tmp_path, capsys
+):
+    # diag(1, 1e8) lifts the second row to 0.1 (6..1), an image of rank 2
+    # from data cut to rank 1: the data are correct, and the mapped source
+    # tail (0.565) far exceeds the image's drop threshold, so the relation
+    # is not decided and verify passes
+    manifest = _diag_bundle(tmp_path)
+    report = str(tmp_path / "v.json")
+    code, out, err = run(
+        capsys, "verify", "--input", manifest, "--map", '{"diag": [1.0, 1e8]}',
+        "--r", "1", "--output", report,
+    )
+    assert code == 0, err
+    assert "rank relation: source 1, image 2, not decided" in out
+    assert json.load(open(report))["rank_relation"] == {
+        "rank_source": 1, "rank_image": 2, "passed": False, "decided": False,
+    }
+    assert run(capsys, "table", "--input", report)[0] == 0
 
 
 @pytest.mark.parametrize("damage", [
@@ -457,7 +499,7 @@ def test_battery_row_sequence_for_one_level():
         ("none", full, None), ("flat", flat, flat["map"]), ("full", full, full["map"])
     ):
         basis = compute_pod(inst["set"], inst["space_x"])
-        reports, _ = run_battery(certifier(inst["set"], basis, lmap), [3], None, 1)
+        reports, _ = run_battery(certifier(inst["set"], basis, lmap), [3], 1)
         assert [rep.identity_id for rep in reports] == expected[name], name
         assert all(rep.r == 3 for rep in reports)
 
@@ -843,11 +885,11 @@ def test_parser_declares_only_the_flags_each_command_reads():
         "generate-fhn": ["nodes", "output"],
         "generate-synthetic": ["nodes", "output", "seed"],
         "pod": ["input", "output", "r", "tol"],
-        "verify": ["input", "map", "output", "projector", "r", "seed", "tol"],
-        "sweep": ["input", "map", "output", "projector", "r", "tol"],
+        "verify": ["input", "map", "output", "projector", "r", "seed"],
+        "sweep": ["input", "map", "output", "projector", "r"],
         "table": ["input"],
     }
-    assert sum(len(names) for names in flags.values()) == 23
+    assert sum(len(names) for names in flags.values()) == 21
 
 
 @pytest.mark.parametrize(
@@ -859,6 +901,8 @@ def test_parser_declares_only_the_flags_each_command_reads():
         ("verify", ["--nodes", "8"]),
         ("sweep", ["--seed", "1"]),
         ("table", ["--tol", "1"]),
+        ("verify", ["--tol", "1"]),
+        ("sweep", ["--tol", "1"]),
     ],
 )
 def test_flag_a_command_does_not_read_is_refused(synth8, tmp_path, capsys, command, extra):
@@ -915,6 +959,38 @@ def test_report_names_must_end_in_json_or_csv(synth8, tmp_path, capsys):
     code, _, err = run(capsys, "table", "--input", str(renamed))
     assert code == 2
     assert json.loads(err)["error"] == "MalformedManifest"
+
+
+def test_a_verify_report_is_json(synth8, tmp_path, capsys, monkeypatch):
+    # a CSV cannot carry the rank relation that decides verify's exit code,
+    # so verify --output x.csv is refused before the bundle is read
+    import podkit.cli
+
+    def never(*args):
+        raise AssertionError("the bundle was read")
+
+    monkeypatch.setattr(podkit.cli, "load", never)
+    report = tmp_path / "v.csv"
+    code, _, err = run(
+        capsys, "verify", "--input", synth8, "--map", synth8.replace(".json", "_map.json"),
+        "--r", "1", "--output", str(report),
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "MalformedManifest"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "generate-synthetic"])
+def test_a_negative_seed_is_a_usage_error(synth8, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "verify": ["--input", synth8, "--map", synth8.replace(".json", "_map.json"),
+                   "--r", "1", "--output", str(out / "r.json")],
+        "generate-synthetic": ["--output", str(out / "s.json"), "--nodes", "8"],
+    }[command]
+    assert _usage_exit(capsys, command, *argv, "--seed", "-1") == 2
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize(

@@ -401,7 +401,7 @@ def _scaled(sset, alpha):
 
 
 def _battery(sset, basis, lmap, levels):
-    reports, _ = run_battery(certifier(sset, basis, lmap), levels, None, 0)
+    reports, _ = run_battery(certifier(sset, basis, lmap), levels, 0)
     return reports
 
 
@@ -498,7 +498,7 @@ def test_battery_level_peak_is_column_blocks_not_data(s):
     coeffs = rng.standard_normal((s, 5))
     tracemalloc.start()
     try:
-        rows = battery_level(cert, n // 2, None, coeffs)
+        rows = battery_level(cert, n // 2, coeffs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -517,6 +517,6 @@ def test_one_certifier_for_all_levels_equals_a_fresh_certifier_per_level(fhn_ins
     assert cert.r0 == snapshot_guarantee_threshold(sset, basis)
     coeffs = np.random.default_rng(0).standard_normal((sset.count, 2))
     for r in range(1, 23):
-        once = battery_level(cert, r, None, coeffs)
-        alone = battery_level(certifier(sset, basis, lmap), r, None, coeffs)
+        once = battery_level(cert, r, coeffs)
+        alone = battery_level(certifier(sset, basis, lmap), r, coeffs)
         assert once == alone, r

@@ -181,17 +181,19 @@ def test_load_basis_errors(tmp_path):
         load_basis(str(bad))
 
 
-def _decided(sset, basis):
-    # under the identity map the image spectrum is the set's own spectrum
-    return rank_relation(certifier(sset, basis, identity_map(basis.space)))["decided"]
+def _relation(sset, basis):
+    # under the identity map the image spectrum is the set's own spectrum and
+    # every mapped mode norm is 1: the bound is the source's own tail
+    return rank_relation(certifier(sset, basis, identity_map(basis.space)))
 
 
 def test_spectrum_gapped():
     # clean gap: rank-1 data plus nothing
     sset = make_snapshot_set(np.column_stack([[1.0, 0.0], [2.0, 0.0]]), [1.0, 1.0])
     space = identity_space(2)
-    assert _decided(sset, compute_pod(sset, space))
-    # smooth decay through the cut: eigenvalues straddle the threshold
+    assert _relation(sset, compute_pod(sset, space))["decided"]
+    # smooth decay through the cut: the eigenvalues past the rank sum to
+    # 1.9e-13 of the largest, within the 1e-12 drop threshold
     rng = np.random.default_rng(9)
     U = np.linalg.qr(rng.standard_normal((12, 12)))[0]
     sig = 10.0 ** -np.linspace(0.0, 14.0, 12)
@@ -199,7 +201,15 @@ def test_spectrum_gapped():
     sset = make_snapshot_set(data, np.ones(12))
     basis = compute_pod(sset, identity_space(12))
     assert 0 < basis.rank < 12
-    assert not _decided(sset, basis)
+    relation = _relation(sset, basis)
+    assert relation["decided"] and relation["passed"]
+    # a hundred eigenvalues just below the cut sum to 50 times the threshold:
+    # the bound cannot place the image's tail below it, so nothing is decided
+    sset = make_snapshot_set(np.diag(np.sqrt(np.r_[1.0, np.full(100, 0.5e-12)])), np.ones(101))
+    basis = compute_pod(sset, identity_space(101))
+    assert basis.rank == 1
+    relation = _relation(sset, basis)
+    assert relation["passed"] and not relation["decided"]
 
 
 def test_compute_pod_memory_stays_linear_in_snapshot_count():

@@ -52,7 +52,8 @@ def cli_runs(tmp):
         ["generate-fhn", "--nodes", "4", "--output", fhn],
         ["generate-synthetic", "--nodes", str(n), "--output", synth],
         ["pod", "--input", synth, "--output", str(tmp / "b.json"), "--r", "3"],
-        ["verify", "--input", synth, "--r", "1,2", "--output", str(tmp / "plain.json")],
+        ["verify", "--input", synth, "--r", "1,2", "--seed", "1",
+         "--output", str(tmp / "plain.json")],
         ["verify", "--input", fhn, "--map", fhn.replace(".json", "_map.json"), "--r", "1"],
     ]
     for kind, spec in maps.items():
