@@ -16,7 +16,6 @@ from .errors import (
     InputError,
     MalformedManifest,
     MissingDataFile,
-    NegativeQuadraticForm,
     NonMonotoneGrid,
     NotInvertible,
     NotPositiveDefinite,
@@ -38,9 +37,7 @@ from .gram_space import (
     half_weight,
     half_weight_inv,
     identity_space,
-    inner,
     make_space,
-    norm,
     orthonormalize,
     solve_gram,
 )
@@ -60,7 +57,6 @@ from .pod_engine import (
     PodBasis,
     compute_pod,
     image_spectrum,
-    load_basis,
     project_X,
     save_basis,
 )
@@ -102,7 +98,6 @@ __all__ = [
     "InputError",
     "MalformedManifest",
     "MissingDataFile",
-    "NegativeQuadraticForm",
     "NonMonotoneGrid",
     "NotInvertible",
     "NotPositiveDefinite",
@@ -122,9 +117,7 @@ __all__ = [
     "half_weight",
     "half_weight_inv",
     "identity_space",
-    "inner",
     "make_space",
-    "norm",
     "orthonormalize",
     "solve_gram",
     "FemMesh",
@@ -141,7 +134,6 @@ __all__ = [
     "PodBasis",
     "compute_pod",
     "image_spectrum",
-    "load_basis",
     "project_X",
     "save_basis",
     "LinearMap",

@@ -256,7 +256,10 @@ def cmd_verify(args):
         if rr["decided"]:
             status = "ok" if rr["passed"] else "FAIL"
         else:
-            status = "not decided at this drop tolerance (informational)"
+            status = (
+                f"not decided: tail bound {rr['tail']:.2e} above drop threshold "
+                f"{rr['threshold']:.2e} (informational)"
+            )
         print(
             f"rank relation: source {rr['rank_source']}, "
             f"image {rr['rank_image']}, {status}"

@@ -270,16 +270,21 @@ def rank_relation(cert):
     the source rank p.  decided: by Eckart-Young-Mirsky (Golub & Van Loan 2.4)
     the image eigenvalues past p sum to at most pod_x_mapped's formula side
     at level p, sum_{k>p} lambda_k ||L phi_k||^2; with the codomain floor added
-    it is within the image's drop threshold, so none of them is counted."""
+    it is within the image's drop threshold, so none of them is counted.
+    tail (the bound plus the floor) and threshold (drop_tol lambda_1 of the
+    image) record how far the decision was from going the other way."""
     basis, p = cert.basis, cert.basis.rank
     lam = image_spectrum(cert.lmap, cert.sset)
     rank = numerical_rank(lam, basis.drop_tol)
-    tail = float(basis.eigenvalues[p:] @ cert.mode_norms[p:]) + _floor(cert.energy_y)
+    tail = float(basis.eigenvalues[p:] @ cert.mode_norms[p:] + _floor(cert.energy_y))
+    threshold = float(basis.drop_tol * lam[0])
     return {
         "rank_source": p,
         "rank_image": rank,
         "passed": rank <= p,
-        "decided": bool(tail <= basis.drop_tol * lam[0]),
+        "decided": tail <= threshold,
+        "tail": tail,
+        "threshold": threshold,
     }
 
 

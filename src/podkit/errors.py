@@ -78,10 +78,6 @@ class NotPositiveDefinite(NumericalError):
     """Cholesky factorization of a Gram matrix failed."""
 
 
-class NegativeQuadraticForm(NumericalError):
-    """A quadratic form went negative beyond round-off tolerance."""
-
-
 class RankDeficient(NumericalError):
     """Orthonormalization hit a column numerically inside the earlier span."""
 

@@ -56,6 +56,13 @@ EMBEDDING_SNAPSHOTS = 40
 # gram_space.DENSE_BYTES_BUDGET before the solve; the default 2,000 steps
 # are refused above 8,384 nodes.
 TRAJECTORY_ARRAYS = 2
+# Peak of generating and packaging the synthetic set (embedding_set, then
+# save), in nodes x (EMBEDDING_SNAPSHOTS + 1) doubles: 2.62 and 2.16
+# (tracemalloc; 1,000 and 30,000 nodes), the trajectory samples, the
+# midpoint snapshots and one temporary of their size.  Checked against
+# gram_space.DENSE_BYTES_BUDGET before the Gram is assembled; refused above
+# 545,600 nodes.
+SYNTHETIC_ARRAYS = 3
 
 
 @dataclass
@@ -224,7 +231,7 @@ def make_fhn_instance(config=None):
 def synthetic_states(nodes, count, seed=0):
     """Smooth deterministic trajectory samples on the unit-interval mesh:
     SYNTHETIC_FIELDS cosine fields with amplitudes decaying by SYNTHETIC_DECAY."""
-    grid = np.linspace(0.0, 1.0, nodes)  # the nodes of assemble_fem_1d(nodes)
+    grid = np.linspace(0.0, 1.0, nodes)  # the nodes of the assemble_fem_1d mesh
     rng = np.random.default_rng(seed)
     tgrid = np.linspace(0.0, 1.0, count + 1)
     phases = rng.uniform(0.0, 2.0 * np.pi, SYNTHETIC_FIELDS)
@@ -244,6 +251,7 @@ def synthetic_states(nodes, count, seed=0):
 def embedding_set(nodes, seed=None):
     """generate-synthetic's (snapshot set, gram spec, map spec): synthetic_states
     on the L^2 (FEM mass) space, embedded in H^1; the seed defaults to 101."""
+    check_dense_budget(SYNTHETIC_ARRAYS, (nodes, EMBEDDING_SNAPSHOTS + 1), "the synthetic set")
     gram_spec = {"fem_mass": nodes}
     space = resolve_gram_spec(gram_spec, nodes)
     tgrid, states = synthetic_states(nodes, EMBEDDING_SNAPSHOTS, 101 if seed is None else seed)

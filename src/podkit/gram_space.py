@@ -7,7 +7,7 @@ G's lower bandwidth, its outermost nonzero subdiagonal: 0 for identity and
 diagonal Grams, 1 for the FEM Grams, n - 1 for a dense CSV Gram, all through
 the same code.  Each kernel is one library call whatever kd and the column
 count: sparse products with G and L^T, dtbtrs and dpbtrs solves.  A dense
-step (a CSV Gram or "matrix" map, the generated trajectory, the Ritz
+step (a CSV Gram or "matrix" map, a generated snapshot set, the Ritz
 ellipticity on a wide band) first checks its bytes against
 DENSE_BYTES_BUDGET.
 """
@@ -23,7 +23,6 @@ from scipy.linalg.lapack import dtbtrs
 
 from .errors import (
     DimensionMismatch,
-    NegativeQuadraticForm,
     NotPositiveDefinite,
     NotSymmetric,
     ProblemTooLarge,
@@ -31,12 +30,12 @@ from .errors import (
 )
 
 SYMMETRY_RTOL = 1e-13
-NORM_CLAMP = 1e-14
 ORTH_DROP_TOL = 1e-12
 # Bytes one dense step may allocate, 512 MiB: beyond it a CSV Gram
 # (snapshot_io.CSV_GRAM_ARRAYS n^2 doubles), an m x n "matrix" map
 # (linear_map.MATRIX_CSV_ARRAYS m n), the generated trajectory
-# (fhn_gen.TRAJECTORY_ARRAYS 2n (steps + 1)) and the Ritz ellipticity's
+# (fhn_gen.TRAJECTORY_ARRAYS 2n (steps + 1)), the synthetic set
+# (fhn_gen.SYNTHETIC_ARRAYS n (snapshots + 1)) and the Ritz ellipticity's
 # dense eigensolve on a wide band (3 n^2) raise ProblemTooLarge (exit 2)
 # rather than run out of memory.
 DENSE_BYTES_BUDGET = 2**29
@@ -162,37 +161,6 @@ def _check_dim(space, u):
     return u
 
 
-def inner(space, u, v):
-    """Inner product (u, v) = v^T G u.
-
-    Both arguments may be single vectors or matrices of column vectors; with
-    matrices the result is the matrix of pairwise products, [i, j] entry
-    (u_j, v_i).
-    """
-    u = _check_dim(space, u)
-    v = _check_dim(space, v)
-    return v.T @ (space.gram @ u)
-
-
-def norm(space, u):
-    """Norm induced by the Gram matrix, with a round-off guard.
-
-    A quadratic form that comes out barely negative (at most 1e-14 times the
-    squared Euclidean norm of u) is clamped to zero; anything more negative
-    raises NegativeQuadraticForm.
-    """
-    u = _check_dim(space, u)
-    q = float(u @ (space.gram @ u))
-    if q < 0.0:
-        guard = NORM_CLAMP * float(u @ u)
-        if q >= -guard:
-            return 0.0
-        raise NegativeQuadraticForm(
-            f"quadratic form {q:.3e} below round-off guard {-guard:.3e}"
-        )
-    return float(np.sqrt(q))
-
-
 def solve_gram(space, rhs):
     """G^{-1} rhs through the cached banded Cholesky factor (dpbtrs)."""
     rhs = _check_dim(space, rhs)
@@ -202,7 +170,7 @@ def solve_gram(space, rhs):
 def half_weight(space, u):
     """L^T u, the change of variables that turns the G-norm Euclidean.
 
-    Satisfies ||half_weight(space, u)||_2 = norm(space, u); applied to the
+    Satisfies ||half_weight(space, u)||_2^2 = u^T G u; applied to the
     columns of a matrix it realizes Hilbert-Schmidt norms as plain Frobenius
     norms.
     """

@@ -40,7 +40,6 @@ from .errors import (
     DimensionMismatch,
     EigenFailure,
     IndexOutOfRange,
-    MalformedManifest,
     RankExceeded,
 )
 from .gram_space import (
@@ -48,10 +47,9 @@ from .gram_space import (
     column_blocks,
     half_weight,
     half_weight_inv,
-    identity_space,
     orthonormalize,
 )
-from .snapshot_io import _atomic_write, _read_json, read_matrix_csv, write_matrix_csv
+from .snapshot_io import _atomic_write, write_matrix_csv
 
 DEFAULT_DROP_TOL = 1e-12
 
@@ -228,42 +226,3 @@ def save_basis(basis, manifest_path):
     }
     _atomic_write(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return manifest_path
-
-
-def load_basis(manifest_path, space=None):
-    """Load a basis bundle written by save_basis.
-
-    The full-spectrum helper arrays are restored only up to the stored rank;
-    recompute from the data when a checker needs the complete tail.
-    """
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    manifest = _read_json(manifest_path)
-    for key in ("sigma", "rank", "modes", "right_vectors"):
-        if key not in manifest:
-            raise MalformedManifest(f"{manifest_path}: missing key {key!r}")
-    sigma = np.asarray(manifest["sigma"], dtype=float)
-    rank = int(manifest["rank"])
-    if sigma.shape != (rank,):
-        raise MalformedManifest(f"{rank} singular values expected, got {sigma.shape}")
-    modes = read_matrix_csv(os.path.join(base, manifest["modes"]))
-    right = read_matrix_csv(os.path.join(base, manifest["right_vectors"]))
-    if rank == 0:
-        modes = np.zeros((modes.shape[0], 0)) if modes.size else modes.reshape(modes.shape[0], 0)
-        right = np.zeros((right.shape[0], 0)) if right.size else right.reshape(right.shape[0], 0)
-    if modes.shape[1] != rank or right.shape[1] != rank:
-        raise MalformedManifest("basis arrays inconsistent with stored rank")
-    eigenvalues = np.asarray(manifest.get("eigenvalues", sigma**2), dtype=float)
-    if space is None:
-        space = identity_space(modes.shape[0])
-    return PodBasis(
-        sigma=sigma,
-        modes=modes,
-        right_vectors=right,
-        rank=rank,
-        drop_tol=float(manifest.get("drop_tol", DEFAULT_DROP_TOL)),
-        eigenvalues=eigenvalues,
-        modes_full=modes,
-        right_full=right,
-        space=space,
-        snapshots_ref=manifest.get("snapshots_ref", ""),
-    )

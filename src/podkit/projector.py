@@ -55,16 +55,12 @@ class Projector:
 
     P x = range_basis @ (dual_basis^T @ (gram @ x)); idempotency follows
     from dual_basis^T G range_basis = I, which every constructor arranges.
-    ellipticity is the Ritz form's (c, C) of form_ellipticity, None for the
-    other families.
+    The rank r is the column count of either basis.
     """
 
     space: GramSpace
-    r: int
     range_basis: np.ndarray = field(repr=False)
     dual_basis: np.ndarray = field(repr=False)
-    family: str
-    ellipticity: tuple | None = None
 
 
 def apply_projector(proj, x):
@@ -102,12 +98,12 @@ def _orthonormal_images(basis, lmap):
     return Q, leading
 
 
-def _levels(family, basis, lmap, level, ellipticity=None):
+def _levels(basis, lmap, level):
     """Level factory r -> codomain Projector; level(r) returns the range and
     dual bases of level r sliced from the family's one-time build."""
     def projector(r):
         _check_r(basis, r)
-        return Projector(lmap.codomain, r, *level(r), family, ellipticity)
+        return Projector(lmap.codomain, *level(r))
 
     return projector
 
@@ -120,7 +116,7 @@ def mapped_orthogonal_levels(basis, lmap):
     RankDeficientImage; no deflation is attempted.
     """
     _, leading = _orthonormal_images(basis, lmap)
-    return _levels("orthogonal", basis, lmap, lambda r: (leading(r),) * 2)
+    return _levels(basis, lmap, lambda r: (leading(r),) * 2)
 
 
 def _definite_sup(S, G):
@@ -207,7 +203,7 @@ def ritz_levels(basis, lmap, form):
             raise SingularRitzSystem(f"reciprocal condition {rcond:.3e}")
         return Q_r, lu_solve(lu_factor(B_r), GAQ[:, :r].T).T
 
-    return _levels("ritz", basis, lmap, level, (c_low, c_high))
+    return _levels(basis, lmap, level)
 
 
 def pushforward_levels(lmap, basis):
@@ -242,4 +238,4 @@ def pushforward_levels(lmap, basis):
             raise NotInvertible(f"inverse and adjoint routes disagree by {mismatch:.3e}")
         return V[:, :r], dual[:, :r]
 
-    return _levels("composite-xy", basis, lmap, level)
+    return _levels(basis, lmap, level)

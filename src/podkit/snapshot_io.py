@@ -45,10 +45,8 @@ from .gram_space import GramSpace, check_dense_budget, identity_space, make_spac
 CSV_FMT = "%.16e"
 # A dense dim x dim CSV Gram is budgeted at its measured peak, in dim^2
 # doubles (tracemalloc, 400 to 2,000 rows): 7.4 to read and factor it
-# (loadtxt array, CSR copy, symmetrization, band), 1.0 to write it from a
-# space (its dense copy; the text goes out a row at a time).  Reading and
-# writing both check this count against gram_space.DENSE_BYTES_BUDGET
-# (refused above 2,896 rows), so save never writes a Gram CSV load refuses.
+# (loadtxt array, CSR copy, symmetrization, band).  Reading checks this
+# count against gram_space.DENSE_BYTES_BUDGET (refused above 2,896 rows).
 CSV_GRAM_ARRAYS = 8
 
 
@@ -373,24 +371,14 @@ def resolve_gram_spec(spec, dim, base_dir="."):
     return make_space(gram_matrix(spec, dim, base_dir))
 
 
-def save(sset, manifest_path, gram_spec=None):
+def save(sset, manifest_path, gram_spec):
     """Write a snapshot set as manifest JSON plus data CSV and its .npy.
 
-    Parameters
-    ----------
-    sset : SnapshotSet
-    manifest_path : str
-        Where the JSON manifest goes; the data CSV lands next to it with the
-        suffix "_data.csv", and the same doubles, C-order float64, with the
-        suffix "_data.npy".
-    gram_spec : optional
-        Manifest gram entry to record.  Defaults to "identity" when the set
-        has no attached space; otherwise the attached space's Gram matrix is
-        written to a CSV next to the manifest and referenced by name, after
-        the same budget check as reading it (ProblemTooLarge, nothing written).
+    The data CSV lands next to the manifest with the suffix "_data.csv", and
+    the same doubles, C-order float64, with the suffix "_data.npy".
+    gram_spec is the manifest gram entry recorded for the set's space, in
+    one of the forms gram_matrix accepts; no Gram matrix is written.
     """
-    if gram_spec is None and sset.space is not None:
-        check_dense_budget(CSV_GRAM_ARRAYS, (sset.space_dim,) * 2, "the Gram CSV")
     manifest_path = os.path.abspath(manifest_path)
     base = os.path.dirname(manifest_path)
     stem = os.path.splitext(os.path.basename(manifest_path))[0]
@@ -398,15 +386,6 @@ def save(sset, manifest_path, gram_spec=None):
     data_path = os.path.join(base, data_name)
     write_matrix_csv(data_path, sset.data)
     data_npy = _write_data_npy(base, stem + "_data.npy", data_path, sset.data)
-
-    if gram_spec is None:
-        if sset.space is None:
-            gram_spec = "identity"
-        else:
-            gram_name = stem + "_gram.csv"
-            write_matrix_csv(os.path.join(base, gram_name), sset.space.gram.toarray())
-            gram_spec = gram_name
-
     manifest = {
         "dim": int(sset.space_dim),
         "count": int(sset.count),

@@ -1,10 +1,11 @@
 """Reference implementations that the tests compare the library against,
 the seeded random instances the property suites draw, and the operators
-that the certificate never forms but the tests reason with: the snapshot
-operator K and its adjoint, adjoint matrices, the mode and pulled-back
-projections, dense projector matrices and operator norms, the POD
-optimality oracle, the L^2 / H^1 identity-embedding instances and the
-flagship's set, spaces and map, built from the specs generate-fhn writes.
+that the certificate never forms but the tests reason with: inner products
+and norms, the snapshot operator K and its adjoint, adjoint matrices, the
+FEM convection form, the mode and pulled-back projections, dense projector
+matrices and operator norms, the POD optimality oracle, the L^2 / H^1
+identity-embedding instances and the flagship's set, spaces and map, built
+from the specs generate-fhn writes.
 
 They live here, not in podkit, so that a check never shares code with the
 route it checks, and so that podkit holds only what its command line runs
@@ -14,6 +15,7 @@ route it checks, and so that podkit holds only what its command line runs
 import json
 
 import numpy as np
+from scipy import sparse
 
 from podkit.errors import DimensionMismatch, NotInvertible, RankExceeded
 from podkit.fhn_gen import EMBEDDING_SNAPSHOTS, make_fhn_instance, synthetic_states
@@ -23,6 +25,19 @@ from podkit.linear_map import build_map_from_spec, identity_map, make_map
 from podkit.pod_engine import compute_pod
 from podkit.projector import Projector
 from podkit.snapshot_io import from_trajectory, make_snapshot_set, resolve_gram_spec
+
+
+# -- inner products ------------------------------------------------------------
+
+def inner(space, u, v):
+    """Inner product (u, v) = v^T G u; for matrices of column vectors, the
+    matrix of pairwise products, [i, j] entry (u_j, v_i)."""
+    return np.asarray(v, dtype=float).T @ (space.gram @ np.asarray(u, dtype=float))
+
+
+def norm(space, u):
+    """The norm sqrt(u^T G u) of one vector."""
+    return float(np.sqrt(inner(space, u, u)))
 
 
 # -- the snapshot operator and the POD optimality oracle ----------------------
@@ -144,7 +159,7 @@ def pod_projector(basis, r):
     if not 1 <= r <= basis.rank:
         raise RankExceeded(f"r = {r} outside [1, {basis.rank}]")
     Phi = basis.modes[:, :r].copy()
-    return Projector(basis.space, r, Phi, Phi, "pod_orthogonal")
+    return Projector(basis.space, Phi, Phi)
 
 
 def pullback_projector(lmap, inner_proj):
@@ -158,7 +173,7 @@ def pullback_projector(lmap, inner_proj):
     rng = lmap.inverse @ inner_proj.range_basis
     # L* D = G_x^{-1} L^T G_y D, without the n x n adjoint matrix
     dual = solve_gram(lmap.domain, lmap.matrix.T @ (lmap.codomain.gram @ inner_proj.dual_basis))
-    return Projector(lmap.domain, inner_proj.r, rng, dual, "pullback")
+    return Projector(lmap.domain, rng, dual)
 
 
 def dense_matrix(proj):
@@ -181,6 +196,17 @@ def op_norm(proj):
 
 
 # -- instances ----------------------------------------------------------------
+
+def convection(nodes):
+    """The first-derivative form (u', v) of the nodal hat functions on the
+    uniform mesh of [0, 1], tridiagonal: skew apart from the boundary terms,
+    so adding it to an elliptic form makes a nonsymmetric elliptic form."""
+    n = int(nodes)
+    off = np.full(n - 1, 0.5)
+    boundary = np.zeros(n)
+    boundary[[0, -1]] = -0.5, 0.5
+    return sparse.diags_array([-off, boundary, off], offsets=(-1, 0, 1), format="csr")
+
 
 def make_embedding_instance(nodes, which, seed=None):
     """Identity-embedding instance between the L^2 and H^1 inner products.

@@ -32,6 +32,7 @@ from podkit.projector import (
 
 from conftest import GOLDEN_LAMBDA_2, by_id
 from oracles import (
+    convection,
     dense_matrix,
     hs_norm_sq,
     induced_snapshots,
@@ -246,7 +247,7 @@ def test_criterion_6_projector_diagnostics():
             mesh = assemble_fem_1d(nodes)
             inst = make_embedding_instance(nodes, 3)
             basis = compute_pod(inst["set"], inst["space_x"])
-            conv_form = (mesh.stiffness + mesh.mass + 0.5 * mesh.convection).toarray()
+            conv_form = (mesh.stiffness + mesh.mass + 0.5 * convection(nodes)).toarray()
             for form in (inst["form"], conv_form):
                 c_low, c_high = form_ellipticity(inst["map"].codomain, form)
                 budget = c_high / c_low + 1e-8
@@ -323,7 +324,7 @@ def test_criterion_8_fem_embedding_examples():
             assert np.allclose(
                 dense_matrix(ritz_same), dense_matrix(orth), atol=1e-10
             )
-            conv_form = (mesh.stiffness + mesh.mass + 0.5 * mesh.convection).toarray()
+            conv_form = (mesh.stiffness + mesh.mass + 0.5 * convection(nodes)).toarray()
             ritz_conv = ritz_levels(basis, inst["map"], conv_form)(r)
             dist = np.linalg.norm(dense_matrix(ritz_conv) - dense_matrix(orth))
             assert dist > 1e-6

@@ -12,7 +12,7 @@ from podkit.cli import POINTWISE_PER_LEVEL, build_map_from_spec, main
 from podkit.error_lab import PROJECTOR_FAMILIES, battery_level, certifier, write_report
 from podkit.fem import assemble_fem_1d
 from podkit.fhn_gen import FhnConfig, embedding_set, make_fhn_instance
-from podkit.pod_engine import compute_pod, load_basis
+from podkit.pod_engine import compute_pod
 from podkit.snapshot_io import load, make_snapshot_set, save
 
 from oracles import make_embedding_instance
@@ -47,9 +47,12 @@ def test_pod_roundtrip_and_truncation(synth_bundle, tmp_path, capsys):
     code, out, _ = run(capsys, "pod", "--input", manifest, "--output", bundle, "--r", "4")
     assert code == 0
     assert "rank" in out
-    basis = load_basis(bundle)
-    assert basis.rank == 4
-    assert basis.modes.shape == (17, 4)
+    basis = json.load(open(bundle))
+    assert basis["rank"] == 4
+    assert len(basis["sigma"]) == 4 and len(basis["eigenvalues"]) == 17
+    modes = np.loadtxt(str(tmp_path / basis["modes"]), delimiter=",", ndmin=2)
+    right = np.loadtxt(str(tmp_path / basis["right_vectors"]), delimiter=",", ndmin=2)
+    assert modes.shape == (17, 4) and right.shape == (40, 4)
     # asking past the computable rank is an input error
     code2, _, err = run(capsys, "pod", "--input", manifest, "--output", bundle, "--r", "50")
     assert code2 == 2
@@ -97,7 +100,7 @@ def test_pod_drop_tolerance_is_the_flag_alone(tmp_path, capsys, monkeypatch):
     # eigenvalues 1 and 1e-9: rank 2 at the default drop tolerance and rank
     # 1 at --tol 1e-6, while PODKIT_TOL=1e-6 changes nothing
     manifest = str(tmp_path / "two.json")
-    save(make_snapshot_set(np.diag([1.0, 10**-4.5]), np.ones(2)), manifest)
+    save(make_snapshot_set(np.diag([1.0, 10**-4.5]), np.ones(2)), manifest, "identity")
     basis = str(tmp_path / "basis.json")
     monkeypatch.setenv("PODKIT_TOL", "1e-6")
     code, out, err = run(capsys, "pod", "--input", manifest, "--output", basis)
@@ -233,7 +236,7 @@ def _diag_bundle(tmp_path):
     """Rows (1..6) and 1e-9 (6..1): rank 1 at the default drop tolerance."""
     row = np.arange(1.0, 7.0)
     manifest = str(tmp_path / "b.json")
-    save(make_snapshot_set(np.vstack([row, 1e-9 * row[::-1]]), np.ones(6)), manifest)
+    save(make_snapshot_set(np.vstack([row, 1e-9 * row[::-1]]), np.ones(6)), manifest, "identity")
     return manifest
 
 
@@ -264,9 +267,11 @@ def test_a_decided_rank_relation_failure_fails_verify_its_report_and_table(
     assert "failed: 0" in out
     payload = json.load(open(report))
     assert payload["all_passed"] is False
-    assert payload["rank_relation"] == {
+    relation = payload["rank_relation"]
+    assert {key: relation[key] for key in ("rank_source", "rank_image", "passed", "decided")} == {
         "rank_source": 1, "rank_image": 2, "passed": False, "decided": True,
     }
+    assert relation["tail"] <= relation["threshold"]
     code, out, _ = run(capsys, "table", "--input", report)
     assert code == 4
     assert out.endswith("CHECKS FAILED\n")
@@ -286,9 +291,16 @@ def test_an_invertible_map_that_lifts_the_cut_leaves_the_relation_undecided(
         "--r", "1", "--output", report,
     )
     assert code == 0, err
-    assert "rank relation: source 1, image 2, not decided" in out
-    assert json.load(open(report))["rank_relation"] == {
+    # the line says how far from decided the relation was
+    assert (
+        "rank relation: source 1, image 2, not decided: tail bound 5.65e-01 above "
+        "drop threshold 9.13e-11 (informational)"
+    ) in out
+    relation = json.load(open(report))["rank_relation"]
+    assert relation == {
         "rank_source": 1, "rank_image": 2, "passed": False, "decided": False,
+        "tail": pytest.approx(0.5653846, rel=1e-6),
+        "threshold": pytest.approx(9.1346762e-11, rel=1e-6),
     }
     assert run(capsys, "table", "--input", report)[0] == 0
 
@@ -859,6 +871,29 @@ def test_generate_fhn_beyond_the_dense_budget_exits_2_before_the_solve(
     code, _, err = run(capsys, "generate-fhn", "--nodes", str(nodes), "--output", manifest)
     assert code == 2
     assert json.loads(err)["error"] == "ProblemTooLarge"
+    assert os.listdir(tmp_path) == []
+
+
+def test_generate_synthetic_beyond_the_dense_budget_exits_2_before_the_gram(
+    tmp_path, capsys, monkeypatch
+):
+    # the nodes x 41 trajectory is counted at SYNTHETIC_ARRAYS arrays: under
+    # a 1 MiB budget 5,000 nodes are refused before the Gram is assembled,
+    # and nothing is written
+    import podkit.fhn_gen
+    import podkit.gram_space
+
+    def never(*args):
+        raise AssertionError("the Gram was assembled")
+
+    monkeypatch.setattr(podkit.gram_space, "DENSE_BYTES_BUDGET", 2**20)
+    monkeypatch.setattr(podkit.fhn_gen, "resolve_gram_spec", never)
+    manifest = str(tmp_path / "s.json")
+    code, _, err = run(capsys, "generate-synthetic", "--nodes", "5000", "--output", manifest)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ProblemTooLarge"
+    assert "5000 x 41" in payload["message"]
     assert os.listdir(tmp_path) == []
 
 

@@ -24,16 +24,16 @@ from podkit.error_lab import (
     write_report_csv,
     write_report_json,
 )
-from podkit.errors import DimensionMismatch, IndexOutOfRange, MissingDataFile
+from podkit.errors import DimensionMismatch, IndexOutOfRange, MissingDataFile, PodkitError
 from podkit.fem import assemble_fem_1d
-from podkit.gram_space import COLUMN_BLOCK_BYTES, half_weight, identity_space, make_space, norm
+from podkit.gram_space import COLUMN_BLOCK_BYTES, half_weight, identity_space, make_space
 from podkit.linear_map import identity_map
 from podkit.pod_engine import compute_pod
 from podkit.projector import apply_projector
 from podkit.snapshot_io import make_snapshot_set
 
 from conftest import GOLDEN_LAMBDA_2, by_id
-from oracles import make_embedding_instance, pod_projector, random_instance
+from oracles import make_embedding_instance, norm, pod_projector, random_instance
 
 # squared rank-1 residuals of the golden snapshots (1, 0) and (1, 1)
 GOLDEN_RESIDUALS_SQ = ((5.0 - math.sqrt(5.0)) / 10.0, 1.0 - 2.0 / math.sqrt(5.0))
@@ -335,8 +335,9 @@ def test_codomain_projectors_families():
         ("ritz", None),
         ("composite-xy", None),
     ):
-        proj = certifier(sset, basis, lmap, family, form).projectors(3)
-        assert (proj.r, proj.family) == (3, family)
+        cert = certifier(sset, basis, lmap, family, form)
+        assert cert.family == family
+        assert cert.projectors(3).range_basis.shape[1] == 3
     assert np.array_equal(
         certifier(sset, basis, lmap, "ritz").projectors(3).dual_basis,
         certifier(sset, basis, lmap, "ritz", inst["form"]).projectors(3).dual_basis,
@@ -479,6 +480,35 @@ def test_blocked_residual_norms_match_unblocked(family):
                 A = half_weight(t.space, t.apply(columns))  # T of the whole data
                 diff = np.abs(t.sq_norms(sset.data, scale) - np.einsum("ij,ij->j", A, A))
                 assert np.max(diff * weight) <= 1e-15 * t.energy, (r, t.label)
+
+
+@pytest.mark.parametrize("instance, family", [
+    ("embedding-33", "orthogonal"), ("embedding-33", "ritz"), ("embedding-33", "composite-xy"),
+    ("flagship-6", "orthogonal"), ("flagship-6", "ritz"),
+])
+def test_the_formula_side_never_reads_the_data(fhn_small_instance, instance, family):
+    # the two routes are disjoint: with the data replaced by NaN after the
+    # certifier is built, every level's formula sides and tail mode norms
+    # are unchanged, while the actual side reads the NaN
+    inst = fhn_small_instance if instance == "flagship-6" else make_embedding_instance(33, 1)
+    sset = dataclasses.replace(inst["set"])  # the NaN goes to this copy alone
+    basis = compute_pod(sset)
+    cert = certifier(sset, basis, inst["map"], family)
+    before = {}
+    for r in range(1, basis.rank + 1):
+        try:
+            before[r] = _residuals(cert, r)
+        except PodkitError:  # a level past the first dependent mapped mode
+            pass
+    assert len(before) >= min(basis.rank, 8)
+    sset.data = np.full_like(sset.data, np.nan)
+    for r, res in before.items():
+        after = _residuals(cert, r)
+        assert list(after) == list(res)
+        for label, t in after.items():
+            assert t.formula == res[label].formula, (r, label)
+            assert np.array_equal(t.mode_sq, res[label].mode_sq), (r, label)
+        assert np.isnan(after["pod_x"].sq_norms(sset.data)).all()
 
 
 @pytest.mark.parametrize("s", [5_000, 20_000])

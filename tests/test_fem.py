@@ -1,11 +1,15 @@
 """Assembly oracle: every matrix entry is checked against elementwise
 two-point Gauss quadrature of the hat functions, which is exact for the
-polynomial degrees involved (products of P1 functions and their slopes)."""
+polynomial degrees involved (products of P1 functions and their slopes).
+The convection form the projector tests use, oracles.convection, is checked
+the same way."""
 
 import numpy as np
 import pytest
 
 from podkit.fem import assemble_fem_1d
+
+from oracles import convection
 
 # Gauss-Legendre nodes on [-1, 1], exact through degree 3.
 GAUSS_X = np.array([-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)])
@@ -30,6 +34,11 @@ def hat_slope(grid, i, x):
     return out
 
 
+def nodes_of(n):
+    """The node coordinates of assemble_fem_1d(n)."""
+    return np.linspace(0.0, 1.0, n)
+
+
 def integrate(grid, f):
     total = 0.0
     for a, b in zip(grid[:-1], grid[1:]):
@@ -40,44 +49,38 @@ def integrate(grid, f):
 
 @pytest.mark.parametrize("nodes", [2, 5, 11])
 def test_mass_matches_quadrature(nodes):
-    mesh = assemble_fem_1d(nodes)
+    mesh, grid = assemble_fem_1d(nodes), nodes_of(nodes)
     for i in range(nodes):
         for j in range(nodes):
-            ref = integrate(mesh.grid, lambda x: hat(mesh.grid, i, x) * hat(mesh.grid, j, x))
+            ref = integrate(grid, lambda x: hat(grid, i, x) * hat(grid, j, x))
             assert mesh.mass[i, j] == pytest.approx(ref, abs=1e-14)
 
 
 @pytest.mark.parametrize("nodes", [2, 5, 11])
 def test_stiffness_matches_quadrature(nodes):
-    mesh = assemble_fem_1d(nodes)
+    mesh, grid = assemble_fem_1d(nodes), nodes_of(nodes)
     for i in range(nodes):
         for j in range(nodes):
-            ref = integrate(
-                mesh.grid,
-                lambda x: hat_slope(mesh.grid, i, x) * hat_slope(mesh.grid, j, x),
-            )
+            ref = integrate(grid, lambda x: hat_slope(grid, i, x) * hat_slope(grid, j, x))
             assert mesh.stiffness[i, j] == pytest.approx(ref, abs=1e-12)
 
 
 def test_convection_matches_quadrature():
-    mesh = assemble_fem_1d(7)
+    form, grid = convection(7), nodes_of(7)
     for i in range(7):
         for j in range(7):
-            ref = integrate(
-                mesh.grid,
-                lambda x: hat_slope(mesh.grid, j, x) * hat(mesh.grid, i, x),
-            )
-            assert mesh.convection[i, j] == pytest.approx(ref, abs=1e-14)
+            ref = integrate(grid, lambda x: hat_slope(grid, j, x) * hat(grid, i, x))
+            assert form[i, j] == pytest.approx(ref, abs=1e-14)
 
 
 def test_convection_symmetric_part_is_boundary_only():
     # integration by parts: (u', v) + (v', u) = u(1)v(1) - u(0)v(0)
     n = 9
-    mesh = assemble_fem_1d(n)
+    form = convection(n)
     boundary = np.zeros((n, n))
     boundary[-1, -1] = 1.0
     boundary[0, 0] = -1.0
-    assert np.allclose((mesh.convection + mesh.convection.T).toarray(), boundary, atol=1e-15)
+    assert np.allclose((form + form.T).toarray(), boundary, atol=1e-15)
 
 
 def test_mass_spd_stiffness_kernel():
@@ -105,7 +108,7 @@ def test_deriv_reproduces_seminorm():
 
 def test_deriv_on_linear_function():
     mesh = assemble_fem_1d(6)
-    v = 3.0 * mesh.grid + 1.0
+    v = 3.0 * nodes_of(6) + 1.0
     assert np.allclose(mesh.deriv @ v, 3.0)
 
 

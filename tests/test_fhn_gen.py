@@ -9,24 +9,27 @@ from scipy.linalg import block_diag, lu_factor, lu_solve
 
 from podkit.errors import DimensionMismatch, SolverDiverged
 from podkit.fhn_gen import (
+    EMBEDDING_SNAPSHOTS,
     NEWTON_ABS_TOL,
     NEWTON_MAX_ITER,
     NEWTON_REL_TOL,
     SDIRK_GAMMA,
+    SYNTHETIC_ARRAYS,
     TRAJECTORY_ARRAYS,
     FhnConfig,
     boundary_pulse,
+    embedding_set,
     make_fhn_instance,
     solve_fhn,
 )
 from podkit.fem import assemble_fem_1d
-from podkit.gram_space import make_space, norm
+from podkit.gram_space import make_space
 from podkit.linear_map import derivative_map
 from podkit.pod_engine import compute_pod
 from podkit.snapshot_io import resolve_gram_spec, save
 
 from conftest import by_id
-from oracles import make_embedding_instance, make_fhn_dict, random_instance
+from oracles import make_embedding_instance, make_fhn_dict, norm, random_instance
 
 
 def product_space(nodes):
@@ -88,7 +91,7 @@ def _dense_reference_solve(config):
     a dense LU; returns the grid and the whole state trajectory.
     """
     mesh = assemble_fem_1d(config.nodes)
-    n, M, S = mesh.nodes, mesh.mass.toarray(), mesh.stiffness.toarray()
+    n, M, S = config.nodes, mesh.mass.toarray(), mesh.stiffness.toarray()
     mu, b, gam, c = config.mu, config.b, config.gamma_param, config.c
     steps = int(round(config.t_end / config.dt))
     grid = np.linspace(0.0, config.t_end, steps + 1)
@@ -315,3 +318,19 @@ def test_trajectory_peaks_within_its_counted_arrays(tmp_path):
         tracemalloc.stop()
     assert sset.count == 400
     assert peak < 8 * TRAJECTORY_ARRAYS * 120 * 401
+
+
+@pytest.mark.parametrize("nodes", [1000, 5000])
+def test_synthetic_set_peaks_within_its_counted_arrays(tmp_path, nodes):
+    # the budget counts SYNTHETIC_ARRAYS dense nodes x (snapshots + 1)
+    # arrays: the traced peak of generating and saving a bundle as
+    # generate-synthetic does
+    tracemalloc.start()
+    try:
+        sset, gram_spec, _ = embedding_set(nodes, seed=1)
+        save(sset, str(tmp_path / "s.json"), gram_spec=gram_spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sset.data.shape == (nodes, EMBEDDING_SNAPSHOTS)
+    assert peak < 8 * SYNTHETIC_ARRAYS * nodes * (EMBEDDING_SNAPSHOTS + 1)

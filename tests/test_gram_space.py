@@ -5,28 +5,19 @@ import pytest
 from scipy import sparse
 from scipy.linalg import solve_triangular
 
-from podkit.errors import (
-    DimensionMismatch,
-    NegativeQuadraticForm,
-    NotPositiveDefinite,
-    NotSymmetric,
-    RankDeficient,
-)
+from podkit.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric, RankDeficient
 from podkit.gram_space import (
     ORTH_DROP_TOL,
-    GramSpace,
     half_weight,
     half_weight_inv,
     identity_space,
-    inner,
     make_space,
-    norm,
     orthonormalize,
     solve_gram,
 )
 from podkit.snapshot_io import resolve_gram_spec
 
-from oracles import adjoint_matrix
+from oracles import adjoint_matrix, inner, norm
 
 
 def random_spd(rng, n):
@@ -68,17 +59,6 @@ def test_make_space_rejects_indefinite():
 def test_make_space_rejects_nonsquare():
     with pytest.raises(DimensionMismatch):
         make_space(np.ones((2, 3)))
-
-
-def test_norm_clamps_tiny_negative():
-    # direct construction bypasses validation so an indefinite "gram" can probe
-    # the round-off guard on the quadratic form.
-    eps = 1e-16
-    G = np.diag([1.0, -eps])
-    space = GramSpace(dim=2, gram=G, chol=np.eye(2))
-    assert norm(space, np.array([0.0, 1.0])) == 0.0
-    with pytest.raises(NegativeQuadraticForm):
-        norm(GramSpace(dim=2, gram=np.diag([1.0, -1.0]), chol=np.eye(2)), np.array([0.0, 1.0]))
 
 
 def test_half_weight_isometry():
@@ -224,10 +204,9 @@ def test_adjoint_pairing_and_involution():
 
 def test_dimension_checks():
     space = identity_space(3)
-    with pytest.raises(DimensionMismatch):
-        norm(space, np.ones(4))
-    with pytest.raises(DimensionMismatch):
-        inner(space, np.ones(3), np.ones(2))
+    for kernel in (half_weight, half_weight_inv, solve_gram):
+        with pytest.raises(DimensionMismatch):
+            kernel(space, np.ones(4))
 
 
 # -- sparse storage: bandwidth detection and the banded kernels ---------------

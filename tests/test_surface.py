@@ -3,10 +3,8 @@
 cli.main runs in process under the standard library's trace module
 (function counting) over every subcommand, each projector family and each
 map spec kind, on tiny bundles.  Every top-level function of src/podkit
-must be called, except the three that define the library surface without a
-command of their own: load_basis (the reader of pod's output) and the
-space's inner and norm.  A function no command reaches belongs in
-tests/oracles.py, beside the other references, or nowhere.
+must be called.  A function no command reaches belongs in tests/oracles.py,
+beside the other references, or nowhere.
 """
 
 import ast
@@ -21,7 +19,6 @@ import podkit
 from podkit.cli import main
 
 SRC = Path(podkit.__file__).resolve().parent
-LIBRARY_ONLY = {"load_basis", "inner", "norm"}
 
 
 def top_level_functions():
@@ -95,10 +92,7 @@ def test_every_top_level_function_is_reached_from_the_cli(tmp_path, capsys):
         for filename, _, name in tracer.results().calledfuncs
         if Path(filename).resolve().parent == SRC
     }
-    unreached = {
-        f"{module}.{name}" for module, name in top_level_functions() - called
-        if name not in LIBRARY_ONLY
-    }
+    unreached = {f"{module}.{name}" for module, name in top_level_functions() - called}
     assert not unreached, "\n".join(sorted(unreached))
 
 
