@@ -55,7 +55,6 @@ from .error_lab import (
     rank_relation,
     read_report,
     report_format,
-    report_rows,
     sweep as run_sweep,
     verdict,
     write_report,
@@ -135,17 +134,17 @@ def run_battery(cert, r_values, seed):
 _TABLE_COLUMNS = ("identity_id", "r", "actual", "formula", "rel_diff", "passed")
 
 
-def _render_rows(rows):
+def _render_rows(reports):
     table = [_TABLE_COLUMNS]
-    for row in rows:
+    for rep in reports:
         table.append(
             (
-                str(row["identity_id"]),
-                str(row["r"]),
-                "%.6e" % row["actual"],
-                "%.6e" % row["formula"],
-                "%.3e" % row["rel_diff"],
-                "pass" if row["passed"] else "FAIL",
+                str(rep.identity_id),
+                str(rep.r),
+                "%.6e" % rep.actual,
+                "%.6e" % rep.formula,
+                "%.3e" % rep.rel_diff,
+                "pass" if rep.passed else "FAIL",
             )
         )
     widths = [max(len(line[i]) for line in table) for i in range(len(_TABLE_COLUMNS))]
@@ -265,7 +264,7 @@ def cmd_verify(args):
             f"image {rr['rank_image']}, {status}"
         )
     if failures:
-        print(_render_rows(report_rows(failures)))
+        print(_render_rows(failures))
     return _conclude((rep.passed for rep in reports), rr)
 
 
@@ -279,14 +278,14 @@ def cmd_sweep(args):
     reports = run_sweep(cert, r_values)
     write_report(reports, out, {"family": cert.family, "tol": IDENTITY_RTOL})
     print(f"wrote {out}")
-    print(_render_rows(report_rows(reports)))
+    print(_render_rows(reports))
     return _conclude(rep.passed for rep in reports)
 
 
 def cmd_table(args):
-    rows, relation = read_report(_require(args, "input"))
-    print(_render_rows(rows))
-    return _conclude((row["passed"] for row in rows), relation)
+    reports, relation = read_report(_require(args, "input"))
+    print(_render_rows(reports))
+    return _conclude((rep.passed for rep in reports), relation)
 
 
 # -- parser ------------------------------------------------------------------

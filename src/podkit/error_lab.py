@@ -28,7 +28,7 @@ compares the POD ranks of the data and of their image under the map, and
 verdict decides a report: every row passed, and a decided relation holds.
 
 Floors: an identity passes within IDENTITY_RTOL or when both sides are
-below its floor, a bound when lhs <= rhs + floor.  The floor is
+below its floor, a bound when actual <= formula + floor.  The floor is
 EXACT_FLOOR_UNITS * u * scale, u the unit roundoff (Higham, Accuracy and
 Stability of Numerical Algorithms, ch. 3 and 19).  The scale is the energy of
 the row's input in its norm space, E = sum_k lambda_k in the ambient norm and
@@ -67,18 +67,18 @@ CSV_COLUMNS = ("identity_id", "r", "actual", "formula", "abs_diff", "rel_diff", 
 
 @dataclass
 class ErrorReport:
-    """Outcome of one identity or bound evaluation.
+    """Outcome of one identity or bound evaluation, one report row.
 
-    lhs is the explicitly computed quantity ("actual"), rhs the spectral
-    formula.  For identities, passed means the relative difference is within
-    tol or both sides sit below info["floor"]; for bounds it means
-    lhs <= rhs + floor, and tol is that floor.
+    actual is the explicitly computed quantity, formula the spectral side.
+    For identities, passed means the relative difference is within tol or
+    both sides sit below info["floor"]; for bounds it means
+    actual <= formula + floor, and tol is that floor.
     """
 
     identity_id: str
     r: int
-    lhs: float
-    rhs: float
+    actual: float
+    formula: float
     abs_diff: float
     rel_diff: float
     passed: bool
@@ -420,30 +420,20 @@ def sweep(cert, r_list):
     ]
 
 
-def report_rows(reports):
-    return [
-        dict(zip(CSV_COLUMNS, (
-            rep.identity_id, rep.r, rep.lhs, rep.rhs, rep.abs_diff, rep.rel_diff, rep.passed
-        )))
-        for rep in reports
-    ]
-
-
 def write_report_csv(reports, path):
     lines = [",".join(CSV_COLUMNS)]
-    for row in report_rows(reports):
-        values = [row["identity_id"], str(row["r"])]
-        values += ["%.16e" % row[key] for key in CSV_COLUMNS[2:6]]
-        lines.append(",".join(values + [str(bool(row["passed"])).lower()]))
+    for rep in reports:
+        values = [rep.identity_id, str(rep.r)]
+        values += ["%.16e" % getattr(rep, key) for key in CSV_COLUMNS[2:6]]
+        lines.append(",".join(values + [str(bool(rep.passed)).lower()]))
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
 
 
 def write_report_json(reports, path, extra=None):
     checks = [
-        {**row, "kind": rep.kind, "tol": rep.tol,
-         "info": {k: _jsonable(v) for k, v in rep.info.items()}}
-        for row, rep in zip(report_rows(reports), reports)
+        {**vars(rep), "info": {k: _jsonable(v) for k, v in rep.info.items()}}
+        for rep in reports
     ]
     extra = extra or {}
     payload = {"all_passed": verdict((rep.passed for rep in reports), extra.get("rank_relation")),
@@ -481,12 +471,13 @@ def write_report(reports, path, extra=None):
 def read_report(path):
     """Load a report written by write_report: (rows, relation).
 
-    relation is a JSON report's "rank_relation", None without one and for a
-    CSV report.  An unreadable path is MissingDataFile; a name report_format
-    rejects, invalid JSON, a report without rows (so that an empty or
-    truncated report never reads as a pass), a bad row in either format and
-    a rank_relation without boolean "decided" and "passed" are
-    MalformedManifest.
+    rows are ErrorReport records of the CSV_COLUMNS, with the default kind,
+    tol and info, which table does not render.  relation is a JSON report's
+    "rank_relation", None without one and for a CSV report.  An unreadable
+    path is MissingDataFile; a name report_format rejects, invalid JSON, a
+    report without rows (so that an empty or truncated report never reads as
+    a pass), a bad row in either format and a rank_relation without boolean
+    "decided" and "passed" are MalformedManifest.
     """
     relation = None
     if report_format(path) == "json":
@@ -510,12 +501,10 @@ def read_report(path):
             raise MalformedManifest(f"{path}: no report rows")
     try:
         rows = [
-            {
-                "identity_id": raw["identity_id"],
-                "r": int(raw["r"]),
-                **{key: float(raw[key]) for key in CSV_COLUMNS[2:6]},
-                "passed": raw["passed"] in ("true", True),
-            }
+            ErrorReport(
+                raw["identity_id"], int(raw["r"]), *(float(raw[key]) for key in CSV_COLUMNS[2:6]),
+                raw["passed"] in ("true", True),
+            )
             for raw in raws
         ]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

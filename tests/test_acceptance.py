@@ -287,9 +287,9 @@ def test_criterion_7_flagship_sweep():
             assert rep.passed
             assert rep.rel_diff <= 1e-6, f"{rep.identity_id} r={rep.r}"
             scale = known_scales[(rep.r, rep.identity_id)]
-            ratio = rep.lhs / scale
+            ratio = rep.actual / scale
             assert 1.0 / 3.0 < ratio < 3.0, (
-                f"{rep.identity_id} r={rep.r}: {rep.lhs:.4e} vs {scale:.4e}"
+                f"{rep.identity_id} r={rep.r}: {rep.actual:.4e} vs {scale:.4e}"
             )
         assert elapsed < 60.0, f"flagship sweep took {elapsed:.1f} s"
 
@@ -360,7 +360,7 @@ def test_criterion_9_monotone_decay(golden_instance):
             else:
                 reports = sweep(certifier(sset, basis, lmap), levels)
             for rep in reports:
-                series.setdefault(rep.identity_id, []).append(rep.rhs)
+                series.setdefault(rep.identity_id, []).append(rep.formula)
             for identity_id, values in series.items():
                 for a, b in zip(values, values[1:]):
                     assert b <= a + floor, f"{identity_id} rose: {a} -> {b}"

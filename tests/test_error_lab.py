@@ -14,6 +14,7 @@ import pytest
 
 from podkit.cli import run_battery
 from podkit.error_lab import (
+    ErrorReport,
     _residuals,
     _worst_index,
     battery_level,
@@ -52,11 +53,11 @@ def test_pod_error_golden_hand_value(golden_instance):
     basis = compute_pod(sset, space)
     rep = by_id(battery_level(certifier(sset, basis), 1))["pod_x"]
     assert rep.passed
-    assert rep.lhs == pytest.approx(GOLDEN_LAMBDA_2, abs=1e-12)
-    assert rep.rhs == pytest.approx(GOLDEN_LAMBDA_2, abs=1e-12)
+    assert rep.actual == pytest.approx(GOLDEN_LAMBDA_2, abs=1e-12)
+    assert rep.formula == pytest.approx(GOLDEN_LAMBDA_2, abs=1e-12)
     rep2 = by_id(battery_level(certifier(sset, basis), 2))["pod_x"]
     assert rep2.passed
-    assert abs(rep2.lhs) < 1e-14 and abs(rep2.rhs) < 1e-14
+    assert abs(rep2.actual) < 1e-14 and abs(rep2.formula) < 1e-14
 
 
 def test_range_residual_golden_hand_value(golden_instance):
@@ -68,10 +69,10 @@ def test_range_residual_golden_hand_value(golden_instance):
     rows = by_id(battery_level(certifier(sset, basis), 1))
     exact, bound = rows["range_exact"], rows["snap_sigma_bound"]
     assert exact.passed and bound.passed
-    assert exact.lhs**2 == pytest.approx(GOLDEN_RESIDUALS_SQ[exact.info["ell"]], abs=1e-12)
-    assert exact.rhs**2 == pytest.approx(GOLDEN_RESIDUALS_SQ[exact.info["ell"]], abs=1e-12)
-    assert bound.lhs**2 == pytest.approx(GOLDEN_RESIDUALS_SQ[bound.info["ell"]], abs=1e-12)
-    assert bound.rhs == pytest.approx(math.sqrt(GOLDEN_LAMBDA_2), abs=1e-12)
+    assert exact.actual**2 == pytest.approx(GOLDEN_RESIDUALS_SQ[exact.info["ell"]], abs=1e-12)
+    assert exact.formula**2 == pytest.approx(GOLDEN_RESIDUALS_SQ[exact.info["ell"]], abs=1e-12)
+    assert bound.actual**2 == pytest.approx(GOLDEN_RESIDUALS_SQ[bound.info["ell"]], abs=1e-12)
+    assert bound.formula == pytest.approx(math.sqrt(GOLDEN_LAMBDA_2), abs=1e-12)
     assert max(GOLDEN_RESIDUALS_SQ) <= GOLDEN_LAMBDA_2
 
 
@@ -86,7 +87,7 @@ def test_range_residual_block_names_the_worst_snapshot():
             rep = rows[row_id]
             assert rep.passed, (r, row_id)
             want = residuals[rep.info["ell"]]
-            assert rep.lhs == pytest.approx(want, rel=1e-9, abs=rep.info["floor"]), (r, row_id)
+            assert rep.actual == pytest.approx(want, rel=1e-9, abs=rep.info["floor"]), (r, row_id)
     # a formula wrong at snapshot j alone: the exact row fails there and names j
     for j in (0, 3, 6):
         right = basis.right_full.copy()
@@ -95,8 +96,8 @@ def test_range_residual_block_names_the_worst_snapshot():
         for r in range(1, basis.rank):
             exact = by_id(battery_level(certifier(sset, tampered), r))["range_exact"]
             assert not exact.passed and exact.info["ell"] == j, (j, r)
-            assert exact.lhs == pytest.approx(snapshot_residuals(sset, basis, r)[j], rel=1e-9)
-            assert exact.rhs == pytest.approx(2.0 * exact.lhs, rel=1e-9)
+            assert exact.actual == pytest.approx(snapshot_residuals(sset, basis, r)[j], rel=1e-9)
+            assert exact.formula == pytest.approx(2.0 * exact.actual, rel=1e-9)
 
 
 def test_worst_index_prefers_failures_then_first_of_ties():
@@ -201,8 +202,8 @@ def test_identity_map_reduces_to_ambient(golden_instance):
     base = rows["pod_x"]
     for rep in (rows["pod_x_mapped"], rows["proj_y"], rows["pullback_x"]):
         assert rep.passed
-        assert rep.lhs == pytest.approx(base.lhs, rel=1e-12, abs=1e-14)
-        assert rep.rhs == pytest.approx(base.rhs, rel=1e-12, abs=1e-14)
+        assert rep.actual == pytest.approx(base.actual, rel=1e-12, abs=1e-14)
+        assert rep.formula == pytest.approx(base.formula, rel=1e-12, abs=1e-14)
 
 
 def test_identities_random_instances():
@@ -230,7 +231,7 @@ def test_pod_error_direct_recomputation():
         pw = proj.range_basis @ (proj.dual_basis.T @ (space.gram @ w))
         total += sset.weights[ell] * norm(space, w - pw) ** 2
     rep = by_id(battery_level(certifier(sset, basis), 2))["pod_x"]
-    assert rep.lhs == pytest.approx(total, rel=1e-12)
+    assert rep.actual == pytest.approx(total, rel=1e-12)
 
 
 def test_hs_identities_pass_and_match_weighted_energy():
@@ -250,7 +251,7 @@ def test_hs_identities_pass_and_match_weighted_energy():
     # operator-level actual side equals the data-level weighted energy
     rows = by_id(reports)
     for rep in hs:
-        assert rep.lhs == pytest.approx(rows[rep.identity_id[3:]].lhs, rel=1e-11)
+        assert rep.actual == pytest.approx(rows[rep.identity_id[3:]].actual, rel=1e-11)
 
 
 def test_hs_identities_two_rows_without_inverse():
@@ -270,7 +271,7 @@ def test_pointwise_single_snapshot_matches_range_residual(golden_instance):
     reports = battery_level(certifier(sset, basis, identity_map(space)), 1, coeffs=g[:, None])
     rep = by_id(reports)["pw_proj_y"]
     assert rep.passed
-    assert rep.lhs**2 == pytest.approx(GOLDEN_RESIDUALS_SQ[1], rel=1e-12)
+    assert rep.actual**2 == pytest.approx(GOLDEN_RESIDUALS_SQ[1], rel=1e-12)
 
 
 def test_pointwise_kinds_and_cs_bound():
@@ -285,9 +286,9 @@ def test_pointwise_kinds_and_cs_bound():
         "pw_proj_y", "pw_composite_y", "pw_composite_x",
     ] * 10
     for rep in pointwise:
-        assert rep.passed, f"{rep.identity_id} lhs={rep.lhs:.3e} rhs={rep.rhs:.3e}"
+        assert rep.passed, f"{rep.identity_id} actual={rep.actual:.3e} formula={rep.formula:.3e}"
         # the Cauchy-Schwarz variant can only be looser
-        assert rep.info["cs_rhs"] >= rep.rhs - 1e-13
+        assert rep.info["cs_rhs"] >= rep.formula - 1e-13
         assert rep.info["cs_passed"]
 
 
@@ -351,25 +352,23 @@ def test_report_round_trip(tmp_path):
     basis = compute_pod(inst["set"], inst["space_x"])
     reports = sweep(certifier(inst["set"], basis, inst["map"]), [1, 2])
 
+    def columns(rep):
+        return (rep.identity_id, rep.r, rep.actual, rep.formula, rep.abs_diff, rep.rel_diff,
+                rep.passed)
+
+    # both formats carry 17 significant digits: the seven columns come back exactly
     jpath = str(tmp_path / "out.json")
     write_report_json(reports, jpath, extra={"note": "round-trip"})
     back, relation = read_report(jpath)
     assert relation is None
-    assert len(back) == len(reports)
-    for row, rep in zip(back, reports):
-        assert row["identity_id"] == rep.identity_id
-        assert row["r"] == rep.r
-        assert row["actual"] == pytest.approx(rep.lhs, rel=1e-15)
-        assert row["passed"] == rep.passed
+    assert all(isinstance(row, ErrorReport) for row in back)
+    assert [columns(row) for row in back] == [columns(rep) for rep in reports]
 
     cpath = str(tmp_path / "out.csv")
     write_report_csv(reports, cpath)
     back_csv, relation = read_report(cpath)
     assert relation is None
-    assert len(back_csv) == len(reports)
-    for row, rep in zip(back_csv, reports):
-        assert row["identity_id"] == rep.identity_id
-        assert row["formula"] == pytest.approx(rep.rhs, rel=1e-15)
+    assert [columns(row) for row in back_csv] == [columns(rep) for rep in reports]
     with open(cpath) as fh:
         header = next(csv.reader(fh))
     assert header[:4] == ["identity_id", "r", "actual", "formula"]

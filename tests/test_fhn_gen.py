@@ -183,7 +183,7 @@ def test_time_step_consistency():
     def lhs_r4(dt):
         inst = make_fhn_dict(FhnConfig(nodes=24, t_end=2.0, dt=dt))
         basis = compute_pod(inst["set"], inst["space_x"])
-        return by_id(battery_level(certifier(inst["set"], basis), 4))["pod_x"].lhs
+        return by_id(battery_level(certifier(inst["set"], basis), 4))["pod_x"].actual
 
     coarse = lhs_r4(0.01)
     fine = lhs_r4(0.005)

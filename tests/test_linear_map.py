@@ -281,8 +281,8 @@ def test_diag_spec_is_sparse_and_certifies_like_the_dense_map():
         assert [rep.identity_id for rep in got] == [rep.identity_id for rep in want]
         for a, b in zip(got, want):
             assert a.passed and b.passed, (r, a.identity_id)
-            assert a.lhs == pytest.approx(b.lhs, rel=1e-10, abs=a.info["floor"])
-            assert a.rhs == pytest.approx(b.rhs, rel=1e-10, abs=a.info["floor"])
+            assert a.actual == pytest.approx(b.actual, rel=1e-10, abs=a.info["floor"])
+            assert a.formula == pytest.approx(b.formula, rel=1e-10, abs=a.info["floor"])
     # a zero entry: no inverse
     singular = _diag_spec_map(np.where(np.arange(8) == 3, 0.0, d), space)
     assert singular.inverse is None
