@@ -24,7 +24,6 @@ from .errors import (
     PodkitError,
     ProblemTooLarge,
     ProvenanceMismatch,
-    RankDeficient,
     RankDeficientImage,
     RankExceeded,
     SingularRitzSystem,
@@ -38,7 +37,6 @@ from .gram_space import (
     half_weight_inv,
     identity_space,
     make_space,
-    orthonormalize,
     solve_gram,
 )
 from .fem import FemMesh, assemble_fem_1d
@@ -106,7 +104,6 @@ __all__ = [
     "PodkitError",
     "ProblemTooLarge",
     "ProvenanceMismatch",
-    "RankDeficient",
     "RankDeficientImage",
     "RankExceeded",
     "SingularRitzSystem",
@@ -118,7 +115,6 @@ __all__ = [
     "half_weight_inv",
     "identity_space",
     "make_space",
-    "orthonormalize",
     "solve_gram",
     "FemMesh",
     "assemble_fem_1d",

@@ -192,14 +192,6 @@ def cmd_generate(args):
     return 0
 
 
-def _truncate_basis(basis, r):
-    """The basis cut to its leading r modes (r checked by _requested_r_values)."""
-    return dataclasses.replace(
-        basis, sigma=basis.sigma[:r].copy(), modes=basis.modes[:, :r].copy(),
-        right_vectors=basis.right_vectors[:, :r].copy(), rank=r,
-    )
-
-
 def cmd_pod(args):
     sset = load(_require(args, "input"))
     out = _require(args, "output")
@@ -210,7 +202,7 @@ def cmd_pod(args):
         values = _requested_r_values(args.r, computed_rank)
         if len(values) != 1:
             raise IndexOutOfRange("pod takes a single --r value")
-        basis = _truncate_basis(basis, values[0])
+        basis = dataclasses.replace(basis, rank=values[0])
     save_basis(basis, out)
     lead = ", ".join("%.6e" % s for s in basis.sigma[:8])
     print(f"wrote {out}")

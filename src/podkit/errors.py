@@ -78,10 +78,6 @@ class NotPositiveDefinite(NumericalError):
     """Cholesky factorization of a Gram matrix failed."""
 
 
-class RankDeficient(NumericalError):
-    """Orthonormalization hit a column numerically inside the earlier span."""
-
-
 class RankDeficientImage(NumericalError):
     """Mapped basis vectors are numerically dependent; no projector exists."""
 

@@ -251,6 +251,8 @@ def synthetic_states(nodes, count, seed=0):
 def embedding_set(nodes, seed=None):
     """generate-synthetic's (snapshot set, gram spec, map spec): synthetic_states
     on the L^2 (FEM mass) space, embedded in H^1; the seed defaults to 101."""
+    if nodes < 2:
+        raise DimensionMismatch(f"need at least 2 nodes, got {nodes}")
     check_dense_budget(SYNTHETIC_ARRAYS, (nodes, EMBEDDING_SNAPSHOTS + 1), "the synthetic set")
     gram_spec = {"fem_mass": nodes}
     space = resolve_gram_spec(gram_spec, nodes)

@@ -26,7 +26,6 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     ProblemTooLarge,
-    RankDeficient,
 )
 
 SYMMETRY_RTOL = 1e-13
@@ -212,11 +211,3 @@ def orthonormal_prefixes(space, vectors):
         reason = f"column {k} has pivot {pivots[k]:.3e} against largest pivot {largest[k]:.3e}"
     return half_weight_inv(space, Q * np.sign(diag)), k, reason
 
-
-def orthonormalize(space, vectors):
-    """Orthonormalization in the space's inner product: orthonormal_prefixes
-    for all columns, raising RankDeficient at a numerically dependent one."""
-    Q, _, reason = orthonormal_prefixes(space, vectors)
-    if reason is not None:
-        raise RankDeficient(reason)
-    return Q

@@ -21,9 +21,9 @@ eigensolve couples them at the scale of the leading eigenvalue.
 
 Numerical rank is the number of eigenvalues above drop_tol times the largest
 one.  The basis keeps the complete computed spectrum and the full set of
-singular directions alongside the rank-truncated arrays: the error-identity
-checkers need the whole tail, while callers requesting a projection are held
-to the trusted range r <= rank.
+singular directions, one copy of each: the error-identity checkers need the
+whole tail, while callers requesting a projection are held to the trusted
+range r <= rank, whose modes are the leading columns of the same arrays.
 """
 
 from __future__ import annotations
@@ -36,19 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import svd
 
-from .errors import (
-    DimensionMismatch,
-    EigenFailure,
-    IndexOutOfRange,
-    RankExceeded,
-)
-from .gram_space import (
-    GramSpace,
-    column_blocks,
-    half_weight,
-    half_weight_inv,
-    orthonormalize,
-)
+from .errors import DimensionMismatch, EigenFailure, IndexOutOfRange, RankExceeded
+from .gram_space import GramSpace, column_blocks, half_weight, half_weight_inv
 from .snapshot_io import _atomic_write, write_matrix_csv
 
 DEFAULT_DROP_TOL = 1e-12
@@ -56,44 +45,53 @@ DEFAULT_DROP_TOL = 1e-12
 
 @dataclass
 class PodBasis:
-    """Result of a POD computation.
+    """Result of a POD computation: one set of singular directions.
 
     Attributes
     ----------
-    sigma : ndarray, shape (rank,)
-        Singular values in descending order, all above the drop tolerance.
-    modes : ndarray, shape (dim, rank)
-        Orthonormal modes in the ambient inner product (re-orthonormalized
-        after the SVD by one QR; spans of leading blocks are preserved).
-    right_vectors : ndarray, shape (s, rank)
-        Coefficient-side vectors, orthonormal under the weights (the leading
-        right singular directions, signed like the modes); a view of the
-        leading columns of right_full.
-    rank : int
-    drop_tol : float
     eigenvalues : ndarray, shape (min(dim, s),)
         Complete computed spectrum (squared singular values), descending.
-    modes_full, right_full : ndarray
-        Singular directions for the whole spectrum, orthonormal in their
-        respective inner products.  Used by the error checkers; not polished.
-        The checkers read right_full only through squares and absolute
-        values, so its leading columns carry the modes' signs in place.
+    rank : int
+        Number of eigenvalues above drop_tol times the largest; the trusted
+        range of truncation levels.
+    drop_tol : float
+    modes_full : ndarray, shape (dim, min(dim, s))
+        Modes for the whole spectrum, orthonormal in the ambient inner
+        product as the SVD leaves them; each of the leading rank columns is
+        signed to make its largest-magnitude entry positive.
+    right_full : ndarray, shape (s, min(dim, s))
+        Coefficient-side vectors for the whole spectrum, orthonormal under
+        the weights; the leading rank columns carry the modes' signs.
     space : GramSpace
         Ambient space of the snapshots.
     snapshots_ref : str
         Content fingerprint of the data the basis was computed from.
+
+    modes, right_vectors and sigma are the rank-r arrays, read-only: views
+    of the leading rank columns of modes_full and right_full, and
+    sqrt(eigenvalues[:rank]).  So dataclasses.replace(basis, rank=k) is the
+    basis cut to its leading k modes.
     """
 
-    sigma: np.ndarray
-    modes: np.ndarray
-    right_vectors: np.ndarray
+    eigenvalues: np.ndarray
     rank: int
     drop_tol: float
-    eigenvalues: np.ndarray
     modes_full: np.ndarray = field(repr=False)
     right_full: np.ndarray = field(repr=False)
     space: GramSpace = field(repr=False)
     snapshots_ref: str = ""
+
+    @property
+    def modes(self):
+        return self.modes_full[:, : self.rank]
+
+    @property
+    def right_vectors(self):
+        return self.right_full[:, : self.rank]
+
+    @property
+    def sigma(self):
+        return np.sqrt(self.eigenvalues[: self.rank])
 
 
 def fingerprint(*arrays):
@@ -105,18 +103,12 @@ def fingerprint(*arrays):
     return h.hexdigest()[:12]
 
 
-def snapshot_fingerprint(sset):
-    return fingerprint(sset.data, sset.weights)
-
-
-def compute_pod(sset, space=None, drop_tol=DEFAULT_DROP_TOL):
-    """Compute the POD of a snapshot set.
+def compute_pod(sset, drop_tol=DEFAULT_DROP_TOL):
+    """Compute the POD of a snapshot set in its attached space.
 
     Parameters
     ----------
     sset : SnapshotSet
-    space : GramSpace, optional
-        Ambient space; defaults to the set's attached space.
     drop_tol : float
         Relative eigenvalue cutoff defining the numerical rank, in (0, 1).
 
@@ -126,16 +118,14 @@ def compute_pod(sset, space=None, drop_tol=DEFAULT_DROP_TOL):
 
     The right vectors are the raw SVD directions scaled by 1/sqrt(g), already
     weight-orthonormal to working accuracy, so nothing of size s x s is
-    formed.  Each mode is signed to make its largest-magnitude entry positive.
+    formed.  Each leading mode is signed to make its largest-magnitude entry
+    positive, in place, with its right vector.
     """
+    space = sset.space
     if space is None:
-        space = sset.space
-    if space is None:
-        raise DimensionMismatch("snapshot set has no space attached; pass one")
+        raise DimensionMismatch("snapshot set has no space attached")
     if space.dim != sset.space_dim:
-        raise DimensionMismatch(
-            f"space dim {space.dim} != snapshot dim {sset.space_dim}"
-        )
+        raise DimensionMismatch(f"space dim {space.dim} != snapshot dim {sset.space_dim}")
     if not (0.0 < drop_tol < 1.0):
         raise IndexOutOfRange(f"drop_tol must lie in (0, 1), got {drop_tol}")
 
@@ -156,23 +146,20 @@ def compute_pod(sset, space=None, drop_tol=DEFAULT_DROP_TOL):
     right_full = np.divide(Vt, g12, out=Vt).T  # in place
     rank = numerical_rank(lam, drop_tol)
 
-    modes = orthonormalize(space, modes_full[:, :rank])
-    peaks = modes[np.argmax(np.abs(modes), axis=0), np.arange(rank)]
+    lead = modes_full[:, :rank]
+    peaks = lead[np.argmax(np.abs(lead), axis=0), np.arange(rank)]
     signs = np.where(peaks < 0.0, -1.0, 1.0)
-    modes *= signs
+    lead *= signs
     right_full[:, :rank] *= signs
 
     return PodBasis(
-        sigma=sig_full[:rank].copy(),
-        modes=modes,
-        right_vectors=right_full[:, :rank],
+        eigenvalues=lam,
         rank=rank,
         drop_tol=drop_tol,
-        eigenvalues=lam,
         modes_full=modes_full,
         right_full=right_full,
         space=space,
-        snapshots_ref=snapshot_fingerprint(sset),
+        snapshots_ref=fingerprint(W, sset.weights),
     )
 
 

@@ -85,7 +85,8 @@ class SnapshotSet:
 
 def make_snapshot_set(data, weights, kind="discrete", grid=None, space=None):
     """Validate shapes, data, weights and grid, then build the set; data
-    holding nan or inf is MalformedManifest, as it is in a bundle's CSV."""
+    holding nan or inf is MalformedManifest, as it is in a bundle's CSV, and
+    so are continuous weights other than exactly np.diff(grid)."""
     data = np.asarray(data, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if data.ndim != 2:
@@ -114,8 +115,14 @@ def make_snapshot_set(data, weights, kind="discrete", grid=None, space=None):
             raise DimensionMismatch(
                 f"grid of {grid.shape} does not bracket {data.shape[1]} snapshots"
             )
-        if np.any(np.diff(grid) <= 0.0):
+        intervals = np.diff(grid)
+        if np.any(intervals <= 0.0):
             raise NonMonotoneGrid("time grid must be strictly increasing")
+        if not np.array_equal(weights, intervals):  # save keeps only the grid
+            j = int(np.flatnonzero(weights != intervals)[0])
+            raise MalformedManifest(
+                f"continuous weight {j + 1} is {weights[j]}, not the grid interval {intervals[j]}"
+            )
     else:
         grid = None
     if space is not None and space.dim != data.shape[0]:

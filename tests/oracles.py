@@ -1,11 +1,11 @@
 """Reference implementations that the tests compare the library against,
 the seeded random instances the property suites draw, and the operators
-that the certificate never forms but the tests reason with: inner products
-and norms, the snapshot operator K and its adjoint, adjoint matrices, the
-FEM convection form, the mode and pulled-back projections, dense projector
-matrices and operator norms, the POD optimality oracle, the L^2 / H^1
-identity-embedding instances and the flagship's set, spaces and map, built
-from the specs generate-fhn writes.
+that the certificate never forms but the tests reason with: inner products,
+norms and orthonormalization, the snapshot operator K and its adjoint,
+adjoint matrices, the FEM convection form, the mode and pulled-back
+projections, dense projector matrices and operator norms, the POD
+optimality oracle, the L^2 / H^1 identity-embedding instances and the
+flagship's set, spaces and map, built from the specs generate-fhn writes.
 
 They live here, not in podkit, so that a check never shares code with the
 route it checks, and so that podkit holds only what its command line runs
@@ -17,9 +17,9 @@ import json
 import numpy as np
 from scipy import sparse
 
-from podkit.errors import DimensionMismatch, NotInvertible, RankExceeded
+from podkit.errors import DimensionMismatch, NotInvertible, RankDeficientImage, RankExceeded
 from podkit.fhn_gen import EMBEDDING_SNAPSHOTS, make_fhn_instance, synthetic_states
-from podkit.gram_space import as_matrix, half_weight, make_space, orthonormalize, solve_gram
+from podkit.gram_space import as_matrix, half_weight, make_space, orthonormal_prefixes, solve_gram
 from podkit.gram_space import to_dense
 from podkit.linear_map import build_map_from_spec, identity_map, make_map
 from podkit.pod_engine import compute_pod
@@ -38,6 +38,16 @@ def inner(space, u, v):
 def norm(space, u):
     """The norm sqrt(u^T G u) of one vector."""
     return float(np.sqrt(inner(space, u, u)))
+
+
+def orthonormalize(space, vectors):
+    """Orthonormalization of all columns in the space's inner product, the
+    references' Gram-Schmidt: orthonormal_prefixes, raising
+    RankDeficientImage at a numerically dependent column."""
+    Q, _, reason = orthonormal_prefixes(space, vectors)
+    if reason is not None:
+        raise RankDeficientImage(reason)
+    return Q
 
 
 # -- the snapshot operator and the POD optimality oracle ----------------------
@@ -82,7 +92,7 @@ def optimality_oracle(sset, space, r, trials=8, seed=0):
     Returns a dict with the POD tail, each competitor's error, and whether
     the lower bound held with slack 1e-10.
     """
-    basis = compute_pod(sset, space)
+    basis = compute_pod(sset)
     if r < 0 or r > basis.rank:
         raise RankExceeded(f"r = {r} outside [0, {basis.rank}]")
     pod_error = tail_energy(basis, r)

@@ -74,7 +74,7 @@ def test_criterion_1_identity_suite():
             invertible = i % 2 == 0
             inst = random_instance(dim, s, seed=3000 + i, invertible=invertible)
             sset, lmap = inst["set"], inst["map"]
-            basis = compute_pod(sset, inst["space_x"])
+            basis = compute_pod(sset)
             cert = certifier(sset, basis, lmap)
             for r in range(1, basis.rank + 1):
                 reports = battery_level(cert, r)
@@ -109,7 +109,7 @@ def test_criterion_2_optimality(golden_instance):
             dim = int(shape_rng.integers(3, 16))
             s = int(shape_rng.integers(2, 12))
             inst = random_instance(dim, s, seed=5000 + i)
-            basis = compute_pod(inst["set"], inst["space_x"])
+            basis = compute_pod(inst["set"])
             r = max(1, basis.rank // 2)
             res = optimality_oracle(
                 inst["set"], inst["space_x"], r, trials=100, seed=i
@@ -133,7 +133,7 @@ def test_criterion_3_energy_identity(golden_instance, fhn_instance):
         pool.append((emb["set"], emb["space_x"]))
         pool.append((fhn_instance["set"], fhn_instance["space_x"]))
         for sset, space in pool:
-            basis = compute_pod(sset, space)
+            basis = compute_pod(sset)
             energy = hs_norm_sq(sset, space)
             assert abs(float(np.sum(basis.eigenvalues)) - energy) <= 1e-10 * energy
 
@@ -173,9 +173,9 @@ def test_criterion_4_rank_relations(fhn_small_instance):
 
 def _rank_relation(inst):
     """rank_relation of an instance, and the full POD of its image set."""
-    basis_x = compute_pod(inst["set"], inst["space_x"])
+    basis_x = compute_pod(inst["set"])
     induced = induced_snapshots(inst["map"], inst["set"])
-    reference = compute_pod(induced, inst["map"].codomain)
+    reference = compute_pod(induced)
     return rank_relation(certifier(inst["set"], basis_x, inst["map"])), reference
 
 
@@ -192,7 +192,7 @@ def test_criterion_5_bounds_suite():
             invertible = i % 8 < 5
             inst = random_instance(dim, s, seed=9000 + i, invertible=invertible)
             sset, lmap = inst["set"], inst["map"]
-            basis = compute_pod(sset, inst["space_x"])
+            basis = compute_pod(sset)
             cert = certifier(sset, basis, lmap)
             r_mid = max(1, basis.rank // 2)
 
@@ -228,7 +228,7 @@ def test_criterion_6_projector_diagnostics():
     with certify(6, "projector norms and idempotency"):
         for i in range(8):
             inst = random_instance(9, 7, seed=9500 + i)
-            basis = compute_pod(inst["set"], inst["space_x"])
+            basis = compute_pod(inst["set"])
             lmap = inst["map"]
             orth_levels = mapped_orthogonal_levels(basis, lmap)
             push_levels = pushforward_levels(lmap, basis)
@@ -246,7 +246,7 @@ def test_criterion_6_projector_diagnostics():
         for nodes in (17, 33):
             mesh = assemble_fem_1d(nodes)
             inst = make_embedding_instance(nodes, 3)
-            basis = compute_pod(inst["set"], inst["space_x"])
+            basis = compute_pod(inst["set"])
             conv_form = (mesh.stiffness + mesh.mass + 0.5 * convection(nodes)).toarray()
             for form in (inst["form"], conv_form):
                 c_low, c_high = form_ellipticity(inst["map"].codomain, form)
@@ -267,7 +267,7 @@ def test_criterion_7_flagship_sweep():
     with certify(7, "flagship sweep at r = 4 and r = 12"):
         t0 = time.perf_counter()
         inst = make_fhn_dict(FhnConfig())
-        basis = compute_pod(inst["set"], inst["space_x"])
+        basis = compute_pod(inst["set"])
         reports = sweep(certifier(inst["set"], basis, inst["map"]), [4, 12])
         elapsed = time.perf_counter() - t0
 
@@ -306,7 +306,7 @@ def test_criterion_8_fem_embedding_examples():
             for which in (1, 2, 3):
                 inst = make_embedding_instance(nodes, which)
                 sset, lmap = inst["set"], inst["map"]
-                basis = compute_pod(sset, inst["space_x"])
+                basis = compute_pod(sset)
                 r_values = sorted({1, max(1, basis.rank // 2), basis.rank})
                 reports = sweep(certifier(sset, basis, lmap), r_values)
                 for rep in reports:
@@ -316,7 +316,7 @@ def test_criterion_8_fem_embedding_examples():
                     )
 
             inst = make_embedding_instance(nodes, 3)
-            basis = compute_pod(inst["set"], inst["space_x"])
+            basis = compute_pod(inst["set"])
             r = min(4, basis.rank)
             orth = mapped_orthogonal_levels(basis, inst["map"])(r)
             ritz_same = ritz_levels(basis, inst["map"], inst["form"])(r)
@@ -350,7 +350,7 @@ def test_criterion_9_monotone_decay(golden_instance):
         pool.append((emb["set"], emb["space_x"], emb["map"]))
 
         for sset, space, lmap in pool:
-            basis = compute_pod(sset, space)
+            basis = compute_pod(sset)
             energy = hs_norm_sq(sset, space)
             floor = 1e-12 * energy
             series = {}

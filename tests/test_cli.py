@@ -53,6 +53,17 @@ def test_pod_roundtrip_and_truncation(synth_bundle, tmp_path, capsys):
     modes = np.loadtxt(str(tmp_path / basis["modes"]), delimiter=",", ndmin=2)
     right = np.loadtxt(str(tmp_path / basis["right_vectors"]), delimiter=",", ndmin=2)
     assert modes.shape == (17, 4) and right.shape == (40, 4)
+    # one basis: the cut arrays are the leading columns of the full run's,
+    # text for text, and sigma the leading entries of its sigma
+    full = str(tmp_path / "full.json")
+    assert run(capsys, "pod", "--input", manifest, "--output", full)[0] == 0
+    full_basis = json.load(open(full))
+    assert full_basis["rank"] == 8 and basis["sigma"] == full_basis["sigma"][:4]
+    for key in ("modes", "right_vectors"):
+        with open(tmp_path / full_basis[key]) as fh:
+            lines = fh.read().splitlines()
+        with open(tmp_path / basis[key]) as fh:
+            assert fh.read().splitlines() == [",".join(line.split(",")[:4]) for line in lines]
     # asking past the computable rank is an input error
     code2, _, err = run(capsys, "pod", "--input", manifest, "--output", bundle, "--r", "50")
     assert code2 == 2
@@ -510,7 +521,7 @@ def test_battery_row_sequence_for_one_level():
     for name, inst, lmap in (
         ("none", full, None), ("flat", flat, flat["map"]), ("full", full, full["map"])
     ):
-        basis = compute_pod(inst["set"], inst["space_x"])
+        basis = compute_pod(inst["set"])
         reports, _ = run_battery(certifier(inst["set"], basis, lmap), [3], 1)
         assert [rep.identity_id for rep in reports] == expected[name], name
         assert all(rep.r == 3 for rep in reports)
@@ -690,11 +701,14 @@ def test_generate_synthetic_builds_only_its_snapshot_set(tmp_path, capsys, monke
 
 
 @pytest.mark.parametrize("nodes", ["1", "0"])
-def test_generate_fhn_needs_two_nodes(tmp_path, capsys, nodes):
-    manifest = str(tmp_path / "fhn.json")
-    code, _, err = run(capsys, "generate-fhn", "--nodes", nodes, "--output", manifest)
+@pytest.mark.parametrize("command", ["generate-fhn", "generate-synthetic"])
+def test_generators_need_two_nodes(tmp_path, capsys, command, nodes):
+    manifest = str(tmp_path / "bundle.json")
+    code, _, err = run(capsys, command, "--nodes", nodes, "--output", manifest)
     assert code == 2
-    assert json.loads(err)["error"] == "DimensionMismatch"
+    assert json.loads(err) == {
+        "error": "DimensionMismatch", "message": f"need at least 2 nodes, got {nodes}"
+    }
     assert os.listdir(tmp_path) == []
 
 

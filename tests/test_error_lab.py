@@ -49,8 +49,7 @@ def snapshot_residuals(sset, basis, r):
 
 def test_pod_error_golden_hand_value(golden_instance):
     sset = golden_instance
-    space = sset.space
-    basis = compute_pod(sset, space)
+    basis = compute_pod(sset)
     rep = by_id(battery_level(certifier(sset, basis), 1))["pod_x"]
     assert rep.passed
     assert rep.actual == pytest.approx(GOLDEN_LAMBDA_2, abs=1e-12)
@@ -64,8 +63,7 @@ def test_range_residual_golden_hand_value(golden_instance):
     # one retained mode: each row's worst snapshot carries its hand residual,
     # and the companion cap is sqrt(lambda_2) since the weights are one
     sset = golden_instance
-    space = sset.space
-    basis = compute_pod(sset, space)
+    basis = compute_pod(sset)
     rows = by_id(battery_level(certifier(sset, basis), 1))
     exact, bound = rows["range_exact"], rows["snap_sigma_bound"]
     assert exact.passed and bound.passed
@@ -79,7 +77,7 @@ def test_range_residual_golden_hand_value(golden_instance):
 def test_range_residual_block_names_the_worst_snapshot():
     inst = random_instance(9, 7, seed=61)
     sset = inst["set"]
-    basis = compute_pod(sset, inst["space_x"])
+    basis = compute_pod(sset)
     for r in range(1, basis.rank + 1):
         residuals = snapshot_residuals(sset, basis, r)
         rows = by_id(battery_level(certifier(sset, basis), r))
@@ -136,8 +134,7 @@ def test_range_exact_floor_follows_data_scale(fhn_instance, scale):
 
 def test_guarantee_threshold_golden(golden_instance):
     sset = golden_instance
-    space = sset.space
-    basis = compute_pod(sset, space)
+    basis = compute_pod(sset)
     assert snapshot_guarantee_threshold(sset, basis) == 1
 
 
@@ -148,7 +145,7 @@ def test_snapshot_bounds_below_threshold_not_asserted():
     space = identity_space(2)
     data = np.array([[1.0, 1.0], [0.0, 1.0]])
     sset = make_snapshot_set(data, np.array([0.01, 0.01]), space=space)
-    basis = compute_pod(sset, space)
+    basis = compute_pod(sset)
     assert snapshot_guarantee_threshold(sset, basis) == 2
 
     rep = by_id(battery_level(certifier(sset, basis), 1))["snap_pod_x"]
@@ -166,7 +163,7 @@ def test_snapshot_bounds_unattainable_threshold():
     # continuous-weight trajectory: each weight is about 1/40, so no
     # computable r captures the coefficients and r0 comes back None
     inst = make_embedding_instance(33, 1)
-    basis = compute_pod(inst["set"], inst["space_x"])
+    basis = compute_pod(inst["set"])
     assert snapshot_guarantee_threshold(inst["set"], basis) is None
     reports = battery_level(certifier(inst["set"], basis, inst["map"]), 1)
     snaps = [rep for rep in reports if rep.identity_id.startswith("snap_")]
@@ -178,7 +175,7 @@ def test_snapshot_bounds_unattainable_threshold():
 
 def test_snapshot_bounds_row_structure():
     inst = random_instance(8, 6, seed=21)
-    basis = compute_pod(inst["set"], inst["space_x"])
+    basis = compute_pod(inst["set"])
     r = min(3, basis.rank)
 
     def snap_ids(reports):
@@ -197,7 +194,7 @@ def test_identity_map_reduces_to_ambient(golden_instance):
     # onto the plain ambient one
     sset = golden_instance
     space = sset.space
-    basis = compute_pod(sset, space)
+    basis = compute_pod(sset)
     rows = by_id(battery_level(certifier(sset, basis, identity_map(space)), 1))
     base = rows["pod_x"]
     for rep in (rows["pod_x_mapped"], rows["proj_y"], rows["pullback_x"]):
@@ -209,8 +206,8 @@ def test_identity_map_reduces_to_ambient(golden_instance):
 def test_identities_random_instances():
     for seed in (31, 32, 33):
         inst = random_instance(9, 7, seed=seed)
-        sset, space, lmap = inst["set"], inst["space_x"], inst["map"]
-        basis = compute_pod(sset, space)
+        sset, lmap = inst["set"], inst["map"]
+        basis = compute_pod(sset)
         cert = certifier(sset, basis, lmap)
         for r in range(1, basis.rank + 1):
             rows = by_id(battery_level(cert, r))
@@ -223,7 +220,7 @@ def test_pod_error_direct_recomputation():
     # recompute the actual side by looping over snapshots one at a time
     inst = random_instance(7, 5, seed=41)
     sset, space = inst["set"], inst["space_x"]
-    basis = compute_pod(sset, space)
+    basis = compute_pod(sset)
     proj = pod_projector(basis, 2)
     total = 0.0
     for ell in range(sset.count):
@@ -237,7 +234,7 @@ def test_pod_error_direct_recomputation():
 def test_hs_identities_pass_and_match_weighted_energy():
     inst = random_instance(8, 6, seed=51)
     sset, lmap = inst["set"], inst["map"]
-    basis = compute_pod(sset, inst["space_x"])
+    basis = compute_pod(sset)
     r = 3
     reports = battery_level(certifier(sset, basis, lmap), r)
     hs = [rep for rep in reports if rep.identity_id.startswith("hs_")]
@@ -256,7 +253,7 @@ def test_hs_identities_pass_and_match_weighted_energy():
 
 def test_hs_identities_two_rows_without_inverse():
     inst = random_instance(8, 6, seed=52, invertible=False, map_rank=6)
-    basis = compute_pod(inst["set"], inst["space_x"])
+    basis = compute_pod(inst["set"])
     reports = battery_level(certifier(inst["set"], basis, inst["map"]), 2)
     assert len([rep for rep in reports if rep.identity_id.startswith("hs_")]) == 2
 
@@ -266,7 +263,7 @@ def test_pointwise_single_snapshot_matches_range_residual(golden_instance):
     # map the codomain projection error is the ambient residual of (1, 1)
     sset = golden_instance
     space = sset.space
-    basis = compute_pod(sset, space)
+    basis = compute_pod(sset)
     g = np.array([0.0, 1.0]) / sset.weights[1]
     reports = battery_level(certifier(sset, basis, identity_map(space)), 1, coeffs=g[:, None])
     rep = by_id(reports)["pw_proj_y"]
@@ -277,7 +274,7 @@ def test_pointwise_single_snapshot_matches_range_residual(golden_instance):
 def test_pointwise_kinds_and_cs_bound():
     inst = random_instance(9, 7, seed=61)
     sset, lmap = inst["set"], inst["map"]
-    basis = compute_pod(sset, inst["space_x"])
+    basis = compute_pod(sset)
     r = 3
     coeffs = np.random.default_rng(0).standard_normal((10, sset.count)).T
     reports = battery_level(certifier(sset, basis, lmap), r, coeffs=coeffs)
@@ -297,13 +294,13 @@ def test_pointwise_guards():
     # map: every kind needs one, the composites an invertible one
     inst = random_instance(6, 4, seed=62)
     sset, lmap = inst["set"], inst["map"]
-    basis = compute_pod(sset, inst["space_x"])
+    basis = compute_pod(sset)
     cert = certifier(sset, basis, lmap)
     for bad in (np.zeros(4), np.zeros((3, 2)), np.zeros((4, 2, 1))):
         with pytest.raises(DimensionMismatch):
             battery_level(cert, 2, coeffs=bad)
     flat = random_instance(6, 4, seed=63, invertible=False, map_rank=4)
-    fbasis = compute_pod(flat["set"], flat["space_x"])
+    fbasis = compute_pod(flat["set"])
     g = np.ones((4, 1))
     for level_cert, kinds in (
         (cert, ["pw_proj_y", "pw_composite_y", "pw_composite_x"]),
@@ -316,7 +313,7 @@ def test_pointwise_guards():
 
 def test_sweep_schema():
     inst = random_instance(8, 6, seed=71)
-    basis = compute_pod(inst["set"], inst["space_x"])
+    basis = compute_pod(inst["set"])
     reports = sweep(certifier(inst["set"], basis, inst["map"]), [1, 3])
     assert len(reports) == 8
     ids = [rep.identity_id for rep in reports]
@@ -329,7 +326,7 @@ def test_codomain_projectors_families():
     # the ritz form defaults to the codomain Gram, here the H^1 form itself
     inst = make_embedding_instance(17, 3)
     sset, lmap = inst["set"], inst["map"]
-    basis = compute_pod(sset, inst["space_x"])
+    basis = compute_pod(sset)
     for family, form in (
         ("orthogonal", None),
         ("ritz", inst["form"]),
@@ -349,7 +346,7 @@ def test_codomain_projectors_families():
 
 def test_report_round_trip(tmp_path):
     inst = random_instance(7, 5, seed=81)
-    basis = compute_pod(inst["set"], inst["space_x"])
+    basis = compute_pod(inst["set"])
     reports = sweep(certifier(inst["set"], basis, inst["map"]), [1, 2])
 
     def columns(rep):

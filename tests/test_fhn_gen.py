@@ -182,7 +182,7 @@ def test_time_step_consistency():
 
     def lhs_r4(dt):
         inst = make_fhn_dict(FhnConfig(nodes=24, t_end=2.0, dt=dt))
-        basis = compute_pod(inst["set"], inst["space_x"])
+        basis = compute_pod(inst["set"])
         return by_id(battery_level(certifier(inst["set"], basis), 4))["pod_x"].actual
 
     coarse = lhs_r4(0.01)
@@ -195,9 +195,9 @@ def test_node_doubling_keeps_leading_eigenvalues(fhn_instance):
     # dynamics, not of the mesh: doubling the node count moves the top
     # twelve eigenvalues by well under five percent (this is the one
     # deliberately expensive consistency run in the suite)
-    base = compute_pod(fhn_instance["set"], fhn_instance["space_x"])
+    base = compute_pod(fhn_instance["set"])
     fine_inst = make_fhn_dict(FhnConfig(nodes=200))
-    fine = compute_pod(fine_inst["set"], fine_inst["space_x"])
+    fine = compute_pod(fine_inst["set"])
     e_base = base.eigenvalues[:12]
     e_fine = fine.eigenvalues[:12]
     assert np.all(np.abs(e_base - e_fine) / e_fine < 0.05)

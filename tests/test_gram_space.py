@@ -5,14 +5,14 @@ import pytest
 from scipy import sparse
 from scipy.linalg import solve_triangular
 
-from podkit.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric, RankDeficient
+from podkit.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 from podkit.gram_space import (
     ORTH_DROP_TOL,
     half_weight,
     half_weight_inv,
     identity_space,
     make_space,
-    orthonormalize,
+    orthonormal_prefixes,
     solve_gram,
 )
 from podkit.snapshot_io import resolve_gram_spec
@@ -79,37 +79,39 @@ def test_solve_gram_inverts():
 
 
 def test_orthonormalize_hand_example():
-    # euclidean MGS of [[1,1],[0,1]] gives e1 and e2
+    # euclidean Gram-Schmidt of [[1,1],[0,1]] gives e1 and e2
     space = identity_space(2)
-    Q = orthonormalize(space, np.array([[1.0, 1.0], [0.0, 1.0]]))
+    Q, k, reason = orthonormal_prefixes(space, np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert np.allclose(Q, np.eye(2))
+    assert (k, reason) == (2, None)
 
 
 def test_orthonormalize_weighted():
-    rng = np.random.default_rng(5)
     for seed in range(8):
         r = np.random.default_rng(seed)
         n = int(r.integers(3, 10))
         k = int(r.integers(1, n + 1))
         space = make_space(random_spd(r, n))
-        Q = orthonormalize(space, r.standard_normal((n, k)))
+        Q, usable, _ = orthonormal_prefixes(space, r.standard_normal((n, k)))
+        assert usable == k
         assert np.allclose(inner(space, Q, Q), np.eye(k), atol=1e-12)
-    del rng
 
 
 def test_orthonormalize_rank_deficient():
     space = identity_space(3)
     V = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
-    with pytest.raises(RankDeficient):
-        orthonormalize(space, V)
+    _, k, reason = orthonormal_prefixes(space, V)
+    assert k == 1 and reason.startswith("column 1 ")
 
 
 def mgs_reference(space, vectors):
     """Column-by-column modified Gram-Schmidt with a second sweep per column.
 
-    The reference orthonormalize must reproduce: same output columns, same
-    pivot rule (a pivot at most ORTH_DROP_TOL times the largest so far marks
-    the column as dependent).
+    The reference orthonormal_prefixes must reproduce: the same columns up
+    to the first dependent one, and the same pivot rule (a pivot at most
+    ORTH_DROP_TOL times the largest so far marks the column as dependent).
+    Returns (Q, k), Q's leading k columns orthonormal and column k the first
+    dependent one (k the column count with none).
     """
     V = np.array(vectors, dtype=float, copy=True)
     if V.ndim == 1:
@@ -124,10 +126,10 @@ def mgs_reference(space, vectors):
         p = norm(space, w)
         ref = max(pivots + [p])
         if p == 0.0 or p <= ORTH_DROP_TOL * ref:
-            raise RankDeficient(f"column {j} has pivot {p:.3e}")
+            return Q, j
         pivots.append(p)
         Q[:, j] = w / p
-    return Q
+    return Q, V.shape[1]
 
 
 def random_cases(count=40):
@@ -140,15 +142,17 @@ def random_cases(count=40):
 
 def test_orthonormalize_matches_gram_schmidt_reference():
     for space, V in random_cases():
-        Q = orthonormalize(space, V)
-        assert np.max(np.abs(Q - mgs_reference(space, V))) <= 1e-12
+        Q, k, _ = orthonormal_prefixes(space, V)
+        ref, k_ref = mgs_reference(space, V)
+        assert k == k_ref == V.shape[1]
+        assert np.max(np.abs(Q - ref)) <= 1e-12
 
 
 def test_orthonormalize_keeps_leading_spans():
     # R = (V_j, Q_i) must be upper triangular with a positive diagonal and
     # reproduce V: then span(Q[:, :k]) = span(V[:, :k]) for every k.
     for space, V in random_cases():
-        Q = orthonormalize(space, V)
+        Q, _, _ = orthonormal_prefixes(space, V)
         R = inner(space, V, Q)
         scale = np.max(np.abs(R))
         assert np.max(np.abs(np.tril(R, -1))) <= 1e-12 * scale
@@ -172,9 +176,13 @@ def test_orthonormalize_keeps_leading_spans():
 )
 def test_orthonormalize_names_first_dependent_column(columns, first_dependent):
     space = make_space(random_spd(np.random.default_rng(9), len(columns)))
-    for fn in (orthonormalize, mgs_reference):
-        with pytest.raises(RankDeficient, match=f"^column {first_dependent} "):
-            fn(space, np.array(columns))
+    V = np.array(columns)
+    Q, k, reason = orthonormal_prefixes(space, V)
+    assert k == first_dependent and reason.startswith(f"column {first_dependent} ")
+    ref, k_ref = mgs_reference(space, V)
+    assert k_ref == first_dependent
+    # the leading columns before the dependent one are the reference's
+    assert np.max(np.abs(Q[:, :k] - ref[:, :k]), initial=0.0) <= 1e-12
 
 
 def test_adjoint_diagonal_oracle():

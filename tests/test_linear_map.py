@@ -127,8 +127,8 @@ def test_induced_snapshots_preserve_weights():
 def _relation(sset, lmap, drop_tol=DEFAULT_DROP_TOL):
     """rank_relation of the set's POD at drop_tol, and the reference: the
     full POD of the induced set at the same drop tolerance."""
-    basis = compute_pod(sset, sset.space, drop_tol=drop_tol)
-    reference = compute_pod(induced_snapshots(lmap, sset), lmap.codomain, drop_tol)
+    basis = compute_pod(sset, drop_tol=drop_tol)
+    reference = compute_pod(induced_snapshots(lmap, sset), drop_tol=drop_tol)
     return rank_relation(certifier(sset, basis, lmap)), reference
 
 
@@ -272,7 +272,7 @@ def test_diag_spec_is_sparse_and_certifies_like_the_dense_map():
     assert np.array_equal(lmap.matrix.toarray(), np.diag(d))
     assert np.allclose(lmap.inverse.toarray(), dense.inverse, rtol=1e-14, atol=0)
     assert np.allclose(adjoint(lmap), adjoint(dense), rtol=1e-12, atol=0)
-    basis = compute_pod(sset, space)
+    basis = compute_pod(sset)
     for r in range(1, basis.rank + 1):
         got, want = (
             battery_level(certifier(sset, basis, m), r)

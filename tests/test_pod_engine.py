@@ -6,6 +6,7 @@ eigendecomposition.  The implementation goes through an SVD of a
 half-weighted data matrix instead, so agreement is a genuine cross-check.
 """
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -14,7 +15,7 @@ import pytest
 from scipy.linalg import svd
 
 from podkit.error_lab import certifier, rank_relation
-from podkit.errors import IndexOutOfRange, RankExceeded
+from podkit.errors import DimensionMismatch, IndexOutOfRange, RankExceeded
 from podkit.fem import assemble_fem_1d
 from podkit.gram_space import half_weight, half_weight_inv, identity_space, make_space
 from podkit.linear_map import identity_map
@@ -58,7 +59,7 @@ def test_eigenvalues_match_correlation_oracle():
         dim = int(rng.integers(2, 15))
         s = int(rng.integers(2, 20))
         sset, space = random_set(rng, dim, s)
-        basis = compute_pod(sset, space)
+        basis = compute_pod(sset)
         ref = correlation_eigs(sset, space)
         # the computed spectrum holds min(dim, s) values; the correlation
         # matrix is s x s and pads with zeros when dim < s
@@ -71,7 +72,7 @@ def test_eigenvalues_match_correlation_oracle():
 def test_mode_orthonormality_both_sides():
     rng = np.random.default_rng(42)
     sset, space = random_set(rng, 9, 14)
-    basis = compute_pod(sset, space)
+    basis = compute_pod(sset)
     r = basis.rank
     assert np.allclose(inner(space, basis.modes, basis.modes), np.eye(r), atol=1e-12)
     # right vectors orthonormal under the weights
@@ -83,15 +84,15 @@ def test_mode_orthonormality_both_sides():
 def test_duplicated_snapshot_sigma():
     # two copies of one vector with unit weights: sigma_1 = sqrt(2)||w||
     w = np.array([3.0, 4.0])
-    sset = make_snapshot_set(np.column_stack([w, w]), [1.0, 1.0])
-    basis = compute_pod(sset, identity_space(2))
+    sset = make_snapshot_set(np.column_stack([w, w]), [1.0, 1.0], space=identity_space(2))
+    basis = compute_pod(sset)
     assert basis.rank == 1
     assert basis.sigma[0] == pytest.approx(np.sqrt(2.0) * 5.0, rel=1e-14)
 
 
 def test_zero_data_rank_zero():
-    sset = make_snapshot_set(np.zeros((4, 3)), np.ones(3))
-    basis = compute_pod(sset, identity_space(4))
+    sset = make_snapshot_set(np.zeros((4, 3)), np.ones(3), space=identity_space(4))
+    basis = compute_pod(sset)
     assert basis.rank == 0
     assert basis.modes.shape == (4, 0)
     assert tail_energy(basis, 0) == 0.0
@@ -102,17 +103,44 @@ def test_drop_tol_controls_rank():
     u = np.array([1.0, 0.0])
     v = np.array([0.0, 1.0])
     data = np.column_stack([u, 1e-5 * v])
-    sset = make_snapshot_set(data, [1.0, 1.0])
-    space = identity_space(2)
-    assert compute_pod(sset, space).rank == 2
-    assert compute_pod(sset, space, drop_tol=1e-11).rank == 2
-    assert compute_pod(sset, space, drop_tol=1e-8).rank == 1
+    sset = make_snapshot_set(data, [1.0, 1.0], space=identity_space(2))
+    assert compute_pod(sset).rank == 2
+    assert compute_pod(sset, drop_tol=1e-11).rank == 2
+    assert compute_pod(sset, drop_tol=1e-8).rank == 1
+
+
+def test_rank_arrays_are_views_of_the_one_basis():
+    rng = np.random.default_rng(12)
+    sset, _ = random_set(rng, 9, 14)
+    basis = compute_pod(sset)
+    assert np.shares_memory(basis.modes, basis.modes_full)
+    assert np.shares_memory(basis.right_vectors, basis.right_full)
+    assert basis.modes.shape == (9, basis.rank)
+    assert basis.right_vectors.shape == (14, basis.rank)
+    # the SVD's own singular values, squared and rooted again, bit for bit
+    _, sig, _ = svd(half_weight(sset.space, sset.data * np.sqrt(sset.weights)), full_matrices=False)
+    assert np.array_equal(basis.sigma, sig[: basis.rank])
+    assert np.array_equal(basis.sigma, np.sqrt(basis.eigenvalues[: basis.rank]))
+    # truncation is a smaller rank over the same arrays
+    cut = dataclasses.replace(basis, rank=3)
+    assert cut.modes_full is basis.modes_full
+    assert np.array_equal(cut.modes, basis.modes[:, :3])
+    assert np.array_equal(cut.sigma, basis.sigma[:3])
+
+
+def test_compute_pod_needs_the_sets_own_space():
+    data = np.array([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(DimensionMismatch, match="no space attached"):
+        compute_pod(make_snapshot_set(data, [1.0, 1.0]))
+    sset = make_snapshot_set(data, [1.0, 1.0], space=identity_space(2))
+    with pytest.raises(DimensionMismatch, match="space dim 3 != snapshot dim 2"):
+        compute_pod(dataclasses.replace(sset, space=identity_space(3)))
 
 
 def test_project_X_guards():
     rng = np.random.default_rng(3)
-    sset, space = random_set(rng, 5, 4)
-    basis = compute_pod(sset, space)
+    sset, _ = random_set(rng, 5, 4)
+    basis = compute_pod(sset)
     with pytest.raises(IndexOutOfRange):
         project_X(basis, -1, np.zeros(5))
     with pytest.raises(RankExceeded):
@@ -136,7 +164,7 @@ def test_apply_K_and_adjoint_pairing():
 def test_energy_identity_and_hs_norm():
     rng = np.random.default_rng(23)
     sset, space = random_set(rng, 8, 13)
-    basis = compute_pod(sset, space)
+    basis = compute_pod(sset)
     energy = float(
         np.sum(sset.weights * np.array([inner(space, sset.data[:, j], sset.data[:, j]) for j in range(13)]))
     )
@@ -162,8 +190,8 @@ def test_optimality_oracle(golden_instance):
 def test_save_load_round_trip(tmp_path):
     # the manifest and the two CSVs hold the basis bit for bit
     rng = np.random.default_rng(31)
-    sset, space = random_set(rng, 6, 9)
-    basis = compute_pod(sset, space)
+    sset, _ = random_set(rng, 6, 9)
+    basis = compute_pod(sset)
     path = tmp_path / "basis.json"
     save_basis(basis, str(path))
     manifest = json.loads(path.read_text())
@@ -185,24 +213,27 @@ def _relation(sset, basis):
 
 def test_spectrum_gapped():
     # clean gap: rank-1 data plus nothing
-    sset = make_snapshot_set(np.column_stack([[1.0, 0.0], [2.0, 0.0]]), [1.0, 1.0])
-    space = identity_space(2)
-    assert _relation(sset, compute_pod(sset, space))["decided"]
+    sset = make_snapshot_set(
+        np.column_stack([[1.0, 0.0], [2.0, 0.0]]), [1.0, 1.0], space=identity_space(2)
+    )
+    assert _relation(sset, compute_pod(sset))["decided"]
     # smooth decay through the cut: the eigenvalues past the rank sum to
     # 1.9e-13 of the largest, within the 1e-12 drop threshold
     rng = np.random.default_rng(9)
     U = np.linalg.qr(rng.standard_normal((12, 12)))[0]
     sig = 10.0 ** -np.linspace(0.0, 14.0, 12)
     data = U @ np.diag(sig) @ np.linalg.qr(rng.standard_normal((12, 12)))[0]
-    sset = make_snapshot_set(data, np.ones(12))
-    basis = compute_pod(sset, identity_space(12))
+    sset = make_snapshot_set(data, np.ones(12), space=identity_space(12))
+    basis = compute_pod(sset)
     assert 0 < basis.rank < 12
     relation = _relation(sset, basis)
     assert relation["decided"] and relation["passed"]
     # a hundred eigenvalues just below the cut sum to 50 times the threshold:
     # the bound cannot place the image's tail below it, so nothing is decided
-    sset = make_snapshot_set(np.diag(np.sqrt(np.r_[1.0, np.full(100, 0.5e-12)])), np.ones(101))
-    basis = compute_pod(sset, identity_space(101))
+    sset = make_snapshot_set(
+        np.diag(np.sqrt(np.r_[1.0, np.full(100, 0.5e-12)])), np.ones(101), space=identity_space(101)
+    )
+    basis = compute_pod(sset)
     assert basis.rank == 1
     relation = _relation(sset, basis)
     assert relation["passed"] and not relation["decided"]
@@ -241,10 +272,10 @@ def assert_bit_equal_to_unblocked(sset):
     basis = compute_pod(sset)
     lam, modes_full, right_full = unblocked_pod(sset)
     assert np.array_equal(basis.eigenvalues, lam)
-    assert np.array_equal(basis.modes_full, modes_full)
-    # up to the sign of each leading column, which right_vectors shares
+    # up to the sign of each leading column, the same flip on both sides
     flipped = np.any(basis.right_full != right_full, axis=0)
     assert np.array_equal(basis.right_full, np.where(flipped, -right_full, right_full))
+    assert np.array_equal(basis.modes_full, np.where(flipped, -modes_full, modes_full))
     assert not flipped[basis.rank :].any()
     return basis
 

@@ -152,7 +152,18 @@ def test_save_load_continuous(tmp_path):
     back = load(path)
     assert back.kind == "continuous"
     assert np.array_equal(back.grid, grid)
+    assert np.array_equal(back.weights, sset.weights)
     assert np.array_equal(back.data, sset.data)
+
+
+def test_continuous_weights_must_be_the_grid_intervals():
+    # a bundle stores only the grid, so other weights would not survive save
+    # and load: [1, 2, 3] on this grid would come back as [0.5, 0.2, 0.2]
+    with pytest.raises(MalformedManifest, match="weight 1 is 1.0, not the grid interval 0.5"):
+        make_snapshot_set(np.ones((2, 3)), [1, 2, 3], kind="continuous", grid=[0, 0.5, 0.7, 0.9])
+    grid = np.array([0.0, 0.5, 0.7, 0.9])
+    sset = make_snapshot_set(np.ones((2, 3)), np.diff(grid), kind="continuous", grid=grid)
+    assert np.array_equal(sset.weights, np.diff(grid))
 
 
 def test_load_missing_and_malformed(tmp_path):
