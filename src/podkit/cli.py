@@ -22,6 +22,11 @@ decided rank relation).  Failures print a one-line JSON object
 --tol is pod's eigenvalue drop threshold; verify and sweep take none, so every
 identity row passes within error_lab.IDENTITY_RTOL or its floor.
 
+generate-fhn starts one helper process, a fresh interpreter that formats
+the data CSV while the solve runs (snapshot_io.CsvStream); the CSV's
+temporary file is made first, so an unwritable --output fails before the
+solve.
+
 --map takes a map spec, inline JSON or a path to a JSON file; the grammar is
 documented once, in podkit.linear_map.build_map_from_spec.  --projector ritz
 uses the spec's "ritz_form" and otherwise the codomain Gram matrix
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -62,7 +68,7 @@ from .error_lab import (
 from .fhn_gen import FhnConfig, embedding_set, make_fhn_instance
 from .linear_map import build_map_from_spec
 from .pod_engine import DEFAULT_DROP_TOL, compute_pod, save_basis
-from .snapshot_io import _atomic_write, load, save
+from .snapshot_io import CsvStream, _atomic_write, data_csv_path, load, save
 
 EXIT_CHECKS_FAILED = 4
 POINTWISE_PER_LEVEL = 5
@@ -179,11 +185,15 @@ def cmd_generate(args):
     out = _require(args, "output")
     if args.command == "generate-fhn":
         nodes = 100 if args.nodes is None else args.nodes
-        sset, gram_spec, map_spec = make_fhn_instance(FhnConfig(nodes=nodes))
+        # the data CSV's temporary file exists before the solve, and its
+        # helper process formats the snapshots while later steps are solved
+        with CsvStream(data_csv_path(out)) as stream:
+            sset, gram_spec, map_spec = make_fhn_instance(FhnConfig(nodes=nodes), stream)
+            manifest_path = save(sset, out, gram_spec, stream)
     else:
         nodes = 33 if args.nodes is None else args.nodes
         sset, gram_spec, map_spec = embedding_set(nodes, seed=args.seed)
-    manifest_path = save(sset, out, gram_spec=gram_spec)
+        manifest_path = save(sset, out, gram_spec)
     map_path = os.path.splitext(manifest_path)[0] + "_map.json"
     _atomic_write(map_path, json.dumps(map_spec, indent=2) + "\n")
     print(f"wrote {manifest_path}")
@@ -339,6 +349,13 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; its exit code.  With no argv, main is the process
+    entry (python -m podkit.cli, the podkit script): it reads sys.argv and
+    first freezes the objects the imports made, numpy's and scipy's among
+    them, so that no collection, the one at exit included, scans them
+    again."""
+    if argv is None:
+        gc.freeze()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

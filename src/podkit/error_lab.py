@@ -296,12 +296,23 @@ def verdict(passed, relation=None):
 
 # -- per-snapshot results ----------------------------------------------------
 
-def _worst_index(passed, rel_diff):
-    """Worst row: failures first, then the largest rel_diff, then lowest index."""
+def _worst_index(passed, key, noise):
+    """Worst row: failures first, then the lowest index whose key is within
+    its round-off noise of the largest key, so that keys tied at round-off
+    pick the same row whatever the last bits."""
     candidates = np.flatnonzero(~passed)
     if candidates.size == 0:
         candidates = np.arange(passed.size)
-    return int(candidates[np.argmax(rel_diff[candidates])])
+    keys = key[candidates]
+    tied = keys + np.broadcast_to(noise, key.shape)[candidates] >= keys.max()
+    return int(candidates[np.argmax(tied)])
+
+
+def _rel_noise(floor, lhs, rhs):
+    """Round-off of rel_diff(lhs, rhs) when floor bounds that of lhs - rhs:
+    floor over the larger magnitude (infinite where both are 0)."""
+    denom = np.maximum(np.abs(lhs), np.abs(rhs))
+    return np.divide(floor, denom, out=np.full(denom.shape, np.inf), where=denom > 0.0)
 
 
 def _range_rows(sset, basis, r, sq):
@@ -314,14 +325,14 @@ def _range_rows(sset, basis, r, sq):
     floor = _floor(np.sqrt(lam[0] / sset.weights))
     abs_diff, rel_diff = _compare(lhs, rhs)
     passed = (rel_diff <= EXACT_RTOL) | (abs_diff <= floor)
-    i = _worst_index(passed, rel_diff)
+    i = _worst_index(passed, rel_diff, _rel_noise(floor, lhs, rhs))
     exact = _report(
         "identity", "range_exact", r, lhs[i], rhs[i], EXACT_RTOL, floor[i], info={"ell": i},
     )
     exact.passed = bool(passed[i])  # here the floor bounds the difference
     sigma_next = float(np.sqrt(lam[r])) if r < lam.size else 0.0
     cap = sigma_next / np.sqrt(sset.weights)
-    j = _worst_index(lhs <= cap + floor, _compare(lhs, cap)[1])
+    j = _worst_index(lhs <= cap + floor, _compare(lhs, cap)[1], _rel_noise(floor, lhs, cap))
     bound = _report(
         "bound", "snap_sigma_bound", r, lhs[j], cap[j], None, floor[j],
         info={"ell": j, "sigma_next": sigma_next},
@@ -356,9 +367,9 @@ def _snapshot_rows(sset, basis, r, res, sq, r0):
     reports = []
     for t in (res[k] for k in ("pod_x", "proj_y", "pod_x_mapped", "pullback_x") if k in res):
         cap = t.formula if t.label != "pod_x" else float(lam[r]) if r < lam.size else 0.0
-        i = int(np.argmax(sq[t.label]))
         # snapshot ell is K e_ell / g_ell, of energy at most E / g_ell
         floor = t.floor(1.0 / np.min(sset.weights))
+        i = _worst_index(sq[t.label] <= cap + floor, sq[t.label], floor)
         rep = _report(
             "bound", "snap_" + t.label, r, sq[t.label][i], cap, None, floor,
             info={"ell": i, "guaranteed": guaranteed, "r0": r0},

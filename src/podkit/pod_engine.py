@@ -41,6 +41,11 @@ from .gram_space import GramSpace, column_blocks, half_weight, half_weight_inv
 from .snapshot_io import _atomic_write, write_matrix_csv
 
 DEFAULT_DROP_TOL = 1e-12
+# A mode is signed by its first entry whose magnitude is within this
+# fraction of the largest.  Symmetric modes (the synthetic sets') have two
+# largest magnitudes equal to within 1e-12, which round-off orders; the
+# flagship's closest pair is 1.8e-7 apart, outside the band.
+SIGN_TIE_RTOL = 1e-10
 
 
 @dataclass
@@ -58,7 +63,8 @@ class PodBasis:
     modes_full : ndarray, shape (dim, min(dim, s))
         Modes for the whole spectrum, orthonormal in the ambient inner
         product as the SVD leaves them; each of the leading rank columns is
-        signed to make its largest-magnitude entry positive.
+        signed to make positive its first entry within SIGN_TIE_RTOL of its
+        largest magnitude.
     right_full : ndarray, shape (s, min(dim, s))
         Coefficient-side vectors for the whole spectrum, orthonormal under
         the weights; the leading rank columns carry the modes' signs.
@@ -118,8 +124,9 @@ def compute_pod(sset, drop_tol=DEFAULT_DROP_TOL):
 
     The right vectors are the raw SVD directions scaled by 1/sqrt(g), already
     weight-orthonormal to working accuracy, so nothing of size s x s is
-    formed.  Each leading mode is signed to make its largest-magnitude entry
-    positive, in place, with its right vector.
+    formed.  Each leading mode is signed, in place with its right vector,
+    to make positive its first entry within SIGN_TIE_RTOL of its largest
+    magnitude, so round-off cannot choose between two tied entries.
     """
     space = sset.space
     if space is None:
@@ -147,8 +154,10 @@ def compute_pod(sset, drop_tol=DEFAULT_DROP_TOL):
     rank = numerical_rank(lam, drop_tol)
 
     lead = modes_full[:, :rank]
-    peaks = lead[np.argmax(np.abs(lead), axis=0), np.arange(rank)]
-    signs = np.where(peaks < 0.0, -1.0, 1.0)
+    mags = np.abs(lead)
+    # the first entry within SIGN_TIE_RTOL of the column's largest magnitude
+    first = np.argmax(mags >= (1.0 - SIGN_TIE_RTOL) * mags.max(axis=0), axis=0)
+    signs = np.where(lead[first, np.arange(rank)] < 0.0, -1.0, 1.0)
     lead *= signs
     right_full[:, :rank] *= signs
 

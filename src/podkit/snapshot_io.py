@@ -15,6 +15,12 @@ reads the .npy only while the CSV still has its recorded digest and the .npy
 is a finite, C-order float64 array of the manifest's shape with its recorded
 digest; otherwise it parses the CSV, which stays the source of truth.
 
+A finished matrix is formatted in process (write_matrix_csv).  Columns that
+are computed one after another, as generate-fhn's snapshots are, go to a
+CsvStream instead: a helper process formats each block while the next is
+computed, with the same row format, and the file is placed by the same
+atomic rule, so both routes write the same bytes.
+
 The manifest names the Gram matrix of the ambient space either as the token
 "identity", a path to a CSV matrix, a generator spec such as
 {"fem_mass": n}, or the block diagonal of generator specs, such as
@@ -26,13 +32,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
-from . import fem
+from . import csv_rows, fem
 from .errors import (
     DimensionMismatch,
     MalformedManifest,
@@ -42,7 +50,6 @@ from .errors import (
 )
 from .gram_space import GramSpace, check_dense_budget, identity_space, make_space
 
-CSV_FMT = "%.16e"
 # A dense dim x dim CSV Gram is budgeted at its measured peak, in dim^2
 # doubles (tracemalloc, 400 to 2,000 rows): 7.4 to read and factor it
 # (loadtxt array, CSR copy, symmetrization, band).  Reading checks this
@@ -164,6 +171,25 @@ def from_trajectory(grid, states, space=None):
     )
 
 
+def _temp_beside(path):
+    """A new empty temporary file in path's directory, as (fd, name); an
+    unwritable directory raises MissingDataFile."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    try:
+        return tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
+    except OSError as exc:
+        raise MissingDataFile(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _publish(tmp, path):
+    """Give the temporary file tmp the mode open() would (mkstemp makes it
+    0600) and move it onto path."""
+    umask = os.umask(0)
+    os.umask(umask)
+    os.chmod(tmp, 0o666 & ~umask)
+    os.replace(tmp, path)
+
+
 def _atomic_write(path, content):
     """Write content to path atomically, through a temporary file beside it.
 
@@ -171,20 +197,14 @@ def _atomic_write(path, content):
     bytes, a function that writes them to the open binary file (np.save
     writes an array's buffer there with no copy).
     An unwritable path raises MissingDataFile and leaves no temporary file."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp = None
+    fd, tmp = _temp_beside(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
         with os.fdopen(fd, "wb" if callable(content) else "w") as fh:
             if callable(content):
                 content(fh)
             else:
                 fh.writelines([content] if isinstance(content, str) else content)
-        # mkstemp makes the file 0600; give it the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        _publish(tmp, path)
         tmp = None
     except OSError as exc:
         raise MissingDataFile(f"cannot write {path}: {exc.strerror}") from None
@@ -194,11 +214,89 @@ def _atomic_write(path, content):
 
 
 def write_matrix_csv(path, matrix):
-    """Headerless CSV with 17 significant digits, one % per row, written
-    atomically a row at a time (no whole-file text is held)."""
+    """Headerless CSV with 17 significant digits, one % of csv_rows.row_format
+    per row, written atomically a row at a time (no whole-file text is held)."""
     M = np.atleast_2d(np.asarray(matrix, dtype=float))
-    row_fmt = ",".join([CSV_FMT] * M.shape[1]) + "\n"
+    row_fmt = csv_rows.row_format(M.shape[1]) + "\n"
     _atomic_write(path, (row_fmt % tuple(row.tolist()) for row in M))
+
+
+class CsvStream:
+    """A matrix CSV written from blocks of its columns while later columns
+    are still being computed, byte for byte the file write_matrix_csv writes.
+
+    Making the stream makes the temporary file beside path, so an
+    unwritable path is MissingDataFile before any column exists, and starts
+    the helper: csv_rows run as a script in a fresh interpreter (python -I
+    -S, the standard library alone) with its standard output on that file.
+    write() pipes each block's doubles to the helper, which formats them with
+    write_matrix_csv's row format while the next block is computed.
+    finish() sends the end mark, waits for the helper to write the file, and
+    moves it onto path by _atomic_write's rule.  close(), which leaving a
+    with block calls, stops a helper that still runs and removes the
+    temporary file unless finish() moved it.
+
+    The helper is a new interpreter, not a fork: the peak RSS that wait4
+    reports for a process covers its children, and a forked child starts
+    out charged for every page it shares with its parent, so its peak
+    would be the parent's size at the fork plus the formatted text.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._proc = None
+        fd, self._tmp = _temp_beside(path)
+        try:
+            self._proc = subprocess.Popen(
+                [sys.executable, "-I", "-S", csv_rows.__file__],
+                stdin=subprocess.PIPE, stdout=fd, stderr=subprocess.PIPE,
+            )
+        except OSError as exc:
+            self.close()
+            raise MissingDataFile(f"cannot write {path}: {exc.strerror}") from None
+        finally:
+            os.close(fd)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def write(self, block):
+        """Hand the next columns, a (rows, k) array, to the helper."""
+        block = np.ascontiguousarray(block, dtype=float)
+        try:
+            self._proc.stdin.write(csv_rows.BLOCK.pack(*block.shape))
+            self._proc.stdin.write(memoryview(block).cast("B"))
+        except OSError as exc:
+            raise MissingDataFile(f"cannot write {self.path}: {exc.strerror}") from None
+
+    def finish(self):
+        """Send the end mark, wait for the file, and move it onto path."""
+        _, err = self._proc.communicate(csv_rows.BLOCK.pack(0, 0))
+        if self._proc.returncode != 0:
+            reason = err.decode(errors="replace").strip()
+            raise MissingDataFile(
+                f"cannot write {self.path}: "
+                + (reason or f"the CSV helper exited with {self._proc.returncode}")
+            )
+        try:
+            _publish(self._tmp, self.path)
+        except OSError as exc:
+            raise MissingDataFile(f"cannot write {self.path}: {exc.strerror}") from None
+        self._tmp = None
+
+    def close(self):
+        """Stop the helper if it still runs; remove the temporary file unless
+        finish() moved it onto path."""
+        if self._proc is not None:
+            if self._proc.poll() is None:
+                self._proc.kill()
+            self._proc.communicate()  # closes the pipes, reaps the helper
+        if self._tmp is not None and os.path.exists(self._tmp):
+            os.unlink(self._tmp)
+            self._tmp = None
 
 
 def read_matrix_csv(path, rows=None, cols=None):
@@ -378,20 +476,31 @@ def resolve_gram_spec(spec, dim, base_dir="."):
     return make_space(gram_matrix(spec, dim, base_dir))
 
 
-def save(sset, manifest_path, gram_spec):
+def data_csv_path(manifest_path):
+    """The data CSV that save writes beside a manifest: its stem plus _data.csv."""
+    return os.path.splitext(os.path.abspath(manifest_path))[0] + "_data.csv"
+
+
+def save(sset, manifest_path, gram_spec, stream=None):
     """Write a snapshot set as manifest JSON plus data CSV and its .npy.
 
-    The data CSV lands next to the manifest with the suffix "_data.csv", and
-    the same doubles, C-order float64, with the suffix "_data.npy".
-    gram_spec is the manifest gram entry recorded for the set's space, in
-    one of the forms gram_matrix accepts; no Gram matrix is written.
+    The data CSV lands next to the manifest with the suffix "_data.csv"
+    (data_csv_path), and the same doubles, C-order float64, with the suffix
+    "_data.npy".  gram_spec is the manifest gram entry recorded for the set's
+    space, in one of the forms gram_matrix accepts; no Gram matrix is
+    written.  stream, when given, is the CsvStream to data_csv_path that
+    was handed sset.data as it was computed; save finishes it rather than
+    writing the CSV again.
     """
     manifest_path = os.path.abspath(manifest_path)
     base = os.path.dirname(manifest_path)
     stem = os.path.splitext(os.path.basename(manifest_path))[0]
-    data_name = stem + "_data.csv"
-    data_path = os.path.join(base, data_name)
-    write_matrix_csv(data_path, sset.data)
+    data_path = data_csv_path(manifest_path)
+    data_name = os.path.basename(data_path)
+    if stream is None:
+        write_matrix_csv(data_path, sset.data)
+    else:
+        stream.finish()
     data_npy = _write_data_npy(base, stem + "_data.npy", data_path, sset.data)
     manifest = {
         "dim": int(sset.space_dim),

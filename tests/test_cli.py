@@ -1,13 +1,16 @@
 """Command-line surface: pipelines, exit codes, determinism, tolerances."""
 
+import functools
 import json
 import os
 import stat
+import subprocess
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from podkit import cli, fhn_gen
 from podkit.cli import POINTWISE_PER_LEVEL, build_map_from_spec, main
 from podkit.error_lab import PROJECTOR_FAMILIES, battery_level, certifier, write_report
 from podkit.fem import assemble_fem_1d
@@ -105,6 +108,54 @@ def test_verify_exit_codes_and_tol_env(synth_bundle, tmp_path, capsys, monkeypat
             "--output", report, "--r", "2",
         )
         assert code2 == 0, err
+
+
+@pytest.fixture
+def perturbed_synth33(tmp_path, capsys):
+    """s.json, a 33-node synthetic bundle, and p.json, its data times
+    1 + 1e-15 N(0, 1): the two differ by round-off alone."""
+    manifest = str(tmp_path / "s.json")
+    assert main(["generate-synthetic", "--nodes", "33", "--output", manifest]) == 0
+    capsys.readouterr()
+    sset = load(manifest)
+    rng = np.random.default_rng(0)
+    data = sset.data * (1.0 + 1e-15 * rng.standard_normal(sset.data.shape))
+    perturbed = make_snapshot_set(data, sset.weights, kind="continuous", grid=sset.grid)
+    save(perturbed, str(tmp_path / "p.json"), json.loads((tmp_path / "s.json").read_text())["gram"])
+    return tmp_path
+
+
+def test_pod_signs_survive_a_round_off_perturbation_of_the_data(perturbed_synth33, capsys):
+    # the synthetic modes are (anti)symmetric, their two largest magnitudes
+    # equal to within round-off, so the perturbation must not choose new
+    # signs for pod's CSVs
+    tmp = perturbed_synth33
+    for stem in "sp":
+        basis = str(tmp / f"{stem}_b.json")
+        assert main(["pod", "--input", str(tmp / f"{stem}.json"), "--output", basis]) == 0
+    capsys.readouterr()
+    for part in ("modes", "right"):
+        a, b = (np.loadtxt(tmp / f"{stem}_b_{part}.csv", delimiter=",") for stem in "sp")
+        assert not np.array_equal(a, b)  # the perturbation reached the basis
+        assert np.all(np.einsum("ij,ij->j", a, b) > 0.0), part
+
+
+def test_worst_snapshots_survive_a_round_off_perturbation_of_the_data(perturbed_synth33, capsys):
+    # the synthetic snapshots repeat, and the per-snapshot keys of the
+    # range_exact and snap_* rows tie at round-off: each row must still
+    # name the same snapshot in info["ell"]
+    tmp = perturbed_synth33
+    ells = []
+    for stem in "sp":
+        code, _, _ = run(
+            capsys, "verify", "--input", str(tmp / f"{stem}.json"),
+            "--map", str(tmp / "s_map.json"), "--r", "1,2,3,4,5,6,7,8",
+            "--output", str(tmp / f"{stem}_v.json"),
+        )
+        assert code == 0
+        checks = json.loads((tmp / f"{stem}_v.json").read_text())["checks"]
+        ells.append([(c["identity_id"], c["r"], c["info"].get("ell")) for c in checks])
+    assert ells[0] == ells[1]
 
 
 def test_pod_drop_tolerance_is_the_flag_alone(tmp_path, capsys, monkeypatch):
@@ -607,6 +658,74 @@ def test_file_boundaries_raise_typed_errors(synth8, tmp_path, capsys, case):
     assert json.loads(err)["error"] == error
     assert not os.path.exists(tmp_path / "absent")
     assert [f for f in os.listdir(tmp_path) if f.startswith(".tmp_")] == []
+
+
+def test_generate_fhn_into_a_missing_directory_fails_before_the_solve(
+    tmp_path, capsys, monkeypatch
+):
+    # the data CSV's temporary file is made before the solve, so an
+    # unwritable output costs no solve and writes nothing
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_fhn ran")
+
+    monkeypatch.setattr(fhn_gen, "solve_fhn", no_solve)
+    absent = tmp_path / "absent"
+    code, _, err = run(capsys, "generate-fhn", "--output", str(absent / "x.json"))
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "MissingDataFile",
+        "message": f"cannot write {absent / 'x_data.csv'}: No such file or directory",
+    }
+    assert os.listdir(tmp_path) == []
+
+
+def _record_helpers(monkeypatch):
+    """The processes podkit starts from now on, in a list."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
+@pytest.mark.parametrize("nodes", [4, 8, 30])
+def test_generate_fhn_streams_the_files_the_in_process_writer_writes(
+    tmp_path, capsys, monkeypatch, nodes
+):
+    started = _record_helpers(monkeypatch)
+    streamed = tmp_path / "streamed"
+    streamed.mkdir()
+    argv = ["generate-fhn", "--nodes", str(nodes), "--output", str(streamed / "f.json")]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(started) == 1 and started[0].returncode == 0
+    # the in-process route: write_matrix_csv formats the finished data
+    sset, gram_spec, map_spec = make_fhn_instance(FhnConfig(nodes=nodes))
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    save(sset, str(direct / "f.json"), gram_spec)
+    (direct / "f_map.json").write_text(json.dumps(map_spec, indent=2) + "\n")
+    files = ["f.json", "f_data.csv", "f_data.npy", "f_map.json"]
+    assert sorted(os.listdir(streamed)) == sorted(os.listdir(direct)) == sorted(files)
+    for name in files:
+        assert (streamed / name).read_bytes() == (direct / name).read_bytes(), name
+
+
+def test_diverged_generate_fhn_leaves_no_helper_and_no_file(tmp_path, capsys, monkeypatch):
+    started = _record_helpers(monkeypatch)
+    monkeypatch.setattr(cli, "FhnConfig", functools.partial(FhnConfig, mu=0.0))
+    with np.errstate(all="ignore"):
+        code, _, err = run(
+            capsys, "generate-fhn", "--nodes", "4", "--output", str(tmp_path / "f.json")
+        )
+    assert code == 3
+    assert json.loads(err)["error"] == "SolverDiverged"
+    assert len(started) == 1 and started[0].returncode is not None
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("kind", ["data", "gram", "ritz_form", "matrix"])

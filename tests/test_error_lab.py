@@ -100,8 +100,13 @@ def test_range_residual_block_names_the_worst_snapshot():
 
 def test_worst_index_prefers_failures_then_first_of_ties():
     passed = np.array([True, False, False, True])
-    assert _worst_index(passed, np.array([5.0, 2.0, 2.0, 9.0])) == 1
-    assert _worst_index(np.ones(3, bool), np.array([1.0, 3.0, 3.0])) == 1
+    assert _worst_index(passed, np.array([5.0, 2.0, 2.0, 9.0]), 0.0) == 1
+    assert _worst_index(np.ones(3, bool), np.array([1.0, 3.0, 3.0]), 0.0) == 1
+    # a key within its round-off noise of the largest ties with it
+    keys = np.array([2.6e-14, 1e-20, 3.0e-14, 9.0])
+    assert _worst_index(np.array([True, True, True, False]), keys, 1e-12) == 3
+    assert _worst_index(np.ones(3, bool), keys[:3], 1e-12) == 0
+    assert _worst_index(np.ones(3, bool), keys[:3], np.array([1e-15, 1e-12, 1e-15])) == 1
 
 
 def test_range_exact_passes_at_every_level_on_flagship(fhn_instance):

@@ -14,6 +14,7 @@ from podkit.fhn_gen import (
     NEWTON_MAX_ITER,
     NEWTON_REL_TOL,
     SDIRK_GAMMA,
+    STREAM_BLOCK,
     SYNTHETIC_ARRAYS,
     TRAJECTORY_ARRAYS,
     FhnConfig,
@@ -68,6 +69,26 @@ def test_boundary_pulse_shape():
     # t^3 exp(-15 t) peaks at t = 0.2
     assert boundary_pulse(0.2) > boundary_pulse(0.05)
     assert boundary_pulse(0.2) > boundary_pulse(1.0)
+
+
+def test_stream_receives_every_snapshot_in_finished_blocks():
+    # 2.5 blocks of steps: two full blocks, then the last half block as
+    # soon as the final step ends
+    class Recorder:
+        def __init__(self):
+            self.blocks = []
+
+        def write(self, block):
+            self.blocks.append(block.copy())
+
+    steps = 2 * STREAM_BLOCK + STREAM_BLOCK // 2
+    cfg = FhnConfig(nodes=6, t_end=steps * 0.005, dt=0.005)
+    recorder = Recorder()
+    _, streamed = solve_fhn(cfg, recorder)
+    _, data = solve_fhn(cfg)
+    assert [b.shape[1] for b in recorder.blocks] == [STREAM_BLOCK, STREAM_BLOCK, STREAM_BLOCK // 2]
+    assert np.array_equal(np.hstack(recorder.blocks), data)
+    assert np.array_equal(streamed, data)
 
 
 def test_trajectory_deterministic():

@@ -1,25 +1,30 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from podkit import csv_rows
+from podkit.csv_rows import BLOCK, CSV_FMT
 from podkit.errors import (
     DimensionMismatch,
     MalformedManifest,
     MissingDataFile,
     NonMonotoneGrid,
     ProblemTooLarge,
+    SolverDiverged,
     WeightNonPositive,
 )
 from podkit.fem import assemble_fem_1d
-from podkit.fhn_gen import embedding_set
+from podkit.fhn_gen import FhnConfig, embedding_set, solve_fhn
 from podkit.gram_space import DENSE_BYTES_BUDGET, identity_space, make_space
 from podkit.snapshot_io import (
-    CSV_FMT,
+    CsvStream,
     CSV_GRAM_ARRAYS,
     csv_shape,
     from_trajectory,
@@ -307,6 +312,101 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp_")]
     assert leftovers == []
     assert read_matrix_csv(path)[0, 0] == 2.0
+
+
+# -- the data CSV streamed to a helper process ---------------------------------
+
+def _stream_csv(path, M, block):
+    """M's CSV through a CsvStream, handed over block columns at a time."""
+    with CsvStream(path) as stream:
+        for start in range(0, M.shape[1], block):
+            stream.write(M[:, start : start + block])
+        stream.finish()
+    return stream
+
+
+@pytest.mark.parametrize("case", ["specials", "one-column", "ragged-blocks"])
+def test_csv_stream_writes_the_bytes_write_matrix_csv_writes(tmp_path, case):
+    rng = np.random.default_rng(5)
+    M, block = {
+        # signed zeros, subnormals, three-digit exponents of both signs
+        "specials": (np.array([
+            [0.0, -0.0, 5e-324, -2.2250738585072014e-308],
+            [1e308, -1.5e-310, 1e-100, -np.pi * 1e200],
+        ]), 1),
+        "one-column": (rng.standard_normal((7, 1)), 3),
+        # 23 columns in blocks of 4: the last block has 3
+        "ragged-blocks": (
+            rng.standard_normal((5, 23)) * 10.0 ** rng.integers(-300, 300, (5, 23)), 4
+        ),
+    }[case]
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    write_matrix_csv(str(want), M)
+    stream = _stream_csv(str(got), M, block)
+    assert got.read_bytes() == want.read_bytes()
+    assert os.stat(got).st_mode == os.stat(want).st_mode
+    assert stream._proc.returncode == 0
+    assert sorted(os.listdir(tmp_path)) == ["got.csv", "want.csv"]
+
+
+def test_csv_stream_into_a_missing_directory_fails_at_once(tmp_path):
+    with pytest.raises(MissingDataFile, match="cannot write .*absent.*No such file"):
+        CsvStream(str(tmp_path / "absent" / "x.csv"))
+    assert os.listdir(tmp_path) == []
+
+
+def test_killed_csv_helper_is_missing_data_file(tmp_path):
+    stream = CsvStream(str(tmp_path / "x.csv"))
+    with stream, pytest.raises(MissingDataFile, match="cannot write"):
+        stream.write(np.ones((4, 3)))
+        stream._proc.kill()
+        stream._proc.wait(timeout=60)
+        stream.write(np.ones((4, 2**12)))  # larger than the pipe and its buffer
+        stream.finish()
+    assert stream._proc.returncode is not None
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        (b"", b"before the end mark"),
+        (BLOCK.pack(4, 3) + b"\0" * 10, b"a block of 10 bytes for 4 x 3 doubles"),
+    ],
+    ids=["after-a-block", "inside-a-block"],
+)
+def test_csv_helper_writes_nothing_without_the_end_mark(tmp_path, tail, message):
+    # input that ends before the end mark, as when the parent dies mid-solve
+    out = tmp_path / "x.csv"
+    with open(out, "wb") as fh:
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", csv_rows.__file__],
+            input=BLOCK.pack(4, 3) + np.ones((4, 3)).tobytes() + tail,
+            stdout=fh, stderr=subprocess.PIPE, timeout=60,
+        )
+    assert done.returncode == 1
+    assert message in done.stderr
+    assert out.read_bytes() == b""
+
+
+def test_failed_csv_helper_is_missing_data_file_with_its_message(tmp_path):
+    # a block cut short: the end mark's header is read as the block's
+    # missing bytes, and the input ends inside the block
+    stream = CsvStream(str(tmp_path / "x.csv"))
+    with stream, pytest.raises(MissingDataFile, match="a block of 26 bytes for 4 x 3 doubles"):
+        stream._proc.stdin.write(BLOCK.pack(4, 3) + b"\0" * 10)
+        stream.finish()
+    assert stream._proc.returncode == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_csv_stream_left_by_a_diverged_solve_leaves_nothing(tmp_path):
+    stream = CsvStream(str(tmp_path / "x.csv"))
+    with np.errstate(all="ignore"), pytest.raises(SolverDiverged), stream:
+        stream.write(np.ones((8, 3)))  # columns already with the helper
+        solve_fhn(FhnConfig(nodes=4, mu=0.0), stream)
+    assert stream._proc.returncode is not None
+    assert os.listdir(tmp_path) == []
 
 
 # -- the .npy copy of the data beside the CSV ---------------------------------
