@@ -10,19 +10,18 @@ u_x(t, 0) = -50000 t^3 exp(-15 t) feeding an impulse in from the left end,
 and a zero slope at the right end.  Space is discretized by piecewise linear
 finite elements with the nonlinearity interpolated at the nodes; time by a
 fixed-step two-stage L-stable singly diagonally implicit Runge-Kutta scheme
-with Newton iteration on the cubic.  The solver works with u and v
-interleaved as [u_0, v_0, u_1, v_1, ...] throughout, where the tridiagonal
-mass and stiffness blocks make every operator a band with three sub- and
-superdiagonals.  The Newton matrix M - h gamma J is factored in LAPACK band
-storage: its f'(u)-free part A0 is built once per solve, and each
-factorization (at every stage start and at Newton iterations 8 and 16) adds
-only the three f'(u)-dependent uu diagonals.  The Newton residual is two
-banded products (dgbmv), A0 Y minus the f(u) term, against a right-hand side
-formed once per stage (Hairer and Wanner, Solving ODEs II, sec. IV.8).  Each
-midpoint snapshot is stored as its step ends; no state trajectory is held.
-Given a snapshot_io.CsvStream, the solver hands it every STREAM_BLOCK
-finished snapshots, so a helper process formats the data CSV on another
-core while the later steps are solved.
+with Newton iteration on the cubic.  A state stacks the nodal values of u
+over those of v.  The v rows of every stage equation are the mass matrix
+times a nodal equation, linear in the stage's u and v, so each stage's v is
+eliminated node by node (block elimination; Hairer and Wanner, Solving
+ODEs II, sec. IV.8) and Newton runs on u alone.  Its matrix is tridiagonal,
+a fixed part minus (h gamma / mu) M diag(f'(u)) for the mass matrix M, and is
+factored by dgttrf at every stage start and at Newton iterations 8 and 16;
+each residual is two tridiagonal products (dgbmv) against a right-hand side
+formed once per stage.  Each midpoint snapshot is stored as its step ends;
+no state trajectory is held.  Given a snapshot_io.CsvStream, the solver
+hands it every STREAM_BLOCK finished snapshots, so a helper process formats
+the data CSV on another core while the later steps are solved.
 
 The module also makes the smooth synthetic snapshots of generate-synthetic.
 Both generators return a bundle as (snapshot set, gram spec, map spec), the
@@ -32,11 +31,12 @@ snapshot_io.resolve_gram_spec of the gram spec, as load builds it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DimensionMismatch, SolverDiverged
 from .fem import assemble_fem_1d
@@ -47,16 +47,15 @@ SDIRK_GAMMA = 1.0 - np.sqrt(2.0) / 2.0
 NEWTON_ABS_TOL = 1e-8
 NEWTON_REL_TOL = 1e-6
 NEWTON_MAX_ITER = 25
-NEWTON_BAND = 3
 SYNTHETIC_FIELDS = 8
 SYNTHETIC_DECAY = 0.45
 EMBEDDING_SNAPSHOTS = 40
 # Peak of solving and packaging a trajectory (make_fhn_instance, then save),
-# in 2n x (steps + 1) doubles: 1.04, 1.09 and 1.21 (tracemalloc; 400 and 100
+# in 2n x (steps + 1) doubles: 1.03, 1.10 and 1.75 (tracemalloc; 400 and 100
 # nodes at 2,000 steps, 60 nodes at 400), the midpoint snapshots and the
-# smaller working arrays beside them.  Checked against
-# gram_space.DENSE_BYTES_BUDGET before the solve; the default 2,000 steps
-# are refused above 8,384 nodes.
+# smaller working arrays beside them, such as save's 256 KiB hash buffer.
+# Checked against gram_space.DENSE_BYTES_BUDGET before the solve; the
+# default 2,000 steps are refused above 8,384 nodes.
 TRAJECTORY_ARRAYS = 2
 # Peak of generating and packaging the synthetic set (embedding_set, then
 # save), in nodes x (EMBEDDING_SNAPSHOTS + 1) doubles: 2.62 and 2.16
@@ -90,21 +89,12 @@ def boundary_pulse(t):
     return 50000.0 * t**3 * np.exp(-15.0 * t)
 
 
-def _interleaved_band(blocks, n):
-    """General band storage (dgbmv's, kl = ku = NEWTON_BAND, Fortran order)
-    of the interleaved matrix with tridiagonal blocks.
-
-    blocks maps (row species, column species), 0 for u and 1 for v, to an
-    n x n tridiagonal sparse block.  Entry (i, j) of the interleaved matrix
-    goes to row NEWTON_BAND + i - j of column j.
-    """
-    ab = np.zeros((2 * NEWTON_BAND + 1, 2 * n), order="F")
-    for (row, col), block in blocks.items():
-        for d in (-1, 0, 1):
-            lo, hi = max(0, -d), n - max(0, d)
-            ab[NEWTON_BAND + 2 * d + row - col, 2 * lo + col : 2 * hi : 2] = (
-                block.diagonal(-d)
-            )
+def _band(T, m):
+    """dgbmv's band storage (kl = ku = 1, Fortran order) of the tridiagonal
+    sparse T, zero-padded to m x m."""
+    n = T.shape[0]
+    ab = np.zeros((3, m), order="F")
+    ab[0, 1:n], ab[1, :n], ab[2, : n - 1] = T.diagonal(1), T.diagonal(), T.diagonal(-1)
     return ab
 
 
@@ -130,95 +120,106 @@ def solve_fhn(config, stream=None):
     check_dense_budget(TRAJECTORY_ARRAYS, (2 * n, steps + 1), "the FitzHugh-Nagumo trajectory")
     grid = np.linspace(0.0, config.t_end, steps + 1)
     mesh = assemble_fem_1d(n)
-    M = mesh.mass
-    S = mesh.stiffness
     mu = np.float64(config.mu)  # mu = 0 makes inf entries, not ZeroDivisionError
-    b = config.b
-    gam = config.gamma_param
-    h = config.dt
-    gam_s = SDIRK_GAMMA
-    coeff = h * gam_s
+    b, gam, h = config.b, config.gamma_param, config.dt
+    coeff = h * SDIRK_GAMMA
+    explicit = h * (1.0 - SDIRK_GAMMA)  # stage 2's weight on rhs(t1, Y1)
+    rho = explicit / coeff
+    kappa = coeff / mu
+    denom = 1.0 + coeff * gam
+    beta = coeff * b / denom
 
-    # Every vector below is interleaved, [u_0, v_0, u_1, v_1, ...].  With
-    # rhs(t, w) = K_lin w + (M / mu) f(u) on the u rows + forcing(t), the
-    # Newton matrix Mb - coeff * J is A0 - band_fp * f'(u) on the u columns,
-    # A0 = Mb - coeff * K_lin, band_fp = coeff * (M / mu) on the uu block.
-    mass = _interleaved_band({(0, 0): M, (1, 1): M}, n)
-    k_lin = _interleaved_band(
-        {(0, 0): -mu * S, (0, 1): M / -mu, (1, 0): b * M, (1, 1): -gam * M}, n
-    )
-    a0 = mass - coeff * k_lin
-    band_fp = _interleaved_band({(0, 0): (coeff / mu) * M}, n)
-    # scipy's dgbmv takes at least kl + ku + 1 rows, so below 4 nodes the
-    # products' outputs carry zero rows past 2n
-    rows = max(2 * n, 2 * NEWTON_BAND + 1)
-    source = np.zeros(rows)
-    source[: 2 * n : 2] = M @ np.full(n, config.c / mu)
-    source[1 : 2 * n : 2] = M @ np.full(n, config.c)
-    f_u = np.zeros(2 * n)  # f(u) on the u entries, zero on the v entries
+    # A stage Y = [U; V] solves M (Y - w) = coeff rhs(t, Y) + const, with
+    # const = 0 in stage 1 and explicit rhs(t1, Y1) in stage 2.  Its v rows
+    # are M times a nodal equation, so V = v0 + beta U node by node, where
+    # v0 = (v_base + coeff c + m_v) / denom and const's v rows are M m_v.
+    # Put into the u rows, V leaves A U - m_fp f(U) = M z + q for the
+    # tridiagonal A = (1 + kappa beta) M + coeff mu S and m_fp = kappa M:
+    # z = u_base + kappa (c - v0) plus const's M part, a nodal vector, and q
+    # the boundary influx plus const's stiffness part.
+    # scipy's dgttrf takes at least 3 unknowns and dgbmv kl + ku + 1 rows,
+    # so U and V carry decoupled zero nodes up to m = max(n, 3).
+    m = max(n, 3)
+    mass, stiff = _band(mesh.mass, m), _band(mesh.stiffness, m)
+    a_u = (1.0 + kappa * beta) * mass + (coeff * mu) * stiff
+    a_u[1, n:] = 1.0
+    m_fp = kappa * mass
+    # C order, so that dgttrf takes the Newton matrix's rows without copies
+    a_rows, fp_rows = np.ascontiguousarray(a_u), np.ascontiguousarray(m_fp)
+    c = np.zeros(m)
+    c[:n] = config.c
+    starts = grid[:-1]
+    # q's influx entry, mu pulse(t) times its weight, per step and stage
+    influx = (mu if config.boundary_drive else 0.0) * np.stack([
+        coeff * boundary_pulse(starts + coeff),
+        coeff * boundary_pulse(starts + h) + explicit * boundary_pulse(starts + coeff),
+    ])
 
-    def gbmv(ab, x, alpha, y, beta=1.0):
-        """alpha * ab x + beta * y, in place in y (of rows entries)."""
-        return dgbmv(
-            rows, 2 * n, NEWTON_BAND, NEWTON_BAND, alpha, ab, x,
-            beta=beta, y=y, overwrite_y=1,
-        )
+    def gbmv(ab, x, alpha, y):
+        """alpha * ab x + y, in place in y."""
+        # positional: incx, offx, beta, y, incy, offy, trans, overwrite_y;
+        # f2py parses keywords at twice the cost of the product itself
+        return dgbmv(m, m, 1, 1, alpha, ab, x, 1, 0, 1.0, y, 1, 0, 0, 1)
 
-    def nonlinear(Y):
-        u = Y[::2]
-        f_u[::2] = u * (u - 0.1) * (1.0 - u)
-        return f_u
+    def nonlinear(U):
+        return U * (U - 0.1) * (1.0 - U)
 
-    def forcing(t):
-        out = source.copy()
-        if config.boundary_drive:
-            out[0] += mu * boundary_pulse(t)
-        return out
-
-    def factor(Y, t_stage):
-        u = Y[::2]
-        fp = -3.0 * u**2 + 2.2 * u - 0.1
-        ab = np.zeros((3 * NEWTON_BAND + 1, 2 * n), order="F")  # top rows: fill-in
-        ab[NEWTON_BAND:] = a0 - band_fp * np.repeat(fp, 2)
-        if not np.all(np.isfinite(ab)):
+    def factor(U, t_stage):
+        newton = np.multiply(fp_rows, -3.0 * U**2 + 2.2 * U - 0.1)
+        np.subtract(a_rows, newton, out=newton)  # A - m_fp diag(f'(U))
+        if not np.isfinite(newton).all():
             raise SolverDiverged(f"Newton matrix not finite at t = {t_stage:.6f}")
-        lu, piv, info = dgbtrf(ab, NEWTON_BAND, NEWTON_BAND, overwrite_ab=1)
+        *lu, info = dgttrf(newton[2, :-1], newton[1], newton[0, 1:], 1, 1, 1)
         if info != 0:
             raise SolverDiverged(f"Newton matrix singular at t = {t_stage:.6f}")
-        return lu, piv
+        return lu
 
-    def stage_solve(t_stage, y_base, const, guess):
-        """Y with Mb (Y - y_base) = coeff * rhs(t_stage, Y) + const."""
-        r_stage = gbmv(mass, y_base, 1.0, const + coeff * forcing(t_stage))
+    def stage_solve(t_stage, z, q, v0, guess):
+        """The stage [U; V] with V = v0 + beta U and A U - m_fp f(U) = M z + q."""
+        r = gbmv(mass, z, 1.0, q)
         Y = guess.copy()
-        lu, piv = factor(Y, t_stage)
+        delta = np.empty(2 * m)
+        U, V, d_u, d_v = Y[:m], Y[m:], delta[:m], delta[m:]
+        lu = factor(U, t_stage)
+        jump = v0 + beta * U - V  # the guess's V to v0 + beta U, in iteration 0
         for it in range(NEWTON_MAX_ITER):
-            # -F = r_stage - A0 Y + band_fp f(u)
-            neg_f = gbmv(a0, Y, -1.0, r_stage.copy())
-            neg_f = gbmv(band_fp, nonlinear(Y), 1.0, neg_f)
-            delta, _ = dgbtrs(lu, NEWTON_BAND, NEWTON_BAND, neg_f[: 2 * n], piv, overwrite_b=1)
-            Y += delta
+            neg_f = gbmv(m_fp, nonlinear(U), 1.0, gbmv(a_u, U, -1.0, r.copy()))
+            d_u[:] = dgttrs(*lu, neg_f, "N", 1)[0]
+            U += d_u
+            np.multiply(d_u, beta, out=d_v)
+            if it == 0:
+                d_v += jump
+            V += d_v
             y_max = abs(Y).max()  # nan when Y holds one
             if abs(delta).max() <= NEWTON_ABS_TOL + NEWTON_REL_TOL * y_max:
                 return Y
             if it in (8, 16):
-                lu, piv = factor(Y, t_stage)
-            if not np.isfinite(y_max):
+                lu = factor(U, t_stage)
+            if not math.isfinite(y_max):
                 break
         raise SolverDiverged(f"Newton stalled at t = {t_stage:.6f}")
 
     data = np.empty((2 * n, steps))
-    w = np.zeros(2 * n)
+    w = np.zeros(2 * m)
     sent = 0  # snapshots handed to the stream
     for k in range(steps):
-        t1 = grid[k] + gam_s * h
-        Y1 = stage_solve(t1, w, 0.0, w)
-        # h (1 - gamma) rhs(t1, Y1); band_fp carries coeff = h gamma
-        const = gbmv(k_lin, Y1, h * (1.0 - gam_s), forcing(t1), h * (1.0 - gam_s))
-        const = gbmv(band_fp, nonlinear(Y1), (1.0 - gam_s) / gam_s, const)
-        w_next = stage_solve(grid[k] + h, w, const, Y1)
+        u_base, v_base = w[:m], w[m:]
+        q = np.zeros(m)
+        q[0] = influx[0, k]
+        v0 = (v_base + coeff * c) / denom
+        Y1 = stage_solve(starts[k] + coeff, u_base + kappa * (c - v0), q, v0, w)
+        # stage 2's const is explicit rhs(t1, Y1): m_v = explicit (b U1 -
+        # gam V1 + c), M part rho kappa (f(U1) - V1 + c), stiffness part
+        # -explicit mu S U1
+        U1, V1 = Y1[:m], Y1[m:]
+        v0 = (v_base + coeff * c + explicit * (b * U1 - gam * V1 + c)) / denom
+        z = u_base + kappa * (c - v0 + rho * (nonlinear(U1) - V1 + c))
+        q = np.zeros(m)
+        q[0] = influx[1, k]
+        q = gbmv(stiff, U1, -explicit * mu, q)
+        w_next = stage_solve(starts[k] + h, z, q, v0, Y1)
         mid = 0.5 * (w_next + w)
-        data[:n, k], data[n:, k] = mid[::2], mid[1::2]
+        data[:n, k], data[n:, k] = mid[:n], mid[m : m + n]
         w = w_next
         if stream is not None and (k + 1 - sent == STREAM_BLOCK or k + 1 == steps):
             stream.write(data[:, sent : k + 1])

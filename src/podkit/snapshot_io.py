@@ -330,17 +330,6 @@ def _file_sha256(path):
     return digest.hexdigest()
 
 
-def _write_data_npy(base, name, csv_path, data):
-    """Write data as the .npy beside its CSV; return its manifest entry."""
-    M = np.ascontiguousarray(data, dtype=float)
-    _atomic_write(os.path.join(base, name), lambda fh: np.save(fh, M, allow_pickle=False))
-    return {
-        "file": name,
-        "csv_sha256": _file_sha256(csv_path),
-        "sha256": hashlib.sha256(memoryview(M)).hexdigest(),
-    }
-
-
 def _read_data_npy(base, csv_path, entry, shape):
     """The data from the .npy a manifest entry names, or None unless the CSV
     still has the recorded digest and the .npy is a finite, C-order float64
@@ -489,26 +478,35 @@ def save(sset, manifest_path, gram_spec, stream=None):
     "_data.npy".  gram_spec is the manifest gram entry recorded for the set's
     space, in one of the forms gram_matrix accepts; no Gram matrix is
     written.  stream, when given, is the CsvStream to data_csv_path that
-    was handed sset.data as it was computed; save finishes it rather than
-    writing the CSV again.
+    was handed sset.data as it was computed; save writes the .npy while the
+    stream's helper may still be formatting, then finishes the stream
+    rather than writing the CSV again (a failed finish removes the .npy).
     """
     manifest_path = os.path.abspath(manifest_path)
-    base = os.path.dirname(manifest_path)
-    stem = os.path.splitext(os.path.basename(manifest_path))[0]
     data_path = data_csv_path(manifest_path)
-    data_name = os.path.basename(data_path)
+    npy_path = os.path.splitext(data_path)[0] + ".npy"
     if stream is None:
         write_matrix_csv(data_path, sset.data)
-    else:
-        stream.finish()
-    data_npy = _write_data_npy(base, stem + "_data.npy", data_path, sset.data)
+    M = np.ascontiguousarray(sset.data, dtype=float)
+    _atomic_write(npy_path, lambda fh: np.save(fh, M, allow_pickle=False))
+    npy_sha256 = hashlib.sha256(memoryview(M)).hexdigest()
+    if stream is not None:
+        try:
+            stream.finish()
+        except MissingDataFile:
+            os.unlink(npy_path)
+            raise
     manifest = {
         "dim": int(sset.space_dim),
         "count": int(sset.count),
         "kind": sset.kind,
         "gram": gram_spec,
-        "data": data_name,
-        "data_npy": data_npy,
+        "data": os.path.basename(data_path),
+        "data_npy": {
+            "file": os.path.basename(npy_path),
+            "csv_sha256": _file_sha256(data_path),
+            "sha256": npy_sha256,
+        },
     }
     if sset.kind == "continuous":
         manifest["grid"] = [float(t) for t in sset.grid]

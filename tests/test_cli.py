@@ -5,6 +5,7 @@ import json
 import os
 import stat
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def test_generate_synthetic_writes_bundle(synth_bundle):
     manifest, map_path = synth_bundle
     assert os.path.exists(manifest)
     assert os.path.exists(manifest.replace(".json", "_data.csv"))
-    spec = json.load(open(map_path))
+    spec = json.loads(Path(map_path).read_text())
     assert spec == {"embedding": {"from": "mass", "to": "stiffness+mass"}}
 
 
@@ -50,7 +51,7 @@ def test_pod_roundtrip_and_truncation(synth_bundle, tmp_path, capsys):
     code, out, _ = run(capsys, "pod", "--input", manifest, "--output", bundle, "--r", "4")
     assert code == 0
     assert "rank" in out
-    basis = json.load(open(bundle))
+    basis = json.loads(Path(bundle).read_text())
     assert basis["rank"] == 4
     assert len(basis["sigma"]) == 4 and len(basis["eigenvalues"]) == 17
     modes = np.loadtxt(str(tmp_path / basis["modes"]), delimiter=",", ndmin=2)
@@ -60,7 +61,7 @@ def test_pod_roundtrip_and_truncation(synth_bundle, tmp_path, capsys):
     # text for text, and sigma the leading entries of its sigma
     full = str(tmp_path / "full.json")
     assert run(capsys, "pod", "--input", manifest, "--output", full)[0] == 0
-    full_basis = json.load(open(full))
+    full_basis = json.loads(Path(full).read_text())
     assert full_basis["rank"] == 8 and basis["sigma"] == full_basis["sigma"][:4]
     for key in ("modes", "right_vectors"):
         with open(tmp_path / full_basis[key]) as fh:
@@ -81,7 +82,7 @@ def test_verify_passes_on_synthetic(synth_bundle, tmp_path, capsys):
         "--output", report, "--r", "1,3",
     )
     assert code == 0, err
-    payload = json.load(open(report))
+    payload = json.loads(Path(report).read_text())
     assert payload["all_passed"] is True
     assert any(row["identity_id"] == "pod_x" for row in payload["checks"])
 
@@ -263,7 +264,7 @@ def test_sweep_and_table(synth_bundle, tmp_path, capsys):
         "--output", csv_path, "--r", "2,4",
     )
     assert code == 0, err
-    lines = open(csv_path).read().strip().split("\n")
+    lines = Path(csv_path).read_text().strip().split("\n")
     assert lines[0].startswith("identity_id,r,actual,formula")
     # per level: ambient, mapped, projected, pulled back
     assert len(lines) == 1 + 8
@@ -327,7 +328,7 @@ def test_a_decided_rank_relation_failure_fails_verify_its_report_and_table(
     assert code == 4, err
     assert "rank relation: source 1, image 2, FAIL" in out
     assert "failed: 0" in out
-    payload = json.load(open(report))
+    payload = json.loads(Path(report).read_text())
     assert payload["all_passed"] is False
     relation = payload["rank_relation"]
     assert {key: relation[key] for key in ("rank_source", "rank_image", "passed", "decided")} == {
@@ -358,7 +359,7 @@ def test_an_invertible_map_that_lifts_the_cut_leaves_the_relation_undecided(
         "rank relation: source 1, image 2, not decided: tail bound 5.65e-01 above "
         "drop threshold 9.13e-11 (informational)"
     ) in out
-    relation = json.load(open(report))["rank_relation"]
+    relation = json.loads(Path(report).read_text())["rank_relation"]
     assert relation == {
         "rank_source": 1, "rank_image": 2, "passed": False, "decided": False,
         "tail": pytest.approx(0.5653846, rel=1e-6),
@@ -409,8 +410,8 @@ def test_outputs_byte_identical_across_reruns(tmp_path, capsys):
         code = main(["generate-synthetic", "--output", target, "--nodes", "17"])
         capsys.readouterr()
         assert code == 0
-    data_a = open(a.replace(".json", "_data.csv"), "rb").read()
-    data_b = open(b.replace(".json", "_data.csv"), "rb").read()
+    data_a = Path(a.replace(".json", "_data.csv")).read_bytes()
+    data_b = Path(b.replace(".json", "_data.csv")).read_bytes()
     assert data_a == data_b
 
     sweep_a = str(tmp_path / "a" / "sweep.csv")
@@ -422,7 +423,7 @@ def test_outputs_byte_identical_across_reruns(tmp_path, capsys):
         ])
         capsys.readouterr()
         assert code == 0
-    assert open(sweep_a, "rb").read() == open(sweep_b, "rb").read()
+    assert Path(sweep_a).read_bytes() == Path(sweep_b).read_bytes()
 
 
 @pytest.mark.parametrize("family", PROJECTOR_FAMILIES)
@@ -447,7 +448,8 @@ def test_verify_rows_are_the_library_battery(synth_bundle, tmp_path, capsys, fam
         reports += battery_level(cert, r, coeffs=coeffs)
     library = str(tmp_path / "library.json")
     write_report(reports, library)
-    assert json.load(open(report))["checks"] == json.load(open(library))["checks"]
+    checks = [json.loads(Path(path).read_text())["checks"] for path in (report, library)]
+    assert checks[0] == checks[1]
 
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])
@@ -473,7 +475,7 @@ def test_projector_families_run_on_synthetic(synth_bundle, tmp_path, capsys):
             "--output", report, "--projector", family, "--r", "2",
         )
         assert code == 0, (family, err)
-        assert json.load(open(report))["all_passed"] is True
+        assert json.loads(Path(report).read_text())["all_passed"] is True
 
 
 @pytest.mark.parametrize("mask", [0o022, 0o027], ids=["umask022", "umask027"])
@@ -740,8 +742,8 @@ def test_non_finite_csv_cell_is_an_input_error(synth8, tmp_path, capsys, kind):
     np.savetxt(bad, matrix, delimiter=",")
     argv = ["pod", "--input", synth8, "--output", str(tmp_path / "basis.json")]
     if kind == "gram":
-        manifest = json.load(open(synth8))
-        json.dump({**manifest, "gram": bad}, open(synth8, "w"))
+        manifest = json.loads(Path(synth8).read_text())
+        Path(synth8).write_text(json.dumps({**manifest, "gram": bad}))
     elif kind == "ritz_form":
         spec = {"embedding": _EMBED, "ritz_form": bad}
         argv = ["verify", "--input", synth8, "--map", json.dumps(spec), "--projector", "ritz"]
@@ -768,7 +770,7 @@ def test_generated_bundle_loads_back_as_the_returned_set_and_specs(tmp_path, cap
     else:
         sset, gram_spec, map_spec = embedding_set(8)
     back = load(manifest)
-    assert json.load(open(manifest))["gram"] == gram_spec
+    assert json.loads(Path(manifest).read_text())["gram"] == gram_spec
     for got, want in ((back.data, sset.data), (back.weights, sset.weights)):
         assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
     assert back.kind == sset.kind == "continuous"
@@ -776,7 +778,7 @@ def test_generated_bundle_loads_back_as_the_returned_set_and_specs(tmp_path, cap
     assert np.array_equal(back.space.gram.toarray(), sset.space.gram.toarray())
     assert np.array_equal(back.space.chol, sset.space.chol)
     map_path = manifest.replace(".json", "_map.json")
-    assert json.load(open(map_path)) == map_spec
+    assert json.loads(Path(map_path).read_text()) == map_spec
 
 
 @pytest.mark.parametrize("command", ["generate-fhn", "generate-synthetic"])
@@ -896,7 +898,7 @@ def test_projector_families_are_built_once_per_run(tmp_path, capsys, monkeypatch
         "--r", "1,2,3,4,5,6,7,8", "--output", sweep_csv,
     )
     assert code == 0, err
-    assert len(open(sweep_csv).read().strip().split("\n")) == 1 + 4 * 8
+    assert len(Path(sweep_csv).read_text().strip().split("\n")) == 1 + 4 * 8
     assert len(ellipticity) == 1
     adjoint_route = _count_calls(monkeypatch, scipy.sparse.linalg, "splu")
     code, out, err = run(
@@ -920,7 +922,7 @@ def test_ritz_verify_at_4800_nodes_exits_0_and_writes_its_report(tmp_path, capsy
         "--projector", "ritz", "--r", "1", "--output", str(report),
     )
     assert code == 0, err
-    assert json.load(open(report))["all_passed"] is True
+    assert json.loads(Path(report).read_text())["all_passed"] is True
 
 
 def test_derivative_verify_at_6000_nodes_exits_0_without_a_surjectivity_field(
@@ -937,7 +939,7 @@ def test_derivative_verify_at_6000_nodes_exits_0_without_a_surjectivity_field(
         "--r", "1", "--output", str(report),
     )
     assert code == 0, err
-    relation = json.load(open(report))["rank_relation"]
+    relation = json.loads(Path(report).read_text())["rank_relation"]
     assert "surjective" not in relation
     assert relation["rank_source"] == 8
 
@@ -978,7 +980,7 @@ def test_generate_fhn_names_its_block_diagonal_gram(tmp_path, capsys, monkeypatc
     assert main(["generate-fhn", "--output", manifest, "--nodes", "8"]) == 0
     capsys.readouterr()
     assert len(factorizations) == 1
-    assert json.load(open(manifest))["gram"] == {"block_diag": [{"fem_mass": 8}] * 2}
+    assert json.loads(Path(manifest).read_text())["gram"] == {"block_diag": [{"fem_mass": 8}] * 2}
     assert sorted(os.listdir(tmp_path)) == [
         "fhn.json", "fhn_data.csv", "fhn_data.npy", "fhn_map.json",
     ]

@@ -1,12 +1,15 @@
 """Snapshot generators: solver regressions, refinement consistency, and the
 instance builders used across the suite."""
 
+import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag, lu_factor, lu_solve
 
+from podkit import fhn_gen
 from podkit.errors import DimensionMismatch, SolverDiverged
 from podkit.fhn_gen import (
     EMBEDDING_SNAPSHOTS,
@@ -108,8 +111,9 @@ def _dense_reference_solve(config):
     """The SDIRK solve with a dense [u; v] Newton matrix and dense LU.
 
     Same right-hand side, stage equations, stopping rule and refactor
-    schedule as solve_fhn, but in the [u; v] layout with dense products and
-    a dense LU; returns the grid and the whole state trajectory.
+    schedule as solve_fhn, but with v an unknown of every Newton system
+    rather than eliminated node by node, dense products and a dense LU;
+    returns the grid and the whole state trajectory.
     """
     mesh = assemble_fem_1d(config.nodes)
     n, M, S = config.nodes, mesh.mass.toarray(), mesh.stiffness.toarray()
@@ -162,10 +166,11 @@ def _dense_reference_solve(config):
     return grid, states
 
 
-@pytest.mark.parametrize("nodes", [2, 8, 30])
+@pytest.mark.parametrize("nodes", [2, 3, 8, 30])
 @pytest.mark.parametrize("drive", [True, False], ids=["drive", "no-drive"])
 @pytest.mark.parametrize("c", [0.0, FhnConfig().c], ids=["c0", "c-default"])
 def test_banded_newton_matches_dense_reference(nodes, drive, c):
+    # 2 and 3 nodes are below the sizes scipy's dgttrf and dgbmv take
     cfg = FhnConfig(nodes=nodes, boundary_drive=drive, c=c, t_end=1.0, dt=0.005)
     grid, data = solve_fhn(cfg)
     ref_grid, states = _dense_reference_solve(cfg)
@@ -173,6 +178,36 @@ def test_banded_newton_matches_dense_reference(nodes, drive, c):
     assert np.array_equal(grid, ref_grid)
     assert data.shape == ref.shape
     assert np.max(np.abs(data - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nodes", [8, 30])
+@pytest.mark.parametrize("drive", [True, False], ids=["drive", "no-drive"])
+@pytest.mark.parametrize("dt", [0.005, 0.1])
+def test_newton_schedule_matches_dense_reference(monkeypatch, nodes, drive, dt):
+    # eliminating v leaves every stage's Newton iteration and refactor
+    # schedule as they are: the same factorizations and solves as the dense
+    # [u; v] Newton, counted call by call; at dt = 0.1 some stages refactor
+    calls = Counter()
+
+    def count(module, name):
+        call = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("dgttrf", "dgttrs"):
+        count(fhn_gen, name)
+    for name in ("lu_factor", "lu_solve"):
+        count(sys.modules[__name__], name)
+    cfg = FhnConfig(nodes=nodes, boundary_drive=drive, t_end=1.0, dt=dt)
+    solve_fhn(cfg)
+    _dense_reference_solve(cfg)
+    stages = 2 * round(1.0 / dt)
+    assert calls["dgttrf"] == calls["lu_factor"] >= stages + (dt == 0.1)
+    assert calls["dgttrs"] == calls["lu_solve"] > calls["lu_factor"]
 
 
 @pytest.mark.parametrize("nodes", [1, 0])

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from podkit.snapshot_io import (
     CsvStream,
     CSV_GRAM_ARRAYS,
     csv_shape,
+    data_csv_path,
     from_trajectory,
     load,
     make_snapshot_set,
@@ -409,6 +411,36 @@ def test_csv_stream_left_by_a_diverged_solve_leaves_nothing(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_save_writes_the_npy_before_it_waits_on_the_stream(tmp_path):
+    # the .npy and its digest come first, the stream's CSV after; the
+    # bundle is the one save writes with no stream, byte for byte
+    sset, gram_spec, _ = embedding_set(9, seed=3)
+    save(sset, str(tmp_path / "s.json"), gram_spec)
+    streamed = tmp_path / "streamed"
+    streamed.mkdir()
+    path = str(streamed / "s.json")
+    seen = []
+
+    class Stream:
+        def finish(self):
+            seen.append(sorted(os.listdir(streamed)))
+            write_matrix_csv(data_csv_path(path), sset.data)
+
+    save(sset, path, gram_spec, Stream())
+    assert seen == [["s_data.npy"]]
+    for name in ("s.json", "s_data.csv", "s_data.npy"):
+        assert (streamed / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_save_with_a_failed_stream_leaves_nothing(tmp_path):
+    path = str(tmp_path / "s.json")
+    stream = CsvStream(data_csv_path(path))
+    with stream, pytest.raises(MissingDataFile, match="a block of 26 bytes"):
+        stream._proc.stdin.write(BLOCK.pack(4, 3) + b"\0" * 10)  # a block cut short
+        save(make_snapshot_set(np.ones((4, 3)), np.ones(3)), path, "identity", stream)
+    assert os.listdir(tmp_path) == []
+
+
 # -- the .npy copy of the data beside the CSV ---------------------------------
 
 def _bits(M):
@@ -445,7 +477,7 @@ def test_saved_npy_loads_the_bits_loadtxt_reads(tmp_path, fhn_instance):
     for stem, sset, gram in cases:
         path = str(tmp_path / f"{stem}.json")
         save(sset, path, gram_spec=gram)
-        entry = json.load(open(path))["data_npy"]
+        entry = json.loads(Path(path).read_text())["data_npy"]
         assert entry["file"] == f"{stem}_data.npy"
         back = load(path).data
         parsed = np.loadtxt(tmp_path / f"{stem}_data.csv", delimiter=",", ndmin=2)
@@ -490,7 +522,7 @@ def _rewrite_npy(path, array, sha_of=None):
     """Replace the bundle's .npy and record the digest of sha_of (default:
     the new array), so that only the check under test can refuse it."""
     np.save(path.replace(".json", "_data.npy"), array, allow_pickle=True)
-    manifest = json.load(open(path))
+    manifest = json.loads(Path(path).read_text())
     digest_of = np.ascontiguousarray(array if sha_of is None else sha_of)
     manifest["data_npy"]["sha256"] = hashlib.sha256(digest_of.tobytes()).hexdigest()
     with open(path, "w") as fh:
@@ -500,13 +532,13 @@ def _rewrite_npy(path, array, sha_of=None):
 def _tamper(case, path, data):
     npy = path.replace(".json", "_data.npy")
     if case == "tampered":
-        raw = bytearray(open(npy, "rb").read())
+        raw = bytearray(Path(npy).read_bytes())
         raw[-1] ^= 1  # the last byte of the last double
-        open(npy, "wb").write(bytes(raw))
+        Path(npy).write_bytes(bytes(raw))
     elif case == "missing":
         os.remove(npy)
     elif case == "not_npy":
-        open(npy, "wb").write(b"a,b\n")
+        Path(npy).write_bytes(b"a,b\n")
     elif case == "pickled":
         _rewrite_npy(path, np.array([data], dtype=object), sha_of=data)
     elif case == "wrong_shape":
@@ -528,17 +560,17 @@ def _tamper(case, path, data):
             )
             fh.write(b"\0" * 64)
     elif case == "truncated":
-        raw = open(npy, "rb").read()
-        open(npy, "wb").write(raw[:-8])
+        raw = Path(npy).read_bytes()
+        Path(npy).write_bytes(raw[:-8])
     elif case == "big_endian":
         _rewrite_npy(path, data.astype(">f8"))
     elif case == "no_key":
-        manifest = json.load(open(path))
+        manifest = json.loads(Path(path).read_text())
         del manifest["data_npy"]
         with open(path, "w") as fh:
             json.dump(manifest, fh)
     elif case == "bad_entry":
-        manifest = json.load(open(path))
+        manifest = json.loads(Path(path).read_text())
         manifest["data_npy"]["sha256"] = 7
         with open(path, "w") as fh:
             json.dump(manifest, fh)
