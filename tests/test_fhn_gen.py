@@ -206,8 +206,10 @@ def test_newton_schedule_matches_dense_reference(monkeypatch, nodes, drive, dt):
     solve_fhn(cfg)
     _dense_reference_solve(cfg)
     stages = 2 * round(1.0 / dt)
-    assert calls["dgttrf"] == calls["lu_factor"] >= stages + (dt == 0.1)
+    assert calls["dgttrf"] == calls["lu_factor"] >= stages
     assert calls["dgttrs"] == calls["lu_solve"] > calls["lu_factor"]
+    if dt == 0.1:
+        assert calls["lu_factor"] > stages  # a stage refactored
 
 
 @pytest.mark.parametrize("nodes", [1, 0])
