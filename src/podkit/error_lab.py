@@ -332,7 +332,7 @@ def _range_rows(sset, basis, r, sq):
     exact.passed = bool(passed[i])  # here the floor bounds the difference
     sigma_next = float(np.sqrt(lam[r])) if r < lam.size else 0.0
     cap = sigma_next / np.sqrt(sset.weights)
-    j = _worst_index(lhs <= cap + floor, _compare(lhs, cap)[1], _rel_noise(floor, lhs, cap))
+    j = _worst_index(lhs <= cap + floor, lhs - cap, floor)  # as the snap_* rows rank
     bound = _report(
         "bound", "snap_sigma_bound", r, lhs[j], cap[j], None, floor[j],
         info={"ell": j, "sigma_next": sigma_next},

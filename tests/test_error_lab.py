@@ -98,6 +98,22 @@ def test_range_residual_block_names_the_worst_snapshot():
             assert exact.formula == pytest.approx(2.0 * exact.actual, rel=1e-9)
 
 
+def test_snap_sigma_bound_names_the_tightest_snapshot():
+    # no snapshot fails its cap sigma_{r+1} / sqrt(g_ell), so the row names
+    # the one with the largest residual - cap, the key the snap_* rows rank
+    # by, not the one with the most slack
+    for seed in (61, 62, 63):
+        inst = random_instance(9, 7, seed=seed)
+        sset = inst["set"]
+        basis = compute_pod(sset)
+        for r in range(1, basis.rank):
+            cap = np.sqrt(basis.eigenvalues[r] / sset.weights)
+            slack = snapshot_residuals(sset, basis, r) - cap
+            rep = by_id(battery_level(certifier(sset, basis), r))["snap_sigma_bound"]
+            assert rep.passed, (seed, r)
+            assert slack[rep.info["ell"]] >= slack.max() - rep.info["floor"], (seed, r)
+
+
 def test_worst_index_prefers_failures_then_first_of_ties():
     passed = np.array([True, False, False, True])
     assert _worst_index(passed, np.array([5.0, 2.0, 2.0, 9.0]), 0.0) == 1
