@@ -55,7 +55,6 @@ from .pod_engine import (
     PodBasis,
     compute_pod,
     image_spectrum,
-    project_X,
     save_basis,
 )
 from .linear_map import (
@@ -64,11 +63,7 @@ from .linear_map import (
     identity_map,
     make_map,
 )
-from .projector import (
-    Projector,
-    apply_projector,
-    form_ellipticity,
-)
+from .projector import form_ellipticity
 from .error_lab import (
     ErrorReport,
     battery_level,
@@ -130,14 +125,11 @@ __all__ = [
     "PodBasis",
     "compute_pod",
     "image_spectrum",
-    "project_X",
     "save_basis",
     "LinearMap",
     "apply_inverse",
     "identity_map",
     "make_map",
-    "Projector",
-    "apply_projector",
     "form_ellipticity",
     "ErrorReport",
     "battery_level",

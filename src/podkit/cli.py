@@ -58,6 +58,7 @@ from .error_lab import (
     PROJECTOR_FAMILIES,
     battery_level,
     certifier,
+    check_level,
     rank_relation,
     read_report,
     report_format,
@@ -88,8 +89,6 @@ def _parse_r_values(text):
             raise IndexOutOfRange(
                 f"truncation levels must be integers, got {piece!r}"
             ) from None
-        if r < 1:
-            raise IndexOutOfRange(f"truncation level must be >= 1, got {r}")
         if r in values:
             raise IndexOutOfRange(f"truncation level {r} is listed twice")
         values.append(r)
@@ -98,16 +97,17 @@ def _parse_r_values(text):
     return values
 
 
-def _requested_r_values(text, rank):
-    """The levels --r lists, or by default 1, rank / 2 and rank."""
+def _requested_r_values(text, basis):
+    """The levels --r lists, each held to error_lab.check_level before any
+    level's work, or by default 1, rank / 2 and rank."""
+    rank = basis.rank
     if rank < 1:
         raise RankExceeded("the decomposition has rank 0; nothing to verify")
     if text is None:
         return sorted({1, math.ceil(rank / 2), rank})
     values = _parse_r_values(text)
     for r in values:
-        if r > rank:
-            raise RankExceeded(f"requested r = {r} exceeds rank {rank}")
+        check_level(basis, r)
     return values
 
 
@@ -209,7 +209,7 @@ def cmd_pod(args):
     basis = compute_pod(sset, drop_tol=drop)
     computed_rank = basis.rank
     if args.r is not None:
-        values = _requested_r_values(args.r, computed_rank)
+        values = _requested_r_values(args.r, basis)
         if len(values) != 1:
             raise IndexOutOfRange("pod takes a single --r value")
         basis = dataclasses.replace(basis, rank=values[0])
@@ -236,7 +236,7 @@ def _certify_inputs(args):
             raise ProvenanceMismatch("--projector composite-xy needs an invertible map")
     elif args.projector != "orthogonal":
         raise ProvenanceMismatch(f"--projector {args.projector} needs --map")
-    r_values = _requested_r_values(args.r, basis.rank)
+    r_values = _requested_r_values(args.r, basis)
     return certifier(sset, basis, lmap, args.projector, form), r_values
 
 

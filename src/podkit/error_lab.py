@@ -20,10 +20,12 @@ Spectral sums run over the complete computed spectrum: with unbounded-looking
 maps the below-tolerance tail still carries weight at the certified accuracy.
 
 Entry points, the ones the CLI's verify and sweep run: certifier (built
-once per bundle: the codomain projector family's level factory r -> Q for
-proj_y and the level-free constants), battery_level (every row of one level)
-and sweep (the data identities over levels).  Both take the certifier, so a
-projector from another map or basis cannot reach a row.  rank_relation
+once per bundle: the codomain family's level factory r -> (R_r, F_r) for
+proj_y, the mode functionals G_x Phi and the level-free constants; each
+projection is applied as R_r (F_r^T y)), battery_level (every row of one
+level) and sweep (the data identities over levels).  Both take the
+certifier, so a projection from another map or basis cannot reach a row,
+and both refuse a level that check_level refuses.  rank_relation
 compares the POD ranks of the data and of their image under the map, and
 verdict decides a report: every row passed, and a decided relation holds.
 
@@ -49,10 +51,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, MalformedManifest, MissingDataFile
+from .errors import RankExceeded
 from .gram_space import GramSpace, column_blocks, half_weight
 from .linear_map import LinearMap, apply_inverse
-from .pod_engine import PodBasis, image_spectrum, numerical_rank, project_X
-from .projector import apply_projector, mapped_orthogonal_levels, pushforward_levels, ritz_levels
+from .pod_engine import PodBasis, image_spectrum, numerical_rank
+from .projector import mapped_orthogonal_levels, pushforward_levels, ritz_levels
 from .snapshot_io import SnapshotSet, _atomic_write, _read_json
 
 IDENTITY_RTOL = 1e-8
@@ -151,7 +154,8 @@ class _Residual:
 class Certifier:
     """One bundle's inputs to the rows that no truncation level changes.
 
-    projectors is the level factory r -> Q of the codomain projector family
+    gram_modes is G_x Phi, so that P_r x = Phi_r ((G_x Phi)_r^T x).
+    projectors is the level factory r -> (R_r, F_r) of the codomain family
     named family (None without a map); r0 is the snapshot_guarantee_threshold.
     With a map, mode_norms holds ||L phi_k||^2 for every mode from the basis
     alone (its tail [r:] is the pod_x_mapped formula side at level r) and
@@ -162,6 +166,7 @@ class Certifier:
     basis: PodBasis
     lmap: LinearMap | None
     family: str
+    gram_modes: np.ndarray
     projectors: Callable | None
     r0: int | None
     mode_norms: np.ndarray | None = None
@@ -178,14 +183,15 @@ def certifier(sset, basis, lmap=None, family="orthogonal", form=None):
     projector and form is not read; family is recorded as given.
     """
     r0 = snapshot_guarantee_threshold(sset, basis)
+    gram_modes = basis.space.gram @ basis.modes
     if lmap is None:
-        return Certifier(sset, basis, None, family, None, r0)
+        return Certifier(sset, basis, None, family, gram_modes, None, r0)
     if family == "orthogonal":
         projectors = mapped_orthogonal_levels(basis, lmap)
     elif family == "ritz":
         projectors = ritz_levels(basis, lmap, lmap.codomain.gram if form is None else form)
     elif family == "composite-xy":
-        projectors = pushforward_levels(lmap, basis)
+        projectors = pushforward_levels(basis, lmap)
     else:
         raise IndexOutOfRange(f"unknown codomain projector family {family!r}")
 
@@ -194,7 +200,15 @@ def certifier(sset, basis, lmap=None, family="orthogonal", form=None):
 
     mode_norms = _column_sq_norms(lmap.codomain, basis.modes_full, apply)
     energy_y = float(sset.weights @ _column_sq_norms(lmap.codomain, sset.data, apply))
-    return Certifier(sset, basis, lmap, family, projectors, r0, mode_norms, energy_y)
+    return Certifier(sset, basis, lmap, family, gram_modes, projectors, r0, mode_norms, energy_y)
+
+
+def check_level(basis, r):
+    """The one truncation-level rule, for every level's rows and pod --r."""
+    if r < 1:
+        raise IndexOutOfRange(f"truncation level must be >= 1, got {r}")
+    if r > basis.rank:
+        raise RankExceeded(f"requested r = {r} beyond computed rank {basis.rank}")
 
 
 def _residuals(cert, r):
@@ -202,6 +216,7 @@ def _residuals(cert, r):
     pod_x and, with a map, pod_x_mapped, proj_y and, when the map is
     invertible, pullback_x; proj_y's Q is the certifier's level r."""
     basis, lmap = cert.basis, cert.lmap
+    check_level(basis, r)
     tail, lam = basis.modes_full[:, r:], basis.eigenvalues[r:]
     out = {}
 
@@ -210,24 +225,26 @@ def _residuals(cert, r):
             mode_sq = _column_sq_norms(space, tail, apply)
         out[label] = _Residual(label, space, apply, mode_sq, float(lam @ mode_sq), energy)
 
+    Phi_r, F_r = basis.modes[:, :r], cert.gram_modes[:, :r]
+
     def pod_x(C):
-        return C - project_X(basis, r, C)
+        return C - Phi_r @ (F_r.T @ C)
 
     energy_x = float(np.sum(basis.eigenvalues))
     add("pod_x", basis.space, pod_x, energy_x, np.ones(lam.size))  # pure tail
     if lmap is None:
         return out
-    L, codomain, proj_y = lmap.matrix, lmap.codomain, cert.projectors(r)
+    L, codomain, (R, F) = lmap.matrix, lmap.codomain, cert.projectors(r)
     add("pod_x_mapped", codomain, lambda C: L @ pod_x(C), cert.energy_y, cert.mode_norms[r:])
 
     def proj(C):
         LC = L @ C
-        return LC - apply_projector(proj_y, LC)
+        return LC - R @ (F.T @ LC)
 
     add("proj_y", codomain, proj, cert.energy_y)
     if lmap.inverse is not None:
         add("pullback_x", basis.space,
-            lambda C: C - apply_inverse(lmap, apply_projector(proj_y, L @ C)), energy_x)
+            lambda C: C - apply_inverse(lmap, R @ (F.T @ (L @ C))), energy_x)
     return out
 
 
@@ -246,7 +263,9 @@ def battery_level(cert, r, coeffs=None):
     order: the data identities (range_exact and snap_sigma_bound after
     pod_x), the operator-level identities, the per-snapshot bounds, and the
     pointwise bounds of K c for the columns c of coeffs, shape (count, k).
-    T W is formed once per operator.
+    Each T W is formed once, block by block, but no product is shared: per
+    block pod_x_mapped applies pod_x again, and proj_y and pullback_x each
+    form L C.
     """
     sset, basis = cert.sset, cert.basis
     if coeffs is not None and (np.ndim(coeffs) != 2 or len(coeffs) != sset.count):
@@ -258,7 +277,7 @@ def battery_level(cert, r, coeffs=None):
     rows += [_identity(sset, t, r, hs=True) for t in list(res.values())[1:]]
     rows += _snapshot_rows(sset, basis, r, res, sq, cert.r0)
     if coeffs is not None:
-        rows += _pointwise_rows(sset, basis, r, cert.lmap, res, coeffs)
+        rows += _pointwise_rows(cert, r, res, coeffs)
     return rows
 
 
@@ -390,13 +409,16 @@ _POINTWISE = {
 }
 
 
-def _pointwise_rows(sset, basis, r, lmap, res, coeffs):
+def _pointwise_rows(cert, r, res, coeffs):
     """pw_* rows for the elements K c, c the columns of coeffs, element by
     element in _POINTWISE order; info carries the looser Cauchy-Schwarz bound."""
+    sset, basis, lmap = cert.sset, cert.basis, cert.lmap
     if lmap is not None and lmap.inverse is not None:
+        Phi_r, F_r = basis.modes[:, :r], cert.gram_modes[:, :r]
+
         def composite_y(C):
             LC = lmap.matrix @ C
-            return LC - lmap.matrix @ project_X(basis, r, apply_inverse(lmap, LC))
+            return LC - lmap.matrix @ (Phi_r @ (F_r.T @ apply_inverse(lmap, LC)))
 
         # its own actual route, measured against the pod_x_mapped tail
         res = {**res, "composite_y": replace(res["pod_x_mapped"], apply=composite_y)}

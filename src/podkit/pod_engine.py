@@ -22,8 +22,9 @@ eigensolve couples them at the scale of the leading eigenvalue.
 Numerical rank is the number of eigenvalues above drop_tol times the largest
 one.  The basis keeps the complete computed spectrum and the full set of
 singular directions, one copy of each: the error-identity checkers need the
-whole tail, while callers requesting a projection are held to the trusted
-range r <= rank, whose modes are the leading columns of the same arrays.
+whole tail, while every truncation level is held to the trusted range
+1 <= r <= rank (error_lab.check_level), whose modes are the leading columns
+of the same arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import svd
 
-from .errors import DimensionMismatch, EigenFailure, IndexOutOfRange, RankExceeded
+from .errors import DimensionMismatch, EigenFailure, IndexOutOfRange
 from .gram_space import GramSpace, column_blocks, half_weight, half_weight_inv
 from .snapshot_io import _atomic_write, write_matrix_csv
 
@@ -189,17 +190,6 @@ def image_spectrum(lmap, sset):
         A = half_weight(codomain, lmap.matrix @ sset.data[:, blk]) * g12[blk]
         R = np.linalg.qr(np.vstack((R, A.T)), mode="r")
     return svd(R, compute_uv=False) ** 2
-
-
-def project_X(basis, r, x):
-    """Orthogonal projection onto the leading r modes."""
-    if r < 0:
-        raise IndexOutOfRange(f"negative truncation level {r}")
-    if r > basis.rank:
-        raise RankExceeded(f"requested r = {r} beyond computed rank {basis.rank}")
-    x = np.asarray(x, dtype=float)
-    Phi = basis.modes[:, :r]
-    return Phi @ (Phi.T @ (basis.space.gram @ x))
 
 
 def save_basis(basis, manifest_path):

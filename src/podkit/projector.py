@@ -1,82 +1,46 @@
-"""Rank-r codomain projection operators assembled from a POD basis.
+"""Rank-r codomain projections assembled from a POD basis.
 
-Every projector is stored in factored form, P x = range @ (dual^T G x), and
-applied in O(dim * (r + kd)) work, kd the bandwidth of the sparse Gram G.
-Maps and forms may be sparse (every generated map and the default Ritz
-form are) and are applied with @.  Only the Ritz ellipticity on a wide band
-forms an n x n array; the pushforward cross-check runs on one sparse LU
-(splu) of L^T.  Families:
+Every projection P is stored as the pair it is applied by, its range R and
+its coefficient functionals F: P y = R (F^T y), F^T R = I, with no Gram
+solve or product.  The dual basis G^{-1} F is solved only for the
+pushforward's cross-check.  Maps and forms may be sparse and are applied
+with @.  Only the Ritz ellipticity on a wide band forms an n x n array; the
+pushforward cross-check runs on one sparse LU (splu) of L^T.  Families, Q
+the G-orthonormalized mapped modes and B = Q^T A Q:
 
 - "orthogonal": orthogonal projection, in the codomain, onto the
-  span of the mapped modes.
+  span of the mapped modes: R = Q, F = G Q.
 - "ritz": projection onto the mapped modes determined by a bilinear form
-  (a(Pu, v) = a(u, v) for all v in the range).
+  (a(Pu, v) = a(u, v) for all v in the range): R = Q, F = A^T Q B^{-T}.
 - "composite-xy": the pushforward, the domain projection conjugated into
-  the codomain by an invertible map, L P L^{-1}.
+  the codomain by an invertible map, L P L^{-1}: R = L Phi,
+  F = L^{-T} G_x Phi.
 
 Each family is built once per bundle and sliced per level.
-mapped_orthogonal_levels, ritz_levels and pushforward_levels build what is
-free of r (ellipticity constants) or nested in r (the mapped modes, their QR,
-the Ritz matrix, the pushforward dual basis) for all rank columns and return
-a level factory r -> Projector that slices it and runs the level's own
-checks.  error_lab.certifier is the one caller: it picks the family by name
-and owns the factory, so a projector built from another map or basis never
+mapped_orthogonal_levels, ritz_levels and pushforward_levels, each taking
+(basis, lmap) first, build what is free of r (ellipticity constants, the
+cross-check's sums) or nested in r (the mapped modes, their QR, the Ritz
+matrix, the functionals) for all rank columns and return a level factory
+r -> (R_r, F_r) that slices it and runs the level's own checks;
+error_lab.check_level holds r to 1..rank.  error_lab.certifier is the one caller: it picks the family by name
+and owns the factory, so a projection built from another map or basis never
 reaches a battery.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigvalsh, lu_factor, lu_solve
 from scipy.linalg.lapack import dpbtrf, dtbtrs
 
-from .errors import (
-    DimensionMismatch,
-    FormNotElliptic,
-    IndexOutOfRange,
-    NotInvertible,
-    RankDeficientImage,
-    RankExceeded,
-    SingularRitzSystem,
-)
-from .gram_space import GramSpace, _lower_band, as_matrix, check_dense_budget
+from .errors import DimensionMismatch, FormNotElliptic, NotInvertible, RankDeficientImage
+from .errors import SingularRitzSystem
+from .gram_space import _lower_band, as_matrix, check_dense_budget
 from .gram_space import orthonormal_prefixes, solve_gram
 
 ELLIPTICITY_DEGENERACY = 1e-13
 PUSHFORWARD_CROSS_CHECK_TOL = 1e-8
-
-
-@dataclass
-class Projector:
-    """Factored rank-r projection operator on a Gram space.
-
-    P x = range_basis @ (dual_basis^T @ (gram @ x)); idempotency follows
-    from dual_basis^T G range_basis = I, which every constructor arranges.
-    The rank r is the column count of either basis.
-    """
-
-    space: GramSpace
-    range_basis: np.ndarray = field(repr=False)
-    dual_basis: np.ndarray = field(repr=False)
-
-
-def apply_projector(proj, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != proj.space.dim:
-        raise DimensionMismatch(
-            f"vector of dim {x.shape[0]} under projector on dim {proj.space.dim}"
-        )
-    return proj.range_basis @ (proj.dual_basis.T @ (proj.space.gram @ x))
-
-
-def _check_r(basis, r):
-    if r < 1:
-        raise IndexOutOfRange(f"truncation level must be >= 1, got {r}")
-    if r > basis.rank:
-        raise RankExceeded(f"requested r = {r} beyond computed rank {basis.rank}")
 
 
 def _mapped_modes(basis, lmap):
@@ -98,25 +62,17 @@ def _orthonormal_images(basis, lmap):
     return Q, leading
 
 
-def _levels(basis, lmap, level):
-    """Level factory r -> codomain Projector; level(r) returns the range and
-    dual bases of level r sliced from the family's one-time build."""
-    def projector(r):
-        _check_r(basis, r)
-        return Projector(lmap.codomain, *level(r))
-
-    return projector
-
-
 def mapped_orthogonal_levels(basis, lmap):
     """Orthogonal projection onto the span of the mapped leading modes.
 
-    One Householder QR of all mapped modes; level r takes its leading r
-    columns.  Past the first numerically dependent column a level raises
-    RankDeficientImage; no deflation is attempted.
+    One Householder QR of all mapped modes and one Gram product G Q; level r
+    is (Q_r, (G Q)_r), their leading r columns.  Past the first numerically
+    dependent column a level raises RankDeficientImage; no deflation is
+    attempted.
     """
-    _, leading = _orthonormal_images(basis, lmap)
-    return _levels(basis, lmap, lambda r: (leading(r),) * 2)
+    Q, leading = _orthonormal_images(basis, lmap)
+    GQ = lmap.codomain.gram @ Q
+    return lambda r: (leading(r), GQ[:, :r])
 
 
 def _definite_sup(S, G):
@@ -180,7 +136,7 @@ def ritz_levels(basis, lmap, form):
     part of A must be positive definite against the codomain Gram matrix.
     It is built once on Q, the G-orthonormal mapped modes of
     mapped_orthogonal_levels (same QR and pivot rule), with B = Q^T A Q:
-    level r has range Q_r and dual G^{-1} A^T Q_r B_r^{-T}.  That is
+    level r is (Q_r, A^T Q_r B_r^{-T}), so P = Q_r B_r^{-1} Q_r^T A.  That is
     V_r (V_r^T A V_r)^{-1} V_r^T A, as V_r = Q_r R_r, but B_r is as well
     conditioned as the form.  Past the first dependent mapped mode a level
     raises RankDeficientImage.
@@ -193,36 +149,38 @@ def ritz_levels(basis, lmap, form):
             f"against largest {c_high:.3e}"
         )
     Q, leading = _orthonormal_images(basis, lmap)
-    B = Q.T @ (A @ Q)
-    GAQ = solve_gram(lmap.codomain, A.T @ Q)
+    B, AtQ = Q.T @ (A @ Q), A.T @ Q
 
     def level(r):
         Q_r, B_r = leading(r), B[:r, :r]
         rcond = 1.0 / np.linalg.cond(B_r)
         if not np.isfinite(rcond) or rcond < 1e-14:
             raise SingularRitzSystem(f"reciprocal condition {rcond:.3e}")
-        return Q_r, lu_solve(lu_factor(B_r), GAQ[:, :r].T).T
+        return Q_r, lu_solve(lu_factor(B_r), AtQ[:, :r].T).T
 
-    return _levels(basis, lmap, level)
+    return level
 
 
-def pushforward_levels(lmap, basis):
+def pushforward_levels(basis, lmap):
     """The mode projection conjugated into the codomain: L P L^{-1}.
 
-    The dual vectors are the codomain representers of y -> (L^{-1} y, phi_k);
-    they equal the inverse-adjoint images of the modes.  Both evaluation
-    routes are assembled once for all modes, and at every level r their
-    leading r columns must agree to PUSHFORWARD_CROSS_CHECK_TOL, which guards the
-    certified inverse against a stale or inconsistent matrix.  The second
-    route solves the adjoint system L* d = phi, that is L^T (G_y d) = G_x phi,
-    with one sparse LU of L^T (splu, for a dense L too) and one Gram solve.
+    Level r is (V_r, F_r), V = L Phi the mapped modes and F = L^{-T} G_x Phi
+    the functionals y -> (L^{-1} y, phi_k).  Their representers G_y^{-1} F,
+    the inverse-adjoint images of the modes, serve only the cross-check: both
+    evaluation routes are assembled once for all modes, and at every level r
+    their leading r columns must agree to PUSHFORWARD_CROSS_CHECK_TOL, which
+    guards the certified inverse against a stale or inconsistent matrix.
+    The second route solves the adjoint system L* d = phi, that is
+    L^T (G_y d) = G_x phi, with one sparse LU of L^T (splu, for a dense L
+    too) and one Gram solve.
     """
     if lmap.inverse is None:
         raise NotInvertible("pushforward projector needs an invertible map")
     V, Phi = _mapped_modes(basis, lmap), basis.modes
     G_x_Phi = basis.space.gram @ Phi
     # Route one: representers via the inverse matrix.
-    dual = solve_gram(lmap.codomain, lmap.inverse.T @ G_x_Phi)
+    F = lmap.inverse.T @ G_x_Phi
+    dual = solve_gram(lmap.codomain, F)
     # Route two: solve L* d = phi; level r's mismatch sums its leading columns.
     # imported here: a module-level import costs every process 1.2 MB
     from scipy.sparse.linalg import splu
@@ -236,6 +194,6 @@ def pushforward_levels(lmap, basis):
         mismatch = np.sqrt(miss[r - 1]) / max(np.sqrt(scale[r - 1]), 1e-300)
         if mismatch > PUSHFORWARD_CROSS_CHECK_TOL:
             raise NotInvertible(f"inverse and adjoint routes disagree by {mismatch:.3e}")
-        return V[:, :r], dual[:, :r]
+        return V[:, :r], F[:, :r]
 
-    return _levels(basis, lmap, level)
+    return level

@@ -2,8 +2,9 @@
 the seeded random instances the property suites draw, and the operators
 that the certificate never forms but the tests reason with: inner products,
 norms and orthonormalization, the snapshot operator K and its adjoint,
-adjoint matrices, the FEM convection form, the mode and pulled-back
-projections, dense projector matrices and operator norms, the POD
+adjoint matrices, the FEM convection form, the factored projector with its
+apply, the mode and pulled-back projections, dense projector matrices and
+operator norms, the POD
 optimality oracle, the L^2 / H^1 identity-embedding instances and the
 flagship's set, spaces and map, built from the specs generate-fhn writes.
 
@@ -13,17 +14,17 @@ route it checks, and so that podkit holds only what its command line runs
 """
 
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
 from podkit.errors import DimensionMismatch, NotInvertible, RankDeficientImage, RankExceeded
 from podkit.fhn_gen import EMBEDDING_SNAPSHOTS, make_fhn_instance, synthetic_states
-from podkit.gram_space import as_matrix, half_weight, make_space, orthonormal_prefixes, solve_gram
-from podkit.gram_space import to_dense
+from podkit.gram_space import GramSpace, as_matrix, half_weight, make_space, orthonormal_prefixes
+from podkit.gram_space import solve_gram, to_dense
 from podkit.linear_map import build_map_from_spec, identity_map, make_map
 from podkit.pod_engine import compute_pod
-from podkit.projector import Projector
 from podkit.snapshot_io import from_trajectory, make_snapshot_set, resolve_gram_spec
 
 
@@ -163,6 +164,37 @@ def inverse_adjoint(lmap):
 
 
 # -- projections the battery certifies through but never forms ----------------
+
+@dataclass
+class Projector:
+    """Factored rank-r projection operator on a Gram space.
+
+    P x = range_basis @ (dual_basis^T @ (gram @ x)): the dual basis holds the
+    representers G^{-1} F of the functionals F that podkit stores, so that
+    dual_basis^T G range_basis = I.  The rank r is the column count of
+    either basis.
+    """
+
+    space: GramSpace
+    range_basis: np.ndarray = field(repr=False)
+    dual_basis: np.ndarray = field(repr=False)
+
+
+def apply_projector(proj, x):
+    x = np.asarray(x, dtype=float)
+    if x.shape[0] != proj.space.dim:
+        raise DimensionMismatch(
+            f"vector of dim {x.shape[0]} under projector on dim {proj.space.dim}"
+        )
+    return proj.range_basis @ (proj.dual_basis.T @ (proj.space.gram @ x))
+
+
+def level_projector(space, level):
+    """The Projector of one level (R, F) of a podkit level factory on space:
+    range R and dual basis G^{-1} F."""
+    R, F = level
+    return Projector(space, R, solve_gram(space, F))
+
 
 def pod_projector(basis, r):
     """Orthogonal projection onto the leading r POD modes."""

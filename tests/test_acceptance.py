@@ -36,6 +36,7 @@ from oracles import (
     dense_matrix,
     hs_norm_sq,
     induced_snapshots,
+    level_projector,
     make_embedding_instance,
     make_fhn_dict,
     op_norm,
@@ -231,11 +232,11 @@ def test_criterion_6_projector_diagnostics():
             basis = compute_pod(inst["set"])
             lmap = inst["map"]
             orth_levels = mapped_orthogonal_levels(basis, lmap)
-            push_levels = pushforward_levels(lmap, basis)
+            push_levels = pushforward_levels(basis, lmap)
             for r in range(1, basis.rank + 1):
                 pod = pod_projector(basis, r)
-                orth = orth_levels(r)
-                push = push_levels(r)
+                orth = level_projector(lmap.codomain, orth_levels(r))
+                push = level_projector(lmap.codomain, push_levels(r))
                 pull = pullback_projector(lmap, orth)
                 assert op_norm(pod) == pytest.approx(1.0, abs=1e-9)
                 assert op_norm(orth) == pytest.approx(1.0, abs=1e-9)
@@ -253,7 +254,7 @@ def test_criterion_6_projector_diagnostics():
                 budget = c_high / c_low + 1e-8
                 ritz = ritz_levels(basis, inst["map"], form)
                 for r in range(1, basis.rank + 1):
-                    proj = ritz(r)
+                    proj = level_projector(inst["space_y"], ritz(r))
                     assert op_norm(proj) <= budget, f"nodes={nodes} r={r}"
                     P = dense_matrix(proj)
                     assert np.allclose(P @ P, P, atol=1e-9)
@@ -318,14 +319,15 @@ def test_criterion_8_fem_embedding_examples():
             inst = make_embedding_instance(nodes, 3)
             basis = compute_pod(inst["set"])
             r = min(4, basis.rank)
-            orth = mapped_orthogonal_levels(basis, inst["map"])(r)
-            ritz_same = ritz_levels(basis, inst["map"], inst["form"])(r)
+            space_y = inst["space_y"]
+            orth = level_projector(space_y, mapped_orthogonal_levels(basis, inst["map"])(r))
+            ritz_same = level_projector(space_y, ritz_levels(basis, inst["map"], inst["form"])(r))
             # form == codomain inner product: identical projector
             assert np.allclose(
                 dense_matrix(ritz_same), dense_matrix(orth), atol=1e-10
             )
             conv_form = (mesh.stiffness + mesh.mass + 0.5 * convection(nodes)).toarray()
-            ritz_conv = ritz_levels(basis, inst["map"], conv_form)(r)
+            ritz_conv = level_projector(space_y, ritz_levels(basis, inst["map"], conv_form)(r))
             dist = np.linalg.norm(dense_matrix(ritz_conv) - dense_matrix(orth))
             assert dist > 1e-6
             for family, form in (("orthogonal", None), ("ritz", conv_form)):

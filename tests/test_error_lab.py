@@ -25,16 +25,21 @@ from podkit.error_lab import (
     write_report_csv,
     write_report_json,
 )
-from podkit.errors import DimensionMismatch, IndexOutOfRange, MissingDataFile, PodkitError
+from podkit.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    MissingDataFile,
+    PodkitError,
+    RankExceeded,
+)
 from podkit.fem import assemble_fem_1d
 from podkit.gram_space import COLUMN_BLOCK_BYTES, half_weight, identity_space, make_space
 from podkit.linear_map import identity_map
 from podkit.pod_engine import compute_pod
-from podkit.projector import apply_projector
 from podkit.snapshot_io import make_snapshot_set
 
 from conftest import GOLDEN_LAMBDA_2, by_id
-from oracles import make_embedding_instance, norm, pod_projector, random_instance
+from oracles import apply_projector, make_embedding_instance, norm, pod_projector, random_instance
 
 # squared rank-1 residuals of the golden snapshots (1, 0) and (1, 1)
 GOLDEN_RESIDUALS_SQ = ((5.0 - math.sqrt(5.0)) / 10.0, 1.0 - 2.0 / math.sqrt(5.0))
@@ -356,13 +361,29 @@ def test_codomain_projectors_families():
     ):
         cert = certifier(sset, basis, lmap, family, form)
         assert cert.family == family
-        assert cert.projectors(3).range_basis.shape[1] == 3
+        assert cert.projectors(3)[0].shape[1] == 3
     assert np.array_equal(
-        certifier(sset, basis, lmap, "ritz").projectors(3).dual_basis,
-        certifier(sset, basis, lmap, "ritz", inst["form"]).projectors(3).dual_basis,
+        certifier(sset, basis, lmap, "ritz").projectors(3)[1],
+        certifier(sset, basis, lmap, "ritz", inst["form"]).projectors(3)[1],
     )
     with pytest.raises(IndexOutOfRange):
         certifier(sset, basis, lmap, "sideways")
+
+
+@pytest.mark.parametrize("mapped", [False, True], ids=["no-map", "map"])
+def test_one_level_guard(mapped):
+    # battery_level and sweep hold every level to 1 <= r <= rank, with and
+    # without a map, by the one rule pod --r obeys too
+    inst = random_instance(8, 6, seed=51)
+    sset = inst["set"]
+    basis = compute_pod(sset)
+    cert = certifier(sset, basis, inst["map"] if mapped else None)
+    for run in (lambda r: battery_level(cert, r), lambda r: sweep(cert, [r])):
+        with pytest.raises(IndexOutOfRange, match="must be >= 1, got 0"):
+            run(0)
+        with pytest.raises(RankExceeded, match=f"r = {basis.rank + 1} beyond computed rank"):
+            run(basis.rank + 1)
+        assert run(basis.rank)
 
 
 def test_report_round_trip(tmp_path):

@@ -15,15 +15,16 @@ import pytest
 from scipy.linalg import svd
 
 from podkit.error_lab import certifier, rank_relation
-from podkit.errors import DimensionMismatch, IndexOutOfRange, RankExceeded
+from podkit.errors import DimensionMismatch
 from podkit.fem import assemble_fem_1d
 from podkit.gram_space import half_weight, half_weight_inv, identity_space, make_space
 from podkit.linear_map import identity_map
-from podkit.pod_engine import compute_pod, project_X, save_basis
+from podkit.pod_engine import compute_pod, save_basis
 from podkit.snapshot_io import make_snapshot_set
 
 from conftest import GOLDEN_LAMBDA_1, GOLDEN_LAMBDA_2
-from oracles import apply_K, apply_K_adjoint, hs_norm_sq, inner, optimality_oracle, tail_energy
+from oracles import apply_K, apply_K_adjoint, apply_projector, hs_norm_sq, inner
+from oracles import optimality_oracle, pod_projector, tail_energy
 
 
 def correlation_eigs(sset, space):
@@ -137,17 +138,15 @@ def test_compute_pod_needs_the_sets_own_space():
         compute_pod(dataclasses.replace(sset, space=identity_space(3)))
 
 
-def test_project_X_guards():
+def test_pod_projector_is_idempotent_at_full_rank():
+    # the level guard itself is error_lab's (test_one_level_guard)
     rng = np.random.default_rng(3)
     sset, _ = random_set(rng, 5, 4)
     basis = compute_pod(sset)
-    with pytest.raises(IndexOutOfRange):
-        project_X(basis, -1, np.zeros(5))
-    with pytest.raises(RankExceeded):
-        project_X(basis, basis.rank + 1, np.zeros(5))
+    proj = pod_projector(basis, basis.rank)
     x = rng.standard_normal(5)
-    p = project_X(basis, basis.rank, x)
-    assert np.allclose(project_X(basis, basis.rank, p), p, atol=1e-12)
+    p = apply_projector(proj, x)
+    assert np.allclose(apply_projector(proj, p), p, atol=1e-12)
 
 
 def test_apply_K_and_adjoint_pairing():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import eigh, lu_factor, lu_solve
+from scipy.linalg.lapack import dtbtrs
 
 from podkit.error_lab import PROJECTOR_FAMILIES, certifier
 from podkit.errors import (
@@ -25,7 +26,6 @@ from podkit.linear_map import identity_map, make_map
 from podkit.pod_engine import compute_pod
 from podkit.projector import (
     ELLIPTICITY_DEGENERACY,
-    apply_projector,
     form_ellipticity,
     mapped_orthogonal_levels,
     pushforward_levels,
@@ -36,8 +36,10 @@ from podkit.snapshot_io import make_snapshot_set, resolve_gram_spec
 from oracles import (
     convection,
     adjoint,
+    apply_projector,
     dense_matrix,
     inner,
+    level_projector,
     make_embedding_instance,
     op_norm,
     orthonormalize,
@@ -80,7 +82,8 @@ def test_orthogonal_norm_one():
         basis = compute_pod(inst["set"])
         proj = pod_projector(basis, min(3, basis.rank))
         assert op_norm(proj) == pytest.approx(1.0, abs=1e-9)
-        mproj = mapped_orthogonal_levels(basis, inst["map"])(min(3, basis.rank))
+        level = mapped_orthogonal_levels(basis, inst["map"])(min(3, basis.rank))
+        mproj = level_projector(inst["space_y"], level)
         assert op_norm(mproj) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -100,7 +103,7 @@ def test_ritz_levels_properties():
     inst = make_embedding_instance(17, 3)
     basis = compute_pod(inst["set"])
     r = min(4, basis.rank)
-    proj = ritz_levels(basis, inst["map"], inst["form"])(r)
+    proj = level_projector(inst["space_y"], ritz_levels(basis, inst["map"], inst["form"])(r))
     rng = np.random.default_rng(8)
     x = rng.standard_normal(17)
     px = apply_projector(proj, x)
@@ -121,7 +124,7 @@ def test_ritz_with_nonsymmetric_form():
     inst = make_embedding_instance(nodes, 1)
     basis = compute_pod(inst["set"])
     r = min(4, basis.rank)
-    proj = ritz_levels(basis, inst["map"], form)(r)
+    proj = level_projector(inst["space_y"], ritz_levels(basis, inst["map"], form)(r))
     rng = np.random.default_rng(9)
     x = rng.standard_normal(nodes)
     px = apply_projector(proj, x)
@@ -132,7 +135,7 @@ def test_ritz_with_nonsymmetric_form():
     assert c > 0.2  # provably coercive on [0, 1]
     assert op_norm(proj) <= C / c + 1e-8
     # and it differs measurably from the orthogonal family
-    orth = mapped_orthogonal_levels(basis, inst["map"])(r)
+    orth = level_projector(inst["space_y"], mapped_orthogonal_levels(basis, inst["map"])(r))
     assert np.linalg.norm(dense_matrix(proj) - dense_matrix(orth)) > 1e-6
 
 
@@ -216,7 +219,7 @@ def test_sparse_identity_keeps_the_30000_node_embedding_families_small():
     try:
         lmap = identity_map(sset.space, codomain)
         mapped_orthogonal_levels(basis, lmap)(8)
-        pushforward_levels(lmap, basis)(8)
+        pushforward_levels(basis, lmap)(8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -227,7 +230,7 @@ def test_pushforward_matches_conjugation(invertible_instance):
     inst = invertible_instance
     basis = compute_pod(inst["set"])
     r = min(4, basis.rank)
-    proj = pushforward_levels(inst["map"], basis)(r)
+    proj = level_projector(inst["space_y"], pushforward_levels(basis, inst["map"])(r))
     rng = np.random.default_rng(10)
     y = rng.standard_normal((10, 3))
     # L P_r L^{-1} y computed longhand
@@ -244,14 +247,14 @@ def test_pushforward_needs_inverse():
     inst = random_instance(8, 6, seed=12, invertible=False, map_rank=5)
     basis = compute_pod(inst["set"])
     with pytest.raises(NotInvertible):
-        pushforward_levels(inst["map"], basis)(2)
+        pushforward_levels(basis, inst["map"])(2)
 
 
 def test_pullback_matches_conjugation(invertible_instance):
     inst = invertible_instance
     basis = compute_pod(inst["set"])
     r = min(4, basis.rank)
-    inner_proj = mapped_orthogonal_levels(basis, inst["map"])(r)
+    inner_proj = level_projector(inst["space_y"], mapped_orthogonal_levels(basis, inst["map"])(r))
     proj = pullback_projector(inst["map"], inner_proj)
     rng = np.random.default_rng(11)
     x = rng.standard_normal(10)
@@ -268,7 +271,7 @@ def test_composite_norms_can_exceed_one(invertible_instance):
     inst = invertible_instance
     basis = compute_pod(inst["set"])
     r = min(3, basis.rank)
-    push = pushforward_levels(inst["map"], basis)(r)
+    push = level_projector(inst["space_y"], pushforward_levels(basis, inst["map"])(r))
     n = op_norm(push)
     assert n >= 1.0 - 1e-9
     assert np.isfinite(n)
@@ -276,15 +279,16 @@ def test_composite_norms_can_exceed_one(invertible_instance):
 
 # -- level factories against the per-level builders they replace -------------
 #
-# The references build level r from the leading r modes alone and share
-# nothing between levels.  The ellipticity check does not depend on r and is
-# compared once; the adjoint matrix is an input of the pushforward
-# reference, whose cross-check solves the adjoint system at every level.
+# The references build level r, its range R and functionals F, from the
+# leading r modes alone and share nothing between levels.  The ellipticity
+# check does not depend on r and is compared once; the adjoint matrix is an
+# input of the pushforward reference, whose cross-check solves the adjoint
+# system at every level.
 
 
 def reference_mapped_orthogonal(basis, lmap, r):
     Q = orthonormalize(lmap.codomain, lmap.matrix @ basis.modes[:, :r])
-    return Q, Q
+    return Q, lmap.codomain.gram @ Q
 
 
 def reference_ritz(basis, lmap, form, r):
@@ -294,17 +298,17 @@ def reference_ritz(basis, lmap, form, r):
     rcond = 1.0 / np.linalg.cond(B)
     if not np.isfinite(rcond) or rcond < 1e-14:
         raise SingularRitzSystem(f"reciprocal condition {rcond:.3e}")
-    QBt = lu_solve(lu_factor(B), (form.T @ Q).T).T
-    return Q, solve_gram(lmap.codomain, QBt)
+    return Q, lu_solve(lu_factor(B), (form.T @ Q).T).T
 
 
 def reference_pushforward(basis, lmap, adj, r, tol=1e-8):
     Phi = basis.modes[:, :r]
-    dual = solve_gram(lmap.codomain, lmap.inverse.T @ (basis.space.gram @ Phi))
+    F = lmap.inverse.T @ (basis.space.gram @ Phi)
+    dual = solve_gram(lmap.codomain, F)
     mismatch = np.linalg.norm(dual - np.linalg.solve(adj, Phi)) / np.linalg.norm(dual)
     if mismatch > tol:
         raise NotInvertible(f"inverse and adjoint routes disagree by {mismatch:.3e}")
-    return lmap.matrix @ Phi, dual
+    return lmap.matrix @ Phi, F
 
 
 def reference_level(basis, lmap, family, form):
@@ -317,10 +321,19 @@ def reference_level(basis, lmap, family, form):
     return lambda r: reference_pushforward(basis, lmap, adj, r)
 
 
+def dual_coordinates(space, F):
+    """C^{-1} F for the Gram's Cholesky factor G = C C^T: functionals in the
+    coordinates where their dual norm is Euclidean, as half_weight puts
+    vectors.  The entries of F = G Q cancel: on the 1,000-node H^1 codomain
+    |G| |Q| reaches 4e6 |G Q| in a column, so F's entries carry round-off far
+    above 1e-12 of their size, while its dual coordinates do not."""
+    return dtbtrs(space.chol, F, uplo="L")[0]
+
+
 def assert_levels_match(sset, basis, lmap, family, form):
-    """Every level 1..rank of the certifier's projectors: equal bases to
-    1e-12 relative, or the same error class at the same levels.  Returns the
-    levels that raised."""
+    """Every level 1..rank of the certifier's projectors: equal ranges, and
+    equal functionals in dual coordinates, to 1e-12 relative, or the same
+    error class at the same levels.  Returns the levels that raised."""
     levels = certifier(sset, basis, lmap, family, form).projectors
     reference = reference_level(basis, lmap, family, form)
     raised = []
@@ -332,9 +345,10 @@ def assert_levels_match(sset, basis, lmap, family, form):
                 levels(r)
             raised.append(r)
             continue
-        proj = levels(r)
-        assert proj.range_basis.shape[1] == r
-        for got, want in zip((proj.range_basis, proj.dual_basis), expected):
+        R, F = levels(r)
+        assert R.shape[1] == r
+        duals = [dual_coordinates(lmap.codomain, f) for f in (F, expected[1])]
+        for got, want in ((R, expected[0]), duals):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (family, r)
     return raised
@@ -430,7 +444,7 @@ def test_tampered_inverse_fails_the_cross_check_at_the_same_levels():
         raised = assert_levels_match(inst["set"], basis, lmap, "composite-xy", None)
         assert raised == list(range(j + 1, basis.rank + 1)), j
         with pytest.raises(NotInvertible):
-            pushforward_levels(lmap, basis)(j + 1)
+            pushforward_levels(basis, lmap)(j + 1)
 
 
 def dense_op_norm(proj):
@@ -459,14 +473,14 @@ def test_op_norm_matches_the_dense_eigensolve_for_every_family():
             form = lmap.codomain.gram.toarray() + 0.1 * upper
         orth_levels = mapped_orthogonal_levels(basis, lmap)
         ritz = ritz_levels(basis, lmap, form)
-        push = pushforward_levels(lmap, basis)
+        push = pushforward_levels(basis, lmap)
         for r in range(1, basis.rank + 1):
-            orth = orth_levels(r)
+            orth = level_projector(lmap.codomain, orth_levels(r))
             for name, proj in (
                 ("pod", pod_projector(basis, r)),
                 ("orthogonal", orth),
-                ("ritz", ritz(r)),
-                ("composite-xy", push(r)),
+                ("ritz", level_projector(lmap.codomain, ritz(r))),
+                ("composite-xy", level_projector(lmap.codomain, push(r))),
                 ("pullback", pullback_projector(lmap, orth)),
             ):
                 want = dense_op_norm(proj)
@@ -478,9 +492,9 @@ def test_pushforward_refuses_an_inverse_perturbed_by_1e_6(invertible_instance):
     basis = compute_pod(inst["set"])
     lmap = inst["map"]
     noise = np.random.default_rng(4).standard_normal(lmap.inverse.shape)
-    pushforward_levels(lmap, basis)(basis.rank)  # the certified inverse passes
+    pushforward_levels(basis, lmap)(basis.rank)  # the certified inverse passes
     perturbed = dataclasses.replace(lmap, inverse=lmap.inverse + 1e-6 * noise)
-    levels = pushforward_levels(perturbed, basis)
+    levels = pushforward_levels(basis, perturbed)
     for r in range(1, basis.rank + 1):
         with pytest.raises(NotInvertible, match="routes disagree"):
             levels(r)

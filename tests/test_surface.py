@@ -106,3 +106,24 @@ def test_all_lists_exactly_the_public_names_the_package_imports():
     public = {name for name in imported if not name.startswith("_")} | {"__version__"}
     assert sorted(podkit.__all__) == sorted(public)
     assert len(podkit.__all__) == len(set(podkit.__all__))
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export (the test above pins that list); every
+    # other module's import must bind a name that its code reads
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                unused += [
+                    f"{path.stem}.py:{node.lineno}: {alias.asname or alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name.split(".")[0]) not in used
+                ]
+    assert not unused, "\n".join(unused)
