@@ -263,9 +263,10 @@ def battery_level(cert, r, coeffs=None):
     order: the data identities (range_exact and snap_sigma_bound after
     pod_x), the operator-level identities, the per-snapshot bounds, and the
     pointwise bounds of K c for the columns c of coeffs, shape (count, k).
-    Each T W is formed once, block by block, but no product is shared: per
-    block pod_x_mapped applies pod_x again, and proj_y and pullback_x each
-    form L C.
+    Each operator applies T to the data block by block, once for its
+    identity and, past pod_x, once more on W diag(g) for its hs form.  No
+    product is shared: per block pod_x_mapped applies pod_x again, and the
+    map is applied three times (in pod_x_mapped, proj_y and pullback_x).
     """
     sset, basis = cert.sset, cert.basis
     if coeffs is not None and (np.ndim(coeffs) != 2 or len(coeffs) != sset.count):
