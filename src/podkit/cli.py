@@ -232,7 +232,7 @@ def _certify_inputs(args):
     lmap = form = None
     if args.map is not None:
         lmap, form = build_map_from_spec(args.map, sset)
-        if args.projector == "composite-xy" and not lmap.invertible:
+        if args.projector == "composite-xy" and lmap.inverse is None:
             raise ProvenanceMismatch("--projector composite-xy needs an invertible map")
     elif args.projector != "orthogonal":
         raise ProvenanceMismatch(f"--projector {args.projector} needs --map")

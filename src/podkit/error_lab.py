@@ -2,8 +2,8 @@
 
 Every exact formula has one shape: for the residual operator T of a
 projection, in the norm of a space, sum_j g_j ||T w_j||^2 equals
-sum_{k>r} lambda_k ||T phi_k||^2.  The battery is written once around the
-pair (T, space), one record per operator and truncation level:
+sum_{k>r} lambda_k ||T phi_k||^2.  The battery is written once around T,
+one record per operator and truncation level:
 
 - pod_x         I - P_r, ambient norm (the mode projection)
 - pod_x_mapped  L (I - P_r), codomain norm
@@ -13,21 +13,24 @@ pair (T, space), one record per operator and truncation level:
 Each record yields its data identity (T applied to the data W), the operator
 form hs_* (T applied to K = W diag(g)), the per-snapshot bound snap_* and the
 pointwise bound pw_* for elements K c; range_exact is the exact per-snapshot
-residual of pod_x.  The actual side applies T to the data, a column block of
-gram_space.COLUMN_BLOCK_BYTES at a time; the formula side reads only the
-basis, never the data, so agreement of the two routes is the certificate.
-Spectral sums run over the complete computed spectrum: with unbounded-looking
-maps the below-tolerance tail still carries weight at the certified accuracy.
+residual of pod_x.  All of it runs in whitened coordinates, x~ = C_x^T x and
+y~ = C_y^T y (G = C C^T), where these norms are Euclidean and P_r is
+U_r U_r^T (U = C_x^T Phi), so no Gram product is formed.  The actual side
+whitens each data block of gram_space.COLUMN_BLOCK_BYTES once, as the pair
+(C_x^T W_b, C_y^T L W_b), for every residual; the formula side reads only
+the basis's U and V~ = C_y^T L Phi and the family's pair, never the data, so
+agreement of the two routes is the certificate.  Spectral sums run over the
+complete computed spectrum: with unbounded-looking maps the below-tolerance
+tail still carries weight at the certified accuracy.
 
 Entry points, the ones the CLI's verify and sweep run: certifier (built
-once per bundle: the codomain family's level factory r -> (R_r, F_r) for
-proj_y, the mode functionals G_x Phi and the level-free constants; each
-projection is applied as R_r (F_r^T y)), battery_level (every row of one
-level) and sweep (the data identities over levels).  Both take the
-certifier, so a projection from another map or basis cannot reach a row,
-and both refuse a level that check_level refuses.  rank_relation
-compares the POD ranks of the data and of their image under the map, and
-verdict decides a report: every row passed, and a decided relation holds.
+once per bundle: the codomain family's projector.Levels for proj_y, V~ and
+the level-free constants), battery_level (every row of one level) and sweep
+(the data identities over levels).  Both take the certifier, so a
+projection from another map or basis cannot reach a row, and both refuse a
+level that check_level refuses.  rank_relation compares the POD ranks of
+the data and of their image under the map, and verdict decides a report:
+every row passed, and a decided relation holds.
 
 Floors: an identity passes within IDENTITY_RTOL or when both sides are
 below its floor, a bound when actual <= formula + floor.  The floor is
@@ -52,10 +55,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, MalformedManifest, MissingDataFile
 from .errors import RankExceeded
-from .gram_space import GramSpace, column_blocks, half_weight
-from .linear_map import LinearMap, apply_inverse
+from .gram_space import column_blocks, half_weight, half_weight_inv, whitened_blocks
+from .linear_map import LinearMap
 from .pod_engine import PodBasis, image_spectrum, numerical_rank
-from .projector import mapped_orthogonal_levels, pushforward_levels, ritz_levels
+from .projector import Levels, mapped_orthogonal_levels, pushforward_functionals
+from .projector import pushforward_levels, ritz_levels, whitened_images
 from .snapshot_io import SnapshotSet, _atomic_write, _read_json
 
 IDENTITY_RTOL = 1e-8
@@ -114,36 +118,26 @@ def _report(kind, identity_id, r, lhs, rhs, tol, floor, info=None):
     )
 
 
-def _column_sq_norms(space, columns, apply, scale=None):
-    """||apply(scale_j c_j)||^2 in space for the columns c_j, by column blocks."""
-    out = np.empty(columns.shape[1])
-    for blk in column_blocks(max(len(columns), space.dim), columns.shape[1]):
-        A = half_weight(space, apply(columns[:, blk] * (1.0 if scale is None else scale[blk])))
-        out[blk] = np.einsum("ij,ij->j", A, A)
-    return out
+def _sq(A):
+    """The squared Euclidean norm of each column of A."""
+    return np.einsum("ij,ij->j", A, A)
 
 
 # -- the residual-operator primitive -----------------------------------------
 
 @dataclass
 class _Residual:
-    """Residual operator T of one projection at level r, in its norm space.
-
-    apply maps ambient columns to their images under T.  mode_sq holds
-    ||T phi_k||^2 for the tail modes k >= r and formula the tail sum
-    sum_k lambda_k mode_sq_k, both from the basis alone; energy is the data's
-    total weighted energy in this norm space, the scale of T's floors.
-    """
+    """Residual operator T of one projection at level r: apply maps the
+    whitened pair (C_x^T x, C_y^T L x) of columns x to the whitened T x,
+    mode_sq holds ||T phi_k||^2 for the tail modes k >= r (apply on the
+    basis's pair (U, V~)), formula is sum_k lambda_k mode_sq_k, and energy
+    the data's total weighted energy in T's norm space, its floors' scale."""
 
     label: str
-    space: GramSpace
     apply: Callable
     mode_sq: np.ndarray
     formula: float
     energy: float
-
-    def sq_norms(self, columns, scale=None):
-        return _column_sq_norms(self.space, columns, self.apply, scale)
 
     def floor(self, mass=1.0, squared=True):
         floor = _floor(self.energy * mass)
@@ -154,23 +148,25 @@ class _Residual:
 class Certifier:
     """One bundle's inputs to the rows that no truncation level changes.
 
-    gram_modes is G_x Phi, so that P_r x = Phi_r ((G_x Phi)_r^T x).
-    projectors is the level factory r -> (R_r, F_r) of the codomain family
-    named family (None without a map); r0 is the snapshot_guarantee_threshold.
-    With a map, mode_norms holds ||L phi_k||^2 for every mode from the basis
-    alone (its tail [r:] is the pod_x_mapped formula side at level r) and
-    energy_y is sum_j g_j ||L w_j||^2, the codomain rows' floor scale.
+    projectors is the Levels of the codomain family named family (None
+    without a map); r0 is the snapshot_guarantee_threshold.  With a map,
+    images is V~ = C_y^T L Phi for every mode, whose squared column norms
+    are ||L phi_k||^2, and energy_y is sum_j g_j ||L w_j||^2, the codomain
+    rows' floor scale.  With an invertible map, pullback is
+    M = C_x^T L^{-1} C_y^{-T} R~ for the family's range R~, so that no data
+    are solved with L^{-1}, and composite the pushforward_functionals.
     """
 
     sset: SnapshotSet
     basis: PodBasis
     lmap: LinearMap | None
     family: str
-    gram_modes: np.ndarray
-    projectors: Callable | None
+    projectors: Levels | None
     r0: int | None
-    mode_norms: np.ndarray | None = None
+    images: np.ndarray | None = None
     energy_y: float | None = None
+    pullback: np.ndarray | None = None
+    composite: np.ndarray | None = None
 
 
 def certifier(sset, basis, lmap=None, family="orthogonal", form=None):
@@ -183,9 +179,8 @@ def certifier(sset, basis, lmap=None, family="orthogonal", form=None):
     projector and form is not read; family is recorded as given.
     """
     r0 = snapshot_guarantee_threshold(sset, basis)
-    gram_modes = basis.space.gram @ basis.modes
     if lmap is None:
-        return Certifier(sset, basis, None, family, gram_modes, None, r0)
+        return Certifier(sset, basis, None, family, None, r0)
     if family == "orthogonal":
         projectors = mapped_orthogonal_levels(basis, lmap)
     elif family == "ritz":
@@ -194,13 +189,17 @@ def certifier(sset, basis, lmap=None, family="orthogonal", form=None):
         projectors = pushforward_levels(basis, lmap)
     else:
         raise IndexOutOfRange(f"unknown codomain projector family {family!r}")
-
-    def apply(C):
-        return lmap.matrix @ C
-
-    mode_norms = _column_sq_norms(lmap.codomain, basis.modes_full, apply)
-    energy_y = float(sset.weights @ _column_sq_norms(lmap.codomain, sset.data, apply))
-    return Certifier(sset, basis, lmap, family, gram_modes, projectors, r0, mode_norms, energy_y)
+    images = whitened_images(basis, lmap)
+    image_sq = np.concatenate([_sq(Y) for _, _, Y in whitened_blocks(sset.data, lmap=lmap)])
+    pullback = composite = None
+    if lmap.inverse is not None:
+        ranges = lmap.inverse @ half_weight_inv(lmap.codomain, projectors.range)
+        pullback = half_weight(basis.space, ranges)
+        composite = pushforward_functionals(basis, lmap)
+    return Certifier(
+        sset, basis, lmap, family, projectors, r0,
+        images, float(sset.weights @ image_sq), pullback, composite,
+    )
 
 
 def check_level(basis, r):
@@ -214,48 +213,58 @@ def check_level(basis, r):
 def _residuals(cert, r):
     """The residual operators of level r, keyed by label in identity order:
     pod_x and, with a map, pod_x_mapped, proj_y and, when the map is
-    invertible, pullback_x; proj_y's Q is the certifier's level r."""
+    invertible, pullback_x; proj_y's projection is the certifier's level r."""
     basis, lmap = cert.basis, cert.lmap
     check_level(basis, r)
-    tail, lam = basis.modes_full[:, r:], basis.eigenvalues[r:]
+    lam, U_r = basis.eigenvalues[r:], basis.left_full[:, :r]
+    tail = basis.left_full[:, r:], None if lmap is None else cert.images[:, r:]
     out = {}
 
-    def add(label, space, apply, energy, mode_sq=None):
+    def add(label, apply, energy, mode_sq=None):
         if mode_sq is None:
-            mode_sq = _column_sq_norms(space, tail, apply)
-        out[label] = _Residual(label, space, apply, mode_sq, float(lam @ mode_sq), energy)
-
-    Phi_r, F_r = basis.modes[:, :r], cert.gram_modes[:, :r]
-
-    def pod_x(C):
-        return C - Phi_r @ (F_r.T @ C)
+            mode_sq = _sq(apply(*tail))
+        out[label] = _Residual(label, apply, mode_sq, float(lam @ mode_sq), energy)
 
     energy_x = float(np.sum(basis.eigenvalues))
-    add("pod_x", basis.space, pod_x, energy_x, np.ones(lam.size))  # pure tail
+    add("pod_x", lambda X, Y: X - U_r @ (U_r.T @ X), energy_x, np.ones(lam.size))  # pure tail
     if lmap is None:
         return out
-    L, codomain, (R, F) = lmap.matrix, lmap.codomain, cert.projectors(r)
-    add("pod_x_mapped", codomain, lambda C: L @ pod_x(C), cert.energy_y, cert.mode_norms[r:])
-
-    def proj(C):
-        LC = L @ C
-        return LC - R @ (F.T @ LC)
-
-    add("proj_y", codomain, proj, cert.energy_y)
+    V_r, (R, F) = cert.images[:, :r], cert.projectors(r)
+    add("pod_x_mapped", lambda X, Y: Y - V_r @ (U_r.T @ X), cert.energy_y, _sq(tail[1]))
+    add("proj_y", lambda X, Y: Y - R @ (F.T @ Y), cert.energy_y)
     if lmap.inverse is not None:
-        add("pullback_x", basis.space,
-            lambda C: C - apply_inverse(lmap, R @ (F.T @ (L @ C))), energy_x)
+        M_r = cert.pullback[:, :r]
+        add("pullback_x", lambda X, Y: X - M_r @ (F.T @ Y), energy_x)
     return out
 
 
-def _identity(sset, t, r, sq=None, hs=False):
-    """Data identity of T, or with hs its operator form on K = W diag(g)."""
-    if hs:  # e_j / sqrt(g_j) is an orthonormal basis of the coefficient space
-        lhs = (1.0 / sset.weights) @ t.sq_norms(sset.data, sset.weights)
-    else:
-        lhs = sset.weights @ (t.sq_norms(sset.data) if sq is None else sq)
-    label = "hs_" + t.label if hs else t.label
-    return _report("identity", label, r, lhs, t.formula, IDENTITY_RTOL, t.floor())
+def _residual_norms(cert, res, columns, weights=None):
+    """({label: ||T c_j||^2}, hs) for the residuals T of res over the columns
+    c_j: each block is whitened once and every residual reads the pair.
+    With weights, hs is {label: ||T (g_j c_j)||^2} for the residuals past the
+    first (the hs forms), from the pair scaled in place; else None."""
+    sq = {label: np.empty(columns.shape[1]) for label in res}
+    hs = None if weights is None else {label: np.empty_like(sq[label]) for label in list(res)[1:]}
+    for blk, X, Y in whitened_blocks(columns, cert.basis.space, cert.lmap):
+        for label, t in res.items():
+            sq[label][blk] = _sq(t.apply(X, Y))
+        if hs:
+            X *= weights[blk]
+            Y *= weights[blk]
+            for label in hs:
+                hs[label][blk] = _sq(res[label].apply(X, Y))
+    return sq, hs
+
+
+def _identities(res, norms, weights, r, prefix=""):
+    """The identity rows of the residuals whose squared norms norms holds:
+    actual side weights @ norms, the data identity, or with weights 1 / g
+    on the norms of W diag(g) and prefix "hs_", its operator form."""
+    return [
+        _report("identity", prefix + label, r, weights @ sq, res[label].formula,
+                IDENTITY_RTOL, res[label].floor())
+        for label, sq in norms.items()
+    ]
 
 
 def battery_level(cert, r, coeffs=None):
@@ -263,19 +272,18 @@ def battery_level(cert, r, coeffs=None):
     order: the data identities (range_exact and snap_sigma_bound after
     pod_x), the operator-level identities, the per-snapshot bounds, and the
     pointwise bounds of K c for the columns c of coeffs, shape (count, k).
-    Each operator applies T to the data block by block, once for its
-    identity and, past pod_x, once more on W diag(g) for its hs form.  No
-    product is shared: per block pod_x_mapped applies pod_x again, and the
-    map is applied three times (in pod_x_mapped, proj_y and pullback_x).
+    One pass whitens each data block once for every residual and its hs
+    form (the block scaled by the weights, W diag(g)).
     """
     sset, basis = cert.sset, cert.basis
     if coeffs is not None and (np.ndim(coeffs) != 2 or len(coeffs) != sset.count):
         raise DimensionMismatch(f"coefficients of shape {np.shape(coeffs)}, not ({sset.count}, k)")
     res = _residuals(cert, r)
-    sq = {label: t.sq_norms(sset.data) for label, t in res.items()}
-    rows = [_identity(sset, t, r, sq[label]) for label, t in res.items()]
+    sq, hs = _residual_norms(cert, res, sset.data, sset.weights)
+    rows = _identities(res, sq, sset.weights, r)
     rows[1:1] = _range_rows(sset, basis, r, sq["pod_x"])
-    rows += [_identity(sset, t, r, hs=True) for t in list(res.values())[1:]]
+    # e_j / sqrt(g_j) is an orthonormal basis of the coefficient space
+    rows += _identities(res, hs, 1.0 / sset.weights, r, "hs_")
     rows += _snapshot_rows(sset, basis, r, res, sq, cert.r0)
     if coeffs is not None:
         rows += _pointwise_rows(cert, r, res, coeffs)
@@ -296,7 +304,7 @@ def rank_relation(cert):
     basis, p = cert.basis, cert.basis.rank
     lam = image_spectrum(cert.lmap, cert.sset)
     rank = numerical_rank(lam, basis.drop_tol)
-    tail = float(basis.eigenvalues[p:] @ cert.mode_norms[p:] + _floor(cert.energy_y))
+    tail = float(basis.eigenvalues[p:] @ _sq(cert.images[:, p:]) + _floor(cert.energy_y))
     threshold = float(basis.drop_tol * lam[0])
     return {
         "rank_source": p,
@@ -413,22 +421,17 @@ _POINTWISE = {
 def _pointwise_rows(cert, r, res, coeffs):
     """pw_* rows for the elements K c, c the columns of coeffs, element by
     element in _POINTWISE order; info carries the looser Cauchy-Schwarz bound."""
-    sset, basis, lmap = cert.sset, cert.basis, cert.lmap
-    if lmap is not None and lmap.inverse is not None:
-        Phi_r, F_r = basis.modes[:, :r], cert.gram_modes[:, :r]
-
-        def composite_y(C):
-            LC = lmap.matrix @ C
-            return LC - lmap.matrix @ (Phi_r @ (F_r.T @ apply_inverse(lmap, LC)))
-
-        # its own actual route, measured against the pod_x_mapped tail
-        res = {**res, "composite_y": replace(res["pod_x_mapped"], apply=composite_y)}
+    sset, basis = cert.sset, cert.basis
+    if cert.composite is not None:  # L (I - P_r) L^{-1} on its own route
+        V_r, N_r = cert.images[:, :r], cert.composite[:, :r]
+        composite_y = replace(res["pod_x_mapped"], apply=lambda X, Y: Y - V_r @ (N_r.T @ Y))
+        res = {**res, "composite_y": composite_y}
     gC = sset.weights[:, None] * coeffs
-    X = sset.data @ gC
     amp = np.abs(basis.right_full[:, r:].T @ gC)
     mass = np.einsum("ij,ij->j", coeffs, gC)  # ||c||_S^2: ||K c||^2 <= E ||c||_S^2
     sig = np.sqrt(basis.eigenvalues[r:])
-    kinds = [(_POINTWISE[k], res[k], res[k].sq_norms(X)) for k in _POINTWISE if k in res]
+    norms = _residual_norms(cert, res, sset.data @ gC)[0]
+    kinds = [(_POINTWISE[k], res[k], norms[k]) for k in _POINTWISE if k in res]
     reports = []
     for i in range(coeffs.shape[1]):
         for label, t, sq in kinds:
@@ -446,12 +449,13 @@ def _pointwise_rows(cert, r, res, coeffs):
 # -- sweeps and serialization ------------------------------------------------
 
 def sweep(cert, r_list):
-    """The data identities (pod_x and, with a map, pod_x_mapped, proj_y and,
-    when it is invertible, pullback_x) at each truncation level, in that
-    order."""
-    return [
-        _identity(cert.sset, t, r) for r in r_list for t in _residuals(cert, r).values()
-    ]
+    """The data identities at each truncation level, in _residuals order."""
+    reports = []
+    for r in r_list:
+        res = _residuals(cert, r)
+        reports += _identities(res, _residual_norms(cert, res, cert.sset.data)[0],
+                               cert.sset.weights, r)
+    return reports
 
 
 def write_report_csv(reports, path):

@@ -2,14 +2,17 @@
 
 A space is R^n with the inner product (u, v) = v^T G u for a symmetric
 positive definite G, kept in O(n kd) memory: G as a scipy.sparse CSR array
-and its Cholesky factor L (G = L L^T) in LAPACK lower band storage.  kd is
+and its Cholesky factor C (G = C C^T) in LAPACK lower band storage.  kd is
 G's lower bandwidth, its outermost nonzero subdiagonal: 0 for identity and
 diagonal Grams, 1 for the FEM Grams, n - 1 for a dense CSV Gram, all through
-the same code.  Each kernel is one library call whatever kd and the column
-count: sparse products with G and L^T, dtbtrs and dpbtrs solves.  A dense
-step (a CSV Gram or "matrix" map, a generated snapshot set, the Ritz
-ellipticity on a wide band) first checks its bytes against
-DENSE_BYTES_BUDGET.
+the same code.  In whitened coordinates a vector v is C^T v, in which the
+G-norm is Euclidean, and a functional f is C^{-1} f, so that f^T v is their
+dot product; half_weight and half_weight_inv move between the coordinates,
+one sparse product or dtbtrs solve whatever kd and the column count, and
+whitened_blocks whitens data by column blocks.  The Gram itself is read
+only to build C and by the Ritz ellipticity.  A dense step (a CSV Gram or
+"matrix" map, a generated snapshot set, the Ritz ellipticity on a wide
+band) first checks its bytes against DENSE_BYTES_BUDGET.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 
 from .errors import (
@@ -29,7 +32,6 @@ from .errors import (
 )
 
 SYMMETRY_RTOL = 1e-13
-ORTH_DROP_TOL = 1e-12
 # Bytes one dense step may allocate, 512 MiB: beyond it a CSV Gram
 # (snapshot_io.CSV_GRAM_ARRAYS n^2 doubles), an m x n "matrix" map
 # (linear_map.MATRIX_CSV_ARRAYS m n), the generated trajectory
@@ -81,8 +83,8 @@ class GramSpace:
     gram : scipy.sparse.csr_array, shape (dim, dim)
         Symmetric positive definite Gram matrix (symmetrized copy).
     chol : ndarray, shape (kd + 1, dim)
-        Its lower Cholesky factor L in LAPACK lower band storage,
-        chol[i, j] = L[j + i, j], kd being the Gram's lower bandwidth.
+        Its lower Cholesky factor C in LAPACK lower band storage,
+        chol[i, j] = C[j + i, j], kd being the Gram's lower bandwidth.
     """
 
     dim: int
@@ -91,8 +93,8 @@ class GramSpace:
 
     @cached_property
     def chol_t(self):
-        """L^T as a CSR array, built from the band storage on first use."""
-        offsets = -np.arange(self.chol.shape[0])  # the band rows are L's diagonals
+        """C^T as a CSR array, built from the band storage on first use."""
+        offsets = -np.arange(self.chol.shape[0])  # the band rows are C's diagonals
         return sparse.dia_array((self.chol, offsets), shape=(self.dim,) * 2).T.tocsr()
 
 
@@ -160,54 +162,31 @@ def _check_dim(space, u):
     return u
 
 
-def solve_gram(space, rhs):
-    """G^{-1} rhs through the cached banded Cholesky factor (dpbtrs)."""
-    rhs = _check_dim(space, rhs)
-    return cho_solve_banded((space.chol, True), rhs)
-
-
-def half_weight(space, u):
-    """L^T u, the change of variables that turns the G-norm Euclidean.
-
-    Satisfies ||half_weight(space, u)||_2^2 = u^T G u; applied to the
-    columns of a matrix it realizes Hilbert-Schmidt norms as plain Frobenius
-    norms.
-    """
+def half_weight(space, u, adjoint=False):
+    """C^T u, the whitening: ||C^T u||_2^2 = u^T G u.  With adjoint, C u,
+    which takes a functional's whitened coordinates back to natural ones."""
     u = _check_dim(space, u)
-    return space.chol_t @ u
+    return (space.chol_t.T if adjoint else space.chol_t) @ u
 
 
-def half_weight_inv(space, u):
-    """Inverse of half_weight: L^{-T} u by one banded triangular solve."""
+def half_weight_inv(space, u, adjoint=False):
+    """Inverse of half_weight: C^{-T} u, or with adjoint C^{-1} u (the
+    whitened coordinates of a functional), by one banded triangular solve."""
     u = _check_dim(space, u)
     if u.size == 0:  # the dtbtrs wrapper crashes on zero right-hand sides
         return np.zeros(u.shape)
-    x, _ = dtbtrs(space.chol, u.reshape(space.dim, -1), uplo="L", trans="T")
+    x, _ = dtbtrs(space.chol, u.reshape(space.dim, -1), uplo="L", trans="N" if adjoint else "T")
     return x.reshape(u.shape)
 
 
-def orthonormal_prefixes(space, vectors):
-    """Orthonormalization of every leading block of columns by one QR.
-
-    Factors L^T V = Q R with diag(R) > 0 and returns (L^{-T} Q, k,
-    reason): for j <= k the leading j columns are the Gram-Schmidt result
-    for the leading j input columns.  Column k is the first whose pivot
-    |R_kk| is at most 1e-12 times the largest up to it, so that it lies
-    numerically in the span of the previous ones, and reason states that
-    pivot; with no such column k is the column count and reason None.
-    """
-    V = np.asarray(vectors, dtype=float)
-    if V.ndim == 1:
-        V = V[:, None]
-    Q, R = np.linalg.qr(half_weight(space, V))
-    diag = np.diag(R)
-    # Columns beyond the dimension have no pivot of their own: zero.
-    pivots = np.abs(np.append(diag, np.zeros(V.shape[1] - diag.size)))
-    largest = np.maximum.accumulate(pivots)
-    dependent = np.flatnonzero(pivots <= ORTH_DROP_TOL * largest)
-    k, reason = V.shape[1], None
-    if dependent.size:
-        k = int(dependent[0])
-        reason = f"column {k} has pivot {pivots[k]:.3e} against largest pivot {largest[k]:.3e}"
-    return half_weight_inv(space, Q * np.sign(diag)), k, reason
-
+def whitened_blocks(columns, space=None, lmap=None, scale=None, min_width=1):
+    """(blk, C_x^T W_b, C_y^T L W_b) for column blocks W_b of the columns W,
+    scaled by scale first, the second None without a space and the third
+    without a map: how the POD, the image spectrum and every residual whiten
+    data, a block of the larger dimension's COLUMN_BLOCK_BYTES (>= min_width
+    columns) at a time, so no whitened copy of the whole data is held."""
+    rows = max(len(columns), 0 if lmap is None else lmap.codomain.dim)
+    for blk in column_blocks(rows, columns.shape[1], min_width):
+        W = columns[:, blk] if scale is None else columns[:, blk] * scale[blk]
+        X = None if space is None else half_weight(space, W)
+        yield blk, X, None if lmap is None else half_weight(lmap.codomain, lmap.matrix @ W)

@@ -63,10 +63,6 @@ class LinearMap:
     matrix: np.ndarray | sparse.csr_array
     inverse: np.ndarray | sparse.csr_array | None = field(default=None, repr=False)
 
-    @property
-    def invertible(self):
-        return self.inverse is not None
-
 
 def _check_condition(cond):
     if not np.isfinite(cond) or cond > MAX_CONDITION:
@@ -168,17 +164,6 @@ def derivative_map(nodes, domain, scheme="forward"):
         codomain=make_space(sparse.block_diag([gram] * blocks, format="csr")),
         matrix=sparse.block_diag([block] * blocks, format="csr"),
     )
-
-
-def apply_inverse(lmap, y):
-    if lmap.inverse is None:
-        raise NotInvertible("map has no certified inverse")
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != lmap.codomain.dim:
-        raise DimensionMismatch(
-            f"vector of dim {y.shape[0]} into inverse from dim {lmap.codomain.dim}"
-        )
-    return lmap.inverse @ y
 
 
 _MAP_KEYS = ("identity", "diag", "matrix", "derivative_1d", "embedding")

@@ -8,23 +8,24 @@ singular values of the weighted snapshot operator
 
 the modes phi_k are orthonormal in the ambient space, and the right vectors
 f_k are orthonormal in the weighted coefficient space.  Numerically the
-decomposition is realized as one thin SVD of the half-weighted data matrix
-A = R^T W diag(sqrt(g)), where R is the Cholesky factor of the ambient Gram
-matrix, filled by column blocks into the one data-sized working copy beside
-the data and the right vectors, which the SVD (xGESDD) overwrites; other
-data-sized temporaries are blocks of gram_space.COLUMN_BLOCK_BYTES.  The SVD
-route and the correlation eigenproblem agree in exact arithmetic; the SVD is
-preferred because its backward error couples trailing singular directions at
-the scale of the trailing singular values themselves, which the
-deep-truncation error identities are sensitive to, while a correlation
+decomposition is realized as one thin SVD of the whitened data matrix
+A = C^T W diag(sqrt(g)), G = C C^T, filled by column blocks into the one
+data-sized working copy beside the data and the right vectors, which the
+SVD (xGESDD) overwrites; other data-sized temporaries are blocks of
+gram_space.COLUMN_BLOCK_BYTES.  Its left vectors are the modes in whitened
+coordinates, U = C^T Phi, which the certificate reads; pod writes Phi.  The
+SVD route and the correlation eigenproblem agree in exact arithmetic; the
+SVD is preferred because its backward error couples trailing singular
+directions at the scale of the trailing singular values themselves, which
+the deep-truncation error identities are sensitive to, while a correlation
 eigensolve couples them at the scale of the leading eigenvalue.
 
 Numerical rank is the number of eigenvalues above drop_tol times the largest
 one.  The basis keeps the complete computed spectrum and the full set of
-singular directions, one copy of each: the error-identity checkers need the
-whole tail, while every truncation level is held to the trusted range
-1 <= r <= rank (error_lab.check_level), whose modes are the leading columns
-of the same arrays.
+singular directions: the error-identity checkers need the whole tail, while
+every truncation level is held to the trusted range 1 <= r <= rank
+(error_lab.check_level), whose modes are the leading columns of the same
+arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from scipy.linalg import svd
 
 from .errors import DimensionMismatch, EigenFailure, IndexOutOfRange
-from .gram_space import GramSpace, column_blocks, half_weight, half_weight_inv
+from .gram_space import GramSpace, half_weight_inv, whitened_blocks
 from .snapshot_io import _atomic_write, write_matrix_csv
 
 DEFAULT_DROP_TOL = 1e-12
@@ -66,6 +67,9 @@ class PodBasis:
         product as the SVD leaves them; each of the leading rank columns is
         signed to make positive its first entry within SIGN_TIE_RTOL of its
         largest magnitude.
+    left_full : ndarray, shape (dim, min(dim, s))
+        The modes in whitened coordinates, U = C^T Phi: the SVD's own left
+        vectors, with the modes' signs.
     right_full : ndarray, shape (s, min(dim, s))
         Coefficient-side vectors for the whole spectrum, orthonormal under
         the weights; the leading rank columns carry the modes' signs.
@@ -84,6 +88,7 @@ class PodBasis:
     rank: int
     drop_tol: float
     modes_full: np.ndarray = field(repr=False)
+    left_full: np.ndarray = field(repr=False)
     right_full: np.ndarray = field(repr=False)
     space: GramSpace = field(repr=False)
     snapshots_ref: str = ""
@@ -139,9 +144,9 @@ def compute_pod(sset, drop_tol=DEFAULT_DROP_TOL):
 
     W = sset.data
     g12 = np.sqrt(sset.weights)
-    A = np.empty(W.shape, order="F")  # chol^T W Gamma^{1/2}, n x s, by blocks
-    for blk in column_blocks(*W.shape):
-        A[:, blk] = half_weight(space, W[:, blk] * g12[blk])
+    A = np.empty(W.shape, order="F")  # C^T W Gamma^{1/2}, n x s, by blocks
+    for blk, whitened, _ in whitened_blocks(W, space, scale=g12):
+        A[:, blk] = whitened
 
     try:
         U, sig_full, Vt = svd(A, full_matrices=False, overwrite_a=True)
@@ -160,6 +165,7 @@ def compute_pod(sset, drop_tol=DEFAULT_DROP_TOL):
     first = np.argmax(mags >= (1.0 - SIGN_TIE_RTOL) * mags.max(axis=0), axis=0)
     signs = np.where(lead[first, np.arange(rank)] < 0.0, -1.0, 1.0)
     lead *= signs
+    U[:, :rank] *= signs
     right_full[:, :rank] *= signs
 
     return PodBasis(
@@ -167,6 +173,7 @@ def compute_pod(sset, drop_tol=DEFAULT_DROP_TOL):
         rank=rank,
         drop_tol=drop_tol,
         modes_full=modes_full,
+        left_full=U,
         right_full=right_full,
         space=space,
         snapshots_ref=fingerprint(W, sset.weights),
@@ -179,16 +186,16 @@ def numerical_rank(lam, drop_tol):
 
 
 def image_spectrum(lmap, sset):
-    """The POD eigenvalues of {L w_j}, same weights, descending: blocks of >=
-    codomain dim columns of A = chol_y^T L W Gamma^{1/2} fold into an R-only
-    Householder QR of A^T (Golub & Van Loan 5.2), so no image set is formed."""
+    """The POD eigenvalues of {L w_j}, same weights, descending: whitened
+    blocks of >= codomain dim columns of A = C_y^T L W Gamma^{1/2} fold into
+    an R-only Householder QR of A^T (Golub & Van Loan 5.2), so no image set
+    is formed."""
     if sset.space_dim != lmap.domain.dim:
         raise DimensionMismatch(f"snapshots of dim {sset.space_dim}, map from {lmap.domain.dim}")
-    codomain, g12 = lmap.codomain, np.sqrt(sset.weights)
-    R = np.zeros((0, codomain.dim))
-    for blk in column_blocks(max(len(sset.data), codomain.dim), sset.count, codomain.dim):
-        A = half_weight(codomain, lmap.matrix @ sset.data[:, blk]) * g12[blk]
-        R = np.linalg.qr(np.vstack((R, A.T)), mode="r")
+    dim_y, g12 = lmap.codomain.dim, np.sqrt(sset.weights)
+    R = np.zeros((0, dim_y))
+    for blk, _, image in whitened_blocks(sset.data, lmap=lmap, min_width=dim_y):
+        R = np.linalg.qr(np.vstack((R, (image * g12[blk]).T)), mode="r")
     return svd(R, compute_uv=False) ** 2
 
 

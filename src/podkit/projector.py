@@ -1,33 +1,32 @@
 """Rank-r codomain projections assembled from a POD basis.
 
-Every projection P is stored as the pair it is applied by, its range R and
-its coefficient functionals F: P y = R (F^T y), F^T R = I, with no Gram
-solve or product.  The dual basis G^{-1} F is solved only for the
-pushforward's cross-check.  Maps and forms may be sparse and are applied
-with @.  Only the Ritz ellipticity on a wide band forms an n x n array; the
-pushforward cross-check runs on one sparse LU (splu) of L^T.  Families, Q
-the G-orthonormalized mapped modes and B = Q^T A Q:
+A projection P is stored as the pair it is applied by in whitened
+coordinates y~ = C_y^T y (G_y = C_y C_y^T): range R~ and functionals F~,
+P~ y~ = R~ (F~^T y~), F~^T R~ = I.  A natural pair (R, F) reads
+(C_y^T R, C_y^{-1} F), so applying a level forms no Gram product or solve.
+Maps and forms may be sparse and are applied with @; only the Ritz
+ellipticity on a wide band forms an n x n array.  Families, with
+V~ = C_y^T L Phi the whitened mapped modes, Q~ from one QR of V~,
+Q = C_y^{-T} Q~, B = Q^T A Q and U = C_x^T Phi the basis's left vectors:
 
 - "orthogonal": orthogonal projection, in the codomain, onto the
-  span of the mapped modes: R = Q, F = G Q.
+  span of the mapped modes: (Q~, Q~).
 - "ritz": projection onto the mapped modes determined by a bilinear form
-  (a(Pu, v) = a(u, v) for all v in the range): R = Q, F = A^T Q B^{-T}.
+  (a(Pu, v) = a(u, v) for all v in the range): (Q~, C_y^{-1} A^T Q B^{-T}).
 - "composite-xy": the pushforward, the domain projection conjugated into
-  the codomain by an invertible map, L P L^{-1}: R = L Phi,
-  F = L^{-T} G_x Phi.
+  the codomain by an invertible map, L P L^{-1}: (V~, C_y^{-1} L^{-T} C_x U).
 
-Each family is built once per bundle and sliced per level.
 mapped_orthogonal_levels, ritz_levels and pushforward_levels, each taking
-(basis, lmap) first, build what is free of r (ellipticity constants, the
-cross-check's sums) or nested in r (the mapped modes, their QR, the Ritz
-matrix, the functionals) for all rank columns and return a level factory
-r -> (R_r, F_r) that slices it and runs the level's own checks;
-error_lab.check_level holds r to 1..rank.  error_lab.certifier is the one caller: it picks the family by name
-and owns the factory, so a projection built from another map or basis never
-reaches a battery.
+(basis, lmap) first, build a family once for all rank columns and return
+its Levels, which slice level r and run its own checks; error_lab.check_level
+holds r to 1..rank.  error_lab.certifier is the one caller, so a projection
+built from another map or basis never reaches a battery.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -36,43 +35,64 @@ from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from .errors import DimensionMismatch, FormNotElliptic, NotInvertible, RankDeficientImage
 from .errors import SingularRitzSystem
-from .gram_space import _lower_band, as_matrix, check_dense_budget
-from .gram_space import orthonormal_prefixes, solve_gram
+from .gram_space import _lower_band, as_matrix, check_dense_budget, half_weight, half_weight_inv
 
 ELLIPTICITY_DEGENERACY = 1e-13
+ORTH_DROP_TOL = 1e-12
 PUSHFORWARD_CROSS_CHECK_TOL = 1e-8
 
 
-def _mapped_modes(basis, lmap):
+@dataclass(frozen=True)
+class Levels:
+    """A family for every rank column: level r is levels(r) = (range[:, :r],
+    functionals(r)), the latter running level r's own checks."""
+
+    range: np.ndarray
+    functionals: Callable
+
+    def __call__(self, r):
+        return self.range[:, :r], self.functionals(r)
+
+
+def whitened_images(basis, lmap, columns=None):
+    """V~ = C_y^T L Phi for the modes modes_full[:, :columns], by default all."""
     if lmap.domain.dim != basis.space.dim:
         raise DimensionMismatch("map domain does not hold the POD modes")
-    return lmap.matrix @ basis.modes
+    return half_weight(lmap.codomain, lmap.matrix @ basis.modes_full[:, :columns])
 
 
-def _orthonormal_images(basis, lmap):
-    """(Q, leading): the mapped modes G-orthonormalized by one QR, and r ->
-    Q[:, :r], raising RankDeficientImage past the first dependent column."""
-    Q, usable, reason = orthonormal_prefixes(lmap.codomain, _mapped_modes(basis, lmap))
+def orthonormal_prefixes(vectors):
+    """Gram-Schmidt of every leading block of columns by one QR V = Q R,
+    diag(R) > 0: returns (Q, k, reason), column k being the first whose
+    pivot |R_kk| is at most ORTH_DROP_TOL times the largest up to it (it lies
+    numerically in the span of the previous ones), reason stating that
+    pivot; with no such column k is the column count and reason None."""
+    Q, R = np.linalg.qr(vectors)
+    diag = np.diag(R)
+    # Columns beyond the dimension have no pivot of their own: zero.
+    pivots = np.abs(np.append(diag, np.zeros(vectors.shape[1] - diag.size)))
+    largest = np.maximum.accumulate(pivots)
+    dependent = np.flatnonzero(pivots <= ORTH_DROP_TOL * largest)
+    k, reason = vectors.shape[1], None
+    if dependent.size:
+        k = int(dependent[0])
+        reason = f"column {k} has pivot {pivots[k]:.3e} against largest pivot {largest[k]:.3e}"
+    return Q * np.sign(diag), k, reason
+
+
+def mapped_orthogonal_levels(basis, lmap):
+    """Orthogonal projection onto the span of the mapped leading modes: level
+    r is (Q~_r, Q~_r), Q~ from one QR of the rank columns of V~.  Past the
+    first numerically dependent column a level raises RankDeficientImage;
+    no deflation is attempted."""
+    Q, usable, reason = orthonormal_prefixes(whitened_images(basis, lmap, basis.rank))
 
     def leading(r):
         if r > usable:
             raise RankDeficientImage(f"mapped modes are numerically dependent: {reason}")
         return Q[:, :r]
 
-    return Q, leading
-
-
-def mapped_orthogonal_levels(basis, lmap):
-    """Orthogonal projection onto the span of the mapped leading modes.
-
-    One Householder QR of all mapped modes and one Gram product G Q; level r
-    is (Q_r, (G Q)_r), their leading r columns.  Past the first numerically
-    dependent column a level raises RankDeficientImage; no deflation is
-    attempted.
-    """
-    Q, leading = _orthonormal_images(basis, lmap)
-    GQ = lmap.codomain.gram @ Q
-    return lambda r: (leading(r), GQ[:, :r])
+    return Levels(Q, leading)
 
 
 def _definite_sup(S, G):
@@ -134,12 +154,11 @@ def ritz_levels(basis, lmap, form):
     The projection P y solves a(P y, v) = a(y, v) for all v in the span of
     the mapped modes, where a(u, v) = v^T A u on the codomain.  The symmetric
     part of A must be positive definite against the codomain Gram matrix.
-    It is built once on Q, the G-orthonormal mapped modes of
-    mapped_orthogonal_levels (same QR and pivot rule), with B = Q^T A Q:
-    level r is (Q_r, A^T Q_r B_r^{-T}), so P = Q_r B_r^{-1} Q_r^T A.  That is
-    V_r (V_r^T A V_r)^{-1} V_r^T A, as V_r = Q_r R_r, but B_r is as well
-    conditioned as the form.  Past the first dependent mapped mode a level
-    raises RankDeficientImage.
+    Level r is (Q~_r, C_y^{-1} A^T Q_r B_r^{-T}), Q = C_y^{-T} Q~ from the
+    QR and pivot rule of mapped_orthogonal_levels and B = Q^T A Q, so
+    P = Q_r B_r^{-1} Q_r^T A: that is V_r (V_r^T A V_r)^{-1} V_r^T A, but B_r
+    is as well conditioned as the form.  Past the first dependent mapped
+    mode a level raises RankDeficientImage.
     """
     A = as_matrix(form)
     c_low, c_high = form_ellipticity(lmap.codomain, A)
@@ -148,52 +167,55 @@ def ritz_levels(basis, lmap, form):
             f"symmetric part has smallest eigenvalue {c_low:.3e} "
             f"against largest {c_high:.3e}"
         )
-    Q, leading = _orthonormal_images(basis, lmap)
-    B, AtQ = Q.T @ (A @ Q), A.T @ Q
+    orthogonal = mapped_orthogonal_levels(basis, lmap)
+    Q = half_weight_inv(lmap.codomain, orthogonal.range)
+    B, AtQ = Q.T @ (A @ Q), half_weight_inv(lmap.codomain, A.T @ Q, adjoint=True)
 
-    def level(r):
-        Q_r, B_r = leading(r), B[:r, :r]
+    def functionals(r):
+        orthogonal.functionals(r)  # the orthogonal family's guard
+        B_r = B[:r, :r]
         rcond = 1.0 / np.linalg.cond(B_r)
         if not np.isfinite(rcond) or rcond < 1e-14:
             raise SingularRitzSystem(f"reciprocal condition {rcond:.3e}")
-        return Q_r, lu_solve(lu_factor(B_r), AtQ[:, :r].T).T
+        return lu_solve(lu_factor(B_r), AtQ[:, :r].T).T
 
-    return level
+    return Levels(orthogonal.range, functionals)
+
+
+def pushforward_functionals(basis, lmap, solve_adjoint=None):
+    """C_y^{-1} L^{-T} C_x U, the whitened functionals y -> (L^{-1} y, phi_k)
+    of the rank modes (C_x U = G_x Phi); L^{-T} is applied by solve_adjoint,
+    by default the certified inverse's transpose."""
+    modes = half_weight(basis.space, basis.left_full[:, : basis.rank], adjoint=True)
+    solved = lmap.inverse.T @ modes if solve_adjoint is None else solve_adjoint(modes)
+    return half_weight_inv(lmap.codomain, solved, adjoint=True)
 
 
 def pushforward_levels(basis, lmap):
     """The mode projection conjugated into the codomain: L P L^{-1}.
 
-    Level r is (V_r, F_r), V = L Phi the mapped modes and F = L^{-T} G_x Phi
-    the functionals y -> (L^{-1} y, phi_k).  Their representers G_y^{-1} F,
-    the inverse-adjoint images of the modes, serve only the cross-check: both
-    evaluation routes are assembled once for all modes, and at every level r
-    their leading r columns must agree to PUSHFORWARD_CROSS_CHECK_TOL, which
-    guards the certified inverse against a stale or inconsistent matrix.
-    The second route solves the adjoint system L* d = phi, that is
-    L^T (G_y d) = G_x phi, with one sparse LU of L^T (splu, for a dense L
-    too) and one Gram solve.
+    Level r is (V~_r, N_r), N the pushforward_functionals.  A second route
+    solves the adjoint system with one sparse LU of L^T (splu, for a dense L
+    too): at every level r the two routes' leading r columns must agree to
+    PUSHFORWARD_CROSS_CHECK_TOL in the whitened (G_y) norm, which guards the
+    certified inverse against a stale or inconsistent matrix.
     """
     if lmap.inverse is None:
         raise NotInvertible("pushforward projector needs an invertible map")
-    V, Phi = _mapped_modes(basis, lmap), basis.modes
-    G_x_Phi = basis.space.gram @ Phi
-    # Route one: representers via the inverse matrix.
-    F = lmap.inverse.T @ G_x_Phi
-    dual = solve_gram(lmap.codomain, F)
-    # Route two: solve L* d = phi; level r's mismatch sums its leading columns.
     # imported here: a module-level import costs every process 1.2 MB
     from scipy.sparse.linalg import splu
 
-    G_y_d = splu(sparse.csc_array(lmap.matrix.T)).solve(G_x_Phi)
-    adjoint_route = solve_gram(lmap.codomain, G_y_d)
-    miss = np.cumsum(np.sum((dual - adjoint_route) ** 2, axis=0))
-    scale = np.cumsum(np.sum(dual**2, axis=0))
+    N = pushforward_functionals(basis, lmap)
+    adjoint_route = pushforward_functionals(
+        basis, lmap, splu(sparse.csc_array(lmap.matrix.T)).solve
+    )
+    miss = np.cumsum(np.sum((N - adjoint_route) ** 2, axis=0))
+    scale = np.cumsum(np.sum(N**2, axis=0))
 
-    def level(r):
+    def functionals(r):
         mismatch = np.sqrt(miss[r - 1]) / max(np.sqrt(scale[r - 1]), 1e-300)
         if mismatch > PUSHFORWARD_CROSS_CHECK_TOL:
             raise NotInvertible(f"inverse and adjoint routes disagree by {mismatch:.3e}")
-        return V[:, :r], F[:, :r]
+        return N[:, :r]
 
-    return level
+    return Levels(whitened_images(basis, lmap, basis.rank), functionals)

@@ -1,11 +1,11 @@
 """Reference implementations that the tests compare the library against,
 the seeded random instances the property suites draw, and the operators
 that the certificate never forms but the tests reason with: inner products,
-norms and orthonormalization, the snapshot operator K and its adjoint,
-adjoint matrices, the FEM convection form, the factored projector with its
-apply, the mode and pulled-back projections, dense projector matrices and
-operator norms, the POD
-optimality oracle, the L^2 / H^1 identity-embedding instances and the
+norms, Gram solves and orthonormalization, the snapshot operator K and its
+adjoint, adjoint matrices, the FEM convection form, the factored projector
+with its apply and its conversions to and from podkit's whitened levels,
+the mode and pulled-back projections, dense projector matrices and
+operator norms, the POD optimality oracle, the L^2 / H^1 identity-embedding instances and the
 flagship's set, spaces and map, built from the specs generate-fhn writes.
 
 They live here, not in podkit, so that a check never shares code with the
@@ -18,13 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import cho_solve_banded
 
 from podkit.errors import DimensionMismatch, NotInvertible, RankDeficientImage, RankExceeded
 from podkit.fhn_gen import EMBEDDING_SNAPSHOTS, make_fhn_instance, synthetic_states
-from podkit.gram_space import GramSpace, as_matrix, half_weight, make_space, orthonormal_prefixes
-from podkit.gram_space import solve_gram, to_dense
+from podkit.gram_space import GramSpace, as_matrix, half_weight, half_weight_inv, make_space
+from podkit.gram_space import to_dense
 from podkit.linear_map import build_map_from_spec, identity_map, make_map
 from podkit.pod_engine import compute_pod
+from podkit.projector import orthonormal_prefixes
 from podkit.snapshot_io import from_trajectory, make_snapshot_set, resolve_gram_spec
 
 
@@ -41,11 +43,24 @@ def norm(space, u):
     return float(np.sqrt(inner(space, u, u)))
 
 
+def solve_gram(space, rhs):
+    """G^{-1} rhs through the space's banded Cholesky factor (dpbtrs)."""
+    return cho_solve_banded((space.chol, True), np.asarray(rhs, dtype=float))
+
+
+def weighted_prefixes(space, vectors):
+    """projector.orthonormal_prefixes in the space's inner product: the QR
+    of the whitened columns, its Q taken back to natural coordinates."""
+    V = np.asarray(vectors, dtype=float)
+    Q, k, reason = orthonormal_prefixes(half_weight(space, V[:, None] if V.ndim == 1 else V))
+    return half_weight_inv(space, Q), k, reason
+
+
 def orthonormalize(space, vectors):
     """Orthonormalization of all columns in the space's inner product, the
-    references' Gram-Schmidt: orthonormal_prefixes, raising
-    RankDeficientImage at a numerically dependent column."""
-    Q, _, reason = orthonormal_prefixes(space, vectors)
+    references' Gram-Schmidt: weighted_prefixes, raising RankDeficientImage
+    at a numerically dependent column."""
+    Q, _, reason = weighted_prefixes(space, vectors)
     if reason is not None:
         raise RankDeficientImage(reason)
     return Q
@@ -156,6 +171,13 @@ def adjoint(lmap):
     return adjoint_matrix(lmap.domain, lmap.codomain, lmap.matrix)
 
 
+def apply_inverse(lmap, y):
+    """L^{-1} y by the certified inverse; NotInvertible without one."""
+    if lmap.inverse is None:
+        raise NotInvertible("map has no certified inverse")
+    return lmap.inverse @ np.asarray(y, dtype=float)
+
+
 def inverse_adjoint(lmap):
     """Matrix of the adjoint of the inverse, domain -> codomain."""
     if lmap.inverse is None:
@@ -190,10 +212,19 @@ def apply_projector(proj, x):
 
 
 def level_projector(space, level):
-    """The Projector of one level (R, F) of a podkit level factory on space:
-    range R and dual basis G^{-1} F."""
+    """The Projector of one whitened level (R~, F~) of a podkit level factory
+    on space, G = C C^T: range C^{-T} R~ and dual basis G^{-1} F =
+    C^{-T} F~, as F~ = C^{-1} F."""
     R, F = level
-    return Projector(space, R, solve_gram(space, F))
+    return Projector(space, half_weight_inv(space, R), half_weight_inv(space, F))
+
+
+def whitened_pair(proj):
+    """A Projector as podkit stores a level, in whitened coordinates: range
+    C^T R and functionals C^{-1} F, G = C C^T, F = G D for the dual basis
+    D.  C^{-1} F is computed as C^T D, by a banded product: forming F = G D
+    first would cancel (|G| |D| reaches 4e6 |G D| on a 1,000-node H^1 Gram)."""
+    return half_weight(proj.space, proj.range_basis), half_weight(proj.space, proj.dual_basis)
 
 
 def pod_projector(basis, r):

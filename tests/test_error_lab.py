@@ -15,10 +15,12 @@ import pytest
 from podkit.cli import run_battery
 from podkit.error_lab import (
     ErrorReport,
+    _residual_norms,
     _residuals,
     _worst_index,
     battery_level,
     certifier,
+    rank_relation,
     read_report,
     snapshot_guarantee_threshold,
     sweep,
@@ -506,18 +508,23 @@ def test_blocked_residual_norms_match_unblocked(family):
     # ||T g_j w_j||^2) moves by round-off, far below 1e-15 of the scale its
     # floor uses: E / g_j, E the data energy in T's norm space.
     inst = random_instance(60, 1500, seed=11, invertible=True)
-    sset, g = inst["set"], inst["set"].weights
+    sset, g, lmap = inst["set"], inst["set"].weights, inst["map"]
     basis = compute_pod(sset)
-    cert = certifier(sset, basis, inst["map"], family)
+    cert = certifier(sset, basis, lmap, family)
+    # the whole data whitened at once
+    X, Y = half_weight(sset.space, sset.data), half_weight(lmap.codomain, lmap.matrix @ sset.data)
     for r in (1, basis.rank // 2, basis.rank):
         res = _residuals(cert, r)
         assert list(res) == ["pod_x", "pod_x_mapped", "proj_y", "pullback_x"]
-        for t in res.values():
-            for scale, weight in ((None, g), (g, 1.0 / g)):
-                columns = sset.data if scale is None else sset.data * scale
-                A = half_weight(t.space, t.apply(columns))  # T of the whole data
-                diff = np.abs(t.sq_norms(sset.data, scale) - np.einsum("ij,ij->j", A, A))
-                assert np.max(diff * weight) <= 1e-15 * t.energy, (r, t.label)
+        sq, hs = _residual_norms(cert, res, sset.data, g)
+        assert list(hs) == ["pod_x_mapped", "proj_y", "pullback_x"]
+        for label, t in res.items():
+            for blocked, scale, weight in ((sq, 1.0, g), (hs, g, 1.0 / g)):
+                if label not in blocked:
+                    continue
+                A = t.apply(X * scale, Y * scale)
+                diff = np.abs(blocked[label] - np.einsum("ij,ij->j", A, A))
+                assert np.max(diff * weight) <= 1e-15 * t.energy, (r, label)
 
 
 @pytest.mark.parametrize("instance, family", [
@@ -546,7 +553,7 @@ def test_the_formula_side_never_reads_the_data(fhn_small_instance, instance, fam
         for label, t in after.items():
             assert t.formula == res[label].formula, (r, label)
             assert np.array_equal(t.mode_sq, res[label].mode_sq), (r, label)
-        assert np.isnan(after["pod_x"].sq_norms(sset.data)).all()
+        assert np.isnan(_residual_norms(cert, after, sset.data)[0]["pod_x"]).all()
 
 
 @pytest.mark.parametrize("s", [5_000, 20_000])
@@ -588,3 +595,45 @@ def test_one_certifier_for_all_levels_equals_a_fresh_certifier_per_level(fhn_ins
         once = battery_level(cert, r, coeffs)
         alone = battery_level(certifier(sset, basis, lmap), r, coeffs)
         assert once == alone, r
+
+
+class _NoGram:
+    """Stands in for a space's Gram matrix and fails on any use of it."""
+
+    def _used(self, *args, **kwargs):
+        raise AssertionError("the certify path read a Gram matrix")
+
+    __getattr__ = __array__ = __matmul__ = __rmatmul__ = __mul__ = __rmul__ = _used
+
+
+@pytest.mark.parametrize("family", ["orthogonal", "composite-xy"])
+def test_the_certify_path_multiplies_by_no_gram_matrix(family, monkeypatch):
+    # Every norm is Euclidean in whitened coordinates and every projection a
+    # matrix pair, so certifier, battery_level and rank_relation need each
+    # space's Cholesky factor only.  ritz is left out: its default form and
+    # its ellipticity read the Gram as a form.
+    inst = make_embedding_instance(33, 1)
+    sset, lmap = inst["set"], inst["map"]
+    basis = compute_pod(sset)
+    for space in (sset.space, basis.space, lmap.domain, lmap.codomain):
+        monkeypatch.setattr(space, "gram", _NoGram())
+    cert = certifier(sset, basis, lmap, family)
+    coeffs = np.random.default_rng(0).standard_normal((sset.count, 2))
+    rows = [rep for r in range(1, basis.rank + 1) for rep in battery_level(cert, r, coeffs)]
+    assert rows and all(rep.passed for rep in rows)
+    assert rank_relation(cert)["passed"]
+
+
+def test_whitened_projection_keeps_the_full_rank_residual_at_round_off():
+    # At r = rank on the 1,000-node embedding (the generate-synthetic --nodes
+    # 1000 --seed 1 bundle) proj_y's residual is pure round-off.  Projecting
+    # in natural coordinates and whitening the result afterwards inflated it
+    # to 41 times the formula side (rel_diff 0.98); with the projection
+    # applied in whitened coordinates it is within 1.4 times (0.25), with one
+    # BLAS thread and with two.
+    inst = make_embedding_instance(1000, 1, seed=1)
+    basis = compute_pod(inst["set"])
+    cert = certifier(inst["set"], basis, inst["map"], "orthogonal")
+    proj_y = by_id(battery_level(cert, basis.rank))["proj_y"]
+    assert basis.rank == 8
+    assert proj_y.passed and proj_y.rel_diff <= 0.75

@@ -6,18 +6,12 @@ from scipy import sparse
 from scipy.linalg import solve_triangular
 
 from podkit.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
-from podkit.gram_space import (
-    ORTH_DROP_TOL,
-    half_weight,
-    half_weight_inv,
-    identity_space,
-    make_space,
-    orthonormal_prefixes,
-    solve_gram,
-)
+from podkit.gram_space import half_weight, half_weight_inv, identity_space, make_space
+from podkit.projector import ORTH_DROP_TOL
 from podkit.snapshot_io import resolve_gram_spec
 
-from oracles import adjoint_matrix, inner, norm
+from oracles import adjoint_matrix, inner, norm, solve_gram
+from oracles import weighted_prefixes
 
 
 def random_spd(rng, n):
@@ -69,6 +63,11 @@ def test_half_weight_isometry():
         u = rng.standard_normal(n)
         assert np.linalg.norm(half_weight(space, u)) == pytest.approx(norm(space, u))
         assert np.allclose(half_weight_inv(space, half_weight(space, u)), u)
+        # the adjoint pair takes functionals: f^T u = (C^{-1} f)^T (C^T u)
+        f = rng.standard_normal(n)
+        dual = half_weight_inv(space, f, adjoint=True)
+        assert dual @ half_weight(space, u) == pytest.approx(f @ u)
+        assert np.allclose(half_weight(space, half_weight_inv(space, f, adjoint=True), True), f)
 
 
 def test_solve_gram_inverts():
@@ -81,7 +80,7 @@ def test_solve_gram_inverts():
 def test_orthonormalize_hand_example():
     # euclidean Gram-Schmidt of [[1,1],[0,1]] gives e1 and e2
     space = identity_space(2)
-    Q, k, reason = orthonormal_prefixes(space, np.array([[1.0, 1.0], [0.0, 1.0]]))
+    Q, k, reason = weighted_prefixes(space, np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert np.allclose(Q, np.eye(2))
     assert (k, reason) == (2, None)
 
@@ -92,7 +91,7 @@ def test_orthonormalize_weighted():
         n = int(r.integers(3, 10))
         k = int(r.integers(1, n + 1))
         space = make_space(random_spd(r, n))
-        Q, usable, _ = orthonormal_prefixes(space, r.standard_normal((n, k)))
+        Q, usable, _ = weighted_prefixes(space, r.standard_normal((n, k)))
         assert usable == k
         assert np.allclose(inner(space, Q, Q), np.eye(k), atol=1e-12)
 
@@ -100,14 +99,14 @@ def test_orthonormalize_weighted():
 def test_orthonormalize_rank_deficient():
     space = identity_space(3)
     V = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
-    _, k, reason = orthonormal_prefixes(space, V)
+    _, k, reason = weighted_prefixes(space, V)
     assert k == 1 and reason.startswith("column 1 ")
 
 
 def mgs_reference(space, vectors):
     """Column-by-column modified Gram-Schmidt with a second sweep per column.
 
-    The reference orthonormal_prefixes must reproduce: the same columns up
+    The reference weighted_prefixes must reproduce: the same columns up
     to the first dependent one, and the same pivot rule (a pivot at most
     ORTH_DROP_TOL times the largest so far marks the column as dependent).
     Returns (Q, k), Q's leading k columns orthonormal and column k the first
@@ -142,7 +141,7 @@ def random_cases(count=40):
 
 def test_orthonormalize_matches_gram_schmidt_reference():
     for space, V in random_cases():
-        Q, k, _ = orthonormal_prefixes(space, V)
+        Q, k, _ = weighted_prefixes(space, V)
         ref, k_ref = mgs_reference(space, V)
         assert k == k_ref == V.shape[1]
         assert np.max(np.abs(Q - ref)) <= 1e-12
@@ -152,7 +151,7 @@ def test_orthonormalize_keeps_leading_spans():
     # R = (V_j, Q_i) must be upper triangular with a positive diagonal and
     # reproduce V: then span(Q[:, :k]) = span(V[:, :k]) for every k.
     for space, V in random_cases():
-        Q, _, _ = orthonormal_prefixes(space, V)
+        Q, _, _ = weighted_prefixes(space, V)
         R = inner(space, V, Q)
         scale = np.max(np.abs(R))
         assert np.max(np.abs(np.tril(R, -1))) <= 1e-12 * scale
@@ -177,7 +176,7 @@ def test_orthonormalize_keeps_leading_spans():
 def test_orthonormalize_names_first_dependent_column(columns, first_dependent):
     space = make_space(random_spd(np.random.default_rng(9), len(columns)))
     V = np.array(columns)
-    Q, k, reason = orthonormal_prefixes(space, V)
+    Q, k, reason = weighted_prefixes(space, V)
     assert k == first_dependent and reason.startswith(f"column {first_dependent} ")
     ref, k_ref = mgs_reference(space, V)
     assert k_ref == first_dependent
@@ -212,9 +211,10 @@ def test_adjoint_pairing_and_involution():
 
 def test_dimension_checks():
     space = identity_space(3)
-    for kernel in (half_weight, half_weight_inv, solve_gram):
-        with pytest.raises(DimensionMismatch):
-            kernel(space, np.ones(4))
+    for kernel in (half_weight, half_weight_inv):
+        for adjoint in (False, True):
+            with pytest.raises(DimensionMismatch):
+                kernel(space, np.ones(4), adjoint)
 
 
 # -- sparse storage: bandwidth detection and the banded kernels ---------------
@@ -272,6 +272,9 @@ def test_banded_kernels_match_dense_references(name, space, dense, kd):
         assert _close(half_weight(space, U), L.T @ U), name
         want = solve_triangular(L, U, lower=True, trans="T")
         assert _close(half_weight_inv(space, U), want), name
+        assert _close(half_weight(space, U, adjoint=True), L @ U), name
+        want = solve_triangular(L, U, lower=True)
+        assert _close(half_weight_inv(space, U, adjoint=True), want), name
         assert _close(solve_gram(space, U), np.linalg.solve(dense, U)), name
     u = rng.standard_normal(n)
     assert norm(space, u) == pytest.approx(np.sqrt(u @ dense @ u), rel=1e-12)
@@ -299,8 +302,9 @@ def test_generated_gram_spaces_allocate_no_dense_matrix():
     try:
         space = resolve_gram_spec({"fem_stiffness": n}, n)
         identity_space(n)
-        for kernel in (half_weight, half_weight_inv, solve_gram):
+        for kernel in (half_weight, half_weight_inv):
             kernel(space, U)
+            kernel(space, U, adjoint=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

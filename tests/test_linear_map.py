@@ -10,7 +10,6 @@ from podkit.errors import DimensionMismatch, NotInvertible
 from podkit.gram_space import identity_space, make_space
 from podkit.linear_map import (
     MATRIX_CSV_ARRAYS,
-    apply_inverse,
     build_map_from_spec,
     identity_map,
     make_map,
@@ -21,6 +20,7 @@ from podkit.snapshot_io import make_snapshot_set, write_matrix_csv
 from oracles import (
     adjoint,
     apply,
+    apply_inverse,
     induced_snapshots,
     inner,
     inverse_adjoint,

@@ -259,22 +259,24 @@ def test_compute_pod_memory_stays_linear_in_snapshot_count():
 
 
 def unblocked_pod(sset):
-    """The whole half-weighted data matrix in one SVD: eigenvalues, modes and
-    right vectors of the full spectrum, as compute_pod computed them before
-    it filled its SVD input a column block at a time."""
+    """The whole whitened data matrix in one SVD: eigenvalues, left vectors,
+    modes and right vectors of the full spectrum, as compute_pod computed
+    them before it filled its SVD input a column block at a time."""
     g12 = np.sqrt(sset.weights)
     U, sig, Vt = svd(half_weight(sset.space, sset.data * g12[None, :]), full_matrices=False)
-    return sig**2, half_weight_inv(sset.space, U), Vt.T / g12[:, None]
+    return sig**2, U, half_weight_inv(sset.space, U), Vt.T / g12[:, None]
 
 
 def assert_bit_equal_to_unblocked(sset):
     basis = compute_pod(sset)
-    lam, modes_full, right_full = unblocked_pod(sset)
+    lam, left_full, modes_full, right_full = unblocked_pod(sset)
     assert np.array_equal(basis.eigenvalues, lam)
     # up to the sign of each leading column, the same flip on both sides
     flipped = np.any(basis.right_full != right_full, axis=0)
     assert np.array_equal(basis.right_full, np.where(flipped, -right_full, right_full))
     assert np.array_equal(basis.modes_full, np.where(flipped, -modes_full, modes_full))
+    # the SVD's own left vectors are the modes in whitened coordinates
+    assert np.array_equal(basis.left_full, np.where(flipped, -left_full, left_full))
     assert not flipped[basis.rank :].any()
     return basis
 

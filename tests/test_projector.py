@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import eigh, lu_factor, lu_solve
-from scipy.linalg.lapack import dtbtrs
 
 from podkit.error_lab import PROJECTOR_FAMILIES, certifier
 from podkit.errors import (
@@ -21,7 +20,7 @@ from podkit.errors import (
 )
 from podkit.fem import assemble_fem_1d
 from podkit.fhn_gen import embedding_set
-from podkit.gram_space import identity_space, make_space, solve_gram
+from podkit.gram_space import identity_space, make_space
 from podkit.linear_map import identity_map, make_map
 from podkit.pod_engine import compute_pod
 from podkit.projector import (
@@ -34,6 +33,7 @@ from podkit.projector import (
 from podkit.snapshot_io import make_snapshot_set, resolve_gram_spec
 
 from oracles import (
+    Projector,
     convection,
     adjoint,
     apply_projector,
@@ -46,6 +46,8 @@ from oracles import (
     pod_projector,
     pullback_projector,
     random_instance,
+    solve_gram,
+    whitened_pair,
 )
 
 
@@ -279,36 +281,38 @@ def test_composite_norms_can_exceed_one(invertible_instance):
 
 # -- level factories against the per-level builders they replace -------------
 #
-# The references build level r, its range R and functionals F, from the
-# leading r modes alone and share nothing between levels.  The ellipticity
-# check does not depend on r and is compared once; the adjoint matrix is an
-# input of the pushforward reference, whose cross-check solves the adjoint
-# system at every level.
+# The references build level r, its range R and dual basis D = G^{-1} F, in
+# natural coordinates from the leading r modes alone and share nothing
+# between levels; oracles.whitened_pair converts each to the whitened pair
+# (C^T R, C^{-1} F) that podkit stores.  The ellipticity check does not
+# depend on r and is compared once; the adjoint matrix is an input of the
+# pushforward reference, whose cross-check solves the adjoint system at
+# every level.
 
 
 def reference_mapped_orthogonal(basis, lmap, r):
     Q = orthonormalize(lmap.codomain, lmap.matrix @ basis.modes[:, :r])
-    return Q, lmap.codomain.gram @ Q
+    return Projector(lmap.codomain, Q, Q)
 
 
 def reference_ritz(basis, lmap, form, r):
     # the Ritz system on the G-orthonormalized leading r mapped modes
-    Q, _ = reference_mapped_orthogonal(basis, lmap, r)
+    Q = reference_mapped_orthogonal(basis, lmap, r).range_basis
     B = Q.T @ (form @ Q)
     rcond = 1.0 / np.linalg.cond(B)
     if not np.isfinite(rcond) or rcond < 1e-14:
         raise SingularRitzSystem(f"reciprocal condition {rcond:.3e}")
-    return Q, lu_solve(lu_factor(B), (form.T @ Q).T).T
+    F = lu_solve(lu_factor(B), (form.T @ Q).T).T
+    return Projector(lmap.codomain, Q, solve_gram(lmap.codomain, F))
 
 
 def reference_pushforward(basis, lmap, adj, r, tol=1e-8):
     Phi = basis.modes[:, :r]
-    F = lmap.inverse.T @ (basis.space.gram @ Phi)
-    dual = solve_gram(lmap.codomain, F)
+    dual = solve_gram(lmap.codomain, lmap.inverse.T @ (basis.space.gram @ Phi))
     mismatch = np.linalg.norm(dual - np.linalg.solve(adj, Phi)) / np.linalg.norm(dual)
     if mismatch > tol:
         raise NotInvertible(f"inverse and adjoint routes disagree by {mismatch:.3e}")
-    return lmap.matrix @ Phi, F
+    return Projector(lmap.codomain, lmap.matrix @ Phi, dual)
 
 
 def reference_level(basis, lmap, family, form):
@@ -321,36 +325,26 @@ def reference_level(basis, lmap, family, form):
     return lambda r: reference_pushforward(basis, lmap, adj, r)
 
 
-def dual_coordinates(space, F):
-    """C^{-1} F for the Gram's Cholesky factor G = C C^T: functionals in the
-    coordinates where their dual norm is Euclidean, as half_weight puts
-    vectors.  The entries of F = G Q cancel: on the 1,000-node H^1 codomain
-    |G| |Q| reaches 4e6 |G Q| in a column, so F's entries carry round-off far
-    above 1e-12 of their size, while its dual coordinates do not."""
-    return dtbtrs(space.chol, F, uplo="L")[0]
-
-
 def assert_levels_match(sset, basis, lmap, family, form):
-    """Every level 1..rank of the certifier's projectors: equal ranges, and
-    equal functionals in dual coordinates, to 1e-12 relative, or the same
-    error class at the same levels.  Returns the levels that raised."""
+    """Every level 1..rank of the certifier's projectors: equal whitened
+    ranges and functionals to 1e-12 relative, or the same error class at the
+    same levels.  Returns the levels that raised."""
     levels = certifier(sset, basis, lmap, family, form).projectors
     reference = reference_level(basis, lmap, family, form)
     raised = []
     for r in range(1, basis.rank + 1):
         try:
-            expected = reference(r)
+            expected = whitened_pair(reference(r))
         except PodkitError as exc:
             with pytest.raises(type(exc)):
                 levels(r)
             raised.append(r)
             continue
-        R, F = levels(r)
-        assert R.shape[1] == r
-        duals = [dual_coordinates(lmap.codomain, f) for f in (F, expected[1])]
-        for got, want in ((R, expected[0]), duals):
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (family, r)
+        got = levels(r)
+        assert got[0].shape[1] == r
+        for have, want in zip(got, expected):
+            assert have.shape == want.shape
+            assert np.max(np.abs(have - want)) <= 1e-12 * np.max(np.abs(want)), (family, r)
     return raised
 
 
@@ -409,7 +403,7 @@ def test_skew_dominated_form_fails_the_ritz_system_at_the_same_levels():
     inst = random_instance(10, 8, seed=77)
     basis = compute_pod(inst["set"])
     lmap = make_map(inst["space_x"], identity_space(10), inst["map"].matrix)
-    Q, _ = reference_mapped_orthogonal(basis, lmap, basis.rank)
+    Q = reference_mapped_orthogonal(basis, lmap, basis.rank).range_basis
     J = np.zeros((basis.rank, basis.rank))
     pairs = np.arange(0, basis.rank - 1, 2)
     J[pairs, pairs + 1], J[pairs + 1, pairs] = 1e3, -1e3

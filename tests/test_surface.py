@@ -96,25 +96,20 @@ def test_every_top_level_function_is_reached_from_the_cli(tmp_path, capsys):
     assert not unreached, "\n".join(sorted(unreached))
 
 
-def test_all_lists_exactly_the_public_names_the_package_imports():
+def test_the_package_imports_nothing():
+    # podkit/__init__.py holds its docstring and __version__; callers import
+    # the submodules, so no re-export list can drift from them
     tree = ast.parse((SRC / "__init__.py").read_text())
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    public = {name for name in imported if not name.startswith("_")} | {"__version__"}
-    assert sorted(podkit.__all__) == sorted(public)
-    assert len(podkit.__all__) == len(set(podkit.__all__))
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    docstring, version = tree.body
+    assert isinstance(docstring.value, ast.Constant)
+    assert [target.id for target in version.targets] == ["__version__"]
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # __init__ imports to re-export (the test above pins that list); every
-    # other module's import must bind a name that its code reads
+    # every module's import must bind a name that its code reads
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        if path.stem == "__init__":
-            continue
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
