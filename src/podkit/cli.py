@@ -29,8 +29,9 @@ solve.
 
 --map takes a map spec, inline JSON or a path to a JSON file; the grammar is
 documented once, in podkit.linear_map.build_map_from_spec.  --projector ritz
-uses the spec's "ritz_form" and otherwise the codomain Gram matrix
-(error_lab.certifier picks the projector).
+uses the spec's "ritz_form"; without one it projects in the codomain inner
+product, where it is the orthogonal family (error_lab.certifier picks the
+projector).
 """
 
 from __future__ import annotations

@@ -12,16 +12,18 @@ one record per operator and truncation level:
 
 Each record yields its data identity (T applied to the data W), the operator
 form hs_* (T applied to K = W diag(g)), the per-snapshot bound snap_* and the
-pointwise bound pw_* for elements K c; range_exact is the exact per-snapshot
-residual of pod_x.  All of it runs in whitened coordinates, x~ = C_x^T x and
-y~ = C_y^T y (G = C C^T), where these norms are Euclidean and P_r is
-U_r U_r^T (U = C_x^T Phi), so no Gram product is formed.  The actual side
-whitens each data block of gram_space.COLUMN_BLOCK_BYTES once, as the pair
-(C_x^T W_b, C_y^T L W_b), for every residual; the formula side reads only
-the basis's U and V~ = C_y^T L Phi and the family's pair, never the data, so
-agreement of the two routes is the certificate.  Spectral sums run over the
-complete computed spectrum: with unbounded-looking maps the below-tolerance
-tail still carries weight at the certified accuracy.
+pointwise bound pw_* for elements K c: pw_proj_y and, for an invertible map,
+pw_composite_y (pod_x_mapped's, the pushforward's error L (I - P_r) L^{-1}
+on L K c) and pw_composite_x (pullback_x's); range_exact is the exact
+per-snapshot residual of pod_x.  All of it runs in whitened coordinates,
+x~ = C_x^T x and y~ = C_y^T y (G = C C^T), where these norms are Euclidean
+and P_r is U_r U_r^T (U = C_x^T Phi), so no Gram product is formed.  The
+actual side whitens each data block of gram_space.COLUMN_BLOCK_BYTES once,
+as the pair (C_x^T W_b, C_y^T L W_b), for every residual; the formula side
+reads only the basis's U and V~ = C_y^T L Phi and the family's pair, never
+the data, so agreement of the two routes is the certificate.  Spectral sums
+run over the complete computed spectrum: with unbounded-looking maps the
+below-tolerance tail still carries weight at the certified accuracy.
 
 Entry points, the ones the CLI's verify and sweep run: certifier (built
 once per bundle: the codomain family's projector.Levels for proj_y, V~ and
@@ -48,7 +50,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -58,8 +60,8 @@ from .errors import RankExceeded
 from .gram_space import column_blocks, half_weight, half_weight_inv, whitened_blocks
 from .linear_map import LinearMap
 from .pod_engine import PodBasis, image_spectrum, numerical_rank
-from .projector import Levels, mapped_orthogonal_levels, pushforward_functionals
-from .projector import pushforward_levels, ritz_levels, whitened_images
+from .projector import Levels, mapped_orthogonal_levels, pushforward_levels, ritz_levels
+from .projector import whitened_images
 from .snapshot_io import SnapshotSet, _atomic_write, _read_json
 
 IDENTITY_RTOL = 1e-8
@@ -154,7 +156,7 @@ class Certifier:
     are ||L phi_k||^2, and energy_y is sum_j g_j ||L w_j||^2, the codomain
     rows' floor scale.  With an invertible map, pullback is
     M = C_x^T L^{-1} C_y^{-T} R~ for the family's range R~, so that no data
-    are solved with L^{-1}, and composite the pushforward_functionals.
+    are solved with L^{-1}.
     """
 
     sset: SnapshotSet
@@ -166,7 +168,6 @@ class Certifier:
     images: np.ndarray | None = None
     energy_y: float | None = None
     pullback: np.ndarray | None = None
-    composite: np.ndarray | None = None
 
 
 def certifier(sset, basis, lmap=None, family="orthogonal", form=None):
@@ -174,31 +175,34 @@ def certifier(sset, basis, lmap=None, family="orthogonal", form=None):
 
     family names the codomain projector family a map's rows use, one of
     PROJECTOR_FAMILIES: "orthogonal", "ritz" (on the bilinear form matrix
-    form, by default the codomain Gram) or "composite-xy" (the pushforward
-    L P L^{-1}, invertible maps only).  Without a map there is no codomain
-    projector and form is not read; family is recorded as given.
+    form) or "composite-xy" (the pushforward L P L^{-1}, invertible maps
+    only).  Without a form, ritz projects in the codomain's own inner
+    product, where the Ritz projection is the orthogonal one, and builds
+    that family's Levels.  Without a map there is no codomain projector and
+    form is not read; family is recorded as given.  The map's inverse, when
+    it has one, is read here once, for the pullback; the pushforward reads
+    it once more, for its functionals.
     """
     r0 = snapshot_guarantee_threshold(sset, basis)
     if lmap is None:
         return Certifier(sset, basis, None, family, None, r0)
-    if family == "orthogonal":
+    if family == "orthogonal" or family == "ritz" and form is None:
         projectors = mapped_orthogonal_levels(basis, lmap)
     elif family == "ritz":
-        projectors = ritz_levels(basis, lmap, lmap.codomain.gram if form is None else form)
+        projectors = ritz_levels(basis, lmap, form)
     elif family == "composite-xy":
         projectors = pushforward_levels(basis, lmap)
     else:
         raise IndexOutOfRange(f"unknown codomain projector family {family!r}")
     images = whitened_images(basis, lmap)
     image_sq = np.concatenate([_sq(Y) for _, _, Y in whitened_blocks(sset.data, lmap=lmap)])
-    pullback = composite = None
+    pullback = None
     if lmap.inverse is not None:
         ranges = lmap.inverse @ half_weight_inv(lmap.codomain, projectors.range)
         pullback = half_weight(basis.space, ranges)
-        composite = pushforward_functionals(basis, lmap)
     return Certifier(
         sset, basis, lmap, family, projectors, r0,
-        images, float(sset.weights @ image_sq), pullback, composite,
+        images, float(sset.weights @ image_sq), pullback,
     )
 
 
@@ -413,34 +417,29 @@ def _snapshot_rows(sset, basis, r, res, sq, r0):
 
 # -- pointwise bounds --------------------------------------------------------
 
-_POINTWISE = {
-    "proj_y": "pw_proj_y", "composite_y": "pw_composite_y", "pullback_x": "pw_composite_x"
-}
-
-
 def _pointwise_rows(cert, r, res, coeffs):
     """pw_* rows for the elements K c, c the columns of coeffs, element by
-    element in _POINTWISE order; info carries the looser Cauchy-Schwarz bound."""
+    element in ids order; pw_composite_y reads pod_x_mapped's apply,
+    Y - V_r (U_r^T X).  info carries the looser Cauchy-Schwarz bound."""
     sset, basis = cert.sset, cert.basis
-    if cert.composite is not None:  # L (I - P_r) L^{-1} on its own route
-        V_r, N_r = cert.images[:, :r], cert.composite[:, :r]
-        composite_y = replace(res["pod_x_mapped"], apply=lambda X, Y: Y - V_r @ (N_r.T @ Y))
-        res = {**res, "composite_y": composite_y}
+    ids = {"proj_y": "pw_proj_y"}
+    if "pullback_x" in res:  # an invertible map
+        ids.update(pod_x_mapped="pw_composite_y", pullback_x="pw_composite_x")
+    res = {label: res[label] for label in ids if label in res}
     gC = sset.weights[:, None] * coeffs
     amp = np.abs(basis.right_full[:, r:].T @ gC)
     mass = np.einsum("ij,ij->j", coeffs, gC)  # ||c||_S^2: ||K c||^2 <= E ||c||_S^2
     sig = np.sqrt(basis.eigenvalues[r:])
     norms = _residual_norms(cert, res, sset.data @ gC)[0]
-    kinds = [(_POINTWISE[k], res[k], norms[k]) for k in _POINTWISE if k in res]
     reports = []
     for i in range(coeffs.shape[1]):
-        for label, t, sq in kinds:
-            lhs = float(np.sqrt(sq[i]))
+        for label, t in res.items():
+            lhs = float(np.sqrt(norms[label][i]))
             rhs = np.sum(sig * amp[:, i] * np.sqrt(t.mode_sq))
             cs_rhs = float(np.linalg.norm(amp[:, i]) * np.sqrt(t.formula))
             floor = t.floor(mass[i], squared=False)
             reports.append(_report(
-                "bound", label, r, lhs, rhs, None, floor,
+                "bound", ids[label], r, lhs, rhs, None, floor,
                 info={"cs_rhs": cs_rhs, "cs_passed": lhs <= cs_rhs + floor},
             ))
     return reports

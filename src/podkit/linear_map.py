@@ -1,28 +1,29 @@
 """Linear maps between Gram spaces.
 
 A map carries its domain and codomain spaces, so every norm of its images
-and every adjoint route is taken in the right inner product.  Invertibility is a certificate,
-not a guess: an inverse is either supplied or computed, and in both cases the
-two residuals ||L Linv - I|| and ||Linv L - I|| must pass below tolerance,
-with overly ill-conditioned matrices rejected outright.  Maps named by a
-JSON map spec are built by build_map_from_spec, which documents the grammar.
+and every adjoint route is taken in the right inner product.  Invertibility
+is a certificate, not a guess: a LinearMap checks its own invariants at
+construction, so a map built directly, by a factory below or by
+dataclasses.replace has a matrix of its spaces' shape and, when it holds an
+inverse, one whose two residuals ||L Linv - I|| and ||Linv L - I|| pass
+below tolerance.  make_map computes a dense inverse when asked, rejecting
+overly ill-conditioned matrices outright.  Maps named by a JSON map spec are
+built by build_map_from_spec, which documents the grammar.
 
 Generated maps are scipy.sparse CSR arrays: identity_map stores one sparse
 identity as matrix and exact inverse, derivative_map a CSR block diagonal,
 and a "diag" spec a CSR diagonal with its exact reciprocal as inverse, so
-no n x n array is formed on their path.  A "matrix" (CSV) spec map stays
-dense; its rows and columns are counted before it is read and checked
-against gram_space.DENSE_BYTES_BUDGET.  Every consumer applies a map with
-@; one place reads its type: the pushforward's adjoint route factors L^T
-with a sparse LU (scipy.sparse.linalg.splu, imported only there), whatever
-L's type.
+no n x n array is formed on their path, the inverse certificate included.
+A "matrix" (CSV) spec map stays dense; its rows and columns are counted
+before it is read and checked against gram_space.DENSE_BYTES_BUDGET.
+Every consumer applies a map and its inverse with @, whatever their type.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -42,7 +43,7 @@ MAX_CONDITION = 1e12
 MATRIX_CSV_ARRAYS = {False: 2, True: 7}
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearMap:
     """Map between two Gram spaces with optional certified inverse.
 
@@ -51,17 +52,28 @@ class LinearMap:
     domain, codomain : GramSpace
     matrix : ndarray or scipy.sparse CSR array, shape (codomain.dim, domain.dim)
         Sparse from identity_map, derivative_map and a "diag" spec, dense
-        from a "matrix" spec; see the module docstring for the one place
-        that reads its type.
+        from a "matrix" spec.
     inverse : ndarray, scipy.sparse CSR array or None
-        Present only when certified at construction; identity_map's is the
-        same sparse identity as its matrix.
+        Square like matrix and certified at construction (NotInvertible
+        otherwise); identity_map's is the same sparse identity as its matrix.
     """
 
     domain: GramSpace
     codomain: GramSpace
     matrix: np.ndarray | sparse.csr_array
     inverse: np.ndarray | sparse.csr_array | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        shape = self.matrix.shape
+        if shape != (self.codomain.dim, self.domain.dim):
+            raise DimensionMismatch(
+                f"matrix {shape} between spaces of dims "
+                f"{self.domain.dim} -> {self.codomain.dim}"
+            )
+        if self.inverse is not None:
+            if shape[0] != shape[1] or self.inverse.shape != shape:
+                raise NotInvertible("an inverse requires matching square matrices")
+            _certify_inverse(self.matrix, self.inverse)
 
 
 def _check_condition(cond):
@@ -83,46 +95,33 @@ def _certify_inverse(matrix, inverse):
         )
 
 
-def make_map(domain, codomain, matrix, invertible=False, inverse=None):
-    """Build a LinearMap, certifying the inverse when one is wanted.
+def make_map(domain, codomain, matrix, invertible=False):
+    """Build a LinearMap, computing a dense inverse when one is wanted.
 
     Parameters
     ----------
     domain, codomain : GramSpace
     matrix : array_like or scipy.sparse matrix, shape (codomain.dim, domain.dim)
     invertible : bool
-        Compute and certify a dense inverse.  Square matrices only;
-        condition numbers above 1e12 are rejected.
-    inverse : array_like or scipy.sparse matrix, optional
-        Explicit inverse to certify instead of computing one.
+        Compute a dense inverse, which LinearMap certifies.  Square matrices
+        only; condition numbers above MAX_CONDITION are rejected.
     """
-    A = as_matrix(matrix)
-    if A.shape != (codomain.dim, domain.dim):
-        raise DimensionMismatch(
-            f"matrix {A.shape} between spaces of dims "
-            f"{domain.dim} -> {codomain.dim}"
-        )
-    inv = None
-    if inverse is not None:
-        inv = as_matrix(inverse)
-        if A.shape[0] != A.shape[1] or inv.shape != A.shape:
-            raise NotInvertible("explicit inverse requires matching square matrices")
-        _certify_inverse(A, inv)
-    elif invertible:
-        if A.shape[0] != A.shape[1]:
-            raise NotInvertible(f"non-square map {A.shape} cannot be inverted")
-        dense = to_dense(A)
-        _check_condition(np.linalg.cond(dense))
-        inv = np.linalg.solve(dense, np.eye(A.shape[0]))
-        _certify_inverse(A, inv)
-    return LinearMap(domain=domain, codomain=codomain, matrix=A, inverse=inv)
+    lmap = LinearMap(domain, codomain, as_matrix(matrix))
+    if not invertible:
+        return lmap
+    A = lmap.matrix
+    if A.shape[0] != A.shape[1]:
+        raise NotInvertible(f"non-square map {A.shape} cannot be inverted")
+    dense = to_dense(A)
+    _check_condition(np.linalg.cond(dense))
+    return replace(lmap, inverse=np.linalg.solve(dense, np.eye(A.shape[0])))
 
 
 def identity_map(domain, codomain=None):
     """Identity-matrix map, by default an embedding between equal-dim spaces.
 
-    One sparse identity is both matrix and inverse; the inverse is exact, so
-    no residual certificate is computed.
+    One sparse identity is both matrix and inverse, exact, so its
+    certificate reads two sparse zero residuals.
     """
     if codomain is None:
         codomain = domain
@@ -237,8 +236,7 @@ def build_map_from_spec(text, sset):
         if np.all(d != 0.0):  # the 2-norm condition of diag(d) is max|d| / min|d|
             _check_condition(np.max(np.abs(d)) / np.min(np.abs(d)))
             inverse = sparse.diags_array(1.0 / d, format="csr")
-        diag = sparse.diags_array(d, format="csr")
-        lmap = make_map(sset.space, sset.space, diag, inverse=inverse)
+        lmap = LinearMap(sset.space, sset.space, sparse.diags_array(d, format="csr"), inverse)
     elif key == "matrix":
         invertible = spec.get("invertible", False)
         if not isinstance(detail, str) or not isinstance(invertible, bool):

@@ -14,7 +14,8 @@ Q = C_y^{-T} Q~, B = Q^T A Q and U = C_x^T Phi the basis's left vectors:
 - "ritz": projection onto the mapped modes determined by a bilinear form
   (a(Pu, v) = a(u, v) for all v in the range): (Q~, C_y^{-1} A^T Q B^{-T}).
 - "composite-xy": the pushforward, the domain projection conjugated into
-  the codomain by an invertible map, L P L^{-1}: (V~, C_y^{-1} L^{-T} C_x U).
+  the codomain by an invertible map, L P L^{-1}: (V~, C_y^{-1} L^{-T} C_x U),
+  read from the inverse the map certified when it was built.
 
 mapped_orthogonal_levels, ritz_levels and pushforward_levels, each taking
 (basis, lmap) first, build a family once for all rank columns and return
@@ -39,7 +40,6 @@ from .gram_space import _lower_band, as_matrix, check_dense_budget, half_weight,
 
 ELLIPTICITY_DEGENERACY = 1e-13
 ORTH_DROP_TOL = 1e-12
-PUSHFORWARD_CROSS_CHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -182,40 +182,15 @@ def ritz_levels(basis, lmap, form):
     return Levels(orthogonal.range, functionals)
 
 
-def pushforward_functionals(basis, lmap, solve_adjoint=None):
-    """C_y^{-1} L^{-T} C_x U, the whitened functionals y -> (L^{-1} y, phi_k)
-    of the rank modes (C_x U = G_x Phi); L^{-T} is applied by solve_adjoint,
-    by default the certified inverse's transpose."""
-    modes = half_weight(basis.space, basis.left_full[:, : basis.rank], adjoint=True)
-    solved = lmap.inverse.T @ modes if solve_adjoint is None else solve_adjoint(modes)
-    return half_weight_inv(lmap.codomain, solved, adjoint=True)
-
-
 def pushforward_levels(basis, lmap):
     """The mode projection conjugated into the codomain: L P L^{-1}.
 
-    Level r is (V~_r, N_r), N the pushforward_functionals.  A second route
-    solves the adjoint system with one sparse LU of L^T (splu, for a dense L
-    too): at every level r the two routes' leading r columns must agree to
-    PUSHFORWARD_CROSS_CHECK_TOL in the whitened (G_y) norm, which guards the
-    certified inverse against a stale or inconsistent matrix.
+    Level r is (V~_r, N_r), N = C_y^{-1} L^{-T} C_x U the whitened
+    functionals y -> (L^{-1} y, phi_k) of the rank modes (C_x U = G_x Phi),
+    formed once from the map's inverse, which LinearMap certified.
     """
     if lmap.inverse is None:
         raise NotInvertible("pushforward projector needs an invertible map")
-    # imported here: a module-level import costs every process 1.2 MB
-    from scipy.sparse.linalg import splu
-
-    N = pushforward_functionals(basis, lmap)
-    adjoint_route = pushforward_functionals(
-        basis, lmap, splu(sparse.csc_array(lmap.matrix.T)).solve
-    )
-    miss = np.cumsum(np.sum((N - adjoint_route) ** 2, axis=0))
-    scale = np.cumsum(np.sum(N**2, axis=0))
-
-    def functionals(r):
-        mismatch = np.sqrt(miss[r - 1]) / max(np.sqrt(scale[r - 1]), 1e-300)
-        if mismatch > PUSHFORWARD_CROSS_CHECK_TOL:
-            raise NotInvertible(f"inverse and adjoint routes disagree by {mismatch:.3e}")
-        return N[:, :r]
-
-    return Levels(whitened_images(basis, lmap, basis.rank), functionals)
+    modes = half_weight(basis.space, basis.left_full[:, : basis.rank], adjoint=True)
+    N = half_weight_inv(lmap.codomain, lmap.inverse.T @ modes, adjoint=True)
+    return Levels(whitened_images(basis, lmap, basis.rank), lambda r: N[:, :r])

@@ -5,6 +5,7 @@ import json
 import os
 import stat
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -881,44 +882,64 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_projector_families_are_built_once_per_run(tmp_path, capsys, monkeypatch):
-    # the level-free part of a family (the ellipticity eigensolve, the
-    # adjoint-route sparse LU) is built once, however many levels run
-    import scipy.sparse.linalg
-
+    # the level-free part of a family (the ellipticity eigensolve) is built
+    # once, however many levels run
     import podkit.projector
 
     manifest = str(tmp_path / "synth.json")
     assert main(["generate-synthetic", "--output", manifest, "--nodes", "33"]) == 0
     capsys.readouterr()
     map_path = manifest.replace(".json", "_map.json")
+    spec = json.loads(Path(map_path).read_text())
+    ritz_map = json.dumps({**spec, "ritz_form": {"fem_stiffness": 33}})
     ellipticity = _count_calls(monkeypatch, podkit.projector, "form_ellipticity")
     sweep_csv = str(tmp_path / "sweep.csv")
     code, _, err = run(
-        capsys, "sweep", "--input", manifest, "--map", map_path, "--projector", "ritz",
+        capsys, "sweep", "--input", manifest, "--map", ritz_map, "--projector", "ritz",
         "--r", "1,2,3,4,5,6,7,8", "--output", sweep_csv,
     )
     assert code == 0, err
     assert len(Path(sweep_csv).read_text().strip().split("\n")) == 1 + 4 * 8
     assert len(ellipticity) == 1
-    adjoint_route = _count_calls(monkeypatch, scipy.sparse.linalg, "splu")
     code, out, err = run(
         capsys, "verify", "--input", manifest, "--map", map_path,
         "--projector", "composite-xy", "--output", str(tmp_path / "verify.json"),
     )
     assert code == 0, err
     assert "levels: [1, 4, 8]" in out
-    assert len(adjoint_route) == 1
+
+
+def test_no_certify_command_imports_the_sparse_solvers(tmp_path, capsys):
+    # the pushforward reads the map's certified inverse, so the certify path
+    # imports no scipy.sparse.linalg (1.4 MB a process); verify runs in a
+    # fresh interpreter, since another test may have imported it in this one
+    manifest = str(tmp_path / "synth.json")
+    assert main(["generate-synthetic", "--output", manifest, "--nodes", "33"]) == 0
+    capsys.readouterr()
+    argv = ["verify", "--input", manifest, "--map", manifest.replace(".json", "_map.json"),
+            "--projector", "composite-xy", "--output", str(tmp_path / "verify.json")]
+    script = (
+        f"import sys; from podkit.cli import main; code = main({argv!r}); "
+        "print(code, 'scipy.sparse.linalg' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_ritz_verify_at_4800_nodes_exits_0_and_writes_its_report(tmp_path, capsys):
-    # the ellipticity is bisected on banded Cholesky factorizations: no
-    # n x n array, where a dense eigensolve needed 527 MiB at this size
+    # the ellipticity of the form is bisected on banded Cholesky
+    # factorizations: no n x n array, where a dense eigensolve needed
+    # 527 MiB at this size
     manifest = str(tmp_path / "big.json")
     assert main(["generate-synthetic", "--output", manifest, "--nodes", "4800"]) == 0
     capsys.readouterr()
     report = tmp_path / "ritz.json"
+    spec = json.dumps({"embedding": _EMBED, "ritz_form": {"fem_stiffness": 4800}})
     code, _, err = run(
-        capsys, "verify", "--input", manifest, "--map", manifest.replace(".json", "_map.json"),
+        capsys, "verify", "--input", manifest, "--map", spec,
         "--projector", "ritz", "--r", "1", "--output", str(report),
     )
     assert code == 0, err

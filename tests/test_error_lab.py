@@ -14,6 +14,7 @@ import pytest
 
 from podkit.cli import run_battery
 from podkit.error_lab import (
+    PROJECTOR_FAMILIES,
     ErrorReport,
     _residual_norms,
     _residuals,
@@ -317,6 +318,29 @@ def test_pointwise_kinds_and_cs_bound():
         assert rep.info["cs_passed"]
 
 
+def test_pw_composite_y_is_pod_x_mapped_on_the_elements():
+    # (I - L P_r L^{-1}) L K c = L (I - P_r) K c: pw_composite_y's actual
+    # side is pod_x_mapped's residual norm of the same elements K c, through
+    # that residual's own apply, and matches the longhand natural-coordinate
+    # residual in the codomain norm
+    inst = random_instance(9, 7, seed=61)
+    sset, lmap = inst["set"], inst["map"]
+    basis = compute_pod(sset)
+    cert = certifier(sset, basis, lmap, "composite-xy")
+    coeffs = np.random.default_rng(0).standard_normal((4, sset.count)).T
+    elements = sset.data @ (sset.weights[:, None] * coeffs)
+    for r in range(1, basis.rank + 1):
+        rows = battery_level(cert, r, coeffs)
+        rows = [rep for rep in rows if rep.identity_id == "pw_composite_y"]
+        res = {"pod_x_mapped": _residuals(cert, r)["pod_x_mapped"]}
+        sq = _residual_norms(cert, res, elements)[0]["pod_x_mapped"]
+        assert [rep.actual for rep in rows] == [float(np.sqrt(v)) for v in sq], r
+        proj = pod_projector(basis, r)
+        for rep, element in zip(rows, elements.T):
+            longhand = norm(lmap.codomain, lmap.matrix @ (element - apply_projector(proj, element)))
+            assert rep.actual == pytest.approx(longhand, rel=1e-9, abs=rep.info["floor"]), r
+
+
 def test_pointwise_guards():
     # coefficients are one column per element; the kinds follow from the
     # map: every kind needs one, the composites an invertible one
@@ -351,7 +375,9 @@ def test_sweep_schema():
 
 
 def test_codomain_projectors_families():
-    # the ritz form defaults to the codomain Gram, here the H^1 form itself
+    # without a form, ritz projects in the codomain's own inner product: it
+    # builds the orthogonal family, which the H^1 form, the codomain Gram
+    # itself, reproduces through the Ritz system
     inst = make_embedding_instance(17, 3)
     sset, lmap = inst["set"], inst["map"]
     basis = compute_pod(sset)
@@ -364,10 +390,12 @@ def test_codomain_projectors_families():
         cert = certifier(sset, basis, lmap, family, form)
         assert cert.family == family
         assert cert.projectors(3)[0].shape[1] == 3
-    assert np.array_equal(
-        certifier(sset, basis, lmap, "ritz").projectors(3)[1],
-        certifier(sset, basis, lmap, "ritz", inst["form"]).projectors(3)[1],
-    )
+    orthogonal = certifier(sset, basis, lmap).projectors(3)
+    for have, want in zip(certifier(sset, basis, lmap, "ritz").projectors(3), orthogonal):
+        assert np.array_equal(have, want)
+    for have, want in zip(certifier(sset, basis, lmap, "ritz", inst["form"]).projectors(3),
+                          orthogonal):
+        assert np.allclose(have, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
     with pytest.raises(IndexOutOfRange):
         certifier(sset, basis, lmap, "sideways")
 
@@ -534,11 +562,13 @@ def test_blocked_residual_norms_match_unblocked(family):
 def test_the_formula_side_never_reads_the_data(fhn_small_instance, instance, family):
     # the two routes are disjoint: with the data replaced by NaN after the
     # certifier is built, every level's formula sides and tail mode norms
-    # are unchanged, while the actual side reads the NaN
+    # are unchanged, while the actual side reads the NaN; ritz solves its
+    # system on the codomain Gram as the form
     inst = fhn_small_instance if instance == "flagship-6" else make_embedding_instance(33, 1)
     sset = dataclasses.replace(inst["set"])  # the NaN goes to this copy alone
     basis = compute_pod(sset)
-    cert = certifier(sset, basis, inst["map"], family)
+    form = inst["map"].codomain.gram if family == "ritz" else None
+    cert = certifier(sset, basis, inst["map"], family, form)
     before = {}
     for r in range(1, basis.rank + 1):
         try:
@@ -606,12 +636,12 @@ class _NoGram:
     __getattr__ = __array__ = __matmul__ = __rmatmul__ = __mul__ = __rmul__ = _used
 
 
-@pytest.mark.parametrize("family", ["orthogonal", "composite-xy"])
+@pytest.mark.parametrize("family", PROJECTOR_FAMILIES)
 def test_the_certify_path_multiplies_by_no_gram_matrix(family, monkeypatch):
     # Every norm is Euclidean in whitened coordinates and every projection a
     # matrix pair, so certifier, battery_level and rank_relation need each
-    # space's Cholesky factor only.  ritz is left out: its default form and
-    # its ellipticity read the Gram as a form.
+    # space's Cholesky factor only.  ritz runs without a form, so it reads
+    # no Gram as one.
     inst = make_embedding_instance(33, 1)
     sset, lmap = inst["set"], inst["map"]
     basis = compute_pod(sset)
@@ -630,10 +660,13 @@ def test_whitened_projection_keeps_the_full_rank_residual_at_round_off():
     # in natural coordinates and whitening the result afterwards inflated it
     # to 41 times the formula side (rel_diff 0.98); with the projection
     # applied in whitened coordinates it is within 1.4 times (0.25), with one
-    # BLAS thread and with two.
+    # BLAS thread and with two.  Form-less ritz is the same projection; when
+    # it solved the Ritz system on the Gram as its form, A^T Q cancelled and
+    # rel_diff read 0.83.
     inst = make_embedding_instance(1000, 1, seed=1)
     basis = compute_pod(inst["set"])
-    cert = certifier(inst["set"], basis, inst["map"], "orthogonal")
-    proj_y = by_id(battery_level(cert, basis.rank))["proj_y"]
     assert basis.rank == 8
-    assert proj_y.passed and proj_y.rel_diff <= 0.75
+    for family in ("orthogonal", "ritz"):
+        cert = certifier(inst["set"], basis, inst["map"], family)
+        proj_y = by_id(battery_level(cert, basis.rank))["proj_y"]
+        assert proj_y.passed and proj_y.rel_diff <= 0.75, family

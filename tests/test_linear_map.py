@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -10,6 +11,7 @@ from podkit.errors import DimensionMismatch, NotInvertible
 from podkit.gram_space import identity_space, make_space
 from podkit.linear_map import (
     MATRIX_CSV_ARRAYS,
+    LinearMap,
     build_map_from_spec,
     identity_map,
     make_map,
@@ -66,7 +68,51 @@ def test_bad_explicit_inverse_rejected():
     dom = identity_space(2)
     M = np.diag([2.0, 3.0])
     with pytest.raises(NotInvertible):
-        make_map(dom, dom, M, inverse=np.diag([0.5, 0.5]))
+        LinearMap(dom, dom, M, inverse=np.diag([0.5, 0.5]))
+
+
+def _with_inverse(route, lmap, inverse):
+    """lmap with its inverse replaced, by dataclasses.replace or by calling
+    LinearMap directly."""
+    if route == "replace":
+        return dataclasses.replace(lmap, inverse=inverse)
+    return LinearMap(lmap.domain, lmap.codomain, lmap.matrix, inverse)
+
+
+@pytest.mark.parametrize("route", ["replace", "direct"])
+def test_a_tampered_inverse_cannot_be_constructed(route):
+    # an inverse wrong only on mode j has residuals of 1.1 to 6.6 against
+    # the 1e-8 tolerance, so no map holding it (and no battery) is built
+    inst = random_instance(10, 8, seed=78)
+    lmap, basis = inst["map"], compute_pod(inst["set"])
+    assert _with_inverse(route, lmap, lmap.inverse).inverse is lmap.inverse
+    rng = np.random.default_rng(3)
+    for j in (0, 2, 5):
+        tampered = lmap.inverse + np.outer(basis.modes[:, j], rng.standard_normal(10))
+        with pytest.raises(NotInvertible, match="inverse residuals"):
+            _with_inverse(route, lmap, tampered)
+
+
+@pytest.mark.parametrize("route", ["replace", "direct"])
+def test_an_inverse_perturbed_by_1e_6_cannot_be_constructed(route):
+    # residuals of 1.4e-5 against the 1e-8 tolerance
+    lmap = random_instance(10, 8, seed=77)["map"]
+    noise = np.random.default_rng(4).standard_normal(lmap.inverse.shape)
+    with pytest.raises(NotInvertible, match="inverse residuals"):
+        _with_inverse(route, lmap, lmap.inverse + 1e-6 * noise)
+
+
+def test_a_map_checks_its_shapes_however_built():
+    dom, codom = identity_space(3), identity_space(2)
+    lmap = identity_map(dom)
+    with pytest.raises(DimensionMismatch):
+        LinearMap(dom, codom, np.ones((3, 3)))
+    with pytest.raises(DimensionMismatch):
+        dataclasses.replace(lmap, codomain=codom)
+    with pytest.raises(NotInvertible, match="square"):
+        dataclasses.replace(lmap, inverse=np.eye(2))
+    with pytest.raises(NotInvertible, match="square"):
+        LinearMap(dom, codom, np.ones((2, 3)), np.ones((3, 2)))
 
 
 def test_rectangular_never_invertible():

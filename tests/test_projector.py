@@ -1,7 +1,6 @@
 """Projection families: idempotency, self-adjointness, operator norms, and
 the level factories against per-level reference builds."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -35,7 +34,6 @@ from podkit.snapshot_io import make_snapshot_set, resolve_gram_spec
 from oracles import (
     Projector,
     convection,
-    adjoint,
     apply_projector,
     dense_matrix,
     inner,
@@ -285,9 +283,7 @@ def test_composite_norms_can_exceed_one(invertible_instance):
 # natural coordinates from the leading r modes alone and share nothing
 # between levels; oracles.whitened_pair converts each to the whitened pair
 # (C^T R, C^{-1} F) that podkit stores.  The ellipticity check does not
-# depend on r and is compared once; the adjoint matrix is an input of the
-# pushforward reference, whose cross-check solves the adjoint system at
-# every level.
+# depend on r and is compared once.
 
 
 def reference_mapped_orthogonal(basis, lmap, r):
@@ -306,23 +302,20 @@ def reference_ritz(basis, lmap, form, r):
     return Projector(lmap.codomain, Q, solve_gram(lmap.codomain, F))
 
 
-def reference_pushforward(basis, lmap, adj, r, tol=1e-8):
+def reference_pushforward(basis, lmap, r):
     Phi = basis.modes[:, :r]
     dual = solve_gram(lmap.codomain, lmap.inverse.T @ (basis.space.gram @ Phi))
-    mismatch = np.linalg.norm(dual - np.linalg.solve(adj, Phi)) / np.linalg.norm(dual)
-    if mismatch > tol:
-        raise NotInvertible(f"inverse and adjoint routes disagree by {mismatch:.3e}")
     return Projector(lmap.codomain, lmap.matrix @ Phi, dual)
 
 
 def reference_level(basis, lmap, family, form):
-    if family == "orthogonal":
+    # without a form, ritz projects in the codomain's inner product: the
+    # orthogonal family
+    if family == "orthogonal" or family == "ritz" and form is None:
         return lambda r: reference_mapped_orthogonal(basis, lmap, r)
     if family == "ritz":
-        form = lmap.codomain.gram if form is None else form
         return lambda r: reference_ritz(basis, lmap, form, r)
-    adj = adjoint(lmap)
-    return lambda r: reference_pushforward(basis, lmap, adj, r)
+    return lambda r: reference_pushforward(basis, lmap, r)
 
 
 def assert_levels_match(sset, basis, lmap, family, form):
@@ -426,21 +419,6 @@ def test_skew_dominated_form_fails_the_ritz_system_at_the_same_levels():
     assert refused(levels) == odd
 
 
-def test_tampered_inverse_fails_the_cross_check_at_the_same_levels():
-    # an inverse wrong only on mode j: inverse^T G phi_k changes for k = j,
-    # so the cross-check fails exactly at the levels that include mode j
-    inst = random_instance(10, 8, seed=78)
-    basis = compute_pod(inst["set"])
-    rng = np.random.default_rng(3)
-    for j in (0, 2, 5):
-        tampered = inst["map"].inverse + np.outer(basis.modes[:, j], rng.standard_normal(10))
-        lmap = dataclasses.replace(inst["map"], inverse=tampered)
-        raised = assert_levels_match(inst["set"], basis, lmap, "composite-xy", None)
-        assert raised == list(range(j + 1, basis.rank + 1)), j
-        with pytest.raises(NotInvertible):
-            pushforward_levels(basis, lmap)(j + 1)
-
-
 def dense_op_norm(proj):
     """Reference operator norm: the largest eigenvalue of the dense
     generalized problem P^T G P z = mu G z, whose square root is ||P||."""
@@ -479,16 +457,3 @@ def test_op_norm_matches_the_dense_eigensolve_for_every_family():
             ):
                 want = dense_op_norm(proj)
                 assert op_norm(proj) == pytest.approx(want, rel=1e-10), (name, r)
-
-
-def test_pushforward_refuses_an_inverse_perturbed_by_1e_6(invertible_instance):
-    inst = invertible_instance
-    basis = compute_pod(inst["set"])
-    lmap = inst["map"]
-    noise = np.random.default_rng(4).standard_normal(lmap.inverse.shape)
-    pushforward_levels(basis, lmap)(basis.rank)  # the certified inverse passes
-    perturbed = dataclasses.replace(lmap, inverse=lmap.inverse + 1e-6 * noise)
-    levels = pushforward_levels(basis, perturbed)
-    for r in range(1, basis.rank + 1):
-        with pytest.raises(NotInvertible, match="routes disagree"):
-            levels(r)
