@@ -352,9 +352,8 @@ def build_parser():
 def main(argv=None):
     """Run one command; its exit code.  With no argv, main is the process
     entry (python -m podkit.cli, the podkit script): it reads sys.argv and
-    first freezes the objects the imports made, numpy's and scipy's among
-    them, so that no collection, the one at exit included, scans them
-    again."""
+    first freezes the objects the imports made, numpy's among them, so that
+    no collection, the one at exit included, scans them again."""
     if argv is None:
         gc.freeze()
     try:

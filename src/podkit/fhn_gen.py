@@ -35,8 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DimensionMismatch, SolverDiverged
 from .fem import assemble_fem_1d
@@ -91,7 +89,7 @@ def boundary_pulse(t):
 
 def _band(T, m):
     """dgbmv's band storage (kl = ku = 1, Fortran order) of the tridiagonal
-    sparse T, zero-padded to m x m."""
+    Banded T, zero-padded to m x m."""
     n = T.shape[0]
     ab = np.zeros((3, m), order="F")
     ab[0, 1:n], ab[1, :n], ab[2, : n - 1] = T.diagonal(1), T.diagonal(), T.diagonal(-1)
@@ -109,6 +107,10 @@ def solve_fhn(config, stream=None):
     With the source c = 0 and the boundary drive disabled the zero state is
     stationary and the snapshots stay identically zero.
     """
+    # scipy is imported here, so that no other command loads it
+    from scipy.linalg.blas import dgbmv
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     n = config.nodes
     if n < 2:
         raise DimensionMismatch(f"need at least 2 nodes, got {n}")

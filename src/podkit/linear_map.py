@@ -10,10 +10,11 @@ below tolerance.  make_map computes a dense inverse when asked, rejecting
 overly ill-conditioned matrices outright.  Maps named by a JSON map spec are
 built by build_map_from_spec, which documents the grammar.
 
-Generated maps are scipy.sparse CSR arrays: identity_map stores one sparse
-identity as matrix and exact inverse, derivative_map a CSR block diagonal,
-and a "diag" spec a CSR diagonal with its exact reciprocal as inverse, so
-no n x n array is formed on their path, the inverse certificate included.
+Generated maps are gram_space.Banded: identity_map stores one banded
+identity as matrix and exact inverse, derivative_map a banded block
+diagonal, and a "diag" spec a banded diagonal with its exact reciprocal as
+inverse, so no n x n array is formed on their path, the inverse certificate
+included.
 A "matrix" (CSV) spec map stays dense; its rows and columns are counted
 before it is read and checked against gram_space.DENSE_BYTES_BUDGET.
 Every consumer applies a map and its inverse with @, whatever their type.
@@ -26,11 +27,10 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
 
 from . import fem
 from .errors import DimensionMismatch, MalformedManifest, NotInvertible, ProvenanceMismatch
-from .gram_space import GramSpace, as_matrix, check_dense_budget, make_space, to_dense
+from .gram_space import Banded, GramSpace, block_diag, check_dense_budget, identity, make_space
 from .snapshot_io import _read_json, _spec_int, gram_matrix
 from .snapshot_io import csv_shape, read_matrix_csv, resolve_gram_spec
 
@@ -50,18 +50,18 @@ class LinearMap:
     Attributes
     ----------
     domain, codomain : GramSpace
-    matrix : ndarray or scipy.sparse CSR array, shape (codomain.dim, domain.dim)
-        Sparse from identity_map, derivative_map and a "diag" spec, dense
+    matrix : ndarray or Banded, shape (codomain.dim, domain.dim)
+        Banded from identity_map, derivative_map and a "diag" spec, dense
         from a "matrix" spec.
-    inverse : ndarray, scipy.sparse CSR array or None
+    inverse : ndarray, Banded or None
         Square like matrix and certified at construction (NotInvertible
-        otherwise); identity_map's is the same sparse identity as its matrix.
+        otherwise); identity_map's is the same banded identity as its matrix.
     """
 
     domain: GramSpace
     codomain: GramSpace
-    matrix: np.ndarray | sparse.csr_array
-    inverse: np.ndarray | sparse.csr_array | None = field(default=None, repr=False)
+    matrix: np.ndarray | Banded
+    inverse: np.ndarray | Banded | None = field(default=None, repr=False)
 
     def __post_init__(self):
         shape = self.matrix.shape
@@ -82,10 +82,10 @@ def _check_condition(cond):
 
 
 def _certify_inverse(matrix, inverse):
-    # the Frobenius residuals; with sparse factors no dense n x n array forms
-    eye = sparse.eye_array(matrix.shape[0], format="csr")
+    # the Frobenius residuals; with banded factors no dense n x n array forms
+    eye = identity(matrix.shape[0])
     res_right, res_left = (
-        np.linalg.norm(R.data if sparse.issparse(R) else R)
+        np.linalg.norm(R.data if isinstance(R, Banded) else R)
         for R in (matrix @ inverse - eye, inverse @ matrix - eye)
     )
     if res_right > INVERSE_RESIDUAL_TOL or res_left > INVERSE_RESIDUAL_TOL:
@@ -101,33 +101,34 @@ def make_map(domain, codomain, matrix, invertible=False):
     Parameters
     ----------
     domain, codomain : GramSpace
-    matrix : array_like or scipy.sparse matrix, shape (codomain.dim, domain.dim)
+    matrix : array_like or Banded, shape (codomain.dim, domain.dim)
     invertible : bool
         Compute a dense inverse, which LinearMap certifies.  Square matrices
         only; condition numbers above MAX_CONDITION are rejected.
     """
-    lmap = LinearMap(domain, codomain, as_matrix(matrix))
+    if not isinstance(matrix, Banded):
+        matrix = np.asarray(matrix, dtype=float)
+    lmap = LinearMap(domain, codomain, matrix)
     if not invertible:
         return lmap
-    A = lmap.matrix
-    if A.shape[0] != A.shape[1]:
-        raise NotInvertible(f"non-square map {A.shape} cannot be inverted")
-    dense = to_dense(A)
+    if matrix.shape[0] != matrix.shape[1]:
+        raise NotInvertible(f"non-square map {matrix.shape} cannot be inverted")
+    dense = matrix.toarray() if isinstance(matrix, Banded) else matrix
     _check_condition(np.linalg.cond(dense))
-    return replace(lmap, inverse=np.linalg.solve(dense, np.eye(A.shape[0])))
+    return replace(lmap, inverse=np.linalg.solve(dense, np.eye(len(dense))))
 
 
 def identity_map(domain, codomain=None):
     """Identity-matrix map, by default an embedding between equal-dim spaces.
 
-    One sparse identity is both matrix and inverse, exact, so its
-    certificate reads two sparse zero residuals.
+    One banded identity is both matrix and inverse, exact, so its
+    certificate reads two zero residuals.
     """
     if codomain is None:
         codomain = domain
     if codomain.dim != domain.dim:
         raise DimensionMismatch("identity map needs equal dimensions")
-    eye = sparse.eye_array(domain.dim, format="csr")
+    eye = identity(domain.dim)
     return LinearMap(domain, codomain, eye, inverse=eye)
 
 
@@ -148,20 +149,22 @@ def derivative_map(nodes, domain, scheme="forward"):
         )
     mesh = fem.assemble_fem_1d(nodes)
     if scheme == "forward":
-        block, gram = mesh.deriv, sparse.diags_array(mesh.element_lengths)
+        block = mesh.deriv
+        gram = Banded({0: mesh.element_lengths}, (nodes - 1,) * 2)
     elif scheme == "centered":
-        h, ones = mesh.h, np.ones(nodes - 1)
-        block = sparse.diags_array([-ones, ones], offsets=[-1, 1], format="lil") * (0.5 / h)
-        block[0, :2] = -1.0 / h, 1.0 / h
-        block[-1, -2:] = -1.0 / h, 1.0 / h
+        # central differences, one-sided in the first and last rows
+        h, slope = mesh.h, np.full(nodes - 1, 0.5 / mesh.h)
+        below, main, above = -slope, np.zeros(nodes), slope.copy()
+        main[[0, -1]], above[0], below[-1] = (-1.0 / h, 1.0 / h), 1.0 / h, -1.0 / h
+        block = Banded({-1: below, 0: main, 1: above}, (nodes, nodes))
         gram = mesh.mass
     else:
         raise MalformedManifest(f"unknown derivative scheme {scheme!r}")
     blocks = domain.dim // nodes
     return LinearMap(
         domain=domain,
-        codomain=make_space(sparse.block_diag([gram] * blocks, format="csr")),
-        matrix=sparse.block_diag([block] * blocks, format="csr"),
+        codomain=make_space(block_diag([gram] * blocks)),
+        matrix=block_diag([block] * blocks),
     )
 
 
@@ -183,16 +186,17 @@ def build_map_from_spec(text, sset):
         {"derivative_1d": {"nodes": n, "scheme": "forward" | "centered"}}
         {"embedding": {"from": "mass", "to": "stiffness+mass"}}
 
-    n is a JSON integer.  "codomain_gram" (a gram spec as in
-    snapshot_io.gram_matrix, default "identity") and "invertible" (default
-    false) belong to "matrix" only.  derivative_1d is derivative_map and
+    n is a JSON integer and the d_i are finite numbers.  "codomain_gram" (a
+    gram spec as in snapshot_io.gram_matrix, default "identity") and
+    "invertible" (default false) belong to "matrix" only.  derivative_1d is derivative_map and
     doubles blockwise when the snapshot dimension is twice the node count.
     The embedding is the identity matrix between the L^2 ("mass") and H^1
     ("stiffness+mass") FEM Gram matrices; "from" must be the snapshot
     space's own.  Any spec may add "ritz_form", a gram spec (a CSV path need
     not be symmetric) for the Ritz projection family.
 
-    Returns (map, form), form being the Ritz form as a CSR array or None.
+    Returns (map, form), form being the Ritz form (a Banded, or dense from
+    a CSV path) or None.
     Malformed fields raise MalformedManifest, sizes that disagree with the
     snapshots DimensionMismatch, and an embedding from the wrong space
     ProvenanceMismatch.
@@ -230,13 +234,15 @@ def build_map_from_spec(text, sset):
             d = np.asarray(detail, dtype=float)
         except (TypeError, ValueError):
             raise MalformedManifest(f"diag map needs numbers, got {detail!r}") from None
+        if not np.isfinite(d).all():  # json reads NaN and Infinity
+            raise MalformedManifest(f"diag map entries must be finite, got {detail!r}")
         if d.ndim != 1 or d.shape[0] != dim:
             raise DimensionMismatch(f"diag map of length {d.shape} against dim {dim}")
         inverse = None
         if np.all(d != 0.0):  # the 2-norm condition of diag(d) is max|d| / min|d|
             _check_condition(np.max(np.abs(d)) / np.min(np.abs(d)))
-            inverse = sparse.diags_array(1.0 / d, format="csr")
-        lmap = LinearMap(sset.space, sset.space, sparse.diags_array(d, format="csr"), inverse)
+            inverse = Banded({0: 1.0 / d}, (dim, dim))
+        lmap = LinearMap(sset.space, sset.space, Banded({0: d}, (dim, dim)), inverse)
     elif key == "matrix":
         invertible = spec.get("invertible", False)
         if not isinstance(detail, str) or not isinstance(invertible, bool):
@@ -267,9 +273,12 @@ def build_map_from_spec(text, sset):
                 f"embedding grams must be in {tuple(_EMBED_GRAMS)}, got {tokens}"
             )
         source, target = ({_EMBED_GRAMS[t]: dim} for t in tokens)
-        # np.allclose(rtol=1e-12, atol=1e-12) entry by entry, on the sparse pattern
-        gram = sset.space.gram
-        if (abs(gram_matrix(source, dim) - gram) - 1e-12 * abs(gram)).max() > 1e-12:
+        # np.allclose(rtol=1e-12, atol=1e-12) entry by entry, diagonal by diagonal
+        named, gram = gram_matrix(source, dim), sset.space.gram
+        if not all(
+            np.allclose(named.diagonal(k), gram.diagonal(k), rtol=1e-12, atol=1e-12)
+            for k in {*named.diags, *gram.diags}
+        ):
             raise ProvenanceMismatch("embedding 'from' gram disagrees with the snapshot space")
         lmap = identity_map(sset.space, resolve_gram_spec(target, dim))
 

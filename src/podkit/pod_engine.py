@@ -10,9 +10,9 @@ the modes phi_k are orthonormal in the ambient space, and the right vectors
 f_k are orthonormal in the weighted coefficient space.  Numerically the
 decomposition is realized as one thin SVD of the whitened data matrix
 A = C^T W diag(sqrt(g)), G = C C^T, filled by column blocks into the one
-data-sized working copy beside the data and the right vectors, which the
-SVD (xGESDD) overwrites; other data-sized temporaries are blocks of
-gram_space.COLUMN_BLOCK_BYTES.  Its left vectors are the modes in whitened
+data-sized working copy beside the data and the right vectors, of which
+numpy.linalg.svd (xGESDD) takes a copy of its own; other data-sized
+temporaries are blocks of gram_space.COLUMN_BLOCK_BYTES.  Its left vectors are the modes in whitened
 coordinates, U = C^T Phi, which the certificate reads; pod writes Phi.  The
 SVD route and the correlation eigenproblem agree in exact arithmetic; the
 SVD is preferred because its backward error couples trailing singular
@@ -36,7 +36,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import svd
 
 from .errors import DimensionMismatch, EigenFailure, IndexOutOfRange
 from .gram_space import GramSpace, half_weight_inv, whitened_blocks
@@ -148,11 +147,8 @@ def compute_pod(sset, drop_tol=DEFAULT_DROP_TOL):
     for blk, whitened, _ in whitened_blocks(W, space, scale=g12):
         A[:, blk] = whitened
 
-    try:
-        U, sig_full, Vt = svd(A, full_matrices=False, overwrite_a=True)
-    except Exception as exc:
-        raise EigenFailure(str(exc)) from None
-    del A  # overwritten by the SVD; freed before the basis arrays are formed
+    U, sig_full, Vt = _svd(A)
+    del A  # freed before the basis arrays are formed
 
     lam = sig_full**2
     modes_full = half_weight_inv(space, U)
@@ -180,6 +176,17 @@ def compute_pod(sset, drop_tol=DEFAULT_DROP_TOL):
     )
 
 
+def _svd(A, compute_uv=True):
+    """numpy.linalg.svd's thin SVD, EigenFailure for non-finite entries,
+    which numpy does not check, or when it does not converge."""
+    if not np.isfinite(A).all():
+        raise EigenFailure("the SVD input has non-finite entries")
+    try:
+        return np.linalg.svd(A, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from None
+
+
 def numerical_rank(lam, drop_tol):
     """The number of eigenvalues above drop_tol times the largest one."""
     return int(np.sum(lam > drop_tol * lam[0])) if lam.size and lam[0] > 0.0 else 0
@@ -196,7 +203,7 @@ def image_spectrum(lmap, sset):
     R = np.zeros((0, dim_y))
     for blk, _, image in whitened_blocks(sset.data, lmap=lmap, min_width=dim_y):
         R = np.linalg.qr(np.vstack((R, (image * g12[blk]).T)), mode="r")
-    return svd(R, compute_uv=False) ** 2
+    return _svd(R, compute_uv=False) ** 2
 
 
 def save_basis(basis, manifest_path):

@@ -4,8 +4,8 @@ A projection P is stored as the pair it is applied by in whitened
 coordinates y~ = C_y^T y (G_y = C_y C_y^T): range R~ and functionals F~,
 P~ y~ = R~ (F~^T y~), F~^T R~ = I.  A natural pair (R, F) reads
 (C_y^T R, C_y^{-1} F), so applying a level forms no Gram product or solve.
-Maps and forms may be sparse and are applied with @; only the Ritz
-ellipticity on a wide band forms an n x n array.  Families, with
+Maps and forms may be gram_space.Banded and are applied with @; only the
+Ritz ellipticity on a wide band forms an n x n array.  Families, with
 V~ = C_y^T L Phi the whitened mapped modes, Q~ from one QR of V~,
 Q = C_y^{-T} Q~, B = Q^T A Q and U = C_x^T Phi the basis's left vectors:
 
@@ -30,13 +30,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigvalsh, lu_factor, lu_solve
-from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from .errors import DimensionMismatch, FormNotElliptic, NotInvertible, RankDeficientImage
 from .errors import SingularRitzSystem
-from .gram_space import _lower_band, as_matrix, check_dense_budget, half_weight, half_weight_inv
+from .gram_space import banded, check_dense_budget, half_weight, half_weight_inv, lower_band
 
 ELLIPTICITY_DEGENERACY = 1e-13
 ORTH_DROP_TOL = 1e-12
@@ -98,6 +95,8 @@ def mapped_orthogonal_levels(basis, lmap):
 def _definite_sup(S, G):
     """The sup of the t at which dpbtrf factors S - t G (band storage of equal
     depth), bisected on integer keys ordered as the floats: <= 64 steps."""
+    from scipy.linalg.lapack import dpbtrf  # LAPACK's speed for up to 128 factorizations
+
     def definite(t):  # a NaN pivot can pass dpbtrf, never the diagonal check
         L, info = dpbtrf(S - t * G, lower=1, overwrite_ab=1)
         return info == 0 and np.isfinite(L[0]).all()
@@ -127,24 +126,22 @@ def form_ellipticity(space, form):
     error of order u kappa(G) (C = 1 + 1.7e-9 on the 3,000-node H^1 Gram).
     Where cheaper, 10/3 n^3 against 2 * 64 n (kd + 1)^2 flops, the dense
     eigensolve of L^{-1} S L^{-T} (G = L L^T) runs instead, within budget.
+    form is a dense array or a gram_space.Banded.
     """
-    A = as_matrix(form)
-    if A.shape != (space.dim, space.dim):
-        raise DimensionMismatch(f"form {A.shape} on space of dim {space.dim}")
-    S = sparse.csr_array((A + A.T) * 0.5)
-    if S.count_nonzero() == 0:
+    if form.shape != (space.dim, space.dim):
+        raise DimensionMismatch(f"form {form.shape} on space of dim {space.dim}")
+    A = banded(form)
+    S = (A + A.T) * 0.5
+    bands = lower_band(S), lower_band(space.gram)
+    if not bands[0].any():
         return 0.0, 0.0
-    bands = _lower_band(S), _lower_band(space.gram)
     kd, n = max(map(len, bands)) - 1, space.dim
     if 2 * 64 * n * (kd + 1) ** 2 <= 10 / 3 * n**3:
         S_band, G_band = (np.pad(b, ((0, kd + 1 - len(b)), (0, 0))) for b in bands)
         return _definite_sup(S_band, G_band), -_definite_sup(-S_band, G_band)
     check_dense_budget(3, (n, n), "the Ritz ellipticity eigensolve")
-    sym = S.toarray()
-    # sym is exactly symmetric, so sym.T is it in Fortran order: solved in place
-    half, _ = dtbtrs(space.chol, sym.T, uplo="L", overwrite_b=True)
-    reduced, _ = dtbtrs(space.chol, half.T, uplo="L", overwrite_b=True)
-    vals = eigvalsh(reduced, overwrite_a=True)
+    half = half_weight_inv(space, S.toarray(), adjoint=True)
+    vals = np.linalg.eigvalsh(half_weight_inv(space, half.T, adjoint=True))
     return float(vals[0]), float(vals[-1])
 
 
@@ -160,8 +157,7 @@ def ritz_levels(basis, lmap, form):
     is as well conditioned as the form.  Past the first dependent mapped
     mode a level raises RankDeficientImage.
     """
-    A = as_matrix(form)
-    c_low, c_high = form_ellipticity(lmap.codomain, A)
+    c_low, c_high = form_ellipticity(lmap.codomain, form)
     if c_low <= ELLIPTICITY_DEGENERACY * max(abs(c_high), 1e-300):
         raise FormNotElliptic(
             f"symmetric part has smallest eigenvalue {c_low:.3e} "
@@ -169,7 +165,7 @@ def ritz_levels(basis, lmap, form):
         )
     orthogonal = mapped_orthogonal_levels(basis, lmap)
     Q = half_weight_inv(lmap.codomain, orthogonal.range)
-    B, AtQ = Q.T @ (A @ Q), half_weight_inv(lmap.codomain, A.T @ Q, adjoint=True)
+    B, AtQ = Q.T @ (form @ Q), half_weight_inv(lmap.codomain, form.T @ Q, adjoint=True)
 
     def functionals(r):
         orthogonal.functionals(r)  # the orthogonal family's guard
@@ -177,7 +173,7 @@ def ritz_levels(basis, lmap, form):
         rcond = 1.0 / np.linalg.cond(B_r)
         if not np.isfinite(rcond) or rcond < 1e-14:
             raise SingularRitzSystem(f"reciprocal condition {rcond:.3e}")
-        return lu_solve(lu_factor(B_r), AtQ[:, :r].T).T
+        return np.linalg.solve(B_r, AtQ[:, :r].T).T
 
     return Levels(orthogonal.range, functionals)
 

@@ -38,7 +38,6 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from . import csv_rows, fem
 from .errors import (
@@ -48,12 +47,14 @@ from .errors import (
     NonMonotoneGrid,
     WeightNonPositive,
 )
-from .gram_space import GramSpace, check_dense_budget, identity_space, make_space
+from .gram_space import GramSpace, block_diag, check_dense_budget, identity, identity_space
+from .gram_space import make_space
 
 # A dense dim x dim CSV Gram is budgeted at its measured peak, in dim^2
-# doubles (tracemalloc, 400 to 2,000 rows): 7.4 to read and factor it
-# (loadtxt array, CSR copy, symmetrization, band).  Reading checks this
-# count against gram_space.DENSE_BYTES_BUDGET (refused above 2,896 rows).
+# doubles (tracemalloc, 400 to 2,000 rows): 6.0 to 6.2 to read and factor
+# it (loadtxt array, Banded copy, symmetrization, band, dense factor).
+# Reading checks this count against gram_space.DENSE_BYTES_BUDGET (refused
+# above 2,896 rows).
 CSV_GRAM_ARRAYS = 8
 
 
@@ -421,7 +422,8 @@ def _block_dim(spec):
 
 
 def gram_matrix(spec, dim, base_dir="."):
-    """The dim x dim matrix a gram spec names, as a scipy.sparse CSR array.
+    """The dim x dim matrix a gram spec names: a gram_space.Banded, or a
+    dense array for a CSV matrix.
 
     Accepted forms: the token "identity", a path to a CSV matrix (relative to
     base_dir), a generator spec {"fem_mass": n} / {"fem_stiffness": n}, or
@@ -435,19 +437,17 @@ def gram_matrix(spec, dim, base_dir="."):
     gram_space.DENSE_BYTES_BUDGET before it is read (ProblemTooLarge).
     """
     if spec == "identity":
-        return sparse.eye_array(dim, format="csr")
+        return identity(dim)
     if isinstance(spec, str):
         check_dense_budget(CSV_GRAM_ARRAYS, (dim, dim), f"CSV matrix {spec}")
-        return sparse.csr_array(read_matrix_csv(os.path.join(base_dir, spec), dim, dim))
+        return read_matrix_csv(os.path.join(base_dir, spec), dim, dim)
     if isinstance(spec, dict) and len(spec) == 1:
         key, n = next(iter(spec.items()))
         if key == "block_diag" and isinstance(n, list) and n:
             sizes = [_block_dim(block) for block in n]
             if sum(sizes) != dim:
                 raise MalformedManifest(f"block_diag of sizes {sizes} in a dim-{dim} manifest")
-            return sparse.block_diag(
-                [gram_matrix(block, size) for block, size in zip(n, sizes)], format="csr"
-            )
+            return block_diag([gram_matrix(block, size) for block, size in zip(n, sizes)])
         if key in ("fem_mass", "fem_stiffness"):
             if _spec_int(n, f"{key} node count", 2) != dim:
                 raise MalformedManifest(

@@ -17,13 +17,11 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import cho_solve_banded
 
 from podkit.errors import DimensionMismatch, NotInvertible, RankDeficientImage, RankExceeded
 from podkit.fhn_gen import EMBEDDING_SNAPSHOTS, make_fhn_instance, synthetic_states
-from podkit.gram_space import GramSpace, as_matrix, half_weight, half_weight_inv, make_space
-from podkit.gram_space import to_dense
+from podkit.gram_space import Banded, GramSpace, half_weight, half_weight_inv, make_space
 from podkit.linear_map import build_map_from_spec, identity_map, make_map
 from podkit.pod_engine import compute_pod
 from podkit.projector import orthonormal_prefixes
@@ -156,14 +154,14 @@ def adjoint_matrix(space_from, space_to, matrix):
     For T : space_from -> space_to with coordinate matrix A, the adjoint
     T* : space_to -> space_from satisfies (T u, v)_to = (u, T* v)_from and has
     coordinate matrix G_from^{-1} A^T G_to (A^T G_to = (G_to A)^T, G_to
-    being symmetric).  A may be sparse; the adjoint matrix is dense.
+    being symmetric).  A may be a Banded; the adjoint matrix is dense.
     """
-    A = as_matrix(matrix)
+    A = matrix.toarray() if isinstance(matrix, Banded) else np.asarray(matrix, dtype=float)
     if A.shape != (space_to.dim, space_from.dim):
         raise DimensionMismatch(
             f"map matrix {A.shape} inconsistent with spaces ({space_to.dim}, {space_from.dim})"
         )
-    return solve_gram(space_from, to_dense(space_to.gram @ A).T)
+    return solve_gram(space_from, (space_to.gram @ A).T)
 
 
 def adjoint(lmap):
@@ -278,7 +276,7 @@ def convection(nodes):
     off = np.full(n - 1, 0.5)
     boundary = np.zeros(n)
     boundary[[0, -1]] = -0.5, 0.5
-    return sparse.diags_array([-off, boundary, off], offsets=(-1, 0, 1), format="csr")
+    return Banded({-1: -off, 0: boundary, 1: off}, (n, n))
 
 
 def make_embedding_instance(nodes, which, seed=None):
@@ -293,8 +291,8 @@ def make_embedding_instance(nodes, which, seed=None):
 
     Returns a dict with the snapshot set (fhn_gen.synthetic_states reduced
     on the ambient space, seed 100 + which by default, so layout 1 is
-    fhn_gen.embedding_set), both spaces, the sparse identity map (with its
-    exact inverse), and the form as a CSR array (or None).
+    fhn_gen.embedding_set), both spaces, the banded identity map (with its
+    exact inverse), and the form as a Banded (or None).
     """
     if which not in (1, 2, 3):
         raise DimensionMismatch(f"embedding instance must be 1, 2 or 3, got {which}")

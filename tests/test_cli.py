@@ -929,6 +929,78 @@ def test_no_certify_command_imports_the_sparse_solvers(tmp_path, capsys):
     assert done.stdout.splitlines()[-1] == "0 False"
 
 
+_SCIPY_FREE_SCRIPT = """
+import json, sys
+from podkit.cli import main
+
+def loaded():
+    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+
+print(json.dumps(["import", loaded(), 0]))
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    print(json.dumps([" ".join(argv[:1] + argv[2:]), loaded(), code]))
+"""
+
+
+def test_certify_commands_import_no_scipy(tmp_path):
+    # generate-synthetic, pod, table, and verify and sweep with every map kind
+    # and the orthogonal, composite-xy and form-less ritz families import no
+    # scipy module: they run one after another in one fresh interpreter,
+    # which reports after each whether any scipy module is loaded
+    n = 9
+    synth = str(tmp_path / "s.json")
+    matrix = tmp_path / "m.csv"
+    np.savetxt(matrix, np.eye(n) + 0.1 * np.diag(np.ones(n - 1), 1), delimiter=",")
+    maps = {
+        "identity": ({"identity": n}, True),
+        "diag": ({"diag": list(np.linspace(1.0, 2.0, n))}, True),
+        "matrix": ({"matrix": str(matrix), "invertible": True}, True),
+        "derivative_1d": ({"derivative_1d": {"nodes": n}}, False),
+        "embedding": ({"embedding": _EMBED}, True),
+    }
+    runs = [
+        ["generate-synthetic", "--output", synth, "--nodes", str(n)],
+        ["pod", "--input", synth, "--output", str(tmp_path / "basis.json")],
+    ]
+    for kind, (spec, invertible) in maps.items():
+        families = ("orthogonal", "ritz") + (("composite-xy",) if invertible else ())
+        for family in families:
+            stem = str(tmp_path / f"{kind}_{family}")
+            common = ["--input", synth, "--map", json.dumps(spec), "--projector", family]
+            runs.append(["verify", *common, "--r", "1,2", "--output", stem + ".json"])
+            runs.append(["sweep", *common, "--r", "1,2", "--output", stem + ".csv"])
+        runs.append(["table", "--input", stem + ".json"])
+        runs.append(["table", "--input", stem + ".csv"])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_SCRIPT, json.dumps(runs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    reports = [json.loads(line) for line in done.stdout.splitlines() if line.startswith("[")]
+    assert len(reports) == 1 + len(runs)
+    assert [(what, code) for what, scipy_loaded, code in reports if scipy_loaded] == []
+    assert all(code == 0 for _, _, code in reports), reports
+
+
+@pytest.mark.parametrize(
+    "entries",
+    ["[NaN, 0, 1, 1, 1, 1, 1, 1]", "[NaN, 1, 1, 1, 1, 1, 1, 1]", "[Infinity, 1, 1, 1, 1, 1, 1, 1]",
+     "[1, 1, 1, 1, 1, 1, 1, -Infinity]"],
+)
+def test_non_finite_diag_map_exits_2(synth8, capsys, entries):
+    # json reads NaN and Infinity; the spec refuses them before any map is
+    # built, where a NaN beside a zero ended in an untyped traceback (exit 1)
+    # and one without a zero in NotInvertible (exit 3)
+    code, _, err = run(
+        capsys, "verify", "--input", synth8, "--map", '{"diag": %s}' % entries, "--r", "1",
+    )
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "MalformedManifest"
+    assert "finite" in payload["message"]
+
+
 def test_ritz_verify_at_4800_nodes_exits_0_and_writes_its_report(tmp_path, capsys):
     # the ellipticity of the form is bisected on banded Cholesky
     # factorizations: no n x n array, where a dense eigensolve needed
@@ -996,7 +1068,7 @@ def test_generate_fhn_names_its_block_diagonal_gram(tmp_path, capsys, monkeypatc
     # CSV, and it is the one space generate-fhn factors: no map is built
     import podkit.gram_space
 
-    factorizations = _count_calls(monkeypatch, podkit.gram_space, "cholesky_banded")
+    factorizations = _count_calls(monkeypatch, podkit.gram_space, "band_cholesky")
     manifest = str(tmp_path / "fhn.json")
     assert main(["generate-fhn", "--output", manifest, "--nodes", "8"]) == 0
     capsys.readouterr()

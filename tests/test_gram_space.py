@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy.linalg import block_diag as dense_block_diag
 from scipy.linalg import solve_triangular
 
 from podkit.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
-from podkit.gram_space import half_weight, half_weight_inv, identity_space, make_space
+from podkit.gram_space import Banded, block_diag, half_weight, half_weight_inv, identity_space
+from podkit.gram_space import make_space
 from podkit.projector import ORTH_DROP_TOL
 from podkit.snapshot_io import resolve_gram_spec
 
@@ -217,7 +218,7 @@ def test_dimension_checks():
                 kernel(space, np.ones(4), adjoint)
 
 
-# -- sparse storage: bandwidth detection and the banded kernels ---------------
+# -- banded storage: bandwidth detection and the banded kernels ---------------
 
 
 def banded_spd(rng, n, kd):
@@ -285,13 +286,16 @@ def test_banded_kernels_match_dense_references(name, space, dense, kd):
 
 def test_sparse_and_dense_grams_build_the_same_space():
     dense = banded_spd(np.random.default_rng(5), 8, 2)
-    a, b = make_space(dense), make_space(sparse.coo_array(dense))
+    def diagonals(M):
+        return Banded({k: np.diagonal(M, k) for k in range(-2, 3)}, M.shape)
+
+    a, b = make_space(dense), make_space(diagonals(dense))
     assert np.array_equal(a.chol, b.chol)
     assert np.array_equal(a.gram.toarray(), b.gram.toarray())
     with pytest.raises(NotSymmetric):
-        make_space(sparse.csr_array(np.triu(dense)))
+        make_space(diagonals(np.triu(dense)))
     with pytest.raises(NotPositiveDefinite):
-        make_space(sparse.csr_array(-dense))
+        make_space(diagonals(-dense))
 
 
 def test_generated_gram_spaces_allocate_no_dense_matrix():
@@ -309,3 +313,45 @@ def test_generated_gram_spaces_allocate_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def random_banded(rng, shape, offsets):
+    m, n = shape
+    return Banded(
+        {k: rng.standard_normal(min(m, n - k) - max(0, -k)) for k in offsets}, shape
+    )
+
+
+def test_banded_algebra_matches_dense():
+    rng = np.random.default_rng(31)
+    A = random_banded(rng, (7, 9), (-2, 0, 1, 3))
+    B = random_banded(rng, (9, 5), (-1, 0, 2))
+    C = random_banded(rng, (7, 9), (-3, 0, 1))
+    dA, dB, dC = A.toarray(), B.toarray(), C.toarray()
+    X, Y = rng.standard_normal((9, 4)), rng.standard_normal((3, 7))
+    assert np.array_equal(dA[np.arange(7), np.arange(7) + 1], A.diagonal(1))
+    assert np.array_equal(A.diagonal(2), np.zeros(7))
+    assert np.array_equal(A.T.toarray(), dA.T)
+    assert np.allclose(A @ X, dA @ X, rtol=1e-14, atol=1e-14)
+    assert np.allclose(A @ X[:, 0], dA @ X[:, 0], rtol=1e-14, atol=1e-14)
+    assert np.allclose(Y @ A, Y @ dA, rtol=1e-14, atol=1e-14)
+    assert np.allclose((A @ B).toarray(), dA @ dB, rtol=1e-14, atol=1e-14)
+    assert np.array_equal((A + C).toarray(), dA + dC)
+    assert np.array_equal((A - C).toarray(), dA - dC)
+    assert np.array_equal(dC - A, dC - dA)
+    assert np.array_equal((0.5 * A).toarray(), 0.5 * dA)
+    with pytest.raises(ValueError):
+        A @ X.T
+    with pytest.raises(DimensionMismatch):
+        Banded({0: np.ones(3)}, (4, 4))
+
+
+def test_block_diag_of_rectangular_blocks_matches_dense():
+    rng = np.random.default_rng(32)
+    blocks = [
+        random_banded(rng, (4, 5), (0, 1)),
+        random_banded(rng, (3, 3), (-1, 0, 1)),
+        random_banded(rng, (5, 4), (-1, 0)),
+    ]
+    got = block_diag(blocks).toarray()
+    assert np.array_equal(got, dense_block_diag(*[b.toarray() for b in blocks]))

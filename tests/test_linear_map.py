@@ -4,11 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from podkit.error_lab import battery_level, certifier, rank_relation
 from podkit.errors import DimensionMismatch, NotInvertible
-from podkit.gram_space import identity_space, make_space
+from podkit.gram_space import Banded, identity_space, make_space
 from podkit.linear_map import (
     MATRIX_CSV_ARRAYS,
     LinearMap,
@@ -314,7 +313,7 @@ def test_diag_spec_is_sparse_and_certifies_like_the_dense_map():
     d = np.random.default_rng(1).uniform(0.5, 3.0, 8) * np.resize([1.0, -1.0], 8)
     lmap = _diag_spec_map(d, space)
     dense = make_map(space, space, np.diag(d), invertible=True)
-    assert sparse.issparse(lmap.matrix) and sparse.issparse(lmap.inverse)
+    assert isinstance(lmap.matrix, Banded) and isinstance(lmap.inverse, Banded)
     assert np.array_equal(lmap.matrix.toarray(), np.diag(d))
     assert np.allclose(lmap.inverse.toarray(), dense.inverse, rtol=1e-14, atol=0)
     assert np.allclose(adjoint(lmap), adjoint(dense), rtol=1e-12, atol=0)
@@ -343,7 +342,7 @@ def test_ill_conditioned_diag_spec_is_refused():
 
 def test_diag_spec_of_30000_entries_builds_without_an_n_by_n_array():
     # the dense map, its inverse and the certificate took 4 n^2 doubles
-    # (7.2 GB each at this size); the sparse ones take O(n)
+    # (7.2 GB each at this size); the banded ones take O(n)
     space = identity_space(30000)
     d = np.linspace(1.0, 2.0, 30000)
     tracemalloc.start()

@@ -303,7 +303,8 @@ def test_flagship_pod_is_bit_equal_to_the_unblocked_svd(fhn_instance):
 
 
 def test_compute_pod_peak_is_two_and_a_half_data_arrays():
-    # The SVD overwrites the one Fortran-order working copy, and its right
+    # numpy's SVD copies the one Fortran-order working copy into buffers
+    # of its own, which tracemalloc does not trace, and its right
     # vectors become right_full, signed in place: with full rank the peak
     # above the input is about two data arrays, and the basis keeps one,
     # since right_vectors is a view of right_full.

@@ -1,11 +1,11 @@
 """Projection families: idempotency, self-adjointness, operator norms, and
 the level factories against per-level reference builds."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.linalg import eigh, lu_factor, lu_solve
 
 from podkit.error_lab import PROJECTOR_FAMILIES, certifier
@@ -19,8 +19,8 @@ from podkit.errors import (
 )
 from podkit.fem import assemble_fem_1d
 from podkit.fhn_gen import embedding_set
-from podkit.gram_space import identity_space, make_space
-from podkit.linear_map import identity_map, make_map
+from podkit.gram_space import Banded, identity, identity_space, make_space
+from podkit.linear_map import build_map_from_spec, identity_map, make_map
 from podkit.pod_engine import compute_pod
 from podkit.projector import (
     ELLIPTICITY_DEGENERACY,
@@ -151,7 +151,7 @@ def test_ritz_degenerate_form_rejected():
 
 def reference_ellipticity(space, form):
     """The dense generalized eigensolve that form_ellipticity replaced."""
-    A = form.toarray() if sparse.issparse(form) else np.asarray(form)
+    A = form.toarray() if isinstance(form, Banded) else np.asarray(form)
     vals = eigh(0.5 * (A + A.T), space.gram.toarray(), eigvals_only=True)
     return float(vals[0]), float(vals[-1])
 
@@ -170,7 +170,7 @@ def test_form_ellipticity_matches_the_dense_generalized_eigensolve():
         (embed, h1.toarray(), False),
         (embed, h1 + 0.5 * convection(nodes), False),
         (embed, mesh.mass, False),  # c about 2e-6 against C about 1
-        (embed, sparse.csr_array((nodes, nodes)), True),
+        (embed, Banded({}, (nodes, nodes)), True),
         (embed, mesh.stiffness - mesh.stiffness.T, True),
         (embed, -h1, True),
         (dense, M @ M.T + np.eye(12), False),
@@ -199,7 +199,7 @@ def test_form_ellipticity_of_30000_nodes_is_exact_and_small():
     space = identity_space(30000)
     tracemalloc.start()
     try:
-        constants = form_ellipticity(space, sparse.eye_array(30000, format="csr"))
+        constants = form_ellipticity(space, identity(30000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -208,7 +208,7 @@ def test_form_ellipticity_of_30000_nodes_is_exact_and_small():
 
 
 def test_sparse_identity_keeps_the_30000_node_embedding_families_small():
-    # identity_map holds one sparse identity (a dense pair would take
+    # identity_map holds one banded identity (a dense pair would take
     # 14.4 GB) and neither family forms an n x n array
     nodes = 30000
     sset = embedding_set(nodes)[0]
@@ -303,8 +303,11 @@ def reference_ritz(basis, lmap, form, r):
 
 
 def reference_pushforward(basis, lmap, r):
+    # L^{-T} G_x Phi solved with the map's own matrix, not read off the
+    # certified inverse that pushforward_levels reads
     Phi = basis.modes[:, :r]
-    dual = solve_gram(lmap.codomain, lmap.inverse.T @ (basis.space.gram @ Phi))
+    L = lmap.matrix.toarray() if isinstance(lmap.matrix, Banded) else lmap.matrix
+    dual = solve_gram(lmap.codomain, np.linalg.solve(L.T, basis.space.gram @ Phi))
     return Projector(lmap.codomain, lmap.matrix @ Phi, dual)
 
 
@@ -349,8 +352,12 @@ def embedding_1000():
 
 @pytest.mark.parametrize("family", PROJECTOR_FAMILIES)
 def test_level_factories_match_per_level_builds(family, embedding_1000):
-    # the family each --projector value selects, on the CLI's default form
-    cases = [embedding_1000]
+    # the family each --projector value selects, on the CLI's default form;
+    # the "diag" spec map is one whose matrix is not the identity
+    sset, basis, _ = embedding_1000
+    d = np.random.default_rng(2).uniform(0.5, 2.0, sset.space_dim)
+    diag_map = build_map_from_spec(json.dumps({"diag": d.tolist()}), sset)[0]
+    cases = [embedding_1000, (sset, basis, diag_map)]
     for seed in (77, 78, 79):
         inst = random_instance(10, 8, seed=seed)
         cases.append((inst["set"], compute_pod(inst["set"]), inst["map"]))
