@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import svd
+from numpy.linalg import svd
 
 from podkit.error_lab import certifier, rank_relation
 from podkit.errors import DimensionMismatch
@@ -261,7 +261,10 @@ def test_compute_pod_memory_stays_linear_in_snapshot_count():
 def unblocked_pod(sset):
     """The whole whitened data matrix in one SVD: eigenvalues, left vectors,
     modes and right vectors of the full spectrum, as compute_pod computed
-    them before it filled its SVD input a column block at a time."""
+    them before it filled its SVD input a column block at a time.  It calls
+    the SVD compute_pod calls, numpy's: scipy links an OpenBLAS build of its
+    own, whose threaded products in xGESDD differ from numpy's in the last
+    bits when more than one BLAS thread runs."""
     g12 = np.sqrt(sset.weights)
     U, sig, Vt = svd(half_weight(sset.space, sset.data * g12[None, :]), full_matrices=False)
     return sig**2, U, half_weight_inv(sset.space, U), Vt.T / g12[:, None]
