@@ -27,6 +27,20 @@ the data CSV while the solve runs (snapshot_io.CsvStream); the CSV's
 temporary file is made first, so an unwritable --output fails before the
 solve.
 
+--seed fixes verify's pointwise directions: level r's pw_* rows bound the
+elements K c of POINTWISE_PER_LEVEL coefficient vectors c that depend on
+(seed, r) alone (pointwise_coefficients), so a level's rows are the same
+whichever other levels run.  They differ from the pw_* rows of reports
+written when every level drew from one numpy.random stream.
+
+Importing this module imports numpy and every podkit module, but no
+scipy, numpy.random, subprocess or csv module.  pod, verify, sweep and a
+JSON table load none of those four; table on a CSV report loads csv, and
+an explicit "ritz_form" loads scipy (the ellipticity bisection's dpbtrf),
+which itself loads the other three.  generate-synthetic loads numpy.random
+for its data, and generate-fhn subprocess for its CSV helper and scipy for
+its solve's LAPACK kernels.
+
 --map takes a map spec, inline JSON or a path to a JSON file; the grammar is
 documented once, in podkit.linear_map.build_map_from_spec.  --projector ritz
 uses the spec's "ritz_form"; without one it projects in the codomain inner
@@ -39,6 +53,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import os
@@ -114,6 +129,23 @@ def _requested_r_values(text, basis):
 
 # -- battery -----------------------------------------------------------------
 
+def pointwise_coefficients(seed, r, count):
+    """The POINTWISE_PER_LEVEL coefficient vectors of level r, as the columns
+    of a (count, POINTWISE_PER_LEVEL) array of standard normals that depend
+    on (seed, r, count) alone, so a level's pw_* rows are the same whichever
+    other levels run.  Each uniform is the top 53 bits of an 8-byte word of
+    shake_256("seed:r"); Box-Muller pairs the first half of them (radii)
+    with the second (angles).  No numpy.random module is loaded."""
+    n = POINTWISE_PER_LEVEL * count
+    half = (n + 1) // 2
+    stream = hashlib.shake_256(f"{seed}:{r}".encode()).digest(16 * half)
+    u = (np.frombuffer(stream, dtype="<u8") >> 11) * 2.0**-53  # on [0, 1)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:half]))
+    angle = 2.0 * np.pi * u[half:]
+    normals = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))
+    return normals[:n].reshape(POINTWISE_PER_LEVEL, count).T
+
+
 def run_battery(cert, r_values, seed):
     """Identity and bound checks for verify; returns (reports, extra).
 
@@ -123,15 +155,14 @@ def run_battery(cert, r_values, seed):
     identities, and a handful of seeded pointwise bounds.  With a map, the
     rank relation is reported once in extra.
     """
-    rng = np.random.default_rng(0 if seed is None else seed)
+    seed = 0 if seed is None else seed
     extra = {"r_values": list(r_values), "tol": IDENTITY_RTOL, "family": cert.family}
     if cert.lmap is None:
         return [rep for r in r_values for rep in battery_level(cert, r)], extra
 
     reports = []
     for r in r_values:
-        coeffs = rng.standard_normal((POINTWISE_PER_LEVEL, cert.sset.count)).T
-        reports.extend(battery_level(cert, r, coeffs))
+        reports.extend(battery_level(cert, r, pointwise_coefficients(seed, r, cert.sset.count)))
     extra["rank_relation"] = rank_relation(cert)
     return reports, extra
 

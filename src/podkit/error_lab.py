@@ -47,7 +47,6 @@ row records its floor in info["floor"].
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field
@@ -527,6 +526,8 @@ def read_report(path):
         )):
             raise MalformedManifest(f'{path}: "rank_relation" needs boolean decided and passed')
     else:
+        import csv  # here, so that a JSON table does not load it
+
         try:
             with open(path) as fh:
                 raws = list(csv.DictReader(fh))

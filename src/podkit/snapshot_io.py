@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -56,6 +55,13 @@ from .gram_space import make_space
 # Reading checks this count against gram_space.DENSE_BYTES_BUDGET (refused
 # above 2,896 rows).
 CSV_GRAM_ARRAYS = 8
+# A bundle's dim x count data are budgeted the same way, at load's measured
+# peak in dim * count doubles (tracemalloc, 200 to 3,000 rows): 1.1 to 1.2
+# from the .npy (the array and its finiteness mask), 1.1 to 1.5 from the
+# CSV (loadtxt's array, its mask, and for few rows the manifest's weights).
+# load checks it before either read, so a manifest claiming a huge shape is
+# ProblemTooLarge, not an allocation failure.
+DATA_LOAD_ARRAYS = 2
 
 
 @dataclass
@@ -244,6 +250,8 @@ class CsvStream:
     """
 
     def __init__(self, path):
+        import subprocess  # here, so that only generate-fhn loads it
+
         self.path = path
         self._proc = None
         fd, self._tmp = _temp_beside(path)
@@ -345,7 +353,8 @@ def _read_data_npy(base, csv_path, entry, shape):
             return None
         with open(os.path.join(base, entry["file"]), "rb") as fh:
             # the header is checked before any array is allocated, so a
-            # header claiming a huge shape costs nothing
+            # header claiming another shape costs nothing (load has checked
+            # the manifest's shape against the budget)
             version = fmt.read_magic(fh)
             if version == (1, 0):
                 header = fmt.read_array_header_1_0(fh)
@@ -520,7 +529,9 @@ def load(manifest_path):
     """Load a manifest written by save (or by hand) and attach its space.
 
     The data come from the .npy that save wrote when every check of
-    _read_data_npy holds, and from the CSV otherwise.  Raises
+    _read_data_npy holds, and from the CSV otherwise; before either is
+    read, DATA_LOAD_ARRAYS dim x count doubles are checked against
+    gram_space.DENSE_BYTES_BUDGET (ProblemTooLarge).  Raises
     MalformedManifest / MissingDataFile / WeightNonPositive /
     NonMonotoneGrid as appropriate.
     """
@@ -537,6 +548,7 @@ def load(manifest_path):
     if not isinstance(manifest.get("data"), str):
         raise MalformedManifest(f"{manifest_path}: data must name a CSV file")
     data_path = os.path.join(base, manifest["data"])
+    check_dense_budget(DATA_LOAD_ARRAYS, (dim, count), f"the data of {manifest_path}")
     data = _read_data_npy(base, data_path, manifest.get("data_npy"), (dim, count))
     if data is None:
         data = read_matrix_csv(data_path, dim, count)

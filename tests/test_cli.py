@@ -1,6 +1,7 @@
 """Command-line surface: pipelines, exit codes, determinism, tolerances."""
 
 import functools
+import hashlib
 import json
 import os
 import stat
@@ -13,7 +14,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from podkit import cli, fhn_gen
-from podkit.cli import POINTWISE_PER_LEVEL, build_map_from_spec, main
+from podkit.cli import build_map_from_spec, main, pointwise_coefficients
 from podkit.error_lab import PROJECTOR_FAMILIES, battery_level, certifier, write_report
 from podkit.fem import assemble_fem_1d
 from podkit.fhn_gen import FhnConfig, embedding_set, make_fhn_instance
@@ -431,7 +432,7 @@ def test_outputs_byte_identical_across_reruns(tmp_path, capsys):
 def test_verify_rows_are_the_library_battery(synth_bundle, tmp_path, capsys, family):
     # the CLI and the library are one path: every row verify writes is the
     # row battery_level gives for the certifier of the same bundle, with the
-    # CLI's seeded pointwise coefficients drawn level by level
+    # CLI's seeded pointwise coefficients of each level
     manifest, map_path = synth_bundle
     report = tmp_path / "cli.json"
     code, _, err = run(
@@ -442,15 +443,49 @@ def test_verify_rows_are_the_library_battery(synth_bundle, tmp_path, capsys, fam
     sset = load(manifest)
     lmap, form = build_map_from_spec(map_path, sset)
     cert = certifier(sset, compute_pod(sset), lmap, family, form)
-    rng = np.random.default_rng(7)
     reports = []
     for r in (1, 3, 4):
-        coeffs = rng.standard_normal((POINTWISE_PER_LEVEL, sset.count)).T
-        reports += battery_level(cert, r, coeffs=coeffs)
+        reports += battery_level(cert, r, coeffs=pointwise_coefficients(7, r, sset.count))
     library = str(tmp_path / "library.json")
     write_report(reports, library)
     checks = [json.loads(Path(path).read_text())["checks"] for path in (report, library)]
     assert checks[0] == checks[1]
+
+
+def test_a_level_reads_the_same_rows_whichever_levels_run(synth_bundle, tmp_path, capsys):
+    # the pointwise directions depend on (seed, level) alone, so level 4's
+    # rows, pw_* included, do not move when other levels run before it
+    manifest, map_path = synth_bundle
+    rows = {}
+    for name, levels in (("alone", ["--r", "4"]), ("after_1", ["--r", "1,4"]), ("default", [])):
+        report = tmp_path / f"{name}.json"
+        code, _, err = run(
+            capsys, "verify", "--input", manifest, "--map", map_path, "--projector",
+            "composite-xy", "--seed", "3", *levels, "--output", str(report),
+        )
+        assert code == 0, err
+        checks = json.loads(report.read_text())["checks"]
+        rows[name] = [row for row in checks if row["r"] == 4]
+    assert {row["identity_id"] for row in rows["alone"]} >= {
+        "pw_proj_y", "pw_composite_y", "pw_composite_x",
+    }
+    assert rows["after_1"] == rows["alone"]
+    assert rows["default"] == rows["alone"]
+
+
+def test_pointwise_coefficients_are_standard_normals():
+    # a pure function of (seed, level, count): repeatable, different for
+    # another seed or level, and normal in its first moments
+    z = pointwise_coefficients(0, 1, 20001)
+    assert z.shape == (20001, 5)
+    assert np.array_equal(z, pointwise_coefficients(0, 1, 20001))
+    small = pointwise_coefficients(0, 1, 3)
+    assert not np.any(small == pointwise_coefficients(1, 1, 3))
+    assert not np.any(small == pointwise_coefficients(0, 2, 3))
+    assert np.isfinite(z).all()
+    assert abs(z.mean()) < 0.02 and abs(z.std() - 1.0) < 0.02
+    assert abs((z**4).mean() - 3.0) < 0.15
+    assert abs(np.corrcoef(z[:, 0], z[:, 1])[0, 1]) < 0.03
 
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])
@@ -981,6 +1016,81 @@ def test_certify_commands_import_no_scipy(tmp_path):
     assert len(reports) == 1 + len(runs)
     assert [(what, code) for what, scipy_loaded, code in reports if scipy_loaded] == []
     assert all(code == 0 for _, _, code in reports), reports
+
+
+_UNNEEDED_MODULES_SCRIPT = """
+import json, sys
+import numpy
+
+UNNEEDED = {"numpy.random", "subprocess", "csv"}
+# numpy before 2.0 imports numpy.random itself; what numpy loads is not
+# the command's doing
+with_numpy = UNNEEDED & set(sys.modules)
+from podkit.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    loaded = sorted(UNNEEDED & set(sys.modules) - with_numpy)
+    print(json.dumps([" ".join(argv[:1] + argv[2:]), loaded, code]))
+"""
+
+
+def test_certify_commands_load_no_random_subprocess_or_csv_module(synth_bundle, tmp_path):
+    # pod, verify with and without a map in every family, sweep and a JSON
+    # table load neither numpy.random (the pointwise directions are hashed)
+    # nor subprocess (generate-fhn's CSV helper alone starts a process) nor
+    # csv (read only for a CSV report); the bundle is written here, since
+    # generate-synthetic draws with numpy.random
+    manifest, map_path = synth_bundle
+    stem = str(tmp_path / "out")
+    runs = [
+        ["pod", "--input", manifest, "--output", stem + "_basis.json"],
+        ["verify", "--input", manifest, "--r", "1,2", "--output", stem + "_plain.json"],
+    ]
+    for family in PROJECTOR_FAMILIES:
+        common = ["--input", manifest, "--map", map_path, "--projector", family, "--r", "1,2"]
+        runs.append(["verify", *common, "--seed", "5", "--output", f"{stem}_{family}.json"])
+        runs.append(["sweep", *common, "--output", f"{stem}_{family}.csv"])
+    runs.append(["table", "--input", f"{stem}_ritz.json"])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _UNNEEDED_MODULES_SCRIPT, json.dumps(runs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    reports = [json.loads(line) for line in done.stdout.splitlines() if line.startswith("[")]
+    assert len(reports) == len(runs)
+    assert [(what, loaded) for what, loaded, _ in reports if loaded] == []
+    assert all(code == 0 for _, _, code in reports), reports
+
+
+def test_pod_on_an_oversized_manifest_exits_2_before_allocating(tmp_path, capsys):
+    # a manifest claiming 200,000 x 200,000 data beside a 4-byte CSV with
+    # its recorded digest and an .npy header of that shape: load counts
+    # the shape against the dense budget before reading either file, where
+    # np.empty of the header's 298 GiB ended in an untyped MemoryError
+    n = 200_000
+    csv_path = tmp_path / "s_data.csv"
+    csv_path.write_bytes(b"1,2\n")
+    with open(tmp_path / "s_data.npy", "wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": (n, n)}
+        )
+    manifest = tmp_path / "s.json"
+    manifest.write_text(json.dumps({
+        "dim": n, "count": n, "kind": "discrete", "gram": "identity",
+        "data": csv_path.name, "weights": [1.0] * n,
+        "data_npy": {
+            "file": "s_data.npy",
+            "csv_sha256": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+            "sha256": "0" * 64,
+        },
+    }))
+    code, _, err = run(capsys, "pod", "--input", str(manifest), "--output", str(tmp_path / "b.json"))
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ProblemTooLarge"
+    assert "200000 x 200000" in payload["message"]
+    assert not (tmp_path / "b.json").exists()
 
 
 @pytest.mark.parametrize(

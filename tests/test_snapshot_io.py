@@ -27,6 +27,7 @@ from podkit.gram_space import DENSE_BYTES_BUDGET, identity_space, make_space
 from podkit.snapshot_io import (
     CsvStream,
     CSV_GRAM_ARRAYS,
+    DATA_LOAD_ARRAYS,
     csv_shape,
     data_csv_path,
     from_trajectory,
@@ -305,6 +306,28 @@ def test_csv_gram_peaks_within_its_counted_arrays(tmp_path):
         tracemalloc.stop()
     assert space.chol.shape == (n, n)
     assert read_peak < counted, (read_peak, counted)
+
+
+def test_load_peaks_within_its_counted_arrays(tmp_path):
+    # the budget counts DATA_LOAD_ARRAYS dim x count arrays: the traced peak
+    # of loading a bundle from its .npy and, with the .npy gone, its CSV
+    dim, count = 200, 500
+    path = str(tmp_path / "s.json")
+    data = np.random.default_rng(6).standard_normal((dim, count))
+    save(make_snapshot_set(data, np.ones(count)), path, "identity")
+    del data
+    counted = 8 * DATA_LOAD_ARRAYS * dim * count
+    for route in ("npy", "csv"):
+        if route == "csv":
+            os.remove(tmp_path / "s_data.npy")
+        tracemalloc.start()
+        try:
+            sset = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sset.data.shape == (dim, count)
+        assert peak < counted, (route, peak, counted)
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):
