@@ -3,7 +3,8 @@
 Every matrix CSV podkit writes is headerless, one row per line, each cell
 CSV_FMT (17 significant digits, so float64 values round-trip bit-exactly)
 and the cells of a row joined by commas.  snapshot_io.write_matrix_csv
-formats a finished matrix with row_format in process.
+formats a finished matrix with row_format in process; a sweep report's
+numbers (error_lab.write_report_csv) are CSV_FMT too.
 
 This module needs the standard library alone, so that snapshot_io.CsvStream
 can run it as a script in a fresh interpreter,

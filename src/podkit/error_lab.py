@@ -54,6 +54,7 @@ from typing import Callable
 
 import numpy as np
 
+from .csv_rows import CSV_FMT
 from .errors import DimensionMismatch, IndexOutOfRange, MalformedManifest, MissingDataFile
 from .errors import RankExceeded
 from .gram_space import column_blocks, half_weight, half_weight_inv, whitened_blocks
@@ -460,7 +461,7 @@ def write_report_csv(reports, path):
     lines = [",".join(CSV_COLUMNS)]
     for rep in reports:
         values = [rep.identity_id, str(rep.r)]
-        values += ["%.16e" % getattr(rep, key) for key in CSV_COLUMNS[2:6]]
+        values += [CSV_FMT % getattr(rep, key) for key in CSV_COLUMNS[2:6]]
         lines.append(",".join(values + [str(bool(rep.passed)).lower()]))
     _atomic_write(path, "\n".join(lines) + "\n")
     return path

@@ -231,16 +231,14 @@ def solve_fhn(config, stream=None):
 
 def make_fhn_instance(config=None, stream=None):
     """Solve the system; returns generate-fhn's (snapshot set, gram spec, map
-    spec): the two-species L^2 product space and the forward derivative.
-    A stream receives the snapshots as solve_fhn computes them."""
+    spec): the set on solve_fhn's time grid, the two-species L^2 product
+    space and the forward derivative.  A stream receives the snapshots as
+    solve_fhn computes them."""
     config = config or FhnConfig()
     grid, data = solve_fhn(config, stream)
     n = config.nodes
     gram_spec = {"block_diag": [{"fem_mass": n}] * 2}
-    sset = make_snapshot_set(
-        data, np.diff(grid), kind="continuous", grid=grid,
-        space=resolve_gram_spec(gram_spec, 2 * n),
-    )
+    sset = make_snapshot_set(data, grid=grid, space=resolve_gram_spec(gram_spec, 2 * n))
     return sset, gram_spec, {"derivative_1d": {"nodes": n, "scheme": "forward"}}
 
 

@@ -15,7 +15,8 @@ data-sized temporaries are blocks of gram_space.COLUMN_BLOCK_BYTES.
 numpy.linalg.svd (xGESDD) then works in buffers of its own, a copy of A,
 its vectors and its workspace: by peak RSS (one BLAS thread) the SVD alone
 adds 12 to 13 MB for a 3.1 MB 200 x 2000 input, and compute_pod adds
-18.3 MB over load on the flagship.  Its left vectors are the modes in whitened
+18.3 MB over load on the flagship, so it first checks snapshot_io.POD_ARRAYS
+data-sized arrays against the dense budget.  Its left vectors are the modes in whitened
 coordinates, U = C^T Phi, which the certificate reads; pod writes Phi.  The
 SVD route and the correlation eigenproblem agree in exact arithmetic; the
 SVD is preferred because its backward error couples trailing singular
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EigenFailure, IndexOutOfRange
-from .gram_space import GramSpace, half_weight_inv, whitened_blocks
-from .snapshot_io import _atomic_write, write_matrix_csv
+from .gram_space import GramSpace, check_dense_budget, half_weight_inv, whitened_blocks
+from .snapshot_io import POD_ARRAYS, _atomic_write, write_matrix_csv
 
 DEFAULT_DROP_TOL = 1e-12
 # A mode is signed by its first entry whose magnitude is within this
@@ -145,6 +146,7 @@ def compute_pod(sset, drop_tol=DEFAULT_DROP_TOL):
         raise IndexOutOfRange(f"drop_tol must lie in (0, 1), got {drop_tol}")
 
     W = sset.data
+    check_dense_budget(POD_ARRAYS, W.shape, "the POD")
     g12 = np.sqrt(sset.weights)
     A = np.empty(W.shape, order="F")  # C^T W Gamma^{1/2}, n x s, by blocks
     for blk, whitened, _ in whitened_blocks(W, space, scale=g12):

@@ -2,9 +2,8 @@
 
 A snapshot set is a matrix of column vectors w_1 .. w_s together with strictly
 positive weights gamma_1 .. gamma_s.  Discrete sets carry the weights
-directly; sets reduced from a time trajectory carry the originating time grid
-and use the interval lengths as weights, with each column the midpoint
-average of the two bracketing states.
+directly; continuous sets, reduced from a time trajectory, carry its time
+grid instead, whose interval lengths make_snapshot_set takes as the weights.
 
 On disk a set is a small JSON manifest next to a headerless CSV of the data
 columns (one row per coordinate, 17 significant digits, so float64 values
@@ -62,6 +61,12 @@ CSV_GRAM_ARRAYS = 8
 # load checks it before either read, so a manifest claiming a huge shape is
 # ProblemTooLarge, not an allocation failure.
 DATA_LOAD_ARRAYS = 2
+# pod_engine.compute_pod's peak RSS over the loaded data, in dim * count
+# doubles (one BLAS thread): 4.4 at 400 x 20,000, 5.8 at 2,000 x 400, 6.3 at
+# 200 x 2,000, and 9.0 to 9.7 for square data (800 to 2,000 rows), whose
+# xGESDD workspace is largest.  compute_pod checks it before it allocates
+# (refused above 5,592,405 values, 42.7 MiB of data).
+POD_ARRAYS = 12
 
 
 @dataclass
@@ -73,9 +78,7 @@ class SnapshotSet:
     data : ndarray, shape (dim, s)
         Snapshot columns.
     weights : ndarray, shape (s,)
-        Strictly positive weights.
-    kind : str
-        "discrete" or "continuous".
+        Strictly positive weights; a continuous set's are np.diff(grid).
     grid : ndarray or None
         For continuous sets, the s + 1 time points the set was reduced from.
     space : GramSpace or None
@@ -84,9 +87,13 @@ class SnapshotSet:
 
     data: np.ndarray
     weights: np.ndarray
-    kind: str = "discrete"
     grid: np.ndarray | None = None
     space: GramSpace | None = field(default=None, repr=False)
+
+    @property
+    def kind(self):
+        """The set's kind: "continuous" when it holds a time grid, else "discrete"."""
+        return "discrete" if self.grid is None else "continuous"
 
     @property
     def space_dim(self):
@@ -97,14 +104,29 @@ class SnapshotSet:
         return self.data.shape[1]
 
 
-def make_snapshot_set(data, weights, kind="discrete", grid=None, space=None):
-    """Validate shapes, data, weights and grid, then build the set; data
-    holding nan or inf is MalformedManifest, as it is in a bundle's CSV, and
-    so are continuous weights other than exactly np.diff(grid)."""
+def make_snapshot_set(data, weights=None, grid=None, space=None):
+    """Validate shapes, data, weights or grid, then build the set.
+
+    Pass exactly one of weights and grid (MalformedManifest otherwise): a
+    continuous set's weights are its grid's interval lengths, np.diff(grid),
+    and a grid that is not strictly increasing is NonMonotoneGrid.  Data
+    holding nan or inf is MalformedManifest, as it is in a bundle's CSV.
+    """
     data = np.asarray(data, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    if (weights is None) == (grid is None):
+        raise MalformedManifest("a snapshot set takes either weights or a time grid")
     if data.ndim != 2:
         raise DimensionMismatch(f"data must be 2-D, got shape {data.shape}")
+    if grid is not None:
+        grid = np.asarray(grid, dtype=float)
+        if grid.ndim != 1 or grid.shape[0] != data.shape[1] + 1:
+            raise DimensionMismatch(
+                f"grid of {grid.shape} does not bracket {data.shape[1]} snapshots"
+            )
+        weights = np.diff(grid)
+        if np.any(weights <= 0.0):
+            raise NonMonotoneGrid("time grid must be strictly increasing")
+    weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.shape[0] != data.shape[1]:
         raise DimensionMismatch(
             f"weights shape {weights.shape} does not match {data.shape[1]} columns"
@@ -119,39 +141,19 @@ def make_snapshot_set(data, weights, kind="discrete", grid=None, space=None):
         )
     if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
         raise WeightNonPositive("all weights must be finite and > 0")
-    if kind not in ("discrete", "continuous"):
-        raise MalformedManifest(f"unknown snapshot kind {kind!r}")
-    if kind == "continuous":
-        if grid is None:
-            raise MalformedManifest("continuous sets need their time grid")
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.shape[0] != data.shape[1] + 1:
-            raise DimensionMismatch(
-                f"grid of {grid.shape} does not bracket {data.shape[1]} snapshots"
-            )
-        intervals = np.diff(grid)
-        if np.any(intervals <= 0.0):
-            raise NonMonotoneGrid("time grid must be strictly increasing")
-        if not np.array_equal(weights, intervals):  # save keeps only the grid
-            j = int(np.flatnonzero(weights != intervals)[0])
-            raise MalformedManifest(
-                f"continuous weight {j + 1} is {weights[j]}, not the grid interval {intervals[j]}"
-            )
-    else:
-        grid = None
     if space is not None and space.dim != data.shape[0]:
         raise DimensionMismatch(
             f"space of dim {space.dim} cannot hold columns of length {data.shape[0]}"
         )
-    return SnapshotSet(data=data, weights=weights, kind=kind, grid=grid, space=space)
+    return SnapshotSet(data=data, weights=weights, grid=grid, space=space)
 
 
 def from_trajectory(grid, states, space=None):
-    """Reduce a sampled trajectory to a continuous-kind snapshot set.
+    """Reduce a sampled trajectory to a continuous snapshot set.
 
     Column k of the result is the average of states at grid points k and
-    k + 1; its weight is the interval length.  This realizes the elementwise
-    midpoint quadrature of time integrals.
+    k + 1, weighted by the interval length (make_snapshot_set checks the
+    grid).  This realizes the elementwise midpoint quadrature of time integrals.
 
     Parameters
     ----------
@@ -162,20 +164,11 @@ def from_trajectory(grid, states, space=None):
     space : GramSpace, optional
         Ambient space to attach.
     """
-    grid = np.asarray(grid, dtype=float)
     states = np.asarray(states, dtype=float)
-    if grid.ndim != 1 or grid.shape[0] < 2:
-        raise DimensionMismatch("grid must hold at least two time points")
-    if states.ndim != 2 or states.shape[1] != grid.shape[0]:
-        raise DimensionMismatch(
-            f"states shape {states.shape} does not match grid of {grid.shape[0]}"
-        )
-    if np.any(np.diff(grid) <= 0.0):
-        raise NonMonotoneGrid("time grid must be strictly increasing")
+    if states.ndim != 2:
+        raise DimensionMismatch(f"states must be 2-D, got shape {states.shape}")
     data = 0.5 * (states[:, 1:] + states[:, :-1])
-    return make_snapshot_set(
-        data, np.diff(grid), kind="continuous", grid=grid, space=space
-    )
+    return make_snapshot_set(data, grid=grid, space=space)
 
 
 def _temp_beside(path):
@@ -532,8 +525,8 @@ def load(manifest_path):
     _read_data_npy holds, and from the CSV otherwise; before either is
     read, DATA_LOAD_ARRAYS dim x count doubles are checked against
     gram_space.DENSE_BYTES_BUDGET (ProblemTooLarge).  Raises
-    MalformedManifest / MissingDataFile / WeightNonPositive /
-    NonMonotoneGrid as appropriate.
+    MalformedManifest / MissingDataFile as appropriate; make_snapshot_set
+    checks the manifest's grid or weights.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     manifest = _read_json(manifest_path)
@@ -553,14 +546,11 @@ def load(manifest_path):
     if data is None:
         data = read_matrix_csv(data_path, dim, count)
 
-    grid = None
+    grid = weights = None
     if kind == "continuous":
         grid = _float_list(manifest.get("grid"), "continuous manifest grid", count + 1)
-        weights = np.diff(grid)
-        if np.any(weights <= 0.0):
-            raise NonMonotoneGrid("manifest grid is not strictly increasing")
     else:
         weights = _float_list(manifest.get("weights"), "discrete manifest weights", count)
 
     space = resolve_gram_spec(manifest.get("gram"), dim, base)
-    return make_snapshot_set(data, weights, kind=kind, grid=grid, space=space)
+    return make_snapshot_set(data, weights, grid, space)

@@ -320,7 +320,7 @@ def make_fhn_dict(config=None):
 
 
 def induced_snapshots(lmap, sset):
-    """Push a snapshot set through the map; weights and kind are preserved.
+    """Push a snapshot set through the map; weights and grid are preserved.
 
     Its POD is the reference for pod_engine.image_spectrum, which reads the
     same spectrum off the data without forming the image set's vectors, and
@@ -330,13 +330,9 @@ def induced_snapshots(lmap, sset):
         raise DimensionMismatch(
             f"snapshots of dim {sset.space_dim} through map from dim {lmap.domain.dim}"
         )
-    return make_snapshot_set(
-        lmap.matrix @ sset.data,
-        sset.weights.copy(),
-        kind=sset.kind,
-        grid=None if sset.grid is None else sset.grid.copy(),
-        space=lmap.codomain,
-    )
+    if sset.grid is None:
+        return make_snapshot_set(lmap.matrix @ sset.data, sset.weights.copy(), space=lmap.codomain)
+    return make_snapshot_set(lmap.matrix @ sset.data, grid=sset.grid.copy(), space=lmap.codomain)
 
 
 def _random_spd_space(rng, dim):
@@ -357,7 +353,6 @@ def random_instance(
     dim_y=None,
     map_rank=None,
     data_rank=None,
-    kind="discrete",
 ):
     """Seeded random weighted-POD instance with a controlled spectrum.
 
@@ -396,13 +391,5 @@ def random_instance(
         )
         lmap = make_map(space_x, space_y, matrix)
 
-    if kind == "continuous":
-        t0 = np.cumsum(rng.uniform(0.05, 1.0, s + 1))
-        grid = t0 - t0[0]
-        sset = make_snapshot_set(
-            data, np.diff(grid), kind="continuous", grid=grid, space=space_x
-        )
-    else:
-        weights = rng.uniform(0.5, 2.0, s)
-        sset = make_snapshot_set(data, weights, kind="discrete", space=space_x)
+    sset = make_snapshot_set(data, rng.uniform(0.5, 2.0, s), space=space_x)
     return {"set": sset, "space_x": space_x, "space_y": space_y, "map": lmap}

@@ -123,7 +123,7 @@ def perturbed_synth33(tmp_path, capsys):
     sset = load(manifest)
     rng = np.random.default_rng(0)
     data = sset.data * (1.0 + 1e-15 * rng.standard_normal(sset.data.shape))
-    perturbed = make_snapshot_set(data, sset.weights, kind="continuous", grid=sset.grid)
+    perturbed = make_snapshot_set(data, grid=sset.grid)
     save(perturbed, str(tmp_path / "p.json"), json.loads((tmp_path / "s.json").read_text())["gram"])
     return tmp_path
 
@@ -1091,6 +1091,33 @@ def test_pod_on_an_oversized_manifest_exits_2_before_allocating(tmp_path, capsys
     assert payload["error"] == "ProblemTooLarge"
     assert "200000 x 200000" in payload["message"]
     assert not (tmp_path / "b.json").exists()
+
+
+def test_pod_beyond_the_dense_budget_exits_2_before_the_svd(
+    synth_bundle, tmp_path, capsys, monkeypatch
+):
+    # load counts DATA_LOAD_ARRAYS 17 x 40 arrays and compute_pod POD_ARRAYS
+    # of them: under a budget that fits the load alone, pod is refused
+    # before the whitened copy or the SVD, and no basis is written
+    import podkit.gram_space
+    import podkit.pod_engine
+    from podkit.snapshot_io import DATA_LOAD_ARRAYS
+
+    def never(*args, **kwargs):
+        raise AssertionError("the SVD ran")
+
+    manifest, _ = synth_bundle
+    monkeypatch.setattr(podkit.gram_space, "DENSE_BYTES_BUDGET", 8 * DATA_LOAD_ARRAYS * 17 * 40)
+    monkeypatch.setattr(podkit.pod_engine, "_svd", never)
+    load(manifest)  # fits
+    out_dir = tmp_path / "basis"
+    out_dir.mkdir()
+    code, out, err = run(capsys, "pod", "--input", manifest, "--output", str(out_dir / "b.json"))
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ProblemTooLarge"
+    assert "the POD needs 12 dense 17 x 40 arrays" in payload["message"]
+    assert os.listdir(out_dir) == []
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,11 @@ half-weighted data matrix instead, so agreement is a genuine cross-check.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from podkit.fem import assemble_fem_1d
 from podkit.gram_space import half_weight, half_weight_inv, identity_space, make_space
 from podkit.linear_map import identity_map
 from podkit.pod_engine import compute_pod, save_basis
-from podkit.snapshot_io import make_snapshot_set
+from podkit.snapshot_io import POD_ARRAYS, make_snapshot_set
 
 from conftest import GOLDEN_LAMBDA_1, GOLDEN_LAMBDA_2
 from oracles import apply_K, apply_K_adjoint, apply_projector, hs_norm_sq, inner
@@ -256,6 +260,41 @@ def test_compute_pod_memory_stays_linear_in_snapshot_count():
     assert basis.rank == k
     F = basis.right_vectors
     assert np.allclose(F.T @ (sset.weights[:, None] * F), np.eye(k), atol=1e-12)
+
+
+_POD_RSS_SCRIPT = """
+import sys
+import numpy as np
+from podkit.gram_space import identity_space
+from podkit.pod_engine import compute_pod
+from podkit.snapshot_io import make_snapshot_set
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+
+n = int(sys.argv[1])
+sset = make_snapshot_set(np.random.default_rng(0).standard_normal((n, n)), np.ones(n),
+                         space=identity_space(n))
+before = peak_kib()
+compute_pod(sset)
+print(peak_kib() - before)
+"""
+
+
+def test_compute_pod_peaks_within_its_counted_arrays():
+    # the budget counts POD_ARRAYS dim x count arrays: the rise of peak RSS
+    # over the data, in a fresh interpreter at one BLAS thread, on square
+    # data, whose SVD workspace is the largest.  The peak is Linux's VmHWM,
+    # which starts afresh at exec, where ru_maxrss starts from the pytest
+    # process's size.
+    n = 800
+    env = {**os.environ, "PYTHONPATH": str(Path(compute_pod.__code__.co_filename).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _POD_RSS_SCRIPT, str(n)],
+                          capture_output=True, text=True, env=env, check=True)
+    rise = 1024 * int(done.stdout)
+    assert 0 < rise < 8 * POD_ARRAYS * n * n, (rise, 8 * POD_ARRAYS * n * n)
 
 
 def unblocked_pod(sset):

@@ -80,14 +80,10 @@ def test_make_snapshot_set_validation():
     for empty in (np.ones((0, 4)), np.ones((3, 0))):  # load refuses dim or count 0
         with pytest.raises(DimensionMismatch):
             make_snapshot_set(empty, np.ones(empty.shape[1]))
-    with pytest.raises(MalformedManifest):
-        make_snapshot_set(data, np.ones(4), kind="weird")
-    with pytest.raises(MalformedManifest):
-        make_snapshot_set(data, np.ones(4), kind="continuous")
     with pytest.raises(NonMonotoneGrid):
-        make_snapshot_set(
-            data, np.ones(4), kind="continuous", grid=[0.0, 1.0, 0.5, 2.0, 3.0]
-        )
+        make_snapshot_set(data, grid=[0.0, 1.0, 0.5, 2.0, 3.0])
+    with pytest.raises(DimensionMismatch):
+        make_snapshot_set(data, grid=[0.0, 1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -162,15 +158,22 @@ def test_save_load_continuous(tmp_path):
     assert np.array_equal(back.grid, grid)
     assert np.array_equal(back.weights, sset.weights)
     assert np.array_equal(back.data, sset.data)
+    # the loaded set saves to the same manifest, byte for byte
+    (tmp_path / "again").mkdir()
+    save(back, str(tmp_path / "again" / "traj.json"), gram_spec="identity")
+    assert (tmp_path / "again" / "traj.json").read_bytes() == (tmp_path / "traj.json").read_bytes()
 
 
 def test_continuous_weights_must_be_the_grid_intervals():
-    # a bundle stores only the grid, so other weights would not survive save
-    # and load: [1, 2, 3] on this grid would come back as [0.5, 0.2, 0.2]
-    with pytest.raises(MalformedManifest, match="weight 1 is 1.0, not the grid interval 0.5"):
-        make_snapshot_set(np.ones((2, 3)), [1, 2, 3], kind="continuous", grid=[0, 0.5, 0.7, 0.9])
+    # a bundle stores only the grid, so a set takes weights or a grid, never
+    # both, and a grid's set weighs each snapshot by its interval
     grid = np.array([0.0, 0.5, 0.7, 0.9])
-    sset = make_snapshot_set(np.ones((2, 3)), np.diff(grid), kind="continuous", grid=grid)
+    with pytest.raises(MalformedManifest, match="either weights or a time grid"):
+        make_snapshot_set(np.ones((2, 3)), np.diff(grid), grid=grid)
+    with pytest.raises(MalformedManifest, match="either weights or a time grid"):
+        make_snapshot_set(np.ones((2, 3)))
+    sset = make_snapshot_set(np.ones((2, 3)), grid=grid)
+    assert sset.kind == "continuous"
     assert np.array_equal(sset.weights, np.diff(grid))
 
 
