@@ -34,12 +34,13 @@ whichever other levels run.  They differ from the pw_* rows of reports
 written when every level drew from one numpy.random stream.
 
 Importing this module imports numpy and every podkit module, but no
-scipy, numpy.random, subprocess or csv module.  pod, verify, sweep and a
-JSON table load none of those four; table on a CSV report loads csv, and
-an explicit "ritz_form" loads scipy (the ellipticity bisection's dpbtrf),
-which itself loads the other three.  generate-synthetic loads numpy.random
-for its data, and generate-fhn subprocess for its CSV helper and scipy for
-its solve's LAPACK kernels.
+scipy, numpy.random, subprocess or csv module, and not OpenSSL's _hashlib:
+the digests are CPython's built-in BLAKE2b (_blake2) and SHAKE256 (_sha3).
+pod, verify, sweep and a JSON table load none of those five; table on a CSV
+report loads csv, and an explicit "ritz_form" loads scipy (the ellipticity
+bisection's dpbtrf), which itself loads the other four.  generate-synthetic
+loads numpy.random for its data, and generate-fhn subprocess for its CSV
+helper and scipy for its solve's LAPACK kernels.
 
 --map takes a map spec, inline JSON or a path to a JSON file; the grammar is
 documented once, in podkit.linear_map.build_map_from_spec.  --projector ritz
@@ -53,13 +54,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import hashlib
 import json
 import math
 import os
 import sys
 
 import numpy as np
+from _sha3 import shake_256
 
 from .errors import (
     IndexOutOfRange,
@@ -138,7 +139,7 @@ def pointwise_coefficients(seed, r, count):
     with the second (angles).  No numpy.random module is loaded."""
     n = POINTWISE_PER_LEVEL * count
     half = (n + 1) // 2
-    stream = hashlib.shake_256(f"{seed}:{r}".encode()).digest(16 * half)
+    stream = shake_256(f"{seed}:{r}".encode()).digest(16 * half)
     u = (np.frombuffer(stream, dtype="<u8") >> 11) * 2.0**-53  # on [0, 1)
     radius = np.sqrt(-2.0 * np.log1p(-u[:half]))
     angle = 2.0 * np.pi * u[half:]

@@ -65,7 +65,7 @@ def check_dense_budget(arrays, shape, what):
     need = 8 * arrays * rows * cols
     if need > DENSE_BYTES_BUDGET:
         raise ProblemTooLarge(
-            f"{what} needs {arrays} dense {rows} x {cols} arrays ({need / 2**20:.0f} MiB), "
+            f"{what} needs {arrays} dense {rows} x {cols} arrays ({need / 2**20:.1f} MiB), "
             f"over the {DENSE_BYTES_BUDGET / 2**20:.0f} MiB budget"
         )
 

@@ -9,10 +9,12 @@ On disk a set is a small JSON manifest next to a headerless CSV of the data
 columns (one row per coordinate, 17 significant digits, so float64 values
 round-trip bit-exactly) and a NumPy .npy copy of the same doubles, so that a
 reader need not parse the CSV again.  The manifest's "data_npy" entry records
-two SHA-256 digests: of the CSV as written and of the array's bytes.  load
+two BLAKE2b-256 digests: of the CSV as written and of the array's bytes.  load
 reads the .npy only while the CSV still has its recorded digest and the .npy
 is a finite, C-order float64 array of the manifest's shape with its recorded
-digest; otherwise it parses the CSV, which stays the source of truth.
+digest; otherwise it parses the CSV, which stays the source of truth.  The
+digests come from CPython's built-in _blake2 module, so reading a bundle
+loads no OpenSSL (hashlib's _hashlib).
 
 A finished matrix is formatted in process (write_matrix_csv).  Columns that
 are computed one after another, as generate-fhn's snapshots are, go to a
@@ -28,7 +30,6 @@ The manifest names the Gram matrix of the ambient space either as the token
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -36,6 +37,7 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
+from _blake2 import blake2b
 
 from . import csv_rows, fem
 from .errors import (
@@ -62,10 +64,11 @@ CSV_GRAM_ARRAYS = 8
 # ProblemTooLarge, not an allocation failure.
 DATA_LOAD_ARRAYS = 2
 # pod_engine.compute_pod's peak RSS over the loaded data, in dim * count
-# doubles (one BLAS thread): 4.4 at 400 x 20,000, 5.8 at 2,000 x 400, 6.3 at
-# 200 x 2,000, and 9.0 to 9.7 for square data (800 to 2,000 rows), whose
-# xGESDD workspace is largest.  compute_pod checks it before it allocates
-# (refused above 5,592,405 values, 42.7 MiB of data).
+# doubles (one BLAS thread, wide data factored transposed): 4.2 at
+# 400 x 20,000, 5.8 at 2,000 x 400, 5.4 at 200 x 2,000, and 9.0 to 9.7 for
+# square data (800 to 2,000 rows), whose xGESDD workspace is largest.
+# compute_pod checks it before it allocates (refused above 5,592,405
+# values, 42.7 MiB of data).
 POD_ARRAYS = 12
 
 
@@ -319,11 +322,16 @@ def read_matrix_csv(path, rows=None, cols=None):
     return M
 
 
-def _file_sha256(path):
-    """SHA-256 hex digest of a file, read through one reused 256 KiB buffer,
-    as hashlib.file_digest (Python 3.11+) reads it: a fresh bytes object
-    per chunk, or a larger buffer, grows generate-fhn's peak RSS."""
-    digest = hashlib.sha256()
+def _digest(data=b""):
+    """A BLAKE2b-256 hash object, fed data."""
+    return blake2b(data, digest_size=32)
+
+
+def _file_digest(path):
+    """BLAKE2b-256 hex digest of a file, read through one reused 256 KiB
+    buffer, as hashlib.file_digest (Python 3.11+) reads it: a fresh bytes
+    object per chunk, or a larger buffer, grows generate-fhn's peak RSS."""
+    digest = _digest()
     buf = bytearray(2**18)
     view = memoryview(buf)
     with open(path, "rb") as fh:
@@ -337,12 +345,12 @@ def _read_data_npy(base, csv_path, entry, shape):
     still has the recorded digest and the .npy is a finite, C-order float64
     array of this shape with its recorded digest."""
     if not isinstance(entry, dict) or not all(
-        isinstance(entry.get(key), str) for key in ("file", "csv_sha256", "sha256")
+        isinstance(entry.get(key), str) for key in ("file", "csv_blake2b", "blake2b")
     ):
         return None
     fmt = np.lib.format
     try:
-        if _file_sha256(csv_path) != entry["csv_sha256"]:
+        if _file_digest(csv_path) != entry["csv_blake2b"]:
             return None
         with open(os.path.join(base, entry["file"]), "rb") as fh:
             # the header is checked before any array is allocated, so a
@@ -363,7 +371,7 @@ def _read_data_npy(base, csv_path, entry, shape):
     except (OSError, ValueError, EOFError):
         return None
     if (
-        hashlib.sha256(memoryview(M)).hexdigest() != entry["sha256"]
+        _digest(memoryview(M)).hexdigest() != entry["blake2b"]
         or not np.isfinite(M).all()
     ):
         return None
@@ -491,7 +499,7 @@ def save(sset, manifest_path, gram_spec, stream=None):
         write_matrix_csv(data_path, sset.data)
     M = np.ascontiguousarray(sset.data, dtype=float)
     _atomic_write(npy_path, lambda fh: np.save(fh, M, allow_pickle=False))
-    npy_sha256 = hashlib.sha256(memoryview(M)).hexdigest()
+    npy_digest = _digest(memoryview(M)).hexdigest()
     if stream is not None:
         try:
             stream.finish()
@@ -506,8 +514,8 @@ def save(sset, manifest_path, gram_spec, stream=None):
         "data": os.path.basename(data_path),
         "data_npy": {
             "file": os.path.basename(npy_path),
-            "csv_sha256": _file_sha256(data_path),
-            "sha256": npy_sha256,
+            "csv_blake2b": _file_digest(data_path),
+            "blake2b": npy_digest,
         },
     }
     if sset.kind == "continuous":

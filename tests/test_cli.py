@@ -1022,7 +1022,7 @@ _UNNEEDED_MODULES_SCRIPT = """
 import json, sys
 import numpy
 
-UNNEEDED = {"numpy.random", "subprocess", "csv"}
+UNNEEDED = {"numpy.random", "subprocess", "csv", "_hashlib"}
 # numpy before 2.0 imports numpy.random itself; what numpy loads is not
 # the command's doing
 with_numpy = UNNEEDED & set(sys.modules)
@@ -1039,8 +1039,9 @@ def test_certify_commands_load_no_random_subprocess_or_csv_module(synth_bundle, 
     # pod, verify with and without a map in every family, sweep and a JSON
     # table load neither numpy.random (the pointwise directions are hashed)
     # nor subprocess (generate-fhn's CSV helper alone starts a process) nor
-    # csv (read only for a CSV report); the bundle is written here, since
-    # generate-synthetic draws with numpy.random
+    # csv (read only for a CSV report) nor OpenSSL's _hashlib (the digests
+    # are CPython's built-in BLAKE2b and SHAKE256); the bundle is written
+    # here, since generate-synthetic draws with numpy.random
     manifest, map_path = synth_bundle
     stem = str(tmp_path / "out")
     runs = [
@@ -1081,8 +1082,8 @@ def test_pod_on_an_oversized_manifest_exits_2_before_allocating(tmp_path, capsys
         "data": csv_path.name, "weights": [1.0] * n,
         "data_npy": {
             "file": "s_data.npy",
-            "csv_sha256": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
-            "sha256": "0" * 64,
+            "csv_blake2b": hashlib.blake2b(csv_path.read_bytes(), digest_size=32).hexdigest(),
+            "blake2b": "0" * 64,
         },
     }))
     code, _, err = run(capsys, "pod", "--input", str(manifest), "--output", str(tmp_path / "b.json"))
@@ -1091,6 +1092,34 @@ def test_pod_on_an_oversized_manifest_exits_2_before_allocating(tmp_path, capsys
     assert payload["error"] == "ProblemTooLarge"
     assert "200000 x 200000" in payload["message"]
     assert not (tmp_path / "b.json").exists()
+
+
+def test_a_bundle_with_sha256_digests_loads_from_its_csv(synth_bundle, capsys, monkeypatch):
+    # bundles written before the digests were BLAKE2b-256 record SHA-256
+    # under csv_sha256 and sha256: load parses their CSV, once, to the same
+    # doubles, and the certificate still passes
+    manifest, map_path = synth_bundle
+    fresh = load(manifest).data
+    doc = json.loads(Path(manifest).read_text())
+    csv_path = Path(manifest.replace(".json", "_data.csv"))
+    doc["data_npy"] = {
+        "file": doc["data_npy"]["file"],
+        "csv_sha256": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+        "sha256": hashlib.sha256(np.ascontiguousarray(fresh).tobytes()).hexdigest(),
+    }
+    Path(manifest).write_text(json.dumps(doc, indent=2) + "\n")
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(path, *args, **kwargs):
+        calls.append(path)
+        return loadtxt(path, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    assert np.array_equal(load(manifest).data.view(np.int64), fresh.view(np.int64))
+    assert calls == [str(csv_path)]
+    code, _, err = run(capsys, "verify", "--input", manifest, "--map", map_path, "--r", "1,4")
+    assert code == 0, err
 
 
 def test_pod_beyond_the_dense_budget_exits_2_before_the_svd(

@@ -5,11 +5,12 @@ import pytest
 from scipy.linalg import block_diag as dense_block_diag
 from scipy.linalg import solve_triangular
 
-from podkit.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
-from podkit.gram_space import Banded, block_diag, half_weight, half_weight_inv, identity_space
+from podkit.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric, ProblemTooLarge
+from podkit.gram_space import Banded, block_diag, check_dense_budget, half_weight, half_weight_inv
+from podkit.gram_space import identity_space
 from podkit.gram_space import make_space
 from podkit.projector import ORTH_DROP_TOL
-from podkit.snapshot_io import resolve_gram_spec
+from podkit.snapshot_io import POD_ARRAYS, resolve_gram_spec
 
 from oracles import adjoint_matrix, inner, norm, solve_gram
 from oracles import weighted_prefixes
@@ -355,3 +356,14 @@ def test_block_diag_of_rectangular_blocks_matches_dense():
     ]
     got = block_diag(blocks).toarray()
     assert np.array_equal(got, dense_block_diag(*[b.toarray() for b in blocks]))
+
+
+def test_a_refused_budget_reports_its_need_to_a_tenth_of_a_mib():
+    # pod on a 2,798 x 2,000 bundle needs 512.3 MiB: rounded to whole MiB
+    # the refusal read "(512 MiB), over the 512 MiB budget"
+    with pytest.raises(ProblemTooLarge) as info:
+        check_dense_budget(POD_ARRAYS, (2798, 2000), "the POD")
+    assert str(info.value) == (
+        "the POD needs 12 dense 2798 x 2000 arrays (512.3 MiB), over the 512 MiB budget"
+    )
+    check_dense_budget(POD_ARRAYS, (2796, 2000), "the POD")  # 511.9 MiB fits

@@ -123,7 +123,7 @@ def test_rank_arrays_are_views_of_the_one_basis():
     assert basis.modes.shape == (9, basis.rank)
     assert basis.right_vectors.shape == (14, basis.rank)
     # the SVD's own singular values, squared and rooted again, bit for bit
-    _, sig, _ = svd(half_weight(sset.space, sset.data * np.sqrt(sset.weights)), full_matrices=False)
+    _, sig, _ = tall_svd(half_weight(sset.space, sset.data * np.sqrt(sset.weights)))
     assert np.array_equal(basis.sigma, sig[: basis.rank])
     assert np.array_equal(basis.sigma, np.sqrt(basis.eigenvalues[: basis.rank]))
     # truncation is a smaller rank over the same arrays
@@ -297,15 +297,29 @@ def test_compute_pod_peaks_within_its_counted_arrays():
     assert 0 < rise < 8 * POD_ARRAYS * n * n, (rise, 8 * POD_ARRAYS * n * n)
 
 
+def tall_svd(M):
+    """numpy's thin SVD of M, U S Vt, factored in the orientation with at
+    least as many rows as columns, as compute_pod factors it: for wide M,
+    the SVD of M^T with its vectors' roles swapped.  xGESDD reduces a wide
+    matrix by LQ and a tall one by QR, so the two orientations agree only
+    to round-off, and a bit-for-bit oracle has to take the one compute_pod
+    takes."""
+    if M.shape[0] >= M.shape[1]:
+        return svd(M, full_matrices=False)
+    Ut, sig, V = svd(M.T, full_matrices=False)
+    return V.T, sig, Ut.T
+
+
 def unblocked_pod(sset):
     """The whole whitened data matrix in one SVD: eigenvalues, left vectors,
     modes and right vectors of the full spectrum, as compute_pod computed
     them before it filled its SVD input a column block at a time.  It calls
-    the SVD compute_pod calls, numpy's: scipy links an OpenBLAS build of its
-    own, whose threaded products in xGESDD differ from numpy's in the last
-    bits when more than one BLAS thread runs."""
+    the SVD compute_pod calls, numpy's, on the same orientation (tall_svd):
+    scipy links an OpenBLAS build of its own, whose threaded products in
+    xGESDD differ from numpy's in the last bits when more than one BLAS
+    thread runs."""
     g12 = np.sqrt(sset.weights)
-    U, sig, Vt = svd(half_weight(sset.space, sset.data * g12[None, :]), full_matrices=False)
+    U, sig, Vt = tall_svd(half_weight(sset.space, sset.data * g12[None, :]))
     return sig**2, U, half_weight_inv(sset.space, U), Vt.T / g12[:, None]
 
 
@@ -324,10 +338,12 @@ def assert_bit_equal_to_unblocked(sset):
 
 
 @pytest.mark.parametrize(
-    "n, s, dense_gram", [(5, 7, True), (40, 3000, False), (150, 1600, True), (257, 900, False)]
+    "n, s, dense_gram",
+    [(5, 7, True), (40, 3000, False), (150, 1600, True), (257, 900, False), (300, 120, True)],
 )
 def test_compute_pod_is_bit_equal_to_the_unblocked_svd(n, s, dense_gram):
-    # the blocks are per-column products, so the SVD sees the same matrix
+    # the blocks are per-column products, so the SVD sees the same matrix;
+    # the wide cases pin the transposed SVD, 300 x 120 the direct one
     rng = np.random.default_rng(n + s)
     if dense_gram:
         A = rng.standard_normal((n, n))
@@ -351,8 +367,8 @@ def test_compute_pod_peak_is_two_and_a_half_data_arrays():
     # basis keeps one, since right_vectors is a view of right_full.
     # numpy's SVD works in buffers tracemalloc does not trace (a copy of
     # its input, its vectors, xGESDD's workspace), so the process grows
-    # more: by peak RSS the SVD alone adds 12 to 13 MB for a 3.1 MB
-    # 200 x 2000 input, and the flagship's compute_pod 18.3 MB over load.
+    # more: by peak RSS the SVD alone adds 10.2 to 10.4 MiB for a 3.1 MB
+    # 200 x 2000 input, and the flagship's compute_pod 15.5 MiB over load.
     n, s = 100, 10_000
     rng = np.random.default_rng(23)
     space = make_space(assemble_fem_1d(n).mass)

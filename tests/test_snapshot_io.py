@@ -504,7 +504,11 @@ def test_saved_npy_loads_the_bits_loadtxt_reads(tmp_path, fhn_instance):
         path = str(tmp_path / f"{stem}.json")
         save(sset, path, gram_spec=gram)
         entry = json.loads(Path(path).read_text())["data_npy"]
-        assert entry["file"] == f"{stem}_data.npy"
+        assert entry == {
+            "file": f"{stem}_data.npy",
+            "csv_blake2b": _blake2b_256((tmp_path / f"{stem}_data.csv").read_bytes()),
+            "blake2b": _blake2b_256(np.ascontiguousarray(sset.data).tobytes()),
+        }
         back = load(path).data
         parsed = np.loadtxt(tmp_path / f"{stem}_data.csv", delimiter=",", ndmin=2)
         assert back.dtype == np.float64 and back.flags.c_contiguous
@@ -544,13 +548,17 @@ def test_an_edited_csv_cell_wins_over_the_npy(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def _rewrite_npy(path, array, sha_of=None):
-    """Replace the bundle's .npy and record the digest of sha_of (default:
+def _blake2b_256(raw):
+    return hashlib.blake2b(raw, digest_size=32).hexdigest()
+
+
+def _rewrite_npy(path, array, digest_of=None):
+    """Replace the bundle's .npy and record the digest of digest_of (default:
     the new array), so that only the check under test can refuse it."""
     np.save(path.replace(".json", "_data.npy"), array, allow_pickle=True)
     manifest = json.loads(Path(path).read_text())
-    digest_of = np.ascontiguousarray(array if sha_of is None else sha_of)
-    manifest["data_npy"]["sha256"] = hashlib.sha256(digest_of.tobytes()).hexdigest()
+    of = np.ascontiguousarray(array if digest_of is None else digest_of)
+    manifest["data_npy"]["blake2b"] = _blake2b_256(of.tobytes())
     with open(path, "w") as fh:
         json.dump(manifest, fh)
 
@@ -566,13 +574,13 @@ def _tamper(case, path, data):
     elif case == "not_npy":
         Path(npy).write_bytes(b"a,b\n")
     elif case == "pickled":
-        _rewrite_npy(path, np.array([data], dtype=object), sha_of=data)
+        _rewrite_npy(path, np.array([data], dtype=object), digest_of=data)
     elif case == "wrong_shape":
         _rewrite_npy(path, np.ascontiguousarray(data.T))
     elif case == "float32":
         _rewrite_npy(path, data.astype(np.float32))
     elif case == "fortran":
-        _rewrite_npy(path, np.asfortranarray(data), sha_of=data.T)
+        _rewrite_npy(path, np.asfortranarray(data), digest_of=data.T)
     elif case == "non_finite":
         bad = data.copy()
         bad[0, 0] = np.nan
@@ -597,7 +605,7 @@ def _tamper(case, path, data):
             json.dump(manifest, fh)
     elif case == "bad_entry":
         manifest = json.loads(Path(path).read_text())
-        manifest["data_npy"]["sha256"] = 7
+        manifest["data_npy"]["blake2b"] = 7
         with open(path, "w") as fh:
             json.dump(manifest, fh)
 
