@@ -246,7 +246,7 @@ def cmd_pod(args):
         if len(values) != 1:
             raise IndexOutOfRange("pod takes a single --r value")
         basis = dataclasses.replace(basis, rank=values[0])
-    save_basis(basis, out)
+    save_basis(basis, sset, out)
     lead = ", ".join("%.6e" % s for s in basis.sigma[:8])
     print(f"wrote {out}")
     print(f"rank: {computed_rank} (drop tolerance {drop:g}), kept: {basis.rank}")

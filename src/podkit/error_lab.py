@@ -468,23 +468,13 @@ def write_report_csv(reports, path):
 
 
 def write_report_json(reports, path, extra=None):
-    checks = [
-        {**vars(rep), "info": {k: _jsonable(v) for k, v in rep.info.items()}}
-        for rep in reports
-    ]
+    """The verdict, the row count "rows" that read_report checks, the rows and extra."""
+    checks = [vars(rep) for rep in reports]
     extra = extra or {}
     payload = {"all_passed": verdict((rep.passed for rep in reports), extra.get("rank_relation")),
-               "checks": checks, **extra}
+               "rows": len(checks), "checks": checks, **extra}
     _atomic_write(path, json.dumps(payload, indent=2) + "\n")
     return path
-
-
-def _jsonable(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return value
 
 
 def report_format(path):
@@ -513,8 +503,9 @@ def read_report(path):
     "rank_relation", None without one and for a CSV report.  An unreadable
     path is MissingDataFile; a name report_format rejects, invalid JSON, a
     report without rows (so that an empty or truncated report never reads as
-    a pass), a bad row in either format and a rank_relation without boolean
-    "decided" and "passed" are MalformedManifest.
+    a pass), a JSON report whose "rows" is not its number of "checks", a
+    bad row in either format and a rank_relation without boolean "decided"
+    and "passed" are MalformedManifest.
     """
     relation = None
     if report_format(path) == "json":
@@ -522,6 +513,9 @@ def read_report(path):
         if not isinstance(report, dict) or not report.get("checks"):
             raise MalformedManifest(f'{path}: no "checks" rows')
         raws, relation = report["checks"], report.get("rank_relation")
+        count = report.get("rows")
+        if type(count) is not int or count != len(raws):  # true is not 1 row
+            raise MalformedManifest(f'{path}: {len(raws)} "checks" rows, "rows" says {count!r}')
         if relation is not None and not (isinstance(relation, dict) and all(
             isinstance(relation.get(key), bool) for key in ("decided", "passed")
         )):

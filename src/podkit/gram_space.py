@@ -9,10 +9,12 @@ Gram, all through the same code.  In whitened coordinates a vector v is
 C^T v, in which the G-norm is Euclidean, and a functional f is C^{-1} f, so
 that f^T v is their dot product; half_weight and half_weight_inv move
 between the coordinates, by a banded product or a banded triangular solve,
-and whitened_blocks whitens data by column blocks.  The Gram itself is read
-only to build C and by the Ritz ellipticity.  A dense step (a CSV Gram or
-"matrix" map, a generated snapshot set, the Ritz ellipticity on a wide
-band) first checks its bytes against DENSE_BYTES_BUDGET.
+and whitened_blocks whitens data by column blocks, into the one copy that
+the POD and the image spectrum each factor and for every residual, which
+holds none.  The Gram itself is read only to build C and by the Ritz
+ellipticity.  A dense step (a CSV Gram or "matrix" map, a generated snapshot
+set, the Ritz ellipticity on a wide band) first checks its bytes against
+DENSE_BYTES_BUDGET.
 
 Banded is the one sparse type: every operator podkit generates (FEM mass
 and stiffness, the derivative maps, their block diagonals, identities and
@@ -53,21 +55,23 @@ DENSE_BYTES_BUDGET = 2**29
 COLUMN_BLOCK_BYTES = 2**19
 
 
-def column_blocks(rows, cols, min_width=1):
-    """Column slices of COLUMN_BLOCK_BYTES of rows doubles, >= min_width, 16."""
-    width = max(min_width, 16, COLUMN_BLOCK_BYTES // (8 * max(rows, 1)))
+def column_blocks(rows, cols):
+    """Column slices of COLUMN_BLOCK_BYTES of rows doubles, >= 16 columns."""
+    width = max(16, COLUMN_BLOCK_BYTES // (8 * max(rows, 1)))
     return [slice(j, min(j + width, cols)) for j in range(0, cols, width)]
 
 
 def check_dense_budget(arrays, shape, what):
     """ProblemTooLarge unless arrays dense doubles of this shape fit the budget."""
     rows, cols = shape
-    need = 8 * arrays * rows * cols
+    check_budget(8 * arrays * rows * cols, f"{what} needs {arrays} dense {rows} x {cols} arrays")
+
+
+def check_budget(need, what):
+    """ProblemTooLarge, what its message begins with, unless need bytes fit the budget."""
     if need > DENSE_BYTES_BUDGET:
-        raise ProblemTooLarge(
-            f"{what} needs {arrays} dense {rows} x {cols} arrays ({need / 2**20:.1f} MiB), "
-            f"over the {DENSE_BYTES_BUDGET / 2**20:.0f} MiB budget"
-        )
+        budget = DENSE_BYTES_BUDGET / 2**20
+        raise ProblemTooLarge(f"{what} ({need / 2**20:.1f} MiB), over the {budget:.0f} MiB budget")
 
 
 def _rows(shape, k):
@@ -82,13 +86,13 @@ class Banded:
 
     diags maps an offset k (column minus row) to the entries A[i, i + k] of
     that diagonal, from row max(0, -k) on, as many as the shape holds.  A
-    Banded is never modified once built: A @ X and X @ A (X an ndarray or,
-    for A @ X, a Banded), A.T, A + B, A - B, c * A and A.toarray() make new
-    arrays, and A.T shares A's diagonals.  A @ X adds each row's terms in
-    column order onto zero, as a CSR product does, whatever X's layout.
+    Banded is never modified once built: A @ X (X an ndarray or a Banded),
+    A.T, A + B, A - B, c * A and A.toarray() make new arrays, and A.T
+    shares A's diagonals.  A @ X adds each row's terms in column order onto
+    zero, as a CSR product does, whatever X's layout.
     """
 
-    __array_ufunc__ = None  # so that ndarray @ Banded and ndarray - Banded defer here
+    __array_ufunc__ = None  # so that ndarray + Banded and ndarray - Banded defer here
 
     def __init__(self, diags, shape):
         self.shape = (int(shape[0]), int(shape[1]))
@@ -131,9 +135,6 @@ class Banded:
             r0, r1 = _rows(self.shape, k)
             out[r0:r1] += (d if X.ndim == 1 else d[:, None]) * X[r0 + k : r1 + k]
         return out
-
-    def __rmatmul__(self, other):
-        return (self.T @ np.asarray(other).T).T
 
     def _product(self, other):
         if self.shape[1] != other.shape[0]:
@@ -317,11 +318,6 @@ def make_space(gram):
     return GramSpace(dim=G.shape[0], gram=G, chol=band_cholesky(lower_band(G)))
 
 
-def identity_space(dim):
-    """Euclidean R^dim (identity Gram matrix, kd = 0)."""
-    return GramSpace(dim=dim, gram=identity(dim), chol=np.ones((1, dim)))
-
-
 def _check_dim(space, u):
     u = np.asarray(u, dtype=float)
     if u.shape[0] != space.dim:
@@ -368,14 +364,14 @@ def half_weight_inv(space, u, adjoint=False):
     return x
 
 
-def whitened_blocks(columns, space=None, lmap=None, scale=None, min_width=1):
+def whitened_blocks(columns, space=None, lmap=None, scale=None):
     """(blk, C_x^T W_b, C_y^T L W_b) for column blocks W_b of the columns W,
     scaled by scale first, the second None without a space and the third
     without a map: how the POD, the image spectrum and every residual whiten
-    data, a block of the larger dimension's COLUMN_BLOCK_BYTES (>= min_width
-    columns) at a time, so no whitened copy of the whole data is held."""
+    data, a block of the larger dimension's COLUMN_BLOCK_BYTES at a time, so
+    that a residual holds no whitened copy of the whole data."""
     rows = max(len(columns), 0 if lmap is None else lmap.codomain.dim)
-    for blk in column_blocks(rows, columns.shape[1], min_width):
+    for blk in column_blocks(rows, columns.shape[1]):
         W = columns[:, blk] if scale is None else columns[:, blk] * scale[blk]
         X = None if space is None else half_weight(space, W)
         yield blk, X, None if lmap is None else half_weight(lmap.codomain, lmap.matrix @ W)

@@ -11,7 +11,8 @@ f_k are orthonormal in the weighted coefficient space.  Numerically the
 decomposition is realized as one thin SVD of the whitened data matrix
 A = C^T W diag(sqrt(g)), G = C C^T, filled by column blocks into the one
 data-sized working copy beside the data and the right vectors; other
-data-sized temporaries are blocks of gram_space.COLUMN_BLOCK_BYTES.
+data-sized temporaries are blocks of gram_space.COLUMN_BLOCK_BYTES.  The
+image spectrum is the same SVD, with no vectors, of C_y^T L W diag(sqrt(g)).
 numpy.linalg.svd (xGESDD) factors the orientation with at least as many
 rows as columns, A itself or, for wide data, the view A^T, so that it
 reduces by QR rather than LQ, and the roles of its vectors swap back
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EigenFailure, IndexOutOfRange
 from .gram_space import GramSpace, check_dense_budget, half_weight_inv, whitened_blocks
-from .snapshot_io import POD_ARRAYS, _atomic_write, _digest, write_matrix_csv
+from .snapshot_io import IMAGE_ARRAYS, POD_ARRAYS, _atomic_write, _digest, write_matrix_csv
 
 DEFAULT_DROP_TOL = 1e-12
 # A mode is signed by its first entry whose magnitude is within this
@@ -81,8 +82,6 @@ class PodBasis:
         the weights; the leading rank columns carry the modes' signs.
     space : GramSpace
         Ambient space of the snapshots.
-    snapshots_ref : str
-        Content fingerprint of the data the basis was computed from.
 
     modes, right_vectors and sigma are the rank-r arrays, read-only: views
     of the leading rank columns of modes_full and right_full, and
@@ -97,7 +96,6 @@ class PodBasis:
     left_full: np.ndarray = field(repr=False)
     right_full: np.ndarray = field(repr=False)
     space: GramSpace = field(repr=False)
-    snapshots_ref: str = ""
 
     @property
     def modes(self):
@@ -110,16 +108,6 @@ class PodBasis:
     @property
     def sigma(self):
         return np.sqrt(self.eigenvalues[: self.rank])
-
-
-def fingerprint(*arrays):
-    """First 12 hex digits of the BLAKE2b-256 (snapshot_io._digest) of the
-    arrays' bytes, in order; contiguous arrays are hashed in place, through
-    the buffer protocol."""
-    h = _digest()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a))
-    return h.hexdigest()[:12]
 
 
 def compute_pod(sset, drop_tol=DEFAULT_DROP_TOL):
@@ -149,13 +137,8 @@ def compute_pod(sset, drop_tol=DEFAULT_DROP_TOL):
     if not (0.0 < drop_tol < 1.0):
         raise IndexOutOfRange(f"drop_tol must lie in (0, 1), got {drop_tol}")
 
-    W = sset.data
-    check_dense_budget(POD_ARRAYS, W.shape, "the POD")
-    g12 = np.sqrt(sset.weights)
-    A = np.empty(W.shape, order="F")  # C^T W Gamma^{1/2}, n x s, by blocks
-    for blk, whitened, _ in whitened_blocks(W, space, scale=g12):
-        A[:, blk] = whitened
-
+    check_dense_budget(POD_ARRAYS, sset.data.shape, "the POD")
+    A = _whitened(sset)
     if A.shape[0] >= A.shape[1]:
         U, sig_full, Vt = _svd(A)
     else:  # A^T = V S U^T, a C-order view: xGESDD's QR route, not its LQ
@@ -164,7 +147,7 @@ def compute_pod(sset, drop_tol=DEFAULT_DROP_TOL):
 
     lam = sig_full**2
     modes_full = half_weight_inv(space, U)
-    right_full = np.divide(Vt, g12, out=Vt).T  # in place
+    right_full = np.divide(Vt, np.sqrt(sset.weights), out=Vt).T  # in place
     rank = numerical_rank(lam, drop_tol)
 
     lead = modes_full[:, :rank]
@@ -184,8 +167,17 @@ def compute_pod(sset, drop_tol=DEFAULT_DROP_TOL):
         left_full=U,
         right_full=right_full,
         space=space,
-        snapshots_ref=fingerprint(W, sset.weights),
     )
+
+
+def _whitened(sset, lmap=None):
+    """A = C_x^T W Gamma^{1/2} or, with a map, C_y^T L W Gamma^{1/2}, one
+    Fortran-order array filled by column blocks."""
+    space, rows = (sset.space, sset.space_dim) if lmap is None else (None, lmap.codomain.dim)
+    A = np.empty((rows, sset.count), order="F")
+    for blk, X, Y in whitened_blocks(sset.data, space, lmap, np.sqrt(sset.weights)):
+        A[:, blk] = Y if X is None else X
+    return A
 
 
 def _svd(A, compute_uv=True):
@@ -205,21 +197,23 @@ def numerical_rank(lam, drop_tol):
 
 
 def image_spectrum(lmap, sset):
-    """The POD eigenvalues of {L w_j}, same weights, descending: whitened
-    blocks of >= codomain dim columns of A = C_y^T L W Gamma^{1/2} fold into
-    an R-only Householder QR of A^T (Golub & Van Loan 5.2), so no image set
-    is formed."""
+    """The POD eigenvalues of {L w_j}, same weights, descending: the squared
+    singular values of A = C_y^T L W Gamma^{1/2} in the orientation with at
+    least as many rows as columns, budgeted at IMAGE_ARRAYS such arrays."""
     if sset.space_dim != lmap.domain.dim:
         raise DimensionMismatch(f"snapshots of dim {sset.space_dim}, map from {lmap.domain.dim}")
-    dim_y, g12 = lmap.codomain.dim, np.sqrt(sset.weights)
-    R = np.zeros((0, dim_y))
-    for blk, _, image in whitened_blocks(sset.data, lmap=lmap, min_width=dim_y):
-        R = np.linalg.qr(np.vstack((R, (image * g12[blk]).T)), mode="r")
-    return _svd(R, compute_uv=False) ** 2
+    check_dense_budget(IMAGE_ARRAYS, (lmap.codomain.dim, sset.count), "the image spectrum")
+    A = _whitened(sset, lmap)
+    return _svd(A if A.shape[0] >= A.shape[1] else A.T, compute_uv=False) ** 2
 
 
-def save_basis(basis, manifest_path):
-    """Persist sigma, rank and the basis arrays (17 significant digits)."""
+def save_basis(basis, sset, manifest_path):
+    """Persist sigma, rank and the basis arrays (17 significant digits), and
+    as snapshots_ref 12 hex digits of the BLAKE2b-256 (snapshot_io._digest)
+    of the bytes of the data and the weights of sset, the basis's set."""
+    ref = _digest()
+    for a in (sset.data, sset.weights):
+        ref.update(np.ascontiguousarray(a))
     manifest_path = os.path.abspath(manifest_path)
     base = os.path.dirname(manifest_path)
     stem = os.path.splitext(os.path.basename(manifest_path))[0]
@@ -232,7 +226,7 @@ def save_basis(basis, manifest_path):
         "rank": int(basis.rank),
         "drop_tol": float(basis.drop_tol),
         "eigenvalues": [float(v) for v in basis.eigenvalues],
-        "snapshots_ref": basis.snapshots_ref,
+        "snapshots_ref": ref.hexdigest()[:12],
         "modes": modes_name,
         "right_vectors": right_name,
     }

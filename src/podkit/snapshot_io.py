@@ -47,7 +47,7 @@ from .errors import (
     NonMonotoneGrid,
     WeightNonPositive,
 )
-from .gram_space import GramSpace, block_diag, check_dense_budget, identity, identity_space
+from .gram_space import GramSpace, block_diag, check_budget, check_dense_budget, identity
 from .gram_space import make_space
 
 # A dense dim x dim CSV Gram is budgeted at its measured peak, in dim^2
@@ -70,6 +70,16 @@ DATA_LOAD_ARRAYS = 2
 # compute_pod checks it before it allocates (refused above 5,592,405
 # values, 42.7 MiB of data).
 POD_ARRAYS = 12
+# pod_engine.image_spectrum's peak RSS over the data, in codomain dim *
+# count doubles (fresh processes, one BLAS thread, images of 3 MB and up):
+# 2.0 to 2.3 for square and wide images of 800 to 2,000 rows, 2.6 for the
+# flagship's 198 x 2,000, 2.8 to 2.9 for tall images of 30,000 rows or more.
+IMAGE_ARRAYS = 3
+# json.load's peak per byte of the file it parses (tracemalloc): 2.2 for a
+# saved manifest's weights, 22 to 25 for lists of empty lists or objects,
+# 45 for nested one-element lists, the most measured.  _read_json checks
+# it before parsing (refused above 11,184,810 bytes).
+JSON_PARSE_BYTES = 48
 
 
 @dataclass
@@ -356,14 +366,9 @@ def _read_data_npy(base, csv_path, entry, shape):
             # the header is checked before any array is allocated, so a
             # header claiming another shape costs nothing (load has checked
             # the manifest's shape against the budget)
-            version = fmt.read_magic(fh)
-            if version == (1, 0):
-                header = fmt.read_array_header_1_0(fh)
-            elif version == (2, 0):
-                header = fmt.read_array_header_2_0(fh)
-            else:
+            if fmt.read_magic(fh) != (1, 0):  # the version np.save writes
                 return None
-            if header != (shape, False, np.dtype(np.float64)):
+            if fmt.read_array_header_1_0(fh) != (shape, False, np.dtype(np.float64)):
                 return None
             M = np.empty(shape)
             if fh.readinto(memoryview(M).cast("B")) != M.nbytes:
@@ -396,9 +401,12 @@ def csv_shape(path):
 
 
 def _read_json(path):
-    """Parse a JSON file; an unreadable path or invalid JSON is an input error."""
+    """Parse a JSON file; an unreadable path or invalid JSON is an input error,
+    and so is one whose JSON_PARSE_BYTES per byte exceed the dense budget."""
     try:
         with open(path) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            check_budget(JSON_PARSE_BYTES * size, f"parsing the {size}-byte JSON file {path}")
             return json.load(fh)
     except OSError as exc:
         raise MissingDataFile(f"cannot read {path}: {exc.strerror}") from None
@@ -470,8 +478,6 @@ def gram_matrix(spec, dim, base_dir="."):
 
 def resolve_gram_spec(spec, dim, base_dir="."):
     """The GramSpace of a manifest gram entry; see gram_matrix for the forms."""
-    if spec == "identity":
-        return identity_space(dim)
     return make_space(gram_matrix(spec, dim, base_dir))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from podkit.fhn_gen import FhnConfig
-from podkit.gram_space import identity_space
+from podkit.gram_space import identity, make_space
 from podkit.snapshot_io import make_snapshot_set
 
 from oracles import make_fhn_dict
@@ -32,7 +32,7 @@ def by_id(reports):
 def golden_instance():
     data = np.array([[1.0, 1.0], [0.0, 1.0]])
     weights = np.array([1.0, 1.0])
-    space = identity_space(2)
+    space = make_space(identity(2))
     return make_snapshot_set(data, weights, space=space)
 
 

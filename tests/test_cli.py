@@ -373,6 +373,7 @@ def test_an_invertible_map_that_lifts_the_cut_leaves_the_relation_undecided(
 @pytest.mark.parametrize("damage", [
     "row-without-actual", "string-in-number-column", "check-not-an-object",
     "infinite-level", "relation-not-an-object", "relation-without-decided", "relation-passed-not-bool",
+    "truncated-to-one-row", "row-count-missing",
 ])
 def test_table_refuses_a_malformed_json_report(synth_bundle, tmp_path, capsys, damage):
     manifest, map_path = synth_bundle
@@ -395,8 +396,14 @@ def test_table_refuses_a_malformed_json_report(synth_bundle, tmp_path, capsys, d
         payload["rank_relation"] = [True]
     elif damage == "relation-without-decided":
         del payload["rank_relation"]["decided"]
-    else:
+    elif damage == "relation-passed-not-bool":
         payload["rank_relation"]["passed"] = "true"
+    elif damage == "truncated-to-one-row":
+        # the row left passes: only the row count tells the cut
+        assert len(payload["checks"]) > 1 and payload["checks"][0]["passed"]
+        payload["checks"] = payload["checks"][:1]
+    else:
+        del payload["rows"]
     report.write_text(json.dumps(payload))
     code, _, err = run(capsys, "table", "--input", str(report))
     assert code == 2
@@ -1125,18 +1132,20 @@ def test_a_bundle_with_sha256_digests_loads_from_its_csv(synth_bundle, capsys, m
 def test_pod_beyond_the_dense_budget_exits_2_before_the_svd(
     synth_bundle, tmp_path, capsys, monkeypatch
 ):
-    # load counts DATA_LOAD_ARRAYS 17 x 40 arrays and compute_pod POD_ARRAYS
-    # of them: under a budget that fits the load alone, pod is refused
-    # before the whitened copy or the SVD, and no basis is written
+    # load counts DATA_LOAD_ARRAYS 17 x 40 arrays, and JSON_PARSE_BYTES per
+    # byte of the manifest, and compute_pod POD_ARRAYS 17 x 40 arrays: under
+    # a budget that fits the load alone, pod is refused before the whitened
+    # copy or the SVD, and no basis is written
     import podkit.gram_space
     import podkit.pod_engine
-    from podkit.snapshot_io import DATA_LOAD_ARRAYS
+    from podkit.snapshot_io import DATA_LOAD_ARRAYS, JSON_PARSE_BYTES
 
     def never(*args, **kwargs):
         raise AssertionError("the SVD ran")
 
     manifest, _ = synth_bundle
-    monkeypatch.setattr(podkit.gram_space, "DENSE_BYTES_BUDGET", 8 * DATA_LOAD_ARRAYS * 17 * 40)
+    budget = max(8 * DATA_LOAD_ARRAYS * 17 * 40, JSON_PARSE_BYTES * os.path.getsize(manifest))
+    monkeypatch.setattr(podkit.gram_space, "DENSE_BYTES_BUDGET", budget)
     monkeypatch.setattr(podkit.pod_engine, "_svd", never)
     load(manifest)  # fits
     out_dir = tmp_path / "basis"
@@ -1201,6 +1210,32 @@ def test_derivative_verify_at_6000_nodes_exits_0_without_a_surjectivity_field(
     relation = json.loads(Path(report).read_text())["rank_relation"]
     assert "surjective" not in relation
     assert relation["rank_source"] == 8
+
+
+def test_a_json_input_beyond_the_dense_budget_exits_2_before_it_is_parsed(
+    synth_bundle, tmp_path, capsys, monkeypatch
+):
+    # a JSON file is counted at JSON_PARSE_BYTES per byte before json.load
+    # runs: under a budget one byte short of the manifest's count, pod is
+    # refused without parsing it, and no basis is written
+    import podkit.gram_space
+    from podkit.snapshot_io import JSON_PARSE_BYTES
+
+    def never(*args, **kwargs):
+        raise AssertionError("json.load ran")
+
+    manifest, _ = synth_bundle
+    need = JSON_PARSE_BYTES * os.path.getsize(manifest)
+    monkeypatch.setattr(podkit.gram_space, "DENSE_BYTES_BUDGET", need - 1)
+    monkeypatch.setattr(json, "load", never)
+    out_dir = tmp_path / "basis"
+    out_dir.mkdir()
+    code, out, err = run(capsys, "pod", "--input", manifest, "--output", str(out_dir / "b.json"))
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ProblemTooLarge"
+    assert f"parsing the {os.path.getsize(manifest)}-byte JSON file" in payload["message"]
+    assert os.listdir(out_dir) == []
 
 
 def test_matrix_map_beyond_the_dense_budget_exits_2_before_reading(

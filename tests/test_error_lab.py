@@ -36,7 +36,7 @@ from podkit.errors import (
     RankExceeded,
 )
 from podkit.fem import assemble_fem_1d
-from podkit.gram_space import COLUMN_BLOCK_BYTES, half_weight, identity_space, make_space
+from podkit.gram_space import COLUMN_BLOCK_BYTES, half_weight, identity, make_space
 from podkit.linear_map import identity_map
 from podkit.pod_engine import compute_pod
 from podkit.snapshot_io import make_snapshot_set
@@ -171,7 +171,7 @@ def test_snapshot_bounds_below_threshold_not_asserted():
     # shrinking the weights inflates the coefficient norms, pushing the
     # guarantee threshold to full rank; below it the rows must evaluate the
     # inequality without asserting it
-    space = identity_space(2)
+    space = make_space(identity(2))
     data = np.array([[1.0, 1.0], [0.0, 1.0]])
     sset = make_snapshot_set(data, np.array([0.01, 0.01]), space=space)
     basis = compute_pod(sset)

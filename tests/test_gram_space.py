@@ -7,7 +7,7 @@ from scipy.linalg import solve_triangular
 
 from podkit.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric, ProblemTooLarge
 from podkit.gram_space import Banded, block_diag, check_dense_budget, half_weight, half_weight_inv
-from podkit.gram_space import identity_space
+from podkit.gram_space import identity
 from podkit.gram_space import make_space
 from podkit.projector import ORTH_DROP_TOL
 from podkit.snapshot_io import POD_ARRAYS, resolve_gram_spec
@@ -81,7 +81,7 @@ def test_solve_gram_inverts():
 
 def test_orthonormalize_hand_example():
     # euclidean Gram-Schmidt of [[1,1],[0,1]] gives e1 and e2
-    space = identity_space(2)
+    space = make_space(identity(2))
     Q, k, reason = weighted_prefixes(space, np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert np.allclose(Q, np.eye(2))
     assert (k, reason) == (2, None)
@@ -99,7 +99,7 @@ def test_orthonormalize_weighted():
 
 
 def test_orthonormalize_rank_deficient():
-    space = identity_space(3)
+    space = make_space(identity(3))
     V = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
     _, k, reason = weighted_prefixes(space, V)
     assert k == 1 and reason.startswith("column 1 ")
@@ -212,7 +212,7 @@ def test_adjoint_pairing_and_involution():
 
 
 def test_dimension_checks():
-    space = identity_space(3)
+    space = make_space(identity(3))
     for kernel in (half_weight, half_weight_inv):
         for adjoint in (False, True):
             with pytest.raises(DimensionMismatch):
@@ -233,7 +233,7 @@ def gram_cases():
     rng = np.random.default_rng(21)
     flagship = resolve_gram_spec({"block_diag": [{"fem_mass": 8}] * 2}, 16)
     cases = [
-        ("identity", identity_space(7), np.eye(7), 0),
+        ("identity", make_space(identity(7)), np.eye(7), 0),
         ("identity-matrix", make_space(np.eye(7)), np.eye(7), 0),
         ("diagonal", make_space(np.diag(rng.uniform(0.5, 2.0, 7))), None, 0),
         ("fem-mass", resolve_gram_spec({"fem_mass": 9}, 9), None, 1),
@@ -306,7 +306,7 @@ def test_generated_gram_spaces_allocate_no_dense_matrix():
     tracemalloc.start()
     try:
         space = resolve_gram_spec({"fem_stiffness": n}, n)
-        identity_space(n)
+        make_space(identity(n))
         for kernel in (half_weight, half_weight_inv):
             kernel(space, U)
             kernel(space, U, adjoint=True)
@@ -335,7 +335,7 @@ def test_banded_algebra_matches_dense():
     assert np.array_equal(A.T.toarray(), dA.T)
     assert np.allclose(A @ X, dA @ X, rtol=1e-14, atol=1e-14)
     assert np.allclose(A @ X[:, 0], dA @ X[:, 0], rtol=1e-14, atol=1e-14)
-    assert np.allclose(Y @ A, Y @ dA, rtol=1e-14, atol=1e-14)
+    assert np.allclose((A.T @ Y.T).T, Y @ dA, rtol=1e-14, atol=1e-14)
     assert np.allclose((A @ B).toarray(), dA @ dB, rtol=1e-14, atol=1e-14)
     assert np.array_equal((A + C).toarray(), dA + dC)
     assert np.array_equal((A - C).toarray(), dA - dC)
@@ -343,6 +343,8 @@ def test_banded_algebra_matches_dense():
     assert np.array_equal((0.5 * A).toarray(), 0.5 * dA)
     with pytest.raises(ValueError):
         A @ X.T
+    with pytest.raises(TypeError):  # an ndarray is applied from the left as above
+        Y @ A
     with pytest.raises(DimensionMismatch):
         Banded({0: np.ones(3)}, (4, 4))
 

@@ -7,7 +7,7 @@ import pytest
 
 from podkit.error_lab import battery_level, certifier, rank_relation
 from podkit.errors import DimensionMismatch, NotInvertible
-from podkit.gram_space import Banded, identity_space, make_space
+from podkit.gram_space import Banded, identity, make_space
 from podkit.linear_map import (
     MATRIX_CSV_ARRAYS,
     LinearMap,
@@ -49,7 +49,7 @@ def test_certified_inverse_round_trip():
 
 
 def test_singular_matrix_rejected():
-    dom = identity_space(3)
+    dom = make_space(identity(3))
     M = np.zeros((3, 3))
     M[0, 0] = 1.0
     with pytest.raises(NotInvertible):
@@ -57,14 +57,14 @@ def test_singular_matrix_rejected():
 
 
 def test_ill_conditioned_rejected():
-    dom = identity_space(3)
+    dom = make_space(identity(3))
     M = np.diag([1.0, 1.0, 1e-14])
     with pytest.raises(NotInvertible):
         make_map(dom, dom, M, invertible=True)
 
 
 def test_bad_explicit_inverse_rejected():
-    dom = identity_space(2)
+    dom = make_space(identity(2))
     M = np.diag([2.0, 3.0])
     with pytest.raises(NotInvertible):
         LinearMap(dom, dom, M, inverse=np.diag([0.5, 0.5]))
@@ -102,7 +102,7 @@ def test_an_inverse_perturbed_by_1e_6_cannot_be_constructed(route):
 
 
 def test_a_map_checks_its_shapes_however_built():
-    dom, codom = identity_space(3), identity_space(2)
+    dom, codom = make_space(identity(3)), make_space(identity(2))
     lmap = identity_map(dom)
     with pytest.raises(DimensionMismatch):
         LinearMap(dom, codom, np.ones((3, 3)))
@@ -115,8 +115,8 @@ def test_a_map_checks_its_shapes_however_built():
 
 
 def test_rectangular_never_invertible():
-    dom = identity_space(4)
-    codom = identity_space(3)
+    dom = make_space(identity(4))
+    codom = make_space(identity(3))
     M = np.ones((3, 4))
     with pytest.raises(NotInvertible):
         make_map(dom, codom, M, invertible=True)
@@ -207,7 +207,7 @@ def test_rank_relation_zero_map(golden_instance):
 def test_rank_relation_drop_tol_provenance():
     # both ranks are counted at the basis's drop tolerance: eigenvalues 1 and
     # 1e-11 give rank 2 at 1e-12 and rank 1 at 1e-10, on both sides
-    space = identity_space(2)
+    space = make_space(identity(2))
     sset = make_snapshot_set(np.diag([1.0, 10**-5.5]), np.ones(2), space=space)
     for drop_tol, rank in ((1e-12, 2), (1e-10, 1)):
         report, reference = _relation(sset, identity_map(space), drop_tol)
@@ -241,7 +241,7 @@ def _golden_map(sset, which):
     "instance", ["golden-invertible", "golden-rank-1", "golden-zero", "embedding-1000", "flagship"]
 )
 def test_image_spectrum_matches_the_induced_set_pod(golden_instance, fhn_instance, instance):
-    # the QR-folded spectrum against the reference: the full POD of L W
+    # the image spectrum against the reference: the full POD of L W
     if instance.startswith("golden"):
         sset = golden_instance
         lmap = _golden_map(sset, instance.split("-", 1)[1])
@@ -334,7 +334,7 @@ def test_diag_spec_is_sparse_and_certifies_like_the_dense_map():
 
 
 def test_ill_conditioned_diag_spec_is_refused():
-    space = identity_space(3)
+    space = make_space(identity(3))
     assert _diag_spec_map([1.0, 2e-12, 1.0], space).inverse is not None  # condition 5e11
     with pytest.raises(NotInvertible, match="condition number"):
         _diag_spec_map([1.0, 1e-13, 1.0], space)
@@ -343,7 +343,7 @@ def test_ill_conditioned_diag_spec_is_refused():
 def test_diag_spec_of_30000_entries_builds_without_an_n_by_n_array():
     # the dense map, its inverse and the certificate took 4 n^2 doubles
     # (7.2 GB each at this size); the banded ones take O(n)
-    space = identity_space(30000)
+    space = make_space(identity(30000))
     d = np.linspace(1.0, 2.0, 30000)
     tracemalloc.start()
     try:
@@ -363,7 +363,7 @@ def test_matrix_map_peaks_within_its_counted_arrays(tmp_path, invertible):
     rng = np.random.default_rng(3)
     path = str(tmp_path / "m.csv")
     write_matrix_csv(path, np.eye(n) + 0.1 * rng.standard_normal((n, n)) / np.sqrt(n))
-    sset = make_snapshot_set(np.ones((n, 2)), np.ones(2), space=identity_space(n))
+    sset = make_snapshot_set(np.ones((n, 2)), np.ones(2), space=make_space(identity(n)))
     spec = json.dumps({"matrix": path, "invertible": invertible})
     tracemalloc.start()
     try:

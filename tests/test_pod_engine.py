@@ -7,6 +7,7 @@ half-weighted data matrix instead, so agreement is a genuine cross-check.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -21,10 +22,10 @@ from numpy.linalg import svd
 from podkit.error_lab import certifier, rank_relation
 from podkit.errors import DimensionMismatch
 from podkit.fem import assemble_fem_1d
-from podkit.gram_space import half_weight, half_weight_inv, identity_space, make_space
+from podkit.gram_space import half_weight, half_weight_inv, identity, make_space
 from podkit.linear_map import identity_map
 from podkit.pod_engine import compute_pod, save_basis
-from podkit.snapshot_io import POD_ARRAYS, make_snapshot_set
+from podkit.snapshot_io import IMAGE_ARRAYS, POD_ARRAYS, make_snapshot_set
 
 from conftest import GOLDEN_LAMBDA_1, GOLDEN_LAMBDA_2
 from oracles import apply_K, apply_K_adjoint, apply_projector, hs_norm_sq, inner
@@ -43,7 +44,7 @@ def random_set(rng, dim, s, spd=True):
         A = rng.standard_normal((dim, dim))
         space = make_space((A.T @ A + dim * np.eye(dim)) / dim)
     else:
-        space = identity_space(dim)
+        space = make_space(identity(dim))
     data = rng.standard_normal((dim, s))
     weights = rng.uniform(0.5, 2.0, s)
     return make_snapshot_set(data, weights, space=space), space
@@ -89,14 +90,14 @@ def test_mode_orthonormality_both_sides():
 def test_duplicated_snapshot_sigma():
     # two copies of one vector with unit weights: sigma_1 = sqrt(2)||w||
     w = np.array([3.0, 4.0])
-    sset = make_snapshot_set(np.column_stack([w, w]), [1.0, 1.0], space=identity_space(2))
+    sset = make_snapshot_set(np.column_stack([w, w]), [1.0, 1.0], space=make_space(identity(2)))
     basis = compute_pod(sset)
     assert basis.rank == 1
     assert basis.sigma[0] == pytest.approx(np.sqrt(2.0) * 5.0, rel=1e-14)
 
 
 def test_zero_data_rank_zero():
-    sset = make_snapshot_set(np.zeros((4, 3)), np.ones(3), space=identity_space(4))
+    sset = make_snapshot_set(np.zeros((4, 3)), np.ones(3), space=make_space(identity(4)))
     basis = compute_pod(sset)
     assert basis.rank == 0
     assert basis.modes.shape == (4, 0)
@@ -108,7 +109,7 @@ def test_drop_tol_controls_rank():
     u = np.array([1.0, 0.0])
     v = np.array([0.0, 1.0])
     data = np.column_stack([u, 1e-5 * v])
-    sset = make_snapshot_set(data, [1.0, 1.0], space=identity_space(2))
+    sset = make_snapshot_set(data, [1.0, 1.0], space=make_space(identity(2)))
     assert compute_pod(sset).rank == 2
     assert compute_pod(sset, drop_tol=1e-11).rank == 2
     assert compute_pod(sset, drop_tol=1e-8).rank == 1
@@ -137,9 +138,9 @@ def test_compute_pod_needs_the_sets_own_space():
     data = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(DimensionMismatch, match="no space attached"):
         compute_pod(make_snapshot_set(data, [1.0, 1.0]))
-    sset = make_snapshot_set(data, [1.0, 1.0], space=identity_space(2))
+    sset = make_snapshot_set(data, [1.0, 1.0], space=make_space(identity(2)))
     with pytest.raises(DimensionMismatch, match="space dim 3 != snapshot dim 2"):
-        compute_pod(dataclasses.replace(sset, space=identity_space(3)))
+        compute_pod(dataclasses.replace(sset, space=make_space(identity(3))))
 
 
 def test_pod_projector_is_idempotent_at_full_rank():
@@ -196,13 +197,15 @@ def test_save_load_round_trip(tmp_path):
     sset, _ = random_set(rng, 6, 9)
     basis = compute_pod(sset)
     path = tmp_path / "basis.json"
-    save_basis(basis, str(path))
+    save_basis(basis, sset, str(path))
     manifest = json.loads(path.read_text())
     assert manifest["rank"] == basis.rank
     assert manifest["drop_tol"] == basis.drop_tol
     assert np.array_equal(manifest["sigma"], basis.sigma)
     assert np.array_equal(manifest["eigenvalues"], basis.eigenvalues)
-    assert manifest["snapshots_ref"] == basis.snapshots_ref
+    # the data's fingerprint: BLAKE2b-256 of the data's and the weights' bytes
+    digest = hashlib.blake2b(sset.data.tobytes() + sset.weights.tobytes(), digest_size=32)
+    assert manifest["snapshots_ref"] == digest.hexdigest()[:12]
     for key, array in (("modes", basis.modes), ("right_vectors", basis.right_vectors)):
         back = np.loadtxt(tmp_path / manifest[key], delimiter=",", ndmin=2)
         assert np.array_equal(back, array)
@@ -217,7 +220,7 @@ def _relation(sset, basis):
 def test_spectrum_gapped():
     # clean gap: rank-1 data plus nothing
     sset = make_snapshot_set(
-        np.column_stack([[1.0, 0.0], [2.0, 0.0]]), [1.0, 1.0], space=identity_space(2)
+        np.column_stack([[1.0, 0.0], [2.0, 0.0]]), [1.0, 1.0], space=make_space(identity(2))
     )
     assert _relation(sset, compute_pod(sset))["decided"]
     # smooth decay through the cut: the eigenvalues past the rank sum to
@@ -226,7 +229,7 @@ def test_spectrum_gapped():
     U = np.linalg.qr(rng.standard_normal((12, 12)))[0]
     sig = 10.0 ** -np.linspace(0.0, 14.0, 12)
     data = U @ np.diag(sig) @ np.linalg.qr(rng.standard_normal((12, 12)))[0]
-    sset = make_snapshot_set(data, np.ones(12), space=identity_space(12))
+    sset = make_snapshot_set(data, np.ones(12), space=make_space(identity(12)))
     basis = compute_pod(sset)
     assert 0 < basis.rank < 12
     relation = _relation(sset, basis)
@@ -234,7 +237,8 @@ def test_spectrum_gapped():
     # a hundred eigenvalues just below the cut sum to 50 times the threshold:
     # the bound cannot place the image's tail below it, so nothing is decided
     sset = make_snapshot_set(
-        np.diag(np.sqrt(np.r_[1.0, np.full(100, 0.5e-12)])), np.ones(101), space=identity_space(101)
+        np.diag(np.sqrt(np.r_[1.0, np.full(100, 0.5e-12)])), np.ones(101),
+        space=make_space(identity(101)),
     )
     basis = compute_pod(sset)
     assert basis.rank == 1
@@ -265,7 +269,7 @@ def test_compute_pod_memory_stays_linear_in_snapshot_count():
 _POD_RSS_SCRIPT = """
 import sys
 import numpy as np
-from podkit.gram_space import identity_space
+from podkit.gram_space import identity, make_space
 from podkit.pod_engine import compute_pod
 from podkit.snapshot_io import make_snapshot_set
 
@@ -275,7 +279,7 @@ def peak_kib():
 
 n = int(sys.argv[1])
 sset = make_snapshot_set(np.random.default_rng(0).standard_normal((n, n)), np.ones(n),
-                         space=identity_space(n))
+                         space=make_space(identity(n)))
 before = peak_kib()
 compute_pod(sset)
 print(peak_kib() - before)
@@ -295,6 +299,39 @@ def test_compute_pod_peaks_within_its_counted_arrays():
                           capture_output=True, text=True, env=env, check=True)
     rise = 1024 * int(done.stdout)
     assert 0 < rise < 8 * POD_ARRAYS * n * n, (rise, 8 * POD_ARRAYS * n * n)
+
+
+_IMAGE_RSS_SCRIPT = """
+import numpy as np
+from podkit.fem import assemble_fem_1d
+from podkit.gram_space import block_diag, make_space
+from podkit.linear_map import derivative_map
+from podkit.pod_engine import image_spectrum
+from podkit.snapshot_io import make_snapshot_set
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+
+space = make_space(block_diag([assemble_fem_1d(100).mass] * 2))
+lmap = derivative_map(100, space)
+data = np.random.default_rng(0).standard_normal((200, 2000))
+before = peak_kib()
+image_spectrum(lmap, make_snapshot_set(data, np.full(2000, 1e-3), space=space))
+print(peak_kib() - before)
+"""
+
+
+def test_image_spectrum_peaks_within_its_counted_arrays():
+    # the budget counts IMAGE_ARRAYS codomain dim x count arrays: the rise of
+    # peak RSS over the data, measured as for compute_pod, on the flagship's
+    # shapes: two 100-node fields, 2,000 snapshots, a 198 x 2,000 image
+    env = {**os.environ, "PYTHONPATH": str(Path(compute_pod.__code__.co_filename).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _IMAGE_RSS_SCRIPT],
+                          capture_output=True, text=True, env=env, check=True)
+    rise, need = 1024 * int(done.stdout), 8 * IMAGE_ARRAYS * 198 * 2000
+    assert 0 < rise < need, (rise, need)
 
 
 def tall_svd(M):

@@ -19,7 +19,7 @@ from podkit.errors import (
 )
 from podkit.fem import assemble_fem_1d
 from podkit.fhn_gen import embedding_set
-from podkit.gram_space import Banded, identity, identity_space, make_space
+from podkit.gram_space import Banded, identity, make_space
 from podkit.linear_map import build_map_from_spec, identity_map, make_map
 from podkit.pod_engine import compute_pod
 from podkit.projector import (
@@ -89,7 +89,7 @@ def test_orthogonal_norm_one():
 
 def test_mapped_projector_rank_deficient_image():
     # a map that collapses the two leading modes onto one direction
-    space = identity_space(3)
+    space = make_space(identity(3))
     data = np.diag([2.0, 1.0, 0.5])
     sset = make_snapshot_set(data, np.ones(3), space=space)
     basis = compute_pod(sset)
@@ -196,7 +196,7 @@ def test_form_ellipticity_of_30000_nodes_is_exact_and_small():
     # bisection on banded factorizations: (1 - t) I is definite exactly for
     # t < 1, so both constants come out as exactly 1, and no n x n array
     # (7.2 GB here) is formed
-    space = identity_space(30000)
+    space = make_space(identity(30000))
     tracemalloc.start()
     try:
         constants = form_ellipticity(space, identity(30000))
@@ -402,7 +402,7 @@ def test_skew_dominated_form_fails_the_ritz_system_at_the_same_levels():
     # 1e3, so level 1's values carry a relative round-off of about 10%.
     inst = random_instance(10, 8, seed=77)
     basis = compute_pod(inst["set"])
-    lmap = make_map(inst["space_x"], identity_space(10), inst["map"].matrix)
+    lmap = make_map(inst["space_x"], make_space(identity(10)), inst["map"].matrix)
     Q = reference_mapped_orthogonal(basis, lmap, basis.rank).range_basis
     J = np.zeros((basis.rank, basis.rank))
     pairs = np.arange(0, basis.rank - 1, 2)

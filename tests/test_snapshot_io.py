@@ -23,7 +23,7 @@ from podkit.errors import (
 )
 from podkit.fem import assemble_fem_1d
 from podkit.fhn_gen import FhnConfig, embedding_set, solve_fhn
-from podkit.gram_space import DENSE_BYTES_BUDGET, identity_space, make_space
+from podkit.gram_space import DENSE_BYTES_BUDGET, identity, make_space
 from podkit.snapshot_io import (
     CsvStream,
     CSV_GRAM_ARRAYS,
@@ -150,7 +150,7 @@ def test_save_load_round_trip(tmp_path):
 def test_save_load_continuous(tmp_path):
     grid = np.linspace(0.0, 2.0, 7)
     states = np.random.default_rng(2).standard_normal((3, 7))
-    sset = from_trajectory(grid, states, space=identity_space(3))
+    sset = from_trajectory(grid, states, space=make_space(identity(3)))
     path = str(tmp_path / "traj.json")
     save(sset, path, gram_spec="identity")
     back = load(path)

@@ -1,16 +1,16 @@
 """The package ships only what its command line runs.
 
-cli.main runs in process under the standard library's trace module
-(function counting) over every subcommand, each projector family and each
-map spec kind, on tiny bundles.  Every top-level function of src/podkit
-must be called.  A function no command reaches belongs in tests/oracles.py,
-beside the other references, or nowhere.
+cli.main runs in process under a sys.settrace hook that records the code
+object of every new frame, over every subcommand, each projector family
+and each map spec kind, on tiny bundles, and one usage error.  Every
+top-level function of src/podkit and every method defined in a class body
+there must be called.  A function no command reaches belongs in
+tests/oracles.py, beside the other references, or nowhere.
 """
 
 import ast
-import gc
 import json
-import trace
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +21,21 @@ from podkit.cli import main
 SRC = Path(podkit.__file__).resolve().parent
 
 
-def top_level_functions():
-    """{(module stem, name)} of every def at the top of a podkit module."""
-    found = set()
+def defined_functions():
+    """{(module stem, first line): "module.name"} of every def at the top of
+    a podkit module, and as "module.Class.name" of every def in a class body
+    there.  A decorated def's first line is its first decorator's, as in its
+    code object's co_firstlineno."""
+    found = {}
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        found |= {
-            (path.stem, node.name) for node in tree.body if isinstance(node, ast.FunctionDef)
-        }
+        for node in ast.parse(path.read_text()).body:
+            is_class = isinstance(node, ast.ClassDef)
+            for d in node.body if is_class else [node]:
+                if isinstance(d, ast.FunctionDef):
+                    first = min([d.lineno] + [dec.lineno for dec in d.decorator_list])
+                    found[path.stem, first] = ".".join(
+                        [path.stem] + [node.name] * is_class + [d.name]
+                    )
     return found
 
 
@@ -38,6 +45,11 @@ def cli_runs(tmp):
     n = 17
     matrix = tmp / "m.csv"
     np.savetxt(matrix, np.eye(n) + 0.1 * np.diag(np.ones(n - 1), 1), delimiter=",")
+    form = tmp / "form.csv"  # every diagonal nonzero: a full band
+    np.savetxt(form, np.eye(n) + np.full((n, n), 0.01), delimiter=",")
+    ritz_csv = json.dumps({
+        "embedding": {"from": "mass", "to": "stiffness+mass"}, "ritz_form": str(form),
+    })
     maps = {
         "identity": {"identity": n},
         "diag": {"diag": list(np.linspace(1.0, 2.0, n))},
@@ -73,32 +85,40 @@ def cli_runs(tmp):
             "verify", "--input", synth, "--map", spec, "--projector", family,
             "--output", str(tmp / f"{family}.json"),
         ])
+    # a dense CSV form takes the Ritz ellipticity's dense eigensolve
+    runs.append([
+        "verify", "--input", synth, "--map", ritz_csv, "--projector", "ritz", "--r", "2",
+    ])
     runs += [
         ["table", "--input", str(tmp / "ritz.csv")],
         ["table", "--input", str(tmp / "ritz.json")],
+        ["table", "--input", str(tmp / "ritz.json"), "--tol", "1"],  # a usage error
     ]
     return runs
 
 
-def test_every_top_level_function_is_reached_from_the_cli(tmp_path, capsys):
-    tracer = trace.Trace(count=0, trace=0, countfuncs=1)
-    # trace names a method's class by gc.get_referrers, which scans every
-    # tracked object once per new code object; frozen objects are not
-    # scanned, which makes the run about six times faster
-    gc.freeze()
+def test_every_function_and_method_is_reached_from_the_cli(tmp_path, capsys):
+    called = set()
+
+    def record(frame, event, arg):  # called at each new frame; None traces no line of it
+        called.add(frame.f_code)
+
+    runs = cli_runs(tmp_path)
+    outer = sys.gettrace()
+    sys.settrace(record)
     try:
-        codes = [tracer.runfunc(main, argv) for argv in cli_runs(tmp_path)]
+        codes = [main(argv) for argv in runs]
     finally:
-        gc.unfreeze()
+        sys.settrace(outer)
     capsys.readouterr()
-    assert codes == [0] * len(codes)
-    called = {
-        (Path(filename).stem, name)
-        for filename, _, name in tracer.results().calledfuncs
-        if Path(filename).resolve().parent == SRC
+    assert codes == [0] * (len(runs) - 1) + [2]
+    reached = {
+        (Path(code.co_filename).stem, code.co_firstlineno)
+        for code in called
+        if Path(code.co_filename).resolve().parent == SRC
     }
-    unreached = {f"{module}.{name}" for module, name in top_level_functions() - called}
-    assert not unreached, "\n".join(sorted(unreached))
+    unreached = sorted(name for key, name in defined_functions().items() if key not in reached)
+    assert not unreached, "\n".join(unreached)
 
 
 def test_the_package_imports_nothing():
